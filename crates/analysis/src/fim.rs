@@ -175,11 +175,7 @@ pub fn mine(log: &DriftLog, config: &FimConfig) -> FimTable {
         // ...then count them in parallel; par_map merges in candidate
         // order, keeping the level deterministic at any thread count.
         let next: Vec<RankedCause> = parallel::par_map(candidates, |attrs| {
-            // Width 1: each worker runs its queries sequentially (indexed,
-            // but no nested fan-out under the candidate-level par_map).
-            let counts = log
-                .count_matching_with_threads(&attrs, None, 1)
-                .expect("schema keys");
+            let counts = log.count_matching(&attrs, None).expect("schema keys");
             (attrs, counts)
         })
         .into_iter()

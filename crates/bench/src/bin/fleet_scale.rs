@@ -1,48 +1,29 @@
-//! Fleet-scale drift-log benchmark: indexed segment queries vs the pre-PR
-//! full-scan path.
+//! Fleet-scale drift-log benchmark: the per-window analysis query mix over
+//! the segment index.
 //!
 //! Sweeps log sizes (5k → 500k rows, the "millions of devices, one row per
-//! upload" regime the ROADMAP targets) and fan-out widths (1–8 threads)
-//! over a representative analysis query mix — the single/pair counting,
-//! counterfactual-masked counting, `distinct_values`, and `rows_matching`
-//! calls that FIM, set reduction, and counterfactual analysis issue per
-//! window. Each configuration reports the median wall time; results land
-//! in `BENCH_fleet.json` at the workspace root (override with
-//! `NAZAR_BENCH_OUT`), in the same `{"benches": [...]}` shape as
-//! `BENCH_tensor.json`.
+//! upload" regime the ROADMAP targets) over a representative analysis
+//! query mix — the single/pair counting, counterfactual-masked counting,
+//! `distinct_values`, and `rows_matching` calls that FIM, set reduction,
+//! and counterfactual analysis issue per window. Each size reports the
+//! median wall time; results land in `BENCH_fleet.json` at the workspace
+//! root (override with `NAZAR_BENCH_OUT`), in the same `{"benches": [...]}`
+//! shape as `BENCH_tensor.json`.
 //!
-//! Three invariants are asserted, not just measured:
+//! The log has one query path, so there is one row per size. The ids keep
+//! their historical `_1t` suffix so the committed history stays
+//! comparable: the deleted cost-aware fan-out ran every recorded size at
+//! width 1, and the deleted full-scan rows (`_scan`, 9.2x slower at 500k
+//! rows) are in DESIGN.md §10. Correctness is pinned by
+//! `crates/log/tests/query_equivalence.rs`, not here.
 //!
-//! * every indexed query result is **bitwise identical** to the sequential
-//!   full-scan reference at every fan-out width (the PR-1 determinism
-//!   contract — `crates/log/tests/query_equivalence.rs` pins the same
-//!   property under proptest);
-//! * at the largest size and widest fan-out, the indexed mix is at least
-//!   **4× faster** than the full-scan baseline (the ISSUE 5 acceptance
-//!   bar);
-//! * thread scaling never degrades: at 50k and 500k rows, the 8-thread mix
-//!   is at most **1.15×** the 1-thread time. This pins the cost-aware
-//!   fan-out (`WORK_PER_TASK` in `crates/log`) — before it, small queries
-//!   spawned 8 scoped workers for microseconds of work and the 8-thread
-//!   mix ran ~8× *slower* than serial.
-//!
-//! `NAZAR_FLEET_QUICK=1` shrinks the sweep for smoke runs; the determinism
-//! assertion still applies but the speedup bar (defined at 500k rows) does
-//! not.
+//! `NAZAR_FLEET_QUICK=1` shrinks the sweep for smoke runs.
 
 use nazar_cloud::timing::synthetic_drift_log;
 use nazar_log::{Attribute, DriftLog, MatchCounts};
 use std::time::Instant;
 
-/// One measured configuration.
-struct BenchRow {
-    id: String,
-    median_ns: f64,
-    samples: usize,
-}
-
-/// Everything the query mix produces, for bitwise comparison.
-#[derive(PartialEq, Debug)]
+/// Everything the query mix produces.
 struct MixResult {
     single: MatchCounts,
     pair: MatchCounts,
@@ -51,37 +32,29 @@ struct MixResult {
     rows: Vec<usize>,
 }
 
-/// The per-window analysis query mix. `threads` is the fan-out width for
-/// the indexed path; the scan path ignores it (the pre-PR code was
-/// sequential by construction).
-fn query_mix(log: &DriftLog, mask: &[bool], threads: usize) -> MixResult {
+/// The per-window analysis query mix.
+fn query_mix(log: &DriftLog, mask: &[bool]) -> MixResult {
     let single = log
-        .count_matching_with_threads(&[Attribute::new("weather", "snow")], None, threads)
+        .count_matching(&[Attribute::new("weather", "snow")], None)
         .expect("schema key");
     let pair = log
-        .count_matching_with_threads(
+        .count_matching(
             &[
                 Attribute::new("weather", "rain"),
                 Attribute::new("location", "loc-3"),
             ],
             None,
-            threads,
         )
         .expect("schema keys");
     let masked = log
-        .count_matching_with_threads(&[Attribute::new("weather", "fog")], Some(mask), threads)
+        .count_matching(&[Attribute::new("weather", "fog")], Some(mask))
         .expect("schema key");
-    let distinct = log
-        .distinct_values_with_threads("device_id", threads)
-        .expect("schema key");
+    let distinct = log.distinct_values("device_id").expect("schema key");
     let rows = log
-        .rows_matching_with_threads(
-            &[
-                Attribute::new("weather", "snow"),
-                Attribute::new("location", "loc-7"),
-            ],
-            threads,
-        )
+        .rows_matching(&[
+            Attribute::new("weather", "snow"),
+            Attribute::new("location", "loc-7"),
+        ])
         .expect("schema keys");
     MixResult {
         single,
@@ -118,19 +91,11 @@ fn main() {
     } else {
         &[5_000, 50_000, 500_000]
     };
-    let thread_widths: &[usize] = &[1, 2, 4, 8];
     let samples = if quick { 5 } else { 15 };
 
-    let mut benches: Vec<BenchRow> = Vec::new();
-    let mut speedup_at_bar = 0.0f64;
-    let mut by_config: std::collections::BTreeMap<(usize, usize), f64> =
-        std::collections::BTreeMap::new();
-
+    let mut benches: Vec<(String, f64)> = Vec::new();
     for &rows in row_counts {
         let log = synthetic_drift_log(rows, 7);
-        assert!(log.num_segments() > 0, "index must be live");
-        let mut scan_log = log.clone();
-        scan_log.set_index_enabled(false);
         // Counterfactual-style mask: the stored flags with the planted
         // "snow" rows cleared, as set reduction would produce.
         let mut mask = log.drift_mask();
@@ -140,83 +105,21 @@ fn main() {
         {
             mask[r] = false;
         }
-
-        // Sequential full-scan reference: the pre-PR query path.
-        let reference = query_mix(&scan_log, &mask, 1);
-        let scan_ns = median_ns(samples, || {
-            let out = query_mix(&scan_log, &mask, 1);
-            assert_eq!(out.single.occurrences, reference.single.occurrences);
+        let out = query_mix(&log, &mask);
+        let ns = median_ns(samples, || {
+            std::hint::black_box(query_mix(std::hint::black_box(&log), &mask));
         });
-        benches.push(BenchRow {
-            id: format!("fleet_scale/queries_{rows}r_scan"),
-            median_ns: scan_ns,
-            samples,
-        });
-
-        for &threads in thread_widths {
-            let out = query_mix(&log, &mask, threads);
-            assert_eq!(
-                out, reference,
-                "indexed mix at {threads} threads must be bitwise \
-                 identical to the full scan ({rows} rows)"
-            );
-            let ns = median_ns(samples, || {
-                let out = query_mix(&log, &mask, threads);
-                assert_eq!(out.single.occurrences, reference.single.occurrences);
-            });
-            benches.push(BenchRow {
-                id: format!("fleet_scale/queries_{rows}r_{threads}t"),
-                median_ns: ns,
-                samples,
-            });
-            by_config.insert((rows, threads), ns);
-            if rows == *row_counts.last().expect("non-empty sweep")
-                && threads == *thread_widths.last().expect("non-empty sweep")
-            {
-                speedup_at_bar = scan_ns / ns.max(1.0);
-            }
-        }
-
-        let scan_pretty = scan_ns / 1e6;
-        let best = benches
-            .iter()
-            .filter(|b| b.id.contains(&format!("_{rows}r_")) && b.id.ends_with("8t"))
-            .map(|b| b.median_ns)
-            .next_back()
-            .unwrap_or(scan_ns);
+        benches.push((format!("fleet_scale/queries_{rows}r_1t"), ns));
         println!(
-            "{rows:>7} rows: scan {scan_pretty:8.3} ms | indexed@8t {:8.3} ms | {:5.1}x",
-            best / 1e6,
-            scan_ns / best.max(1.0)
-        );
-    }
-
-    println!("speedup at the acceptance point (largest size, 8 threads): {speedup_at_bar:.1}x");
-    // The 4x acceptance bar is defined at the full sweep's 500k-row point;
-    // quick runs stop at sizes too small to amortize fan-out overhead, so
-    // they only smoke-test determinism.
-    if !quick {
-        assert!(
-            speedup_at_bar >= 4.0,
-            "indexed query mix must be >= 4x faster than the full scan at the \
-             largest size / 8 threads (got {speedup_at_bar:.2}x)"
-        );
-    }
-
-    // Thread scaling must not degrade: the cost-aware fan-out keeps small
-    // queries serial, so wide configurations can never pay for threads the
-    // work cannot amortize.
-    for &rows in &[50_000usize, 500_000] {
-        let (Some(&t1), Some(&t8)) = (by_config.get(&(rows, 1)), by_config.get(&(rows, 8))) else {
-            continue; // quick sweeps stop below these sizes
-        };
-        let ratio = t8 / t1.max(1.0);
-        println!("{rows} rows: 8t/1t = {ratio:.2}x");
-        assert!(
-            ratio <= 1.15,
-            "8-thread mix must be at most 1.15x the 1-thread time at {rows} \
-             rows (got {ratio:.2}x — the fan-out is paying for threads the \
-             work cannot amortize)"
+            "{rows:>7} rows ({} segments): mix {:8.3} ms | snow={} rain&loc-3={} \
+             fog-masked={} distinct-devices={} snow&loc-7-rows={}",
+            log.num_segments(),
+            ns / 1e6,
+            out.single.occurrences,
+            out.pair.occurrences,
+            out.masked.drifted,
+            out.distinct.len(),
+            out.rows.len()
         );
     }
 
@@ -228,11 +131,8 @@ fn main() {
         "fleet_scale/",
         benches
             .iter()
-            .map(|b| {
-                nazar_bench::bench_row(
-                    &b.id,
-                    &[("median_ns", b.median_ns), ("samples", b.samples as f64)],
-                )
+            .map(|(id, ns)| {
+                nazar_bench::bench_row(id, &[("median_ns", *ns), ("samples", samples as f64)])
             })
             .collect(),
     )

@@ -14,11 +14,14 @@
 //! indexes them once (one `Segment` worth of posting lists); each probe
 //! then answers `count`/`rows`/`value_counts` questions against the block.
 //! All row offsets inside the block are local; callers carry the block's
-//! global start row and offset results themselves, which is what lets the
-//! store shift whole chunks during retention without touching their bytes.
+//! global start row and pass it to the probes that return rows, which is
+//! what lets the store shift whole chunks during retention without
+//! touching their bytes. The merge rules that combine per-block answers
+//! (`MatchCounts += part`, appended offset rows, accumulated per-code
+//! counts, [`group_counts`]) live in this crate too, so the in-memory log
+//! over its segments and the store over chunks + tail cannot disagree.
 
-use crate::entry::Attribute;
-use crate::store::{probe_segment, segment_count, MatchCounts, Result, Segment};
+use crate::store::{segment_count, segment_rows, MatchCounts, Segment};
 
 /// One decoded block of dictionary-encoded rows plus its probe index.
 ///
@@ -96,14 +99,11 @@ impl ColumnarBlock {
         segment_count(&self.columns, &self.seg, preds, mask)
     }
 
-    /// Appends the *local* rows matching every predicate to `out`, in
-    /// ascending row order. An empty predicate set matches every row.
-    pub fn rows_matching(&self, preds: &[(usize, u32)], out: &mut Vec<usize>) {
-        if preds.is_empty() {
-            out.extend(0..self.rows());
-            return;
-        }
-        probe_segment(&self.columns, &self.seg, preds, |_, row| out.push(row));
+    /// Appends the rows matching every predicate to `out` as global row
+    /// indices (`start` is the block's first global row), in ascending
+    /// order. An empty predicate set matches every row.
+    pub fn rows_matching(&self, preds: &[(usize, u32)], start: usize, out: &mut Vec<usize>) {
+        segment_rows(&self.columns, &self.seg, preds, start, out);
     }
 
     /// Adds the block's per-value `(occurrences, drifted)` contributions
@@ -114,37 +114,12 @@ impl ColumnarBlock {
     }
 }
 
-/// Re-exported predicate resolution result type, for store signatures.
-pub type ResolvedPredicates = Option<Vec<(usize, u32)>>;
-
-/// Resolves `set` against a schema + dictionary value lists without a
-/// [`DriftLog`](crate::DriftLog) instance — the form the persistent store
-/// uses when it holds dictionaries from a manifest.
-///
-/// `Ok(None)` means some value never occurs (the query matches nothing).
-///
-/// # Errors
-///
-/// Returns [`crate::LogError::UnknownKey`] for keys outside `schema`.
-pub fn resolve_predicates_in(
-    schema: &[String],
-    dict_values: &[Vec<String>],
-    set: &[Attribute],
-) -> Result<ResolvedPredicates> {
-    let mut preds = Vec::with_capacity(set.len());
-    for attr in set {
-        let ci = schema.iter().position(|k| k == &attr.key).ok_or_else(|| {
-            crate::store::LogError::UnknownKey {
-                key: attr.key.clone(),
-            }
-        })?;
-        match dict_values
-            .get(ci)
-            .and_then(|vals| vals.iter().position(|v| v == &attr.value))
-        {
-            Some(code) => preds.push((ci, code as u32)),
-            None => return Ok(None),
-        }
-    }
-    Ok(Some(preds))
+/// The `GROUP BY` view of a `distinct_values` result: zero-occurrence
+/// values dropped, the rest sorted by occurrence (descending, ties by
+/// value). Shared by [`DriftLog::group_counts`](crate::DriftLog::group_counts)
+/// and the persistent store's.
+pub fn group_counts(mut values: Vec<(String, MatchCounts)>) -> Vec<(String, MatchCounts)> {
+    values.retain(|(_, c)| c.occurrences > 0);
+    values.sort_by(|a, b| b.1.occurrences.cmp(&a.1.occurrences).then(a.0.cmp(&b.0)));
+    values
 }

@@ -15,23 +15,22 @@
 //! * the segment's **timestamp range** (`ts_min`/`ts_max`) for window
 //!   pruning.
 //!
-//! Hot queries (`count_matching`, `rows_matching`, `distinct_values`,
-//! `group_counts`) become per-segment posting-list intersections fanned out
-//! over `nazar_tensor::parallel::par_map` and merged in segment order, so
-//! results are bitwise identical at any `NAZAR_NUM_THREADS` (the PR-1
-//! determinism contract; pinned by `tests/query_equivalence.rs`).
+//! Every query (`count_matching`, `rows_matching`, `distinct_values`,
+//! `group_counts`, `window`) is a plain in-order loop over the segments,
+//! each answered by posting-list intersection and merged in segment order
+//! (pinned against a naive row scan by `tests/query_equivalence.rs`).
 //! Maintenance is incremental: `push` appends to the tail segment in place,
 //! `retain_last` drops whole head segments and rebuilds at most one partial
 //! head segment, and `window` prunes segments by timestamp range.
 //!
-//! The index is never serialized: a deserialized log answers queries via the
-//! original full-scan paths until its first mutation rebuilds the segments
-//! (mirroring how [`Dict`] lazily rebuilds its interning map).
+//! The segments cover every row at all times: the index is not serialized,
+//! so deserializing a log rebuilds it (and the [`Dict`] interning maps) on
+//! the way in.
 
 use crate::entry::{Attribute, DriftLogEntry};
 use nazar_obs::{LazyCounter, LazyGauge, LazyHistogram};
 use nazar_tensor::parallel;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -65,21 +64,10 @@ static SEGMENTS: LazyGauge = LazyGauge::new(
     "Row-range segments currently indexing the drift log",
     &[],
 );
-static INDEX_HITS: LazyCounter = LazyCounter::new(
-    "nazar_log_index_hits_total",
-    "Queries answered from the segment index instead of a full scan",
-    &[],
-);
 static SEGMENTS_PRUNED: LazyCounter = LazyCounter::new(
     "nazar_log_segments_pruned_total",
     "Segments skipped whole by a posting-list miss or timestamp range",
     &[],
-);
-static QUERY_FANOUT: LazyHistogram = LazyHistogram::new_volatile(
-    "nazar_log_query_fanout_width",
-    "Worker threads used per indexed query fan-out",
-    &[],
-    nazar_obs::pow2_buckets,
 );
 static INGEST_QUARANTINED: LazyCounter = LazyCounter::new(
     "nazar_log_ingest_quarantined_total",
@@ -143,6 +131,15 @@ pub struct MatchCounts {
     pub drifted: usize,
 }
 
+/// The merge rule of every counting query: partial counts over disjoint row
+/// ranges (index segments, storage chunks, the store's tail) add up.
+impl std::ops::AddAssign for MatchCounts {
+    fn add_assign(&mut self, part: MatchCounts) {
+        self.occurrences += part.occurrences;
+        self.drifted += part.drifted;
+    }
+}
+
 /// Outcome of one [`DriftLog::ingest_batch`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IngestReport {
@@ -162,9 +159,6 @@ struct Dict {
 
 impl Dict {
     fn intern(&mut self, value: &str) -> u32 {
-        if self.index.is_empty() && !self.values.is_empty() {
-            self.rebuild_index();
-        }
         if let Some(&id) = self.index.get(value) {
             return id;
         }
@@ -175,14 +169,6 @@ impl Dict {
     }
 
     fn lookup(&self, value: &str) -> Option<u32> {
-        if self.index.is_empty() && !self.values.is_empty() {
-            // Deserialized dictionaries fall back to a linear probe.
-            return self
-                .values
-                .iter()
-                .position(|v| v == value)
-                .map(|i| i as u32);
-        }
         self.index.get(value).copied()
     }
 
@@ -214,37 +200,9 @@ impl Dict {
 /// around this choice.
 pub const DEFAULT_SEGMENT_ROWS: usize = 4096;
 
-/// Segments below this count answer queries sequentially: fan-out overhead
-/// beats the win on small (per-window) logs.
-const MIN_PARALLEL_SEGMENTS: usize = 4;
-
-/// Estimated row-probes a single parallel task should amortize. The query
-/// fan-out width is `threads.min(est_work / WORK_PER_TASK)` (at least 1),
-/// so queries whose total probe work is small stay serial no matter how
-/// many threads are configured — spawning scoped workers costs on the
-/// order of 100µs each, which at 50k rows used to make 8 threads ~8x
-/// slower than 1 (the `fleet_scale` regression this bounds). A row-probe
-/// is ~1ns, so 1Mi probes ≈ 1ms per task, an order of magnitude above
-/// the spawn cost; `fleet_scale` asserts the resulting 8-thread mix stays
-/// within 1.15x of serial at 50k and 500k rows.
-const WORK_PER_TASK: usize = 1 << 20;
-
 /// Entries per parallel encode task in [`DriftLog::ingest_batch`]; batches
 /// below one task's worth encode serially.
 const INGEST_ROWS_PER_TASK: usize = 4096;
-
-/// How many parallel workers a query fanning out `est_work` row-probes
-/// over `segments` segments should use. Pure so the sizing policy is unit
-/// testable: width never exceeds `threads` or `segments`, and small work
-/// collapses to 1 (serial).
-fn fanout_width(threads: usize, est_work: usize, segments: usize) -> usize {
-    if segments < MIN_PARALLEL_SEGMENTS {
-        return 1;
-    }
-    threads
-        .min(est_work / WORK_PER_TASK)
-        .clamp(1, segments.max(1))
-}
 
 /// One row-range shard of the query index (see the module docs).
 ///
@@ -350,14 +308,11 @@ impl Segment {
 /// plus the drift flags and timestamps (DESIGN.md substitution S7 for the
 /// paper's Aurora table), sharded into row-range index `Segment`s.
 ///
-/// Counting queries run as per-segment posting-list intersections fanned
-/// out over scoped threads with an ordered merge — bitwise identical to the
-/// original single-threaded full scans at any thread count, but sublinear
-/// in rows for selective predicates and parallel for the rest. The
-/// full-scan paths are kept both as the fallback for freshly deserialized
-/// logs (the index is not serialized) and as the explicit pre-index
-/// baseline behind [`DriftLog::set_index_enabled`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// Queries run as per-segment posting-list intersections merged in segment
+/// order — sublinear in rows for selective predicates. The segments cover
+/// every row at all times (deserialization rebuilds them), so there is no
+/// other query path.
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct DriftLog {
     schema: Vec<String>,
     columns: Vec<Vec<u32>>,
@@ -369,15 +324,79 @@ pub struct DriftLog {
     /// Configured rows per segment; 0 means [`DEFAULT_SEGMENT_ROWS`].
     #[serde(skip)]
     segment_rows: usize,
-    /// Inverted so the serde-skip default (`false`) keeps indexing on for
-    /// deserialized logs.
-    #[serde(skip)]
-    index_disabled: bool,
+}
+
+/// The serialized form of a [`DriftLog`]: the columnar source of truth
+/// without the (derived) index.
+#[derive(Deserialize)]
+struct Snapshot {
+    schema: Vec<String>,
+    columns: Vec<Vec<u32>>,
+    dicts: Vec<Dict>,
+    drift: Vec<bool>,
+    timestamps: Vec<u64>,
+}
+
+/// Validates the snapshot's shape (a snapshot is outside input; the query
+/// paths index columns and dictionaries unchecked) and rebuilds the
+/// interning maps and the segment index, so a deserialized log is
+/// indistinguishable from one built by `push`.
+impl Deserialize for DriftLog {
+    fn from_value(v: &Value) -> std::result::Result<Self, DeError> {
+        let Snapshot {
+            schema,
+            columns,
+            mut dicts,
+            drift,
+            timestamps,
+        } = Snapshot::from_value(v)?;
+        if columns.len() != schema.len() || dicts.len() != schema.len() {
+            return Err(DeError::custom(format!(
+                "DriftLog has {} schema keys, {} columns, {} dictionaries",
+                schema.len(),
+                columns.len(),
+                dicts.len()
+            )));
+        }
+        if timestamps.len() != drift.len() {
+            return Err(DeError::custom(format!(
+                "DriftLog has {} drift flags, {} timestamps",
+                drift.len(),
+                timestamps.len()
+            )));
+        }
+        for (ci, (column, dict)) in columns.iter().zip(&dicts).enumerate() {
+            if column.len() != drift.len() {
+                return Err(DeError::custom(format!(
+                    "DriftLog column {ci} has {} rows, expected {}",
+                    column.len(),
+                    drift.len()
+                )));
+            }
+            if let Some(code) = column.iter().find(|&&c| c as usize >= dict.values.len()) {
+                return Err(DeError::custom(format!(
+                    "DriftLog column {ci} code {code} outside its {}-value dictionary",
+                    dict.values.len()
+                )));
+            }
+        }
+        dicts.iter_mut().for_each(Dict::rebuild_index);
+        let mut log = DriftLog {
+            schema,
+            columns,
+            dicts,
+            drift,
+            timestamps,
+            segments: Vec::new(),
+            segment_rows: 0,
+        };
+        log.rebuild_index();
+        Ok(log)
+    }
 }
 
 /// Logical equality: two logs are equal when they hold the same schema and
-/// rows, regardless of index state (a deserialized log has no segments
-/// until its first mutation) or dictionary-map internals.
+/// rows, regardless of segment size or dictionary-map internals.
 impl PartialEq for DriftLog {
     fn eq(&self, other: &Self) -> bool {
         self.schema == other.schema
@@ -404,7 +423,6 @@ impl DriftLog {
             timestamps: Vec::new(),
             segments: Vec::new(),
             segment_rows: 0,
-            index_disabled: false,
         }
     }
 
@@ -440,31 +458,11 @@ impl DriftLog {
     /// keeps [`DEFAULT_SEGMENT_ROWS`].
     pub fn with_segment_rows(mut self, rows: usize) -> Self {
         self.segment_rows = rows.max(1);
-        if !self.index_disabled {
-            self.rebuild_index();
-        }
+        self.rebuild_index();
         self
     }
 
-    /// Enables or disables the segment index. Disabling reverts every query
-    /// to the original single-threaded full scan — the pre-index baseline
-    /// the `fleet_scale` bench and the differential suite compare against.
-    pub fn set_index_enabled(&mut self, enabled: bool) {
-        self.index_disabled = !enabled;
-        if enabled {
-            self.ensure_index();
-        } else {
-            self.segments.clear();
-        }
-    }
-
-    /// Whether queries may use the segment index.
-    pub fn is_index_enabled(&self) -> bool {
-        !self.index_disabled
-    }
-
-    /// Number of row-range segments currently indexing the log (0 for a
-    /// deserialized log that has not been mutated yet).
+    /// Number of row-range segments indexing the log.
     pub fn num_segments(&self) -> usize {
         self.segments.len()
     }
@@ -495,10 +493,7 @@ impl DriftLog {
 
     /// Number of rows flagged as drift.
     pub fn num_drifted(&self) -> usize {
-        if self.index_ready() {
-            return self.segments.iter().map(|s| s.drifted_count).sum();
-        }
-        self.drift.iter().filter(|&&d| d).count()
+        self.segments.iter().map(|s| s.drifted_count).sum()
     }
 
     /// The drift flags as a mask (row-indexed). Counterfactual analysis
@@ -506,23 +501,6 @@ impl DriftLog {
     /// re-runs counting queries with the modified mask.
     pub fn drift_mask(&self) -> Vec<bool> {
         self.drift.clone()
-    }
-
-    /// Whether the segments cover every row (false right after
-    /// deserialization, until the first mutation rebuilds them).
-    fn index_ready(&self) -> bool {
-        !self.index_disabled && self.covered_rows() == self.num_rows()
-    }
-
-    /// Rows covered by the (contiguous-from-zero) segment list.
-    fn covered_rows(&self) -> usize {
-        self.segments.last().map_or(0, |s| s.start + s.rows)
-    }
-
-    fn ensure_index(&mut self) {
-        if !self.index_disabled && self.covered_rows() != self.num_rows() {
-            self.rebuild_index();
-        }
     }
 
     fn rebuild_index(&mut self) {
@@ -551,17 +529,7 @@ impl DriftLog {
     /// Incremental tail maintenance: indexes the row just appended to the
     /// columnar store, starting a fresh segment when the tail is full.
     fn index_append_last_row(&mut self) {
-        if self.index_disabled {
-            return;
-        }
-        let rows = self.num_rows();
-        if self.covered_rows() + 1 != rows {
-            // Deserialized (or otherwise stale) index: one full rebuild
-            // brings it back in sync, including the new row.
-            self.rebuild_index();
-            return;
-        }
-        let row = rows - 1;
+        let row = self.num_rows() - 1;
         if self
             .segments
             .last()
@@ -724,66 +692,6 @@ impl DriftLog {
         })
     }
 
-    /// Resolves a query's attribute set to `(column, code)` predicates.
-    /// `Ok(None)` means some value never occurs in the log, so the query
-    /// trivially matches nothing.
-    fn resolve_preds(&self, set: &[Attribute]) -> Result<Option<Vec<(usize, u32)>>> {
-        let mut preds = Vec::with_capacity(set.len());
-        for attr in set {
-            let ci = self.column_index(&attr.key)?;
-            match self.dicts[ci].lookup(&attr.value) {
-                Some(vid) => preds.push((ci, vid)),
-                None => return Ok(None),
-            }
-        }
-        Ok(Some(preds))
-    }
-
-    /// Maps `f` over the segments, fanning out across scoped workers for
-    /// large queries; results come back in segment order regardless of the
-    /// fan-out width.
-    ///
-    /// The width is cost-aware: `est_work` (the query's estimated total
-    /// row-probes, see [`DriftLog::estimate_probe_work`]) is divided into
-    /// [`WORK_PER_TASK`]-sized tasks, capped at `threads`. Each worker gets
-    /// a contiguous *batch* of segments, so narrow fan-outs over many
-    /// segments spawn few threads rather than many tiny tasks, and queries
-    /// below one task's worth of work stay serial entirely.
-    fn map_segments<R, F>(&self, threads: usize, est_work: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(&Segment) -> R + Sync,
-    {
-        let width = fanout_width(threads, est_work, self.segments.len());
-        QUERY_FANOUT.observe(width as f64);
-        if width <= 1 {
-            return self.segments.iter().map(f).collect();
-        }
-        parallel::par_map_with(self.segments.iter().collect(), width, f)
-    }
-
-    /// Estimated row-probes needed to answer a query over `preds`: per
-    /// segment, the probe loop walks the smallest predicate posting list
-    /// (zero when any predicate's code is absent — the pruned-segment fast
-    /// path), and an empty predicate set touches every indexed row. The
-    /// pre-pass is a handful of binary searches per segment — negligible
-    /// next to the probes it sizes.
-    fn estimate_probe_work(&self, preds: &[(usize, u32)]) -> usize {
-        if preds.is_empty() {
-            return self.covered_rows();
-        }
-        self.segments
-            .iter()
-            .map(|seg| {
-                preds
-                    .iter()
-                    .map(|&(ci, vid)| seg.posting(ci, vid).map_or(0, <[u32]>::len))
-                    .min()
-                    .unwrap_or(0)
-            })
-            .sum()
-    }
-
     /// Distinct values of column `key`, with per-value `(occurrences,
     /// drifted)` counts — the first stage of apriori.
     ///
@@ -791,50 +699,14 @@ impl DriftLog {
     ///
     /// Returns [`LogError::UnknownKey`] for keys outside the schema.
     pub fn distinct_values(&self, key: &str) -> Result<Vec<(String, MatchCounts)>> {
-        self.distinct_values_with_threads(key, parallel::num_threads())
-    }
-
-    /// [`DriftLog::distinct_values`] with an explicit fan-out width — the
-    /// determinism-audit hook used by the differential query suite; results
-    /// are bitwise identical for every `threads`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogError::UnknownKey`] for keys outside the schema.
-    pub fn distinct_values_with_threads(
-        &self,
-        key: &str,
-        threads: usize,
-    ) -> Result<Vec<(String, MatchCounts)>> {
         QUERY_DISTINCT.inc();
         let ci = self.column_index(key)?;
-        let n_values = self.dicts[ci].values.len();
-        let counts = if self.index_ready() {
-            INDEX_HITS.inc();
-            let partials = self.map_segments(threads, self.covered_rows(), |seg| {
-                let mut counts = vec![MatchCounts::default(); n_values];
-                seg.accumulate_value_counts(ci, &mut counts);
-                counts
-            });
-            let mut counts = vec![MatchCounts::default(); n_values];
-            for partial in partials {
-                for (total, part) in counts.iter_mut().zip(partial) {
-                    total.occurrences += part.occurrences;
-                    total.drifted += part.drifted;
-                }
-            }
-            counts
-        } else {
-            let mut counts = vec![MatchCounts::default(); n_values];
-            for (row, &vid) in self.columns[ci].iter().enumerate() {
-                counts[vid as usize].occurrences += 1;
-                if self.drift[row] {
-                    counts[vid as usize].drifted += 1;
-                }
-            }
-            counts
-        };
-        Ok(self.dicts[ci].values.iter().cloned().zip(counts).collect())
+        let values = &self.dicts[ci].values;
+        let mut counts = vec![MatchCounts::default(); values.len()];
+        for seg in &self.segments {
+            seg.accumulate_value_counts(ci, &mut counts);
+        }
+        Ok(values.iter().cloned().zip(counts).collect())
     }
 
     /// `COUNT(*)` and `COUNT(*) WHERE drift` for rows containing every
@@ -848,103 +720,29 @@ impl DriftLog {
     /// Returns [`LogError::UnknownKey`] if an attribute key is not in the
     /// schema.
     pub fn count_matching(&self, set: &[Attribute], mask: Option<&[bool]>) -> Result<MatchCounts> {
-        self.count_matching_with_threads(set, mask, parallel::num_threads())
-    }
-
-    /// [`DriftLog::count_matching`] with an explicit fan-out width — the
-    /// determinism-audit hook used by the differential query suite; results
-    /// are bitwise identical for every `threads`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogError::UnknownKey`] if an attribute key is not in the
-    /// schema.
-    pub fn count_matching_with_threads(
-        &self,
-        set: &[Attribute],
-        mask: Option<&[bool]>,
-        threads: usize,
-    ) -> Result<MatchCounts> {
         QUERY_COUNT.inc();
-        let Some(preds) = self.resolve_preds(set)? else {
-            return Ok(MatchCounts::default());
-        };
-        if self.index_ready() {
-            INDEX_HITS.inc();
-            let partials = self.map_segments(threads, self.estimate_probe_work(&preds), |seg| {
-                segment_count(&self.columns, seg, &preds, mask)
-            });
-            let mut counts = MatchCounts::default();
-            for part in partials {
-                counts.occurrences += part.occurrences;
-                counts.drifted += part.drifted;
-            }
-            return Ok(counts);
-        }
-        // Full-scan fallback (the original query path).
-        let drift = mask.unwrap_or(&self.drift);
         let mut counts = MatchCounts::default();
-        'rows: for row in 0..self.num_rows() {
-            for &(ci, vid) in &preds {
-                if self.columns[ci][row] != vid {
-                    continue 'rows;
-                }
-            }
-            counts.occurrences += 1;
-            if drift.get(row).copied().unwrap_or(false) {
-                counts.drifted += 1;
+        if let Some(preds) = self.resolve_predicates(set)? {
+            for seg in &self.segments {
+                counts += segment_count(&self.columns, seg, &preds, mask);
             }
         }
         Ok(counts)
     }
 
-    /// Row indices of entries containing every attribute in `set`.
+    /// Row indices of entries containing every attribute in `set`,
+    /// ascending.
     ///
     /// # Errors
     ///
     /// Returns [`LogError::UnknownKey`] for keys outside the schema.
     pub fn rows_matching(&self, set: &[Attribute]) -> Result<Vec<usize>> {
-        self.rows_matching_with_threads(set, parallel::num_threads())
-    }
-
-    /// [`DriftLog::rows_matching`] with an explicit fan-out width — the
-    /// determinism-audit hook used by the differential query suite; results
-    /// (values *and* ordering) are identical for every `threads`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogError::UnknownKey`] for keys outside the schema.
-    pub fn rows_matching_with_threads(
-        &self,
-        set: &[Attribute],
-        threads: usize,
-    ) -> Result<Vec<usize>> {
         QUERY_ROWS.inc();
-        let Some(preds) = self.resolve_preds(set)? else {
-            return Ok(Vec::new());
-        };
-        if self.index_ready() {
-            INDEX_HITS.inc();
-            // Per-segment results are ascending local offsets; segments are
-            // ascending row ranges, so the ordered merge is concatenation.
-            let partials = self.map_segments(threads, self.estimate_probe_work(&preds), |seg| {
-                if preds.is_empty() {
-                    return (seg.start..seg.start + seg.rows).collect::<Vec<usize>>();
-                }
-                let mut rows = Vec::new();
-                probe_segment(&self.columns, seg, &preds, |_, row| rows.push(row));
-                rows
-            });
-            return Ok(partials.into_iter().flatten().collect());
-        }
         let mut rows = Vec::new();
-        'rows: for row in 0..self.num_rows() {
-            for &(ci, vid) in &preds {
-                if self.columns[ci][row] != vid {
-                    continue 'rows;
-                }
+        if let Some(preds) = self.resolve_predicates(set)? {
+            for seg in &self.segments {
+                segment_rows(&self.columns, seg, &preds, seg.start, &mut rows);
             }
-            rows.push(row);
         }
         Ok(rows)
     }
@@ -952,16 +750,15 @@ impl DriftLog {
     /// Retains only the rows with `timestamp` in `[t0, t1)`; returns the new
     /// log (the original is untouched). Used for windowed analysis.
     ///
-    /// With the index ready this works at segment granularity: segments
-    /// whose timestamp range misses `[t0, t1)` are pruned whole, segments
-    /// fully inside copy without per-row comparisons, and only boundary
-    /// segments scan row by row. Rows are copied code-to-code with a
-    /// per-column remap (values are interned into the new log in first-use
-    /// order, exactly as a naive rebuild via `push` would).
+    /// Works at segment granularity: segments whose timestamp range misses
+    /// `[t0, t1)` are pruned whole, segments fully inside copy without
+    /// per-row comparisons, and only boundary segments scan row by row.
+    /// Rows are copied code-to-code with a per-column remap (values are
+    /// interned into the new log in first-use order, exactly as a naive
+    /// rebuild via `push` would).
     pub fn window(&self, t0: u64, t1: u64) -> DriftLog {
         let mut out = DriftLog::new(&self.schema.iter().map(|s| s.as_str()).collect::<Vec<_>>());
         out.segment_rows = self.segment_rows;
-        out.index_disabled = self.index_disabled;
         if t0 >= t1 {
             return out;
         }
@@ -971,44 +768,25 @@ impl DriftLog {
             .iter()
             .map(|d| vec![None; d.values.len()])
             .collect();
-        let mut copy_row = |out: &mut DriftLog, row: usize| {
-            let mut codes = Vec::with_capacity(self.schema.len());
-            for (ci, remap) in remaps.iter_mut().enumerate() {
-                let old = self.columns[ci][row] as usize;
-                let new = match remap[old] {
-                    Some(new) => new,
-                    None => {
-                        let new = out.dicts[ci].intern(&self.dicts[ci].values[old]);
-                        remap[old] = Some(new);
-                        new
-                    }
-                };
-                codes.push(new);
+        let mut codes = Vec::with_capacity(self.schema.len());
+        for seg in &self.segments {
+            if seg.ts_max < t0 || seg.ts_min >= t1 {
+                SEGMENTS_PRUNED.inc();
+                continue;
             }
-            out.append_coded(&codes, self.drift[row], self.timestamps[row]);
-        };
-        if self.index_ready() {
-            for seg in &self.segments {
-                if seg.rows == 0 {
+            let take_all = seg.ts_min >= t0 && seg.ts_max < t1;
+            for row in seg.start..seg.start + seg.rows {
+                if !take_all && (self.timestamps[row] < t0 || self.timestamps[row] >= t1) {
                     continue;
                 }
-                if seg.ts_max < t0 || seg.ts_min >= t1 {
-                    SEGMENTS_PRUNED.inc();
-                    continue;
+                codes.clear();
+                for (ci, remap) in remaps.iter_mut().enumerate() {
+                    let old = self.columns[ci][row] as usize;
+                    let new = *remap[old]
+                        .get_or_insert_with(|| out.dicts[ci].intern(&self.dicts[ci].values[old]));
+                    codes.push(new);
                 }
-                let take_all = seg.ts_min >= t0 && seg.ts_max < t1;
-                for row in seg.start..seg.start + seg.rows {
-                    if take_all || (self.timestamps[row] >= t0 && self.timestamps[row] < t1) {
-                        copy_row(&mut out, row);
-                    }
-                }
-            }
-        } else {
-            for row in 0..self.num_rows() {
-                let ts = self.timestamps[row];
-                if ts >= t0 && ts < t1 {
-                    copy_row(&mut out, row);
-                }
+                out.append_coded(&codes, self.drift[row], self.timestamps[row]);
             }
         }
         out
@@ -1023,10 +801,7 @@ impl DriftLog {
     ///
     /// Returns [`LogError::UnknownKey`] for keys outside the schema.
     pub fn group_counts(&self, key: &str) -> Result<Vec<(String, MatchCounts)>> {
-        let mut values = self.distinct_values(key)?;
-        values.retain(|(_, c)| c.occurrences > 0);
-        values.sort_by(|a, b| b.1.occurrences.cmp(&a.1.occurrences).then(a.0.cmp(&b.0)));
-        Ok(values)
+        Ok(crate::probe::group_counts(self.distinct_values(key)?))
     }
 
     /// Drops all rows except the most recent `n` (by insertion order) —
@@ -1041,20 +816,12 @@ impl DriftLog {
         if rows <= n {
             return;
         }
-        let ready = self.index_ready();
         let drop = rows - n;
         for column in &mut self.columns {
             column.drain(0..drop);
         }
         self.drift.drain(0..drop);
         self.timestamps.drain(0..drop);
-        if !ready {
-            // The index was stale (or disabled) before retention; do not
-            // leave half-shifted segments behind.
-            self.segments.clear();
-            SEGMENTS.set(0.0);
-            return;
-        }
         let old_segments = std::mem::take(&mut self.segments);
         let mut segments = Vec::with_capacity(old_segments.len());
         for mut seg in old_segments {
@@ -1068,16 +835,11 @@ impl DriftLog {
             } else {
                 // The one boundary segment that straddles the cut: rebuild
                 // its postings/bitmap over the retained prefix rows.
-                segments.push(self.build_segment_from(0, end - drop));
+                segments.push(self.build_segment(0, end - drop));
             }
         }
         self.segments = segments;
         SEGMENTS.set(self.segments.len() as f64);
-    }
-
-    /// [`DriftLog::build_segment`] callable while `self.segments` is taken.
-    fn build_segment_from(&self, start: usize, n: usize) -> Segment {
-        self.build_segment(start, n)
     }
 
     /// The dictionary codes of column `ci` (schema order), one per row.
@@ -1124,7 +886,15 @@ impl DriftLog {
     ///
     /// Returns [`LogError::UnknownKey`] for keys outside the schema.
     pub fn resolve_predicates(&self, set: &[Attribute]) -> Result<Option<Vec<(usize, u32)>>> {
-        self.resolve_preds(set)
+        let mut preds = Vec::with_capacity(set.len());
+        for attr in set {
+            let ci = self.column_index(&attr.key)?;
+            match self.dicts[ci].lookup(&attr.value) {
+                Some(vid) => preds.push((ci, vid)),
+                None => return Ok(None),
+            }
+        }
+        Ok(Some(preds))
     }
 
     fn column_index(&self, key: &str) -> Result<usize> {
@@ -1160,7 +930,7 @@ fn smallest_posting<'s>(seg: &'s Segment, preds: &[(usize, u32)]) -> Option<(usi
 /// `columns` — `O(smallest list × preds)` with no merge or allocation —
 /// and calls `emit(local, global)` for each matching row, in ascending
 /// row order.
-pub(crate) fn probe_segment<F: FnMut(u32, usize)>(
+fn probe_segment<F: FnMut(u32, usize)>(
     columns: &[Vec<u32>],
     seg: &Segment,
     preds: &[(usize, u32)],
@@ -1185,6 +955,26 @@ pub(crate) fn probe_segment<F: FnMut(u32, usize)>(
         }
         emit(local, row);
     }
+}
+
+/// One segment's contribution to `rows_matching`: appends its matching rows
+/// to `out` as `offset + local`, ascending. Segments are ascending row
+/// ranges, so appending segment by segment is the ordered merge.
+pub(crate) fn segment_rows(
+    columns: &[Vec<u32>],
+    seg: &Segment,
+    preds: &[(usize, u32)],
+    offset: usize,
+    out: &mut Vec<usize>,
+) {
+    if preds.is_empty() {
+        // Every row matches the empty set.
+        out.extend(offset..offset + seg.rows);
+        return;
+    }
+    probe_segment(columns, seg, preds, |local, _| {
+        out.push(offset + local as usize)
+    });
 }
 
 /// One segment's contribution to `count_matching`.
@@ -1240,20 +1030,6 @@ mod tests {
         let too_many = DriftLogEntry::new(0, &[("weather", "x"), ("extra", "y")], false);
         assert!(log.push(too_many).is_err());
         assert_eq!(log.num_rows(), 0);
-    }
-
-    #[test]
-    fn fanout_width_is_cost_aware() {
-        // Below the segment floor: always serial.
-        assert_eq!(fanout_width(8, usize::MAX, MIN_PARALLEL_SEGMENTS - 1), 1);
-        // Small work stays serial regardless of configured threads — the
-        // fleet_scale 50k-row regression case.
-        assert_eq!(fanout_width(8, 50_000, 16), 1);
-        // Work scales the width up to the thread cap...
-        assert_eq!(fanout_width(8, 3 * WORK_PER_TASK, 16), 3);
-        assert_eq!(fanout_width(8, 100 * WORK_PER_TASK, 16), 8);
-        // ...and never exceeds the segment count.
-        assert_eq!(fanout_width(8, 100 * WORK_PER_TASK, 5), 5);
     }
 
     #[test]
@@ -1432,8 +1208,8 @@ mod tests {
         let log = sample_log();
         let json = serde_json::to_string(&log).unwrap();
         let back: DriftLog = serde_json::from_str(&json).unwrap();
-        // The index is not serialized; queries fall back to full scans.
-        assert_eq!(back.num_segments(), 0);
+        // The index is not serialized; deserialization rebuilds it.
+        assert_eq!(back.num_segments(), log.num_segments());
         let c = back
             .count_matching(&[Attribute::new("weather", "snow")], None)
             .unwrap();
@@ -1457,9 +1233,8 @@ mod tests {
             true,
         ))
         .unwrap();
-        // Interning must still unify with pre-existing dictionary entries,
-        // and the first mutation rebuilds the segment index.
-        assert!(back.num_segments() > 0);
+        // Interning must still unify with pre-existing dictionary entries.
+        assert_eq!(back.dict_values(0), ["clear-day", "snow"]);
         let c = back
             .count_matching(&[Attribute::new("weather", "snow")], None)
             .unwrap();
@@ -1494,7 +1269,26 @@ mod tests {
     }
 
     #[test]
-    fn segments_split_and_queries_agree_with_scan() {
+    fn deserialize_rejects_malformed_snapshots() {
+        let good = serde_json::to_string(&sample_log()).unwrap();
+        assert!(serde_json::from_str::<DriftLog>(&good).is_ok());
+        // A code outside its dictionary, a short column, an extra column, a
+        // short timestamp list: typed errors on the way in, not panics at
+        // query time.
+        for (from, to) in [
+            ("\"columns\":[[0,", "\"columns\":[[9,"),
+            ("\"columns\":[[0,", "\"columns\":[["),
+            ("\"columns\":[[", "\"columns\":[[0],["),
+            ("\"timestamps\":[", "\"timestamps\":[7,"),
+        ] {
+            let bad = good.replacen(from, to, 1);
+            assert_ne!(bad, good, "pattern {from} must occur");
+            assert!(serde_json::from_str::<DriftLog>(&bad).is_err(), "{to}");
+        }
+    }
+
+    #[test]
+    fn queries_cross_segment_boundaries() {
         // 10 rows at 3 rows/segment: segments of 3, 3, 3, 1.
         let mut log = DriftLog::new(&["k", "j"]).with_segment_rows(3);
         for i in 0..10u64 {
@@ -1509,31 +1303,33 @@ mod tests {
             .unwrap();
         }
         assert_eq!(log.num_segments(), 4);
-        let mut scan = log.clone();
-        scan.set_index_enabled(false);
-        assert_eq!(scan.num_segments(), 0);
-        for set in [
-            vec![],
-            vec![Attribute::new("k", "even")],
-            vec![Attribute::new("k", "odd"), Attribute::new("j", "fizz")],
-            vec![Attribute::new("k", "nope")],
+        let counts = |occurrences, drifted| MatchCounts {
+            occurrences,
+            drifted,
+        };
+        // (set, matching rows, of which drifted — rows 0, 4, 8 are).
+        let odd_fizz = vec![Attribute::new("k", "odd"), Attribute::new("j", "fizz")];
+        for (set, rows, drifted) in [
+            (vec![], (0..10).collect::<Vec<usize>>(), 3),
+            (vec![Attribute::new("k", "even")], vec![0, 2, 4, 6, 8], 3),
+            (odd_fizz, vec![3, 9], 0),
+            (vec![Attribute::new("k", "nope")], vec![], 0),
         ] {
             assert_eq!(
                 log.count_matching(&set, None).unwrap(),
-                scan.count_matching(&set, None).unwrap(),
+                counts(rows.len(), drifted),
                 "set {set:?}"
             );
-            assert_eq!(
-                log.rows_matching(&set).unwrap(),
-                scan.rows_matching(&set).unwrap(),
-                "set {set:?}"
-            );
+            assert_eq!(log.rows_matching(&set).unwrap(), rows, "set {set:?}");
         }
         assert_eq!(
             log.distinct_values("j").unwrap(),
-            scan.distinct_values("j").unwrap()
+            vec![
+                ("fizz".to_string(), counts(4, 1)),
+                ("buzz".to_string(), counts(6, 2)),
+            ]
         );
-        assert_eq!(log.num_drifted(), scan.num_drifted());
+        assert_eq!(log.num_drifted(), 3);
     }
 
     #[test]

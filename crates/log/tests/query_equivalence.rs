@@ -1,17 +1,16 @@
-//! Differential query suite: every indexed query must be *exactly* equal —
-//! values and ordering — to a naive row-scan reference implemented here,
-//! independently of the store's own code, across fan-out widths 1/4/8.
-//!
-//! `NAZAR_NUM_THREADS` latches once per process, so the width sweep uses
-//! the store's explicit `*_with_threads` hooks; the CI `test-matrix` job
-//! additionally re-runs the whole tier-1 suite under `NAZAR_NUM_THREADS=1`
-//! and `=8` in separate processes and diffs the output.
+//! Differential query suite: every query must be *exactly* equal — values
+//! and ordering — to the naive row-scan [`reference`], which shares no
+//! code with the log's query engine. The log has one query path (the
+//! segment index, walked in order), so there is no width or mode to sweep;
+//! the CI `test-matrix` job re-runs the whole tier-1 suite under
+//! `NAZAR_NUM_THREADS=1` and `=8` in separate processes and diffs the
+//! output.
 
-use nazar_log::{Attribute, DriftLog, DriftLogEntry, MatchCounts};
+mod reference;
+
+use nazar_log::{Attribute, DriftLog, DriftLogEntry};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
-
-const THREAD_WIDTHS: [usize; 3] = [1, 4, 8];
 
 /// A randomly generated log workload: schema, rows, and a drift-mask
 /// override of arbitrary (possibly short or over-long) length.
@@ -65,91 +64,70 @@ fn workload() -> WorkloadStrategy {
     WorkloadStrategy
 }
 
-fn build(w: &Workload) -> DriftLog {
+/// The workload's rows as raw entries — the reference's input.
+fn entries(w: &Workload) -> Vec<DriftLogEntry> {
+    w.rows
+        .iter()
+        .map(|(ts, vals, drift)| DriftLogEntry {
+            timestamp: *ts,
+            attrs: w
+                .schema
+                .iter()
+                .zip(vals)
+                .map(|(k, &v)| Attribute::new(k.clone(), value_name(v)))
+                .collect(),
+            drift: *drift,
+        })
+        .collect()
+}
+
+fn build_from(w: &Workload, entries: &[DriftLogEntry]) -> DriftLog {
     let keys: Vec<&str> = w.schema.iter().map(|s| s.as_str()).collect();
     let mut log = DriftLog::new(&keys).with_segment_rows(w.segment_rows);
-    for (ts, vals, drift) in &w.rows {
-        let attrs: Vec<(String, String)> = w
-            .schema
-            .iter()
-            .zip(vals)
-            .map(|(k, &v)| (k.clone(), value_name(v)))
-            .collect();
-        let attrs_ref: Vec<(&str, &str)> = attrs
-            .iter()
-            .map(|(k, v)| (k.as_str(), v.as_str()))
-            .collect();
-        log.push(DriftLogEntry::new(*ts, &attrs_ref, *drift))
-            .expect("workload rows match schema");
-    }
+    log.extend(entries.iter().cloned())
+        .expect("workload rows match schema");
     log
 }
 
-/// The naive reference: a straight row scan over the raw workload rows,
-/// sharing no code with the store's query engine.
-mod reference {
-    use super::*;
-
-    fn row_matches(w: &Workload, row: usize, set: &[Attribute]) -> bool {
-        set.iter().all(|attr| {
-            w.schema
-                .iter()
-                .position(|k| k == &attr.key)
-                .is_some_and(|ci| value_name(w.rows[row].1[ci]) == attr.value)
-        })
+/// Every query of the suite on `log` against the reference over `entries`.
+fn assert_queries_match(
+    w: &Workload,
+    log: &DriftLog,
+    entries: &[DriftLogEntry],
+) -> Result<(), TestCaseError> {
+    for set in query_sets(w) {
+        prop_assert_eq!(
+            log.count_matching(&set, None).expect("known keys"),
+            reference::count_matching(entries, &set, None)
+        );
+        prop_assert_eq!(
+            log.count_matching(&set, Some(&w.mask)).expect("known keys"),
+            reference::count_matching(entries, &set, Some(&w.mask))
+        );
+        prop_assert_eq!(
+            log.rows_matching(&set).expect("known keys"),
+            reference::rows_matching(entries, &set)
+        );
     }
-
-    pub fn count_matching(w: &Workload, set: &[Attribute], mask: Option<&[bool]>) -> MatchCounts {
-        let mut counts = MatchCounts::default();
-        for row in 0..w.rows.len() {
-            if !row_matches(w, row, set) {
-                continue;
-            }
-            counts.occurrences += 1;
-            let drifted = match mask {
-                Some(m) => m.get(row).copied().unwrap_or(false),
-                None => w.rows[row].2,
-            };
-            if drifted {
-                counts.drifted += 1;
-            }
-        }
-        counts
+    for key in &w.schema {
+        // A log keeps interned values whose rows retention dropped (at zero
+        // counts, in interning order); the reference only sees live rows.
+        let mut live = log.distinct_values(key).expect("known key");
+        live.retain(|(_, c)| c.occurrences > 0);
+        live.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut want = reference::distinct_values(entries, key);
+        want.sort_by(|a, b| a.0.cmp(&b.0));
+        prop_assert_eq!(live, want);
+        prop_assert_eq!(
+            log.group_counts(key).expect("known key"),
+            reference::group_counts(entries, key)
+        );
     }
-
-    pub fn rows_matching(w: &Workload, set: &[Attribute]) -> Vec<usize> {
-        (0..w.rows.len())
-            .filter(|&row| row_matches(w, row, set))
-            .collect()
-    }
-
-    /// Distinct values of a column in first-occurrence order (the dict
-    /// interning order), with counts.
-    pub fn distinct_values(w: &Workload, ci: usize) -> Vec<(String, MatchCounts)> {
-        let mut out: Vec<(String, MatchCounts)> = Vec::new();
-        for (_, vals, drift) in &w.rows {
-            let name = value_name(vals[ci]);
-            let entry = match out.iter_mut().find(|(v, _)| v == &name) {
-                Some(e) => e,
-                None => {
-                    out.push((name, MatchCounts::default()));
-                    out.last_mut().expect("just pushed")
-                }
-            };
-            entry.1.occurrences += 1;
-            if *drift {
-                entry.1.drifted += 1;
-            }
-        }
-        out
-    }
-
-    pub fn group_counts(w: &Workload, ci: usize) -> Vec<(String, MatchCounts)> {
-        let mut values = distinct_values(w, ci);
-        values.retain(|(_, c)| c.occurrences > 0);
-        values.sort_by(|a, b| b.1.occurrences.cmp(&a.1.occurrences).then(a.0.cmp(&b.0)));
-        values
-    }
+    prop_assert_eq!(
+        log.num_drifted(),
+        entries.iter().filter(|e| e.drift).count()
+    );
+    Ok(())
 }
 
 /// Query sets exercising hits, misses, multi-key intersections, and
@@ -184,75 +162,61 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn indexed_queries_equal_naive_scan_at_all_widths(w in workload()) {
-        let log = build(&w);
-        prop_assert!(log.num_segments() > 0 || log.is_empty());
-        for set in query_sets(&w) {
-            let want = reference::count_matching(&w, &set, None);
-            let want_masked = reference::count_matching(&w, &set, Some(&w.mask));
-            let want_rows = reference::rows_matching(&w, &set);
-            for threads in THREAD_WIDTHS {
-                prop_assert_eq!(
-                    log.count_matching_with_threads(&set, None, threads).expect("known keys"),
-                    want
-                );
-                prop_assert_eq!(
-                    log.count_matching_with_threads(&set, Some(&w.mask), threads)
-                        .expect("known keys"),
-                    want_masked
-                );
-                prop_assert_eq!(
-                    log.rows_matching_with_threads(&set, threads).expect("known keys"),
-                    want_rows.clone()
-                );
-            }
-        }
-        for (ci, key) in w.schema.iter().enumerate() {
-            let want = reference::distinct_values(&w, ci);
-            for threads in THREAD_WIDTHS {
-                prop_assert_eq!(
-                    log.distinct_values_with_threads(key, threads).expect("known key"),
-                    want.clone()
-                );
-            }
+    fn indexed_queries_equal_naive_scan(w in workload()) {
+        let entries = entries(&w);
+        let log = build_from(&w, &entries);
+        prop_assert_eq!(log.num_segments(), entries.len().div_ceil(w.segment_rows));
+        assert_queries_match(&w, &log, &entries)?;
+        // Never retained: value order is first-use order, exactly.
+        for key in &w.schema {
             prop_assert_eq!(
-                log.group_counts(key).expect("known key"),
-                reference::group_counts(&w, ci)
+                log.distinct_values(key).expect("known key"),
+                reference::distinct_values(&entries, key)
             );
         }
     }
 
     #[test]
-    fn disabled_index_agrees_with_indexed_paths(w in workload()) {
-        let log = build(&w);
-        let mut scan = log.clone();
-        scan.set_index_enabled(false);
-        prop_assert_eq!(scan.num_segments(), 0);
-        for set in query_sets(&w) {
-            prop_assert_eq!(
-                log.count_matching(&set, None).expect("known keys"),
-                scan.count_matching(&set, None).expect("known keys")
-            );
-            prop_assert_eq!(
-                log.rows_matching(&set).expect("known keys"),
-                scan.rows_matching(&set).expect("known keys")
-            );
+    fn window_and_retention_equal_naive_scan(w in workload(), t0 in 0u64..55, len in 0u64..55, keep in 0usize..45) {
+        let entries = entries(&w);
+        let log = build_from(&w, &entries);
+        // Window: same rows, same first-use interning order as a log
+        // pushed from the reference's rows, and a live index over them.
+        let want = reference::window(&entries, t0, t0 + len);
+        let windowed = log.window(t0, t0 + len);
+        prop_assert_eq!(&windowed, &build_from(&w, &want));
+        assert_queries_match(&w, &windowed, &want)?;
+        prop_assert!(log.window(t0 + len, t0).is_empty());
+        // Retention: the last `keep` rows, re-based to row 0.
+        let mut retained = log.clone();
+        retained.retain_last(keep);
+        let want = reference::last(&entries, keep);
+        prop_assert_eq!(retained.num_rows(), want.len());
+        for (row, e) in want.iter().enumerate() {
+            prop_assert_eq!(&retained.entry(row).expect("row in range"), e);
         }
-        prop_assert_eq!(log.num_drifted(), scan.num_drifted());
+        assert_queries_match(&w, &retained, want)?;
     }
 
     #[test]
     fn serde_round_trip_then_mutation_matches_reference(w in workload()) {
-        let log = build(&w);
+        let mut entries = entries(&w);
+        let log = build_from(&w, &entries);
         let json = serde_json::to_string(&log).expect("serialize");
-        let back: DriftLog = serde_json::from_str(&json).expect("deserialize");
-        // Deserialized logs have no index and answer via full scans.
-        prop_assert_eq!(back.num_segments(), 0);
-        for set in query_sets(&w) {
-            prop_assert_eq!(
-                back.count_matching(&set, None).expect("known keys"),
-                reference::count_matching(&w, &set, None)
-            );
-        }
+        let mut back: DriftLog = serde_json::from_str(&json).expect("deserialize");
+        // The index is not serialized; deserialization rebuilds it (at the
+        // default segment size), so the round-tripped log answers through
+        // the same path and keeps doing so once mutated.
+        prop_assert_eq!(&back, &log);
+        prop_assert_eq!(back.num_segments(), usize::from(!entries.is_empty()));
+        assert_queries_match(&w, &back, &entries)?;
+        let extra = DriftLogEntry {
+            timestamp: 99,
+            attrs: w.schema.iter().map(|k| Attribute::new(k.clone(), value_name(0))).collect(),
+            drift: true,
+        };
+        back.push(extra.clone()).expect("schema matches");
+        entries.push(extra);
+        assert_queries_match(&w, &back, &entries)?;
     }
 }

@@ -250,11 +250,13 @@ pub mod testing {
         state().enabled.store(true, Ordering::SeqCst);
     }
 
-    /// Disables observability and clears collected spans (metrics persist;
-    /// they are cumulative by design).
+    /// Disables observability and clears collected spans and the telemetry
+    /// recorder, so a disabled process reports nothing from an earlier run
+    /// (metrics persist; they are cumulative by design).
     pub fn disable() {
         state().enabled.store(false, Ordering::SeqCst);
         let _ = span::drain();
+        telemetry::reset();
         sink::uninstall();
     }
 }

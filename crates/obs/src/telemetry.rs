@@ -122,6 +122,14 @@ pub fn begin_run_with_capacity(capacity: usize) {
     crate::profile::reset_live();
 }
 
+/// Drops everything recorded so far (ring, counts, baselines), back to the
+/// never-started state. Disabling observability calls this, so a disabled
+/// recorder reports nothing from the run before it.
+pub(crate) fn reset() {
+    // Overwrites the whole state, so a poisoned lock is safe to recover.
+    *recorder().lock().unwrap_or_else(|e| e.into_inner()) = TelemetryRecorder::default();
+}
+
 /// Takes one snapshot of the metrics registry at virtual time `t_us`,
 /// evaluates any armed SLO rules against it, and appends a delta-encoded
 /// record to the ring. `trigger` names the cause (`"window_close"`,
@@ -158,7 +166,10 @@ pub fn snapshot(t_us: u64, trigger: &str) {
     stable.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
     for m in stable {
         let key = (m.name.clone(), m.labels.clone());
-        let prev = rec.prev.get(&key);
+        // A gauge is a level, not a delta: the run's first snapshot states
+        // it even when an earlier run in this process left the same value.
+        let restate = rec.seq == 0 && matches!(m.value, SnapshotValue::Gauge(_));
+        let prev = rec.prev.get(&key).filter(|_| !restate);
         let base = rec.baseline.get(&key);
         let mut entry = String::new();
         if write_delta_entry(&mut entry, m, prev, base) {
@@ -448,6 +459,8 @@ mod tests {
 
     static C: crate::LazyCounter =
         crate::LazyCounter::new("nazar_test_telemetry_total", "telemetry unit counter", &[]);
+    static G: crate::LazyGauge =
+        crate::LazyGauge::new("nazar_test_telemetry_level", "telemetry unit gauge", &[]);
 
     #[test]
     fn disabled_recorder_is_inert() {
@@ -459,18 +472,47 @@ mod tests {
     }
 
     #[test]
+    fn disabling_after_a_run_leaves_nothing_to_report() {
+        let _guard = TEST_LOCK.lock().unwrap();
+        crate::testing::enable_memory_sink();
+        begin_run_with_capacity(16);
+        C.add(1);
+        snapshot(1_000_000, "window_close");
+        assert_eq!((snapshot_count(), retained_count()), (1, 1));
+        // Disabling drops the finished run's ring and counts...
+        crate::testing::disable();
+        assert_eq!((snapshot_count(), retained_count()), (0, 0));
+        assert_eq!((evicted_count(), last_t_us()), (0, 0));
+        assert!(series_jsonl().is_empty());
+        assert!(!series_json().contains("\"type\":\"telemetry\","));
+        // ...and a disabled run records nothing on top.
+        begin_run();
+        snapshot(2_000_000, "window_close");
+        snapshot_final();
+        assert_eq!((snapshot_count(), retained_count()), (0, 0));
+    }
+
+    #[test]
     fn deltas_and_totals_are_run_scoped() {
         let _guard = TEST_LOCK.lock().unwrap();
         crate::testing::enable_memory_sink();
-        // Pollute the registry before the run: begin_run must cancel it.
+        // Pollute the registry before the run: begin_run must cancel it —
+        // the counter's 7, and the gauge level an earlier run left behind.
         C.add(7);
+        G.set(21.0);
         begin_run_with_capacity(16);
         C.add(2);
+        G.set(21.0);
         snapshot(1_000_000, "window_close");
         C.add(3);
         snapshot(2_000_000, "window_close");
         snapshot_final();
         let text = series_jsonl();
+        // Stated by the run's first snapshot, then only when it moves (the
+        // second hit is the closing summary).
+        let level = "\"name\":\"nazar_test_telemetry_level\",\"kind\":\"gauge\",\"value\":21";
+        assert_eq!(text.lines().filter(|l| l.contains(level)).count(), 2);
+        assert!(text.lines().next().is_some_and(|l| l.contains(level)));
         assert!(text.contains(
             "\"name\":\"nazar_test_telemetry_total\",\"kind\":\"counter\",\"delta\":2,\"total\":2"
         ));

@@ -20,11 +20,12 @@
 //!   atomically so every crash point recovers to a consistent store.
 //! * [`DriftStore`] — the log itself: ingest into an in-memory tail,
 //!   [`DriftStore::flush`] seals chunks (replacing the partial tail
-//!   chunk append-only), and the query API streams pruned chunks
-//!   through the *same* per-segment probe machinery as the in-memory
-//!   log ([`nazar_log::probe`]), fanned out with the cost-aware
-//!   [`nazar_tensor::parallel::par_map_with`] — so out-of-core results
-//!   are bitwise identical to in-memory ones at any `NAZAR_NUM_THREADS`.
+//!   chunk append-only), and the query API streams the chunks through
+//!   the *same* per-segment probe machinery and merge rules as the
+//!   in-memory log ([`nazar_log::probe`]), fanned out with the
+//!   order-preserving [`nazar_tensor::parallel::par_map_with`] once they
+//!   hold enough rows — so out-of-core results are bitwise identical to
+//!   in-memory ones at any `NAZAR_NUM_THREADS`.
 //!
 //! # Example
 //!

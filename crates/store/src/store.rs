@@ -21,17 +21,19 @@
 //!
 //! # Equivalence contract
 //!
-//! Chunks store *global* dictionary codes and queries run through the
-//! same per-segment probe machinery as the in-memory log
-//! ([`nazar_log::probe`]), summed in chunk order under the
-//! order-preserving [`par_map_with`] — so every query result is bitwise
-//! identical to an in-memory [`DriftLog`] holding the same rows, at any
-//! `NAZAR_NUM_THREADS`. The differential proptests in `tests/` pin this.
+//! Chunks store *global* dictionary codes, and every query reads "each
+//! full chunk's block, then the tail, merged in row order": the per-block
+//! probes and the merge rules are the in-memory log's own
+//! ([`nazar_log::probe`]), and the chunk map is the order-preserving
+//! [`par_map_with`](nazar_tensor::parallel::par_map_with) — so every query
+//! result is bitwise identical to an in-memory [`DriftLog`] holding the
+//! same rows, at any `NAZAR_NUM_THREADS`. The differential tests in
+//! `tests/` pin this on both sides of the fan-out threshold.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
-use nazar_log::probe::ColumnarBlock;
+use nazar_log::probe::{self, ColumnarBlock};
 use nazar_log::{Attribute, DriftLog, DriftLogEntry, IngestReport, LogError, MatchCounts};
 use nazar_obs::{LazyCounter, LazyHistogram};
 use nazar_tensor::parallel;
@@ -115,7 +117,7 @@ static FLUSH_SECONDS: LazyHistogram = LazyHistogram::new_volatile(
 
 /// Rows of chunk work per parallel task: decoding + probing a chunk costs
 /// tens of ns per row, so below this the fan-out overhead dominates and
-/// queries stay sequential (same cost-aware policy as the in-memory log).
+/// queries stay sequential.
 const ROWS_PER_TASK: usize = 1 << 15;
 
 fn fanout_width(threads: usize, total_rows: usize) -> usize {
@@ -831,19 +833,21 @@ impl DriftStore {
     }
 
     /// Streams the full chunks (those not duplicated in the tail) through
-    /// `probe`, in row order, fanned out cost-aware; partial results are
-    /// combined in chunk order, preserving bitwise determinism.
-    fn scan_chunks<R, F>(&self, threads: usize, probe: F) -> Result<Vec<R>>
+    /// `probe`, fanned out over [`parallel::num_threads`] workers once the
+    /// chunks hold enough rows ([`fanout_width`]); partial results come
+    /// back in chunk (= row) order, so merging them is bitwise independent
+    /// of the width.
+    fn scan_chunks<R, F>(&self, probe: F) -> Result<Vec<R>>
     where
         R: Send,
         F: Fn(&ChunkMeta, &ColumnarBlock) -> R + Sync,
     {
-        let metas: Vec<ChunkMeta> = self.full_chunks().cloned().collect();
+        let metas: Vec<&ChunkMeta> = self.full_chunks().collect();
         let total_rows: usize = metas.iter().map(|m| m.rows as usize).sum();
-        let width = fanout_width(threads, total_rows);
+        let width = fanout_width(parallel::num_threads(), total_rows);
         let results = parallel::par_map_with(metas, width, |meta| {
-            let block = self.load_block(&meta)?;
-            Ok(probe(&meta, &block))
+            let block = self.load_block(meta)?;
+            Ok(probe(meta, &block))
         });
         results.into_iter().collect()
     }
@@ -860,41 +864,19 @@ impl DriftStore {
     ///
     /// [`StoreError::Log`] for unknown keys; backend/decode failures.
     pub fn count_matching(&self, set: &[Attribute], mask: Option<&[bool]>) -> Result<MatchCounts> {
-        self.count_matching_with_threads(set, mask, parallel::num_threads())
-    }
-
-    /// [`DriftStore::count_matching`] with an explicit fan-out width —
-    /// the determinism-audit hook; results are identical for every
-    /// `threads`.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Log`] for unknown keys; backend/decode failures.
-    pub fn count_matching_with_threads(
-        &self,
-        set: &[Attribute],
-        mask: Option<&[bool]>,
-        threads: usize,
-    ) -> Result<MatchCounts> {
         let Some(preds) = self.tail.resolve_predicates(set)? else {
             return Ok(MatchCounts::default());
         };
-        let partials = self.scan_chunks(threads, |meta, block| {
-            let start = meta.start_row as usize;
-            let local_mask = mask.map(|m| m.get(start..).unwrap_or(&[]));
-            block.count_matching(&preds, local_mask)
+        // The mask seen by rows starting at global row `start`.
+        let mask_from = |start: usize| mask.map(|m| m.get(start..).unwrap_or(&[]));
+        let partials = self.scan_chunks(|meta, block| {
+            block.count_matching(&preds, mask_from(meta.start_row as usize))
         })?;
         let mut out = MatchCounts::default();
-        for p in partials {
-            out.occurrences += p.occurrences;
-            out.drifted += p.drifted;
+        for part in partials {
+            out += part;
         }
-        let tail_mask = mask.map(|m| m.get(self.tail_start..).unwrap_or(&[]));
-        let tail = self
-            .tail
-            .count_matching_with_threads(set, tail_mask, threads)?;
-        out.occurrences += tail.occurrences;
-        out.drifted += tail.drifted;
+        out += self.tail.count_matching(set, mask_from(self.tail_start))?;
         Ok(out)
     }
 
@@ -906,36 +888,17 @@ impl DriftStore {
     ///
     /// [`StoreError::Log`] for unknown keys; backend/decode failures.
     pub fn rows_matching(&self, set: &[Attribute]) -> Result<Vec<usize>> {
-        self.rows_matching_with_threads(set, parallel::num_threads())
-    }
-
-    /// [`DriftStore::rows_matching`] with an explicit fan-out width.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Log`] for unknown keys; backend/decode failures.
-    pub fn rows_matching_with_threads(
-        &self,
-        set: &[Attribute],
-        threads: usize,
-    ) -> Result<Vec<usize>> {
         let Some(preds) = self.tail.resolve_predicates(set)? else {
             return Ok(Vec::new());
         };
-        let partials = self.scan_chunks(threads, |meta, block| {
-            let mut local = Vec::new();
-            block.rows_matching(&preds, &mut local);
-            let start = meta.start_row as usize;
-            local.iter_mut().for_each(|r| *r += start);
-            local
+        let partials = self.scan_chunks(|meta, block| {
+            let mut rows = Vec::new();
+            block.rows_matching(&preds, meta.start_row as usize, &mut rows);
+            rows
         })?;
         let mut out: Vec<usize> = partials.into_iter().flatten().collect();
-        out.extend(
-            self.tail
-                .rows_matching_with_threads(set, threads)?
-                .into_iter()
-                .map(|r| r + self.tail_start),
-        );
+        let tail_rows = self.tail.rows_matching(set)?;
+        out.extend(tail_rows.into_iter().map(|row| self.tail_start + row));
         Ok(out)
     }
 
@@ -947,19 +910,6 @@ impl DriftStore {
     ///
     /// [`StoreError::Log`] for unknown keys; backend/decode failures.
     pub fn distinct_values(&self, key: &str) -> Result<Vec<(String, MatchCounts)>> {
-        self.distinct_values_with_threads(key, parallel::num_threads())
-    }
-
-    /// [`DriftStore::distinct_values`] with an explicit fan-out width.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Log`] for unknown keys; backend/decode failures.
-    pub fn distinct_values_with_threads(
-        &self,
-        key: &str,
-        threads: usize,
-    ) -> Result<Vec<(String, MatchCounts)>> {
         let ci =
             self.schema()
                 .iter()
@@ -967,18 +917,17 @@ impl DriftStore {
                 .ok_or_else(|| LogError::UnknownKey {
                     key: key.to_string(),
                 })?;
-        // The tail carries the global dictionaries, so its result vector
-        // already has one slot per value; chunk contributions add in.
-        let mut out = self.tail.distinct_values_with_threads(key, threads)?;
-        let partials = self.scan_chunks(threads, |_, block| {
+        // The tail carries the global dictionaries, so its result already
+        // has one slot per value; chunk contributions add in.
+        let mut out = self.tail.distinct_values(key)?;
+        let partials = self.scan_chunks(|_, block| {
             let mut counts = vec![MatchCounts::default(); out.len()];
             block.accumulate_value_counts(ci, &mut counts);
             counts
         })?;
         for counts in partials {
-            for ((_, slot), c) in out.iter_mut().zip(counts) {
-                slot.occurrences += c.occurrences;
-                slot.drifted += c.drifted;
+            for ((_, slot), part) in out.iter_mut().zip(counts) {
+                *slot += part;
             }
         }
         Ok(out)
@@ -992,10 +941,7 @@ impl DriftStore {
     ///
     /// [`StoreError::Log`] for unknown keys; backend/decode failures.
     pub fn group_counts(&self, key: &str) -> Result<Vec<(String, MatchCounts)>> {
-        let mut values = self.distinct_values(key)?;
-        values.retain(|(_, c)| c.occurrences > 0);
-        values.sort_by(|a, b| b.1.occurrences.cmp(&a.1.occurrences).then(a.0.cmp(&b.0)));
-        Ok(values)
+        Ok(probe::group_counts(self.distinct_values(key)?))
     }
 
     /// Copies rows with `t0 <= timestamp < t1` into a fresh in-memory
@@ -1011,17 +957,16 @@ impl DriftStore {
         if t0 >= t1 {
             return Ok(out);
         }
-        let metas: Vec<ChunkMeta> = self.full_chunks().cloned().collect();
-        for meta in metas {
+        for meta in self.full_chunks() {
             if meta.rows > 0 && (meta.ts_max < t0 || meta.ts_min >= t1) {
                 CHUNKS_PRUNED.inc();
                 continue;
             }
-            let block = self.load_block(&meta)?;
+            let block = self.load_block(meta)?;
             for row in 0..block.rows() {
                 let ts = block.timestamps()[row];
                 if ts >= t0 && ts < t1 {
-                    out.push(self.block_entry(&meta, &block, row)?)?;
+                    out.push(self.block_entry(meta, &block, row)?)?;
                 }
             }
         }

@@ -2,7 +2,8 @@
 //! pushes, batch ingests with quarantined entries, flushes, retention,
 //! windows, and mid-stream reopens — must answer every query *bitwise
 //! identically* to an in-memory [`DriftLog`] that received the same
-//! rows, at fan-out widths 1, 4 and 8.
+//! rows. (These workloads are a few hundred rows, far below the store's
+//! chunk fan-out threshold; `parallel_scan.rs` covers the parallel branch.)
 //!
 //! The oracle shares the probe machinery with the store by design (that
 //! is the whole point of `nazar_log::probe`), so these tests pin the
@@ -15,8 +16,6 @@ use nazar_log::{Attribute, DriftLog, DriftLogEntry, MatchCounts};
 use nazar_store::{CodecChoice, DriftStore, MemoryBackend, StoreConfig};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
-
-const THREAD_WIDTHS: [usize; 3] = [1, 4, 8];
 
 fn schema_refs(schema: &[String]) -> Vec<&str> {
     schema.iter().map(|s| s.as_str()).collect()
@@ -216,48 +215,28 @@ fn assert_store_equals_oracle(store: &DriftStore, oracle: &DriftLog, mask: &[boo
     assert_eq!(store.num_rows(), oracle.num_rows());
     assert_eq!(store.num_drifted(), oracle.num_drifted());
     for set in query_sets(oracle) {
-        for threads in THREAD_WIDTHS {
-            assert_eq!(
-                store
-                    .count_matching_with_threads(&set, None, threads)
-                    .expect("count"),
-                oracle
-                    .count_matching_with_threads(&set, None, threads)
-                    .expect("count"),
-                "count_matching({set:?}) at {threads} threads"
-            );
-            assert_eq!(
-                store
-                    .count_matching_with_threads(&set, Some(mask), threads)
-                    .expect("count"),
-                oracle
-                    .count_matching_with_threads(&set, Some(mask), threads)
-                    .expect("count"),
-                "masked count_matching({set:?}) at {threads} threads"
-            );
-            assert_eq!(
-                store
-                    .rows_matching_with_threads(&set, threads)
-                    .expect("rows"),
-                oracle
-                    .rows_matching_with_threads(&set, threads)
-                    .expect("rows"),
-                "rows_matching({set:?}) at {threads} threads"
-            );
-        }
+        assert_eq!(
+            store.count_matching(&set, None).expect("count"),
+            oracle.count_matching(&set, None).expect("count"),
+            "count_matching({set:?})"
+        );
+        assert_eq!(
+            store.count_matching(&set, Some(mask)).expect("count"),
+            oracle.count_matching(&set, Some(mask)).expect("count"),
+            "masked count_matching({set:?})"
+        );
+        assert_eq!(
+            store.rows_matching(&set).expect("rows"),
+            oracle.rows_matching(&set).expect("rows"),
+            "rows_matching({set:?})"
+        );
     }
     for key in oracle.schema() {
-        for threads in THREAD_WIDTHS {
-            assert_eq!(
-                store
-                    .distinct_values_with_threads(key, threads)
-                    .expect("distinct"),
-                oracle
-                    .distinct_values_with_threads(key, threads)
-                    .expect("distinct"),
-                "distinct_values({key}) at {threads} threads"
-            );
-        }
+        assert_eq!(
+            store.distinct_values(key).expect("distinct"),
+            oracle.distinct_values(key).expect("distinct"),
+            "distinct_values({key})"
+        );
         assert_eq!(
             store.group_counts(key).expect("group"),
             oracle.group_counts(key).expect("group"),
@@ -285,7 +264,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn persisted_queries_equal_in_memory_at_all_widths(w in workload()) {
+    fn persisted_queries_equal_in_memory(w in workload()) {
         let (store, oracle) = replay(&w);
         assert_store_equals_oracle(&store, &oracle, &w.mask);
     }

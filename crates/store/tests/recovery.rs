@@ -64,16 +64,10 @@ fn assert_equals_oracle(store: &DriftStore, oracle: &DriftLog) {
     assert_eq!(store.num_rows(), oracle.num_rows());
     assert_eq!(store.num_drifted(), oracle.num_drifted());
     for key in ["weather", "location"] {
-        for threads in [1usize, 4, 8] {
-            assert_eq!(
-                store
-                    .distinct_values_with_threads(key, threads)
-                    .expect("distinct"),
-                oracle
-                    .distinct_values_with_threads(key, threads)
-                    .expect("distinct")
-            );
-        }
+        assert_eq!(
+            store.distinct_values(key).expect("distinct"),
+            oracle.distinct_values(key).expect("distinct")
+        );
     }
     let probe = [Attribute::new("location", "nyc")];
     assert_eq!(

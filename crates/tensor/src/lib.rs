@@ -6,12 +6,11 @@
 //! of the entropy objective with respect to batch-normalization parameters)
 //! is reproduced here on top of a small, fully self-contained tensor library:
 //!
-//! * [`Tensor`] — an n-dimensional dense array, generic over element type
-//!   and storage backend (`Tensor<T = f32, A = Cpu>` over a [`Buffer`]),
-//!   with shape/stride bookkeeping, broadcasting helpers, matrix
-//!   multiplication and reductions. The plain-`Tensor` (f32 on [`Cpu`]) API
-//!   is unchanged; `Tensor<i8>`/`Tensor<i32>` carry the quantized device
-//!   inference path.
+//! * [`Tensor`] — an n-dimensional dense array, generic over its
+//!   [`Element`] type (`Tensor<T = f32>` over a `Vec<T>`), with
+//!   shape/stride bookkeeping, broadcasting helpers, matrix multiplication
+//!   and reductions. Plain `Tensor` is the f32 tensor;
+//!   `Tensor<i8>`/`Tensor<i32>` carry the quantized device inference path.
 //! * [`simd`] — runtime-dispatched AVX-512 inner kernels ([`SimdTier`];
 //!   `NAZAR_TENSOR_SIMD` selects `off`/`exact`/`fast`), with the scalar
 //!   kernels as the always-available bitwise oracle.
@@ -47,7 +46,7 @@
 #![warn(missing_docs)]
 
 mod autograd;
-mod backend;
+mod element;
 mod error;
 pub mod kernels;
 mod ops;
@@ -59,7 +58,7 @@ mod tensor;
 mod workspace;
 
 pub use autograd::{Gradients, Tape, Var};
-pub use backend::{Backend, Buffer, Cpu, Element};
+pub use element::Element;
 pub use error::{Result, TensorError};
 pub use kernels::log_sum_exp;
 pub use shape::Shape;

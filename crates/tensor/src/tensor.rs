@@ -1,6 +1,6 @@
-//! Dense, row-major tensors, generic over element type and backend.
+//! Dense, row-major tensors, generic over element type.
 
-use crate::backend::{Backend, Buffer, Cpu, Element};
+use crate::element::Element;
 use crate::error::{Result, TensorError};
 use crate::kernels;
 use crate::shape::Shape;
@@ -9,15 +9,14 @@ use rand::Rng;
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt;
 
-/// A dense, row-major tensor: a [`Buffer`] of elements plus a [`Shape`].
+/// A dense, row-major tensor: a flat `Vec` of elements plus a [`Shape`].
 ///
-/// `Tensor` is deliberately simple: flat backend storage plus a [`Shape`].
-/// All operations allocate their output (there is no view machinery); the
-/// sizes involved in the Nazar experiments are small enough that clarity
-/// wins. The defaults `T = f32`, `A = Cpu` mean plain `Tensor` is exactly
-/// the f32 host tensor the rest of the workspace is written against; the
-/// quantized inference path uses `Tensor<i8>` / `Tensor<i32>` over the same
-/// storage machinery.
+/// `Tensor` is deliberately simple. All operations allocate their output
+/// (there is no view machinery); the sizes involved in the Nazar
+/// experiments are small enough that clarity wins. The default `T = f32`
+/// means plain `Tensor` is exactly the f32 tensor the rest of the workspace
+/// is written against; the quantized inference path uses `Tensor<i8>` /
+/// `Tensor<i32>` over the same struct.
 ///
 /// Fallible operations (shape mismatches and the like) return
 /// [`TensorError`]; infallible convenience wrappers panic only on programmer
@@ -35,20 +34,20 @@ use std::fmt;
 /// # Ok::<(), nazar_tensor::TensorError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct Tensor<T: Element = f32, A: Backend = Cpu> {
-    data: Buffer<T, A>,
+pub struct Tensor<T: Element = f32> {
+    data: Vec<T>,
     shape: Shape,
 }
 
-impl<T: Element, A: Backend> Tensor<T, A> {
+impl<T: Element> Tensor<T> {
     // ------------------------------------------------------------------
-    // Backend-generic constructors and accessors
+    // Element-generic constructors and accessors
     // ------------------------------------------------------------------
 
     /// Builds a tensor of any element type from a flat buffer and a shape.
     ///
     /// The f32-literal-friendly [`Tensor::from_vec`] is the common entry
-    /// point; this is its dtype/backend-generic sibling.
+    /// point; this is its dtype-generic sibling.
     ///
     /// # Errors
     ///
@@ -62,10 +61,7 @@ impl<T: Element, A: Backend> Tensor<T, A> {
                 actual: data.len(),
             });
         }
-        Ok(Tensor {
-            data: Buffer::from_vec(data),
-            shape,
-        })
+        Ok(Tensor { data, shape })
     }
 
     /// A tensor of any element type filled with [`Element::ZERO`].
@@ -77,7 +73,7 @@ impl<T: Element, A: Backend> Tensor<T, A> {
     pub fn full_in(dims: &[usize], value: T) -> Self {
         let shape = Shape::new(dims);
         Tensor {
-            data: Buffer::filled(shape.len(), value),
+            data: vec![value; shape.len()],
             shape,
         }
     }
@@ -114,7 +110,7 @@ impl<T: Element, A: Backend> Tensor<T, A> {
 
     /// Consumes the tensor and returns its flat buffer as a host vector.
     pub fn into_data(self) -> Vec<T> {
-        self.data.into_vec()
+        self.data
     }
 
     /// Number of rows of a rank-2 tensor.
@@ -176,7 +172,7 @@ impl<T: Element, A: Backend> Tensor<T, A> {
         Ok(())
     }
 
-    fn expect_same_shape(&self, op: &'static str, other: &Tensor<T, A>) -> Result<()> {
+    fn expect_same_shape(&self, op: &'static str, other: &Tensor<T>) -> Result<()> {
         if !self.shape.same_as(&other.shape) {
             return Err(TensorError::ShapeMismatch {
                 op,
@@ -206,7 +202,7 @@ impl Tensor {
     /// A scalar tensor holding a single value.
     pub fn scalar(value: f32) -> Self {
         Tensor {
-            data: vec![value].into(),
+            data: vec![value],
             shape: Shape::scalar(),
         }
     }
@@ -250,20 +246,14 @@ impl Tensor {
                 data.push(mean + std * r * theta.sin());
             }
         }
-        Tensor {
-            data: data.into(),
-            shape,
-        }
+        Tensor { data, shape }
     }
 
     /// A tensor of i.i.d. samples from `U[lo, hi)`.
     pub fn rand_uniform<R: Rng + ?Sized>(rng: &mut R, dims: &[usize], lo: f32, hi: f32) -> Self {
         let shape = Shape::new(dims);
         let data: Vec<f32> = (0..shape.len()).map(|_| rng.gen_range(lo..hi)).collect();
-        Tensor {
-            data: data.into(),
-            shape,
-        }
+        Tensor { data, shape }
     }
 
     /// Stacks equal-length 1-D rows into an `[n, d]` matrix.
@@ -336,7 +326,7 @@ impl Tensor {
         let mut data = vec![0.0f32; self.data.len()];
         kernels::map_into(&self.data, &mut data, f);
         Tensor {
-            data: data.into(),
+            data,
             shape: self.shape.clone(),
         }
     }
@@ -356,7 +346,7 @@ impl Tensor {
         let mut data = vec![0.0f32; self.data.len()];
         kernels::zip_into(&self.data, &other.data, &mut data, f);
         Ok(Tensor {
-            data: data.into(),
+            data,
             shape: self.shape.clone(),
         })
     }
@@ -512,7 +502,7 @@ impl Tensor {
             }
         }
         Ok(Tensor {
-            data: data.into(),
+            data,
             shape: self.shape.clone(),
         })
     }
@@ -851,7 +841,7 @@ impl Tensor {
     }
 }
 
-// Hand-written serde impls for the default f32/Cpu tensor, matching the wire
+// Hand-written serde impls for the default f32 tensor, matching the wire
 // format the former `#[derive(Serialize, Deserialize)]` produced (a map of
 // "data" and "shape") so persisted patches/checkpoints keep round-tripping.
 impl Serialize for Tensor {
@@ -884,10 +874,7 @@ impl Deserialize for Tensor {
                 shape.dims()
             )));
         }
-        Ok(Tensor {
-            data: data.into(),
-            shape,
-        })
+        Ok(Tensor { data, shape })
     }
 }
 

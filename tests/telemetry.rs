@@ -14,7 +14,7 @@
 //! 4. with observability disabled the recorder is inert: no snapshots, no
 //!    series, and experiment outputs untouched.
 //!
-//! Observability state is process-global, so every test takes `OBS_LOCK`.
+//! Observability state is process-global, so every test takes [`obs_lock`].
 
 use nazar_data::{AnimalsConfig, AnimalsDataset};
 use nazar_device::{DeviceConfig, FleetSim};
@@ -23,10 +23,15 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::Value;
 use std::io::{Read, Write};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
-/// Serializes tests that toggle the global observability state.
-static OBS_LOCK: Mutex<()> = Mutex::new(());
+/// Serializes tests that toggle the global observability state. Poison
+/// only records that another test failed while holding the lock; the `()`
+/// it guards cannot be left inconsistent, so one failure stays one failure.
+fn obs_lock() -> MutexGuard<'static, ()> {
+    static OBS_LOCK: Mutex<()> = Mutex::new(());
+    OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// A small fleet world (untrained model — telemetry does not care about
 /// accuracy), built once and shared across tests.
@@ -70,7 +75,7 @@ fn get<'v>(entries: &'v [(String, Value)], key: &str) -> &'v Value {
 
 #[test]
 fn series_is_bitwise_identical_across_thread_counts() {
-    let _guard = OBS_LOCK.lock().unwrap();
+    let _guard = obs_lock();
     nazar_obs::testing::enable_memory_sink();
     let one = run_series(1, 3);
     let eight = run_series(8, 3);
@@ -101,7 +106,7 @@ fn series_is_bitwise_identical_across_thread_counts() {
 
 #[test]
 fn snapshot_deltas_sum_to_summary_totals() {
-    let _guard = OBS_LOCK.lock().unwrap();
+    let _guard = obs_lock();
     nazar_obs::testing::enable_memory_sink();
     let series = run_series(2, 3);
     nazar_obs::testing::disable();
@@ -212,7 +217,7 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> (String, String) {
 
 #[test]
 fn exporter_serves_well_formed_responses_mid_run() {
-    let _guard = OBS_LOCK.lock().unwrap();
+    let _guard = obs_lock();
     nazar_obs::testing::enable_memory_sink();
     let server = nazar_obs::http::start("127.0.0.1:0").expect("bind exporter");
     let addr = server.local_addr();
@@ -269,7 +274,7 @@ fn exporter_serves_well_formed_responses_mid_run() {
 
 #[test]
 fn disabled_recorder_takes_no_snapshots_and_changes_nothing() {
-    let _guard = OBS_LOCK.lock().unwrap();
+    let _guard = obs_lock();
     nazar_obs::testing::disable();
 
     let (data, model) = small_world();
@@ -292,6 +297,11 @@ fn disabled_recorder_takes_no_snapshots_and_changes_nothing() {
     let parts_on = sim.process_window_parts_with_threads(&data.streams, 0, 2, &mut rng, 2);
     assert!(nazar_obs::telemetry::snapshot_count() > 0);
     nazar_obs::testing::disable();
+    // Enabled-then-disabled in one body (the order other tests impose on
+    // this one by running first): the finished run must not leak out of a
+    // disabled recorder.
+    assert_eq!(nazar_obs::telemetry::snapshot_count(), 0);
+    assert_eq!(nazar_obs::telemetry::retained_count(), 0);
 
     assert_eq!(
         parts_off, parts_on,
