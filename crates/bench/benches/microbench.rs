@@ -17,7 +17,7 @@ use nazar_cloud::timing::synthetic_drift_log;
 use nazar_data::ClassSpace;
 use nazar_detect::{DriftDetector, EnergyScore, EntropyThreshold, MspThreshold, Odin};
 use nazar_log::{Attribute, DriftLog, DriftLogEntry};
-use nazar_nn::{Layer, MlpResNet, Mode, ModelArch, QuantizedMlp};
+use nazar_nn::{Layer, MlpResNet, Mode, ModelArch};
 use nazar_registry::{ModelPool, VersionMeta};
 use nazar_tensor::{kernels, SimdTier, Tape, Tensor, Workspace};
 use rand::rngs::SmallRng;
@@ -101,16 +101,6 @@ fn bench_tensor_ops(c: &mut Criterion) {
             })
         });
     }
-    // i8 integer matmul on the same shape (the quantized device path).
-    let qa: Vec<i8> = a256.data().iter().map(|&v| (v * 40.0) as i8).collect();
-    let qb: Vec<i8> = b256.data().iter().map(|&v| (v * 40.0) as i8).collect();
-    let mut qout = vec![0i32; 256 * 256];
-    group.bench_function("matmul_256_i8", |bencher| {
-        bencher.iter(|| {
-            kernels::matmul_i8_into_threads(&qa, &qb, 256, 256, 256, &mut qout, 1);
-            black_box(qout[0])
-        })
-    });
     group.bench_function("transpose_512", |bencher| {
         bencher.iter(|| black_box(wide.transpose().expect("matrix")))
     });
@@ -129,14 +119,6 @@ fn bench_inference(c: &mut Criterion) {
     let row = x.select_rows(&[0]).expect("row");
     group.bench_function("forward_resnet50_analog_b1", |bencher| {
         bencher.iter(|| black_box(model.logits(&row, Mode::Eval)))
-    });
-    // The i8-quantized detection mirror on the same model/input.
-    let quant = QuantizedMlp::from_model(&model);
-    group.bench_function("forward_resnet50_analog_b1_i8", |bencher| {
-        bencher.iter(|| black_box(quant.logits(&row)))
-    });
-    group.bench_function("forward_resnet50_analog_b160_i8", |bencher| {
-        bencher.iter(|| black_box(quant.logits(&x)))
     });
     group.finish();
 }

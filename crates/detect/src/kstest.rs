@@ -132,8 +132,8 @@ impl KsTestDetector {
 /// returns `1.0`; the alternating series is summed until the terms fall
 /// below `1e-12` and the result is clamped to `[0, 1]`.
 pub fn kolmogorov_q(lambda: f64) -> f64 {
-    // NaN compares false: no drift evidence means p = 1.
-    if lambda.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
+    // NaN is no drift evidence, like a non-positive λ: p = 1.
+    if lambda.is_nan() || lambda <= 0.0 {
         return 1.0;
     }
     let mut sum = 0.0f64;
@@ -182,7 +182,7 @@ pub fn ks_p_asymptotic(d: f64, n: usize, m: usize) -> f64 {
 /// Returns `1.0` when `d ≤ 0` and `0.0`-free guarantees otherwise; empty
 /// samples give `1.0` (no evidence).
 pub fn ks_p_exact(d: f64, n: usize, m: usize) -> f64 {
-    if n == 0 || m == 0 || d.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
+    if n == 0 || m == 0 || d.is_nan() || d <= 0.0 {
         return 1.0;
     }
     // Band half-width in integer lattice units, with slack so that the

@@ -2,11 +2,12 @@
 
 use crate::item_attributes;
 use nazar_data::{Corruption, SimDate, StreamItem};
-use nazar_detect::{DetectorKind, StreamDetector};
+use nazar_detect::{msp_of_row, DetectorKind, StreamDetector};
 use nazar_log::{Attribute, DriftLogEntry};
-use nazar_nn::{BnPatch, MlpResNet, QuantMode, QuantizedMlp};
+use nazar_nn::{BnPatch, MlpResNet};
+use nazar_obs::LazyCounter;
 use nazar_registry::{DeployOutcome, ModelPool, VersionMeta};
-use nazar_tensor::Tensor;
+use nazar_tensor::{kernels, simd, Workspace};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -28,10 +29,6 @@ pub struct DeviceConfig {
     /// Maximum stored model versions (`None` disables the cap, as in the
     /// Fig. 8c experiment).
     pub pool_capacity: Option<usize>,
-    /// Numeric mode for the detection forward pass ([`QuantMode::I8`] runs
-    /// the quantized mirror; BN patches still apply in f32).
-    #[serde(default)]
-    pub quant: QuantMode,
 }
 
 impl Default for DeviceConfig {
@@ -41,7 +38,6 @@ impl Default for DeviceConfig {
             detection_threshold: 0.9,
             detector: DetectorKind::Msp,
             pool_capacity: Some(8),
-            quant: QuantMode::F32,
         }
     }
 }
@@ -86,10 +82,6 @@ pub struct Device {
     location: String,
     base_patch: BnPatch,
     active_model: MlpResNet,
-    /// i8 mirror of `active_model`, present iff `config.quant` is `I8`.
-    /// Kept in lockstep by the `activate*` methods (BN-only patches, so
-    /// the quantized weights never need refreshing).
-    quant_model: Option<QuantizedMlp>,
     active_version: Option<u64>,
     pool: ModelPool<BnPatch>,
     detector: StreamDetector,
@@ -106,16 +98,11 @@ impl Device {
         config: DeviceConfig,
     ) -> Self {
         let base_patch = BnPatch::extract(&mut base_model);
-        let quant_model = match config.quant {
-            QuantMode::I8 => Some(QuantizedMlp::from_model(&base_model)),
-            QuantMode::F32 => None,
-        };
         Device {
             id: id.into(),
             location: location.into(),
             base_patch,
             active_model: base_model,
-            quant_model,
             active_version: None,
             pool: ModelPool::new(config.pool_capacity),
             detector: StreamDetector::new(config.detector, config.detection_threshold),
@@ -152,10 +139,6 @@ impl Device {
         self.base_patch
             .apply(&mut self.active_model)
             .expect("base patch fits its own model");
-        if let Some(q) = &mut self.quant_model {
-            q.apply_patch(&self.base_patch)
-                .expect("base patch fits its own quantized mirror");
-        }
         self.active_version = None;
     }
 
@@ -167,10 +150,6 @@ impl Device {
                     patch
                         .apply(&mut self.active_model)
                         .expect("pool patches fit the base model");
-                    if let Some(q) = &mut self.quant_model {
-                        q.apply_patch(&patch)
-                            .expect("pool patches fit the quantized mirror");
-                    }
                     self.active_version = Some(id);
                 }
             }
@@ -186,10 +165,7 @@ impl Device {
     pub fn process<R: Rng + ?Sized>(&mut self, item: &StreamItem, rng: &mut R) -> DeviceOutput {
         let attrs = item_attributes(item);
         self.activate(&attrs);
-        let (prediction, msp) = match &self.quant_model {
-            Some(q) => forward_item_quant(q, item),
-            None => forward_item(&mut self.active_model, item),
-        };
+        let (prediction, msp) = forward_item(&self.active_model, item);
         self.seq += 1;
         let drift = self.detector.observe(msp);
         let (entry, sample) =
@@ -204,30 +180,53 @@ impl Device {
     }
 }
 
-/// One forward pass for one stream item: `(prediction, MSP)`. One pass
-/// serves both the prediction and the MSP detector — the reason the paper
-/// picks this detector ("the logit scores are computed by the inference
-/// anyways"). Shared by [`Device::process`] and the event-driven scheduler
-/// so the two fleet paths stay bitwise identical.
-pub(crate) fn forward_item(model: &mut MlpResNet, item: &StreamItem) -> (usize, f32) {
-    let x = Tensor::from_vec(item.features.clone(), &[1, item.features.len()])
-        .expect("one feature row");
-    let logits = model.logits(&x, nazar_nn::Mode::Eval);
-    let prediction = logits.argmax_axis1().expect("logit row")[0];
-    let msp = nazar_detect::msp_of_logits(&logits)[0];
-    (prediction, msp)
+static FORWARD_CALLS: LazyCounter = LazyCounter::new_volatile(
+    "nazar_device_forward_calls_total",
+    "Eval forward passes issued by the fleet (one per batched group, so it varies with the worker count)",
+    &[],
+);
+static FORWARD_ROWS: LazyCounter = LazyCounter::new(
+    "nazar_device_forward_rows_total",
+    "Feature rows carried by the fleet's eval forward passes",
+    &[],
+);
+
+/// One eval forward over `n` stacked feature rows (`x: [n, input_dim]`,
+/// row-major), handing `each` every row's `(row index, prediction, MSP)`.
+/// One pass serves both the prediction and the MSP detector — the reason
+/// the paper picks this detector ("the logit scores are computed by the
+/// inference anyways"). A row's result does not depend on the rows stacked
+/// with it ([`MlpResNet::infer_into`]), which is what lets the event-driven
+/// scheduler batch what [`Device::process`] runs one item at a time and
+/// still match it bit for bit. The matmuls stay on the calling thread: the
+/// fleet's parallelism is across devices, not inside a forward.
+pub(crate) fn forward_rows(
+    model: &MlpResNet,
+    x: &[f32],
+    n: usize,
+    ws: &mut Workspace,
+    mut each: impl FnMut(usize, usize, f32),
+) {
+    FORWARD_CALLS.inc();
+    FORWARD_ROWS.add(n as u64);
+    let classes = model.arch().num_classes;
+    let mut logits = ws.take_filled_later(n * classes);
+    model.infer_into_with(x, n, &mut logits, ws, 1, simd::env_tier());
+    for (i, row) in logits.chunks_exact(classes).enumerate() {
+        each(i, kernels::argmax(row), msp_of_row(row));
+    }
+    ws.recycle(logits);
 }
 
-/// [`forward_item`] on the i8-quantized mirror ([`QuantMode::I8`]): same
-/// `(prediction, MSP)` contract, exact-integer matmuls inside, so the
-/// result is thread-width invariant by construction.
-pub(crate) fn forward_item_quant(quant: &QuantizedMlp, item: &StreamItem) -> (usize, f32) {
-    let x = Tensor::from_vec(item.features.clone(), &[1, item.features.len()])
-        .expect("one feature row");
-    let logits = quant.logits(&x);
-    let prediction = logits.argmax_axis1().expect("logit row")[0];
-    let msp = nazar_detect::msp_of_logits(&logits)[0];
-    (prediction, msp)
+/// [`forward_rows`] for one stream item: `(prediction, MSP)`.
+fn forward_item(model: &MlpResNet, item: &StreamItem) -> (usize, f32) {
+    let mut out = (0, 0.0);
+    Workspace::with_thread_local(|ws| {
+        forward_rows(model, &item.features, 1, ws, |_, prediction, msp| {
+            out = (prediction, msp);
+        });
+    });
+    out
 }
 
 /// The emission half of the on-device loop: drift-log entry and the sampled
@@ -245,22 +244,19 @@ pub(crate) fn emit_outputs<R: Rng + ?Sized>(
     seq: u64,
     rng: &mut R,
 ) -> (DriftLogEntry, Option<UploadedSample>) {
-    let timestamp = u64::from(item.date.day_index()) * 86_400 + seq % 86_400;
-    let entry = DriftLogEntry {
-        timestamp,
+    // The sampling draw comes first so that the attributes are cloned only
+    // for the fraction of items that is uploaded.
+    let sample = (rng.gen_range(0.0f64..1.0) < sample_rate).then(|| UploadedSample {
+        features: item.features.clone(),
         attrs: attrs.clone(),
+        date: item.date,
+        label: item.label,
+        true_cause: item.true_cause,
+    });
+    let entry = DriftLogEntry {
+        timestamp: u64::from(item.date.day_index()) * 86_400 + seq % 86_400,
+        attrs,
         drift,
-    };
-    let sample = if rng.gen_range(0.0f64..1.0) < sample_rate {
-        Some(UploadedSample {
-            features: item.features.clone(),
-            attrs,
-            date: item.date,
-            label: item.label,
-            true_cause: item.true_cause,
-        })
-    } else {
-        None
     };
     (entry, sample)
 }
@@ -270,6 +266,7 @@ mod tests {
     use super::*;
     use nazar_data::{Severity, Weather};
     use nazar_nn::ModelArch;
+    use nazar_tensor::Tensor;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 

@@ -368,14 +368,14 @@ pub(crate) fn tally(out: &mut WindowOutput, item: &StreamItem, result: DeviceOut
         if result.correct {
             out.stats.drifted_correct += 1;
         }
-        let e = out
-            .stats
-            .per_cause
-            .entry(cause.name().to_string())
-            .or_insert((0, 0));
-        e.1 += 1;
-        if result.correct {
-            e.0 += 1;
+        // Look up before inserting: the key is allocated once per cause,
+        // not once per drifted item.
+        let hit = (usize::from(result.correct), 1);
+        if let Some(e) = out.stats.per_cause.get_mut(cause.name()) {
+            e.0 += hit.0;
+            e.1 += hit.1;
+        } else {
+            out.stats.per_cause.insert(cause.name().to_string(), hit);
         }
     }
     out.entries.push(result.entry);

@@ -29,16 +29,18 @@ mod state;
 
 pub use device::{Device, DeviceConfig, DeviceOutput, UploadedSample};
 pub use fleet::{Fleet, WindowOutput, WindowStats};
-pub use scheduler::{peak_rss_bytes, FleetSim, TraceEvent, DAY_US};
+pub use scheduler::{peak_rss_bytes, FleetSim, TraceEvent, DAY_US, FORWARD_ROWS_CAP};
 pub use state::{DevicePools, FleetState, PoolSlot, CONF_HISTORY};
 
+use nazar_data::StreamItem;
 use nazar_log::Attribute;
+use nazar_registry::VersionMeta;
 
 /// The drift-log schema every device reports under.
 pub const LOG_SCHEMA: [&str; 3] = ["weather", "location", "device_id"];
 
 /// Builds the metadata attributes of a stream item, in schema order.
-pub fn item_attributes(item: &nazar_data::StreamItem) -> Vec<Attribute> {
+pub fn item_attributes(item: &StreamItem) -> Vec<Attribute> {
     vec![
         Attribute::new("weather", item.weather.name()),
         Attribute::new("location", item.location.clone()),
@@ -46,14 +48,27 @@ pub fn item_attributes(item: &nazar_data::StreamItem) -> Vec<Attribute> {
     ]
 }
 
+/// `meta.matches(&item_attributes(item))` without building the attributes:
+/// version selection runs once per inference request and only compares.
+pub(crate) fn item_matches(meta: &VersionMeta, item: &StreamItem) -> bool {
+    meta.attrs.iter().all(|a| {
+        let value = match a.key.as_str() {
+            "weather" => item.weather.name(),
+            "location" => item.location.as_str(),
+            "device_id" => item.device_id.as_str(),
+            _ => return false,
+        };
+        a.value == value
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nazar_data::{Severity, SimDate, StreamItem, Weather};
+    use nazar_data::{Severity, SimDate, Weather};
 
-    #[test]
-    fn item_attributes_follow_schema_order() {
-        let item = StreamItem {
+    fn snow_item() -> StreamItem {
+        StreamItem {
             features: vec![0.0],
             label: 0,
             date: SimDate::new(0),
@@ -62,7 +77,38 @@ mod tests {
             weather: Weather::Snow,
             true_cause: None,
             severity: Severity::NONE,
-        };
+        }
+    }
+
+    #[test]
+    fn item_matches_is_meta_matches_on_the_item_attributes() {
+        let item = snow_item();
+        let attrs = item_attributes(&item);
+        let pairs = [
+            ("weather", "snow"),
+            ("weather", "fog"),
+            ("location", "quebec"),
+            ("location", "snow"),
+            ("device_id", "quebec-dev01"),
+            ("device_id", "quebec"),
+            ("altitude", "snow"),
+        ];
+        // Every subset of the probe pairs, the empty (clean) cause included.
+        for mask in 0u32..1 << pairs.len() {
+            let cause = pairs
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| mask & (1 << i) != 0)
+                .map(|(_, (k, v))| Attribute::new(*k, *v))
+                .collect();
+            let meta = VersionMeta::new(cause, 1.0);
+            assert_eq!(item_matches(&meta, &item), meta.matches(&attrs), "{meta:?}");
+        }
+    }
+
+    #[test]
+    fn item_attributes_follow_schema_order() {
+        let item = snow_item();
         let attrs = item_attributes(&item);
         let keys: Vec<&str> = attrs.iter().map(|a| a.key.as_str()).collect();
         assert_eq!(keys, LOG_SCHEMA);

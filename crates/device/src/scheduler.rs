@@ -20,8 +20,12 @@
 //!   (~150 bytes of state per device instead of a model clone each);
 //! * inference work is drained in per-virtual-day batches that fan out
 //!   over [`nazar_tensor::parallel`] with one scratch model per worker
-//!   chunk; per-device outcomes are merged back in ascending device order,
-//!   which keeps results independent of thread count and scheduling.
+//!   chunk; a chunk groups its arrivals by the model version each device
+//!   selected and runs **one** stacked forward per group (a row's logits
+//!   do not depend on its batch-mates, see
+//!   [`nazar_nn::MlpResNet::infer_into`]); per-device outcomes are merged
+//!   back in ascending device order, which keeps results independent of
+//!   thread count and scheduling.
 //!
 //! The golden trace (`tests/golden_trace.rs`) pins that a full
 //! orchestrator run through [`FleetSim`] is *identical* to the lockstep
@@ -29,16 +33,16 @@
 //! `tests/scheduler_determinism.rs` pin event-order and output determinism
 //! across thread counts.
 
-use crate::device::{emit_outputs, forward_item, forward_item_quant, DeviceConfig, DeviceOutput};
+use crate::device::{emit_outputs, forward_rows, DeviceConfig, DeviceOutput};
 use crate::fleet::{record_stats, tally, WindowOutput};
-use crate::item_attributes;
 use crate::state::{DevicePools, FleetState};
+use crate::{item_attributes, item_matches};
 use nazar_data::{LocationStream, SimDate, StreamItem};
 use nazar_detect::StreamDetector;
-use nazar_nn::{BnPatch, MlpResNet, QuantMode, QuantizedMlp};
+use nazar_nn::{BnPatch, MlpResNet};
 use nazar_obs::{LazyCounter, LazyGauge, LazyHistogram};
 use nazar_registry::{VersionArena, VersionMeta};
-use nazar_tensor::parallel;
+use nazar_tensor::{parallel, Workspace};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BinaryHeap};
@@ -55,6 +59,12 @@ const FLEET_DEVICE: u32 = u32::MAX;
 
 /// Sentinel for "base model" in [`EventKind::Detect::version`].
 const BASE_VERSION: u32 = u32::MAX;
+
+/// Most feature rows one stacked forward carries. Caps a chunk's
+/// activation scratch (three `[rows, hidden]` buffers) however many
+/// arrivals a day brings — at a million devices as at forty — while
+/// leaving the per-call overhead a 256th of a batch-1 pass's.
+pub const FORWARD_ROWS_CAP: usize = 256;
 
 static EV_ARRIVAL: LazyCounter = LazyCounter::new(
     "nazar_fleet_events_total",
@@ -251,13 +261,16 @@ pub struct TraceEvent {
 #[derive(Debug)]
 struct Scratch {
     model: MlpResNet,
-    /// i8 mirror of `model`, present iff the fleet runs [`QuantMode::I8`].
-    /// BN patches apply to both; the quantized weights never change.
-    quant: Option<QuantizedMlp>,
     applied: Option<Option<u32>>,
     /// Deploy epoch the memo was taken in; arena ids may be reused across
     /// deployments, so a stale epoch invalidates the memo.
     epoch: u64,
+    /// Activation and packing buffers of the chunk's forwards, kept from
+    /// batch to batch so that a [`FORWARD_ROWS_CAP`]-row group finds its
+    /// buffers already sized.
+    ws: Workspace,
+    /// Stacked feature rows of the forward in flight, `[rows, input_dim]`.
+    rows: Vec<f32>,
 }
 
 impl Scratch {
@@ -272,10 +285,6 @@ impl Scratch {
         patch
             .apply(&mut self.model)
             .expect("pool patches fit the base model");
-        if let Some(q) = &mut self.quant {
-            q.apply_patch(patch)
-                .expect("pool patches fit the quantized mirror");
-        }
         self.applied = Some(sel);
     }
 }
@@ -308,6 +317,23 @@ struct JobResult {
     outputs: Vec<(u32, DeviceOutput)>,
 }
 
+/// A sample arrival whose version is resolved and whose forward pass is
+/// still to run.
+struct Arrival {
+    /// Index of the owning device's [`JobResult`] in the chunk.
+    job: usize,
+    /// Virtual time of the arrival event.
+    at: u64,
+    /// Index into the window's item table.
+    item: u32,
+    /// Arena id of the selected version (`None` = base): the forward's
+    /// grouping key.
+    arena: Option<u32>,
+    /// Device-local id of the selected version ([`BASE_VERSION`] = base),
+    /// as the detect event reports it.
+    version: u32,
+}
+
 /// A contiguous run of device jobs plus the worker scratch model it uses.
 struct Chunk {
     index: usize,
@@ -324,6 +350,8 @@ struct BatchCtx<'a> {
     base_patch: &'a BnPatch,
     config: &'a DeviceConfig,
     epoch: u64,
+    /// The batch's span, parent of the chunks' spans on worker threads.
+    span: Option<u64>,
 }
 
 /// The last interned deployment, reused when the cloud installs the same
@@ -639,6 +667,7 @@ impl FleetSim {
     ) -> Vec<(String, WindowOutput)> {
         let _span = nazar_obs::span_detail("detect", || format!("w={w} scheduler=event"));
         self.depth_watermark = self.heap.len();
+        let schedule_span = nazar_obs::span("detect.schedule");
 
         // Item table and per-device item lists, in stream order — the same
         // grouping the lockstep path builds.
@@ -690,6 +719,7 @@ impl FleetSim {
             self.push_event(t_end, d, EventKind::UploadFlush);
         }
         self.push_event(t_end, FLEET_DEVICE, EventKind::WindowClose);
+        drop(schedule_span);
 
         // Drain. Inference events sharing a virtual day drain as one
         // parallel batch; everything else is sequential.
@@ -755,6 +785,7 @@ impl FleetSim {
         threads: usize,
     ) {
         let started = std::time::Instant::now();
+        let batch_span = nazar_obs::span("detect.batch");
         let threads = threads.max(1);
         let mut arrivals = 0u64;
         let mut detects = 0u64;
@@ -822,8 +853,10 @@ impl FleetSim {
             base_patch: &self.base_patch,
             config: &self.config,
             epoch: self.deploy_epoch,
+            span: batch_span.id(),
         };
         let results = parallel::par_map_with(chunks, threads, |chunk| run_chunk(chunk, &ctx));
+        let _merge_span = nazar_obs::span("detect.merge");
 
         // Sequential merge: chunks are contiguous and ascending, so results
         // arrive in ascending device order; new detect events enqueue here,
@@ -855,18 +888,22 @@ impl FleetSim {
     }
 }
 
-/// Runs one chunk of device jobs on a worker thread.
+/// Runs one chunk of device jobs on a worker thread: resolves every
+/// arrival's model version, runs one stacked forward per selected version
+/// (in [`FORWARD_ROWS_CAP`]-row pieces) and hands each device its detect
+/// events in its own event order; detect events need no forward and are
+/// finished where they stand.
 fn run_chunk(chunk: Chunk, ctx: &BatchCtx<'_>) -> (usize, Vec<JobResult>, Scratch) {
+    let _span = nazar_obs::span_child("detect.chunk", ctx.span);
     let mut scratch = chunk.scratch.unwrap_or_else(|| Scratch {
         model: ctx.base_model.clone(),
-        quant: match ctx.config.quant {
-            QuantMode::I8 => Some(QuantizedMlp::from_model(ctx.base_model)),
-            QuantMode::F32 => None,
-        },
         applied: None,
         epoch: ctx.epoch,
+        ws: Workspace::new(),
+        rows: Vec::new(),
     });
-    let mut results = Vec::with_capacity(chunk.jobs.len());
+    let mut results: Vec<JobResult> = Vec::with_capacity(chunk.jobs.len());
+    let mut arrivals: Vec<Arrival> = Vec::new();
     for job in chunk.jobs {
         let d = job.device as usize;
         let mut res = JobResult {
@@ -882,26 +919,19 @@ fn run_chunk(chunk: Chunk, ctx: &BatchCtx<'_>) -> (usize, Vec<JobResult>, Scratc
             match ev.kind {
                 EventKind::SampleArrival { item } => {
                     let it = ctx.items[item as usize];
-                    let attrs = item_attributes(it);
-                    let sel = ctx.pools.select(ctx.arena, d, &attrs);
-                    scratch.ensure(sel.map(|(_, vid)| vid), ctx.arena, ctx.base_patch);
-                    let (prediction, msp) = match &scratch.quant {
-                        Some(q) => forward_item_quant(q, it),
-                        None => forward_item(&mut scratch.model, it),
-                    };
-                    res.detects.push(Event {
-                        at: ev.at + 1,
-                        device: ev.device,
-                        seq: 0, // assigned at merge time
-                        kind: EventKind::Detect {
-                            item,
-                            prediction: prediction as u32,
-                            msp,
-                            version: match sel {
-                                Some((local_id, _)) => u32::try_from(local_id)
-                                    .expect("device-local version ids fit u32"),
-                                None => BASE_VERSION,
-                            },
+                    let sel = ctx
+                        .pools
+                        .select(ctx.arena, d, |meta| item_matches(meta, it));
+                    arrivals.push(Arrival {
+                        job: results.len(),
+                        at: ev.at,
+                        item,
+                        arena: sel.map(|(_, arena)| arena),
+                        version: match sel {
+                            Some((local_id, _)) => {
+                                u32::try_from(local_id).expect("device-local version ids fit u32")
+                            }
+                            None => BASE_VERSION,
                         },
                     });
                 }
@@ -912,7 +942,6 @@ fn run_chunk(chunk: Chunk, ctx: &BatchCtx<'_>) -> (usize, Vec<JobResult>, Scratc
                     version,
                 } => {
                     let it = ctx.items[item as usize];
-                    let attrs = item_attributes(it);
                     res.seq += 1;
                     // Detect events pop in item order per device, so the
                     // streaming detector observes the same MSP sequence as
@@ -920,7 +949,7 @@ fn run_chunk(chunk: Chunk, ctx: &BatchCtx<'_>) -> (usize, Vec<JobResult>, Scratc
                     let drift = res.detector.observe(msp);
                     let (entry, sample) = emit_outputs(
                         it,
-                        attrs,
+                        item_attributes(it),
                         drift,
                         ctx.config.sample_rate,
                         res.seq,
@@ -943,6 +972,48 @@ fn run_chunk(chunk: Chunk, ctx: &BatchCtx<'_>) -> (usize, Vec<JobResult>, Scratc
             }
         }
         results.push(res);
+    }
+
+    // Forward passes, one group per selected version. The sort is stable
+    // and `order` starts in event order, but neither matters to the
+    // result: a row's `(prediction, msp)` is the same in any batch.
+    let forward_span = nazar_obs::span("detect.forward");
+    let mut order: Vec<usize> = (0..arrivals.len()).collect();
+    order.sort_by_key(|&i| arrivals[i].arena);
+    let mut passes: Vec<(usize, f32)> = vec![(0, 0.0); arrivals.len()];
+    for group in order.chunk_by(|&a, &b| arrivals[a].arena == arrivals[b].arena) {
+        scratch.ensure(arrivals[group[0]].arena, ctx.arena, ctx.base_patch);
+        for piece in group.chunks(FORWARD_ROWS_CAP) {
+            scratch.rows.clear();
+            for &i in piece {
+                let item = ctx.items[arrivals[i].item as usize];
+                scratch.rows.extend_from_slice(&item.features);
+            }
+            forward_rows(
+                &scratch.model,
+                &scratch.rows,
+                piece.len(),
+                &mut scratch.ws,
+                |row, prediction, msp| passes[piece[row]] = (prediction, msp),
+            );
+        }
+    }
+    drop(forward_span);
+
+    // Scatter back in event order: `arrivals` still is.
+    for (arrival, (prediction, msp)) in arrivals.iter().zip(passes) {
+        let res = &mut results[arrival.job];
+        res.detects.push(Event {
+            at: arrival.at + 1,
+            device: res.device,
+            seq: 0, // assigned at merge time
+            kind: EventKind::Detect {
+                item: arrival.item,
+                prediction: prediction as u32,
+                msp,
+                version: arrival.version,
+            },
+        });
     }
     (chunk.index, results, scratch)
 }

@@ -18,7 +18,6 @@
 //! tie-break) over arena references; `tests/scheduler_determinism.rs`
 //! pins the byte-equivalence differentially against real `ModelPool`s.
 
-use nazar_log::Attribute;
 use nazar_registry::{VersionArena, VersionMeta};
 use std::collections::HashMap;
 
@@ -313,21 +312,22 @@ impl DevicePools {
         }
     }
 
-    /// Picks the version device `d` uses for an input with `input_attrs`,
-    /// mirroring [`nazar_registry::ModelPool::select`]: most matching
-    /// attributes, then risk ratio, then recency — with the *last* maximal
-    /// slot winning full ties, as `Iterator::max_by` resolves them.
+    /// Picks the version device `d` uses for an input whose attributes
+    /// `matches` tests a cause against, mirroring
+    /// [`nazar_registry::ModelPool::select`]: most matching attributes,
+    /// then risk ratio, then recency — with the *last* maximal slot
+    /// winning full ties, as `Iterator::max_by` resolves them.
     /// Returns `(local version id, arena id)`.
     pub fn select<P>(
         &self,
         arena: &VersionArena<P>,
         d: usize,
-        input_attrs: &[Attribute],
+        matches: impl Fn(&VersionMeta) -> bool,
     ) -> Option<(u64, u32)> {
         let mut best: Option<&PoolSlot> = None;
         for slot in self.slots(d) {
             let meta = arena.meta(slot.arena);
-            if !meta.matches(input_attrs) {
+            if !matches(meta) {
                 continue;
             }
             let replace = match best {
@@ -353,6 +353,7 @@ impl DevicePools {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nazar_log::Attribute;
     use nazar_registry::ModelPool;
 
     fn attr(k: &str, v: &str) -> Attribute {
@@ -430,7 +431,7 @@ mod tests {
             ] {
                 let want = reference.select(&probe).map(|v| (v.id, v.payload));
                 let got = pools
-                    .select(&arena, 0, &probe)
+                    .select(&arena, 0, |meta| meta.matches(&probe))
                     .map(|(id, vid)| (id, *arena.payload(vid)));
                 assert_eq!(want, got, "selection diverged on {probe:?}");
             }

@@ -8,80 +8,57 @@
 //! weather mix, the RNG seed, the worker count, and whether a broadcast
 //! deployment lands between windows.
 
-use nazar_data::{LocationStream, Severity, SimDate, StreamItem, Weather};
+mod common;
+
+use common::{base_model, donor_patch, mixed_version_world, streams_from, CLASSES};
+use nazar_data::SimDate;
 use nazar_device::{DeviceConfig, Fleet, FleetSim};
 use nazar_log::Attribute;
-use nazar_nn::{BnPatch, MlpResNet, Mode, ModelArch, QuantMode};
 use nazar_registry::VersionMeta;
-use nazar_tensor::Tensor;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-const DIM: usize = 6;
-const CLASSES: usize = 4;
-const LOCATIONS: usize = 3;
 const WINDOWS: usize = 2;
 
-fn location_of(device: usize) -> String {
-    format!("loc-{}", device % LOCATIONS)
-}
+/// One day's chunk mixes the base and four versions; whatever the chunk
+/// count, the batched event engine must hand back the lockstep engine's
+/// window byte for byte.
+#[test]
+fn mixed_versions_in_one_day_match_lockstep_at_every_chunk_count() {
+    let (streams, deployments) = mixed_version_world();
+    let model = base_model();
+    let config = DeviceConfig::default();
 
-fn device_id(device: usize) -> String {
-    format!("loc-{}-dev{device:02}", device % LOCATIONS)
-}
-
-/// Deterministic features — proptest varies the stream *shape*; giving it
-/// the float values too only slows case generation without adding coverage.
-fn features(device: usize, day: u16) -> Vec<f32> {
-    (0..DIM)
-        .map(|j| ((device * 31 + j * 7 + day as usize * 13) % 89) as f32 / 89.0 - 0.5)
-        .collect()
-}
-
-/// Builds one stream per location from raw `(device, day, label, weather)`
-/// tuples.
-fn streams_from(raw: &[(usize, u16, usize, usize)]) -> Vec<LocationStream> {
-    let mut streams: Vec<LocationStream> = (0..LOCATIONS)
-        .map(|l| LocationStream {
-            location: format!("loc-{l}"),
-            items: Vec::new(),
-        })
-        .collect();
-    for &(d, day, label, w) in raw {
-        let weather = [Weather::Clear, Weather::Rain, Weather::Snow, Weather::Fog][w % 4];
-        let day = day % SimDate::TOTAL_DAYS;
-        streams[d % LOCATIONS].items.push(StreamItem {
-            features: features(d, day),
-            label: label % CLASSES,
-            date: SimDate::new(day),
-            location: location_of(d),
-            device_id: device_id(d),
-            weather,
-            true_cause: weather.corruption(),
-            severity: if weather.is_drifting() {
-                Severity::DEFAULT
-            } else {
-                Severity::NONE
-            },
-        });
+    let mut lockstep = Fleet::from_streams(&streams, &model, &config);
+    for (meta, seed) in &deployments {
+        lockstep.deploy_targeted(meta, &donor_patch(*seed));
     }
-    streams
-}
+    let expected = lockstep.process_window_parts(&streams, 0, 1, &mut SmallRng::seed_from_u64(5));
+    assert_eq!(expected.len(), 12, "every device takes part");
+    let entries: usize = expected.iter().map(|(_, p)| p.entries.len()).sum();
+    assert_eq!(entries, 12 * 5);
 
-fn base_model() -> MlpResNet {
-    MlpResNet::new(
-        ModelArch::tiny(DIM, CLASSES),
-        &mut SmallRng::seed_from_u64(11),
-    )
-}
-
-fn donor_patch(seed: u64) -> BnPatch {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut donor = MlpResNet::new(ModelArch::tiny(DIM, CLASSES), &mut rng);
-    let x = Tensor::rand_uniform(&mut rng, &[8, DIM], -1.0, 1.0);
-    let _ = donor.logits(&x, Mode::Train);
-    BnPatch::extract(&mut donor)
+    for chunks in [1usize, 2, 4] {
+        let mut event = FleetSim::from_streams(&streams, &model, &config);
+        for (meta, seed) in &deployments {
+            event.deploy_targeted(meta, &donor_patch(*seed));
+        }
+        assert_eq!(event.arena_versions(), deployments.len());
+        let got = event.process_window_parts_with_threads(
+            &streams,
+            0,
+            1,
+            &mut SmallRng::seed_from_u64(5),
+            chunks,
+        );
+        assert_eq!(got, expected, "{chunks} chunk(s)");
+        assert_eq!(
+            format!("{got:?}"),
+            format!("{expected:?}"),
+            "{chunks} chunk(s)"
+        );
+    }
 }
 
 proptest! {
@@ -160,41 +137,5 @@ proptest! {
             }
         }
         prop_assert_eq!(lockstep.max_versions(), event.max_versions());
-    }
-
-    /// The same lockstep-vs-event differential under [`QuantMode::I8`]:
-    /// both engines route detection through the quantized mirror and must
-    /// still agree bit-for-bit (PR 9 tentpole).
-    #[test]
-    fn engines_agree_under_i8_quantization(
-        seed in 0u64..1_000_000,
-        raw in proptest::collection::vec(
-            (0usize..10, 0u16..SimDate::TOTAL_DAYS, 0usize..CLASSES, 0usize..4),
-            1..30,
-        ),
-        do_deploy in any::<bool>(),
-    ) {
-        let streams = streams_from(&raw);
-        let model = base_model();
-        let config = DeviceConfig {
-            quant: QuantMode::I8,
-            ..DeviceConfig::default()
-        };
-        let mut lockstep = Fleet::from_streams(&streams, &model, &config);
-        let mut event = FleetSim::from_streams(&streams, &model, &config);
-
-        let mut rng_a = SmallRng::seed_from_u64(seed);
-        let mut rng_b = SmallRng::seed_from_u64(seed);
-        for w in 0..WINDOWS {
-            let a = lockstep.process_window_parts(&streams, w, WINDOWS, &mut rng_a);
-            let b = event.process_window_parts(&streams, w, WINDOWS, &mut rng_b);
-            prop_assert_eq!(a, b);
-            if do_deploy && w == 0 {
-                let patch = donor_patch(seed ^ 1);
-                let meta = VersionMeta::new(vec![Attribute::new("weather", "fog")], 1.5);
-                lockstep.deploy(&meta, &patch);
-                event.deploy(&meta, &patch);
-            }
-        }
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::init::Init;
 use crate::param::Param;
-use nazar_tensor::{Gradients, Tape, Tensor, Var};
+use nazar_tensor::{kernels, Gradients, SimdTier, Tape, Tensor, Var, Workspace};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -87,6 +87,30 @@ impl Linear {
     pub fn fan_out(&self) -> usize {
         self.weight.value().dims()[1]
     }
+
+    /// Tape-free `out = x W + b` for row-major `x: [n, fan_in]`, the same
+    /// matmul kernel and the same `+ b` as [`Layer::forward`] records.
+    /// `threads == 0` leaves the worker count to the kernel's own policy.
+    pub(crate) fn eval_into(
+        &self,
+        x: &[f32],
+        n: usize,
+        out: &mut [f32],
+        ws: &mut Workspace,
+        threads: usize,
+        tier: SimdTier,
+    ) {
+        let (k, m) = (self.fan_in(), self.fan_out());
+        let threads = match threads {
+            0 => kernels::auto_threads(n, k, m),
+            t => t,
+        };
+        let w = self.weight.value().data();
+        kernels::matmul_into_tier(x, w, n, k, m, out, ws, threads, tier);
+        for row in out.chunks_exact_mut(m) {
+            kernels::add_assign(row, self.bias.value().data());
+        }
+    }
 }
 
 impl Layer for Linear {
@@ -166,12 +190,6 @@ impl BatchNorm1d {
         &self.running_var
     }
 
-    /// The epsilon added to the variance before the square root (the
-    /// quantized mirror precomputes `std = sqrt(var + eps)` with it).
-    pub fn eps(&self) -> f32 {
-        self.eps
-    }
-
     /// Overwrites the running statistics (used when applying BN patches).
     pub fn set_running_stats(&mut self, mean: Tensor, var: Tensor) {
         self.running_mean = mean;
@@ -182,6 +200,25 @@ impl BatchNorm1d {
     pub fn set_affine_trainable(&mut self, trainable: bool) {
         self.gamma.set_trainable(trainable);
         self.beta.set_trainable(trainable);
+    }
+
+    /// Tape-free eval-mode transform of row-major `x: [n, width]` into
+    /// `out`: `(x - mean) / sqrt(var + eps) * γ + β` on the running
+    /// statistics, in the order [`Layer::forward`] records it. `std` is
+    /// `width` floats of scratch.
+    pub(crate) fn eval_into(&self, x: &[f32], out: &mut [f32], std: &mut [f32], tier: SimdTier) {
+        let eps = self.eps;
+        kernels::map_into(self.running_var.data(), std, |v| (v + eps).sqrt());
+        kernels::bn_eval_into(
+            x,
+            self.width(),
+            self.running_mean.data(),
+            std,
+            self.gamma.value().data(),
+            self.beta.value().data(),
+            out,
+            tier,
+        );
     }
 }
 

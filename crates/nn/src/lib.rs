@@ -45,7 +45,6 @@ mod model;
 mod optim;
 mod param;
 mod patch;
-pub mod quant;
 mod schedule;
 pub mod train;
 
@@ -57,5 +56,4 @@ pub use model::{MlpResNet, ModelArch, ResidualBlock};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use param::Param;
 pub use patch::{BnLayerState, BnPatch};
-pub use quant::{QuantMode, QuantizedMlp};
 pub use schedule::{clip_grad_norm, LrSchedule};

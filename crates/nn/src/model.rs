@@ -4,7 +4,7 @@ use crate::error::{NnError, Result};
 use crate::init::Init;
 use crate::layers::{BatchNorm1d, Layer, Linear, Mode};
 use crate::param::Param;
-use nazar_tensor::{Tape, Tensor, Var};
+use nazar_tensor::{kernels, simd, SimdTier, Tape, Tensor, Var, Workspace};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -120,24 +120,22 @@ impl ResidualBlock {
         f(&mut self.bn2);
     }
 
-    /// First linear stage (read access for the quantized mirror).
-    pub fn lin1(&self) -> &Linear {
-        &self.lin1
-    }
-
-    /// First batch-norm stage.
-    pub fn bn1(&self) -> &BatchNorm1d {
-        &self.bn1
-    }
-
-    /// Second linear stage.
-    pub fn lin2(&self) -> &Linear {
-        &self.lin2
-    }
-
-    /// Second batch-norm stage.
-    pub fn bn2(&self) -> &BatchNorm1d {
-        &self.bn2
+    /// Tape-free eval of the block on `h: [n, width]`, in place, with the
+    /// rest of the activation scratch in `acts`.
+    fn eval_in_place(&self, h: &mut [f32], n: usize, acts: &mut EvalActs<'_>, ws: &mut Workspace) {
+        let EvalActs {
+            a,
+            b,
+            std,
+            threads,
+            tier,
+        } = acts;
+        self.lin1.eval_into(h, n, a, ws, *threads, *tier);
+        self.bn1.eval_into(a, b, std, *tier);
+        kernels::map_assign(b, relu);
+        self.lin2.eval_into(b, n, a, ws, *threads, *tier);
+        self.bn2.eval_into(a, b, std, *tier);
+        kernels::zip_assign(h, b, |skip, y| relu(y + skip));
     }
 }
 
@@ -156,6 +154,21 @@ impl Layer for ResidualBlock {
         self.lin2.visit_params(f);
         self.bn2.visit_params(f);
     }
+}
+
+fn relu(x: f32) -> f32 {
+    x.max(0.0)
+}
+
+/// What the tape-free eval forward carries from layer to layer besides
+/// the running activations: two `[n, hidden]` buffers, one `[hidden]`
+/// buffer for a BN layer's `sqrt(var + eps)`, and the kernel dispatch.
+struct EvalActs<'a> {
+    a: &'a mut [f32],
+    b: &'a mut [f32],
+    std: &'a mut [f32],
+    threads: usize,
+    tier: SimdTier,
 }
 
 /// A residual MLP image classifier.
@@ -201,26 +214,6 @@ impl MlpResNet {
         &self.arch
     }
 
-    /// Stem linear layer (read access for the quantized mirror).
-    pub fn stem(&self) -> &Linear {
-        &self.stem
-    }
-
-    /// Stem batch-norm layer.
-    pub fn stem_bn(&self) -> &BatchNorm1d {
-        &self.stem_bn
-    }
-
-    /// The residual blocks, in forward order.
-    pub fn blocks(&self) -> &[ResidualBlock] {
-        &self.blocks
-    }
-
-    /// Classification head.
-    pub fn head(&self) -> &Linear {
-        &self.head
-    }
-
     /// Forward pass returning `(penultimate_features, logits)`.
     pub fn forward_with_features(&mut self, tape: &Tape, x: &Var, mode: Mode) -> (Var, Var) {
         let h = self.stem.forward(tape, x, mode);
@@ -232,22 +225,109 @@ impl MlpResNet {
         (h, logits)
     }
 
+    /// The eval-mode forward, tape-free: logits of row-major
+    /// `x: [n, input_dim]` into `logits: [n, num_classes]`.
+    ///
+    /// This is the one inference path — [`MlpResNet::logits`] in
+    /// [`Mode::Eval`], [`MlpResNet::features`], [`MlpResNet::predict`] and
+    /// [`MlpResNet::predict_proba`] all run it — over the same kernels, in
+    /// the same operation order, as [`MlpResNet::forward_with_features`]
+    /// records on a tape, so the two agree bitwise. Activations live in one
+    /// buffer taken from `ws` and handed back; a caller that keeps its
+    /// workspace (the fleet scheduler's chunk scratch) allocates nothing
+    /// after its largest batch. Eval-mode BN reads running statistics and
+    /// the matmul accumulates each output element in `p = 0..k` order
+    /// whatever the row count, so a row's logits do not depend on the rows
+    /// batched with it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slice length disagrees with `n` and the architecture.
+    pub fn infer_into(&self, x: &[f32], n: usize, logits: &mut [f32], ws: &mut Workspace) {
+        self.infer_into_with(x, n, logits, ws, 0, simd::env_tier());
+    }
+
+    /// [`MlpResNet::infer_into`] with an explicit matmul worker count
+    /// (`0` = the kernel's own policy) and [`SimdTier`] — the hook the
+    /// equivalence tests sweep within one process.
+    pub fn infer_into_with(
+        &self,
+        x: &[f32],
+        n: usize,
+        logits: &mut [f32],
+        ws: &mut Workspace,
+        threads: usize,
+        tier: SimdTier,
+    ) {
+        assert_eq!(logits.len(), n * self.arch.num_classes, "logits length");
+        let acts = self.eval_trunk(x, n, ws, threads, tier);
+        let features = &acts[..n * self.arch.hidden];
+        self.head.eval_into(features, n, logits, ws, threads, tier);
+        ws.recycle(acts);
+    }
+
+    /// Stem → BN → ReLU → residual blocks, tape-free. Returns the
+    /// activation buffer taken from `ws`, whose first `n * hidden` floats
+    /// are the penultimate features; the caller recycles it.
+    fn eval_trunk(
+        &self,
+        x: &[f32],
+        n: usize,
+        ws: &mut Workspace,
+        threads: usize,
+        tier: SimdTier,
+    ) -> Vec<f32> {
+        assert_eq!(x.len(), n * self.arch.input_dim, "input length");
+        let width = self.arch.hidden;
+        let mut buf = ws.take_filled_later(3 * n * width + width);
+        let (h, rest) = buf.split_at_mut(n * width);
+        let (a, rest) = rest.split_at_mut(n * width);
+        let (b, std) = rest.split_at_mut(n * width);
+        self.stem.eval_into(x, n, a, ws, threads, tier);
+        self.stem_bn.eval_into(a, h, std, tier);
+        kernels::map_assign(h, relu);
+        let mut acts = EvalActs {
+            a,
+            b,
+            std,
+            threads,
+            tier,
+        };
+        for block in &self.blocks {
+            block.eval_in_place(h, n, &mut acts, ws);
+        }
+        buf
+    }
+
     /// Convenience inference: logits for a batch, in the given mode.
     ///
-    /// Most callers want [`Mode::Eval`]; adaptation passes [`Mode::Adapt`].
+    /// [`Mode::Eval`] is [`MlpResNet::infer_into`] on this thread's shared
+    /// workspace; the other modes (batch statistics, running-stat updates)
+    /// record a tape.
     pub fn logits(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let tape = Tape::new();
-        let xv = tape.leaf(x.clone());
-        let (_, logits) = self.forward_with_features(&tape, &xv, mode);
-        logits.value()
+        if mode != Mode::Eval {
+            let tape = Tape::new();
+            let xv = tape.leaf(x.clone());
+            let (_, logits) = self.forward_with_features(&tape, &xv, mode);
+            return logits.value();
+        }
+        let n = batch_rows(x);
+        let mut logits = Tensor::zeros(&[n, self.arch.num_classes]);
+        Workspace::with_thread_local(|ws| self.infer_into(x.data(), n, logits.data_mut(), ws));
+        logits
     }
 
     /// Penultimate-layer features for a batch (eval mode).
     pub fn features(&mut self, x: &Tensor) -> Tensor {
-        let tape = Tape::new();
-        let xv = tape.leaf(x.clone());
-        let (features, _) = self.forward_with_features(&tape, &xv, Mode::Eval);
-        features.value()
+        let n = batch_rows(x);
+        let mut features = Tensor::zeros(&[n, self.arch.hidden]);
+        Workspace::with_thread_local(|ws| {
+            let acts = self.eval_trunk(x.data(), n, ws, 0, simd::env_tier());
+            let len = features.len();
+            features.data_mut().copy_from_slice(&acts[..len]);
+            ws.recycle(acts);
+        });
+        features
     }
 
     /// Softmax probabilities for a batch (eval mode).
@@ -297,6 +377,18 @@ impl MlpResNet {
     /// `model.set_bn_affine_trainable(true)` is the TENT configuration.
     pub fn set_bn_affine_trainable(&mut self, trainable: bool) {
         self.visit_bn(&mut |bn| bn.set_affine_trainable(trainable));
+    }
+}
+
+/// Row count of an `[n, d]` batch.
+///
+/// # Panics
+///
+/// Panics if `x` is not a matrix.
+fn batch_rows(x: &Tensor) -> usize {
+    match *x.dims() {
+        [n, _] => n,
+        ref dims => panic!("model input must be an [n, d] batch, got {dims:?}"),
     }
 }
 

@@ -1,16 +1,16 @@
 //! The scalar element types a [`crate::Tensor`] can store.
 //!
-//! Element types are deliberately closed over the small set the Nazar
-//! pipeline needs: `f32` (training/adaptation), `i8` (quantized device
-//! inference), and `i32` (exact quantized accumulators).
+//! Element types are deliberately closed over a small set: `f32`, which
+//! every kernel and every model in the workspace computes in, and the
+//! integer pair `i8` / `i32`, which the removed i8 device path was built
+//! around and nothing uses today.
 
 use std::fmt;
 
 /// A scalar element a [`crate::Tensor`] can store.
 ///
-/// Sealed in spirit: the quantized inference path relies on the exact set
-/// `{f32, i8, i32}` and their conversion semantics, so new impls should be
-/// added deliberately, together with kernel support.
+/// Sealed in spirit: new impls should be added deliberately, together
+/// with kernel support.
 pub trait Element:
     Copy + Clone + fmt::Debug + Default + PartialEq + PartialOrd + Send + Sync + 'static
 {

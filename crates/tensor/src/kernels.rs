@@ -64,16 +64,21 @@ pub fn matmul_into(
     out: &mut [f32],
     ws: &mut Workspace,
 ) {
+    matmul_into_threads(a, b, n, k, m, out, ws, auto_threads(n, k, m));
+}
+
+/// The worker count [`matmul_into`] picks for an `[n, k] x [k, m]`
+/// product: [`num_threads`] from `PAR_MIN_MULADDS` (2^18) multiply-adds
+/// up, one below it.
+pub fn auto_threads(n: usize, k: usize, m: usize) -> usize {
     // `saturating_mul`: at fleet scale the muladd count can exceed
     // `usize::MAX / 2` in theory; saturation errs toward "go parallel"
     // instead of wrapping to a tiny count and silently serializing.
-    let muladds = n.saturating_mul(k).saturating_mul(m);
-    let threads = if muladds >= PAR_MIN_MULADDS {
+    if n.saturating_mul(k).saturating_mul(m) >= PAR_MIN_MULADDS {
         num_threads()
     } else {
         1
-    };
-    matmul_into_threads(a, b, n, k, m, out, ws, threads);
+    }
 }
 
 /// [`matmul_into`] with an explicit thread count (primarily for the
@@ -134,9 +139,19 @@ pub fn matmul_into_tier(
     if tier.is_vector() {
         // SIMD path: pack only the full 32-wide column panels (p-major at
         // offset j0 * k); the `m % 32` column tail is read from `b`
-        // directly by the in-band scalar loop.
-        let full_cols = m - m % SIMD_PANEL;
-        let mut packed = ws.take_filled_later(k * full_cols);
+        // directly by the in-band scalar loop. Only the register-blocked
+        // rows read the panels — the `n % MICRO_ROWS` row tail reads `b` —
+        // so a product with no full block (the batch-1 forward) packs
+        // nothing.
+        let full_cols = if n < MICRO_ROWS {
+            0
+        } else {
+            m - m % SIMD_PANEL
+        };
+        let mut packed = match full_cols {
+            0 => Vec::new(),
+            _ => ws.take_filled_later(k * full_cols),
+        };
         let mut j0 = 0;
         while j0 < full_cols {
             let panel = &mut packed[j0 * k..(j0 + SIMD_PANEL) * k];
@@ -465,6 +480,18 @@ pub fn zip_assign(dst: &mut [f32], src: &[f32], f: impl Fn(f32, f32) -> f32) {
     }
 }
 
+/// Index of the largest element of `row`; ties (and rows a NaN leads)
+/// resolve to the lowest index, `0` for an empty row.
+pub fn argmax(row: &[f32]) -> usize {
+    let mut best = 0;
+    for (j, &x) in row.iter().enumerate() {
+        if x > row[best] {
+            best = j;
+        }
+    }
+    best
+}
+
 /// Temperature-aware, max-shifted log-sum-exp of one row:
 /// `t * ln(Σⱼ exp((x[j] - max) / t)) + max`.
 ///
@@ -521,7 +548,7 @@ pub fn softmax_row_tier(row: &mut [f32], tier: SimdTier) {
 /// Reproduces the eval-mode arithmetic of `nazar_nn`'s `BatchNorm1d`
 /// (subtract, divide by `sqrt(var + eps)` precomputed by the caller,
 /// scale, shift — in exactly that order) without the autograd tape; the
-/// quantized device forward uses it between integer matmuls. Every stage
+/// tape-free eval forward runs it after every linear stage. Every stage
 /// is lane-independent, so scalar and vector tiers agree bitwise.
 ///
 /// # Panics
@@ -552,70 +579,6 @@ pub fn bn_eval_into(
             orow[j] = (row[j] - mean[j]) / std[j] * gamma[j] + beta[j];
         }
     }
-}
-
-/// Quantized matrix product `out = a · b` for row-major `a: [n, k]` i8,
-/// `b: [k, m]` i8, `out: [n, m]` i32.
-///
-/// Accumulation is exact integer arithmetic (`i8 × i8 → i32`; worst case
-/// `k * 127²` stays far inside `i32` for every dimension this workspace
-/// uses, asserted below), so the result is identical for *any* summation
-/// order — the i8 inference path is deterministic at every thread width
-/// by construction, with no ordering discipline needed.
-///
-/// # Panics
-///
-/// Panics if slice lengths disagree with the dimensions, or if
-/// `k * 127 * 127` could overflow the `i32` accumulator.
-pub fn matmul_i8_into(a: &[i8], b: &[i8], n: usize, k: usize, m: usize, out: &mut [i32]) {
-    let threads = if n.saturating_mul(k).saturating_mul(m) >= PAR_MIN_MULADDS {
-        num_threads()
-    } else {
-        1
-    };
-    matmul_i8_into_threads(a, b, n, k, m, out, threads);
-}
-
-/// [`matmul_i8_into`] with an explicit worker count (tests sweep widths
-/// in-process to demonstrate the order-independence claim directly).
-pub fn matmul_i8_into_threads(
-    a: &[i8],
-    b: &[i8],
-    n: usize,
-    k: usize,
-    m: usize,
-    out: &mut [i32],
-    threads: usize,
-) {
-    assert_eq!(a.len(), n * k, "matmul_i8 lhs length");
-    assert_eq!(b.len(), k * m, "matmul_i8 rhs length");
-    assert_eq!(out.len(), n * m, "matmul_i8 out length");
-    assert!(
-        i32::try_from(k)
-            .ok()
-            .and_then(|k| k.checked_mul(127 * 127))
-            .is_some(),
-        "matmul_i8: k = {k} could overflow the i32 accumulator"
-    );
-    if n == 0 || m == 0 {
-        return;
-    }
-    out.fill(0);
-    if k == 0 {
-        return;
-    }
-    par_row_bands(out, n, m, threads, |first_row, band| {
-        for (r, out_row) in band.chunks_mut(m).enumerate() {
-            let a_row = &a[(first_row + r) * k..(first_row + r + 1) * k];
-            for (p, &ap) in a_row.iter().enumerate() {
-                let ap = i32::from(ap);
-                let b_row = &b[p * m..(p + 1) * m];
-                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o += ap * i32::from(bv);
-                }
-            }
-        }
-    });
 }
 
 #[cfg(test)]

@@ -9,8 +9,8 @@
 //! * [`Tensor`] — an n-dimensional dense array, generic over its
 //!   [`Element`] type (`Tensor<T = f32>` over a `Vec<T>`), with
 //!   shape/stride bookkeeping, broadcasting helpers, matrix multiplication
-//!   and reductions. Plain `Tensor` is the f32 tensor;
-//!   `Tensor<i8>`/`Tensor<i32>` carry the quantized device inference path.
+//!   and reductions. Plain `Tensor` is the f32 tensor, the only one the
+//!   workspace computes in.
 //! * [`simd`] — runtime-dispatched AVX-512 inner kernels ([`SimdTier`];
 //!   `NAZAR_TENSOR_SIMD` selects `off`/`exact`/`fast`), with the scalar
 //!   kernels as the always-available bitwise oracle.

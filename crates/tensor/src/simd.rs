@@ -23,7 +23,9 @@
 //! * **`fast`** (opt-in) — FMA-contracted, 8-row register blocks. Not
 //!   bitwise: each fused multiply-add skips one rounding, so results
 //!   drift from the oracle by an accumulation-length-scaled ULP bound.
-//!   Golden-trace byte-diff jobs must not enable this tier.
+//!   Golden-trace byte-diff jobs must not enable this tier. Within the
+//!   tier a row's result still does not depend on the row count or the
+//!   thread band it lands in (the row tail runs the same fused chain).
 //!
 //! Elementwise lane-independent kernels (the batch-norm eval fuse, the
 //! softmax subtract/divide stages) are bitwise in *both* vector tiers —
@@ -286,15 +288,14 @@ mod x86 {
             }
             r += 4;
         }
-        // Remaining rows: scalar, same p-order (bitwise-safe by construction).
-        for rr in r..band_rows {
-            let i = first_row + rr;
-            scalar_cols(a, b, k, m, i, 0, &mut band[rr * m..(rr + 1) * m]);
-        }
+        row_tail::<false>(a, b, k, m, first_row + r, &mut band[r * m..]);
     }
 
     /// Fast-tier matmul over one row band: FMA contraction, 8-row blocks.
-    /// Not bitwise vs scalar — each fused multiply-add skips a rounding.
+    /// Not bitwise vs scalar — each fused multiply-add skips a rounding —
+    /// but every output lane is the same fused `p = 0..k` chain in a block
+    /// and in the row tail, so the result is independent of the row count
+    /// and of the band split, as in the other tiers.
     ///
     /// # Safety
     ///
@@ -339,9 +340,86 @@ mod x86 {
             }
             r += 8;
         }
-        // Remaining rows reuse the exact 4-row kernel, then scalar.
-        if band_rows > r {
-            matmul_band_exact(a, b, packed, k, m, first_row + r, &mut band[r * m..]);
+        row_tail::<true>(a, b, k, m, first_row + r, &mut band[r * m..]);
+    }
+
+    /// The rows left over after a band's register blocks, one at a time:
+    /// the full 32-column panels accumulate in registers straight from `b`
+    /// (no packing), the `m % 32` column tail is [`scalar_cols`]. Each
+    /// output lane runs the chain its block kernel runs over `p = 0..k` —
+    /// fused when `FMA`, mul then add otherwise — because an element's
+    /// value must not depend on which rows share its block: a row's result
+    /// would otherwise change with the batch it rides in and with the band
+    /// split. The batch-1 forward is all row tail.
+    ///
+    /// # Safety
+    ///
+    /// Same contract as [`matmul_band_exact`]; `rows` holds whole rows
+    /// starting at row `i` of `a`.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn row_tail<const FMA: bool>(
+        a: &[f32],
+        b: &[f32],
+        k: usize,
+        m: usize,
+        i: usize,
+        rows: &mut [f32],
+    ) {
+        let full = m - m % PANEL;
+        for (q, out_row) in rows.chunks_mut(m).enumerate() {
+            let a_row = &a[(i + q) * k..(i + q + 1) * k];
+            // Widest groups first: more independent chains hide the
+            // add latency of each.
+            let mut j0 = 0;
+            while j0 + 4 * PANEL <= full {
+                row_lanes::<FMA, 8>(a_row, &b[j0..], m, &mut out_row[j0..]);
+                j0 += 4 * PANEL;
+            }
+            if j0 + 2 * PANEL <= full {
+                row_lanes::<FMA, 4>(a_row, &b[j0..], m, &mut out_row[j0..]);
+                j0 += 2 * PANEL;
+            }
+            if j0 < full {
+                row_lanes::<FMA, 2>(a_row, &b[j0..], m, &mut out_row[j0..]);
+            }
+            if full < m {
+                scalar_cols(a, b, k, m, i + q, full, out_row);
+            }
+        }
+    }
+
+    /// `N` registers (`16 N` columns) of one output row: `out[j] = Σₚ
+    /// a_row[p] · b[p · m + j]`, every lane in `p = 0..k` order.
+    ///
+    /// # Safety
+    ///
+    /// AVX-512F must be available.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn row_lanes<const FMA: bool, const N: usize>(
+        a_row: &[f32],
+        b: &[f32],
+        m: usize,
+        out: &mut [f32],
+    ) {
+        assert!(out.len() >= N * LANES, "row_lanes out width");
+        let mut acc = [_mm512_setzero_ps(); N];
+        for (p, &ap) in a_row.iter().enumerate() {
+            let av = _mm512_set1_ps(ap);
+            let b_row = &b[p * m..p * m + N * LANES];
+            for (q, lane) in acc.iter_mut().enumerate() {
+                // SAFETY: in bounds, `b_row` was sliced to `N * LANES` floats.
+                let bv = _mm512_loadu_ps(b_row.as_ptr().add(q * LANES));
+                *lane = if FMA {
+                    _mm512_fmadd_ps(av, bv, *lane)
+                } else {
+                    _mm512_add_ps(*lane, _mm512_mul_ps(av, bv))
+                };
+            }
+        }
+        for (q, lane) in acc.iter().enumerate() {
+            // SAFETY: in bounds, `out` holds at least `N * LANES` floats
+            // (asserted above).
+            _mm512_storeu_ps(out.as_mut_ptr().add(q * LANES), *lane);
         }
     }
 

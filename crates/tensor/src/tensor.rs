@@ -15,8 +15,7 @@ use std::fmt;
 /// (there is no view machinery); the sizes involved in the Nazar
 /// experiments are small enough that clarity wins. The default `T = f32`
 /// means plain `Tensor` is exactly the f32 tensor the rest of the workspace
-/// is written against; the quantized inference path uses `Tensor<i8>` /
-/// `Tensor<i32>` over the same struct.
+/// is written against.
 ///
 /// Fallible operations (shape mismatches and the like) return
 /// [`TensorError`]; infallible convenience wrappers panic only on programmer
@@ -680,22 +679,11 @@ impl Tensor {
     ///
     /// Returns an error for non-matrices or zero-width rows.
     pub fn argmax_axis1(&self) -> Result<Vec<usize>> {
-        let (n, d) = (self.nrows()?, self.ncols()?);
+        let d = self.ncols()?;
         if d == 0 {
             return Err(TensorError::Empty { op: "argmax_axis1" });
         }
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            let row = &self.data[i * d..(i + 1) * d];
-            let mut best = 0;
-            for (j, &x) in row.iter().enumerate() {
-                if x > row[best] {
-                    best = j;
-                }
-            }
-            out.push(best);
-        }
-        Ok(out)
+        Ok(self.data.chunks_exact(d).map(kernels::argmax).collect())
     }
 
     /// Vertically concatenates rank-2 tensors with equal column counts.

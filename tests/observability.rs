@@ -4,8 +4,10 @@
 //! Three guarantees are asserted here:
 //!
 //! 1. with `NAZAR_OBS` unset the instrumentation is a no-op cheap enough to
-//!    sit on kernel hot paths (sub-100ns per call, and instrumented
-//!    operations time the same with observability on and off);
+//!    sit on kernel hot paths (sub-100ns per call against a 50x-slack
+//!    bound) that moves no counter, and instrumented operations return the
+//!    same bits and count alike with observability on and off (the <5 %
+//!    wall-clock overhead gate runs in CI's telemetry job, not here);
 //! 2. experiment *outputs* are bitwise identical with observability on and
 //!    off — monitoring reads the pipeline, never steers it;
 //! 3. counters and histograms stay exact under the workspace's own
@@ -18,10 +20,12 @@ use nazar_cloud::{CloudConfig, RunResult, Strategy};
 use nazar_data::{AnimalsConfig, AnimalsDataset};
 use nazar_device::{DeviceConfig, Fleet};
 use nazar_nn::{MlpResNet, ModelArch};
+use nazar_obs::metrics::SnapshotValue;
 use nazar_tensor::parallel::{par_map, par_row_bands};
 use nazar_tensor::Tensor;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -42,11 +46,6 @@ fn small_world() -> &'static (AnimalsDataset, MlpResNet) {
         );
         (dataset, trained.model)
     })
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    xs[xs.len() / 2]
 }
 
 static PROBE_COUNTER: nazar_obs::LazyCounter =
@@ -86,6 +85,35 @@ fn disabled_instrumentation_costs_nanoseconds_per_call() {
     );
 }
 
+/// Every deterministic counter series, by name and label set.
+fn counters() -> BTreeMap<String, u64> {
+    nazar_obs::registry()
+        .snapshot()
+        .into_iter()
+        .filter(|m| !m.volatile)
+        .filter_map(|m| match m.value {
+            SnapshotValue::Counter(v) => Some((format!("{}{:?}", m.name, m.labels), v)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// What moved between two [`counters`] snapshots.
+fn deltas(before: &BTreeMap<String, u64>, after: &BTreeMap<String, u64>) -> BTreeMap<String, u64> {
+    after
+        .iter()
+        .map(|(k, v)| (k.clone(), v - before.get(k).copied().unwrap_or(0)))
+        .filter(|(_, d)| *d > 0)
+        .collect()
+}
+
+/// The structural form of "instrumented operations run the same with
+/// observability on and off" (the name is the one the suite has always
+/// had; the wall-clock comparison it once made is CI's <5 % telemetry
+/// overhead gate and the benchmark's `obs.trace_overhead_pct`): a matmul
+/// and a fleet window return the same bits in either mode, a disabled run
+/// moves no counter, and every enabled run moves the same counters by the
+/// same amounts.
 #[test]
 fn matmul_and_process_window_time_the_same_with_obs_on_and_off() {
     let _guard = OBS_LOCK.lock().unwrap();
@@ -95,44 +123,39 @@ fn matmul_and_process_window_time_the_same_with_obs_on_and_off() {
     let b = Tensor::randn(&mut rng, &[256, 256], 0.0, 1.0);
     let fleet = Fleet::from_streams(&dataset.streams, model, &DeviceConfig::default());
 
-    let time_matmul = || {
-        let start = Instant::now();
-        let _ = std::hint::black_box(a.matmul(&b).expect("shapes match"));
-        start.elapsed().as_secs_f64()
-    };
-    let time_window = || {
+    let run = || {
+        let before = counters();
+        let product = a.matmul(&b).expect("shapes match");
         let mut fleet = fleet.clone();
-        let mut rng = SmallRng::seed_from_u64(11);
-        let start = Instant::now();
-        let _ = std::hint::black_box(fleet.process_window(&dataset.streams, 0, 4, &mut rng));
-        start.elapsed().as_secs_f64()
+        let window = fleet.process_window(&dataset.streams, 0, 4, &mut SmallRng::seed_from_u64(11));
+        (product, window, deltas(&before, &counters()))
     };
 
-    // Interleave the two modes so drift (thermal, scheduler) hits both.
-    let mut mm = (Vec::new(), Vec::new());
-    let mut win = (Vec::new(), Vec::new());
-    for _ in 0..9 {
-        nazar_obs::testing::disable();
-        mm.0.push(time_matmul());
-        win.0.push(time_window());
-        nazar_obs::testing::enable_memory_sink();
-        mm.1.push(time_matmul());
-        win.1.push(time_window());
-    }
     nazar_obs::testing::disable();
+    let (product, window, moved) = run();
+    assert!(moved.is_empty(), "a disabled run moved {moved:?}");
 
-    let (mm_off, mm_on) = (median(mm.0), median(mm.1));
-    let (win_off, win_on) = (median(win.0), median(win.1));
-    let mm_ratio = mm_off.max(mm_on) / mm_off.min(mm_on);
-    let win_ratio = win_off.max(win_on) / win_off.min(win_on);
-    assert!(
-        mm_ratio < 1.5,
-        "matmul_256 medians differ {mm_ratio:.2}x (off {mm_off:.2e}s, on {mm_on:.2e}s)"
+    nazar_obs::testing::enable_memory_sink();
+    let (product_on, window_on, moved_on) = run();
+    assert_eq!(product_on, product, "observability changed a matmul");
+    assert_eq!(window_on, window, "observability changed a fleet window");
+    let inferences = "nazar_device_inferences_total[]";
+    assert_eq!(moved_on.get(inferences), Some(&(window.stats.total as u64)));
+    assert_eq!(
+        moved_on.get("nazar_device_forward_rows_total[]"),
+        Some(&(window.stats.total as u64)),
+        "one forward row per inference"
     );
-    assert!(
-        win_ratio < 2.0,
-        "process_window medians differ {win_ratio:.2}x (off {win_off:.2e}s, on {win_on:.2e}s)"
-    );
+
+    nazar_obs::testing::disable();
+    let (product_off, window_off, moved_off) = run();
+    assert_eq!((&product_off, &window_off), (&product, &window));
+    assert!(moved_off.is_empty(), "a disabled run moved {moved_off:?}");
+
+    nazar_obs::testing::enable_memory_sink();
+    let (_, _, moved_again) = run();
+    nazar_obs::testing::disable();
+    assert_eq!(moved_again, moved_on, "enabled runs must count alike");
 }
 
 /// Serializes the parts of a [`RunResult`] that experiment tables are built
