@@ -244,16 +244,6 @@ impl DevicePools {
         }
     }
 
-    fn set_slots(&mut self, d: usize, new: Vec<PoolSlot>) {
-        self.lens[d] = new.len() as u32;
-        match &mut self.storage {
-            SlotStorage::Flat { stride, slots } => {
-                slots[d * *stride..d * *stride + new.len()].copy_from_slice(&new);
-            }
-            SlotStorage::Jagged(rows) => rows[d] = new,
-        }
-    }
-
     /// Stored versions on device `d`.
     pub fn len_of(&self, d: usize) -> usize {
         self.lens[d] as usize
@@ -271,45 +261,65 @@ impl DevicePools {
     /// reference for the stored slot and releases one per evicted slot.
     pub fn deploy<P>(&mut self, arena: &mut VersionArena<P>, d: usize, version: u32) {
         self.clocks[d] += 1;
-        let meta = arena.meta(version).clone();
-        let mut kept: Vec<PoolSlot> = Vec::with_capacity(self.len_of(d) + 1);
-        let mut evicted: Vec<u32> = Vec::new();
-        for &slot in self.slots(d) {
-            let v_attrs = &arena.meta(slot.arena).attrs;
+        let stored = PoolSlot {
+            arena: version,
+            local_id: self.next_ids[d],
+            updated_at: self.clocks[d],
+        };
+        self.next_ids[d] += 1;
+        // Hold the new version before a release below can free it.
+        arena.acquire(version);
+        if self.capacity == Some(0) {
+            // Nothing fits: the version is stored and evicted at once.
+            arena.release(version);
+            return;
+        }
+        let len = self.lens[d] as usize;
+        let row: &mut [PoolSlot] = match &mut self.storage {
+            SlotStorage::Flat { stride, slots } => &mut slots[d * *stride..d * *stride + len],
+            SlotStorage::Jagged(rows) => &mut rows[d][..len],
+        };
+        // Stable partition in place: the slots that stay, then the replaced
+        // and subsumed ones, both in slot order.
+        let meta = arena.meta(version);
+        let mut kept = 0usize;
+        for i in 0..len {
+            let v_attrs = &arena.meta(row[i].arena).attrs;
             let same = *v_attrs == meta.attrs;
             let subsumed = !meta.attrs.is_empty()
                 && v_attrs.len() > meta.attrs.len()
                 && meta.attrs.iter().all(|a| v_attrs.contains(a));
-            if same || subsumed {
-                evicted.push(slot.arena);
-            } else {
-                kept.push(slot);
+            if !(same || subsumed) {
+                row[kept..=i].rotate_right(1);
+                kept += 1;
             }
         }
-        arena.acquire(version);
-        kept.push(PoolSlot {
-            arena: version,
-            local_id: self.next_ids[d],
-            updated_at: self.clocks[d],
-        });
-        self.next_ids[d] += 1;
+        for slot in &row[kept..] {
+            arena.release(slot.arena);
+        }
         if let Some(cap) = self.capacity {
-            while kept.len() > cap {
-                // First minimum wins, as `Iterator::min_by_key` resolves ties.
+            // `stored` carries the row's largest `updated_at`, so the LRU
+            // is the first minimum among the kept slots.
+            while kept + 1 > cap {
                 let mut lru = 0usize;
-                for (i, slot) in kept.iter().enumerate() {
-                    if slot.updated_at < kept[lru].updated_at {
+                for i in 1..kept {
+                    if row[i].updated_at < row[lru].updated_at {
                         lru = i;
                     }
                 }
-                evicted.push(kept[lru].arena);
-                kept.remove(lru);
+                arena.release(row[lru].arena);
+                row[lru..kept].rotate_left(1);
+                kept -= 1;
             }
         }
-        self.set_slots(d, kept);
-        for vid in evicted {
-            arena.release(vid);
+        match &mut self.storage {
+            SlotStorage::Flat { stride, slots } => slots[d * *stride + kept] = stored,
+            SlotStorage::Jagged(rows) => {
+                rows[d].truncate(kept);
+                rows[d].push(stored);
+            }
         }
+        self.lens[d] = (kept + 1) as u32;
     }
 
     /// Picks the version device `d` uses for an input whose attributes

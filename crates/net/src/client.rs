@@ -8,20 +8,23 @@
 
 use crate::config::NetConfig;
 use crate::error::Result;
-use crate::wire::{self, Message};
+use crate::wire::{self, ChunkRef, Message};
 use nazar_device::UploadedSample;
 use nazar_log::DriftLogEntry;
 use nazar_nn::BnPatch;
 use nazar_registry::VersionMeta;
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 /// One frame awaiting acknowledgement.
 #[derive(Debug, Clone)]
-pub(crate) struct OutFrame {
-    pub seq: u64,
-    pub bytes: Vec<u8>,
+struct OutFrame {
+    seq: u64,
+    /// Shared with every copy in flight: a (re)transmission or a link-level
+    /// duplicate is a reference-count bump.
+    bytes: Arc<[u8]>,
     /// Transmission attempts so far (0 = not yet sent).
-    pub attempts: u32,
+    attempts: u32,
 }
 
 /// Reassembly state of one in-progress deploy download.
@@ -49,16 +52,15 @@ impl Download {
             return;
         }
         self.buf[start as usize..end as usize].copy_from_slice(&data[..(end - start) as usize]);
-        self.ranges.push((start, end));
-        self.ranges.sort_unstable();
-        let mut merged: Vec<(u32, u32)> = Vec::with_capacity(self.ranges.len());
-        for &(s, e) in &self.ranges {
-            match merged.last_mut() {
-                Some(last) if s <= last.1 => last.1 = last.1.max(e),
-                _ => merged.push((s, e)),
-            }
-        }
-        self.ranges = merged;
+        // `ranges[lo..hi]` are the ranges the chunk overlaps or touches;
+        // their union with it replaces them (in order that is the last
+        // range, extended in place).
+        let lo = self.ranges.partition_point(|r| r.1 < start);
+        let hi = lo + self.ranges[lo..].partition_point(|r| r.0 <= end);
+        let union = self.ranges[lo..hi]
+            .iter()
+            .fold((start, end), |u, r| (u.0.min(r.0), u.1.max(r.1)));
+        self.ranges.splice(lo..hi, [union]);
     }
 
     /// Contiguous bytes received from offset 0 — the resume point.
@@ -67,6 +69,30 @@ impl Download {
             Some(&(0, end)) => end,
             _ => 0,
         }
+    }
+}
+
+/// The last deploy payload decoded, keyed by its bytes.
+///
+/// Decoding is a pure function of the reassembled bytes, so every client
+/// of a broadcast whose buffer equals the remembered one shares its decoded
+/// version; a buffer that differs decodes on its own.
+#[derive(Debug, Default)]
+pub struct DecodeMemo {
+    last: Option<(Vec<u8>, Arc<VersionMeta>, Arc<BnPatch>)>,
+}
+
+impl DecodeMemo {
+    fn decode(&mut self, buf: Vec<u8>) -> Result<(Arc<VersionMeta>, Arc<BnPatch>)> {
+        if let Some((bytes, meta, patch)) = &self.last {
+            if *bytes == buf {
+                return Ok((Arc::clone(meta), Arc::clone(patch)));
+            }
+        }
+        let (meta, patch) = wire::decode_deploy_payload(&buf)?;
+        let (meta, patch) = (Arc::new(meta), Arc::new(patch));
+        self.last = Some((buf, Arc::clone(&meta), Arc::clone(&patch)));
+        Ok((meta, patch))
     }
 }
 
@@ -92,9 +118,9 @@ pub enum ClientAction {
         /// The completed transfer.
         transfer_id: u64,
         /// Decoded version metadata.
-        meta: VersionMeta,
+        meta: Arc<VersionMeta>,
         /// Decoded BN patch.
-        patch: BnPatch,
+        patch: Arc<BnPatch>,
     },
 }
 
@@ -154,17 +180,17 @@ impl DeviceClient {
             let s_end = (s + cfg.max_batch_samples.max(1)).min(samples.len());
             let seq = self.next_seq;
             self.next_seq += 1;
-            let msg = Message::UploadBatch {
-                device_id: self.device_id.clone(),
+            let frame = wire::encode_upload_batch(
+                &self.device_id,
                 seq,
-                entries: entries[e..e_end].to_vec(),
-                samples: samples[s..s_end].to_vec(),
-            };
+                &entries[e..e_end],
+                &samples[s..s_end],
+            );
             e = e_end;
             s = s_end;
             self.outbox.push_back(OutFrame {
                 seq,
-                bytes: wire::encode_frame(&msg),
+                bytes: frame.into(),
                 attempts: 0,
             });
             new_seqs.push(seq);
@@ -177,20 +203,13 @@ impl DeviceClient {
         new_seqs
     }
 
-    /// The encoded frame for `seq`, if still queued.
-    pub fn frame_bytes(&self, seq: u64) -> Option<&[u8]> {
-        self.outbox
-            .iter()
-            .find(|f| f.seq == seq)
-            .map(|f| f.bytes.as_slice())
-    }
-
     /// Records a transmission attempt for `seq`; returns the attempt number
-    /// (1-based), or `None` if the frame is no longer queued.
-    pub fn mark_attempt(&mut self, seq: u64) -> Option<u32> {
+    /// (1-based) and the frame to put on the wire, or `None` if the frame
+    /// is no longer queued.
+    pub fn transmit(&mut self, seq: u64) -> Option<(u32, Arc<[u8]>)> {
         let f = self.outbox.iter_mut().find(|f| f.seq == seq)?;
         f.attempts += 1;
-        Some(f.attempts)
+        Some((f.attempts, Arc::clone(&f.bytes)))
     }
 
     /// Whether `seq` is still awaiting acknowledgement.
@@ -218,67 +237,67 @@ impl DeviceClient {
         n
     }
 
-    /// Handles one frame arriving from the cloud.
+    /// Handles one frame arriving from the cloud. A transfer this frame
+    /// completes is decoded through `memo`, which the caller shares among
+    /// the clients of one broadcast.
     ///
     /// # Errors
     ///
     /// Returns the decode error for corrupt frames (the caller counts it
     /// and drops the frame; a flaky link must never panic the device).
-    pub fn on_frame(&mut self, bytes: &[u8]) -> Result<ClientAction> {
-        match wire::decode_frame(bytes)? {
-            Message::UploadAck { seq } => {
-                if self.is_pending(seq) {
-                    self.outbox.retain(|f| f.seq != seq);
-                    Ok(ClientAction::UploadAcked { seq })
-                } else {
-                    Ok(ClientAction::None)
-                }
-            }
-            Message::DeployChunk {
-                transfer_id,
-                offset,
-                total_len,
-                data,
-            } => {
-                if let Some(&len) = self.completed.get(&transfer_id) {
-                    // Late duplicate after completion: re-ack so the cloud
-                    // stops resending.
-                    return Ok(ClientAction::SendChunkAck {
-                        transfer_id,
-                        received: len,
-                    });
-                }
-                let dl = self
-                    .downloads
-                    .entry(transfer_id)
-                    .or_insert_with(|| Download::new(total_len));
-                dl.insert(offset, &data);
-                let received = dl.contiguous();
-                if received == dl.total_len {
-                    let dl = self.downloads.remove(&transfer_id).expect("present");
-                    self.completed.insert(transfer_id, dl.total_len);
-                    let (meta, patch) = wire::decode_deploy_payload(&dl.buf)?;
-                    Ok(ClientAction::InstallPatch {
-                        transfer_id,
-                        meta,
-                        patch,
-                    })
-                } else {
-                    Ok(ClientAction::SendChunkAck {
-                        transfer_id,
-                        received,
-                    })
-                }
-            }
-            // Client-bound links never carry these; tolerate them quietly.
-            Message::UploadBatch { .. } | Message::ChunkAck { .. } => Ok(ClientAction::None),
+    pub fn on_frame(&mut self, bytes: &[u8], memo: &mut DecodeMemo) -> Result<ClientAction> {
+        let (msg_type, payload) = wire::open_frame(bytes)?;
+        if msg_type == wire::TYPE_DEPLOY_CHUNK {
+            return self.on_chunk(wire::parse_deploy_chunk(payload)?, memo);
         }
+        match wire::decode_message(msg_type, payload)? {
+            Message::UploadAck { seq } if self.is_pending(seq) => {
+                self.outbox.retain(|f| f.seq != seq);
+                Ok(ClientAction::UploadAcked { seq })
+            }
+            // A stale ack — or a message client-bound links never carry,
+            // tolerated quietly.
+            _ => Ok(ClientAction::None),
+        }
+    }
+
+    fn on_chunk(&mut self, chunk: ChunkRef<'_>, memo: &mut DecodeMemo) -> Result<ClientAction> {
+        let transfer_id = chunk.transfer_id;
+        if let Some(&len) = self.completed.get(&transfer_id) {
+            // Late duplicate after completion: re-ack so the cloud stops
+            // resending.
+            return Ok(ClientAction::SendChunkAck {
+                transfer_id,
+                received: len,
+            });
+        }
+        let dl = self
+            .downloads
+            .entry(transfer_id)
+            .or_insert_with(|| Download::new(chunk.total_len));
+        dl.insert(chunk.offset, chunk.data);
+        let received = dl.contiguous();
+        if received < dl.total_len {
+            return Ok(ClientAction::SendChunkAck {
+                transfer_id,
+                received,
+            });
+        }
+        let dl = self.downloads.remove(&transfer_id).expect("present");
+        self.completed.insert(transfer_id, dl.total_len);
+        let (meta, patch) = memo.decode(dl.buf)?;
+        Ok(ClientAction::InstallPatch {
+            transfer_id,
+            meta,
+            patch,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn entry(i: u64) -> DriftLogEntry {
         DriftLogEntry::new(i, &[("weather", "snow")], i.is_multiple_of(2))
@@ -320,11 +339,12 @@ mod tests {
         let cfg = NetConfig::default();
         let seqs = c.queue_upload(&[entry(0)], &[], &cfg);
         let ack = wire::encode_frame(&Message::UploadAck { seq: seqs[0] });
+        let mut memo = DecodeMemo::default();
         assert_eq!(
-            c.on_frame(&ack).unwrap(),
+            c.on_frame(&ack, &mut memo).unwrap(),
             ClientAction::UploadAcked { seq: seqs[0] }
         );
-        assert_eq!(c.on_frame(&ack).unwrap(), ClientAction::None);
+        assert_eq!(c.on_frame(&ack, &mut memo).unwrap(), ClientAction::None);
         assert_eq!(c.outbox_depth(), 0);
     }
 
@@ -342,6 +362,7 @@ mod tests {
         let total = payload.len() as u32;
 
         let mut c = DeviceClient::new("d0");
+        let mut memo = DecodeMemo::default();
         let chunk = 16usize;
         let mut offsets: Vec<usize> = (0..payload.len()).step_by(chunk).collect();
         offsets.reverse(); // worst-case reordering
@@ -354,7 +375,7 @@ mod tests {
                 total_len: total,
                 data: payload[off..end].to_vec(),
             });
-            match c.on_frame(&frame).unwrap() {
+            match c.on_frame(&frame, &mut memo).unwrap() {
                 ClientAction::InstallPatch {
                     meta: m, patch: p, ..
                 } => installed = Some((m, p)),
@@ -365,8 +386,8 @@ mod tests {
             }
         }
         let (m, p) = installed.expect("download completed");
-        assert_eq!(m, meta);
-        assert_eq!(p, patch);
+        assert_eq!(*m, meta);
+        assert_eq!(*p, patch);
 
         // A duplicate chunk after completion re-acks the full length.
         let dup = wire::encode_frame(&Message::DeployChunk {
@@ -376,11 +397,52 @@ mod tests {
             data: payload[..chunk].to_vec(),
         });
         assert_eq!(
-            c.on_frame(&dup).unwrap(),
+            c.on_frame(&dup, &mut memo).unwrap(),
             ClientAction::SendChunkAck {
                 transfer_id: 9,
                 received: total
             }
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Any arrival order of a payload's chunks, duplicates and partial
+        /// deliveries included, leaves the range list equal to the runs of
+        /// a per-byte coverage map, with `contiguous()` its first run and
+        /// the reassembled bytes the payload wherever covered.
+        #[test]
+        fn reassembly_is_arrival_order_independent(
+            len in 1usize..400,
+            chunk in 1usize..48,
+            order in proptest::collection::vec((0usize..1_000, 0usize..8), 1..64),
+        ) {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+            let offsets: Vec<usize> = (0..len).step_by(chunk).collect();
+            let mut dl = Download::new(len as u32);
+            let mut covered = vec![false; len];
+            for &(pick, overhang) in &order {
+                let off = offsets[pick % offsets.len()];
+                // Overhanging chunks overlap their successor's range.
+                let end = (off + chunk + overhang).min(len);
+                dl.insert(off as u32, &payload[off..end]);
+                covered[off..end].iter_mut().for_each(|c| *c = true);
+
+                let mut runs: Vec<(u32, u32)> = Vec::new();
+                for (i, _) in covered.iter().enumerate().filter(|(_, &c)| c) {
+                    match runs.last_mut() {
+                        Some(last) if last.1 == i as u32 => last.1 += 1,
+                        _ => runs.push((i as u32, i as u32 + 1)),
+                    }
+                }
+                prop_assert_eq!(&dl.ranges, &runs);
+                let prefix = covered.iter().take_while(|&&c| c).count();
+                prop_assert_eq!(dl.contiguous() as usize, prefix);
+            }
+            for (i, &c) in covered.iter().enumerate() {
+                prop_assert_eq!(dl.buf[i], if c { payload[i] } else { 0 });
+            }
+        }
     }
 }

@@ -2,7 +2,10 @@
 //! simulation on a virtual clock.
 //!
 //! [`Exchange`] owns one [`DeviceClient`] and one uplink/downlink
-//! [`SimLink`] pair per device, plus the cloud's [`IngestServer`]. The
+//! [`SimLink`] pair per device — plain columns indexed by a device's
+//! position in the sorted id list — plus the cloud's [`IngestServer`].
+//! Frames in flight are shared immutable bytes: a delivery, a link-level
+//! duplicate and a retransmission are reference-count bumps. The
 //! orchestrator drives it in two synchronous phases per window:
 //!
 //! 1. [`Exchange::upload_window`] — every device batches its drift-log
@@ -13,7 +16,10 @@
 //! 2. [`Exchange::deploy`] — the cloud pushes one encoded `VersionMeta` +
 //!    `BnPatch` payload to each target device as chunked, resumable
 //!    transfers with cumulative acknowledgements (go-back-N resume from the
-//!    device's contiguous prefix).
+//!    device's contiguous prefix). One transfer id names the pushed
+//!    version, each chunk is framed and checksummed once, and every target
+//!    and every resend gets those same frames; each device still verifies,
+//!    reassembles and acknowledges its own download.
 //!
 //! Determinism: events are processed in `(virtual time, insertion id)`
 //! order from a binary heap, all randomness comes from `SmallRng`s seeded
@@ -22,7 +28,7 @@
 //! given seed across machines and `NAZAR_NUM_THREADS` settings, and a
 //! perfect link reproduces the direct-call path exactly.
 
-use crate::client::{ClientAction, DeviceClient};
+use crate::client::{ClientAction, DecodeMemo, DeviceClient};
 use crate::clock::VirtualClock;
 use crate::config::NetConfig;
 use crate::link::{stable_hash, SimLink, Transmission};
@@ -36,7 +42,8 @@ use nazar_registry::VersionMeta;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 static FRAMES_SENT_UP: LazyCounter = LazyCounter::new(
     "nazar_net_frames_sent_total",
@@ -105,7 +112,7 @@ static CHUNK_RESENDS: LazyCounter = LazyCounter::new(
 );
 static DEPLOY_FAILURES: LazyCounter = LazyCounter::new(
     "nazar_net_deploy_failures_total",
-    "Per-device deploy transfers abandoned after the retry budget",
+    "Per-device deploy transfers abandoned after the retry budget, and unknown deploy targets",
     &[],
 );
 static OUTBOX_DEPTH: LazyGauge = LazyGauge::new(
@@ -145,7 +152,8 @@ pub struct NetReport {
     pub stragglers_dropped: u64,
     /// Deploy chunks retransmitted on stalls.
     pub chunk_resends: u64,
-    /// Per-device deploy transfers that never completed.
+    /// Per-device deploy transfers abandoned after the retry budget, plus
+    /// deploy targets the exchange was not built with.
     pub deploy_failures: u64,
 }
 
@@ -173,8 +181,10 @@ pub struct DeployDelivery {
     /// Devices whose transfer completed, with the payload each decoded —
     /// installing the *device-decoded* copy keeps the simulation honest
     /// (it is bit-identical to the sent patch; the wire codec is exact).
-    pub delivered: Vec<(String, VersionMeta, BnPatch)>,
-    /// Devices whose transfer was abandoned.
+    /// Devices whose reassembled bytes are equal share one decoded copy.
+    pub delivered: Vec<(String, Arc<VersionMeta>, Arc<BnPatch>)>,
+    /// Targets whose transfer was abandoned or that this exchange does not
+    /// know, in id order.
     pub failed: Vec<String>,
     /// Encoded deploy payload length (meta + patch), bytes.
     pub payload_len: usize,
@@ -183,13 +193,13 @@ pub struct DeployDelivery {
 #[derive(Debug)]
 enum EventKind {
     /// A frame copy arrives at the cloud.
-    DeliverUp { device: String, bytes: Vec<u8> },
+    DeliverUp { device: u32, frame: Arc<[u8]> },
     /// A frame copy arrives at a device.
-    DeliverDown { device: String, bytes: Vec<u8> },
+    DeliverDown { device: u32, frame: Arc<[u8]> },
     /// Retry timer for an unacked upload frame.
-    UploadRetry { device: String, seq: u64 },
-    /// Retry timer for a stalled deploy transfer.
-    DeployRetry { transfer_id: u64 },
+    UploadRetry { device: u32, seq: u64 },
+    /// Retry timer for a device's stalled deploy transfer.
+    DeployRetry { device: u32 },
 }
 
 #[derive(Debug)]
@@ -217,14 +227,36 @@ impl Ord for Event {
     }
 }
 
+/// Cloud-side progress of one target's transfer.
 #[derive(Debug)]
-struct DeployXfer {
-    device: String,
+struct DeployXfer<'a> {
+    target: &'a String,
     /// Contiguous bytes acknowledged by the device.
     acked: u32,
     attempts: u32,
     done: bool,
     failed: bool,
+}
+
+/// One pushed version on the wire: what every target's transfer shares.
+struct Push<'a> {
+    transfer_id: u64,
+    chunk: u32,
+    /// The payload's chunks, each framed once; chunk `i` starts at byte
+    /// `i * chunk`.
+    frames: Vec<Arc<[u8]>>,
+    /// In target id order.
+    xfers: Vec<DeployXfer<'a>>,
+    /// Per device: its index in `xfers` (`NO_XFER` for a non-target).
+    xfer_of: Vec<u32>,
+}
+
+const NO_XFER: u32 = u32::MAX;
+
+impl<'a> Push<'a> {
+    fn xfer_mut(&mut self, device: u32) -> Option<&mut DeployXfer<'a>> {
+        self.xfers.get_mut(self.xfer_of[device as usize] as usize)
+    }
 }
 
 /// The device↔cloud transport fabric for one orchestrator run.
@@ -234,10 +266,15 @@ pub struct Exchange {
     clock: VirtualClock,
     next_event_id: u64,
     next_transfer_id: u64,
-    clients: BTreeMap<String, DeviceClient>,
+    /// Device ids, sorted; a device's position here indexes `clients`,
+    /// `up` and `down` and names it in every event.
+    ids: Vec<String>,
+    clients: Vec<DeviceClient>,
     server: IngestServer,
-    up: BTreeMap<String, SimLink>,
-    down: BTreeMap<String, SimLink>,
+    up: Vec<SimLink>,
+    down: Vec<SimLink>,
+    /// Decoded deploy payloads, shared by the clients of a broadcast.
+    decoded: DecodeMemo,
     /// Jitter source for retry backoff (exchange-global: the event loop is
     /// deterministic, so one stream suffices).
     rng: SmallRng,
@@ -248,25 +285,24 @@ impl Exchange {
     /// Builds the fabric for `device_ids` (sorted internally; insertion
     /// order does not matter).
     pub fn new(device_ids: impl IntoIterator<Item = String>, cfg: NetConfig) -> Self {
-        let mut clients = BTreeMap::new();
-        let mut up = BTreeMap::new();
-        let mut down = BTreeMap::new();
-        for id in device_ids {
-            let h = stable_hash(id.as_bytes());
-            up.insert(id.clone(), SimLink::new(cfg.link, cfg.seed ^ h ^ 0x5550));
-            down.insert(id.clone(), SimLink::new(cfg.link, cfg.seed ^ h ^ 0x444E));
-            clients.insert(id.clone(), DeviceClient::new(id));
-        }
+        let mut ids: Vec<String> = device_ids.into_iter().collect();
+        ids.sort_unstable();
+        ids.dedup();
+        let link = |id: &String, salt: u64| {
+            SimLink::new(cfg.link, cfg.seed ^ stable_hash(id.as_bytes()) ^ salt)
+        };
         Exchange {
             rng: SmallRng::seed_from_u64(cfg.seed ^ 0x9E37_79B9_7F4A_7C15),
-            cfg,
             clock: VirtualClock::new(),
             next_event_id: 0,
             next_transfer_id: 0,
-            clients,
+            clients: ids.iter().map(DeviceClient::new).collect(),
             server: IngestServer::new(),
-            up,
-            down,
+            up: ids.iter().map(|id| link(id, 0x5550)).collect(),
+            down: ids.iter().map(|id| link(id, 0x444E)).collect(),
+            decoded: DecodeMemo::default(),
+            ids,
+            cfg,
             report: NetReport::default(),
         }
     }
@@ -293,6 +329,13 @@ impl Exchange {
     /// the other forward before handing work over.
     pub fn advance_clock_to(&mut self, t_us: u64) {
         self.clock.advance_to(t_us);
+    }
+
+    fn index_of(&self, id: &str) -> Option<u32> {
+        self.ids
+            .binary_search_by(|probe| probe.as_str().cmp(id))
+            .ok()
+            .map(|d| d as u32)
     }
 
     fn push(&mut self, heap: &mut BinaryHeap<Event>, at: u64, kind: EventKind) {
@@ -330,74 +373,56 @@ impl Exchange {
         self.report.frames_delivered += t.deliveries.len() as u64;
     }
 
-    fn send_up(&mut self, heap: &mut BinaryHeap<Event>, device: &str, bytes: Vec<u8>) {
+    fn count_decode_error(&mut self) {
+        self.report.decode_errors += 1;
+        DECODE_ERRORS.inc();
+    }
+
+    fn send_up(&mut self, heap: &mut BinaryHeap<Event>, device: u32, frame: Arc<[u8]>) {
         let now = self.clock.now_us();
-        let link = self.up.get_mut(device).expect("known device");
-        let t = link.transmit(now, bytes.len());
-        self.account_tx(&t, bytes.len(), true);
+        let t = self.up[device as usize].transmit(now, frame.len());
+        self.account_tx(&t, frame.len(), true);
         for &at in &t.deliveries {
-            self.push(
-                heap,
-                at,
-                EventKind::DeliverUp {
-                    device: device.to_string(),
-                    bytes: bytes.clone(),
-                },
-            );
+            let frame = Arc::clone(&frame);
+            self.push(heap, at, EventKind::DeliverUp { device, frame });
         }
     }
 
-    fn send_down(&mut self, heap: &mut BinaryHeap<Event>, device: &str, bytes: Vec<u8>) {
+    fn send_down(&mut self, heap: &mut BinaryHeap<Event>, device: u32, frame: Arc<[u8]>) {
         let now = self.clock.now_us();
-        let link = self.down.get_mut(device).expect("known device");
-        let t = link.transmit(now, bytes.len());
-        self.account_tx(&t, bytes.len(), false);
+        let t = self.down[device as usize].transmit(now, frame.len());
+        self.account_tx(&t, frame.len(), false);
         for &at in &t.deliveries {
-            self.push(
-                heap,
-                at,
-                EventKind::DeliverDown {
-                    device: device.to_string(),
-                    bytes: bytes.clone(),
-                },
-            );
+            let frame = Arc::clone(&frame);
+            self.push(heap, at, EventKind::DeliverDown { device, frame });
         }
     }
 
     /// Transmits upload frame `seq` of `device` and arms its retry timer.
-    fn send_upload_frame(&mut self, heap: &mut BinaryHeap<Event>, device: &str, seq: u64) {
-        let Some(attempt) = self
-            .clients
-            .get_mut(device)
-            .and_then(|c| c.mark_attempt(seq))
-        else {
+    fn send_upload_frame(&mut self, heap: &mut BinaryHeap<Event>, device: u32, seq: u64) {
+        let Some((attempt, frame)) = self.clients[device as usize].transmit(seq) else {
             return; // acked or dropped in the meantime
         };
         if attempt > 1 {
             self.report.retries += 1;
             RETRIES.inc();
         }
-        let bytes = self
-            .clients
-            .get(device)
-            .and_then(|c| c.frame_bytes(seq))
-            .expect("frame present after mark_attempt")
-            .to_vec();
-        self.send_up(heap, device, bytes);
+        self.send_up(heap, device, frame);
         let backoff = self.cfg.retry.backoff_us(attempt, &mut self.rng);
         self.push(
             heap,
             self.clock.now_us() + backoff,
-            EventKind::UploadRetry {
-                device: device.to_string(),
-                seq,
-            },
+            EventKind::UploadRetry { device, seq },
         );
     }
 
     /// Runs one window's upload phase: `batches` is the per-device window
     /// output `(device_id, entries, samples)`. Returns what the cloud
     /// actually received.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a batch names a device this exchange was not built with.
     pub fn upload_window(
         &mut self,
         batches: Vec<(String, Vec<DriftLogEntry>, Vec<UploadedSample>)>,
@@ -409,15 +434,15 @@ impl Exchange {
             .map(|c| self.clock.now_us() + c);
 
         // Queue and first-transmit in sorted device order (determinism).
-        let mut queued: Vec<(String, Vec<u64>)> = Vec::with_capacity(batches.len());
+        let mut queued: Vec<(u32, Vec<u64>)> = Vec::with_capacity(batches.len());
         let mut by_device: Vec<_> = batches;
         by_device.sort_by(|a, b| a.0.cmp(&b.0));
         let mut max_depth = 0usize;
-        for (device, entries, samples) in by_device {
-            let client = self
-                .clients
-                .get_mut(&device)
-                .unwrap_or_else(|| panic!("unknown device {device}"));
+        for (id, entries, samples) in by_device {
+            let device = self
+                .index_of(&id)
+                .unwrap_or_else(|| panic!("unknown device {id}"));
+            let client = &mut self.clients[device as usize];
             let before = client.dropped;
             let seqs = client.queue_upload(&entries, &samples, &self.cfg);
             let newly_dropped = client.dropped - before;
@@ -431,7 +456,7 @@ impl Exchange {
         OUTBOX_DEPTH.set(max_depth as f64);
         for (device, seqs) in queued {
             for seq in seqs {
-                self.send_upload_frame(&mut heap, &device, seq);
+                self.send_upload_frame(&mut heap, device, seq);
             }
         }
 
@@ -445,7 +470,7 @@ impl Exchange {
             }
             self.clock.advance_to(ev.at);
             match ev.kind {
-                EventKind::DeliverUp { device, bytes } => match wire::decode_frame(&bytes) {
+                EventKind::DeliverUp { device, frame } => match wire::decode_frame(&frame) {
                     Ok(Message::UploadBatch {
                         device_id,
                         seq,
@@ -459,43 +484,28 @@ impl Exchange {
                         }
                         // Always (re-)ack so the client stops retrying.
                         let ack = wire::encode_frame(&Message::UploadAck { seq });
-                        self.send_down(&mut heap, &device, ack);
+                        self.send_down(&mut heap, device, ack.into());
                     }
                     Ok(_) => {} // not an upload-phase message; ignore
-                    Err(_) => {
-                        self.report.decode_errors += 1;
-                        DECODE_ERRORS.inc();
-                    }
+                    Err(_) => self.count_decode_error(),
                 },
-                EventKind::DeliverDown { device, bytes } => {
-                    let client = self.clients.get_mut(&device).expect("known device");
-                    match client.on_frame(&bytes) {
-                        Ok(_) => {}
-                        Err(_) => {
-                            self.report.decode_errors += 1;
-                            DECODE_ERRORS.inc();
-                        }
+                EventKind::DeliverDown { device, frame } => {
+                    let client = &mut self.clients[device as usize];
+                    if client.on_frame(&frame, &mut self.decoded).is_err() {
+                        self.count_decode_error();
                     }
                 }
                 EventKind::UploadRetry { device, seq } => {
-                    let pending = self
-                        .clients
-                        .get(&device)
-                        .map(|c| c.is_pending(seq))
-                        .unwrap_or(false);
-                    if !pending {
-                        continue;
-                    }
-                    let exhausted = {
-                        let c = self.clients.get(&device).expect("known device");
-                        c.attempts_of(seq).unwrap_or(0) >= self.cfg.retry.max_attempts
+                    let client = &mut self.clients[device as usize];
+                    let Some(attempts) = client.attempts_of(seq) else {
+                        continue; // acked or dropped in the meantime
                     };
-                    if exhausted {
-                        self.clients.get_mut(&device).expect("known").give_up(seq);
+                    if attempts >= self.cfg.retry.max_attempts {
+                        client.give_up(seq);
                         self.report.upload_failures += 1;
                         UPLOAD_FAILURES.inc();
                     } else {
-                        self.send_upload_frame(&mut heap, &device, seq);
+                        self.send_upload_frame(&mut heap, device, seq);
                     }
                 }
                 EventKind::DeployRetry { .. } => {} // stale from a past phase
@@ -504,7 +514,7 @@ impl Exchange {
 
         // Straggler cleanup: anything still unacked missed this round.
         let mut straggler_devices = 0usize;
-        for client in self.clients.values_mut() {
+        for client in &mut self.clients {
             let abandoned = client.abandon_round();
             if abandoned > 0 {
                 straggler_devices += 1;
@@ -523,7 +533,9 @@ impl Exchange {
 
     /// Pushes one version (meta + patch) to `targets` as chunked resumable
     /// transfers; returns which devices completed the download (with the
-    /// payload each decoded) and which were abandoned.
+    /// payload each decoded) and which were abandoned. A device named twice
+    /// gets one transfer; a target this exchange was not built with fails
+    /// without a frame being sent.
     pub fn deploy(
         &mut self,
         targets: &[String],
@@ -533,124 +545,121 @@ impl Exchange {
         let payload = wire::encode_deploy_payload(meta, patch);
         let total = payload.len() as u32;
         let chunk = self.cfg.chunk_bytes.max(1) as u32;
-
-        let mut heap = BinaryHeap::new();
-        let mut xfers: BTreeMap<u64, DeployXfer> = BTreeMap::new();
-        let mut delivered: Vec<(String, VersionMeta, BnPatch)> = Vec::new();
+        let transfer_id = self.next_transfer_id;
+        self.next_transfer_id += 1;
 
         let mut sorted_targets: Vec<&String> = targets.iter().collect();
-        sorted_targets.sort();
-        for device in sorted_targets {
-            let transfer_id = self.next_transfer_id;
-            self.next_transfer_id += 1;
-            xfers.insert(
-                transfer_id,
-                DeployXfer {
-                    device: device.clone(),
-                    acked: 0,
-                    attempts: 0,
-                    done: false,
-                    failed: false,
-                },
-            );
-            self.start_deploy_attempt(&mut heap, &mut xfers, transfer_id, &payload, total, chunk);
+        sorted_targets.sort_unstable();
+        sorted_targets.dedup();
+        let mut push = Push {
+            transfer_id,
+            chunk,
+            frames: payload
+                .chunks(chunk as usize)
+                .enumerate()
+                .map(|(i, data)| {
+                    wire::encode_deploy_chunk(transfer_id, i as u32 * chunk, total, data).into()
+                })
+                .collect(),
+            xfers: Vec::with_capacity(sorted_targets.len()),
+            xfer_of: vec![NO_XFER; self.ids.len()],
+        };
+
+        let mut heap = BinaryHeap::new();
+        let mut delivered = Vec::new();
+        for target in sorted_targets {
+            let device = self.index_of(target);
+            push.xfers.push(DeployXfer {
+                target,
+                acked: 0,
+                attempts: 0,
+                done: false,
+                failed: device.is_none(),
+            });
+            match device {
+                Some(device) => {
+                    push.xfer_of[device as usize] = (push.xfers.len() - 1) as u32;
+                    self.start_deploy_attempt(&mut heap, &mut push, device);
+                }
+                None => self.count_deploy_failure(),
+            }
         }
 
         while let Some(ev) = heap.pop() {
             self.clock.advance_to(ev.at);
             match ev.kind {
-                EventKind::DeliverDown { device, bytes } => {
-                    let client = self.clients.get_mut(&device).expect("known device");
-                    match client.on_frame(&bytes) {
+                EventKind::DeliverDown { device, frame } => {
+                    let client = &mut self.clients[device as usize];
+                    let ack = match client.on_frame(&frame, &mut self.decoded) {
                         Ok(ClientAction::SendChunkAck {
                             transfer_id,
                             received,
-                        }) => {
-                            let ack = wire::encode_frame(&Message::ChunkAck {
-                                transfer_id,
-                                received,
-                            });
-                            self.send_up(&mut heap, &device, ack);
-                        }
+                        }) => Message::ChunkAck {
+                            transfer_id,
+                            received,
+                        },
                         Ok(ClientAction::InstallPatch {
                             transfer_id,
                             meta,
                             patch,
                         }) => {
-                            delivered.push((device.clone(), meta, patch));
-                            if let Some(x) = xfers.get_mut(&transfer_id) {
+                            delivered.push((self.ids[device as usize].clone(), meta, patch));
+                            if let Some(x) = push.xfer_mut(device) {
                                 x.done = true;
                             }
-                            let ack = wire::encode_frame(&Message::ChunkAck {
+                            Message::ChunkAck {
                                 transfer_id,
                                 received: total,
-                            });
-                            self.send_up(&mut heap, &device, ack);
+                            }
                         }
-                        Ok(_) => {}
+                        Ok(_) => continue,
                         Err(_) => {
-                            self.report.decode_errors += 1;
-                            DECODE_ERRORS.inc();
+                            self.count_decode_error();
+                            continue;
                         }
-                    }
+                    };
+                    self.send_up(&mut heap, device, wire::encode_frame(&ack).into());
                 }
-                EventKind::DeliverUp { device: _, bytes } => match wire::decode_frame(&bytes) {
+                EventKind::DeliverUp { device, frame } => match wire::decode_frame(&frame) {
                     Ok(Message::ChunkAck {
                         transfer_id,
                         received,
-                    }) => {
-                        if let Some(x) = xfers.get_mut(&transfer_id) {
-                            if received > x.acked {
-                                x.acked = received;
-                            }
+                    }) if transfer_id == push.transfer_id => {
+                        if let Some(x) = push.xfer_mut(device) {
+                            x.acked = x.acked.max(received);
                             if x.acked >= total {
                                 x.done = true;
                             }
                         }
                     }
                     Ok(_) => {}
-                    Err(_) => {
-                        self.report.decode_errors += 1;
-                        DECODE_ERRORS.inc();
-                    }
+                    Err(_) => self.count_decode_error(),
                 },
-                EventKind::DeployRetry { transfer_id } => {
-                    let (resend, failed_now) = match xfers.get_mut(&transfer_id) {
+                EventKind::DeployRetry { device } => {
+                    let max_attempts = self.cfg.retry.max_attempts;
+                    match push.xfer_mut(device) {
                         Some(x) if !x.done && !x.failed => {
-                            if x.attempts >= self.cfg.retry.max_attempts {
+                            if x.attempts >= max_attempts {
                                 x.failed = true;
-                                (false, true)
+                                self.count_deploy_failure();
                             } else {
-                                (true, false)
+                                self.report.chunk_resends += 1;
+                                CHUNK_RESENDS.inc();
+                                self.start_deploy_attempt(&mut heap, &mut push, device);
                             }
                         }
-                        _ => (false, false),
-                    };
-                    if failed_now {
-                        self.report.deploy_failures += 1;
-                        DEPLOY_FAILURES.inc();
-                    }
-                    if resend {
-                        self.report.chunk_resends += 1;
-                        CHUNK_RESENDS.inc();
-                        self.start_deploy_attempt(
-                            &mut heap,
-                            &mut xfers,
-                            transfer_id,
-                            &payload,
-                            total,
-                            chunk,
-                        );
+                        _ => {}
                     }
                 }
                 EventKind::UploadRetry { .. } => {} // stale from a past phase
             }
         }
 
-        let failed = xfers
-            .values()
+        let failed = push
+            .xfers
+            .iter()
             .filter(|x| !x.done)
-            .map(|x| x.device.clone())
+            .map(|x| x.target.clone())
             .collect();
         DeployDelivery {
             delivered,
@@ -659,39 +668,35 @@ impl Exchange {
         }
     }
 
-    /// Sends all not-yet-acknowledged chunks of one transfer and arms its
-    /// retry timer.
+    fn count_deploy_failure(&mut self) {
+        self.report.deploy_failures += 1;
+        DEPLOY_FAILURES.inc();
+    }
+
+    /// Sends `device` every chunk frame from its acknowledged prefix on
+    /// and arms the transfer's retry timer.
     fn start_deploy_attempt(
         &mut self,
         heap: &mut BinaryHeap<Event>,
-        xfers: &mut BTreeMap<u64, DeployXfer>,
-        transfer_id: u64,
-        payload: &[u8],
-        total: u32,
-        chunk: u32,
+        push: &mut Push<'_>,
+        device: u32,
     ) {
-        let x = xfers.get_mut(&transfer_id).expect("transfer exists");
+        let Some(x) = push.xfer_mut(device) else {
+            return;
+        };
         x.attempts += 1;
         let attempt = x.attempts;
-        let device = x.device.clone();
-        let from = x.acked;
-        let mut offset = from - from % chunk; // realign to chunk boundary
-        while offset < total {
-            let end = (offset + chunk).min(total);
-            let frame = wire::encode_frame(&Message::DeployChunk {
-                transfer_id,
-                offset,
-                total_len: total,
-                data: payload[offset as usize..end as usize].to_vec(),
-            });
-            self.send_down(heap, &device, frame);
-            offset = end;
+        // The chunk holding the first unacknowledged byte (realigned to its
+        // boundary), then everything after it.
+        let first = ((x.acked / push.chunk) as usize).min(push.frames.len());
+        for frame in &push.frames[first..] {
+            self.send_down(heap, device, Arc::clone(frame));
         }
         let backoff = self.cfg.retry.backoff_us(attempt, &mut self.rng);
         self.push(
             heap,
             self.clock.now_us() + backoff,
-            EventKind::DeployRetry { transfer_id },
+            EventKind::DeployRetry { device },
         );
     }
 }

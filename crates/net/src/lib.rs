@@ -38,7 +38,7 @@ pub mod link;
 pub mod server;
 pub mod wire;
 
-pub use client::{ClientAction, DeviceClient};
+pub use client::{ClientAction, DecodeMemo, DeviceClient};
 pub use clock::VirtualClock;
 pub use config::{NetConfig, RetryPolicy};
 pub use error::{NetError, Result};

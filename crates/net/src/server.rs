@@ -19,14 +19,39 @@ pub struct IngestOutcome {
     pub duplicate: bool,
 }
 
+/// What the cloud remembers about one device's uploads.
+#[derive(Debug, Clone, Default)]
+struct DeviceIngest {
+    /// Seqs ever accepted (the idempotency filter).
+    seen: BTreeSet<u64>,
+    /// Batches accepted since the last [`IngestServer::take_window`] drain,
+    /// by seq.
+    pending: BTreeMap<u64, (Vec<DriftLogEntry>, Vec<UploadedSample>)>,
+}
+
+impl DeviceIngest {
+    /// Queues batch `seq` unless it was accepted before; returns whether it
+    /// was new.
+    fn accept(
+        &mut self,
+        seq: u64,
+        entries: Vec<DriftLogEntry>,
+        samples: Vec<UploadedSample>,
+    ) -> bool {
+        let fresh = self.seen.insert(seq);
+        if fresh {
+            self.pending.insert(seq, (entries, samples));
+        }
+        fresh
+    }
+}
+
 /// Cloud-side ingest state.
 #[derive(Debug, Clone, Default)]
 pub struct IngestServer {
-    /// Seqs ever accepted, per device (the idempotency filter).
-    seen: BTreeMap<String, BTreeSet<u64>>,
-    /// Batches accepted since the last [`IngestServer::take_window`] drain,
-    /// keyed `(device, seq)` so draining is deterministic under reordering.
-    pending: BTreeMap<(String, u64), (Vec<DriftLogEntry>, Vec<UploadedSample>)>,
+    /// Per device id; iterating devices, then each one's pending seqs,
+    /// drains in `(device, seq)` order whatever the arrival order was.
+    devices: BTreeMap<String, DeviceIngest>,
     duplicates: u64,
 }
 
@@ -45,19 +70,24 @@ impl IngestServer {
         entries: Vec<DriftLogEntry>,
         samples: Vec<UploadedSample>,
     ) -> IngestOutcome {
-        let seen = self.seen.entry(device_id.to_string()).or_default();
-        if !seen.insert(seq) {
+        // Probe by `&str`: only a device's first batch ever allocates its key.
+        let fresh = match self.devices.get_mut(device_id) {
+            Some(device) => device.accept(seq, entries, samples),
+            None => self
+                .devices
+                .entry(device_id.to_string())
+                .or_default()
+                .accept(seq, entries, samples),
+        };
+        if !fresh {
             self.duplicates += 1;
-            return IngestOutcome { duplicate: true };
         }
-        self.pending
-            .insert((device_id.to_string(), seq), (entries, samples));
-        IngestOutcome { duplicate: false }
+        IngestOutcome { duplicate: !fresh }
     }
 
     /// Batches currently awaiting a window drain.
     pub fn pending_batches(&self) -> usize {
-        self.pending.len()
+        self.devices.values().map(|d| d.pending.len()).sum()
     }
 
     /// Total duplicate deliveries suppressed so far.
@@ -70,9 +100,11 @@ impl IngestServer {
     pub fn take_window(&mut self) -> (Vec<DriftLogEntry>, Vec<UploadedSample>) {
         let mut entries = Vec::new();
         let mut samples = Vec::new();
-        for (_, (e, s)) in std::mem::take(&mut self.pending) {
-            entries.extend(e);
-            samples.extend(s);
+        for device in self.devices.values_mut() {
+            for (_, (e, s)) in std::mem::take(&mut device.pending) {
+                entries.extend(e);
+                samples.extend(s);
+            }
         }
         (entries, samples)
     }

@@ -38,11 +38,14 @@ pub const FRAME_OVERHEAD: usize = 4 + 1 + 1 + 4 + 4;
 const MAX_ELEMS: usize = 1 << 24;
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3), small compile-time table.
+// CRC-32 (IEEE 802.3), slice-by-8 over compile-time tables.
 // ---------------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `tables[0]` is the classic byte-at-a-time table; `tables[k][b]` is the
+/// CRC state after byte `b` followed by `k` zero bytes, which lets eight
+/// input bytes fold into the state with eight independent lookups.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -55,19 +58,42 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// CRC-32 (IEEE) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -263,7 +289,8 @@ pub enum Message {
     /// Cloud→device: one chunk of a deploy payload
     /// (`encode_deploy_payload`), resumable by offset.
     DeployChunk {
-        /// Transfer identifier (unique per deploy × device).
+        /// Transfer identifier: one per pushed version, shared by every
+        /// target device (a download is identified by device + transfer).
         transfer_id: u64,
         /// Byte offset of this chunk within the payload.
         offset: u32,
@@ -282,17 +309,6 @@ pub enum Message {
         /// Contiguous bytes received from offset 0.
         received: u32,
     },
-}
-
-impl Message {
-    fn type_byte(&self) -> u8 {
-        match self {
-            Message::UploadBatch { .. } => 1,
-            Message::UploadAck { .. } => 2,
-            Message::DeployChunk { .. } => 3,
-            Message::ChunkAck { .. } => 4,
-        }
-    }
 }
 
 // -- field codecs -----------------------------------------------------------
@@ -476,65 +492,105 @@ pub fn decode_deploy_payload(bytes: &[u8]) -> Result<(VersionMeta, BnPatch)> {
 
 // -- frame codec ------------------------------------------------------------
 
+const TYPE_UPLOAD_BATCH: u8 = 1;
+const TYPE_UPLOAD_ACK: u8 = 2;
+/// The message-type byte of a [`Message::DeployChunk`] frame.
+pub const TYPE_DEPLOY_CHUNK: u8 = 3;
+const TYPE_CHUNK_ACK: u8 = 4;
+
+/// Offset of the payload within a frame (magic + version + type + length).
+const PAYLOAD_AT: usize = 10;
+
+/// Starts a frame of `msg_type`: the header with its length left open.
+fn begin_frame(msg_type: u8, payload_cap: usize) -> Writer {
+    let mut w = Writer::with_capacity(FRAME_OVERHEAD + payload_cap);
+    w.put_bytes(&MAGIC);
+    w.put_u8(VERSION);
+    w.put_u8(msg_type);
+    w.put_u32(0);
+    w
+}
+
+/// Closes a frame begun by [`begin_frame`]: fills in the payload length
+/// and appends the CRC trailer.
+fn seal_frame(w: Writer) -> Vec<u8> {
+    let mut bytes = w.into_bytes();
+    let payload_len = (bytes.len() - PAYLOAD_AT) as u32;
+    bytes[6..PAYLOAD_AT].copy_from_slice(&payload_len.to_le_bytes());
+    let crc = crc32(&bytes[4..]);
+    bytes.extend_from_slice(&crc.to_le_bytes());
+    bytes
+}
+
+/// Encodes a [`Message::UploadBatch`] frame from borrowed rows.
+pub fn encode_upload_batch(
+    device_id: &str,
+    seq: u64,
+    entries: &[DriftLogEntry],
+    samples: &[UploadedSample],
+) -> Vec<u8> {
+    let mut w = begin_frame(TYPE_UPLOAD_BATCH, 128);
+    w.put_str(device_id);
+    w.put_u64(seq);
+    w.put_u32(entries.len() as u32);
+    for e in entries {
+        put_entry(&mut w, e);
+    }
+    w.put_u32(samples.len() as u32);
+    for s in samples {
+        put_sample(&mut w, s);
+    }
+    seal_frame(w)
+}
+
+/// Encodes a [`Message::DeployChunk`] frame from a borrowed slice of the
+/// deploy payload. The frame depends on nothing but its arguments, so one
+/// encoding serves every device and every retransmission of a transfer.
+pub fn encode_deploy_chunk(transfer_id: u64, offset: u32, total_len: u32, data: &[u8]) -> Vec<u8> {
+    let mut w = begin_frame(TYPE_DEPLOY_CHUNK, 20 + data.len());
+    w.put_u64(transfer_id);
+    w.put_u32(offset);
+    w.put_u32(total_len);
+    w.put_u32(data.len() as u32);
+    w.put_bytes(data);
+    seal_frame(w)
+}
+
 /// Encodes one message as a wire frame.
 pub fn encode_frame(msg: &Message) -> Vec<u8> {
-    let mut payload = Writer::with_capacity(128);
     match msg {
         Message::UploadBatch {
             device_id,
             seq,
             entries,
             samples,
-        } => {
-            payload.put_str(device_id);
-            payload.put_u64(*seq);
-            payload.put_u32(entries.len() as u32);
-            for e in entries {
-                put_entry(&mut payload, e);
-            }
-            payload.put_u32(samples.len() as u32);
-            for s in samples {
-                put_sample(&mut payload, s);
-            }
+        } => encode_upload_batch(device_id, *seq, entries, samples),
+        Message::UploadAck { seq } => {
+            let mut w = begin_frame(TYPE_UPLOAD_ACK, 8);
+            w.put_u64(*seq);
+            seal_frame(w)
         }
-        Message::UploadAck { seq } => payload.put_u64(*seq),
         Message::DeployChunk {
             transfer_id,
             offset,
             total_len,
             data,
-        } => {
-            payload.put_u64(*transfer_id);
-            payload.put_u32(*offset);
-            payload.put_u32(*total_len);
-            payload.put_u32(data.len() as u32);
-            payload.put_bytes(data);
-        }
+        } => encode_deploy_chunk(*transfer_id, *offset, *total_len, data),
         Message::ChunkAck {
             transfer_id,
             received,
         } => {
-            payload.put_u64(*transfer_id);
-            payload.put_u32(*received);
+            let mut w = begin_frame(TYPE_CHUNK_ACK, 12);
+            w.put_u64(*transfer_id);
+            w.put_u32(*received);
+            seal_frame(w)
         }
     }
-    let payload = payload.into_bytes();
-
-    let mut w = Writer::with_capacity(FRAME_OVERHEAD + payload.len());
-    w.put_bytes(&MAGIC);
-    w.put_u8(VERSION);
-    w.put_u8(msg.type_byte());
-    w.put_u32(payload.len() as u32);
-    w.put_bytes(&payload);
-    let bytes = w.into_bytes();
-    let crc = crc32(&bytes[4..]);
-    let mut bytes = bytes;
-    bytes.extend_from_slice(&crc.to_le_bytes());
-    bytes
 }
 
-/// Decodes one wire frame back into a message.
-pub fn decode_frame(bytes: &[u8]) -> Result<Message> {
+/// Verifies a frame's envelope — magic, protocol version, declared length
+/// and CRC — and returns its message-type byte and its payload, borrowed.
+pub fn open_frame(bytes: &[u8]) -> Result<(u8, &[u8])> {
     let mut r = Reader::new(bytes);
     let magic: [u8; 4] = r.get_bytes(4)?.try_into().unwrap();
     if magic != MAGIC {
@@ -552,15 +608,52 @@ pub fn decode_frame(bytes: &[u8]) -> Result<Message> {
             remaining: r.remaining(),
         });
     }
-    let expected = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().unwrap());
-    let actual = crc32(&bytes[4..bytes.len() - 4]);
+    let payload = r.get_bytes(payload_len)?;
+    let expected = r.get_u32()?;
+    let actual = crc32(&bytes[4..PAYLOAD_AT + payload_len]);
     if expected != actual {
         return Err(NetError::ChecksumMismatch { expected, actual });
     }
+    Ok((msg_type, payload))
+}
 
-    let mut r = Reader::new(&bytes[10..bytes.len() - 4]);
+/// One deploy chunk, its data borrowed from the frame it arrived in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChunkRef<'a> {
+    /// Transfer identifier.
+    pub transfer_id: u64,
+    /// Byte offset of this chunk within the payload.
+    pub offset: u32,
+    /// Total payload length.
+    pub total_len: u32,
+    /// The chunk bytes.
+    pub data: &'a [u8],
+}
+
+/// Parses the payload of a [`TYPE_DEPLOY_CHUNK`] frame (as returned by
+/// [`open_frame`]) without copying the chunk data.
+pub fn parse_deploy_chunk(payload: &[u8]) -> Result<ChunkRef<'_>> {
+    let mut r = Reader::new(payload);
+    let transfer_id = r.get_u64()?;
+    let offset = r.get_u32()?;
+    let total_len = r.get_u32()?;
+    let n = r.get_count("chunk length")?;
+    let data = r.get_bytes(n)?;
+    r.finish()?;
+    Ok(ChunkRef {
+        transfer_id,
+        offset,
+        total_len,
+        data,
+    })
+}
+
+/// Decodes the payload of a frame of `msg_type` (as returned by
+/// [`open_frame`]) into an owned message.
+pub fn decode_message(msg_type: u8, payload: &[u8]) -> Result<Message> {
+    let mut r = Reader::new(payload);
     let msg = match msg_type {
-        1 => {
+        TYPE_UPLOAD_BATCH => {
             let device_id = r.get_str()?;
             let seq = r.get_u64()?;
             let n_entries = r.get_count("entry count")?;
@@ -580,21 +673,17 @@ pub fn decode_frame(bytes: &[u8]) -> Result<Message> {
                 samples,
             }
         }
-        2 => Message::UploadAck { seq: r.get_u64()? },
-        3 => {
-            let transfer_id = r.get_u64()?;
-            let offset = r.get_u32()?;
-            let total_len = r.get_u32()?;
-            let n = r.get_count("chunk length")?;
-            let data = r.get_bytes(n)?.to_vec();
-            Message::DeployChunk {
-                transfer_id,
-                offset,
-                total_len,
-                data,
-            }
+        TYPE_UPLOAD_ACK => Message::UploadAck { seq: r.get_u64()? },
+        TYPE_DEPLOY_CHUNK => {
+            let chunk = parse_deploy_chunk(payload)?;
+            return Ok(Message::DeployChunk {
+                transfer_id: chunk.transfer_id,
+                offset: chunk.offset,
+                total_len: chunk.total_len,
+                data: chunk.data.to_vec(),
+            });
         }
-        4 => Message::ChunkAck {
+        TYPE_CHUNK_ACK => Message::ChunkAck {
             transfer_id: r.get_u64()?,
             received: r.get_u32()?,
         },
@@ -604,15 +693,58 @@ pub fn decode_frame(bytes: &[u8]) -> Result<Message> {
     Ok(msg)
 }
 
+/// Decodes one wire frame back into a message.
+pub fn decode_frame(bytes: &[u8]) -> Result<Message> {
+    let (msg_type, payload) = open_frame(bytes)?;
+    decode_message(msg_type, payload)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One step of the bit-at-a-time CRC-32 (IEEE) definition.
+    fn crc32_fold(state: u32, byte: u8) -> u32 {
+        let mut c = state ^ u32::from(byte);
+        for _ in 0..8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+        }
+        c
+    }
 
     #[test]
     fn crc32_known_vector() {
         // The canonical IEEE CRC-32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+
+        // Every length 0..=4096 at every start offset mod 8: the eight-byte
+        // main loop, its remainder and unaligned starts all agree with the
+        // bitwise definition.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let buf: Vec<u8> = (0..4096 + 8)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect();
+        for start in 0..8 {
+            let mut state = 0xFFFF_FFFFu32;
+            for len in 0..=4096 {
+                assert_eq!(
+                    crc32(&buf[start..start + len]),
+                    state ^ 0xFFFF_FFFF,
+                    "crc32 differs at start {start} len {len}"
+                );
+                state = crc32_fold(state, buf[start + len]);
+            }
+        }
     }
 
     #[test]

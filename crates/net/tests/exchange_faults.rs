@@ -75,8 +75,11 @@ fn chunked_deploy_resumes_through_loss_and_installs_exact_payload() {
         ex.report()
     );
     for (_, got_meta, got_patch) in &delivery.delivered {
-        assert_eq!(got_meta, &meta, "meta must survive the wire bit-exactly");
-        assert_eq!(got_patch, &patch, "patch must survive the wire bit-exactly");
+        assert_eq!(**got_meta, meta, "meta must survive the wire bit-exactly");
+        assert_eq!(
+            **got_patch, patch,
+            "patch must survive the wire bit-exactly"
+        );
     }
     assert!(
         delivery.payload_len > 2 * 64,
@@ -131,4 +134,49 @@ fn total_deploy_loss_reports_failed_devices() {
     assert!(delivery.delivered.is_empty());
     assert_eq!(delivery.failed, ids);
     assert_eq!(ex.report().deploy_failures, 1);
+}
+
+#[test]
+fn unknown_target_fails_without_a_panic_or_a_frame() {
+    let ids: Vec<String> = (0..3).map(|i| format!("dev{i}")).collect();
+    let mut ex = Exchange::new(ids.iter().cloned(), NetConfig::default());
+    let (meta, patch) = test_patch();
+    let targets = vec![
+        "dev1".to_string(),
+        "ghost".to_string(),
+        "dev0".to_string(),
+        "aaa-also-unknown".to_string(),
+    ];
+    let delivery = ex.deploy(&targets, &meta, &patch);
+    let delivered: Vec<&str> = delivery
+        .delivered
+        .iter()
+        .map(|(d, _, _)| d.as_str())
+        .collect();
+    assert_eq!(delivered, ["dev0", "dev1"]);
+    assert_eq!(delivery.failed, ["aaa-also-unknown", "ghost"]);
+    let r = ex.report();
+    assert_eq!(r.deploy_failures, 2);
+    // One chunk down and one ack up per known target, nothing for the rest.
+    assert_eq!(r.frames_sent, 4);
+}
+
+#[test]
+fn a_target_named_twice_gets_one_transfer() {
+    let ids: Vec<String> = (0..2).map(|i| format!("dev{i}")).collect();
+    let (meta, patch) = test_patch();
+    let mut once = Exchange::new(ids.iter().cloned(), lossy(0.2));
+    let want = once.deploy(&ids, &meta, &patch);
+
+    let mut twice = Exchange::new(ids.iter().cloned(), lossy(0.2));
+    let doubled: Vec<String> = ids.iter().chain(ids.iter()).cloned().collect();
+    let got = twice.deploy(&doubled, &meta, &patch);
+    let names = |d: &nazar_net::DeployDelivery| -> Vec<String> {
+        d.delivered.iter().map(|(id, _, _)| id.clone()).collect()
+    };
+    assert_eq!(names(&got), names(&want));
+    assert_eq!(got.delivered.len(), ids.len(), "one install per device");
+    assert_eq!(got.failed, want.failed);
+    assert_eq!(twice.report(), once.report());
+    assert_eq!(twice.clock_us(), once.clock_us());
 }
