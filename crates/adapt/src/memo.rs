@@ -81,7 +81,7 @@ pub fn memo_adapt<R: Rng + ?Sized>(
             let mut marginal: Option<Var> = None;
             for _ in 0..config.augmentations {
                 let aug = Augmentation::random(rng).apply(&batch, rng);
-                let xv = tape.leaf(aug);
+                let xv = tape.constant(aug);
                 let logits = model.forward(&tape, &xv, Mode::Adapt);
                 let p = logits.log_softmax().exp();
                 marginal = Some(match marginal {

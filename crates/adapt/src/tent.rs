@@ -75,7 +75,7 @@ pub fn tent_adapt(model: &mut MlpResNet, data: &Tensor, config: &TentConfig) -> 
             let batch = data.slice_rows(start, end).expect("rows in range");
 
             let tape = Tape::new();
-            let xv = tape.leaf(batch);
+            let xv = tape.constant(batch);
             let logits = model.forward(&tape, &xv, Mode::Adapt);
             let loss = mean_entropy(&logits);
             let grads = loss.backward();
@@ -188,6 +188,55 @@ mod tests {
             a.approx_eq(&b, 1e-4),
             "non-BN parameters drifted during TENT"
         );
+    }
+
+    #[test]
+    fn tent_patch_equals_the_all_leaves_loop() {
+        // `tent_adapt` binds frozen weights and its batches as constants,
+        // so the tape computes γ/β gradients only. The reference runs the
+        // same loop with every parameter and the batch bound as leaves —
+        // a full backward — and filters at collect time.
+        let bed = trained_bed();
+        let drifted = corrupt(&bed.clean_x, Corruption::Fog, 3, 17);
+        let config = TentConfig {
+            batch_size: 50,
+            epochs: 2,
+            ..TentConfig::default()
+        };
+        let mut adapted = bed.model.clone();
+        let report = tent_adapt(&mut adapted, &drifted, &config);
+
+        let mut reference = bed.model.clone();
+        let mut opt = Adam::new(config.lr);
+        let n = drifted.nrows().unwrap();
+        let mut steps = 0;
+        for _ in 0..config.epochs {
+            for start in (0..n).step_by(config.batch_size) {
+                let end = (start + config.batch_size).min(n);
+                let tape = Tape::new();
+                let xv = tape.leaf(drifted.slice_rows(start, end).unwrap());
+                let logits = reference.forward(&tape, &xv, Mode::Adapt);
+                let grads = mean_entropy(&logits).backward();
+                assert!(grads.get(&xv).is_some(), "the reference prunes nothing");
+                reference.set_all_trainable(false);
+                reference.set_bn_affine_trainable(true);
+                reference.collect_grads(&grads);
+                opt.step(&mut reference);
+                reference.zero_grads();
+                reference.set_all_trainable(true);
+                steps += 1;
+            }
+        }
+        assert_eq!(report.steps, steps);
+        let bits = |model: &mut MlpResNet| -> Vec<Vec<u32>> {
+            let patch = nazar_nn::BnPatch::extract(model);
+            let tensors = |l: &nazar_nn::BnLayerState| {
+                [&l.gamma, &l.beta, &l.running_mean, &l.running_var]
+                    .map(|t| t.data().iter().map(|v| v.to_bits()).collect())
+            };
+            patch.layers().iter().flat_map(tensors).collect()
+        };
+        assert_eq!(bits(&mut adapted), bits(&mut reference));
     }
 
     #[test]

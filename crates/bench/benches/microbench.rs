@@ -5,19 +5,18 @@
 //! * `detector_overhead` — Table 1's "negligible computational overhead"
 //!   for output-score detectors vs the backprop cost of ODIN;
 //! * `analysis_scaling` — Fig. 9d's linear root-cause-analysis runtime;
-//! * `adaptation_step` — §3.4's BN-only adaptation efficiency (BN-only vs
-//!   full-parameter TENT step);
+//! * `adaptation_step` — §3.4's BN-only adaptation efficiency (one BN-only
+//!   TENT step against one full-parameter step, same model and batch);
 //! * plus substrate benchmarks (matmul, inference, log ingest, FIM,
 //!   version selection).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use nazar_adapt::{tent_adapt, TentConfig};
+use criterion::{criterion_group, BenchmarkId, Criterion};
 use nazar_analysis::{analyze, mine, mine_fpgrowth, FimConfig};
 use nazar_cloud::timing::synthetic_drift_log;
 use nazar_data::ClassSpace;
 use nazar_detect::{DriftDetector, EnergyScore, EntropyThreshold, MspThreshold, Odin};
 use nazar_log::{Attribute, DriftLog, DriftLogEntry};
-use nazar_nn::{Layer, MlpResNet, Mode, ModelArch};
+use nazar_nn::{Adam, Layer, MlpResNet, Mode, ModelArch, Optimizer};
 use nazar_registry::{ModelPool, VersionMeta};
 use nazar_tensor::{kernels, SimdTier, Tape, Tensor, Workspace};
 use rand::rngs::SmallRng;
@@ -101,6 +100,34 @@ fn bench_tensor_ops(c: &mut Criterion) {
             })
         });
     }
+    // One `Linear` of the `vision_loop` model at TENT's batch size: the
+    // forward product and the two backward products (dX, dW) of one tape
+    // matmul node, kernel policy and env tier as the tape runs them.
+    let (n, k, m) = (64, 96, 96);
+    let x = Tensor::randn(&mut rng, &[n, k], 0.0, 1.0);
+    let w = Tensor::randn(&mut rng, &[k, m], 0.0, 1.0);
+    let g = Tensor::randn(&mut rng, &[n, m], 0.0, 1.0);
+    let mut out = vec![0.0f32; n * m];
+    group.bench_function("matmul_64x96x96", |bencher| {
+        bencher.iter(|| {
+            kernels::matmul_into(x.data(), w.data(), n, k, m, &mut out, &mut ws);
+            black_box(out[0])
+        })
+    });
+    let mut dx = vec![0.0f32; n * k];
+    group.bench_function("matmul_a_bt_64x96x96", |bencher| {
+        bencher.iter(|| {
+            kernels::matmul_a_bt_into(g.data(), w.data(), n, m, k, &mut dx, &mut ws);
+            black_box(dx[0])
+        })
+    });
+    let mut dw = vec![0.0f32; k * m];
+    group.bench_function("matmul_at_b_64x96x96", |bencher| {
+        bencher.iter(|| {
+            kernels::matmul_at_b_into(x.data(), g.data(), n, k, m, &mut dw);
+            black_box(dw[0])
+        })
+    });
     group.bench_function("transpose_512", |bencher| {
         bencher.iter(|| black_box(wide.transpose().expect("matrix")))
     });
@@ -200,41 +227,41 @@ fn bench_fim_algorithms(c: &mut Criterion) {
     group.finish();
 }
 
+/// One entropy-minimisation step on `x`: Adapt-mode forward, backward,
+/// collect, Adam. What `tent_adapt` runs per batch; which parameters it
+/// trains is the model's trainability flags.
+fn tent_step(model: &mut MlpResNet, opt: &mut Adam, x: &Tensor) {
+    let tape = Tape::new();
+    let xv = tape.constant(x.clone());
+    let logits = model.forward(&tape, &xv, Mode::Adapt);
+    let grads = nazar_nn::mean_entropy(&logits).backward();
+    model.collect_grads(&grads);
+    opt.step(model);
+    model.zero_grads();
+}
+
 fn bench_adaptation(c: &mut Criterion) {
-    let (model, x) = trained_world();
+    // Both rows time the same step on the same model and the same batch,
+    // from a fresh clone each iteration so the weights never drift; the
+    // clone (~0.6 MB) is in both. Only the freeze differs.
+    let (all_params, x) = trained_world();
+    let mut bn_only = all_params.clone();
+    bn_only.set_all_trainable(false);
+    bn_only.set_bn_affine_trainable(true);
     let mut group = c.benchmark_group("adaptation_step");
     group.sample_size(10);
-    group.bench_function("tent_bn_only", |b| {
-        b.iter(|| {
-            let mut m = model.clone();
-            black_box(tent_adapt(
-                &mut m,
-                &x,
-                &TentConfig {
-                    epochs: 1,
-                    ..TentConfig::default()
-                },
-            ))
-        })
-    });
-    // Ablation: full-parameter entropy minimization (what Nazar avoids —
-    // every adaptation would ship the whole model).
-    group.bench_function("tent_all_params", |b| {
-        b.iter(|| {
-            let mut m = model.clone();
-            // Same loop as TENT but with everything trainable.
-            let mut opt = nazar_nn::Adam::new(1e-2);
-            let tape = Tape::new();
-            let xv = tape.leaf(x.clone());
-            let logits = m.forward(&tape, &xv, Mode::Adapt);
-            let loss = nazar_nn::mean_entropy(&logits);
-            let grads = loss.backward();
-            m.collect_grads(&grads);
-            nazar_nn::Optimizer::step(&mut opt, &mut m);
-            m.zero_grads();
-            black_box(m.num_params())
-        })
-    });
+    // Ablation: `tent_all_params` is full-parameter entropy minimization
+    // (what Nazar avoids — every adaptation would ship the whole model).
+    for (name, model) in [("tent_bn_only", &bn_only), ("tent_all_params", &all_params)] {
+        let mut opt = Adam::new(1e-2);
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut m = model.clone();
+                tent_step(&mut m, &mut opt, &x);
+                black_box(m)
+            })
+        });
+    }
     group.finish();
 }
 
@@ -273,4 +300,44 @@ criterion_group!(
     bench_adaptation,
     bench_registry
 );
-criterion_main!(benches);
+/// Runs every group and writes `BENCH_tensor.json` under a header naming
+/// what shaped the numbers: commit, host, thread width and SIMD tier.
+fn main() {
+    let capture = |program: &str, args: &[&str]| {
+        std::process::Command::new(program)
+            .args(args)
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
+            .unwrap_or_else(|| "unknown".to_string())
+    };
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|text| {
+            let line = text.lines().find(|l| l.starts_with("model name"))?;
+            Some(line.split(':').nth(1)?.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string());
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    // A process that has run for a while has freed multi-megabyte buffers
+    // (datasets, log columns), and glibc raises its heap-trim threshold
+    // when it has. One that goes straight to a tape step has not: it hands
+    // the tape's pages back to the OS after every iteration and faults
+    // them in again — 2 ms of a 5 ms BN-only step, and nothing of the
+    // all-parameters step, whose Adam moments happen to sit above the
+    // tape and pin the heap. Free one such buffer before timing anything.
+    drop(black_box(vec![0u8; 24 << 20]));
+    let mut criterion = Criterion::default();
+    criterion.header(
+        "commit",
+        capture("git", &["describe", "--always", "--dirty"]),
+    );
+    criterion.header("cpu", cpu);
+    criterion.header("nproc", nproc);
+    criterion.header("threads", nazar_tensor::parallel::num_threads());
+    criterion.header("simd", nazar_tensor::simd::env_tier().as_str());
+    criterion.header("rustc", capture("rustc", &["--version"]));
+    benches(&mut criterion);
+    criterion.finalize();
+}

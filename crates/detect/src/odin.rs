@@ -15,7 +15,7 @@
 
 use crate::capabilities::DetectorCapabilities;
 use crate::{msp_of_logits, DriftDetector};
-use nazar_nn::{MlpResNet, Mode};
+use nazar_nn::{Layer, MlpResNet, Mode};
 use nazar_tensor::{Tape, Tensor};
 use serde::{Deserialize, Serialize};
 
@@ -53,10 +53,17 @@ impl Default for Odin {
 /// resulting MSP is already mapped to zero confidence by
 /// [`msp_of_logits`].
 fn perturbed_scores(model: &mut MlpResNet, x: &Tensor, temperature: f32, epsilon: f32) -> Vec<f32> {
-    // Forward pass with the input as a differentiable leaf.
+    // Forward pass with the input as the tape's only differentiable leaf:
+    // every parameter is frozen while it is bound, so the backward pass
+    // computes ∂loss/∂input and no weight gradient.
+    let mut trainable = Vec::new();
+    model.visit_params(&mut |p| trainable.push(p.trainable()));
+    model.set_all_trainable(false);
     let tape = Tape::new();
     let xv = tape.leaf(x.clone());
     let (_, logits) = model.forward_with_features(&tape, &xv, Mode::Eval);
+    let mut restore = trainable.into_iter();
+    model.visit_params(&mut |p| p.set_trainable(restore.next().unwrap_or(true)));
     let scaled = logits.scale(1.0 / temperature);
     let x_prime = match scaled.value().argmax_axis1() {
         Ok(predicted) => {

@@ -67,11 +67,11 @@ impl OutlierExposure {
                 let ox = outliers.select_rows(&oidx).expect("rows");
 
                 let tape = Tape::new();
-                let xv = tape.leaf(bx);
+                let xv = tape.constant(bx);
                 let logits = model.forward(&tape, &xv, Mode::Train);
                 let clean_loss = cross_entropy(&logits, &by);
 
-                let ov = tape.leaf(ox);
+                let ov = tape.constant(ox);
                 let o_logits = model.forward(&tape, &ov, Mode::Train);
                 // Cross-entropy to the uniform distribution: -(1/C)Σ log p.
                 let uniform_loss = o_logits.log_softmax().mean_all().scale(-1.0);

@@ -263,8 +263,8 @@ impl Layer for BatchNorm1d {
             centered.div_row(&std)
         } else {
             // Eval: constants, no gradient path through the statistics.
-            let mean = tape.leaf(self.running_mean.clone());
-            let std = tape.leaf(self.running_var.add_scalar(self.eps).map(f32::sqrt));
+            let mean = tape.constant(self.running_mean.clone());
+            let std = tape.constant(self.running_var.add_scalar(self.eps).map(f32::sqrt));
             x.sub_row(&mean).div_row(&std)
         };
         x_hat.mul_row(&gamma).add_row(&beta)

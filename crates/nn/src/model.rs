@@ -307,7 +307,7 @@ impl MlpResNet {
     pub fn logits(&mut self, x: &Tensor, mode: Mode) -> Tensor {
         if mode != Mode::Eval {
             let tape = Tape::new();
-            let xv = tape.leaf(x.clone());
+            let xv = tape.constant(x.clone());
             let (_, logits) = self.forward_with_features(&tape, &xv, mode);
             return logits.value();
         }
@@ -488,6 +488,48 @@ mod tests {
             }
         });
         assert_eq!(trainable, m.num_bn_params());
+    }
+
+    #[test]
+    fn tent_freeze_computes_bn_gradients_only_and_bitwise() {
+        // One Adapt-mode entropy step, all-trainable against the TENT
+        // freeze. Each returns, in `visit_params` order, whether the
+        // parameter was trainable when bound and what the tape held for it.
+        let step = |tent_freeze: bool| {
+            let mut m = model();
+            if tent_freeze {
+                m.set_all_trainable(false);
+                m.set_bn_affine_trainable(true);
+            }
+            let mut rng = SmallRng::seed_from_u64(5);
+            let tape = Tape::new();
+            let x = tape.constant(Tensor::randn(&mut rng, &[6, 8], 0.0, 1.0));
+            let loss = crate::loss::mean_entropy(&m.forward(&tape, &x, Mode::Adapt));
+            let grads = loss.backward();
+            let mut bound_trainable = Vec::new();
+            m.visit_params(&mut |p| bound_trainable.push(p.trainable()));
+            // Unfreeze before collecting, so `collect_grad` copies whatever
+            // buffer the tape holds for each parameter, frozen or not.
+            m.set_all_trainable(true);
+            m.collect_grads(&grads);
+            let mut collected = Vec::new();
+            m.visit_params(&mut |p| collected.push(p.grad().cloned()));
+            (bound_trainable, collected)
+        };
+        let (_, full) = step(false);
+        let (bn_affine, tent) = step(true);
+        assert_eq!(full.len(), tent.len());
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for ((is_bn, full_grad), tent_grad) in bn_affine.iter().zip(&full).zip(&tent) {
+            let full_grad = full_grad.as_ref().expect("all-trainable gradient");
+            match (is_bn, tent_grad) {
+                (true, Some(tent_grad)) => assert_eq!(bits(tent_grad), bits(full_grad)),
+                (true, None) => panic!("a BN affine parameter lost its gradient"),
+                (false, Some(_)) => panic!("the tape held a gradient for a frozen Linear"),
+                (false, None) => {}
+            }
+        }
+        assert_eq!(bn_affine.iter().filter(|&&t| t).count(), 2 * 5);
     }
 
     #[test]

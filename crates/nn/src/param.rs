@@ -11,8 +11,9 @@ use serde::{Deserialize, Serialize};
 /// consumes it.
 ///
 /// Freezing (`set_trainable(false)`) is how TENT restricts adaptation to the
-/// batch-normalization affine parameters: frozen parameters still participate
-/// in the forward pass but never accumulate gradients.
+/// batch-normalization affine parameters: a frozen parameter still takes
+/// part in the forward pass, but it is bound as a tape constant, so the
+/// backward pass computes no gradient for it at all.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Param {
     value: Tensor,
@@ -62,9 +63,14 @@ impl Param {
         self.trainable = trainable;
     }
 
-    /// Registers the value as a leaf on `tape` and remembers its node id.
+    /// Registers the value on `tape` — a leaf when trainable, a constant
+    /// when frozen — and remembers its node id.
     pub fn bind(&mut self, tape: &Tape) -> Var {
-        let var = tape.leaf(self.value.clone());
+        let var = if self.trainable {
+            tape.leaf(self.value.clone())
+        } else {
+            tape.constant(self.value.clone())
+        };
         self.last_id = Some(var.id());
         var
     }
@@ -128,6 +134,7 @@ mod tests {
         let v = p.bind(&tape);
         let loss = v.mul(&v).sum_all();
         let grads = loss.backward();
+        assert!(grads.get(&v).is_none(), "a frozen parameter is a constant");
         p.collect_grad(&grads);
         assert!(p.grad().is_none());
     }

@@ -61,7 +61,7 @@ pub fn train_epoch<R: Rng + ?Sized>(
         let by: Vec<usize> = chunk.iter().map(|&i| ys[i]).collect();
 
         let tape = Tape::new();
-        let xv = tape.leaf(bx);
+        let xv = tape.constant(bx);
         let logits = model.forward(&tape, &xv, Mode::Train);
         let loss = cross_entropy(&logits, &by);
         total_loss += loss.value().item().expect("scalar loss");

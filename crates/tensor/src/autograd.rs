@@ -7,9 +7,18 @@
 //!
 //! Leaves also receive gradients, which is what makes input-gradient
 //! detectors (ODIN, Generalized-ODIN) implementable downstream.
+//!
+//! A value nothing will differentiate with respect to — a frozen weight,
+//! an input batch, a running statistic — is registered with
+//! [`Tape::constant`] instead. A node needs a gradient if and only if one
+//! of its parents does, and the backward sweep computes and allocates
+//! nothing for the rest: BN-only adaptation pays no weight-gradient
+//! product for a frozen `Linear`, and no input-gradient product below the
+//! first trainable node.
 
 use crate::kernels;
 use crate::tensor::Tensor;
+use crate::workspace::Workspace;
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
@@ -48,6 +57,10 @@ enum Op {
 struct Node {
     value: Tensor,
     op: Op,
+    /// Whether the backward sweep computes a gradient for this node: set
+    /// for [`Tape::leaf`], clear for [`Tape::constant`], and for any other
+    /// node the OR over its parents.
+    needs_grad: bool,
 }
 
 #[derive(Debug, Default)]
@@ -102,13 +115,25 @@ impl Tape {
 
     /// Registers `value` as a differentiable leaf and returns its handle.
     pub fn leaf(&self, value: Tensor) -> Var {
-        self.push(value, Op::Leaf)
+        self.push(value, Op::Leaf, true)
     }
 
-    fn push(&self, value: Tensor, op: Op) -> Var {
+    /// Registers `value` as a leaf no gradient is wanted for. It takes
+    /// part in the forward pass like any other; [`Var::backward`] computes
+    /// nothing for it, nor for any node built from constants alone, and
+    /// [`Gradients::get`] returns `None` for them.
+    pub fn constant(&self, value: Tensor) -> Var {
+        self.push(value, Op::Leaf, false)
+    }
+
+    fn push(&self, value: Tensor, op: Op, needs_grad: bool) -> Var {
         let mut inner = self.inner.borrow_mut();
         let id = inner.nodes.len();
-        inner.nodes.push(Node { value, op });
+        inner.nodes.push(Node {
+            value,
+            op,
+            needs_grad,
+        });
         Var {
             tape: self.clone(),
             id,
@@ -128,7 +153,9 @@ pub struct Gradients {
 
 impl Gradients {
     /// The gradient of the backward root with respect to `var`, if `var`
-    /// participated in the computation.
+    /// participated in the computation and needs one: `None` for a
+    /// [`Tape::constant`] and for every node computed from constants
+    /// alone.
     pub fn get(&self, var: &Var) -> Option<&Tensor> {
         self.by_id(var.id)
     }
@@ -187,20 +214,36 @@ impl Var {
 
     fn binary(&self, other: &Var, op: fn(usize, usize) -> Op, name: &str) -> Var {
         self.same_tape(other);
-        let (a, b) = (self.value(), other.value());
-        let value = match op(0, 0) {
-            Op::Add(..) => a.add(&b),
-            Op::AddRow(..) => a.add_row(&b),
-            Op::SubRow(..) => a.sub_row(&b),
-            Op::Sub(..) => a.sub(&b),
-            Op::Mul(..) => a.mul(&b),
-            Op::MulRow(..) => a.mul_row(&b),
-            Op::DivRow(..) => a.div_row(&b),
-            Op::Matmul(..) => a.matmul(&b),
-            _ => unreachable!(),
-        }
-        .unwrap_or_else(|e| panic!("{name}: {e}"));
-        self.tape.push(value, op(self.id, other.id))
+        // Operands are read in place on the tape, not copied out of it.
+        let (value, needs_grad) = {
+            let inner = self.tape.inner.borrow();
+            let (a, b) = (&inner.nodes[self.id], &inner.nodes[other.id]);
+            let value = match op(0, 0) {
+                Op::Add(..) => a.value.add(&b.value),
+                Op::AddRow(..) => a.value.add_row(&b.value),
+                Op::SubRow(..) => a.value.sub_row(&b.value),
+                Op::Sub(..) => a.value.sub(&b.value),
+                Op::Mul(..) => a.value.mul(&b.value),
+                Op::MulRow(..) => a.value.mul_row(&b.value),
+                Op::DivRow(..) => a.value.div_row(&b.value),
+                Op::Matmul(..) => a.value.matmul(&b.value),
+                _ => unreachable!(),
+            };
+            (value, a.needs_grad || b.needs_grad)
+        };
+        let value = value.unwrap_or_else(|e| panic!("{name}: {e}"));
+        self.tape.push(value, op(self.id, other.id), needs_grad)
+    }
+
+    /// Records `op` with the value `f` computes from this node's, read in
+    /// place on the tape.
+    fn unary(&self, op: Op, f: impl FnOnce(&Tensor) -> Tensor) -> Var {
+        let (value, needs_grad) = {
+            let inner = self.tape.inner.borrow();
+            let node = &inner.nodes[self.id];
+            (f(&node.value), node.needs_grad)
+        };
+        self.tape.push(value, op, needs_grad)
     }
 
     /// Elementwise sum. See [`Tensor::add`].
@@ -245,78 +288,64 @@ impl Var {
 
     /// Elementwise negation.
     pub fn neg(&self) -> Var {
-        let v = self.value().scale(-1.0);
-        self.tape.push(v, Op::Neg(self.id))
+        self.unary(Op::Neg(self.id), |x| x.scale(-1.0))
     }
 
     /// Multiplies every element by the constant `c`.
     pub fn scale(&self, c: f32) -> Var {
-        let v = self.value().scale(c);
-        self.tape.push(v, Op::Scale(self.id, c))
+        self.unary(Op::Scale(self.id, c), |x| x.scale(c))
     }
 
     /// Adds the constant `c` to every element.
     pub fn add_scalar(&self, c: f32) -> Var {
-        let v = self.value().add_scalar(c);
-        self.tape.push(v, Op::AddScalar(self.id, c))
+        self.unary(Op::AddScalar(self.id, c), |x| x.add_scalar(c))
     }
 
     /// Rectified linear unit, elementwise.
     pub fn relu(&self) -> Var {
-        let v = self.value().map(|x| x.max(0.0));
-        self.tape.push(v, Op::Relu(self.id))
+        self.unary(Op::Relu(self.id), |x| x.map(|v| v.max(0.0)))
     }
 
     /// Elementwise exponential.
     pub fn exp(&self) -> Var {
-        let v = self.value().map(f32::exp);
-        self.tape.push(v, Op::Exp(self.id))
+        self.unary(Op::Exp(self.id), |x| x.map(f32::exp))
     }
 
     /// Elementwise natural logarithm.
     pub fn ln(&self) -> Var {
-        let v = self.value().map(f32::ln);
-        self.tape.push(v, Op::Ln(self.id))
+        self.unary(Op::Ln(self.id), |x| x.map(f32::ln))
     }
 
     /// Elementwise square root.
     pub fn sqrt(&self) -> Var {
-        let v = self.value().map(f32::sqrt);
-        self.tape.push(v, Op::Sqrt(self.id))
+        self.unary(Op::Sqrt(self.id), |x| x.map(f32::sqrt))
     }
 
     /// Row-wise log-softmax of an `[n, c]` logit matrix.
     pub fn log_softmax(&self) -> Var {
-        let v = self
-            .value()
-            .log_softmax_rows()
-            .unwrap_or_else(|e| panic!("log_softmax: {e}"));
-        self.tape.push(v, Op::LogSoftmax(self.id))
+        self.unary(Op::LogSoftmax(self.id), |x| {
+            x.log_softmax_rows()
+                .unwrap_or_else(|e| panic!("log_softmax: {e}"))
+        })
     }
 
     /// Column means of an `[n, d]` matrix, as a `[d]` vector.
     pub fn mean_axis0(&self) -> Var {
-        let v = self
-            .value()
-            .mean_axis0()
-            .unwrap_or_else(|e| panic!("mean_axis0: {e}"));
-        self.tape.push(v, Op::MeanAxis0(self.id))
+        self.unary(Op::MeanAxis0(self.id), |x| {
+            x.mean_axis0().unwrap_or_else(|e| panic!("mean_axis0: {e}"))
+        })
     }
 
     /// Sum of all elements, as a scalar variable.
     pub fn sum_all(&self) -> Var {
-        let v = Tensor::scalar(self.value().sum_all());
-        self.tape.push(v, Op::SumAll(self.id))
+        self.unary(Op::SumAll(self.id), |x| Tensor::scalar(x.sum_all()))
     }
 
     /// Mean of all elements, as a scalar variable.
     pub fn mean_all(&self) -> Var {
-        let v = Tensor::scalar(
-            self.value()
-                .mean_all()
-                .unwrap_or_else(|e| panic!("mean_all: {e}")),
-        );
-        self.tape.push(v, Op::MeanAll(self.id))
+        self.unary(Op::MeanAll(self.id), |x| {
+            Tensor::scalar(x.mean_all().unwrap_or_else(|e| panic!("mean_all: {e}")))
+        })
     }
 
     /// Negative log-likelihood loss over row-wise log-probabilities.
@@ -330,31 +359,37 @@ impl Var {
     /// Panics if `targets.len()` differs from the row count or a target is
     /// out of class range.
     pub fn nll_loss(&self, targets: &[usize]) -> Var {
-        let lp = self.value();
-        let (n, c) = (
-            lp.nrows().expect("nll_loss: rank-2 input"),
-            lp.ncols().unwrap(),
-        );
-        assert_eq!(targets.len(), n, "nll_loss: one target per row required");
-        let mut acc = 0.0;
-        for (i, &t) in targets.iter().enumerate() {
-            assert!(t < c, "nll_loss: target {t} out of range for {c} classes");
-            acc -= lp.data()[i * c + t];
-        }
-        let v = Tensor::scalar(acc / n as f32);
-        self.tape.push(v, Op::NllLoss(self.id, targets.to_vec()))
+        self.unary(Op::NllLoss(self.id, targets.to_vec()), |lp| {
+            let (n, c) = (
+                lp.nrows().expect("nll_loss: rank-2 input"),
+                lp.ncols().unwrap(),
+            );
+            assert_eq!(targets.len(), n, "nll_loss: one target per row required");
+            let mut acc = 0.0;
+            for (i, &t) in targets.iter().enumerate() {
+                assert!(t < c, "nll_loss: target {t} out of range for {c} classes");
+                acc -= lp.data()[i * c + t];
+            }
+            Tensor::scalar(acc / n as f32)
+        })
     }
 
     /// Runs the backward pass from this (scalar) variable.
     ///
     /// Returns the gradients of `self` with respect to every node that
-    /// contributed to it, including leaves.
+    /// contributed to it and needs one — every [`Tape::leaf`] and every
+    /// node with a leaf among its ancestors. A [`Tape::constant`], and a
+    /// node built from constants alone, gets no buffer and costs no work:
+    /// each contribution to such a parent is skipped.
     ///
     /// The sweep is written over the in-place [`kernels`]: each node's
     /// contribution is accumulated directly into its parents' gradient
-    /// buffers (allocated once per participating node), and the matmul
-    /// backward uses the fused `A·gᵀ`-style kernels instead of
-    /// materializing transposed operands.
+    /// buffers (allocated once per node that needs one), and the matmul
+    /// backward adds `g · bᵀ` and `aᵀ · g` into them through
+    /// [`kernels::matmul_a_bt_into`] and [`kernels::matmul_at_b_into`].
+    /// Skipping a contribution never reorders the ones that remain, so a
+    /// gradient that is computed is bitwise the one the all-leaves tape
+    /// gives.
     ///
     /// # Panics
     ///
@@ -363,84 +398,120 @@ impl Var {
         let root = self.value();
         assert_eq!(root.len(), 1, "backward requires a scalar root");
         let inner = self.tape.inner.borrow();
+        let needs = |id: usize| inner.nodes[id].needs_grad;
         let mut grads: Vec<Option<Tensor>> = vec![None; inner.nodes.len()];
-        grads[self.id] = Some(Tensor::full(root.dims(), 1.0));
+        if needs(self.id) {
+            grads[self.id] = Some(Tensor::full(root.dims(), 1.0));
+        }
 
         for id in (0..=self.id).rev() {
             // Parents always have lower ids, so the split borrows this
             // node's gradient immutably while parents stay writable.
             let (parents, rest) = grads.split_at_mut(id);
+            // A node that needs no gradient never received one. A node
+            // with one parent needs a gradient exactly when the parent
+            // does, so only the two-parent rules check each side.
             let Some(g) = rest[0].as_ref() else { continue };
             let node = &inner.nodes[id];
             match &node.op {
                 Op::Leaf => {}
                 Op::Add(a, b) => {
-                    acc_copy(parents, *a, g);
-                    acc_copy(parents, *b, g);
+                    if needs(*a) {
+                        acc_copy(parents, *a, g);
+                    }
+                    if needs(*b) {
+                        acc_copy(parents, *b, g);
+                    }
                 }
                 Op::AddRow(a, b) => {
-                    let (n, d) = row_dims(g);
-                    let gb = slot(parents, *b, &inner.nodes[*b].value);
-                    kernels::sum_axis0_assign(g.data(), n, d, gb.data_mut());
-                    acc_copy(parents, *a, g);
+                    if needs(*b) {
+                        let (n, d) = row_dims(g);
+                        let gb = slot(parents, *b, &inner.nodes[*b].value);
+                        kernels::sum_axis0_assign(g.data(), n, d, gb.data_mut());
+                    }
+                    if needs(*a) {
+                        acc_copy(parents, *a, g);
+                    }
                 }
                 Op::SubRow(a, b) => {
-                    let (_, d) = row_dims(g);
-                    let gb = slot(parents, *b, &inner.nodes[*b].value);
-                    for row in g.data().chunks_exact(d) {
-                        for (o, &x) in gb.data_mut().iter_mut().zip(row) {
-                            *o -= x;
+                    if needs(*b) {
+                        let (_, d) = row_dims(g);
+                        let gb = slot(parents, *b, &inner.nodes[*b].value);
+                        for row in g.data().chunks_exact(d) {
+                            for (o, &x) in gb.data_mut().iter_mut().zip(row) {
+                                *o -= x;
+                            }
                         }
                     }
-                    acc_copy(parents, *a, g);
+                    if needs(*a) {
+                        acc_copy(parents, *a, g);
+                    }
                 }
                 Op::Sub(a, b) => {
-                    acc_copy(parents, *a, g);
-                    acc_axpy(parents, *b, &inner.nodes[*b].value, -1.0, g);
+                    if needs(*a) {
+                        acc_copy(parents, *a, g);
+                    }
+                    if needs(*b) {
+                        acc_axpy(parents, *b, &inner.nodes[*b].value, -1.0, g);
+                    }
                 }
                 Op::Mul(a, b) => {
                     let (av, bv) = (&inner.nodes[*a].value, &inner.nodes[*b].value);
-                    let ga = slot(parents, *a, av);
-                    kernels::fma_assign(ga.data_mut(), g.data(), bv.data());
-                    let gb = slot(parents, *b, bv);
-                    kernels::fma_assign(gb.data_mut(), g.data(), av.data());
+                    if needs(*a) {
+                        let ga = slot(parents, *a, av);
+                        kernels::fma_assign(ga.data_mut(), g.data(), bv.data());
+                    }
+                    if needs(*b) {
+                        let gb = slot(parents, *b, bv);
+                        kernels::fma_assign(gb.data_mut(), g.data(), av.data());
+                    }
                 }
                 Op::MulRow(a, b) => {
                     let (av, bv) = (&inner.nodes[*a].value, &inner.nodes[*b].value);
                     let (_, d) = row_dims(g);
-                    let ga = slot(parents, *a, av);
-                    for (orow, grow) in ga
-                        .data_mut()
-                        .chunks_exact_mut(d)
-                        .zip(g.data().chunks_exact(d))
-                    {
-                        kernels::fma_assign(orow, grow, bv.data());
+                    if needs(*a) {
+                        let ga = slot(parents, *a, av);
+                        for (orow, grow) in ga
+                            .data_mut()
+                            .chunks_exact_mut(d)
+                            .zip(g.data().chunks_exact(d))
+                        {
+                            kernels::fma_assign(orow, grow, bv.data());
+                        }
                     }
-                    let gb = slot(parents, *b, bv);
-                    for (grow, arow) in g.data().chunks_exact(d).zip(av.data().chunks_exact(d)) {
-                        kernels::fma_assign(gb.data_mut(), grow, arow);
+                    if needs(*b) {
+                        let gb = slot(parents, *b, bv);
+                        for (grow, arow) in g.data().chunks_exact(d).zip(av.data().chunks_exact(d))
+                        {
+                            kernels::fma_assign(gb.data_mut(), grow, arow);
+                        }
                     }
                 }
                 Op::DivRow(a, b) => {
                     let (av, bv) = (&inner.nodes[*a].value, &inner.nodes[*b].value);
                     let (_, d) = row_dims(g);
-                    let ga = slot(parents, *a, av);
-                    for (orow, grow) in ga
-                        .data_mut()
-                        .chunks_exact_mut(d)
-                        .zip(g.data().chunks_exact(d))
-                    {
-                        for ((o, &gv), &b) in orow.iter_mut().zip(grow).zip(bv.data()) {
-                            *o += gv / b;
+                    if needs(*a) {
+                        let ga = slot(parents, *a, av);
+                        for (orow, grow) in ga
+                            .data_mut()
+                            .chunks_exact_mut(d)
+                            .zip(g.data().chunks_exact(d))
+                        {
+                            for ((o, &gv), &b) in orow.iter_mut().zip(grow).zip(bv.data()) {
+                                *o += gv / b;
+                            }
                         }
                     }
-                    // d/db (a/b) = -a / b^2, summed over the broadcast rows.
-                    let gb = slot(parents, *b, bv);
-                    for (grow, arow) in g.data().chunks_exact(d).zip(av.data().chunks_exact(d)) {
-                        for (((o, &gv), &a), &b) in
-                            gb.data_mut().iter_mut().zip(grow).zip(arow).zip(bv.data())
+                    if needs(*b) {
+                        // d/db (a/b) = -a / b^2, summed over the broadcast rows.
+                        let gb = slot(parents, *b, bv);
+                        for (grow, arow) in g.data().chunks_exact(d).zip(av.data().chunks_exact(d))
                         {
-                            *o -= gv * a / (b * b);
+                            for (((o, &gv), &a), &b) in
+                                gb.data_mut().iter_mut().zip(grow).zip(arow).zip(bv.data())
+                            {
+                                *o -= gv * a / (b * b);
+                            }
                         }
                     }
                 }
@@ -451,12 +522,17 @@ impl Var {
                     let (av, bv) = (&inner.nodes[*a].value, &inner.nodes[*b].value);
                     let (n, k) = row_dims(av);
                     let (_, m) = row_dims(bv);
-                    // ga += g · bᵀ and gb += aᵀ · g, fused into the
-                    // accumulators without materializing a transpose.
-                    let ga = slot(parents, *a, av);
-                    kernels::matmul_a_bt_into(g.data(), bv.data(), n, m, k, ga.data_mut());
-                    let gb = slot(parents, *b, bv);
-                    kernels::matmul_at_b_into(av.data(), g.data(), n, k, m, gb.data_mut());
+                    if needs(*a) {
+                        let ga = slot(parents, *a, av);
+                        Workspace::with_thread_local(|ws| {
+                            let (g, b) = (g.data(), bv.data());
+                            kernels::matmul_a_bt_into(g, b, n, m, k, ga.data_mut(), ws);
+                        });
+                    }
+                    if needs(*b) {
+                        let gb = slot(parents, *b, bv);
+                        kernels::matmul_at_b_into(av.data(), g.data(), n, k, m, gb.data_mut());
+                    }
                 }
                 Op::Relu(a) => {
                     let av = &inner.nodes[*a].value;
@@ -768,6 +844,111 @@ mod tests {
         let tape = Tape::new();
         let x = tape.leaf(Tensor::ones(&[2, 2]));
         let _ = x.backward();
+    }
+
+    /// The vars of [`pruning_graph`] the differential test names.
+    struct PruningGraph {
+        tape: Tape,
+        loss: Var,
+        /// Registered through `fixed`: constants in one build, leaves in
+        /// the other.
+        fixed: Vec<Var>,
+        /// Computed from `fixed` values alone.
+        untrainable: Vec<Var>,
+        /// Leaves in both builds, and nodes downstream of one.
+        trainable: Vec<Var>,
+    }
+
+    /// A frozen-`Linear` → batch-stat BN → frozen-`Linear` → eval BN →
+    /// residual → entropy + NLL graph that puts a gradient-free operand on
+    /// each side of every two-parent op. `fixed` registers the values a
+    /// BN-only adaptation would freeze.
+    fn pruning_graph(fixed: fn(&Tape, Tensor) -> Var) -> PruningGraph {
+        let mut rng = SmallRng::seed_from_u64(9);
+        let mut randn = |dims: &[usize], mean: f32| Tensor::randn(&mut rng, dims, mean, 1.0);
+        let tape = Tape::new();
+        let x = fixed(&tape, randn(&[5, 4], 0.0));
+        let w1 = fixed(&tape, randn(&[4, 3], 0.0));
+        let b1 = fixed(&tape, randn(&[3], 0.0));
+        let gamma = tape.leaf(randn(&[3], 1.0));
+        let beta = tape.leaf(randn(&[3], 0.0));
+        let w2 = fixed(&tape, randn(&[3, 3], 0.0));
+        let b2 = fixed(&tape, randn(&[3], 0.0));
+        let mean2 = fixed(&tape, randn(&[3], 0.0));
+        let std2 = fixed(&tape, randn(&[3], 0.0).map(|v| v.abs() + 0.5));
+        let gamma2 = tape.leaf(randn(&[3], 1.0));
+        let w3 = tape.leaf(randn(&[4, 3], 0.0));
+        let std3 = tape.leaf(randn(&[3], 0.0).map(|v| v.abs() + 0.5));
+        let mean3 = tape.leaf(randn(&[3], 0.0));
+
+        let h = x.matmul(&w1).add_row(&b1);
+        let mean = h.mean_axis0();
+        let centered = h.sub_row(&mean);
+        let var = centered.mul(&centered).mean_axis0();
+        let x_hat = centered.div_row(&var.add_scalar(1e-5).sqrt());
+        let y = x_hat.mul_row(&gamma).add_row(&beta).relu();
+        let z = y.matmul(&w2).add_row(&b2);
+        let z = z.sub_row(&mean2).div_row(&std2).mul_row(&gamma2);
+        let r = z.add(&y).add(&h).sub(&x_hat);
+        let r = x_hat.sub(&r).mul(&h).add(&h.mul(&r));
+        let side = x.matmul(&w3).add(&h.div_row(&std3)).add(&h.sub_row(&mean3));
+        let lp = r.add(&side).log_softmax();
+        let entropy = lp.exp().mul(&lp).sum_all().scale(-0.2);
+        let loss = entropy.add(&lp.nll_loss(&[0, 2, 1, 1, 0]));
+        PruningGraph {
+            tape,
+            loss,
+            fixed: vec![x, w1, b1, w2, b2, mean2, std2],
+            untrainable: vec![h, mean, centered, var, x_hat],
+            trainable: vec![gamma, beta, gamma2, w3, std3, mean3, y, z, r, side, lp],
+        }
+    }
+
+    #[test]
+    fn constants_prune_the_sweep_and_leave_the_rest_bitwise_equal() {
+        let all_leaves = pruning_graph(|tape, t| tape.leaf(t));
+        let pruned = pruning_graph(|tape, t| tape.constant(t));
+        assert_eq!(all_leaves.tape.len(), pruned.tape.len());
+        assert!(pruned.loss.value().data()[0].is_finite());
+        let full = all_leaves.loss.backward();
+        let grads = pruned.loss.backward();
+
+        for var in all_leaves
+            .fixed
+            .iter()
+            .chain(&all_leaves.untrainable)
+            .chain(&all_leaves.trainable)
+        {
+            assert!(full.get(var).is_some(), "all-leaves tape lost {var:?}");
+        }
+        for var in pruned.fixed.iter().chain(&pruned.untrainable) {
+            assert!(grads.get(var).is_none(), "gradient computed for {var:?}");
+        }
+        for var in &pruned.trainable {
+            assert!(grads.get(var).is_some(), "gradient pruned for {var:?}");
+        }
+        // The two tapes number their nodes alike: every gradient the pruned
+        // sweep still computes is the all-leaves one, bit for bit.
+        let mut surviving = 0;
+        for id in 0..pruned.tape.len() {
+            let Some(g) = grads.by_id(id) else { continue };
+            let reference = full.by_id(id).expect("all-leaves gradient");
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(g), bits(reference), "node {id}");
+            surviving += 1;
+        }
+        assert!(surviving > pruned.trainable.len());
+        assert!(surviving < pruned.tape.len() - pruned.fixed.len());
+    }
+
+    #[test]
+    fn a_root_built_from_constants_has_no_gradients() {
+        let tape = Tape::new();
+        let x = tape.constant(Tensor::ones(&[2, 2]));
+        let loss = x.mul(&x).sum_all();
+        let grads = loss.backward();
+        assert!(grads.get(&loss).is_none());
+        assert!(grads.get(&x).is_none());
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //! output element in the same `p = 0..k` order as the textbook
 //! `i, p, j` triple loop. Its results are therefore bitwise identical to
 //! the naive loop regardless of tiling or thread count. The same holds
-//! for [`matmul_at_b_into`] / [`matmul_a_bt_into`] against their
-//! transpose-then-multiply references, and for [`sum_axis0_into`] against
-//! a row-ordered accumulation.
+//! for [`matmul_at_b_into`] against its transpose-then-multiply reference,
+//! for [`matmul_a_bt_into`] — which *is* transpose-then-[`matmul_into`] —
+//! against the dot-product loop, and for [`sum_axis0_into`] against a
+//! row-ordered accumulation.
 
 use crate::parallel::{num_threads, par_row_bands};
 use crate::simd::{self, SimdTier};
@@ -43,8 +44,13 @@ const MICRO_ROWS: usize = 4;
 const TRANSPOSE_TILE: usize = 32;
 
 /// Minimum multiply-add count before the matmul goes multi-threaded;
-/// below this the scoped-thread spawn overhead dominates.
-const PAR_MIN_MULADDS: usize = 1 << 18;
+/// below this the scoped-thread spawn overhead dominates. Measured on the
+/// two-core reference host, `exact` tier: one spawn-and-join of two bands
+/// costs ≈ 65 µs (a 64×96×96 product, 2^19.2 multiply-adds, takes 15 µs on
+/// one worker and 82 µs on two; 160×128×128, 2^21.3, takes 82 against
+/// 114 µs), and two workers first draw level at 256³ = 2^24 (395 µs each
+/// way), winning 1.5× at 384³ and 1.9× at 512³.
+const PAR_MIN_MULADDS: usize = 1 << 24;
 
 /// `out = a · b` for row-major `a: [n, k]`, `b: [k, m]`, `out: [n, m]`.
 ///
@@ -68,7 +74,7 @@ pub fn matmul_into(
 }
 
 /// The worker count [`matmul_into`] picks for an `[n, k] x [k, m]`
-/// product: [`num_threads`] from `PAR_MIN_MULADDS` (2^18) multiply-adds
+/// product: [`num_threads`] from `PAR_MIN_MULADDS` (2^24) multiply-adds
 /// up, one below it.
 pub fn auto_threads(n: usize, k: usize, m: usize) -> usize {
     // `saturating_mul`: at fleet scale the muladd count can exceed
@@ -300,29 +306,58 @@ pub fn matmul_at_b_into(a: &[f32], g: &[f32], n: usize, k: usize, m: usize, out:
 
 /// `out += g · bᵀ` for row-major `g: [n, m]`, `b: [k, m]`, `out: [n, k]`.
 ///
-/// Equivalent to `g.matmul(&b.transpose())` without materializing the
-/// transpose: each output element is a dot product over `j = 0..m` in
-/// order. Accumulates into `out` (zero it first for a plain product).
+/// Transposes `b` and runs [`matmul_into`] on it, both into scratch from
+/// `ws`, then adds the product into `out` (zero it first for a plain
+/// product). Every output element is therefore a sum from zero of the
+/// products over `j = 0..m` in order, followed by one add into `out` —
+/// the operations of the textbook dot-product loop, in its order — so the
+/// result is bitwise that loop's in the `off` and `exact` tiers, at any
+/// thread count, while the multiply-adds run in the packed forward kernel.
 ///
 /// # Panics
 ///
 /// Panics if any slice length disagrees with the given dimensions.
-pub fn matmul_a_bt_into(g: &[f32], b: &[f32], n: usize, m: usize, k: usize, out: &mut [f32]) {
+pub fn matmul_a_bt_into(
+    g: &[f32],
+    b: &[f32],
+    n: usize,
+    m: usize,
+    k: usize,
+    out: &mut [f32],
+    ws: &mut Workspace,
+) {
+    let threads = auto_threads(n, m, k);
+    matmul_a_bt_into_tier(g, b, n, m, k, out, ws, threads, simd::env_tier());
+}
+
+/// [`matmul_a_bt_into`] with an explicit thread count and [`SimdTier`] —
+/// the hook the equivalence suite sweeps within one process.
+///
+/// # Panics
+///
+/// Panics if any slice length disagrees with the given dimensions.
+#[allow(clippy::too_many_arguments)]
+pub fn matmul_a_bt_into_tier(
+    g: &[f32],
+    b: &[f32],
+    n: usize,
+    m: usize,
+    k: usize,
+    out: &mut [f32],
+    ws: &mut Workspace,
+    threads: usize,
+    tier: SimdTier,
+) {
     assert_eq!(g.len(), n * m, "matmul_a_bt lhs length");
     assert_eq!(b.len(), k * m, "matmul_a_bt rhs length");
     assert_eq!(out.len(), n * k, "matmul_a_bt out length");
-    for i in 0..n {
-        let g_row = &g[i * m..(i + 1) * m];
-        let out_row = &mut out[i * k..(i + 1) * k];
-        for (p, o) in out_row.iter_mut().enumerate() {
-            let b_row = &b[p * m..(p + 1) * m];
-            let mut acc = 0.0f32;
-            for (&gv, &bv) in g_row.iter().zip(b_row) {
-                acc += gv * bv;
-            }
-            *o += acc;
-        }
-    }
+    let mut bt = ws.take_filled_later(m * k);
+    transpose_into(b, k, m, &mut bt);
+    let mut product = ws.take_filled_later(n * k);
+    matmul_into_tier(g, &bt, n, m, k, &mut product, ws, threads, tier);
+    add_assign(out, &product);
+    ws.recycle(product);
+    ws.recycle(bt);
 }
 
 /// `dst = srcᵀ` for row-major `src: [n, m]`, `dst: [m, n]`, using
@@ -651,7 +686,7 @@ mod tests {
         let g = ramp(n * m, 0.5);
         let b = ramp(k * m, 0.25);
         let mut out = vec![0.0f32; n * k];
-        matmul_a_bt_into(&g, &b, n, m, k, &mut out);
+        matmul_a_bt_into(&g, &b, n, m, k, &mut out, &mut Workspace::new());
         let mut bt = vec![0.0f32; k * m];
         transpose_into(&b, k, m, &mut bt);
         assert_eq!(out, naive_matmul(&g, &bt, n, m, k));

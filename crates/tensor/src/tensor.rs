@@ -494,11 +494,9 @@ impl Tensor {
                 rhs: row.dims().to_vec(),
             });
         }
-        let mut data = Vec::with_capacity(self.data.len());
-        for chunk in self.data.chunks_exact(d) {
-            for (a, b) in chunk.iter().zip(row.data.iter()) {
-                data.push(f(*a, *b));
-            }
+        let mut data = vec![0.0f32; self.data.len()];
+        for (out, chunk) in data.chunks_exact_mut(d).zip(self.data.chunks_exact(d)) {
+            kernels::zip_into(chunk, &row.data, out, &f);
         }
         Ok(Tensor {
             data,

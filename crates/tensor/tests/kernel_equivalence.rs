@@ -35,6 +35,24 @@ fn naive_matmul(a: &[f32], b: &[f32], n: usize, k: usize, m: usize) -> Vec<f32> 
     out
 }
 
+/// The scalar `out += g · bT` dot-product loop `matmul_a_bt_into` ran
+/// before it was rebuilt on the packed forward kernel — `g: [n, m]`,
+/// `b: [k, m]`, `out: [n, k]`, each element a sum from zero over
+/// `j = 0..m` in order, then one add into `out`. Kept here as the oracle.
+fn dot_loop_a_bt(g: &[f32], b: &[f32], n: usize, m: usize, k: usize, out: &mut [f32]) {
+    for i in 0..n {
+        let g_row = &g[i * m..(i + 1) * m];
+        for p in 0..k {
+            let b_row = &b[p * m..(p + 1) * m];
+            let mut acc = 0.0f32;
+            for (&gv, &bv) in g_row.iter().zip(b_row) {
+                acc += gv * bv;
+            }
+            out[i * k + p] += acc;
+        }
+    }
+}
+
 /// Naive transpose of row-major `[n, m]`.
 fn naive_transpose(src: &[f32], n: usize, m: usize) -> Vec<f32> {
     let mut dst = vec![0.0f32; n * m];
@@ -103,19 +121,46 @@ proptest! {
 
     #[test]
     fn matmul_a_bt_matches_transposed_naive(
-        n in 1usize..16,
-        k in 1usize..16,
-        m in 1usize..16,
+        n in 1usize..80,
+        k in 1usize..80,
+        m in 1usize..80,
+        threads in 1usize..=8,
         seed in 0u64..1_000,
     ) {
-        // out[n, k] += g · bT, each element a dot over j in order.
+        // out[n, k] += g · bT: the kernel transposes `b` and runs the packed
+        // forward matmul; the oracle is the dot-product loop it replaced.
+        // Dims to 80 cross the 32-column panel and 4-row block edges, and
+        // `out` enters non-zero so the final add is part of the check.
         let g = data(seed, n * m);
         let b = data(seed.wrapping_add(4), k * m);
-        let mut out = vec![0.0f32; n * k];
-        kernels::matmul_a_bt_into(&g, &b, n, m, k, &mut out);
-        let reference = naive_matmul(&g, &naive_transpose(&b, k, m), n, m, k);
-        for (&o, &r) in out.iter().zip(&reference) {
-            prop_assert!(o == r, "a_bt {o} != reference {r}");
+        let entry = data(seed.wrapping_add(14), n * k);
+        let mut reference = entry.clone();
+        dot_loop_a_bt(&g, &b, n, m, k, &mut reference);
+        let mut ws = Workspace::new();
+        for tier in [SimdTier::Off, SimdTier::Exact] {
+            let mut out = entry.clone();
+            kernels::matmul_a_bt_into_tier(&g, &b, n, m, k, &mut out, &mut ws, threads, tier);
+            for (i, (&o, &r)) in out.iter().zip(&reference).enumerate() {
+                prop_assert!(
+                    o.to_bits() == r.to_bits(),
+                    "tier {tier:?} threads {threads} element {i}: {o} != oracle {r}",
+                );
+            }
+        }
+        // The fast tier contracts each multiply-add: same envelope as
+        // `simd_fast_matmul_is_ulp_bounded_vs_scalar_oracle`, over the
+        // accumulation length m.
+        let mut fast = entry.clone();
+        kernels::matmul_a_bt_into_tier(&g, &b, n, m, k, &mut fast, &mut ws, threads, SimdTier::Fast);
+        let abs_g: Vec<f32> = g.iter().map(|x| x.abs()).collect();
+        let abs_bt: Vec<f32> = naive_transpose(&b, k, m).iter().map(|x| x.abs()).collect();
+        let abs_ref = naive_matmul(&abs_g, &abs_bt, n, m, k);
+        for i in 0..n * k {
+            let tol = 1e-6 + abs_ref[i] * (m as f32) * 1e-6;
+            prop_assert!(
+                (fast[i] - reference[i]).abs() <= tol,
+                "fast {} vs oracle {} (tol {tol})", fast[i], reference[i],
+            );
         }
     }
 
