@@ -303,23 +303,6 @@ criterion_group!(
 /// Runs every group and writes `BENCH_tensor.json` under a header naming
 /// what shaped the numbers: commit, host, thread width and SIMD tier.
 fn main() {
-    let capture = |program: &str, args: &[&str]| {
-        std::process::Command::new(program)
-            .args(args)
-            .output()
-            .ok()
-            .filter(|out| out.status.success())
-            .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
-            .unwrap_or_else(|| "unknown".to_string())
-    };
-    let cpu = std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|text| {
-            let line = text.lines().find(|l| l.starts_with("model name"))?;
-            Some(line.split(':').nth(1)?.trim().to_string())
-        })
-        .unwrap_or_else(|| "unknown".to_string());
-    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     // A process that has run for a while has freed multi-megabyte buffers
     // (datasets, log columns), and glibc raises its heap-trim threshold
     // when it has. One that goes straight to a tape step has not: it hands
@@ -329,15 +312,9 @@ fn main() {
     // tape and pin the heap. Free one such buffer before timing anything.
     drop(black_box(vec![0u8; 24 << 20]));
     let mut criterion = Criterion::default();
-    criterion.header(
-        "commit",
-        capture("git", &["describe", "--always", "--dirty"]),
-    );
-    criterion.header("cpu", cpu);
-    criterion.header("nproc", nproc);
-    criterion.header("threads", nazar_tensor::parallel::num_threads());
-    criterion.header("simd", nazar_tensor::simd::env_tier().as_str());
-    criterion.header("rustc", capture("rustc", &["--version"]));
+    for (key, value) in nazar_bench::report::run_header() {
+        criterion.header(key, value);
+    }
     benches(&mut criterion);
     criterion.finalize();
 }

@@ -1,8 +1,8 @@
-//! Million-device fleet benchmark for the event-driven scheduler.
+//! Million-device benchmark for the columnar fleet.
 //!
 //! Builds a [`nazar_device::FleetSim`] over 1,000,000 devices (64
-//! locations), replays two windows of one inference each through the
-//! virtual-time event queue, broadcasts one BN-patch deployment between
+//! locations), replays two windows of one inference each — one batched
+//! pass per window — broadcasts one BN-patch deployment between
 //! them (exercising the shared version arena: one payload, a million pool
 //! references), and batch-ingests every emitted drift-log entry. This is
 //! the scale the struct-of-arrays `FleetState` exists for — a fleet of
@@ -12,7 +12,7 @@
 //! `fleet_scale` rows survive; override the path with `NAZAR_BENCH_OUT`):
 //!
 //! * `fleet_million/devices` — fleet size held in memory;
-//! * `fleet_million/devices_per_sec` — scheduler throughput over the
+//! * `fleet_million/devices_per_sec` — window-pass throughput over the
 //!   replayed windows;
 //! * `fleet_million/ingest_rows_per_sec` — drift-log batch-ingest rate;
 //! * `fleet_million/peak_rss_bytes` — `VmHWM` from `/proc/self/status`
@@ -48,7 +48,7 @@ fn device_id(device: usize) -> String {
 }
 
 /// Cheap deterministic feature synth — no RNG, so stream construction does
-/// not dominate the scheduler being measured.
+/// not dominate the window pass being measured.
 fn features(device: usize, window: usize) -> Vec<f32> {
     (0..DIM)
         .map(|j| ((device.wrapping_mul(31) + j.wrapping_mul(7) + window * 13) % 97) as f32 / 97.0)
@@ -122,7 +122,7 @@ fn main() {
     let model = MlpResNet::new(ModelArch::tiny(DIM, CLASSES), &mut rng);
     let config = DeviceConfig {
         // Uploads clone raw features; at a million devices the interesting
-        // load is the event queue and the drift log, not sample shipping.
+        // load is the window pass and the drift log, not sample shipping.
         sample_rate: 0.0,
         ..DeviceConfig::default()
     };

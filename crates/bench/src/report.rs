@@ -208,11 +208,47 @@ pub fn bench_row(id: &str, fields: &[(&str, f64)]) -> serde::Value {
     serde::Value::Map(entries)
 }
 
-/// Merges bench rows into the `{"benches": [...]}` JSON file at `path`:
-/// existing rows whose `id` starts with `prefix` are replaced by `rows`,
-/// everything else is preserved. This is how `fleet_scale` and
-/// `fleet_million` share `BENCH_fleet.json` without clobbering each
-/// other's sections. A missing or unparsable file starts fresh.
+/// What shaped a bench run's numbers, as `(key, value)` lines for the
+/// report's `header` object: commit, host CPU, core count, thread width,
+/// SIMD tier and compiler. A value that cannot be read is `"unknown"`.
+pub fn run_header() -> Vec<(&'static str, String)> {
+    let capture = |program: &str, args: &[&str]| {
+        std::process::Command::new(program)
+            .args(args)
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
+            .unwrap_or_else(|| "unknown".to_string())
+    };
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|text| {
+            let line = text.lines().find(|l| l.starts_with("model name"))?;
+            Some(line.split(':').nth(1)?.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string());
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    vec![
+        (
+            "commit",
+            capture("git", &["describe", "--always", "--dirty"]),
+        ),
+        ("cpu", cpu),
+        ("nproc", nproc.to_string()),
+        ("threads", nazar_tensor::parallel::num_threads().to_string()),
+        ("simd", nazar_tensor::simd::env_tier().as_str().to_string()),
+        ("rustc", capture("rustc", &["--version"])),
+    ]
+}
+
+/// Merges bench rows into the `{"header": {...}, "benches": [...]}` JSON
+/// file at `path`: existing rows whose `id` starts with `prefix` are
+/// replaced by `rows`, everything else is preserved. This is how
+/// `fleet_scale` and `fleet_million` share `BENCH_fleet.json` without
+/// clobbering each other's sections. A missing or unparsable file starts
+/// fresh. The header is this run's [`run_header`] — a file has one, so
+/// re-record all of its sections in one session.
 ///
 /// # Errors
 ///
@@ -241,7 +277,14 @@ pub fn merge_bench_json(path: &str, prefix: &str, rows: Vec<serde::Value>) -> st
         _ => true,
     });
     benches.extend(rows);
-    let doc = serde::Value::Map(vec![("benches".to_string(), serde::Value::Seq(benches))]);
+    let header = run_header()
+        .into_iter()
+        .map(|(key, value)| (key.to_string(), serde::Value::Str(value)))
+        .collect();
+    let doc = serde::Value::Map(vec![
+        ("header".to_string(), serde::Value::Map(header)),
+        ("benches".to_string(), serde::Value::Seq(benches)),
+    ]);
     let json = serde_json::to_string(&doc).expect("bench JSON serializes");
     std::fs::write(path, json + "\n")
 }
@@ -268,6 +311,7 @@ mod merge_tests {
 
         let text = std::fs::read_to_string(path).expect("read back");
         assert!(text.contains("a/z") && text.contains("b/y"));
+        assert!(text.contains("\"header\"") && text.contains("\"rustc\""));
         assert!(!text.contains("a/x"), "old section rows must be replaced");
         let _ = std::fs::remove_file(path);
     }

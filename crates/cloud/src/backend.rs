@@ -1,12 +1,14 @@
-//! Fleet scheduler selection: event-driven virtual time vs legacy lockstep.
+//! Fleet engine selection: the columnar fleet vs legacy lockstep.
 //!
 //! The orchestrator drives its fleet through this thin dispatch layer so
 //! the two simulation engines stay interchangeable:
 //!
 //! * [`SchedulerMode::EventDriven`] (the default) runs
-//!   [`nazar_device::FleetSim`] — the binary-heap virtual-time scheduler
-//!   with struct-of-arrays device state and registry-pooled model versions,
-//!   built to hold 1M+ devices in memory (`fleet_million` bench).
+//!   [`nazar_device::FleetSim`] — one batched pass per window over
+//!   struct-of-arrays device state and registry-pooled model versions,
+//!   with a clock on the exchange's virtual timeline, built to hold 1M+
+//!   devices in memory (`fleet_million` bench). The variant keeps the name
+//!   of the event queue `FleetSim` replayed windows through until ISSUE 19.
 //! * [`SchedulerMode::Lockstep`] keeps the original
 //!   [`nazar_device::Fleet`] of whole `Device` structs, each window
 //!   replayed as one parallel sweep.
@@ -25,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// Which fleet engine the orchestrator runs (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum SchedulerMode {
-    /// Event-driven virtual-time scheduler ([`FleetSim`]).
+    /// The columnar virtual-time fleet ([`FleetSim`]).
     #[default]
     EventDriven,
     /// Legacy lockstep window sweep ([`Fleet`]).
@@ -37,7 +39,7 @@ pub enum SchedulerMode {
 pub enum FleetBackend {
     /// Legacy lockstep engine.
     Lockstep(Fleet),
-    /// Event-driven virtual-time engine.
+    /// The columnar virtual-time engine.
     Event(Box<FleetSim>),
 }
 

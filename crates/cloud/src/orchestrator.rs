@@ -147,8 +147,8 @@ pub struct CloudConfig {
     /// [`DriftLog::retain_last`], which drops whole head index segments.
     #[serde(default)]
     pub log_retention: Option<usize>,
-    /// Which fleet engine runs the devices: the event-driven virtual-time
-    /// scheduler (default) or the legacy lockstep window sweep. The two are
+    /// Which fleet engine runs the devices: the columnar virtual-time
+    /// fleet (default) or the legacy lockstep window sweep. The two are
     /// bitwise equivalent (golden-trace pinned); lockstep survives as the
     /// differential oracle.
     #[serde(default)]

@@ -20,8 +20,8 @@
 //! All state machines are plain sequential `f64`/`f32` arithmetic with no
 //! internal parallelism or wall-clock inputs, so verdicts are bitwise
 //! reproducible across `NAZAR_NUM_THREADS` settings and across the lockstep
-//! and event-driven fleet engines (which thread this state identically to
-//! the per-device RNG).
+//! and columnar fleet engines (both feed a device's detector its MSP
+//! scores in stream order).
 //!
 //! Zoo activity is observable through the self-gated `nazar_detect_*`
 //! counters (observations, alarms, reference fits — labeled per detector).

@@ -196,9 +196,9 @@ static FORWARD_ROWS: LazyCounter = LazyCounter::new(
 /// One pass serves both the prediction and the MSP detector — the reason
 /// the paper picks this detector ("the logit scores are computed by the
 /// inference anyways"). A row's result does not depend on the rows stacked
-/// with it ([`MlpResNet::infer_into`]), which is what lets the event-driven
-/// scheduler batch what [`Device::process`] runs one item at a time and
-/// still match it bit for bit. The matmuls stay on the calling thread: the
+/// with it ([`MlpResNet::infer_into`]), which is what lets
+/// [`crate::FleetSim`] batch what [`Device::process`] runs one item at a
+/// time and still match it bit for bit. The matmuls stay on the calling thread: the
 /// fleet's parallelism is across devices, not inside a forward.
 pub(crate) fn forward_rows(
     model: &MlpResNet,
@@ -231,11 +231,11 @@ fn forward_item(model: &MlpResNet, item: &StreamItem) -> (usize, f32) {
 
 /// The emission half of the on-device loop: drift-log entry and the sampled
 /// upload (one RNG draw per item). The drift verdict is computed by the
-/// caller's [`StreamDetector`] — detector state is per-device and must live
-/// with the device (lockstep) or be threaded through the batch job
-/// (event-driven scheduler). `seq` is the device's entry sequence number
+/// caller's [`StreamDetector`] — detector state is per-device and lives
+/// with the device (lockstep) or in the fleet's detector column
+/// ([`crate::FleetSim`]). `seq` is the device's entry sequence number
 /// *after* incrementing for this item. Shared by [`Device::process`] and
-/// the event-driven scheduler.
+/// [`crate::FleetSim`].
 pub(crate) fn emit_outputs<R: Rng + ?Sized>(
     item: &StreamItem,
     attrs: Vec<Attribute>,

@@ -284,8 +284,8 @@ impl Fleet {
             record_stats(part);
         }
         // Window-close telemetry snapshot, stamped with the virtual time
-        // the event-driven engine would assign this boundary (the lockstep
-        // engine has no clock of its own) — same trigger, same timeline.
+        // `FleetSim` closes this window at (the lockstep engine has no
+        // clock of its own) — same trigger, same timeline.
         if nazar_obs::enabled() {
             let (_, end_day) = SimDate::window_range(w, windows);
             nazar_obs::telemetry::snapshot(
@@ -334,7 +334,7 @@ static UPLOADS: LazyCounter = LazyCounter::new(
 );
 
 /// Exports one window's aggregated statistics as fleet-wide counters
-/// (shared with the event-driven scheduler).
+/// (shared with [`crate::FleetSim`]).
 pub(crate) fn record_stats(out: &WindowOutput) {
     if !nazar_obs::enabled() {
         return;
@@ -348,8 +348,8 @@ pub(crate) fn record_stats(out: &WindowOutput) {
     UPLOADS.add(out.uploads.len() as u64);
 }
 
-/// Folds one processed item into a window output (shared with the
-/// event-driven scheduler).
+/// Folds one processed item into a window output (shared with
+/// [`crate::FleetSim`]).
 pub(crate) fn tally(out: &mut WindowOutput, item: &StreamItem, result: DeviceOutput) {
     out.stats.total += 1;
     if result.correct {

@@ -29,8 +29,7 @@ mod state;
 
 pub use device::{Device, DeviceConfig, DeviceOutput, UploadedSample};
 pub use fleet::{Fleet, WindowOutput, WindowStats};
-pub use scheduler::{peak_rss_bytes, FleetSim, TraceEvent, DAY_US, FORWARD_ROWS_CAP};
-pub use state::{DevicePools, FleetState, PoolSlot, CONF_HISTORY};
+pub use scheduler::{peak_rss_bytes, FleetSim, DAY_US, FORWARD_ROWS_CAP};
 
 use nazar_data::StreamItem;
 use nazar_log::Attribute;

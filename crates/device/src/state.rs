@@ -3,14 +3,20 @@
 //! [`crate::Fleet`] keeps one boxed [`crate::Device`] per device — a model
 //! clone, a payload-owning [`nazar_registry::ModelPool`], strings — which
 //! caps a single-process simulation at tens of thousands of devices. The
-//! event-driven scheduler ([`crate::FleetSim`]) instead keeps *columns*:
+//! columnar fleet ([`crate::FleetSim`]) instead keeps *columns*:
 //!
 //! * [`FleetState`] — parallel per-device columns (sorted ids, interned
-//!   location codes, entry sequence numbers, a fixed-depth confidence
-//!   history ring for the detector, pending-outbox cursors);
+//!   location codes, entry sequence numbers);
 //! * [`DevicePools`] — per-device model-version pools as flat slot columns
 //!   whose payloads live **once** in a shared
 //!   [`nazar_registry::VersionArena`] and are referenced by id.
+//!
+//! With the fleet's detector column that is about 300 bytes a device at
+//! the default configuration, instead of a model clone each: a 24-byte id
+//! header plus the id's characters, 12 bytes of location code and
+//! sequence number, 108 of pool (eight 12-byte slots and three counters)
+//! and 152 of [`nazar_detect::StreamDetector`] (the windowed kinds own
+//! their sample buffers on top).
 //!
 //! [`DevicePools`] reimplements [`nazar_registry::ModelPool`]'s
 //! consolidation and selection semantics *exactly* (same-attrs replace,
@@ -21,12 +27,9 @@
 use nazar_registry::{VersionArena, VersionMeta};
 use std::collections::HashMap;
 
-/// Depth of the per-device confidence (MSP) history ring.
-pub const CONF_HISTORY: usize = 4;
-
 /// Parallel per-device state columns (see the module docs).
 #[derive(Debug, Clone)]
-pub struct FleetState {
+pub(crate) struct FleetState {
     /// Device ids, sorted; the device index used by every other column is
     /// the position in this vector.
     ids: Vec<String>,
@@ -36,22 +39,13 @@ pub struct FleetState {
     location_of: Vec<u32>,
     /// Per device: drift-log entry sequence number (drives timestamps).
     seq: Vec<u64>,
-    /// Per device: last `CONF_HISTORY` MSP scores, ring layout.
-    conf: Vec<f32>,
-    /// Per device: ring write position.
-    conf_pos: Vec<u8>,
-    /// Per device: valid entries in the ring (saturates at the depth).
-    conf_len: Vec<u8>,
-    /// Per device: drift-log entries handed to the uplink so far (the
-    /// pending-outbox cursor advanced by `UploadFlush` events).
-    flushed: Vec<u64>,
 }
 
 impl FleetState {
     /// Builds the columns for `devices` (`(id, location)` pairs). Duplicate
     /// ids keep the first occurrence's location, mirroring
     /// [`crate::Fleet::from_streams`]; ids are sorted internally.
-    pub fn new(devices: impl IntoIterator<Item = (String, String)>) -> Self {
+    pub(crate) fn new(devices: impl IntoIterator<Item = (String, String)>) -> Self {
         let mut seen: HashMap<String, String> = HashMap::new();
         let mut ids: Vec<String> = Vec::new();
         for (id, location) in devices {
@@ -79,89 +73,51 @@ impl FleetState {
             locations,
             location_of,
             seq: vec![0; n],
-            conf: vec![0.0; n * CONF_HISTORY],
-            conf_pos: vec![0; n],
-            conf_len: vec![0; n],
-            flushed: vec![0; n],
         }
     }
 
     /// Number of devices.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.ids.len()
     }
 
     /// Whether the fleet is empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.ids.is_empty()
     }
 
     /// The sorted device ids.
-    pub fn ids(&self) -> &[String] {
+    pub(crate) fn ids(&self) -> &[String] {
         &self.ids
     }
 
     /// The device index of `id`, if known.
-    pub fn index_of(&self, id: &str) -> Option<usize> {
+    pub(crate) fn index_of(&self, id: &str) -> Option<usize> {
         self.ids
             .binary_search_by(|probe| probe.as_str().cmp(id))
             .ok()
     }
 
     /// The id of device `d`.
-    pub fn id(&self, d: usize) -> &str {
+    pub(crate) fn id(&self, d: usize) -> &str {
         &self.ids[d]
     }
 
     /// The location of device `d`.
-    pub fn location(&self, d: usize) -> &str {
+    pub(crate) fn location(&self, d: usize) -> &str {
         &self.locations[self.location_of[d] as usize]
     }
 
-    /// The entry sequence number of device `d`.
-    pub fn seq(&self, d: usize) -> u64 {
-        self.seq[d]
-    }
-
-    /// Overwrites the entry sequence number of device `d` (written back by
-    /// the scheduler after a parallel batch).
-    pub fn set_seq(&mut self, d: usize, seq: u64) {
-        self.seq[d] = seq;
-    }
-
-    /// Records one MSP score into device `d`'s confidence history ring.
-    pub fn record_conf(&mut self, d: usize, msp: f32) {
-        let pos = self.conf_pos[d] as usize;
-        self.conf[d * CONF_HISTORY + pos] = msp;
-        self.conf_pos[d] = ((pos + 1) % CONF_HISTORY) as u8;
-        self.conf_len[d] = (self.conf_len[d] + 1).min(CONF_HISTORY as u8);
-    }
-
-    /// Mean of device `d`'s recorded confidence history (0 when empty).
-    pub fn conf_mean(&self, d: usize) -> f32 {
-        let len = self.conf_len[d] as usize;
-        if len == 0 {
-            return 0.0;
-        }
-        let base = d * CONF_HISTORY;
-        self.conf[base..base + len].iter().sum::<f32>() / len as f32
-    }
-
-    /// Advances device `d`'s pending-outbox cursor by `entries` flushed
-    /// drift-log rows.
-    pub fn advance_outbox(&mut self, d: usize, entries: u64) {
-        self.flushed[d] += entries;
-    }
-
-    /// Total drift-log entries device `d` has handed to the uplink.
-    pub fn flushed(&self, d: usize) -> u64 {
-        self.flushed[d]
+    /// The entry sequence number column, one per device in index order
+    /// (a window's pass borrows each participant's in place).
+    pub(crate) fn seqs_mut(&mut self) -> &mut [u64] {
+        &mut self.seq
     }
 
     /// Device indices a version's cause can ever match (ascending): a cause
     /// naming a `location` or `device_id` only matches those devices —
     /// the column-level twin of [`crate::Fleet::target_ids`].
-    pub fn target_indices(&self, meta: &VersionMeta) -> Vec<usize> {
+    pub(crate) fn target_indices(&self, meta: &VersionMeta) -> Vec<usize> {
         let location = meta.attrs.iter().find(|a| a.key == "location");
         let device_id = meta.attrs.iter().find(|a| a.key == "device_id");
         (0..self.len())
@@ -178,13 +134,13 @@ impl FleetState {
 /// device-local bookkeeping [`nazar_registry::ModelPool`] keeps per
 /// [`nazar_registry::ModelVersion`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolSlot {
+pub(crate) struct PoolSlot {
     /// The shared version in the fleet's [`VersionArena`].
-    pub arena: u32,
+    pub(crate) arena: u32,
     /// Device-local version id (mirrors `ModelVersion::id`).
-    pub local_id: u32,
+    pub(crate) local_id: u32,
     /// Device-local logical deploy time (mirrors `ModelVersion::updated_at`).
-    pub updated_at: u32,
+    pub(crate) updated_at: u32,
 }
 
 /// Per-device slot storage: one flat stride-`capacity` column when the pool
@@ -197,7 +153,7 @@ enum SlotStorage {
 
 /// Every device's model-version pool, as columns over a shared arena.
 #[derive(Debug, Clone)]
-pub struct DevicePools {
+pub(crate) struct DevicePools {
     capacity: Option<usize>,
     storage: SlotStorage,
     /// Per device: live slots (insertion order is slot order).
@@ -211,7 +167,7 @@ pub struct DevicePools {
 impl DevicePools {
     /// Pools for `n` devices with the given per-device capacity (`None`
     /// disables the LRU bound, as in [`nazar_registry::ModelPool::new`]).
-    pub fn new(n: usize, capacity: Option<usize>) -> Self {
+    pub(crate) fn new(n: usize, capacity: Option<usize>) -> Self {
         let storage = match capacity {
             Some(cap) => SlotStorage::Flat {
                 stride: cap,
@@ -236,7 +192,7 @@ impl DevicePools {
     }
 
     /// Live slots of device `d`, in insertion order.
-    pub fn slots(&self, d: usize) -> &[PoolSlot] {
+    pub(crate) fn slots(&self, d: usize) -> &[PoolSlot] {
         let len = self.lens[d] as usize;
         match &self.storage {
             SlotStorage::Flat { stride, slots } => &slots[d * stride..d * stride + len],
@@ -244,13 +200,8 @@ impl DevicePools {
         }
     }
 
-    /// Stored versions on device `d`.
-    pub fn len_of(&self, d: usize) -> usize {
-        self.lens[d] as usize
-    }
-
     /// Maximum stored versions on any device.
-    pub fn max_len(&self) -> usize {
+    pub(crate) fn max_len(&self) -> usize {
         self.lens.iter().copied().max().unwrap_or(0) as usize
     }
 
@@ -259,7 +210,7 @@ impl DevicePools {
     /// byte-for-byte: same-attrs replacement, subsumption eviction, then
     /// first-minimum LRU eviction beyond capacity. Acquires one arena
     /// reference for the stored slot and releases one per evicted slot.
-    pub fn deploy<P>(&mut self, arena: &mut VersionArena<P>, d: usize, version: u32) {
+    pub(crate) fn deploy<P>(&mut self, arena: &mut VersionArena<P>, d: usize, version: u32) {
         self.clocks[d] += 1;
         let stored = PoolSlot {
             arena: version,
@@ -328,7 +279,7 @@ impl DevicePools {
     /// then risk ratio, then recency — with the *last* maximal slot
     /// winning full ties, as `Iterator::max_by` resolves them.
     /// Returns `(local version id, arena id)`.
-    pub fn select<P>(
+    pub(crate) fn select<P>(
         &self,
         arena: &VersionArena<P>,
         d: usize,
@@ -386,17 +337,6 @@ mod tests {
     }
 
     #[test]
-    fn conf_ring_wraps_and_averages() {
-        let mut state = FleetState::new(vec![("d0".to_string(), "x".to_string())]);
-        assert_eq!(state.conf_mean(0), 0.0);
-        for v in [0.2f32, 0.4, 0.6, 0.8, 1.0] {
-            state.record_conf(0, v);
-        }
-        // Ring depth 4: the 0.2 fell off; mean of {0.4, 0.6, 0.8, 1.0}.
-        assert!((state.conf_mean(0) - 0.7).abs() < 1e-6);
-    }
-
-    #[test]
     fn target_indices_filter_by_location_and_device() {
         let state = FleetState::new(vec![
             ("a".to_string(), "nyc".to_string()),
@@ -426,7 +366,7 @@ mod tests {
             pools.deploy(&mut arena, 0, vid);
             arena.release(vid);
 
-            assert_eq!(reference.len(), pools.len_of(0), "pool sizes diverged");
+            assert_eq!(reference.len(), pools.slots(0).len(), "pool sizes diverged");
             for (v, slot) in reference.versions().iter().zip(pools.slots(0)) {
                 assert_eq!(v.id, u64::from(slot.local_id));
                 assert_eq!(v.updated_at, u64::from(slot.updated_at));

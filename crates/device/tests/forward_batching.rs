@@ -1,6 +1,6 @@
-//! Counted, clock-free proof that the scheduler batches: a day's arrivals
+//! Counted, clock-free proof that the fleet batches: a window's arrivals
 //! cost one forward per selected model version and
-//! [`FORWARD_ROWS_CAP`]-row piece — never one per item.
+//! [`FORWARD_ROWS_CAP`]-row piece — never one per item, nor one per day.
 //!
 //! The two counters are process-wide, so this suite is a test binary of
 //! its own with a single test: nothing else in the process runs forwards.
@@ -32,13 +32,13 @@ fn forwards() -> (u64, u64) {
 }
 
 #[test]
-fn a_day_batch_issues_one_forward_per_version_and_piece() {
+fn a_window_pass_issues_one_forward_per_version_and_piece() {
     nazar_obs::testing::enable_memory_sink();
     let model = base_model();
     let config = DeviceConfig::default();
 
-    // Days 3 and 4 of the mixed world: 36 and 24 arrivals, each day over
-    // the base model and four versions.
+    // Days 3 and 4 of the mixed world in one window: 36 and 24 arrivals,
+    // each day over the base model and four versions.
     let (streams, deployments) = mixed_version_world();
     let groups = deployments.len() as u64 + 1;
     let mut sim = FleetSim::from_streams(&streams, &model, &config);
@@ -58,12 +58,12 @@ fn a_day_batch_issues_one_forward_per_version_and_piece() {
     );
     assert_eq!(
         calls_1 - calls_0,
-        2 * groups,
-        "two day batches, one forward per selected version in each"
+        groups,
+        "one forward per selected version over both days"
     );
 
-    // One busy day on the base model alone: 12 devices x 50 arrivals is
-    // 600 rows, three pieces at the row cap.
+    // The base model alone: 12 devices x 50 arrivals is 600 rows, three
+    // pieces at the row cap.
     let busy: Vec<_> = (0..600).map(|i| (i % 12, 7u16, i, 0usize)).collect();
     let streams = streams_from(&busy);
     let mut sim = FleetSim::from_streams(&streams, &model, &config);

@@ -1,17 +1,18 @@
-//! Property tests for the event-driven scheduler's determinism contract
-//! (ISSUE 6 satellite): for any randomized stream shape and seed, the
-//! event pop order and the fleet output are identical at every worker
-//! count, and the event engine reproduces the lockstep engine bit-for-bit.
+//! Property tests for the columnar fleet's determinism contract (ISSUE 6
+//! satellite): for any randomized stream shape and seed, the fleet output
+//! and the virtual clock are identical at every worker count, and
+//! `FleetSim` reproduces the lockstep engine bit-for-bit.
 //!
 //! The unit tests in `src/scheduler.rs` pin these properties on one fixed
 //! dataset; here proptest varies the device set, arrival days, labels and
-//! weather mix, the RNG seed, the worker count, and whether a broadcast
-//! deployment lands between windows.
+//! weather mix, the RNG seed, the worker count, the detector, and whether
+//! a broadcast deployment lands between windows.
 
 mod common;
 
 use common::{base_model, donor_patch, mixed_version_world, streams_from, CLASSES};
 use nazar_data::SimDate;
+use nazar_detect::DetectorKind;
 use nazar_device::{DeviceConfig, Fleet, FleetSim};
 use nazar_log::Attribute;
 use nazar_registry::VersionMeta;
@@ -21,8 +22,14 @@ use rand::SeedableRng;
 
 const WINDOWS: usize = 2;
 
-/// One day's chunk mixes the base and four versions; whatever the chunk
-/// count, the batched event engine must hand back the lockstep engine's
+/// Arrivals per drawn tuple in the engine differential, on consecutive
+/// days. A device named by three tuples is past the streaming KS
+/// detector's 96-observation warm-up, so from there its verdicts depend on
+/// the whole MSP history of that device, across days and windows.
+const BURST: usize = 40;
+
+/// Each day of the window mixes the base and four versions; whatever the
+/// chunk count, the batched pass must hand back the lockstep engine's
 /// window byte for byte.
 #[test]
 fn mixed_versions_in_one_day_match_lockstep_at_every_chunk_count() {
@@ -64,9 +71,10 @@ fn mixed_versions_in_one_day_match_lockstep_at_every_chunk_count() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Same seed ⇒ identical event pop order *and* identical fleet output
-    /// at 1 worker vs N workers, across both windows and an optional
-    /// mid-run broadcast deployment.
+    /// Same seed ⇒ identical fleet output — every device's items in its
+    /// own arrival order — *and* identical virtual clock at 1 worker vs N
+    /// workers, across both windows and an optional mid-run broadcast
+    /// deployment.
     #[test]
     fn event_order_and_output_are_thread_invariant(
         seed in 0u64..1_000_000,
@@ -82,7 +90,6 @@ proptest! {
         let config = DeviceConfig::default();
         let run = |workers: usize| {
             let mut sim = FleetSim::from_streams(&streams, &model, &config);
-            sim.set_trace(true);
             let mut rng = SmallRng::seed_from_u64(seed);
             let mut all = Vec::new();
             for w in 0..WINDOWS {
@@ -95,18 +102,19 @@ proptest! {
                     sim.deploy(&meta, &donor_patch(seed));
                 }
             }
-            (sim.take_trace(), all, sim.clock_us())
+            (all, sim.clock_us())
         };
-        let (trace_1, parts_1, clock_1) = run(1);
-        let (trace_n, parts_n, clock_n) = run(threads);
-        prop_assert_eq!(trace_1, trace_n);
+        let (parts_1, clock_1) = run(1);
+        let (parts_n, clock_n) = run(threads);
         prop_assert_eq!(parts_1, parts_n);
         prop_assert_eq!(clock_1, clock_n);
     }
 
-    /// The event engine reproduces the lockstep engine bit-for-bit on any
+    /// `FleetSim` reproduces the lockstep engine bit-for-bit on any
     /// randomized stream shape (the differential the golden trace pins at
-    /// paper scale, here under proptest at unit scale).
+    /// paper scale, here under proptest at unit scale) — with the
+    /// stateless default detector and with a stateful one, which must see
+    /// the same per-device MSP sequence in both engines across windows.
     #[test]
     fn event_engine_matches_lockstep_engine(
         seed in 0u64..1_000_000,
@@ -115,10 +123,16 @@ proptest! {
             1..30,
         ),
         do_deploy in any::<bool>(),
+        stateful in any::<bool>(),
     ) {
+        let raw: Vec<_> = raw
+            .iter()
+            .flat_map(|&(d, day, label, w)| (0..BURST).map(move |k| (d, day + k as u16, label, w)))
+            .collect();
         let streams = streams_from(&raw);
         let model = base_model();
-        let config = DeviceConfig::default();
+        let detector = if stateful { DetectorKind::KsTest } else { DetectorKind::Msp };
+        let config = DeviceConfig { detector, ..DeviceConfig::default() };
         let mut lockstep = Fleet::from_streams(&streams, &model, &config);
         let mut event = FleetSim::from_streams(&streams, &model, &config);
         prop_assert_eq!(lockstep.device_ids(), event.device_ids());

@@ -1,9 +1,8 @@
 //! The shared virtual timeline.
 //!
 //! Every component of the simulation — per-link delivery events inside
-//! [`crate::Exchange`] and, since the event-driven fleet scheduler, the
-//! fleet's own sample/detect/flush events — runs on one monotone virtual
-//! clock counted in microseconds. The clock never sleeps and never reads
+//! [`crate::Exchange`] and the fleet's sample arrivals and window closes
+//! — runs on one monotone virtual clock counted in microseconds. The clock never sleeps and never reads
 //! wall time, so simulated 200 ms RTTs cost nothing, results are
 //! bit-reproducible, and a million-device day replays in however long the
 //! arithmetic takes.

@@ -324,7 +324,7 @@ impl Exchange {
 
     /// Advances the virtual clock to `t_us` (never backwards). The
     /// orchestrator uses this to keep the exchange on the same timeline as
-    /// the event-driven fleet scheduler: fleet windows advance the fleet
+    /// the fleet: fleet windows advance the fleet
     /// clock, uploads and deployments advance this one, and each side syncs
     /// the other forward before handing work over.
     pub fn advance_clock_to(&mut self, t_us: u64) {

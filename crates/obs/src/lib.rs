@@ -65,8 +65,8 @@ pub mod span;
 pub mod telemetry;
 
 pub use metrics::{
-    duration_buckets, pow2_buckets, pow2_buckets_wide, quantile_from_buckets, registry, Counter,
-    Gauge, Histogram, LazyCounter, LazyGauge, LazyHistogram, MetricKind, MetricSnapshot, Registry,
+    duration_buckets, pow2_buckets, quantile_from_buckets, registry, Counter, Gauge, Histogram,
+    LazyCounter, LazyGauge, LazyHistogram, MetricKind, MetricSnapshot, Registry,
 };
 pub use sink::{flush, prometheus_snapshot};
 pub use span::{current_span_id, span, span_child, span_detail, SpanGuard, SpanRecord};

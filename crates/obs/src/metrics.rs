@@ -197,15 +197,6 @@ pub fn pow2_buckets() -> &'static [f64] {
     ]
 }
 
-/// Wide power-of-two buckets for million-scale cardinalities (event-queue
-/// depths, per-batch event counts): 1 to 2^24, every other power of two.
-pub fn pow2_buckets_wide() -> &'static [f64] {
-    &[
-        1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0, 16384.0, 65536.0, 262144.0, 1048576.0,
-        4194304.0, 16777216.0,
-    ]
-}
-
 /// What a metric family measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetricKind {

@@ -3,11 +3,12 @@
 //!
 //! Three guarantees are asserted here:
 //!
-//! 1. with `NAZAR_OBS` unset the instrumentation is a no-op cheap enough to
-//!    sit on kernel hot paths (sub-100ns per call against a 50x-slack
-//!    bound) that moves no counter, and instrumented operations return the
-//!    same bits and count alike with observability on and off (the <5 %
-//!    wall-clock overhead gate runs in CI's telemetry job, not here);
+//! 1. with `NAZAR_OBS` unset the instrumentation is a no-op that can sit
+//!    on kernel hot paths: a call stops at the enabled gate, so it
+//!    registers no series, records no span and moves no counter, and
+//!    instrumented operations return the same bits and count alike with
+//!    observability on and off (no wall-clock bound is asserted here; the
+//!    <5 % overhead gate runs in CI's telemetry job);
 //! 2. experiment *outputs* are bitwise identical with observability on and
 //!    off — monitoring reads the pipeline, never steers it;
 //! 3. counters and histograms stay exact under the workspace's own
@@ -27,7 +28,6 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
 
 /// Serializes tests that toggle the global observability state.
 static OBS_LOCK: Mutex<()> = Mutex::new(());
@@ -63,25 +63,24 @@ fn disabled_instrumentation_costs_nanoseconds_per_call() {
     nazar_obs::testing::disable();
     assert!(!nazar_obs::enabled());
 
-    let n = 1_000_000u64;
-    // Warm the lazy-init path before timing.
-    for i in 0..1_000u64 {
+    for i in 0..1_000_000u64 {
         PROBE_COUNTER.inc();
         PROBE_HIST.observe(i as f64);
         let _span = nazar_obs::span("noop");
     }
-    let start = Instant::now();
-    for i in 0..n {
-        PROBE_COUNTER.inc();
-        PROBE_HIST.observe(i as f64);
-        let _span = nazar_obs::span("noop");
-    }
-    let per_call = start.elapsed().as_nanos() as f64 / (n * 3) as f64;
-    // The disabled path is one lazy-init check plus a relaxed load; 100ns is
-    // ~50x slack over what it measures on any modern core.
+    // Nothing ran behind the gate: the lazily registered probe series do
+    // not exist and no span was opened, so a disabled call is the relaxed
+    // load and the return — a cost no timer is needed to bound.
+    let probes: Vec<String> = nazar_obs::registry()
+        .snapshot()
+        .into_iter()
+        .map(|m| m.name)
+        .filter(|name| name.starts_with("nazar_test_probe"))
+        .collect();
+    assert!(probes.is_empty(), "disabled calls registered {probes:?}");
     assert!(
-        per_call < 100.0,
-        "disabled instrumentation costs {per_call:.1}ns per call"
+        nazar_obs::span::drain().is_empty(),
+        "a disabled span must not be recorded"
     );
 }
 
