@@ -18,10 +18,9 @@ use nazar_check::{
 use nazar_cloud::sanitize_uploads;
 use nazar_detect::eval::sweep_msp_thresholds;
 use nazar_detect::{
-    auroc, msp_of_logits, CsiLike, DetectError, DetectorKind, DriftDetector, EnergyScore,
+    msp_of_logits, CsiLike, DetectError, DetectorKind, DriftDetector, EnergyScore,
     EntropyThreshold, GOdin, KsTestDetector, Mahalanobis, MaxLogitScore, MspThreshold, Odin,
-    OutlierExposure, SslRotation, StreamDetector, StreamingDdm, StreamingEddm, StreamingKs,
-    StreamingMmd, StreamingPsi,
+    OutlierExposure, SslRotation, StreamDetector,
 };
 use nazar_device::{DeviceConfig, Fleet, UploadedSample, WindowStats, LOG_SCHEMA};
 use nazar_log::{DriftLog, DriftLogEntry};
@@ -215,94 +214,17 @@ fn calibrations_survive_poisoned_splits() {
 }
 
 #[test]
-fn zoo_constructors_reject_invalid_parameters_with_typed_errors() {
-    let bad = |r: Result<StreamingKs, DetectError>| {
-        assert!(matches!(r, Err(DetectError::InvalidParameter { .. })));
-    };
-    bad(StreamingKs::new(0.0, 64, 16, 0.05)); // threshold out of (0, 1]
-    bad(StreamingKs::new(1.5, 64, 16, 0.05));
-    bad(StreamingKs::new(0.9, 64, 1, 0.05)); // window too small
-    bad(StreamingKs::new(0.9, 20, 16, 0.05)); // ref < 2·window
-    bad(StreamingKs::new(0.9, 64, 16, 0.0)); // alpha out of (0, 1)
-    bad(StreamingKs::new(0.9, 64, 16, 1.0));
-
-    assert!(matches!(
-        StreamingPsi::new(0.9, 64, 16, 1, 0.2), // < 2 bins
-        Err(DetectError::InvalidParameter { .. })
-    ));
-    assert!(matches!(
-        StreamingPsi::new(0.9, 64, 16, 8, 0.0), // non-positive PSI threshold
-        Err(DetectError::InvalidParameter { .. })
-    ));
-    assert!(matches!(
-        StreamingMmd::new(0.9, 8, 16, 0.05), // ref < 2·window
-        Err(DetectError::InvalidParameter { .. })
-    ));
-    assert!(matches!(
-        StreamingDdm::new(0.0),
-        Err(DetectError::InvalidParameter { .. })
-    ));
-    assert!(matches!(
-        StreamingEddm::new(1.5),
-        Err(DetectError::InvalidParameter { .. })
-    ));
-}
-
-#[test]
-fn zoo_detectors_absorb_poisoned_msp_streams() {
-    // Every zoo member digests a stream laced with every poison value —
-    // through warmup, reference freeze, and steady state — without a panic
-    // and without a non-finite score escaping.
-    for kind in DetectorKind::ALL {
-        let mut det = StreamDetector::new(kind, 0.9);
-        for i in 0..300 {
-            let v = POISON_VALUES[i % POISON_VALUES.len()];
-            let (score, _) = det.observe_scored(v);
-            assert!(
-                score.is_finite(),
-                "{} emitted {score} after poison {v}",
-                kind.name()
-            );
-        }
-    }
-}
-
-#[test]
-fn zoo_detectors_survive_constant_streams() {
-    // A constant stream degenerates every statistic: the KS gap is zero,
-    // every PSI quantile bin edge collapses, and the MMD median heuristic
-    // sees all-zero pairwise distances. None of these may panic, and a
-    // stream that never changes must never alarm.
-    for kind in DetectorKind::ALL {
-        let mut det = StreamDetector::new(kind, 0.9);
-        for _ in 0..300 {
-            let (score, drifted) = det.observe_scored(0.95);
-            assert!(score.is_finite(), "{}", kind.name());
-            assert!(
-                !drifted,
-                "{} alarmed on a constant clean stream",
-                kind.name()
-            );
-        }
+fn stream_detector_answers_poisoned_msp_with_the_plain_comparison() {
+    // The on-device detector is one comparison: no poison value may panic
+    // it or get any verdict other than `v < threshold` (NaN compares false).
+    let mut det = StreamDetector::new(DetectorKind::Msp, 0.9);
+    for v in POISON_VALUES {
+        assert_eq!(det.observe(v), v < 0.9, "poison {v}");
     }
 }
 
 #[test]
 fn eval_primitives_handle_degenerate_score_streams() {
-    // NaN scores rank as most-drifted; all-tied scores are a coin flip;
-    // single-class truth returns the 0.5 convention.
-    let a = auroc(
-        &[f32::NAN, 0.2, 0.9, f32::INFINITY],
-        &[true, false, true, true],
-    );
-    assert!(a.is_finite());
-    assert_eq!(auroc(&[], &[]), 0.5);
-    assert_eq!(auroc(&[0.1, 0.2], &[true, true]), 0.5);
-    assert_eq!(
-        auroc(&[0.5, 0.5, 0.5, 0.5], &[true, false, true, false]),
-        0.5
-    );
-
     let sweep = sweep_msp_thresholds(
         &[f32::NAN, 0.5, f32::NEG_INFINITY],
         &[true, false, true],

@@ -61,7 +61,7 @@ pub mod prelude {
         AnimalsConfig, AnimalsDataset, CityscapesConfig, CityscapesDataset, Corruption, LabeledSet,
         Severity, SimDate, StreamItem, TextConfig, TextDataset, Weather, WeatherModel,
     };
-    pub use nazar_detect::{DetectorKind, DriftDetector, KsTestDetector, MspThreshold};
+    pub use nazar_detect::{DriftDetector, KsTestDetector, MspThreshold};
     pub use nazar_device::{Device, DeviceConfig, Fleet, WindowStats};
     pub use nazar_log::{Attribute, DriftLog, DriftLogEntry};
     pub use nazar_nn::{BnPatch, MlpResNet, ModelArch};

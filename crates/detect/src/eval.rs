@@ -4,7 +4,6 @@
 //! clean and drifted images (Eq. 1, §3.2.2); this module regenerates those
 //! measurements (Figures 2 and 5a).
 
-use crate::policy::nan_last_cmp;
 use crate::DriftDetector;
 use nazar_nn::MlpResNet;
 use nazar_tensor::Tensor;
@@ -74,53 +73,6 @@ fn ratio(num: usize, den: usize) -> f32 {
     } else {
         num as f32 / den as f32
     }
-}
-
-/// Area under the ROC curve of drift scores against ground truth, via the
-/// rank-sum (Mann–Whitney) formulation with tie correction. 0.5 is chance;
-/// 1.0 is perfect separation — the threshold-free companion to F1 used
-/// throughout the OOD-detection literature behind Table 1.
-///
-/// Returns 0.5 when either class is empty.
-///
-/// NaN policy ([`nan_last_cmp`]): a NaN score ranks above every number —
-/// it is treated as "most drifted", consistent with the sentinel scores the
-/// detectors emit for unscorable rows — instead of aborting the rank sort.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn auroc(scores: &[f32], truth: &[bool]) -> f64 {
-    assert_eq!(scores.len(), truth.len(), "one truth label per score");
-    let positives = truth.iter().filter(|&&t| t).count();
-    let negatives = truth.len() - positives;
-    if positives == 0 || negatives == 0 {
-        return 0.5;
-    }
-    // Rank the scores (average ranks over ties).
-    let mut order: Vec<usize> = (0..scores.len()).collect();
-    order.sort_by(|&a, &b| nan_last_cmp(&scores[a], &scores[b]));
-    let mut ranks = vec![0.0f64; scores.len()];
-    let mut i = 0;
-    while i < order.len() {
-        let mut j = i;
-        while j + 1 < order.len() && scores[order[j + 1]] == scores[order[i]] {
-            j += 1;
-        }
-        let avg_rank = (i + j) as f64 / 2.0 + 1.0;
-        for &idx in &order[i..=j] {
-            ranks[idx] = avg_rank;
-        }
-        i = j + 1;
-    }
-    let rank_sum: f64 = truth
-        .iter()
-        .zip(&ranks)
-        .filter(|(&t, _)| t)
-        .map(|(_, &r)| r)
-        .sum();
-    let u = rank_sum - (positives * (positives + 1)) as f64 / 2.0;
-    u / (positives * negatives) as f64
 }
 
 /// Runs a detector over a labeled clean/drifted pair of batches and returns
@@ -298,63 +250,6 @@ mod tests {
         let best = sweep.best().unwrap();
         assert_eq!(best.eval.f1(), 1.0);
         assert!(best.threshold < 0.95);
-    }
-
-    #[test]
-    fn auroc_known_values() {
-        // Perfect separation.
-        let scores = [0.1, 0.2, 0.8, 0.9];
-        let truth = [false, false, true, true];
-        assert!((auroc(&scores, &truth) - 1.0).abs() < 1e-12);
-        // Inverted separation.
-        let truth_inv = [true, true, false, false];
-        assert!(auroc(&scores, &truth_inv).abs() < 1e-12);
-        // All ties -> chance.
-        let flat = [0.5, 0.5, 0.5, 0.5];
-        assert!((auroc(&flat, &truth) - 0.5).abs() < 1e-12);
-        // Single-class input -> defined as chance.
-        assert!((auroc(&scores, &[true; 4]) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn auroc_survives_nan_scores() {
-        // Regression: the rank sort used partial_cmp().expect("finite
-        // scores") and aborted on one NaN. NaN now ranks last (= most
-        // drifted); here the NaN belongs to a positive, so separation stays
-        // perfect.
-        let scores = [0.1, 0.2, 0.8, f32::NAN];
-        let truth = [false, false, true, true];
-        assert!((auroc(&scores, &truth) - 1.0).abs() < 1e-12);
-        // NaN on a negative costs exactly that pair's wins.
-        let truth_flipped = [false, true, true, false];
-        let a = auroc(&scores, &truth_flipped);
-        assert!(a.is_finite() && a < 1.0, "auroc {a}");
-    }
-
-    #[test]
-    fn auroc_matches_pairwise_probability() {
-        // AUROC == P(score_pos > score_neg) + 0.5 P(tie), brute-forced.
-        let scores = [0.3f32, 0.7, 0.7, 0.2, 0.9, 0.4];
-        let truth = [false, true, false, false, true, true];
-        let mut wins = 0.0f64;
-        let mut total = 0.0f64;
-        for (i, &ti) in truth.iter().enumerate() {
-            if !ti {
-                continue;
-            }
-            for (j, &tj) in truth.iter().enumerate() {
-                if tj {
-                    continue;
-                }
-                total += 1.0;
-                if scores[i] > scores[j] {
-                    wins += 1.0;
-                } else if scores[i] == scores[j] {
-                    wins += 0.5;
-                }
-            }
-        }
-        assert!((auroc(&scores, &truth) - wins / total).abs() < 1e-9);
     }
 
     #[test]

@@ -122,119 +122,6 @@ impl KsTestDetector {
     }
 }
 
-/// Kolmogorov's asymptotic survival function
-/// `Q(λ) = 2 Σ_{k≥1} (-1)^{k-1} exp(-2 k² λ²)`.
-///
-/// This is the limiting distribution of `√(nm/(n+m)) · D` under the null;
-/// the classic critical values are its quantiles (`Q(1.22) ≈ 0.10`,
-/// `Q(1.36) ≈ 0.05`, `Q(1.63) ≈ 0.01` — pinned against the published
-/// Kolmogorov table in `tests/stat_references.rs`). Non-positive `λ`
-/// returns `1.0`; the alternating series is summed until the terms fall
-/// below `1e-12` and the result is clamped to `[0, 1]`.
-pub fn kolmogorov_q(lambda: f64) -> f64 {
-    // NaN is no drift evidence, like a non-positive λ: p = 1.
-    if lambda.is_nan() || lambda <= 0.0 {
-        return 1.0;
-    }
-    let mut sum = 0.0f64;
-    let mut sign = 1.0f64;
-    for k in 1..=100u32 {
-        let k = f64::from(k);
-        let term = (-2.0 * k * k * lambda * lambda).exp();
-        sum += sign * term;
-        if term < 1e-12 {
-            break;
-        }
-        sign = -sign;
-    }
-    (2.0 * sum).clamp(0.0, 1.0)
-}
-
-/// Asymptotic two-sample KS p-value: `Q(√(nm/(n+m)) · d)`.
-///
-/// Accurate for moderate-to-large samples; for tiny samples prefer
-/// [`ks_p_exact`] (or [`ks_p_value`], which picks automatically).
-pub fn ks_p_asymptotic(d: f64, n: usize, m: usize) -> f64 {
-    if n == 0 || m == 0 {
-        return 1.0;
-    }
-    let ne = (n as f64) * (m as f64) / ((n + m) as f64);
-    kolmogorov_q(ne.sqrt() * d)
-}
-
-/// Exact two-sample KS p-value `P(D ≥ d)` by lattice-path counting.
-///
-/// Under the null (continuous distributions, no ties) every interleaving of
-/// the pooled sample is equally likely; a merge order corresponds to a
-/// monotone lattice path from `(0, 0)` to `(n, m)`, and the KS statistic of
-/// that order is `max |i/n − j/m|` over the path. The p-value is therefore
-/// `1 − (paths with every point strictly inside the band |i·m − j·n| < d·n·m)
-/// / C(n+m, n)`, computed by dynamic programming in `O(n·m)` time with `f64`
-/// path counts (exact to well below the documented `1e-9` comparison slack
-/// for the gated sample sizes). Points *on* the band boundary count as
-/// outside, so a path attaining exactly `d` contributes to `P(D ≥ d)`.
-///
-/// Reference pin (`tests/stat_references.rs`): full separation `d = 1`
-/// leaves exactly the two axis-hugging paths outside the band, giving
-/// `p = 2 / C(n+m, n)`; tiny cases are cross-checked against brute-force
-/// enumeration of every interleaving.
-///
-/// Returns `1.0` when `d ≤ 0` and `0.0`-free guarantees otherwise; empty
-/// samples give `1.0` (no evidence).
-pub fn ks_p_exact(d: f64, n: usize, m: usize) -> f64 {
-    if n == 0 || m == 0 || d.is_nan() || d <= 0.0 {
-        return 1.0;
-    }
-    // Band half-width in integer lattice units, with slack so that the
-    // rational ECDF gaps |i·m − j·n| (exact integers) attaining d·n·m are
-    // classified "on the boundary" despite f64 rounding in d.
-    let band = d * (n as f64) * (m as f64) - 1e-9;
-    if band <= 0.0 {
-        return 1.0;
-    }
-    // dp[j] = number of in-band paths reaching (i, j), rolled over i.
-    let mut dp = vec![0.0f64; m + 1];
-    dp[0] = 1.0;
-    let inside = |i: usize, j: usize| {
-        let gap = (i as f64) * (m as f64) - (j as f64) * (n as f64);
-        gap.abs() < band
-    };
-    for j in 1..=m {
-        dp[j] = if inside(0, j) { dp[j - 1] } else { 0.0 };
-    }
-    for i in 1..=n {
-        dp[0] = if inside(i, 0) { dp[0] } else { 0.0 };
-        for j in 1..=m {
-            dp[j] = if inside(i, j) { dp[j] + dp[j - 1] } else { 0.0 };
-        }
-    }
-    // C(n+m, n) via incremental products stays finite for the gated sizes.
-    let mut total = 1.0f64;
-    for k in 1..=n {
-        total *= ((m + k) as f64) / (k as f64);
-    }
-    (1.0 - dp[m] / total).clamp(0.0, 1.0)
-}
-
-/// Largest `n·m` for which [`ks_p_value`] uses the exact lattice-path count.
-pub const KS_EXACT_LIMIT: usize = 10_000;
-
-/// Two-sample KS p-value, exact for small samples and asymptotic otherwise.
-///
-/// Uses [`ks_p_exact`] when `n·m ≤` [`KS_EXACT_LIMIT`] (where the
-/// asymptotic approximation is weakest and the `O(n·m)` count is cheap) and
-/// [`ks_p_asymptotic`] above it.
-pub fn ks_p_value(d: f64, n: usize, m: usize) -> f64 {
-    if n == 0 || m == 0 {
-        return 1.0;
-    }
-    if n.saturating_mul(m) <= KS_EXACT_LIMIT {
-        ks_p_exact(d, n, m)
-    } else {
-        ks_p_asymptotic(d, n, m)
-    }
-}
-
 impl DriftDetector for KsTestDetector {
     fn name(&self) -> &'static str {
         "ks-test"
@@ -353,57 +240,6 @@ mod tests {
             KsTestDetector::fit(&mut model, &empty, 8, 0.05),
             Err(DetectError::EmptyTrainingSet { .. })
         ));
-    }
-
-    #[test]
-    fn kolmogorov_q_is_monotone_and_bounded() {
-        assert_eq!(kolmogorov_q(0.0), 1.0);
-        assert_eq!(kolmogorov_q(-1.0), 1.0);
-        assert_eq!(kolmogorov_q(f64::NAN), 1.0);
-        let mut prev = 1.0;
-        for i in 1..=50 {
-            let q = kolmogorov_q(i as f64 * 0.1);
-            assert!((0.0..=1.0).contains(&q));
-            assert!(q <= prev + 1e-12, "Q not monotone at λ={}", i as f64 * 0.1);
-            prev = q;
-        }
-        assert!(kolmogorov_q(5.0) < 1e-9);
-    }
-
-    #[test]
-    fn exact_p_full_separation_is_two_over_binomial() {
-        // Disjoint samples: D = 1 and only the two axis-hugging merge
-        // orders attain it, so p = 2 / C(n+m, n).
-        for (n, m) in [(3usize, 3usize), (4, 2), (5, 5), (6, 3)] {
-            let c: f64 = (1..=n).map(|k| ((m + k) as f64) / k as f64).product();
-            let p = ks_p_exact(1.0, n, m);
-            assert!(
-                (p - 2.0 / c).abs() < 1e-9,
-                "n={n} m={m}: p={p}, want {}",
-                2.0 / c
-            );
-        }
-    }
-
-    #[test]
-    fn exact_p_degenerate_inputs_are_one() {
-        assert_eq!(ks_p_exact(0.0, 5, 5), 1.0);
-        assert_eq!(ks_p_exact(-0.5, 5, 5), 1.0);
-        assert_eq!(ks_p_exact(f64::NAN, 5, 5), 1.0);
-        assert_eq!(ks_p_exact(0.5, 0, 5), 1.0);
-        assert_eq!(ks_p_value(0.5, 5, 0), 1.0);
-        assert_eq!(ks_p_asymptotic(0.5, 0, 0), 1.0);
-    }
-
-    #[test]
-    fn p_value_routes_exact_below_limit_and_asymptotic_above() {
-        // At the boundary the two must agree closely anyway.
-        let d = 0.08;
-        let exact = ks_p_exact(d, 100, 100);
-        let asym = ks_p_asymptotic(d, 100, 100);
-        assert!((exact - asym).abs() < 0.02, "exact {exact} vs asym {asym}");
-        assert_eq!(ks_p_value(d, 100, 100), exact);
-        assert_eq!(ks_p_value(d, 200, 200), ks_p_asymptotic(d, 200, 200));
     }
 
     #[test]

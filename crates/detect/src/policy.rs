@@ -53,7 +53,7 @@ pub fn nan_last_cmp(a: &f32, b: &f32) -> Ordering {
 ///
 /// Higher always means more drifted in this crate, so an unscorable input
 /// is flagged by every threshold rather than silently passed or leaked as
-/// NaN into calibration and streaming state.
+/// NaN into calibration state.
 pub fn sanitize_score(score: f32) -> f32 {
     if score.is_finite() {
         score

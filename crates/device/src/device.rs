@@ -17,18 +17,18 @@ pub struct DeviceConfig {
     /// Fraction of inputs uploaded to the cloud for adaptation (§3.1: "the
     /// device samples a percentage of the actual input data").
     pub sample_rate: f64,
-    /// MSP detection threshold (paper default 0.9). Also feeds the error
-    /// signal of the sequential detectors and the warmup fallback of the
-    /// windowed ones when [`DeviceConfig::detector`] is not
-    /// [`DetectorKind::Msp`].
+    /// MSP detection threshold (paper default 0.9).
     pub detection_threshold: f32,
-    /// Which drift detector from the zoo each device runs
-    /// ([`DetectorKind::Msp`] — the paper's choice — by default).
-    #[serde(default)]
-    pub detector: DetectorKind,
     /// Maximum stored model versions (`None` disables the cap, as in the
     /// Fig. 8c experiment).
     pub pool_capacity: Option<usize>,
+}
+
+impl DeviceConfig {
+    /// The detector every device of a fleet under this configuration runs.
+    pub(crate) fn detector(&self) -> StreamDetector {
+        StreamDetector::new(DetectorKind::Msp, self.detection_threshold)
+    }
 }
 
 impl Default for DeviceConfig {
@@ -36,7 +36,6 @@ impl Default for DeviceConfig {
         DeviceConfig {
             sample_rate: 0.3,
             detection_threshold: 0.9,
-            detector: DetectorKind::Msp,
             pool_capacity: Some(8),
         }
     }
@@ -105,7 +104,7 @@ impl Device {
             active_model: base_model,
             active_version: None,
             pool: ModelPool::new(config.pool_capacity),
-            detector: StreamDetector::new(config.detector, config.detection_threshold),
+            detector: config.detector(),
             config,
             seq: 0,
         }
@@ -230,10 +229,8 @@ fn forward_item(model: &MlpResNet, item: &StreamItem) -> (usize, f32) {
 }
 
 /// The emission half of the on-device loop: drift-log entry and the sampled
-/// upload (one RNG draw per item). The drift verdict is computed by the
-/// caller's [`StreamDetector`] — detector state is per-device and lives
-/// with the device (lockstep) or in the fleet's detector column
-/// ([`crate::FleetSim`]). `seq` is the device's entry sequence number
+/// upload (one RNG draw per item). The drift verdict is the caller's
+/// [`StreamDetector`]'s. `seq` is the device's entry sequence number
 /// *after* incrementing for this item. Shared by [`Device::process`] and
 /// [`crate::FleetSim`].
 pub(crate) fn emit_outputs<R: Rng + ?Sized>(

@@ -6,10 +6,10 @@
 //! clone each). [`FleetSim`] runs the *same* algorithm over columns:
 //!
 //! * device state lives in struct-of-arrays columns
-//!   ([`crate::state::FleetState`], [`crate::state::DevicePools`], one
-//!   [`StreamDetector`] per device) and model payloads are interned once
-//!   in a [`nazar_registry::VersionArena`], so a million devices fit in
-//!   memory (see [`crate::state`] for the bytes per device);
+//!   ([`crate::state::FleetState`], [`crate::state::DevicePools`]) and
+//!   model payloads are interned once in a
+//!   [`nazar_registry::VersionArena`], so a million devices fit in memory
+//!   (see [`crate::state`] for the bytes per device);
 //! * a window is **one pass**: its items are grouped per device in stream
 //!   order, the participating devices are cut into contiguous chunks that
 //!   fan out over [`nazar_tensor::parallel`] with one scratch model per
@@ -17,9 +17,9 @@
 //!   version each device selected and runs **one** stacked forward per
 //!   group (a row's logits do not depend on its batch-mates, see
 //!   [`nazar_nn::MlpResNet::infer_into`]) before walking every device's
-//!   items in order through its detector; per-device outcomes are merged
-//!   back in ascending device order, which keeps results independent of
-//!   thread count and scheduling;
+//!   items in order through the detector and emission; per-device outcomes
+//!   are merged back in ascending device order, which keeps results
+//!   independent of thread count and scheduling;
 //! * the fleet keeps a clock on the `nazar-net` virtual-microsecond
 //!   timeline so the orchestrator can hand the exchange one shared time:
 //!   a window's items land at their stream day, [`ITEM_SPACING_US`] apart
@@ -140,17 +140,13 @@ impl Scratch {
 }
 
 /// A device's share of one window: its items in stream order, its own RNG
-/// and its mutable columns, borrowed in place.
+/// and its sequence number, borrowed in place.
 struct DeviceJob<'a> {
     device: u32,
     items: &'a [Arrival<'a>],
     rng: SmallRng,
     /// The device's drift-log entry sequence number.
     seq: &'a mut u64,
-    /// The device's streaming drift detector (stateful for the
-    /// windowed/sequential zoo kinds; exactly `msp < threshold` for the
-    /// default MSP kind).
-    detector: &'a mut StreamDetector,
 }
 
 /// A contiguous run of device jobs plus the worker scratch it uses.
@@ -167,6 +163,8 @@ struct WindowCtx<'a> {
     pools: &'a DevicePools,
     base_patch: &'a BnPatch,
     config: &'a DeviceConfig,
+    /// The fleet's detector; it keeps no state, so each chunk runs a copy.
+    detector: StreamDetector,
     /// The window's span, parent of the chunks' spans on worker threads.
     span: Option<u64>,
 }
@@ -182,8 +180,8 @@ pub struct FleetSim {
     base_patch: BnPatch,
     config: DeviceConfig,
     clock_us: u64,
-    /// Per-device streaming detector state.
-    detectors: Vec<StreamDetector>,
+    /// The one detector every device's items pass through.
+    detector: StreamDetector,
     /// One per worker chunk, grown on demand.
     scratches: Vec<Scratch>,
     /// Arena id of the last interned deployment, reused when the cloud
@@ -207,9 +205,8 @@ impl FleetSim {
         let mut base_model = base_model.clone();
         let base_patch = BnPatch::extract(&mut base_model);
         FLEET_DEVICES.set(state.len() as f64);
-        let detector = StreamDetector::new(config.detector, config.detection_threshold);
         FleetSim {
-            detectors: vec![detector; state.len()],
+            detector: config.detector(),
             state,
             pools,
             arena: VersionArena::new(),
@@ -392,7 +389,8 @@ impl FleetSim {
 
         // One job per participating device, ascending: a dedicated RNG
         // drawn from `rng` — the lockstep path's exact seeding contract —
-        // and the device's columns, which `iter_mut` walks in that order.
+        // and the device's sequence number, which `iter_mut` walks in that
+        // order.
         // On the virtual timeline item `k` of a device lands at its stream
         // day, `ITEM_SPACING_US` after item `k-1` — clamped forward so time
         // never runs backwards after the clock synced with the network
@@ -401,8 +399,7 @@ impl FleetSim {
         let mut last_at = start_us;
         let mut jobs: Vec<DeviceJob<'_>> = Vec::new();
         let mut runs = items.chunk_by(|a, b| a.0 == b.0).peekable();
-        let columns = self.state.seqs_mut().iter_mut().zip(&mut self.detectors);
-        for (d, (seq, detector)) in columns.enumerate() {
+        for (d, seq) in self.state.seqs_mut().iter_mut().enumerate() {
             let Some(run) = runs.next_if(|run| run[0].0 as usize == d) else {
                 continue;
             };
@@ -419,7 +416,6 @@ impl FleetSim {
                 items: run,
                 rng: SmallRng::seed_from_u64(rng.next_u64()),
                 seq,
-                detector,
             });
         }
 
@@ -454,6 +450,7 @@ impl FleetSim {
             pools: &self.pools,
             base_patch: &self.base_patch,
             config: &self.config,
+            detector: self.detector,
             span: span.id(),
         };
         let results = parallel::par_map_with(chunks, threads, |chunk| run_chunk(chunk, &ctx));
@@ -484,7 +481,7 @@ impl FleetSim {
 /// Runs one chunk of device jobs on a worker thread: resolves every item's
 /// model version, runs one stacked forward per selected version (in
 /// [`FORWARD_ROWS_CAP`]-row pieces) over the whole chunk, then walks each
-/// device's items in stream order through its detector and emission.
+/// device's items in stream order through the detector and emission.
 fn run_chunk(chunk: Chunk<'_, '_>, ctx: &WindowCtx<'_>) -> Vec<(u32, WindowOutput)> {
     let _span = nazar_obs::span_child("detect.chunk", ctx.span);
     let Scratch {
@@ -530,9 +527,9 @@ fn run_chunk(chunk: Chunk<'_, '_>, ctx: &WindowCtx<'_>) -> Vec<(u32, WindowOutpu
     }
     drop(forward_span);
 
-    // A device's items are walked in stream order, across days and across
-    // windows, so a stateful detector observes the same MSP sequence as
-    // the lockstep device.
+    // A device's items are walked in stream order: its RNG draws and its
+    // sequence numbers follow that order, as on the lockstep device.
+    let mut detector = ctx.detector;
     let mut parts = Vec::with_capacity(chunk.jobs.len());
     let mut first = 0; // chunk position of the job's first item
     for job in chunk.jobs {
@@ -541,7 +538,7 @@ fn run_chunk(chunk: Chunk<'_, '_>, ctx: &WindowCtx<'_>) -> Vec<(u32, WindowOutpu
         first += job.items.len();
         for (&(_, item), (sel, &(prediction, msp))) in job.items.iter().zip(results) {
             *job.seq += 1;
-            let drift = job.detector.observe(msp);
+            let drift = detector.observe(msp);
             let (entry, sample) = emit_outputs(
                 item,
                 item_attributes(item),

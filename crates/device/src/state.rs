@@ -11,12 +11,16 @@
 //!   whose payloads live **once** in a shared
 //!   [`nazar_registry::VersionArena`] and are referenced by id.
 //!
-//! With the fleet's detector column that is about 300 bytes a device at
-//! the default configuration, instead of a model clone each: a 24-byte id
-//! header plus the id's characters, 12 bytes of location code and
-//! sequence number, 108 of pool (eight 12-byte slots and three counters)
-//! and 152 of [`nazar_detect::StreamDetector`] (the windowed kinds own
-//! their sample buffers on top).
+//! That is about 240 bytes of resident memory a device at the default
+//! configuration, instead of a model clone each — 237 measured right
+//! after [`crate::FleetSim::new`] over `fleet_million`'s 1 000 000
+//! devices and 17-character ids: a 24-byte id header plus the id's
+//! characters in an allocation of their own (32 bytes for those ids), 12
+//! bytes of location code and sequence number and 108 of pool (eight
+//! 12-byte slots and three counters), and what the allocator keeps of the
+//! id → location map the constructor builds and drops. Nothing
+//! per-device belongs to the detector: the fleet holds one 4-byte
+//! [`nazar_detect::StreamDetector`].
 //!
 //! [`DevicePools`] reimplements [`nazar_registry::ModelPool`]'s
 //! consolidation and selection semantics *exactly* (same-attrs replace,

@@ -5,14 +5,13 @@
 //!
 //! The unit tests in `src/scheduler.rs` pin these properties on one fixed
 //! dataset; here proptest varies the device set, arrival days, labels and
-//! weather mix, the RNG seed, the worker count, the detector, and whether
-//! a broadcast deployment lands between windows.
+//! weather mix, the RNG seed, the worker count, and whether a broadcast
+//! deployment lands between windows.
 
 mod common;
 
 use common::{base_model, donor_patch, mixed_version_world, streams_from, CLASSES};
 use nazar_data::SimDate;
-use nazar_detect::DetectorKind;
 use nazar_device::{DeviceConfig, Fleet, FleetSim};
 use nazar_log::Attribute;
 use nazar_registry::VersionMeta;
@@ -23,9 +22,10 @@ use rand::SeedableRng;
 const WINDOWS: usize = 2;
 
 /// Arrivals per drawn tuple in the engine differential, on consecutive
-/// days. A device named by three tuples is past the streaming KS
-/// detector's 96-observation warm-up, so from there its verdicts depend on
-/// the whole MSP history of that device, across days and windows.
+/// days: a device's run of items crosses the window boundary (its sequence
+/// numbers and the deployment between the windows land mid-run), and seven
+/// tuples in a window push one version's stacked forward past
+/// `FORWARD_ROWS_CAP` into a second piece.
 const BURST: usize = 40;
 
 /// Each day of the window mixes the base and four versions; whatever the
@@ -112,9 +112,7 @@ proptest! {
 
     /// `FleetSim` reproduces the lockstep engine bit-for-bit on any
     /// randomized stream shape (the differential the golden trace pins at
-    /// paper scale, here under proptest at unit scale) — with the
-    /// stateless default detector and with a stateful one, which must see
-    /// the same per-device MSP sequence in both engines across windows.
+    /// paper scale, here under proptest at unit scale).
     #[test]
     fn event_engine_matches_lockstep_engine(
         seed in 0u64..1_000_000,
@@ -123,7 +121,6 @@ proptest! {
             1..30,
         ),
         do_deploy in any::<bool>(),
-        stateful in any::<bool>(),
     ) {
         let raw: Vec<_> = raw
             .iter()
@@ -131,8 +128,7 @@ proptest! {
             .collect();
         let streams = streams_from(&raw);
         let model = base_model();
-        let detector = if stateful { DetectorKind::KsTest } else { DetectorKind::Msp };
-        let config = DeviceConfig { detector, ..DeviceConfig::default() };
+        let config = DeviceConfig::default();
         let mut lockstep = Fleet::from_streams(&streams, &model, &config);
         let mut event = FleetSim::from_streams(&streams, &model, &config);
         prop_assert_eq!(lockstep.device_ids(), event.device_ids());

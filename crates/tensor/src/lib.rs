@@ -6,11 +6,9 @@
 //! of the entropy objective with respect to batch-normalization parameters)
 //! is reproduced here on top of a small, fully self-contained tensor library:
 //!
-//! * [`Tensor`] — an n-dimensional dense array, generic over its
-//!   [`Element`] type (`Tensor<T = f32>` over a `Vec<T>`), with
-//!   shape/stride bookkeeping, broadcasting helpers, matrix multiplication
-//!   and reductions. Plain `Tensor` is the f32 tensor, the only one the
-//!   workspace computes in.
+//! * [`Tensor`] — an n-dimensional dense `f32` array with shape/stride
+//!   bookkeeping, broadcasting helpers, matrix multiplication and
+//!   reductions.
 //! * [`simd`] — runtime-dispatched AVX-512 inner kernels ([`SimdTier`];
 //!   `NAZAR_TENSOR_SIMD` selects `off`/`exact`/`fast`), with the scalar
 //!   kernels as the always-available bitwise oracle.
@@ -46,7 +44,6 @@
 #![warn(missing_docs)]
 
 mod autograd;
-mod element;
 mod error;
 pub mod kernels;
 mod ops;
@@ -58,7 +55,6 @@ mod tensor;
 mod workspace;
 
 pub use autograd::{Gradients, Tape, Var};
-pub use element::Element;
 pub use error::{Result, TensorError};
 pub use kernels::log_sum_exp;
 pub use shape::Shape;

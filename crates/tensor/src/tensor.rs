@@ -1,6 +1,5 @@
-//! Dense, row-major tensors, generic over element type.
+//! Dense, row-major `f32` tensors.
 
-use crate::element::Element;
 use crate::error::{Result, TensorError};
 use crate::kernels;
 use crate::shape::Shape;
@@ -9,13 +8,11 @@ use rand::Rng;
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt;
 
-/// A dense, row-major tensor: a flat `Vec` of elements plus a [`Shape`].
+/// A dense, row-major tensor: a flat `Vec<f32>` plus a [`Shape`].
 ///
 /// `Tensor` is deliberately simple. All operations allocate their output
 /// (there is no view machinery); the sizes involved in the Nazar
-/// experiments are small enough that clarity wins. The default `T = f32`
-/// means plain `Tensor` is exactly the f32 tensor the rest of the workspace
-/// is written against.
+/// experiments are small enough that clarity wins.
 ///
 /// Fallible operations (shape mismatches and the like) return
 /// [`TensorError`]; infallible convenience wrappers panic only on programmer
@@ -33,154 +30,9 @@ use std::fmt;
 /// # Ok::<(), nazar_tensor::TensorError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct Tensor<T: Element = f32> {
-    data: Vec<T>,
+pub struct Tensor {
+    data: Vec<f32>,
     shape: Shape,
-}
-
-impl<T: Element> Tensor<T> {
-    // ------------------------------------------------------------------
-    // Element-generic constructors and accessors
-    // ------------------------------------------------------------------
-
-    /// Builds a tensor of any element type from a flat buffer and a shape.
-    ///
-    /// The f32-literal-friendly [`Tensor::from_vec`] is the common entry
-    /// point; this is its dtype-generic sibling.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::LengthMismatch`] if `data.len()` differs from
-    /// the number of elements implied by `dims`.
-    pub fn from_vec_in(data: Vec<T>, dims: &[usize]) -> Result<Self> {
-        let shape = Shape::new(dims);
-        if data.len() != shape.len() {
-            return Err(TensorError::LengthMismatch {
-                expected: shape.len(),
-                actual: data.len(),
-            });
-        }
-        Ok(Tensor { data, shape })
-    }
-
-    /// A tensor of any element type filled with [`Element::ZERO`].
-    pub fn zeros_in(dims: &[usize]) -> Self {
-        Self::full_in(dims, T::ZERO)
-    }
-
-    /// A tensor of any element type filled with `value`.
-    pub fn full_in(dims: &[usize], value: T) -> Self {
-        let shape = Shape::new(dims);
-        Tensor {
-            data: vec![value; shape.len()],
-            shape,
-        }
-    }
-
-    /// The tensor's shape.
-    pub fn shape(&self) -> &Shape {
-        &self.shape
-    }
-
-    /// The dimensions as a slice.
-    pub fn dims(&self) -> &[usize] {
-        self.shape.dims()
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the tensor holds no elements.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// The underlying flat buffer, row-major.
-    pub fn data(&self) -> &[T] {
-        &self.data
-    }
-
-    /// Mutable access to the underlying flat buffer.
-    pub fn data_mut(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
-    /// Consumes the tensor and returns its flat buffer as a host vector.
-    pub fn into_data(self) -> Vec<T> {
-        self.data
-    }
-
-    /// Number of rows of a rank-2 tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] for non-matrices.
-    pub fn nrows(&self) -> Result<usize> {
-        self.expect_rank("nrows", 2)?;
-        self.shape.dim(0)
-    }
-
-    /// Number of columns of a rank-2 tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] for non-matrices.
-    pub fn ncols(&self) -> Result<usize> {
-        self.expect_rank("ncols", 2)?;
-        self.shape.dim(1)
-    }
-
-    /// Borrow row `i` of a rank-2 tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for non-matrices or out-of-range rows.
-    pub fn row(&self, i: usize) -> Result<&[T]> {
-        let (n, d) = (self.nrows()?, self.ncols()?);
-        if i >= n {
-            return Err(TensorError::IndexOutOfBounds { index: i, bound: n });
-        }
-        Ok(&self.data[i * d..(i + 1) * d])
-    }
-
-    /// The single value of a scalar (or single-element) tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the tensor holds more than one element.
-    pub fn item(&self) -> Result<T> {
-        if self.data.len() != 1 {
-            return Err(TensorError::LengthMismatch {
-                expected: 1,
-                actual: self.data.len(),
-            });
-        }
-        Ok(self.data[0])
-    }
-
-    fn expect_rank(&self, op: &'static str, rank: usize) -> Result<()> {
-        if self.shape.rank() != rank {
-            return Err(TensorError::RankMismatch {
-                op,
-                expected: rank,
-                actual: self.shape.rank(),
-            });
-        }
-        Ok(())
-    }
-
-    fn expect_same_shape(&self, op: &'static str, other: &Tensor<T>) -> Result<()> {
-        if !self.shape.same_as(&other.shape) {
-            return Err(TensorError::ShapeMismatch {
-                op,
-                lhs: self.dims().to_vec(),
-                rhs: other.dims().to_vec(),
-            });
-        }
-        Ok(())
-    }
 }
 
 impl Tensor {
@@ -195,7 +47,14 @@ impl Tensor {
     /// Returns [`TensorError::LengthMismatch`] if `data.len()` differs from
     /// the number of elements implied by `dims`.
     pub fn from_vec(data: Vec<f32>, dims: &[usize]) -> Result<Self> {
-        Tensor::from_vec_in(data, dims)
+        let shape = Shape::new(dims);
+        if data.len() != shape.len() {
+            return Err(TensorError::LengthMismatch {
+                expected: shape.len(),
+                actual: data.len(),
+            });
+        }
+        Ok(Tensor { data, shape })
     }
 
     /// A scalar tensor holding a single value.
@@ -208,7 +67,7 @@ impl Tensor {
 
     /// A tensor filled with zeros.
     pub fn zeros(dims: &[usize]) -> Self {
-        Tensor::zeros_in(dims)
+        Self::full(dims, 0.0)
     }
 
     /// A tensor filled with ones.
@@ -218,7 +77,11 @@ impl Tensor {
 
     /// A tensor filled with `value`.
     pub fn full(dims: &[usize], value: f32) -> Self {
-        Tensor::full_in(dims, value)
+        let shape = Shape::new(dims);
+        Tensor {
+            data: vec![value; shape.len()],
+            shape,
+        }
     }
 
     /// The `n`-by-`n` identity matrix.
@@ -280,8 +143,113 @@ impl Tensor {
     }
 
     // ------------------------------------------------------------------
-    // Accessors (the structural ones live on the generic impl above)
+    // Accessors
     // ------------------------------------------------------------------
+
+    /// The tensor's shape.
+    pub fn shape(&self) -> &Shape {
+        &self.shape
+    }
+
+    /// The dimensions as a slice.
+    pub fn dims(&self) -> &[usize] {
+        self.shape.dims()
+    }
+
+    /// Number of elements.
+    pub fn len(&self) -> usize {
+        self.data.len()
+    }
+
+    /// Whether the tensor holds no elements.
+    pub fn is_empty(&self) -> bool {
+        self.data.is_empty()
+    }
+
+    /// The underlying flat buffer, row-major.
+    pub fn data(&self) -> &[f32] {
+        &self.data
+    }
+
+    /// Mutable access to the underlying flat buffer.
+    pub fn data_mut(&mut self) -> &mut [f32] {
+        &mut self.data
+    }
+
+    /// Consumes the tensor and returns its flat buffer as a host vector.
+    pub fn into_data(self) -> Vec<f32> {
+        self.data
+    }
+
+    /// Number of rows of a rank-2 tensor.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::RankMismatch`] for non-matrices.
+    pub fn nrows(&self) -> Result<usize> {
+        self.expect_rank("nrows", 2)?;
+        self.shape.dim(0)
+    }
+
+    /// Number of columns of a rank-2 tensor.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::RankMismatch`] for non-matrices.
+    pub fn ncols(&self) -> Result<usize> {
+        self.expect_rank("ncols", 2)?;
+        self.shape.dim(1)
+    }
+
+    /// Borrow row `i` of a rank-2 tensor.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for non-matrices or out-of-range rows.
+    pub fn row(&self, i: usize) -> Result<&[f32]> {
+        let (n, d) = (self.nrows()?, self.ncols()?);
+        if i >= n {
+            return Err(TensorError::IndexOutOfBounds { index: i, bound: n });
+        }
+        Ok(&self.data[i * d..(i + 1) * d])
+    }
+
+    /// The single value of a scalar (or single-element) tensor.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the tensor holds more than one element.
+    pub fn item(&self) -> Result<f32> {
+        if self.data.len() != 1 {
+            return Err(TensorError::LengthMismatch {
+                expected: 1,
+                actual: self.data.len(),
+            });
+        }
+        Ok(self.data[0])
+    }
+
+    fn expect_rank(&self, op: &'static str, rank: usize) -> Result<()> {
+        if self.shape.rank() != rank {
+            return Err(TensorError::RankMismatch {
+                op,
+                expected: rank,
+                actual: self.shape.rank(),
+            });
+        }
+        Ok(())
+    }
+
+    fn expect_same_shape(&self, op: &'static str, other: &Tensor) -> Result<()> {
+        if !self.shape.same_as(&other.shape) {
+            return Err(TensorError::ShapeMismatch {
+                op,
+                lhs: self.dims().to_vec(),
+                rhs: other.dims().to_vec(),
+            });
+        }
+        Ok(())
+    }
 
     /// Copies the given rows of a rank-2 tensor into a new matrix.
     ///

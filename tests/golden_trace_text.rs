@@ -18,7 +18,7 @@ const SNAPSHOT: &str = concat!(
     "/tests/golden/run_summary_text.txt"
 );
 
-fn text_system(detector: DetectorKind) -> (TextDataset, NazarSystem) {
+fn text_system() -> (TextDataset, NazarSystem) {
     let config = TextConfig {
         topics: 6,
         vocab: 24,
@@ -41,10 +41,6 @@ fn text_system(detector: DetectorKind) -> (TextDataset, NazarSystem) {
         min_samples_per_cause: 12,
         // Hermetic: ignore any NAZAR_NET_* knobs set in the environment.
         net: Some(NetConfig::default()),
-        device: DeviceConfig {
-            detector,
-            ..DeviceConfig::default()
-        },
         ..CloudConfig::default()
     });
     (dataset, system)
@@ -96,7 +92,7 @@ fn diff(want: &str, got: &str) -> String {
 
 #[test]
 fn text_golden_trace_matches_snapshot() {
-    let (dataset, system) = text_system(DetectorKind::Msp);
+    let (dataset, system) = text_system();
     let got = trace(&system.run(&dataset.streams, Strategy::Nazar));
     if std::env::var("NAZAR_BLESS").is_ok_and(|v| v == "1") {
         std::fs::write(SNAPSHOT, &got).expect("write blessed snapshot");
@@ -111,20 +107,4 @@ fn text_golden_trace_matches_snapshot() {
          (re-bless with NAZAR_BLESS=1 if the change is intentional):\n{}",
         diff(&want, &got)
     );
-}
-
-/// The zoo detectors run the same end-to-end loop: a windowed KS device
-/// fleet over the text stream is deterministic (two runs agree exactly)
-/// and still detects and adapts — the wiring from `DeviceConfig::detector`
-/// through both fleet engines is live, not just the default MSP path.
-#[test]
-fn text_run_with_ks_detector_is_deterministic_and_detects() {
-    let (dataset, system) = text_system(DetectorKind::KsTest);
-    let a = system.run(&dataset.streams, Strategy::Nazar);
-    let b = system.run(&dataset.streams, Strategy::Nazar);
-    assert_eq!(trace(&a), trace(&b), "KS text run must replay identically");
-    let flagged: usize = a.per_window.iter().map(|w| w.flagged).sum();
-    let total: usize = a.per_window.iter().map(|w| w.total).sum();
-    assert!(flagged > 0, "KS detector never flagged anything");
-    assert!(flagged < total, "KS detector flagged every single item");
 }
