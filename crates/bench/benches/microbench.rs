@@ -7,15 +7,20 @@
 //! * `analysis_scaling` — Fig. 9d's linear root-cause-analysis runtime;
 //! * `adaptation_step` — §3.4's BN-only adaptation efficiency (one BN-only
 //!   TENT step against one full-parameter step, same model and batch);
+//! * `wire` and `log/ingest_batch_30k` — what one upload frame and one
+//!   window's ingest cost at the shapes the fleet workloads send (these
+//!   rows also join `BENCH_fleet.json`, beside the runs they explain);
 //! * plus substrate benchmarks (matmul, inference, log ingest, FIM,
 //!   version selection).
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use nazar_analysis::{analyze, mine, mine_fpgrowth, FimConfig};
 use nazar_cloud::timing::synthetic_drift_log;
-use nazar_data::ClassSpace;
+use nazar_data::{ClassSpace, Corruption, SimDate};
 use nazar_detect::{DriftDetector, EnergyScore, EntropyThreshold, MspThreshold, Odin};
+use nazar_device::{UploadedSample, LOG_SCHEMA};
 use nazar_log::{Attribute, DriftLog, DriftLogEntry};
+use nazar_net::wire;
 use nazar_nn::{Adam, Layer, MlpResNet, Mode, ModelArch, Optimizer};
 use nazar_registry::{ModelPool, VersionMeta};
 use nazar_tensor::{kernels, SimdTier, Tape, Tensor, Workspace};
@@ -202,6 +207,70 @@ fn bench_drift_log(c: &mut Criterion) {
     });
 }
 
+/// A drift-log row as a device emits it: the three schema columns.
+fn fleet_row(ts: u64, device: usize) -> DriftLogEntry {
+    const WEATHER: [&str; 4] = ["clear-day", "snow", "rain", "fog"];
+    const LOCATIONS: [&str; 7] = [
+        "quebec", "new-york", "helsinki", "tokyo", "cairo", "lima", "oslo",
+    ];
+    let location = LOCATIONS[device % 7];
+    DriftLogEntry::new(
+        ts,
+        &[
+            ("weather", WEATHER[(ts as usize / 3 + device) % 4]),
+            ("location", location),
+            ("device_id", &format!("{location}-dev{device:04}")),
+        ],
+        ts.is_multiple_of(4),
+    )
+}
+
+/// One window's ingest as the orchestrator runs it: a fresh log (the
+/// per-window analysis log starts empty, so most rows intern a device id)
+/// over rows borrowed from the delivery.
+fn bench_batch_ingest(c: &mut Criterion) {
+    let entries: Vec<DriftLogEntry> = (0..30_000u64)
+        .map(|i| fleet_row(i, i as usize * 2_800 / 30_000))
+        .collect();
+    c.bench_function("log/ingest_batch_30k", |b| {
+        b.iter(|| {
+            let mut log = DriftLog::new(&LOG_SCHEMA);
+            black_box(log.ingest_batch_with_threads(&entries, 1))
+        })
+    });
+}
+
+/// Upload-frame encode and decode at the two shapes the benchmark's
+/// workloads send: a fleet device's window (2 rows, no sample) and an
+/// Animals device's (28 rows, 8 sampled 64-d inputs).
+fn bench_wire(c: &mut Criterion) {
+    let mut group = c.benchmark_group("wire");
+    for (shape, rows, n_samples) in [("fleet", 2u64, 0usize), ("animals", 28, 8)] {
+        let entries: Vec<DriftLogEntry> = (0..rows).map(|t| fleet_row(86_400 + t, 17)).collect();
+        let device_id = entries[0]
+            .attr("device_id")
+            .expect("schema row")
+            .to_string();
+        let samples: Vec<UploadedSample> = (0..n_samples)
+            .map(|s| UploadedSample {
+                features: (0..64).map(|f| (f * 7 + s) as f32 * 0.125 - 3.0).collect(),
+                attrs: entries[s].attrs.clone(),
+                date: SimDate::new(1),
+                label: s % 40,
+                true_cause: (s % 2 == 1).then_some(Corruption::ALL[s % Corruption::ALL.len()]),
+            })
+            .collect();
+        group.bench_function(format!("upload_frame_encode_{shape}"), |b| {
+            b.iter(|| black_box(wire::encode_upload_batch(&device_id, 3, &entries, &samples)))
+        });
+        let frame = wire::encode_upload_batch(&device_id, 3, &entries, &samples);
+        group.bench_function(format!("upload_frame_decode_{shape}"), |b| {
+            b.iter(|| black_box(wire::decode_frame(&frame).expect("valid frame")))
+        });
+    }
+    group.finish();
+}
+
 fn bench_analysis(c: &mut Criterion) {
     let mut group = c.benchmark_group("analysis_scaling");
     group.sample_size(10);
@@ -295,6 +364,8 @@ criterion_group!(
     bench_inference,
     bench_detectors,
     bench_drift_log,
+    bench_batch_ingest,
+    bench_wire,
     bench_analysis,
     bench_fim_algorithms,
     bench_adaptation,
@@ -317,4 +388,25 @@ fn main() {
     }
     benches(&mut criterion);
     criterion.finalize();
+
+    // The transport rows explain the fleet runs, so a full recording (not
+    // one redirected to a scratch file) also files them in that report.
+    if std::env::var_os("NAZAR_BENCH_OUT").is_none() {
+        let fleet_report = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fleet.json");
+        for prefix in ["wire/", "log/ingest_batch"] {
+            let rows: Vec<_> = criterion
+                .results()
+                .iter()
+                .filter(|r| r.id.starts_with(prefix))
+                .map(|r| {
+                    let fields = [("median_ns", r.median_ns), ("samples", r.samples as f64)];
+                    nazar_bench::bench_row(&r.id, &fields)
+                })
+                .collect();
+            if !rows.is_empty() {
+                nazar_bench::merge_bench_json(fleet_report, prefix, rows)
+                    .expect("BENCH_fleet.json is writable");
+            }
+        }
+    }
 }

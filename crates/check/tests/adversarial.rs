@@ -24,6 +24,8 @@ use nazar_detect::{
 };
 use nazar_device::{DeviceConfig, Fleet, UploadedSample, WindowStats, LOG_SCHEMA};
 use nazar_log::{DriftLog, DriftLogEntry};
+use nazar_net::wire::{self, Message, Writer};
+use nazar_net::NetError;
 use nazar_nn::{entropy_of_logits, BnPatch, MlpResNet, ModelArch, NnError};
 use nazar_registry::{ModelPool, VersionMeta};
 use nazar_tensor::Tensor;
@@ -466,6 +468,244 @@ fn cloud_quarantines_poisoned_uploads() {
     for u in &kept {
         assert_all_finite("kept upload", &u.features);
     }
+}
+
+/// A frame of `msg_type` under protocol `version` around `payload`, with a
+/// valid length and CRC — so what is under test is the payload decoder,
+/// not the checksum.
+fn framed(version: u8, msg_type: u8, payload: &[u8]) -> Vec<u8> {
+    let mut w = Writer::with_capacity(payload.len() + 14);
+    w.put_bytes(b"NZRF");
+    w.put_u8(version);
+    w.put_u8(msg_type);
+    w.put_u32(payload.len() as u32);
+    w.put_bytes(payload);
+    let mut bytes = w.into_bytes();
+    let crc = wire::crc32(&bytes[4..]);
+    bytes.extend_from_slice(&crc.to_le_bytes());
+    bytes
+}
+
+const UPLOAD_BATCH: u8 = 1;
+
+/// An upload-batch payload written field by field: `seq` 7, the given
+/// layout byte and page, then `tail` (rows and samples).
+fn upload_payload(layout: u8, page: &[&str], tail: impl FnOnce(&mut Writer)) -> Vec<u8> {
+    let mut w = Writer::with_capacity(64);
+    w.put_varint(7);
+    w.put_u8(layout);
+    w.put_varint(page.len() as u64);
+    for s in page {
+        w.put_varint(s.len() as u64);
+        w.put_bytes(s.as_bytes());
+    }
+    tail(&mut w);
+    w.into_bytes()
+}
+
+#[test]
+fn upload_frames_fail_closed_with_typed_errors() {
+    let valid = Message::UploadBatch {
+        device_id: "quebec-dev00".into(),
+        seq: 7,
+        entries: vec![
+            DriftLogEntry::new(
+                5,
+                &[
+                    ("weather", "snow"),
+                    ("location", "quebec"),
+                    ("device_id", "quebec-dev00"),
+                ],
+                true,
+            ),
+            // Off-schema: the batch travels as keyed rows.
+            DriftLogEntry::new(2, &[("weather", ""), ("weather", "snow")], false),
+        ],
+        samples: vec![UploadedSample {
+            features: vec![f32::NAN, -0.0, 1.5],
+            attrs: vec![nazar_log::Attribute::new("altitude", "high")],
+            date: nazar_data::SimDate::new(3),
+            label: 9,
+            true_cause: Some(nazar_data::Corruption::ALL[0]),
+        }],
+    };
+    let frame = wire::encode_frame(&valid);
+    let Ok((UPLOAD_BATCH, payload)) = wire::open_frame(&frame) else {
+        panic!("a valid frame opens as an upload batch");
+    };
+
+    // Every strict prefix, of the frame and of the payload inside a sound
+    // envelope, is refused.
+    for cut in 0..frame.len() {
+        assert!(
+            matches!(
+                wire::decode_frame(&frame[..cut]),
+                Err(NetError::Truncated { .. })
+            ),
+            "frame prefix {cut}"
+        );
+    }
+    for cut in 0..payload.len() {
+        let err = wire::decode_frame(&framed(wire::VERSION, UPLOAD_BATCH, &payload[..cut]));
+        assert!(
+            matches!(
+                err,
+                Err(NetError::Truncated { .. } | NetError::Malformed(_))
+            ),
+            "payload prefix {cut}: {err:?}"
+        );
+    }
+    // Any flipped payload bit is caught by the checksum, slack by `finish`.
+    for i in 10..frame.len() - 4 {
+        let mut bad = frame.clone();
+        bad[i] ^= 0x10;
+        assert!(matches!(
+            wire::decode_frame(&bad),
+            Err(NetError::ChecksumMismatch { .. })
+        ));
+    }
+    let mut slack = payload.to_vec();
+    slack.push(0);
+    assert_eq!(
+        wire::decode_frame(&framed(wire::VERSION, UPLOAD_BATCH, &slack)),
+        Err(NetError::Malformed("trailing bytes after message"))
+    );
+    // Protocol v1 is refused outright, whatever it carries.
+    assert_eq!(
+        wire::decode_frame(&framed(1, UPLOAD_BATCH, payload)),
+        Err(NetError::UnsupportedVersion(1))
+    );
+
+    let decode = |payload: Vec<u8>| {
+        wire::decode_frame(&framed(wire::VERSION, UPLOAD_BATCH, &payload)).unwrap_err()
+    };
+    let no_rows = |w: &mut Writer| {
+        w.put_varint(0);
+        w.put_varint(0);
+    };
+    let page = ["dev", "fog", "nyc"];
+    assert!(wire::decode_frame(&framed(
+        wire::VERSION,
+        UPLOAD_BATCH,
+        &upload_payload(1, &page, no_rows)
+    ))
+    .is_ok());
+    assert_eq!(
+        decode(upload_payload(2, &page, no_rows)),
+        NetError::Malformed("upload layout must be 0 or 1")
+    );
+    assert_eq!(
+        decode(upload_payload(1, &[], no_rows)),
+        NetError::Malformed("empty string page")
+    );
+    // A schema row whose third code is the page length.
+    let bad_code = |w: &mut Writer| {
+        w.put_varint(1);
+        w.put_varint(5);
+        w.put_u8(0);
+        for code in [1, 2, 3] {
+            w.put_varint(code);
+        }
+        w.put_varint(0);
+    };
+    assert_eq!(
+        decode(upload_payload(1, &page, bad_code)),
+        NetError::Malformed("page code outside the page")
+    );
+    // A keyed row whose key code, and a sample whose cause, leave the page.
+    let bad_key = |w: &mut Writer| {
+        w.put_varint(1);
+        w.put_varint(5);
+        w.put_u8(1);
+        w.put_varint(1);
+        w.put_varint(u64::MAX);
+        w.put_varint(0);
+        w.put_varint(0);
+    };
+    assert_eq!(
+        decode(upload_payload(0, &page, bad_key)),
+        NetError::Malformed("page code outside the page")
+    );
+    let sample_with = |cause: u64, day: u16| {
+        move |w: &mut Writer| {
+            w.put_varint(0);
+            w.put_varint(1);
+            w.put_varint(1);
+            w.put_f32(0.5);
+            w.put_varint(0);
+            w.put_u16(day);
+            w.put_varint(3);
+            w.put_varint(cause);
+        }
+    };
+    assert!(wire::decode_frame(&framed(
+        wire::VERSION,
+        UPLOAD_BATCH,
+        &upload_payload(0, &page, sample_with(0, 3))
+    ))
+    .is_ok());
+    assert_eq!(
+        decode(upload_payload(0, &page, sample_with(4, 3))),
+        NetError::Malformed("page code outside the page")
+    );
+    assert_eq!(
+        decode(upload_payload(0, &page, sample_with(3, 3))),
+        NetError::Malformed("unknown corruption name")
+    );
+    assert_eq!(
+        decode(upload_payload(0, &page, sample_with(0, u16::MAX))),
+        NetError::Malformed("sample date outside simulated range")
+    );
+    // An eleven-byte varint where the row count belongs.
+    let long_varint = |w: &mut Writer| {
+        w.put_bytes(&[0x80; 10]);
+        w.put_u8(0);
+    };
+    assert_eq!(
+        decode(upload_payload(1, &page, long_varint)),
+        NetError::Malformed("varint overflows u64")
+    );
+    // Counts past the element cap are refused before anything is sized by
+    // them; counts under it that the bytes cannot back run out of bytes.
+    let rows = |n: u64| move |w: &mut Writer| w.put_varint(n);
+    assert_eq!(
+        decode(upload_payload(1, &page, rows((1 << 24) + 1))),
+        NetError::Malformed("entry count")
+    );
+    assert!(matches!(
+        decode(upload_payload(1, &page, rows(1 << 24))),
+        NetError::Truncated { .. }
+    ));
+    let features = |n: u64| {
+        move |w: &mut Writer| {
+            w.put_varint(0);
+            w.put_varint(1);
+            w.put_varint(n);
+        }
+    };
+    assert_eq!(
+        decode(upload_payload(1, &page, features(u64::MAX))),
+        NetError::Malformed("feature count")
+    );
+    assert!(matches!(
+        decode(upload_payload(1, &page, features(1 << 24))),
+        NetError::Truncated { .. }
+    ));
+    let mut huge_page = Writer::with_capacity(8);
+    huge_page.put_varint(7);
+    huge_page.put_u8(1);
+    huge_page.put_varint(u64::MAX);
+    assert_eq!(
+        decode(huge_page.into_bytes()),
+        NetError::Malformed("page length")
+    );
+    let mut bad_utf8 = Writer::with_capacity(8);
+    bad_utf8.put_varint(7);
+    bad_utf8.put_u8(1);
+    bad_utf8.put_varint(1);
+    bad_utf8.put_varint(2);
+    bad_utf8.put_bytes(&[0xC3, 0x28]);
+    assert_eq!(decode(bad_utf8.into_bytes()), NetError::Utf8);
 }
 
 proptest::proptest! {

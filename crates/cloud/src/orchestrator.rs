@@ -624,7 +624,9 @@ impl Orchestrator {
         // (schema drift, a corrupted upload that decoded to the wrong
         // shape) are quarantined, not fatal: one bad device must not take
         // down the fleet's analysis pipeline.
-        let report = self.drift_log.ingest_batch(entries.to_vec());
+        let report = self
+            .drift_log
+            .ingest_batch_with_threads(entries, parallel::num_threads());
         if report.quarantined > 0 {
             QUARANTINED_ENTRIES.add(report.quarantined as u64);
             event!("entries_quarantined", count = report.quarantined);
@@ -633,7 +635,7 @@ impl Orchestrator {
             // The durable mirror applies the same quarantine (same schema,
             // same ingest path), so it stays row-for-row identical to the
             // in-memory log for the rows ingested this process lifetime.
-            store.ingest_batch(entries.to_vec());
+            store.ingest_batch(entries);
         }
         if let Some(limit) = self.config.log_retention {
             self.drift_log.retain_last(limit);
@@ -680,8 +682,7 @@ impl Orchestrator {
     ) -> (Vec<RankedCause>, Duration, Duration) {
         // Root-cause analysis over this window's entries (the Lambda run).
         let t0 = Instant::now();
-        let mut window_log = DriftLog::new(&LOG_SCHEMA);
-        window_log.ingest_batch(entries.to_vec());
+        let window_log = window_log(entries);
         let mut causes = analyze_variant_with(
             &window_log,
             &self.config.fim,
@@ -842,6 +843,13 @@ fn stack_features(uploads: &[UploadedSample]) -> Option<Tensor> {
     Tensor::stack_rows(&rows).ok()
 }
 
+/// The log one window's analysis runs over: exactly this window's rows.
+fn window_log(entries: &[DriftLogEntry]) -> DriftLog {
+    let mut log = DriftLog::new(&LOG_SCHEMA);
+    log.ingest_batch_with_threads(entries, parallel::num_threads());
+    log
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -931,6 +939,80 @@ mod tests {
         assert!(store.recovery().is_clean());
         assert_eq!(store.num_rows(), 1);
         assert_eq!(store.entry(0).expect("entry").timestamp, 7);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn borrowed_ingest_equals_three_cloned_ingests() {
+        // The cumulative log, the durable mirror and the window log all
+        // read one borrowed slice; each must end up where handing it its
+        // own clone of the batch (and where pushing row by row) left it,
+        // including what a quarantined row interned before it failed.
+        use nazar_nn::ModelArch;
+        use rand::rngs::SmallRng;
+        use rand::SeedableRng;
+        let dir = std::env::temp_dir().join(format!("nazar-cloud-borrow-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = CloudConfig {
+            persist: Some(StoreConfig::at(dir.to_string_lossy().into_owned())),
+            ..CloudConfig::default()
+        };
+        let model = MlpResNet::new(ModelArch::tiny(4, 3), &mut SmallRng::seed_from_u64(0));
+        let mut orch = Orchestrator::new(model, &[], Strategy::NoAdapt, config);
+
+        let row = |ts: u64, weather: &str, device: &str| {
+            DriftLogEntry::new(
+                ts,
+                &[
+                    ("weather", weather),
+                    ("location", "quebec"),
+                    ("device_id", device),
+                ],
+                ts.is_multiple_of(2),
+            )
+        };
+        let entries = vec![
+            row(1, "snow", "d0"),
+            row(2, "snow", "d0"),
+            // Interns "hail" into the weather column, then fails.
+            DriftLogEntry::new(
+                3,
+                &[("weather", "hail"), ("location", "x"), ("altitude", "y")],
+                true,
+            ),
+            DriftLogEntry::new(4, &[("weather", "fog")], false),
+            row(5, "rain", "d1"),
+            row(6, "snow", "d1"),
+        ];
+        orch.ingest(&entries);
+        orch.ingest(&entries[..2]);
+
+        let mut cloned = DriftLog::new(&LOG_SCHEMA);
+        let mut pushed = DriftLog::new(&LOG_SCHEMA);
+        for (batch, quarantined) in [(&entries[..], 2), (&entries[..2], 0)] {
+            let report = cloned.ingest_batch(batch.to_vec());
+            assert_eq!(report.quarantined, quarantined);
+            for e in batch {
+                let _ = pushed.push(e.clone());
+            }
+        }
+        assert_eq!(cloned, pushed);
+        assert_eq!(orch.drift_log(), &cloned);
+        assert_eq!(orch.drift_log().num_rows(), 6);
+        assert!(orch
+            .drift_log()
+            .dict_values(0)
+            .contains(&"hail".to_string()));
+
+        let store = orch.drift_store().expect("store open");
+        assert_eq!(store.num_rows(), cloned.num_rows());
+        for r in 0..cloned.num_rows() {
+            assert_eq!(store.entry(r).expect("row"), cloned.entry(r).expect("row"));
+        }
+
+        let mut window = DriftLog::new(&LOG_SCHEMA);
+        window.ingest_batch(entries.clone());
+        assert_eq!(window_log(&entries), window);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

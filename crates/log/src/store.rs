@@ -204,6 +204,10 @@ pub const DEFAULT_SEGMENT_ROWS: usize = 4096;
 /// below one task's worth encode serially.
 const INGEST_ROWS_PER_TASK: usize = 4096;
 
+/// First-slot marker of a batch row phase A could not pre-code. No
+/// dictionary reaches this many values.
+const NOT_CODED: u32 = u32::MAX;
+
 /// One row-range shard of the query index (see the module docs).
 ///
 /// Covers global rows `start..start + rows`; all stored offsets are
@@ -564,6 +568,27 @@ impl DriftLog {
     /// Returns [`LogError::SchemaMismatch`] if the entry does not provide a
     /// value for every schema key (extra keys are also rejected).
     pub fn push(&mut self, entry: DriftLogEntry) -> Result<()> {
+        // A row's codes live on the stack at any schema width this system
+        // builds; only a wider one allocates.
+        let mut inline = [0u32; 8];
+        let mut spilled = Vec::new();
+        let codes = match inline.get_mut(..self.schema.len()) {
+            Some(codes) => codes,
+            None => {
+                spilled.resize(self.schema.len(), 0);
+                &mut spilled[..]
+            }
+        };
+        self.intern_row(&entry, codes)?;
+        self.append_coded(codes, entry.drift, entry.timestamp);
+        Ok(())
+    }
+
+    /// Resolves `entry`'s values in schema order into `codes` (one slot per
+    /// column), interning new ones. Borrows the entry: interning copies the
+    /// one string it keeps. On a mismatch the columns before the failing
+    /// one stay interned.
+    fn intern_row(&mut self, entry: &DriftLogEntry, codes: &mut [u32]) -> Result<()> {
         if entry.attrs.len() != self.schema.len() {
             let key = entry
                 .attrs
@@ -573,15 +598,12 @@ impl DriftLog {
                 .unwrap_or_else(|| "<missing>".to_string());
             return Err(LogError::SchemaMismatch { key });
         }
-        // Resolve values in schema order.
-        let mut codes = Vec::with_capacity(self.schema.len());
-        for (ci, key) in self.schema.iter().enumerate() {
+        for ((key, dict), code) in self.schema.iter().zip(&mut self.dicts).zip(codes) {
             let Some(value) = entry.attrs.iter().find(|a| &a.key == key) else {
                 return Err(LogError::SchemaMismatch { key: key.clone() });
             };
-            codes.push(self.dicts[ci].intern(&value.value));
+            *code = dict.intern(&value.value);
         }
-        self.append_coded(&codes, entry.drift, entry.timestamp);
         Ok(())
     }
 
@@ -597,8 +619,18 @@ impl DriftLog {
         Ok(())
     }
 
+    /// [`DriftLog::ingest_batch_with_threads`] at the `NAZAR_NUM_THREADS`
+    /// width, for a caller that owns its rows. The parameter stays a
+    /// concrete `Vec` because `benchmark/src/measure.rs` (frozen) hands it
+    /// an unannotated `collect()`, which only a concrete type can infer;
+    /// the rows are borrowed all the same.
+    pub fn ingest_batch(&mut self, entries: Vec<DriftLogEntry>) -> IngestReport {
+        self.ingest_batch_with_threads(entries, parallel::num_threads())
+    }
+
     /// Batch ingest for window uploads: encodes entries against the
-    /// dictionaries in parallel, then appends sequentially.
+    /// dictionaries on up to `threads` workers, then appends sequentially.
+    /// The rows are only read — pass a slice, or anything that lends one.
     ///
     /// Equivalent to `for e in entries { let _ = self.push(e); }` — entries
     /// that fail the schema check are quarantined (counted, not appended)
@@ -606,58 +638,65 @@ impl DriftLog {
     /// dictionaries, including `push`'s interning of a failing entry's
     /// leading columns) is byte-identical to that loop at any thread count.
     /// `tests` pin this differentially.
-    pub fn ingest_batch(&mut self, entries: Vec<DriftLogEntry>) -> IngestReport {
-        self.ingest_batch_with_threads(entries, parallel::num_threads())
-    }
-
-    /// [`DriftLog::ingest_batch`] with an explicit encode fan-out width —
-    /// the determinism-audit hook; results are identical for every
-    /// `threads`.
     pub fn ingest_batch_with_threads(
         &mut self,
-        entries: Vec<DriftLogEntry>,
+        entries: impl AsRef<[DriftLogEntry]>,
         threads: usize,
     ) -> IngestReport {
+        let entries = entries.as_ref();
         INGEST_BATCH_ROWS.observe(entries.len() as f64);
-        // Phase A: pure encode. Read-only dictionary lookups, so entries
-        // shard freely across workers; an entry whose values are all
-        // already interned comes back `Some(codes)`, anything else (new
-        // value, schema mismatch) falls through to the sequential path.
+        // Phase A: pure encode into one flat `rows × stride` code buffer.
+        // Read-only dictionary lookups, so row bands shard freely across
+        // workers; a row whose values are all already interned gets its
+        // codes, anything else (new value, schema mismatch) gets
+        // `NOT_CODED` in its first slot and falls through to the
+        // sequential path.
+        let stride = self.schema.len().max(1);
         let width = threads.min((entries.len() / INGEST_ROWS_PER_TASK).max(1));
-        let coded: Vec<Option<Vec<u32>>> = {
+        let mut coded = vec![0u32; entries.len() * stride];
+        {
             let schema = &self.schema;
             let dicts = &self.dicts;
-            parallel::par_map_with(entries.iter().collect(), width, |e: &DriftLogEntry| {
+            let encode = |e: &DriftLogEntry, codes: &mut [u32]| -> Option<()> {
                 if e.attrs.len() != schema.len() {
                     return None;
                 }
-                let mut codes = Vec::with_capacity(schema.len());
-                for (ci, key) in schema.iter().enumerate() {
+                for ((key, dict), code) in schema.iter().zip(dicts).zip(codes) {
                     let value = e.attrs.iter().find(|a| &a.key == key)?;
-                    codes.push(dicts[ci].lookup(&value.value)?);
+                    *code = dict.lookup(&value.value)?;
                 }
-                Some(codes)
-            })
-        };
+                Some(())
+            };
+            parallel::par_row_bands(
+                &mut coded,
+                entries.len(),
+                stride,
+                width,
+                |first_row, band| {
+                    let rows = &entries[first_row..];
+                    for (e, codes) in rows.iter().zip(band.chunks_exact_mut(stride)) {
+                        if encode(e, codes).is_none() {
+                            codes[0] = NOT_CODED;
+                        }
+                    }
+                },
+            );
+        }
         // Phase B: sequential append, in arrival order. Pre-coded entries
         // skip straight to the columnar append; the rest replay `push` so
         // first-use interning order and partial-interning-before-failure
-        // match the naive loop exactly.
+        // match the naive loop exactly, writing their codes into the row's own
+        // slots.
         let mut report = IngestReport::default();
-        for (entry, codes) in entries.into_iter().zip(coded) {
-            match codes {
-                Some(codes) => {
-                    self.append_coded(&codes, entry.drift, entry.timestamp);
-                    report.appended += 1;
-                }
-                None => match self.push(entry) {
-                    Ok(()) => report.appended += 1,
-                    Err(_) => {
-                        INGEST_QUARANTINED.inc();
-                        report.quarantined += 1;
-                    }
-                },
+        let columns = self.schema.len();
+        for (entry, codes) in entries.iter().zip(coded.chunks_exact_mut(stride)) {
+            if codes[0] == NOT_CODED && self.intern_row(entry, &mut codes[..columns]).is_err() {
+                INGEST_QUARANTINED.inc();
+                report.quarantined += 1;
+                continue;
             }
+            self.append_coded(&codes[..columns], entry.drift, entry.timestamp);
+            report.appended += 1;
         }
         report
     }
@@ -1064,9 +1103,10 @@ mod tests {
                 failures += 1;
             }
         }
+        let entries = make_entries();
         for threads in [1, 2, 8] {
             let mut by_batch = DriftLog::new(&["weather", "location"]).with_segment_rows(64);
-            let report = by_batch.ingest_batch_with_threads(make_entries(), threads);
+            let report = by_batch.ingest_batch_with_threads(&entries, threads);
             assert_eq!(
                 report,
                 IngestReport {
@@ -1085,6 +1125,16 @@ mod tests {
                 by_push.count_matching(&snow, None).unwrap(),
             );
         }
+
+        // A schema without columns still has a slot per row for the marker.
+        let mut bare = DriftLog::new(&[]);
+        let rows = [
+            DriftLogEntry::new(1, &[], true),
+            DriftLogEntry::new(2, &[("weather", "fog")], false),
+        ];
+        let report = bare.ingest_batch_with_threads(rows, 2);
+        assert_eq!((report.appended, report.quarantined), (1, 1));
+        assert_eq!(bare.num_rows(), 1);
     }
 
     #[test]
@@ -1110,7 +1160,7 @@ mod tests {
         // Warm the dictionaries first, as steady-state window ingest does.
         by_batch.push(entries[0].clone()).unwrap();
         by_batch.push(entries[1].clone()).unwrap();
-        let report = by_batch.ingest_batch_with_threads(entries[2..].to_vec(), 4);
+        let report = by_batch.ingest_batch_with_threads(&entries[2..], 4);
         assert_eq!(report.appended, n as usize - 2);
         assert_eq!(report.quarantined, 0);
         assert_eq!(by_batch, by_push);

@@ -297,7 +297,7 @@ impl Exchange {
             next_event_id: 0,
             next_transfer_id: 0,
             clients: ids.iter().map(DeviceClient::new).collect(),
-            server: IngestServer::new(),
+            server: IngestServer::for_devices(&ids),
             up: ids.iter().map(|id| link(id, 0x5550)).collect(),
             down: ids.iter().map(|id| link(id, 0x444E)).collect(),
             decoded: DecodeMemo::default(),
@@ -477,7 +477,23 @@ impl Exchange {
                         entries,
                         samples,
                     }) => {
-                        let outcome = self.server.on_upload(&device_id, seq, entries, samples);
+                        // The frame names its sender: the device whose
+                        // uplink carried it, unless something forged the
+                        // id. A name this fabric was not built with has no
+                        // ingest slot; that frame is dropped and counted
+                        // with the rejected ones.
+                        let sender = if self.ids[device as usize] == device_id {
+                            Some(device)
+                        } else {
+                            self.index_of(&device_id)
+                        };
+                        let Some(sender) = sender else {
+                            self.count_decode_error();
+                            continue;
+                        };
+                        let outcome =
+                            self.server
+                                .on_upload_from(sender as usize, seq, entries, samples);
                         if outcome.duplicate {
                             self.report.ingest_duplicates += 1;
                             INGEST_DUPLICATES.inc();

@@ -1,16 +1,19 @@
 //! The cloud-side ingest endpoint: duplicate/reorder-tolerant batch intake.
 //!
-//! Every upload batch carries a per-device sequence number. The server
-//! keeps, per device, the set of sequence numbers ever accepted; redelivery
-//! of an already-seen batch (a retry whose first copy *did* arrive, or a
-//! link-level duplicate) is acknowledged but not re-ingested, which makes
-//! ingest **idempotent** — the property the round-trip proptests pin down.
-//! Batches are drained in `(device id, seq)` order, so frame reordering on
-//! the wire cannot change the drift log's row order.
+//! Every upload batch carries a per-device sequence number. A device
+//! numbers its batches 0, 1, 2, …, so the server keeps, per device, a
+//! **low-water mark** — every seq below it was accepted — plus the set of
+//! accepted seqs above a gap (empty unless batches arrive out of order or
+//! one was lost for good). Redelivery of an already-accepted batch (a retry
+//! whose first copy *did* arrive, or a link-level duplicate) is
+//! acknowledged but not re-ingested, which makes ingest **idempotent** —
+//! the property the round-trip proptests pin down — in state that does not
+//! grow with the run. Batches are drained in `(device id, seq)` order, so
+//! frame reordering on the wire cannot change the drift log's row order.
 
 use nazar_device::UploadedSample;
 use nazar_log::DriftLogEntry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Outcome of one batch arrival.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,11 +25,13 @@ pub struct IngestOutcome {
 /// What the cloud remembers about one device's uploads.
 #[derive(Debug, Clone, Default)]
 struct DeviceIngest {
-    /// Seqs ever accepted (the idempotency filter).
-    seen: BTreeSet<u64>,
+    /// Every seq below this one was accepted.
+    low_water: u64,
+    /// Seqs accepted at or above `low_water`, i.e. past a gap.
+    above: BTreeSet<u64>,
     /// Batches accepted since the last [`IngestServer::take_window`] drain,
-    /// by seq.
-    pending: BTreeMap<u64, (Vec<DriftLogEntry>, Vec<UploadedSample>)>,
+    /// in arrival order.
+    pending: Vec<(u64, Vec<DriftLogEntry>, Vec<UploadedSample>)>,
 }
 
 impl DeviceIngest {
@@ -38,27 +43,53 @@ impl DeviceIngest {
         entries: Vec<DriftLogEntry>,
         samples: Vec<UploadedSample>,
     ) -> bool {
-        let fresh = self.seen.insert(seq);
-        if fresh {
-            self.pending.insert(seq, (entries, samples));
+        if seq < self.low_water {
+            return false;
         }
-        fresh
+        if seq > self.low_water {
+            if !self.above.insert(seq) {
+                return false;
+            }
+        } else {
+            // The gap's first seq: the mark rises over it and over every
+            // accepted seq that now adjoins it.
+            self.low_water += 1;
+            while self.above.remove(&self.low_water) {
+                self.low_water += 1;
+            }
+        }
+        self.pending.push((seq, entries, samples));
+        true
     }
 }
 
 /// Cloud-side ingest state.
 #[derive(Debug, Clone, Default)]
 pub struct IngestServer {
-    /// Per device id; iterating devices, then each one's pending seqs,
-    /// drains in `(device, seq)` order whatever the arrival order was.
-    devices: BTreeMap<String, DeviceIngest>,
+    /// Device ids, sorted; `devices[i]` belongs to `ids[i]`. Iterating
+    /// devices, then each one's pending batches by seq, drains in
+    /// `(device id, seq)` order whatever the arrival order was.
+    ids: Vec<String>,
+    devices: Vec<DeviceIngest>,
     duplicates: u64,
 }
 
 impl IngestServer {
-    /// A fresh ingest endpoint.
+    /// A fresh ingest endpoint; devices register on their first upload.
     pub fn new() -> Self {
         IngestServer::default()
+    }
+
+    /// An endpoint for the devices of `ids`, which must be sorted and free
+    /// of duplicates: device `i` of [`IngestServer::on_upload_from`] is
+    /// `ids[i]`.
+    pub(crate) fn for_devices(ids: &[String]) -> Self {
+        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]));
+        IngestServer {
+            ids: ids.to_vec(),
+            devices: vec![DeviceIngest::default(); ids.len()],
+            duplicates: 0,
+        }
     }
 
     /// Accepts one upload batch; duplicates are detected by `(device, seq)`
@@ -70,15 +101,25 @@ impl IngestServer {
         entries: Vec<DriftLogEntry>,
         samples: Vec<UploadedSample>,
     ) -> IngestOutcome {
-        // Probe by `&str`: only a device's first batch ever allocates its key.
-        let fresh = match self.devices.get_mut(device_id) {
-            Some(device) => device.accept(seq, entries, samples),
-            None => self
-                .devices
-                .entry(device_id.to_string())
-                .or_default()
-                .accept(seq, entries, samples),
-        };
+        let probe = self.ids.binary_search_by(|id| id.as_str().cmp(device_id));
+        let device = probe.unwrap_or_else(|at| {
+            self.ids.insert(at, device_id.to_string());
+            self.devices.insert(at, DeviceIngest::default());
+            at
+        });
+        self.on_upload_from(device, seq, entries, samples)
+    }
+
+    /// [`IngestServer::on_upload`] for the device at position `device` of
+    /// the sorted id list.
+    pub(crate) fn on_upload_from(
+        &mut self,
+        device: usize,
+        seq: u64,
+        entries: Vec<DriftLogEntry>,
+        samples: Vec<UploadedSample>,
+    ) -> IngestOutcome {
+        let fresh = self.devices[device].accept(seq, entries, samples);
         if !fresh {
             self.duplicates += 1;
         }
@@ -87,7 +128,7 @@ impl IngestServer {
 
     /// Batches currently awaiting a window drain.
     pub fn pending_batches(&self) -> usize {
-        self.devices.values().map(|d| d.pending.len()).sum()
+        self.devices.iter().map(|d| d.pending.len()).sum()
     }
 
     /// Total duplicate deliveries suppressed so far.
@@ -100,8 +141,9 @@ impl IngestServer {
     pub fn take_window(&mut self) -> (Vec<DriftLogEntry>, Vec<UploadedSample>) {
         let mut entries = Vec::new();
         let mut samples = Vec::new();
-        for device in self.devices.values_mut() {
-            for (_, (e, s)) in std::mem::take(&mut device.pending) {
+        for device in &mut self.devices {
+            device.pending.sort_unstable_by_key(|batch| batch.0);
+            for (_, e, s) in device.pending.drain(..) {
                 entries.extend(e);
                 samples.extend(s);
             }
@@ -151,5 +193,37 @@ mod tests {
         assert!(s.on_upload("d0", 0, vec![entry(1)], vec![]).duplicate);
         let (entries, _) = s.take_window();
         assert!(entries.is_empty());
+    }
+
+    #[test]
+    fn in_order_uploads_keep_no_per_batch_state() {
+        let mut s = IngestServer::new();
+        for seq in 0..10_000u64 {
+            assert!(!s.on_upload("d0", seq, vec![entry(seq)], vec![]).duplicate);
+            if seq % 100 == 99 {
+                assert_eq!(s.take_window().0.len(), 100);
+            }
+        }
+        assert_eq!(s.devices[0].low_water, 10_000);
+        assert!(s.devices[0].above.is_empty());
+        assert!(s.devices[0].pending.is_empty());
+        // Duplicates far below and just below the mark are suppressed.
+        assert!(s.on_upload("d0", 3, vec![entry(3)], vec![]).duplicate);
+        assert!(
+            s.on_upload("d0", 9_999, vec![entry(9_999)], vec![])
+                .duplicate
+        );
+
+        // A gap parks later seqs above the mark until it closes.
+        assert!(!s.on_upload("d0", 10_002, vec![entry(2)], vec![]).duplicate);
+        assert!(!s.on_upload("d0", 10_001, vec![entry(1)], vec![]).duplicate);
+        assert!(s.on_upload("d0", 10_002, vec![entry(2)], vec![]).duplicate);
+        assert_eq!(s.devices[0].above.len(), 2);
+        assert!(!s.on_upload("d0", 10_000, vec![entry(0)], vec![]).duplicate);
+        assert_eq!(s.devices[0].low_water, 10_003);
+        assert!(s.devices[0].above.is_empty());
+        let ts: Vec<u64> = s.take_window().0.iter().map(|e| e.timestamp).collect();
+        assert_eq!(ts, vec![0, 1, 2]);
+        assert_eq!(s.duplicates(), 3);
     }
 }

@@ -5,7 +5,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  "NZRF"
-//! 4       1     protocol version (currently 1)
+//! 4       1     protocol version (currently 2; any other is refused)
 //! 5       1     message type
 //! 6       4     payload length (u32 LE)
 //! 10      n     payload
@@ -15,21 +15,58 @@
 //! All integers are little-endian; `f32`/`f64` travel as their raw LE bit
 //! patterns, so numeric round trips are *exact* (bitwise), which is what
 //! keeps the perfect-link transport path bit-identical to the in-process
-//! direct-call path. Strings are `u32` length + UTF-8 bytes. Decoding never
-//! panics: every violation surfaces as a [`NetError`].
+//! direct-call path. Decoding never panics: every violation surfaces as a
+//! [`NetError`].
+//!
+//! Downward payloads (`UploadAck`, `DeployChunk`, the deploy payload) and
+//! `ChunkAck` use fixed-width fields and `u32` length + UTF-8 strings. The
+//! upload batch — the one message a data plan pays for per inference — is
+//! compact instead: LEB128 varints, and every string written once into a
+//! **batch-local page** that rows and samples point into by code.
+//!
+//! ```text
+//! upload-batch payload
+//!   varint   seq
+//!   u8       layout: 1 = schema rows, 0 = keyed rows
+//!   page     varint count (>= 1), then count x (varint length, UTF-8 bytes);
+//!            entry 0 is the sending device's id
+//!   rows     varint count, then per row:
+//!              varint  timestamp - previous row's (wrapping; first from 0)
+//!              u8      drift flag, 0 or 1
+//!              attrs   (below)
+//!   samples  varint count, then per sample:
+//!              varint  feature count, then raw LE `f32` bits
+//!              attrs   (below)
+//!              u16     day index
+//!              varint  label
+//!              varint  cause: 0 = none, else 1 + page code of its name
+//!   attrs    layout 1: one varint page code per `LOG_SCHEMA` column, in
+//!                      order; no key is written
+//!            layout 0: varint count, then count x (key code, value code)
+//! ```
+//!
+//! Layout 1 is what devices send: every row's and sample's keys are exactly
+//! [`nazar_device::LOG_SCHEMA`], so a row is a timestamp delta, a flag and
+//! three one-byte codes. Layout 0 exists because the codec must round-trip
+//! *every* [`DriftLogEntry`] exactly — a wrong key, a missing column, a
+//! duplicate key or an empty string has to reach the cloud's quarantine,
+//! not die on the wire. The encoder picks the layout from the rows it is
+//! handed.
 
 use crate::error::{NetError, Result};
 use nazar_data::{Corruption, SimDate};
-use nazar_device::UploadedSample;
+use nazar_device::{UploadedSample, LOG_SCHEMA};
+use nazar_log::varint::{self, VarintError};
 use nazar_log::{Attribute, DriftLogEntry};
 use nazar_nn::{BnLayerState, BnPatch};
 use nazar_registry::VersionMeta;
 use nazar_tensor::Tensor;
+use std::collections::HashMap;
 
 /// The frame magic.
 pub const MAGIC: [u8; 4] = *b"NZRF";
 /// The protocol version this build speaks.
-pub const VERSION: u8 = 1;
+pub const VERSION: u8 = 2;
 /// Fixed per-frame overhead: magic + version + type + length + CRC trailer.
 pub const FRAME_OVERHEAD: usize = 4 + 1 + 1 + 4 + 4;
 
@@ -161,6 +198,11 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// Appends an unsigned LEB128 varint.
+    pub fn put_varint(&mut self, v: u64) {
+        varint::put_varint(&mut self.buf, v);
+    }
+
     /// Appends raw bytes (no length prefix).
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
@@ -203,34 +245,56 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let Some((head, _)) = self.buf[self.pos..].split_first_chunk::<N>() else {
+            return Err(NetError::Truncated {
+                needed: N,
+                remaining: self.remaining(),
+            });
+        };
+        self.pos += N;
+        Ok(*head)
+    }
+
     /// Reads one byte.
     pub fn get_u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
+        Ok(u8::from_le_bytes(self.take_array()?))
     }
 
     /// Reads a `u16` LE.
     pub fn get_u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        Ok(u16::from_le_bytes(self.take_array()?))
     }
 
     /// Reads a `u32` LE.
     pub fn get_u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.take_array()?))
     }
 
     /// Reads a `u64` LE.
     pub fn get_u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.take_array()?))
     }
 
     /// Reads an `f32` from raw LE bits.
     pub fn get_f32(&mut self) -> Result<f32> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(f32::from_le_bytes(self.take_array()?))
     }
 
     /// Reads an `f64` from raw LE bits.
     pub fn get_f64(&mut self) -> Result<f64> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(f64::from_le_bytes(self.take_array()?))
+    }
+
+    /// Reads an unsigned LEB128 varint (at most ten bytes, no overflow).
+    pub fn get_varint(&mut self) -> Result<u64> {
+        varint::get_varint(self.buf, &mut self.pos).map_err(|err| match err {
+            VarintError::Truncated => NetError::Truncated {
+                needed: 1,
+                remaining: 0,
+            },
+            VarintError::Overflow => NetError::Malformed("varint overflows u64"),
+        })
     }
 
     /// Reads `n` raw bytes.
@@ -251,6 +315,25 @@ impl<'a> Reader<'a> {
             return Err(NetError::Malformed(what));
         }
         Ok(n)
+    }
+
+    /// A varint collection size, capped like [`Reader::get_count`].
+    fn get_varint_count(&mut self, what: &'static str) -> Result<usize> {
+        match self.get_varint()? {
+            n if n <= MAX_ELEMS as u64 => Ok(n as usize),
+            _ => Err(NetError::Malformed(what)),
+        }
+    }
+
+    /// A varint-length string of the upload page, borrowed from the frame.
+    fn get_page_str(&mut self) -> Result<&'a str> {
+        let n = self.get_varint_count("page string length")?;
+        std::str::from_utf8(self.take(n)?).map_err(|_| NetError::Utf8)
+    }
+
+    /// A varint code into `page`, resolved.
+    fn get_paged<'p>(&mut self, page: &[&'p str]) -> Result<&'p str> {
+        paged(page, self.get_varint()?)
     }
 
     /// Errors unless every byte was consumed (frames must not carry slack).
@@ -330,81 +413,6 @@ fn get_attrs(r: &mut Reader<'_>) -> Result<Vec<Attribute>> {
         attrs.push(Attribute { key, value });
     }
     Ok(attrs)
-}
-
-/// Encodes one drift-log entry into `w`.
-pub fn put_entry(w: &mut Writer, e: &DriftLogEntry) {
-    w.put_u64(e.timestamp);
-    w.put_u8(e.drift as u8);
-    put_attrs(w, &e.attrs);
-}
-
-/// Decodes one drift-log entry.
-pub fn get_entry(r: &mut Reader<'_>) -> Result<DriftLogEntry> {
-    let timestamp = r.get_u64()?;
-    let drift = match r.get_u8()? {
-        0 => false,
-        1 => true,
-        _ => return Err(NetError::Malformed("drift flag must be 0 or 1")),
-    };
-    let attrs = get_attrs(r)?;
-    Ok(DriftLogEntry {
-        timestamp,
-        attrs,
-        drift,
-    })
-}
-
-/// Encodes one uploaded sample into `w`.
-pub fn put_sample(w: &mut Writer, s: &UploadedSample) {
-    w.put_u32(s.features.len() as u32);
-    for &f in &s.features {
-        w.put_f32(f);
-    }
-    put_attrs(w, &s.attrs);
-    w.put_u16(s.date.day_index());
-    w.put_u32(s.label as u32);
-    match s.true_cause {
-        None => w.put_u8(0),
-        Some(c) => {
-            w.put_u8(1);
-            w.put_str(c.name());
-        }
-    }
-}
-
-/// Decodes one uploaded sample.
-pub fn get_sample(r: &mut Reader<'_>) -> Result<UploadedSample> {
-    let n = r.get_count("feature count")?;
-    let mut features = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        features.push(r.get_f32()?);
-    }
-    let attrs = get_attrs(r)?;
-    let day = r.get_u16()?;
-    if day >= SimDate::TOTAL_DAYS {
-        return Err(NetError::Malformed("sample date outside simulated range"));
-    }
-    let date = SimDate::new(day);
-    let label = r.get_u32()? as usize;
-    let true_cause = match r.get_u8()? {
-        0 => None,
-        1 => {
-            let name = r.get_str()?;
-            Some(
-                Corruption::from_name(&name)
-                    .ok_or(NetError::Malformed("unknown corruption name"))?,
-            )
-        }
-        _ => return Err(NetError::Malformed("cause flag must be 0 or 1")),
-    };
-    Ok(UploadedSample {
-        features,
-        attrs,
-        date,
-        label,
-        true_cause,
-    })
 }
 
 /// Encodes version metadata into `w`.
@@ -522,25 +530,233 @@ fn seal_frame(w: Writer) -> Vec<u8> {
     bytes
 }
 
-/// Encodes a [`Message::UploadBatch`] frame from borrowed rows.
+/// Past this many strings the upload page is probed through a map instead
+/// of scanned: a device's own batch holds a handful, a frame mixing many
+/// devices' rows does not.
+const PAGE_SCAN_MAX: usize = 16;
+
+/// The string page of one upload batch under construction: each distinct
+/// string gets the next code, in first-use order.
+struct PageBuilder<'a> {
+    strings: Vec<&'a str>,
+    /// Complete exactly while `strings` is longer than [`PAGE_SCAN_MAX`].
+    index: HashMap<&'a str, u32>,
+    /// The code each of the first attribute slots resolved to last: a
+    /// column mostly repeats its previous row's value.
+    hints: [u32; 8],
+}
+
+impl<'a> PageBuilder<'a> {
+    fn new(device_id: &'a str) -> Self {
+        PageBuilder {
+            strings: vec![device_id],
+            index: HashMap::new(),
+            hints: [0; 8],
+        }
+    }
+
+    fn code(&mut self, s: &'a str) -> u32 {
+        let next = self.strings.len() as u32;
+        let code = if self.strings.len() > PAGE_SCAN_MAX {
+            *self.index.entry(s).or_insert(next)
+        } else {
+            let found = self.strings.iter().position(|p| *p == s);
+            found.map_or(next, |i| i as u32)
+        };
+        if code == next {
+            self.strings.push(s);
+            if self.strings.len() == PAGE_SCAN_MAX + 1 {
+                // Sized for a full frame of distinct strings, so the map
+                // never rehashes.
+                self.index.reserve(8 * PAGE_SCAN_MAX);
+                self.index
+                    .extend((0..).zip(&self.strings).map(|(i, p)| (*p, i)));
+            }
+        }
+        code
+    }
+
+    /// [`PageBuilder::code`], trying what `slot` resolved to last first.
+    fn code_at(&mut self, slot: usize, s: &'a str) -> u32 {
+        let Some(&hint) = self.hints.get(slot) else {
+            return self.code(s);
+        };
+        if self.strings[hint as usize] == s {
+            return hint;
+        }
+        let code = self.code(s);
+        self.hints[slot] = code;
+        code
+    }
+}
+
+/// The page string `code` names.
+fn paged<'p>(page: &[&'p str], code: u64) -> Result<&'p str> {
+    usize::try_from(code)
+        .ok()
+        .and_then(|code| page.get(code).copied())
+        .ok_or(NetError::Malformed("page code outside the page"))
+}
+
+/// Whether `attrs` carries exactly the [`LOG_SCHEMA`] keys, in order.
+fn is_schema_row(attrs: &[Attribute]) -> bool {
+    attrs.len() == LOG_SCHEMA.len() && attrs.iter().zip(LOG_SCHEMA).all(|(a, key)| a.key == key)
+}
+
+fn put_paged_attrs<'a>(
+    w: &mut Writer,
+    page: &mut PageBuilder<'a>,
+    attrs: &'a [Attribute],
+    schema_rows: bool,
+) {
+    if !schema_rows {
+        w.put_varint(attrs.len() as u64);
+    }
+    for (i, a) in attrs.iter().enumerate() {
+        if !schema_rows {
+            w.put_varint(u64::from(page.code_at(2 * i + 1, &a.key)));
+        }
+        w.put_varint(u64::from(page.code_at(2 * i, &a.value)));
+    }
+}
+
+fn get_paged_attrs(r: &mut Reader<'_>, page: &[&str], schema_rows: bool) -> Result<Vec<Attribute>> {
+    if schema_rows {
+        return LOG_SCHEMA
+            .iter()
+            .map(|key| Ok(Attribute::new(*key, r.get_paged(page)?)))
+            .collect();
+    }
+    let n = r.get_varint_count("attribute count")?;
+    let mut attrs = Vec::with_capacity(n.min(64));
+    for _ in 0..n {
+        let key = r.get_paged(page)?;
+        attrs.push(Attribute::new(key, r.get_paged(page)?));
+    }
+    Ok(attrs)
+}
+
+/// Encodes a [`Message::UploadBatch`] frame from borrowed rows (payload
+/// layout in the module docs).
 pub fn encode_upload_batch(
     device_id: &str,
     seq: u64,
     entries: &[DriftLogEntry],
     samples: &[UploadedSample],
 ) -> Vec<u8> {
-    let mut w = begin_frame(TYPE_UPLOAD_BATCH, 128);
-    w.put_str(device_id);
-    w.put_u64(seq);
-    w.put_u32(entries.len() as u32);
+    let schema_rows = entries.iter().all(|e| is_schema_row(&e.attrs))
+        && samples.iter().all(|s| is_schema_row(&s.attrs));
+    // Rows and samples first, into a side buffer: the page they fill goes
+    // on the wire ahead of them.
+    let mut page = PageBuilder::new(device_id);
+    let mut body = Writer::with_capacity(64);
+    body.put_varint(entries.len() as u64);
+    let mut previous = 0u64;
     for e in entries {
-        put_entry(&mut w, e);
+        body.put_varint(e.timestamp.wrapping_sub(previous));
+        previous = e.timestamp;
+        body.put_u8(e.drift as u8);
+        put_paged_attrs(&mut body, &mut page, &e.attrs, schema_rows);
     }
-    w.put_u32(samples.len() as u32);
+    body.put_varint(samples.len() as u64);
     for s in samples {
-        put_sample(&mut w, s);
+        body.put_varint(s.features.len() as u64);
+        for &f in &s.features {
+            body.put_f32(f);
+        }
+        put_paged_attrs(&mut body, &mut page, &s.attrs, schema_rows);
+        body.put_u16(s.date.day_index());
+        body.put_varint(s.label as u64);
+        body.put_varint(match s.true_cause {
+            None => 0,
+            Some(c) => 1 + u64::from(page.code(c.name())),
+        });
     }
+
+    let page_bytes: usize = page.strings.iter().map(|p| p.len() + 2).sum();
+    let mut w = begin_frame(TYPE_UPLOAD_BATCH, 16 + page_bytes + body.len());
+    w.put_varint(seq);
+    w.put_u8(schema_rows as u8);
+    w.put_varint(page.strings.len() as u64);
+    for p in &page.strings {
+        w.put_varint(p.len() as u64);
+        w.put_bytes(p.as_bytes());
+    }
+    w.put_bytes(&body.buf);
     seal_frame(w)
+}
+
+/// Decodes the payload [`encode_upload_batch`] writes.
+fn decode_upload_batch(r: &mut Reader<'_>) -> Result<Message> {
+    let seq = r.get_varint()?;
+    let schema_rows = match r.get_u8()? {
+        0 => false,
+        1 => true,
+        _ => return Err(NetError::Malformed("upload layout must be 0 or 1")),
+    };
+    let n_page = r.get_varint_count("page length")?;
+    let mut page = Vec::with_capacity(n_page.min(1024));
+    for _ in 0..n_page {
+        page.push(r.get_page_str()?);
+    }
+    let Some(device_id) = page.first() else {
+        return Err(NetError::Malformed("empty string page"));
+    };
+
+    let n_entries = r.get_varint_count("entry count")?;
+    let mut entries = Vec::with_capacity(n_entries.min(1024));
+    let mut timestamp = 0u64;
+    for _ in 0..n_entries {
+        timestamp = timestamp.wrapping_add(r.get_varint()?);
+        let drift = match r.get_u8()? {
+            0 => false,
+            1 => true,
+            _ => return Err(NetError::Malformed("drift flag must be 0 or 1")),
+        };
+        entries.push(DriftLogEntry {
+            timestamp,
+            attrs: get_paged_attrs(r, &page, schema_rows)?,
+            drift,
+        });
+    }
+
+    let n_samples = r.get_varint_count("sample count")?;
+    let mut samples = Vec::with_capacity(n_samples.min(1024));
+    for _ in 0..n_samples {
+        let n = r.get_varint_count("feature count")?;
+        let features = r
+            .take(n * 4)?
+            .chunks_exact(4)
+            .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+            .collect();
+        let attrs = get_paged_attrs(r, &page, schema_rows)?;
+        let day = r.get_u16()?;
+        if day >= SimDate::TOTAL_DAYS {
+            return Err(NetError::Malformed("sample date outside simulated range"));
+        }
+        let label = usize::try_from(r.get_varint()?)
+            .map_err(|_| NetError::Malformed("sample label overflows usize"))?;
+        let true_cause = match r.get_varint()? {
+            0 => None,
+            code => Some(
+                Corruption::from_name(paged(&page, code - 1)?)
+                    .ok_or(NetError::Malformed("unknown corruption name"))?,
+            ),
+        };
+        samples.push(UploadedSample {
+            features,
+            attrs,
+            date: SimDate::new(day),
+            label,
+            true_cause,
+        });
+    }
+    Ok(Message::UploadBatch {
+        device_id: device_id.to_string(),
+        seq,
+        entries,
+        samples,
+    })
 }
 
 /// Encodes a [`Message::DeployChunk`] frame from a borrowed slice of the
@@ -592,7 +808,7 @@ pub fn encode_frame(msg: &Message) -> Vec<u8> {
 /// and CRC — and returns its message-type byte and its payload, borrowed.
 pub fn open_frame(bytes: &[u8]) -> Result<(u8, &[u8])> {
     let mut r = Reader::new(bytes);
-    let magic: [u8; 4] = r.get_bytes(4)?.try_into().unwrap();
+    let magic: [u8; 4] = r.take_array()?;
     if magic != MAGIC {
         return Err(NetError::BadMagic(magic));
     }
@@ -653,26 +869,7 @@ pub fn parse_deploy_chunk(payload: &[u8]) -> Result<ChunkRef<'_>> {
 pub fn decode_message(msg_type: u8, payload: &[u8]) -> Result<Message> {
     let mut r = Reader::new(payload);
     let msg = match msg_type {
-        TYPE_UPLOAD_BATCH => {
-            let device_id = r.get_str()?;
-            let seq = r.get_u64()?;
-            let n_entries = r.get_count("entry count")?;
-            let mut entries = Vec::with_capacity(n_entries.min(1024));
-            for _ in 0..n_entries {
-                entries.push(get_entry(&mut r)?);
-            }
-            let n_samples = r.get_count("sample count")?;
-            let mut samples = Vec::with_capacity(n_samples.min(1024));
-            for _ in 0..n_samples {
-                samples.push(get_sample(&mut r)?);
-            }
-            Message::UploadBatch {
-                device_id,
-                seq,
-                entries,
-                samples,
-            }
-        }
+        TYPE_UPLOAD_BATCH => decode_upload_batch(&mut r)?,
         TYPE_UPLOAD_ACK => Message::UploadAck { seq: r.get_u64()? },
         TYPE_DEPLOY_CHUNK => {
             let chunk = parse_deploy_chunk(payload)?;
@@ -792,5 +989,62 @@ mod tests {
         let crc = crc32(&bytes[4..]);
         bytes.extend_from_slice(&crc.to_le_bytes());
         assert_eq!(decode_frame(&bytes), Err(NetError::UnknownMessageType(99)));
+    }
+
+    fn schema_row(ts: u64, weather: &str) -> DriftLogEntry {
+        DriftLogEntry::new(
+            ts,
+            &[
+                ("weather", weather),
+                ("location", "quebec"),
+                ("device_id", "quebec-dev00"),
+            ],
+            ts.is_multiple_of(2),
+        )
+    }
+
+    #[test]
+    fn schema_row_costs_a_delta_a_flag_and_three_codes() {
+        let rows: Vec<DriftLogEntry> = (0..3).map(|i| schema_row(1_000_000 + i, "snow")).collect();
+        let len = |n: usize| encode_upload_batch("quebec-dev00", 7, &rows[..n], &[]).len();
+        // Envelope, seq, layout, page of three strings, two counts, and a
+        // first row whose timestamp is a three-byte delta from zero.
+        let page = 1 + (1 + 12) + (1 + 4) + (1 + 6);
+        assert_eq!(len(1), FRAME_OVERHEAD + 1 + 1 + page + 1 + (3 + 1 + 3) + 1);
+        // Each further row: one-byte delta, flag, three one-byte codes.
+        assert_eq!(len(2) - len(1), 5);
+        assert_eq!(len(3) - len(2), 5);
+        // A keyed batch of the same rows pays for the keys once in the
+        // page and two codes an attribute after that.
+        let mut keyed = rows.clone();
+        keyed[0].attrs.reverse();
+        let keyed_len = encode_upload_batch("quebec-dev00", 7, &keyed, &[]).len();
+        assert_eq!(
+            keyed_len - len(3),
+            (1 + 7) + (1 + 8) + (1 + 9) + 3 * (1 + 3)
+        );
+    }
+
+    #[test]
+    fn other_protocol_versions_are_refused() {
+        let msg = Message::UploadBatch {
+            device_id: "quebec-dev00".into(),
+            seq: 7,
+            entries: vec![schema_row(5, "snow")],
+            samples: vec![],
+        };
+        let clean = encode_frame(&msg);
+        assert_eq!(decode_frame(&clean).unwrap(), msg);
+        for version in [0u8, 1, 3] {
+            let mut frame = clean.clone();
+            frame[4] = version;
+            let crc = crc32(&frame[4..frame.len() - 4]);
+            let at = frame.len() - 4;
+            frame[at..].copy_from_slice(&crc.to_le_bytes());
+            assert_eq!(
+                decode_frame(&frame),
+                Err(NetError::UnsupportedVersion(version))
+            );
+        }
     }
 }

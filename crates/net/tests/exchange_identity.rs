@@ -5,7 +5,9 @@
 //! 71fd742, the last before a deploy framed each chunk once): the same
 //! frame lengths, the same fault draws, the same deliveries in the same
 //! order, the same virtual clock. A transport change that moves one of
-//! them changed behaviour, not just speed.
+//! them changed behaviour, not just speed. The four `wire_bytes_up`
+//! values alone were re-recorded on the commit after c57c940, where wire
+//! protocol v2 shortened the upload frames; nothing else moved.
 //!
 //! Beside them: the pieces the shared-frame deploy is built from are equal,
 //! byte for byte and rejection for rejection, to the general codec they
@@ -187,7 +189,7 @@ fn perfect_link_script_is_unchanged() {
         report: NetReport {
             frames_sent: 512,
             frames_delivered: 512,
-            wire_bytes_up: 258_240,
+            wire_bytes_up: 48_384,
             wire_bytes_down: 114_560,
             ..NetReport::default()
         },
@@ -210,7 +212,7 @@ fn lossy_link_script_is_unchanged() {
             frames_lost: 1448,
             frames_duplicated: 284,
             frames_reordered: 288,
-            wire_bytes_up: 594_270,
+            wire_bytes_up: 173_486,
             wire_bytes_down: 366_266,
             retries: 132,
             ingest_duplicates: 79,
@@ -244,7 +246,7 @@ fn blackout_script_is_unchanged() {
         report: NetReport {
             frames_sent: 768,
             frames_lost: 768,
-            wire_bytes_up: 764_736,
+            wire_bytes_up: 135_168,
             wire_bytes_down: 335_232,
             retries: 256,
             upload_failures: 128,
@@ -271,7 +273,7 @@ fn starved_retry_script_is_unchanged() {
             frames_lost: 1274,
             frames_duplicated: 236,
             frames_reordered: 255,
-            wire_bytes_up: 518_102,
+            wire_bytes_up: 150_318,
             wire_bytes_down: 316_950,
             retries: 98,
             upload_failures: 26,
@@ -336,7 +338,7 @@ fn once_framed_chunk_equals_the_general_encoder_and_the_documented_layout() {
 
     let mut by_hand = Vec::new();
     by_hand.extend_from_slice(b"NZRF");
-    by_hand.push(1); // protocol version
+    by_hand.push(2); // protocol version
     by_hand.push(3); // DeployChunk
     by_hand.extend_from_slice(&(20 + data.len() as u32).to_le_bytes());
     by_hand.extend_from_slice(&transfer_id.to_le_bytes());

@@ -37,34 +37,120 @@ fn permuted<T: Clone>(items: &[T], keys: &[u64]) -> Vec<T> {
     order.iter().map(|&i| items[i].clone()).collect()
 }
 
+/// A row's attributes drawn from `bits`: schema rows (the three
+/// `LOG_SCHEMA` keys in order, one of 64 device ids) or, unless
+/// `schema_only`, a quarter of the time 0–5 attributes from pools that
+/// hold foreign keys, repeated keys and empty strings.
+fn attrs_from(bits: u64, schema_only: bool) -> Vec<Attribute> {
+    const WEATHER: [&str; 4] = ["clear-day", "snow", "rain", ""];
+    const LOCATIONS: [&str; 3] = ["quebec", "new-york", "snow"];
+    const STRAY_KEYS: [&str; 6] = ["weather", "altitude", "", "weather", "device_id", "snow"];
+    let pick = |shift: u32, n: usize| (bits >> shift) as usize % n;
+    if schema_only || !bits.is_multiple_of(4) {
+        return vec![
+            Attribute::new(KEYS[0], WEATHER[pick(2, 4)]),
+            Attribute::new(KEYS[1], LOCATIONS[pick(4, 3)]),
+            Attribute::new(KEYS[2], format!("quebec-dev{:02}", pick(8, 64))),
+        ];
+    }
+    (0..pick(2, 6))
+        .map(|i| {
+            let shift = 8 + 6 * i as u32;
+            Attribute::new(STRAY_KEYS[pick(shift, 6)], WEATHER[pick(shift + 3, 4)])
+        })
+        .collect()
+}
+
+/// Arbitrary feature bits, with the non-finite values made common.
+fn feature_from(bits: u32) -> f32 {
+    match bits % 8 {
+        0 => f32::NAN,
+        1 => f32::INFINITY,
+        2 => f32::NEG_INFINITY,
+        _ => f32::from_bits(bits),
+    }
+}
+
+/// A message with its sample features as raw bits: `PartialEq` on floats
+/// would call a faithfully delivered NaN unequal to itself.
+fn bitwise(msg: &Message) -> (Message, Vec<Vec<u32>>) {
+    let mut msg = msg.clone();
+    let mut bits = Vec::new();
+    if let Message::UploadBatch { samples, .. } = &mut msg {
+        for s in samples {
+            bits.push(s.features.drain(..).map(f32::to_bits).collect());
+        }
+    }
+    (msg, bits)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Every representable upload batch survives encode → decode exactly
-    /// (floats travel as raw bits, so equality is bitwise).
+    /// (floats travel as raw bits, so equality is bitwise): schema rows from
+    /// up to 64 devices in one frame, off-schema rows of 0–5 attributes
+    /// with foreign, duplicate and empty keys and values, timestamps in any
+    /// order up to `u64::MAX`, arbitrary feature bits. A batch of schema
+    /// rows alone travels without its keys, so it is strictly shorter than
+    /// the same rows written keyed.
     #[test]
     fn upload_batch_round_trips(
-        seq in 0u64..1_000_000,
+        seq in 0u64..u64::MAX,
+        schema_only in any::<bool>(),
         raw_entries in proptest::collection::vec(
-            (0u64..10_000, 0usize..3, 0usize..4, any::<bool>()), 0..20),
+            (0u64..u64::MAX, 0u64..u64::MAX, any::<bool>()), 0..24),
         raw_samples in proptest::collection::vec(
-            (proptest::collection::vec(-4.0f32..4.0, 1..12), 0u16..112, 0usize..8, 0usize..12),
+            (proptest::collection::vec(0u32..=u32::MAX, 0..12), 0u64..u64::MAX, 0u16..112),
             0..6),
     ) {
         let msg = Message::UploadBatch {
             device_id: "quebec-dev07".into(),
-            seq,
+            seq: if seq.is_multiple_of(5) { u64::MAX } else { seq },
             entries: raw_entries
                 .iter()
-                .map(|&(ts, k, v, d)| entry_from(ts, k, v, d))
+                .map(|&(ts, bits, drift)| DriftLogEntry {
+                    timestamp: match ts % 4 {
+                        0 => u64::MAX,
+                        1 => ts >> 44,
+                        _ => ts,
+                    },
+                    attrs: attrs_from(bits, schema_only),
+                    drift,
+                })
                 .collect(),
             samples: raw_samples
                 .iter()
-                .map(|(f, day, l, c)| sample_from(f.clone(), *day, *l, *c))
+                .map(|(feats, bits, day)| UploadedSample {
+                    features: feats.iter().map(|&b| feature_from(b)).collect(),
+                    attrs: attrs_from(*bits, schema_only),
+                    date: SimDate::new(*day),
+                    label: (bits >> 50) as usize,
+                    true_cause: match bits % 3 {
+                        0 => None,
+                        _ => Some(Corruption::ALL[(bits >> 8) as usize % Corruption::ALL.len()]),
+                    },
+                })
                 .collect(),
         };
         let bytes = nazar_net::wire::encode_frame(&msg);
-        prop_assert_eq!(nazar_net::wire::decode_frame(&bytes).unwrap(), msg);
+        let decoded = nazar_net::wire::decode_frame(&bytes).unwrap();
+        prop_assert_eq!(bitwise(&decoded), bitwise(&msg));
+
+        let Message::UploadBatch { device_id, seq, mut entries, mut samples } = msg else {
+            unreachable!()
+        };
+        if schema_only && !(entries.is_empty() && samples.is_empty()) {
+            // The same rows with their attributes in another order: no
+            // longer schema rows, so keys travel too.
+            entries.iter_mut().for_each(|e| e.attrs.reverse());
+            samples.iter_mut().for_each(|s| s.attrs.reverse());
+            let keyed = Message::UploadBatch { device_id, seq, entries, samples };
+            let keyed_bytes = nazar_net::wire::encode_frame(&keyed);
+            prop_assert!(bytes.len() < keyed_bytes.len());
+            let decoded = nazar_net::wire::decode_frame(&keyed_bytes).unwrap();
+            prop_assert_eq!(bitwise(&decoded), bitwise(&keyed));
+        }
     }
 
     /// Degenerate floats — NaN, ±Inf, signed zero, subnormals, the extreme

@@ -14,6 +14,7 @@
 //! workspace's typed-error policy (DESIGN.md §9).
 
 use crate::config::CodecChoice;
+use nazar_log::varint::{get_varint, put_varint, VarintError};
 
 /// Codec id: raw little-endian `u32`s, 4 bytes per value.
 pub const CODEC_RAW: u8 = 0;
@@ -85,37 +86,15 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 }
 
 // ---------------------------------------------------------------------------
-// Varints (LEB128) and zigzag
+// Varints (`nazar_log::varint`, the workspace's one LEB128) and zigzag
 // ---------------------------------------------------------------------------
 
-/// Appends `v` as an unsigned LEB128 varint.
-pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
+impl From<VarintError> for CodecError {
+    fn from(err: VarintError) -> Self {
+        match err {
+            VarintError::Truncated => CodecError::Truncated,
+            VarintError::Overflow => CodecError::InvalidEncoding("varint overflows u64"),
         }
-        out.push(byte | 0x80);
-    }
-}
-
-/// Reads an unsigned LEB128 varint at `*pos`, advancing it.
-pub fn get_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let &byte = bytes.get(*pos).ok_or(CodecError::Truncated)?;
-        *pos += 1;
-        if shift >= 64 || (shift == 63 && byte > 1) {
-            return Err(CodecError::InvalidEncoding("varint overflows u64"));
-        }
-        v |= u64::from(byte & 0x7F) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
     }
 }
 
@@ -381,7 +360,9 @@ mod tests {
 
     #[test]
     fn varint_round_trip_boundaries() {
-        for v in [
+        // Timestamps whose first value and zigzag deltas sit on every varint
+        // length boundary round-trip exactly.
+        let ts = [
             0u64,
             1,
             127,
@@ -390,21 +371,29 @@ mod tests {
             16384,
             u64::from(u32::MAX),
             u64::MAX,
-        ] {
-            let mut buf = Vec::new();
-            put_varint(&mut buf, v);
-            let mut pos = 0;
-            assert_eq!(get_varint(&buf, &mut pos), Ok(v));
-            assert_eq!(pos, buf.len());
+            0,
+        ];
+        for start in 0..ts.len() {
+            let (codec, bytes) = encode_timestamps(&ts[start..]);
+            assert_eq!(
+                decode_timestamps(codec, &bytes, ts.len() - start).unwrap(),
+                &ts[start..]
+            );
         }
     }
 
     #[test]
     fn varint_overflow_rejected() {
-        // 10 continuation bytes encode more than 64 bits.
-        let buf = [0xFFu8; 10];
-        let mut pos = 0;
-        assert!(get_varint(&buf, &mut pos).is_err());
+        // 10 continuation bytes encode more than 64 bits: the shared
+        // varint's typed errors map onto this crate's.
+        assert_eq!(
+            decode_timestamps(CODEC_TS_DELTA, &[0xFFu8; 10], 1),
+            Err(CodecError::InvalidEncoding("varint overflows u64"))
+        );
+        assert_eq!(
+            decode_timestamps(CODEC_TS_DELTA, &[0x80], 1),
+            Err(CodecError::Truncated)
+        );
     }
 
     fn column_cases() -> Vec<Vec<u32>> {

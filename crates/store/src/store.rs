@@ -511,9 +511,11 @@ impl DriftStore {
     }
 
     /// Appends a batch, quarantining invalid entries — delegates to
-    /// [`DriftLog::ingest_batch`] on the tail.
-    pub fn ingest_batch(&mut self, entries: Vec<DriftLogEntry>) -> IngestReport {
-        self.tail.ingest_batch(entries)
+    /// [`DriftLog::ingest_batch_with_threads`] on the tail. The rows are
+    /// only read: pass a slice, or anything that lends one.
+    pub fn ingest_batch(&mut self, entries: impl AsRef<[DriftLogEntry]>) -> IngestReport {
+        self.tail
+            .ingest_batch_with_threads(entries, parallel::num_threads())
     }
 
     // -- flush --------------------------------------------------------------

@@ -78,7 +78,7 @@ fn queries_above_the_fanout_threshold_equal_in_memory() {
     let entries: Vec<DriftLogEntry> = (0..ROWS).map(entry).collect();
     for batch in entries.chunks(40_000) {
         assert_eq!(
-            store.ingest_batch(batch.to_vec()),
+            store.ingest_batch(batch),
             oracle.ingest_batch(batch.to_vec())
         );
         store.flush().expect("flush");
