@@ -18,13 +18,9 @@
 //! is bitwise identical at any `NAZAR_NUM_THREADS`.
 //!
 //! Runtime note: at the `fim_algorithms` benchmark scale (50k rows, 3 low-
-//! cardinality attribute keys) apriori's cost is ~40 counting scans and it
-//! beat the original FP-growth port by ~3×. That gap was **not** the mining
-//! strategy — it was FP-growth's transaction-encoding phase materializing
-//! strings per drifted row; see `fpgrowth.rs` ("Transaction encoding") for
-//! the fix. The `nazar_analysis_fim_phase_seconds{method,phase}` histograms
-//! break both algorithms down so a regression in either phase is visible in
-//! any run report.
+//! cardinality attribute keys) apriori's cost is ~40 counting scans. The
+//! `nazar_analysis_fim_phase_seconds{method,phase}` histograms break a mine
+//! down so a regression in one phase is visible in any run report.
 
 use crate::metrics::{CauseStats, FimConfig};
 use nazar_log::{Attribute, DriftLog};
@@ -217,6 +213,87 @@ pub fn mine(log: &DriftLog, config: &FimConfig) -> FimTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nazar_log::DriftLogEntry;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// The independent oracle for [`mine`] (it replaced an FP-growth port):
+    /// every non-empty subset of every row's attributes, up to `max_attrs`
+    /// of them, tallied row by row with no pruning and no index — then the
+    /// two conditions that put an itemset in `FimTable::all`. Returns
+    /// sorted `(attrs, rows containing the set, drifted rows containing it)`.
+    fn brute_force(
+        rows: &[DriftLogEntry],
+        config: &FimConfig,
+    ) -> Vec<(Vec<Attribute>, usize, usize)> {
+        let mut tally: BTreeMap<Vec<Attribute>, (usize, usize)> = BTreeMap::new();
+        for row in rows {
+            for mask in 1u32..1 << row.attrs.len() {
+                if mask.count_ones() as usize > config.max_attrs {
+                    continue;
+                }
+                let mut set: Vec<Attribute> = (0..row.attrs.len())
+                    .filter(|i| mask & (1 << i) != 0)
+                    .map(|i| row.attrs[i].clone())
+                    .collect();
+                set.sort();
+                let counts = tally.entry(set).or_default();
+                counts.0 += 1;
+                counts.1 += usize::from(row.drift);
+            }
+        }
+        tally
+            .into_iter()
+            .filter(|&(_, (_, drifted))| {
+                drifted > 0 && drifted as f64 / rows.len() as f64 >= config.min_occurrence
+            })
+            .map(|(set, (occurrences, drifted))| (set, occurrences, drifted))
+            .collect()
+    }
+
+    fn canonical(table: &FimTable) -> Vec<(Vec<Attribute>, usize, usize)> {
+        let mut v: Vec<(Vec<Attribute>, usize, usize)> = table
+            .all
+            .iter()
+            .map(|c| (c.attrs.clone(), c.stats.occurrences, c.stats.drifted))
+            .collect();
+        v.sort();
+        v
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Apriori's pruned, indexed level walk scores exactly the itemsets
+        /// exhaustive enumeration does, with the same counts.
+        #[test]
+        fn agrees_with_brute_force(
+            rows in proptest::collection::vec((0usize..3, 0usize..3, any::<bool>()), 1..80),
+            max_attrs in 1usize..=3,
+            prune_hard in any::<bool>(),
+        ) {
+            let weathers = ["clear-day", "rain", "snow"];
+            let locations = ["a", "b", "c"];
+            let entries: Vec<DriftLogEntry> = rows
+                .iter()
+                .enumerate()
+                .map(|(i, &(w, l, drift))| {
+                    DriftLogEntry::new(
+                        i as u64,
+                        &[("weather", weathers[w]), ("location", locations[l])],
+                        drift,
+                    )
+                })
+                .collect();
+            let mut log = DriftLog::new(&["weather", "location"]);
+            for entry in &entries {
+                log.push(entry.clone()).unwrap();
+            }
+            let min_occurrence = if prune_hard { 0.1 } else { 0.01 };
+            let config = FimConfig { max_attrs, min_occurrence, ..FimConfig::default() };
+            prop_assert_eq!(canonical(&mine(&log, &config)), brute_force(&entries, &config));
+        }
+    }
 
     fn table() -> FimTable {
         mine(&nazar_log::paper_example_log(), &FimConfig::default())

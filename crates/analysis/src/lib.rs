@@ -37,40 +37,24 @@
 pub mod counterfactual;
 pub mod fim;
 pub mod fms;
-pub mod fpgrowth;
 pub mod reduction;
 
 mod metrics;
 
 pub use fim::{mine, FimTable, RankedCause};
 pub use fms::fowlkes_mallows;
-pub use fpgrowth::mine_fpgrowth;
 pub use metrics::{CauseStats, FimConfig, RankingMetric};
 
 use nazar_log::DriftLog;
 use serde::{Deserialize, Serialize};
 
-/// Which frequent-itemset mining algorithm powers the first stage.
-///
-/// Both are standard (the paper cites apriori \[4\] and FP-growth \[8, 16\] and
-/// implements apriori over SQL); they produce identical tables and differ
-/// only in runtime characteristics.
+/// Which frequent-itemset mining algorithm powers the first stage: apriori,
+/// the one the paper implements (over SQL, §3.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum FimAlgorithm {
-    /// Level-wise candidate generation with counting queries (the paper's
-    /// implementation). The default.
+    /// Level-wise candidate generation with counting queries.
     #[default]
     Apriori,
-    /// Prefix-tree projection without candidate generation.
-    FpGrowth,
-}
-
-/// Mines the drift log with the chosen algorithm.
-pub fn mine_with(log: &DriftLog, config: &FimConfig, algorithm: FimAlgorithm) -> FimTable {
-    match algorithm {
-        FimAlgorithm::Apriori => fim::mine(log, config),
-        FimAlgorithm::FpGrowth => fpgrowth::mine_fpgrowth(log, config),
-    }
 }
 
 /// Which prefix of the analysis pipeline to run (the Table 5 ablation).
@@ -99,7 +83,7 @@ pub fn analyze_variant(
     analyze_variant_with(log, config, variant, FimAlgorithm::default())
 }
 
-/// Runs a chosen prefix of the pipeline over a chosen mining algorithm.
+/// [`analyze_variant`] with the mining algorithm named by the caller.
 pub fn analyze_variant_with(
     log: &DriftLog,
     config: &FimConfig,
@@ -108,14 +92,10 @@ pub fn analyze_variant_with(
 ) -> Vec<RankedCause> {
     let _span = nazar_obs::span_detail("analysis", || format!("rows={}", log.num_rows()));
     let table = {
-        let _fim = nazar_obs::span_detail("fim", || {
-            match algorithm {
-                FimAlgorithm::Apriori => "apriori",
-                FimAlgorithm::FpGrowth => "fpgrowth",
-            }
-            .to_string()
-        });
-        mine_with(log, config, algorithm)
+        let _fim = nazar_obs::span_detail("fim", || "apriori".to_string());
+        match algorithm {
+            FimAlgorithm::Apriori => fim::mine(log, config),
+        }
     };
     match variant {
         AnalysisVariant::FimOnly => table.causes,

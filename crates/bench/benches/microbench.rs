@@ -14,7 +14,7 @@
 //!   version selection).
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use nazar_analysis::{analyze, mine, mine_fpgrowth, FimConfig};
+use nazar_analysis::{analyze, mine, FimConfig};
 use nazar_cloud::timing::synthetic_drift_log;
 use nazar_data::{ClassSpace, Corruption, SimDate};
 use nazar_detect::{DriftDetector, EnergyScore, EntropyThreshold, MspThreshold, Odin};
@@ -284,15 +284,12 @@ fn bench_analysis(c: &mut Criterion) {
 }
 
 fn bench_fim_algorithms(c: &mut Criterion) {
-    // Apriori (the paper's SQL implementation) vs FP-growth on the same log.
+    // Apriori (the paper's SQL implementation) on the synthetic fleet log.
     let log = synthetic_drift_log(50_000, 9);
     let config = FimConfig::default();
     let mut group = c.benchmark_group("fim_algorithms");
     group.sample_size(10);
     group.bench_function("apriori_50k", |b| b.iter(|| black_box(mine(&log, &config))));
-    group.bench_function("fpgrowth_50k", |b| {
-        b.iter(|| black_box(mine_fpgrowth(&log, &config)))
-    });
     group.finish();
 }
 

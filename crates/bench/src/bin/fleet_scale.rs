@@ -16,8 +16,6 @@
 //! width 1, and the deleted full-scan rows (`_scan`, 9.2x slower at 500k
 //! rows) are in DESIGN.md §10. Correctness is pinned by
 //! `crates/log/tests/query_equivalence.rs`, not here.
-//!
-//! `NAZAR_FLEET_QUICK=1` shrinks the sweep for smoke runs.
 
 use nazar_cloud::timing::synthetic_drift_log;
 use nazar_log::{Attribute, DriftLog, MatchCounts};
@@ -85,16 +83,11 @@ fn median_ns<F: FnMut()>(samples: usize, mut f: F) -> f64 {
 
 fn main() {
     let _obs = nazar_bench::ObsRun::start("fleet_scale");
-    let quick = std::env::var("NAZAR_FLEET_QUICK").is_ok_and(|v| v == "1");
-    let row_counts: &[usize] = if quick {
-        &[5_000, 20_000]
-    } else {
-        &[5_000, 50_000, 500_000]
-    };
-    let samples = if quick { 5 } else { 15 };
+    let row_counts = [5_000usize, 50_000, 500_000];
+    let samples = 15;
 
     let mut benches: Vec<(String, f64)> = Vec::new();
-    for &rows in row_counts {
+    for rows in row_counts {
         let log = synthetic_drift_log(rows, 7);
         // Counterfactual-style mask: the stored flags with the planted
         // "snow" rows cleared, as set reduction would produce.

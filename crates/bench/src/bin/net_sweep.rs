@@ -9,10 +9,8 @@
 //! point costs the same wall clock as the perfect one. Every printed column
 //! is deterministic (no wall-clock times), so two runs with the same seed —
 //! including runs with different `NAZAR_NUM_THREADS` — must produce
-//! byte-identical output; CI diffs exactly that.
-//!
-//! Set `NAZAR_NET_SWEEP_FULL=1` for the full grid (default is a reduced
-//! grid sized for CI).
+//! byte-identical output; CI diffs exactly that against
+//! `results/net_sweep.txt`.
 
 use nazar_bench::report::{num, pct, Table};
 use nazar_bench::{animals_model, tent_method};
@@ -27,13 +25,8 @@ fn mean_recall(r: &RunResult) -> f32 {
 
 fn main() {
     let _obs = nazar_bench::ObsRun::start("net_sweep");
-    let full = std::env::var("NAZAR_NET_SWEEP_FULL").is_ok_and(|v| v == "1");
-    let losses: &[f64] = if full {
-        &[0.0, 0.05, 0.1, 0.2, 0.4]
-    } else {
-        &[0.0, 0.1, 0.2]
-    };
-    let latencies_ms: &[u64] = if full { &[0, 50, 200] } else { &[0, 50] };
+    let losses = [0.0, 0.1, 0.2];
+    let latencies_ms = [0u64, 50];
 
     let config = AnimalsConfig::small();
     let setup = animals_model("tiny", &config);
@@ -56,8 +49,8 @@ fn main() {
 
     let mut baseline_recall = None;
     let mut worst_recall_drop: f32 = 0.0;
-    for &loss in losses {
-        for &lat_ms in latencies_ms {
+    for loss in losses {
+        for lat_ms in latencies_ms {
             let cloud = CloudConfig {
                 windows,
                 method: tent_method(),

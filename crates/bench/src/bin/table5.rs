@@ -134,14 +134,10 @@ fn main() {
         }
 
         let truth: Vec<usize> = obs.iter().map(|o| o.truth_cluster).collect();
-        for (vi, (vname, variant)) in variants.iter().enumerate() {
+        for (vi, (_, variant)) in variants.iter().enumerate() {
             let causes = analyze_variant(&log, &fim, *variant);
             let predicted = predicted_clusters(&obs, &causes);
             let fms = fowlkes_mallows(&truth, &predicted);
-            if std::env::var("TABLE5_DEBUG").is_ok() {
-                let labels: Vec<String> = causes.iter().map(|c| c.label()).collect();
-                println!("  {vname}: {labels:?}");
-            }
             rows[vi].push(num(fms, 3));
         }
         println!(

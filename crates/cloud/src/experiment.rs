@@ -79,7 +79,6 @@ mod tests {
     use super::*;
     use crate::{OperationMode, Orchestrator};
     use nazar_adapt::{AdaptMethod, TentConfig};
-    use nazar_analysis::FimAlgorithm;
     use nazar_data::{AnimalsConfig, AnimalsDataset};
 
     fn small_setup() -> (AnimalsDataset, TrainedBase) {
@@ -243,33 +242,5 @@ mod tests {
                 result.transfer_savings()
             );
         }
-    }
-
-    #[test]
-    fn fpgrowth_backend_matches_apriori_end_to_end() {
-        let (data, base) = small_setup();
-        let mk = |algorithm| CloudConfig {
-            windows: 3,
-            min_samples_per_cause: 8,
-            algorithm,
-            method: AdaptMethod::Tent(TentConfig {
-                batch_size: 16,
-                ..TentConfig::default()
-            }),
-            ..CloudConfig::default()
-        };
-        let apriori = run_strategy(
-            &base.model,
-            &data.streams,
-            Strategy::Nazar,
-            &mk(FimAlgorithm::Apriori),
-        );
-        let fp = run_strategy(
-            &base.model,
-            &data.streams,
-            Strategy::Nazar,
-            &mk(FimAlgorithm::FpGrowth),
-        );
-        assert_eq!(apriori.causes_per_window, fp.causes_per_window);
     }
 }

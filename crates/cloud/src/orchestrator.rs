@@ -136,8 +136,8 @@ pub struct CloudConfig {
     pub algorithm: FimAlgorithm,
     /// Device↔cloud transport. `Some` routes every upload and deployment
     /// through the `nazar-net` wire protocol and link simulator (the
-    /// default — a perfect link unless `NAZAR_NET_*` knobs say otherwise);
-    /// `None` keeps the legacy direct in-process path.
+    /// default, over a perfect link); `None` keeps the legacy direct
+    /// in-process path.
     #[serde(default)]
     pub net: Option<NetConfig>,
     /// Retention bound on the global drift log: after each window's ingest,
@@ -156,10 +156,8 @@ pub struct CloudConfig {
     /// Durable drift-log persistence. `Some` mirrors every ingested entry
     /// into a [`DriftStore`] (re-opened at startup, so history survives
     /// orchestrator restarts) and flushes sealed chunks at each window
-    /// boundary. `None` keeps the log purely in-memory. The default reads
-    /// the `NAZAR_STORE_*` environment: persistence is on iff
-    /// `NAZAR_STORE_DIR` is set. Store failures are observability events,
-    /// never fatal to the run.
+    /// boundary. `None` (the default) keeps the log purely in-memory.
+    /// Store failures are observability events, never fatal to the run.
     #[serde(default)]
     pub persist: Option<StoreConfig>,
 }
@@ -179,10 +177,10 @@ impl Default for CloudConfig {
             mode: OperationMode::default(),
             targeted_deployment: false,
             algorithm: FimAlgorithm::default(),
-            net: Some(NetConfig::from_env()),
+            net: Some(NetConfig::default()),
             log_retention: None,
             scheduler: SchedulerMode::default(),
-            persist: StoreConfig::from_env(),
+            persist: None,
         }
     }
 }
@@ -462,8 +460,11 @@ impl Orchestrator {
                 };
                 let delivery = exchange.deploy(&targets, meta, patch);
                 let delivered = delivery.delivered.len() as u64;
-                for (device, meta, patch) in delivery.delivered {
-                    self.fleet.install_on(&device, &meta, &patch);
+                {
+                    let _install_span = nazar_obs::span("install");
+                    for (device, meta, patch) in delivery.delivered {
+                        self.fleet.install_on(&device, &meta, &patch);
+                    }
                 }
                 self.fleet.advance_clock_to(exchange.clock_us());
                 delivered
@@ -506,11 +507,16 @@ impl Orchestrator {
 
     /// Runs all windows of the workload and returns the collected results.
     pub fn run(&mut self, streams: &[nazar_data::LocationStream]) -> RunResult {
+        // The run's whole configuration, in its own header: the caller's
+        // `CloudConfig` plus the two process-wide execution switches.
         event!(
             "run_start",
             strategy = self.strategy.name(),
             windows = self.config.windows,
             devices = self.fleet.len(),
+            config = format!("{:?}", self.config),
+            threads = nazar_tensor::parallel::num_threads(),
+            simd = nazar_tensor::simd::env_tier().as_str(),
         );
         let mut result = RunResult::default();
         for w in 0..self.config.windows {
@@ -568,6 +574,7 @@ impl Orchestrator {
             // failures degrade to an event — the analysis loop must outlive
             // a full disk.
             if let Some(store) = self.store.as_mut() {
+                let _flush_span = nazar_obs::span_detail("store_flush", || format!("w={w}"));
                 match store.flush() {
                     Ok(report) => {
                         if report.chunks_written > 0 {

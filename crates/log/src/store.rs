@@ -883,9 +883,8 @@ impl DriftLog {
 
     /// The dictionary codes of column `ci` (schema order), one per row.
     ///
-    /// This is the zero-copy view FIM algorithms use to encode transactions
-    /// without materializing per-row `String`s (see
-    /// `nazar-analysis/src/fpgrowth.rs`).
+    /// This is the zero-copy view `nazar-store` seals chunks from and
+    /// resolves rows against, without materializing per-row `String`s.
     ///
     /// # Panics
     ///

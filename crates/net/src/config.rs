@@ -56,8 +56,7 @@ impl RetryPolicy {
 /// The default routes every exchange through the wire protocol over a
 /// **perfect** simulated link (instant, lossless), which is bitwise
 /// equivalent to the old direct-call path; fault injection is opt-in via
-/// the fields here or the `NAZAR_NET_*` environment knobs
-/// ([`NetConfig::from_env`]).
+/// the fields here.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NetConfig {
     /// Fault/delay model, applied to both directions.
@@ -94,30 +93,6 @@ impl Default for NetConfig {
             straggler_cutoff_us: None,
             seed: 0x6E61_7A61, // "naza"
         }
-    }
-}
-
-impl NetConfig {
-    /// The default configuration with the link model (and seed) overridden
-    /// by any `NAZAR_NET_*` environment knobs; see [`LinkConfig::from_env`].
-    pub fn from_env() -> Self {
-        let mut cfg = NetConfig {
-            link: LinkConfig::from_env(),
-            ..NetConfig::default()
-        };
-        if let Some(seed) = std::env::var("NAZAR_NET_SEED")
-            .ok()
-            .and_then(|s| s.trim().parse::<u64>().ok())
-        {
-            cfg.seed = seed;
-        }
-        if let Some(us) = std::env::var("NAZAR_NET_CUTOFF_US")
-            .ok()
-            .and_then(|s| s.trim().parse::<u64>().ok())
-        {
-            cfg.straggler_cutoff_us = if us == 0 { None } else { Some(us) };
-        }
-        cfg
     }
 }
 
@@ -160,6 +135,5 @@ mod tests {
     #[test]
     fn default_config_is_perfect_link() {
         assert!(NetConfig::default().link.is_perfect());
-        assert!(NetConfig::from_env().link.is_perfect());
     }
 }

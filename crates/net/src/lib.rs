@@ -17,7 +17,7 @@
 //! | [`wire`]     | framing, checksums, message codecs (no I/O)           |
 //! | [`error`]    | typed decode/transport errors — corrupt bytes never panic |
 //! | [`link`]     | per-device fault/delay models ([`SimLink`])           |
-//! | [`config`]   | [`RetryPolicy`], [`NetConfig`], `NAZAR_NET_*` env knobs |
+//! | [`config`]   | [`RetryPolicy`], [`NetConfig`], fault-injection fields    |
 //! | [`client`]   | device endpoint: outbox, batching, download reassembly |
 //! | [`server`]   | cloud endpoint: idempotent, reorder-tolerant ingest   |
 //! | [`exchange`] | the event loop tying it together ([`Exchange`])       |

@@ -61,54 +61,6 @@ impl LinkConfig {
             && self.duplicate == 0.0
             && self.reorder == 0.0
     }
-
-    /// Reads the `NAZAR_NET_*` environment knobs over the perfect-link
-    /// defaults:
-    ///
-    /// | variable              | meaning                              |
-    /// |-----------------------|--------------------------------------|
-    /// | `NAZAR_NET_LOSS`      | drop probability in `[0, 1]`         |
-    /// | `NAZAR_NET_DUP`       | duplication probability in `[0, 1]`  |
-    /// | `NAZAR_NET_REORDER`   | reorder probability in `[0, 1]`      |
-    /// | `NAZAR_NET_LATENCY_US`| one-way delay, µs                    |
-    /// | `NAZAR_NET_JITTER_US` | uniform extra delay bound, µs        |
-    /// | `NAZAR_NET_BW`        | bandwidth, bytes/s (`0` = unlimited) |
-    ///
-    /// Unset or unparsable values keep the default, so existing runs are
-    /// bitwise unchanged unless a knob is explicitly set.
-    pub fn from_env() -> Self {
-        fn prob(name: &str) -> Option<f64> {
-            std::env::var(name)
-                .ok()?
-                .trim()
-                .parse::<f64>()
-                .ok()
-                .filter(|p| (0.0..=1.0).contains(p))
-        }
-        fn int(name: &str) -> Option<u64> {
-            std::env::var(name).ok()?.trim().parse::<u64>().ok()
-        }
-        let mut cfg = LinkConfig::perfect();
-        if let Some(p) = prob("NAZAR_NET_LOSS") {
-            cfg.loss = p;
-        }
-        if let Some(p) = prob("NAZAR_NET_DUP") {
-            cfg.duplicate = p;
-        }
-        if let Some(p) = prob("NAZAR_NET_REORDER") {
-            cfg.reorder = p;
-        }
-        if let Some(v) = int("NAZAR_NET_LATENCY_US") {
-            cfg.latency_us = v;
-        }
-        if let Some(v) = int("NAZAR_NET_JITTER_US") {
-            cfg.jitter_us = v;
-        }
-        if let Some(v) = int("NAZAR_NET_BW") {
-            cfg.bandwidth_bps = if v == 0 { None } else { Some(v) };
-        }
-        cfg
-    }
 }
 
 /// What happened to one transmitted frame.
@@ -261,11 +213,5 @@ mod tests {
         for i in 0..64 {
             assert_eq!(a.transmit(i * 10, 200), b.transmit(i * 10, 200));
         }
-    }
-
-    #[test]
-    fn env_defaults_to_perfect() {
-        // No NAZAR_NET_* variables are set in the test environment.
-        assert!(LinkConfig::from_env().is_perfect());
     }
 }

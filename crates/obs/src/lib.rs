@@ -33,7 +33,8 @@
 //! NAZAR_OBS=mem                             # collect in memory only (tests, ad-hoc probes)
 //! ```
 //!
-//! Unset, empty, `0` or `off` disable everything.
+//! Unset, empty, `0` or `off` disable everything. So does a directive that
+//! is none of the above, after one stderr line naming it.
 //!
 //! # Example
 //!
@@ -55,7 +56,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod http;
 pub mod json;
 pub mod metrics;
 pub mod profile;
@@ -86,7 +86,10 @@ static STATE: OnceLock<State> = OnceLock::new();
 fn state() -> &'static State {
     STATE.get_or_init(|| {
         let spec = std::env::var("NAZAR_OBS").unwrap_or_default();
-        let config = sink::SinkConfig::parse(&spec);
+        let config = sink::SinkConfig::parse(&spec).unwrap_or_else(|e| {
+            eprintln!("nazar-obs: NAZAR_OBS: {e}; observability stays off");
+            None
+        });
         let on = config.is_some();
         if let Some(config) = config {
             sink::install(config);
@@ -103,7 +106,6 @@ fn state() -> &'static State {
                     Err(e) => eprintln!("nazar-obs: ignoring NAZAR_OBS_SLO: {e}"),
                 }
             }
-            http::start_from_env();
         }
         state
     })

@@ -269,7 +269,7 @@ pub struct MetricSnapshot {
     pub kind: MetricKind,
     /// Whether the family is volatile (wall-clock- or thread-dependent);
     /// volatile series are excluded from the deterministic telemetry
-    /// series but stay in `/metrics` and run reports.
+    /// series but stay in the `prom:` snapshot and run reports.
     pub volatile: bool,
     /// The series' label set.
     pub labels: Vec<(String, String)>,

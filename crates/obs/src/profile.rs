@@ -1,5 +1,5 @@
-//! Span profiling: collapsed-stack (folded) flamegraph output, top-k
-//! self-time tables, and a live per-name aggregate for the HTTP exporter.
+//! Span profiling: collapsed-stack (folded) flamegraph output and top-k
+//! self-time tables.
 //!
 //! The span tree `crates/obs/src/span.rs` collects per run is aggregated
 //! two ways at run end (`nazar_bench::ObsRun` → [`crate::finish_run_full`]):
@@ -10,15 +10,11 @@
 //!   duration of direct children), the quantity that actually identifies
 //!   hot stages rather than just deep ones.
 //!
-//! While the run executes, every span close also folds into a per-name
-//! `(count, total_ns)` aggregate that `/spans.json` serves live; it is
-//! reset by [`crate::telemetry::begin_run`]. Both rendered forms are
-//! sorted, so output order is deterministic even though timings are not.
+//! Both rendered forms are sorted, so output order is deterministic even
+//! though timings are not.
 
-use crate::json;
 use crate::span::SpanRecord;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Mutex, OnceLock};
 
 /// Aggregated self-time of one span name across a run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -108,47 +104,6 @@ pub fn top_self(spans: &[SpanRecord], k: usize) -> Vec<SelfTime> {
     rows
 }
 
-fn live() -> &'static Mutex<BTreeMap<&'static str, (u64, u64)>> {
-    static LIVE: OnceLock<Mutex<BTreeMap<&'static str, (u64, u64)>>> = OnceLock::new();
-    LIVE.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
-
-/// Folds one closed span into the live per-name aggregate (called from the
-/// span guard's drop; the guard only carries state while observability is
-/// enabled, so this adds nothing to the disabled path).
-pub(crate) fn record_close(name: &'static str, dur_ns: u64) {
-    let mut live = live().lock().expect("live span aggregate poisoned");
-    let e = live.entry(name).or_insert((0, 0));
-    e.0 += 1;
-    e.1 += dur_ns;
-}
-
-/// Clears the live aggregate (run start).
-pub(crate) fn reset_live() {
-    live().lock().expect("live span aggregate poisoned").clear();
-}
-
-/// The live aggregate as a JSON array (the `/spans.json` HTTP route):
-/// `[{"name":...,"count":...,"total_ns":...}, ...]`, sorted by name.
-pub fn live_json() -> String {
-    let live = live().lock().expect("live span aggregate poisoned");
-    let mut out = String::from("[");
-    for (i, (name, (count, total_ns))) in live.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"name\":");
-        json::write_str(&mut out, name);
-        out.push_str(",\"count\":");
-        out.push_str(&count.to_string());
-        out.push_str(",\"total_ns\":");
-        out.push_str(&total_ns.to_string());
-        out.push('}');
-    }
-    out.push(']');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,19 +150,5 @@ mod tests {
         assert_eq!(top[0].total_ns, 80);
         assert_eq!(top[1].name, "run");
         assert_eq!(top[1].self_ns, 10);
-    }
-
-    #[test]
-    fn live_aggregate_renders_sorted_json() {
-        reset_live();
-        record_close("window", 10);
-        record_close("detect", 5);
-        record_close("detect", 7);
-        assert_eq!(
-            live_json(),
-            "[{\"name\":\"detect\",\"count\":2,\"total_ns\":12},{\"name\":\"window\",\"count\":1,\"total_ns\":10}]"
-        );
-        reset_live();
-        assert_eq!(live_json(), "[]");
     }
 }

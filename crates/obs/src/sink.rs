@@ -22,12 +22,17 @@ pub struct SinkConfig {
 }
 
 impl SinkConfig {
-    /// Parses the `NAZAR_OBS` value. `None` means observability stays
-    /// disabled; `Some(default)` (no paths) means in-memory collection.
-    pub fn parse(spec: &str) -> Option<SinkConfig> {
+    /// Parses the `NAZAR_OBS` value. `Ok(None)` means observability stays
+    /// disabled; `Ok(Some(default))` (no paths) means in-memory collection.
+    ///
+    /// # Errors
+    ///
+    /// Names the first directive that is not `jsonl:<path>`, `prom:<path>`,
+    /// `mem`, `on` or `1`.
+    pub fn parse(spec: &str) -> Result<Option<SinkConfig>, String> {
         let spec = spec.trim();
         if spec.is_empty() || spec == "0" || spec.eq_ignore_ascii_case("off") {
-            return None;
+            return Ok(None);
         }
         let mut config = SinkConfig::default();
         for directive in spec.split(',') {
@@ -36,11 +41,13 @@ impl SinkConfig {
                 config.jsonl = Some(PathBuf::from(path));
             } else if let Some(path) = directive.strip_prefix("prom:") {
                 config.prom = Some(PathBuf::from(path));
+            } else if !matches!(directive, "mem" | "on" | "1") {
+                return Err(format!(
+                    "{directive:?} is not one of jsonl:<path>, prom:<path>, mem"
+                ));
             }
-            // `mem`, `1`, `on` and anything unrecognized just enable
-            // in-memory collection.
         }
-        Some(config)
+        Ok(Some(config))
     }
 }
 
@@ -262,10 +269,12 @@ mod tests {
 
     #[test]
     fn parse_recognizes_directives() {
-        assert_eq!(SinkConfig::parse(""), None);
-        assert_eq!(SinkConfig::parse("0"), None);
-        assert_eq!(SinkConfig::parse("off"), None);
-        let both = SinkConfig::parse("jsonl:/tmp/a.jsonl, prom:/tmp/b.prom").unwrap();
+        assert_eq!(SinkConfig::parse(""), Ok(None));
+        assert_eq!(SinkConfig::parse("0"), Ok(None));
+        assert_eq!(SinkConfig::parse("off"), Ok(None));
+        let both = SinkConfig::parse("jsonl:/tmp/a.jsonl, prom:/tmp/b.prom")
+            .unwrap()
+            .unwrap();
         assert_eq!(
             both.jsonl.as_deref(),
             Some(std::path::Path::new("/tmp/a.jsonl"))
@@ -274,8 +283,10 @@ mod tests {
             both.prom.as_deref(),
             Some(std::path::Path::new("/tmp/b.prom"))
         );
-        let mem = SinkConfig::parse("mem").unwrap();
-        assert_eq!(mem, SinkConfig::default());
+        assert_eq!(SinkConfig::parse("mem"), Ok(Some(SinkConfig::default())));
+        // A misspelt sink is an error, not a silent in-memory run.
+        let err = SinkConfig::parse("prom:/tmp/b.prom,json:/tmp/x").unwrap_err();
+        assert!(err.contains("\"json:/tmp/x\""), "{err}");
     }
 
     #[test]

@@ -164,7 +164,6 @@ impl Drop for SpanGuard {
             dur_ns: u64::try_from(active.start.elapsed().as_nanos()).unwrap_or(u64::MAX),
         };
         stream(&record);
-        crate::profile::record_close(active.name, record.dur_ns);
         collector()
             .lock()
             .expect("span collector poisoned")

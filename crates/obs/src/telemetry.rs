@@ -13,7 +13,8 @@
 //! **volatile** families (wall-clock `_seconds` histograms, thread-dependent
 //! cache/fan-out counts — see [`crate::metrics`]) are excluded, so the
 //! rendered series is bitwise identical across `NAZAR_NUM_THREADS`.
-//! Volatile families still appear in `/metrics` and the final run report.
+//! Volatile families still appear in the `prom:` snapshot and the final run
+//! report.
 //!
 //! Record schema (one JSON object per line, see README "Telemetry series"):
 //!
@@ -29,10 +30,9 @@
 //! baseline, so summing `delta` over all snapshots reproduces the summary's
 //! `totals` exactly — and, for a fresh process, the final registry values.
 //!
-//! Ring capacity comes from `NAZAR_OBS_SERIES_CAP` (default 512). When the
-//! ring overflows, the oldest records are dropped and counted in the
-//! summary's `evicted` field; delta-consistency then holds only over the
-//! retained suffix.
+//! The ring holds [`DEFAULT_SERIES_CAP`] records. When it overflows, the
+//! oldest records are dropped and counted in the summary's `evicted`
+//! field; delta-consistency then holds only over the retained suffix.
 //!
 //! Everything is a no-op while observability is disabled: [`snapshot`]
 //! costs one relaxed atomic load, the same zero-cost contract as the rest
@@ -43,7 +43,7 @@ use crate::metrics::{quantile_from_buckets, registry, MetricSnapshot, SnapshotVa
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Mutex, OnceLock};
 
-/// Default ring capacity when `NAZAR_OBS_SERIES_CAP` is unset.
+/// Ring capacity of a [`begin_run`] run.
 pub const DEFAULT_SERIES_CAP: usize = 512;
 
 /// Identity of one metric series: family name plus sorted-in label set.
@@ -72,13 +72,6 @@ fn recorder() -> &'static Mutex<TelemetryRecorder> {
     RECORDER.get_or_init(|| Mutex::new(TelemetryRecorder::default()))
 }
 
-fn env_capacity() -> usize {
-    std::env::var("NAZAR_OBS_SERIES_CAP")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(DEFAULT_SERIES_CAP)
-}
-
 fn keyed(snap: Vec<MetricSnapshot>) -> BTreeMap<SeriesKey, SnapshotValue> {
     snap.into_iter()
         .map(|m| ((m.name, m.labels), m.value))
@@ -88,11 +81,10 @@ fn keyed(snap: Vec<MetricSnapshot>) -> BTreeMap<SeriesKey, SnapshotValue> {
 /// Starts (or restarts) a telemetry run: clears the ring and re-baselines
 /// the recorder on the registry's current values, so deltas and totals are
 /// scoped to this run even though the registry itself is cumulative.
-/// Ring capacity is re-read from `NAZAR_OBS_SERIES_CAP`.
 ///
 /// No-op while observability is disabled.
 pub fn begin_run() {
-    begin_run_with_capacity(env_capacity());
+    begin_run_with_capacity(DEFAULT_SERIES_CAP);
 }
 
 /// [`begin_run`] with an explicit ring capacity (tests, embedders).
@@ -119,7 +111,6 @@ pub fn begin_run_with_capacity(capacity: usize) {
     rec.volatile_names = volatile_names;
     drop(rec);
     crate::slo::reset_breaches();
-    crate::profile::reset_live();
 }
 
 /// Drops everything recorded so far (ring, counts, baselines), back to the
@@ -145,7 +136,7 @@ pub fn snapshot(t_us: u64, trigger: &str) {
     if !rec.started {
         // No explicit begin_run (library embedders): baseline at zero so
         // the first snapshot carries the full cumulative values.
-        rec.capacity = env_capacity();
+        rec.capacity = DEFAULT_SERIES_CAP;
         rec.started = true;
     }
     let dt_secs = (t_us.saturating_sub(rec.last_t_us)) as f64 / 1e6;
@@ -408,20 +399,6 @@ pub fn series_jsonl() -> String {
     out
 }
 
-/// Renders the retained series as one JSON array (the `/series.json` HTTP
-/// route): snapshot records in order, summary record last.
-pub fn series_json() -> String {
-    let rec = recorder().lock().expect("telemetry recorder poisoned");
-    let mut out = String::from("[");
-    for line in &rec.ring {
-        out.push_str(line);
-        out.push(',');
-    }
-    out.push_str(&summary_line(&rec));
-    out.push(']');
-    out
-}
-
 /// Number of snapshots taken since [`begin_run`] (including evicted ones).
 pub fn snapshot_count() -> u64 {
     recorder().lock().expect("telemetry recorder poisoned").seq
@@ -484,7 +461,6 @@ mod tests {
         assert_eq!((snapshot_count(), retained_count()), (0, 0));
         assert_eq!((evicted_count(), last_t_us()), (0, 0));
         assert!(series_jsonl().is_empty());
-        assert!(!series_json().contains("\"type\":\"telemetry\","));
         // ...and a disabled run records nothing on top.
         begin_run();
         snapshot(2_000_000, "window_close");

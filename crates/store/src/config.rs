@@ -1,13 +1,13 @@
-//! Store configuration and `NAZAR_STORE_*` environment knobs.
+//! Store configuration.
 
 use serde::{Deserialize, Serialize};
 
-/// Default rows per sealed chunk (`NAZAR_STORE_CHUNK_ROWS`).
+/// Default rows per sealed chunk.
 pub const DEFAULT_CHUNK_ROWS: usize = 8192;
-/// Default decoded-chunk cache capacity (`NAZAR_STORE_CACHE_CHUNKS`).
+/// Default decoded-chunk cache capacity.
 pub const DEFAULT_CACHE_CHUNKS: usize = 8;
 
-/// Which codec encodes `u32` dict-code columns (`NAZAR_STORE_CODEC`).
+/// Which codec encodes `u32` dict-code columns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum CodecChoice {
     /// Encode with both bitpack and RLE, keep the smaller (ties to
@@ -20,19 +20,6 @@ pub enum CodecChoice {
     Bitpack,
     /// Run-length encoding only.
     Rle,
-}
-
-impl CodecChoice {
-    /// Parses the `NAZAR_STORE_CODEC` value (`auto|raw|bitpack|rle`);
-    /// anything else falls back to [`CodecChoice::Auto`].
-    pub fn parse(s: &str) -> CodecChoice {
-        match s.to_ascii_lowercase().as_str() {
-            "raw" => CodecChoice::Raw,
-            "bitpack" => CodecChoice::Bitpack,
-            "rle" => CodecChoice::Rle,
-            _ => CodecChoice::Auto,
-        }
-    }
 }
 
 /// Configuration for one [`DriftStore`](crate::DriftStore).
@@ -84,29 +71,6 @@ impl StoreConfig {
         }
     }
 
-    /// Reads the `NAZAR_STORE_*` environment: returns `Some` iff
-    /// `NAZAR_STORE_DIR` is set (persistence is opt-in), with
-    /// `NAZAR_STORE_CHUNK_ROWS`, `NAZAR_STORE_CACHE_CHUNKS` and
-    /// `NAZAR_STORE_CODEC` overriding the defaults. Unparsable numbers
-    /// keep their defaults.
-    pub fn from_env() -> Option<StoreConfig> {
-        let dir = std::env::var("NAZAR_STORE_DIR").ok()?;
-        if dir.is_empty() {
-            return None;
-        }
-        let mut config = StoreConfig::at(dir);
-        if let Some(rows) = read_env_usize("NAZAR_STORE_CHUNK_ROWS") {
-            config.chunk_rows = rows.max(1);
-        }
-        if let Some(cap) = read_env_usize("NAZAR_STORE_CACHE_CHUNKS") {
-            config.cache_chunks = cap;
-        }
-        if let Ok(codec) = std::env::var("NAZAR_STORE_CODEC") {
-            config.codec = CodecChoice::parse(&codec);
-        }
-        Some(config)
-    }
-
     /// `chunk_rows` with `0` mapped to the built-in default.
     pub(crate) fn chunk_rows_clamped(&self) -> usize {
         if self.chunk_rows == 0 {
@@ -117,21 +81,9 @@ impl StoreConfig {
     }
 }
 
-fn read_env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok()?.trim().parse().ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn codec_choice_parses_and_defaults() {
-        assert_eq!(CodecChoice::parse("rle"), CodecChoice::Rle);
-        assert_eq!(CodecChoice::parse("BITPACK"), CodecChoice::Bitpack);
-        assert_eq!(CodecChoice::parse("raw"), CodecChoice::Raw);
-        assert_eq!(CodecChoice::parse("nonsense"), CodecChoice::Auto);
-    }
 
     #[test]
     fn config_serde_round_trip() {

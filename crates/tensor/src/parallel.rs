@@ -26,21 +26,31 @@ static BAND_FANOUT: LazyHistogram = LazyHistogram::new_volatile(
     nazar_obs::pow2_buckets,
 );
 
+/// Parses a `NAZAR_NUM_THREADS` value: a positive integer. The error names
+/// the rejected value.
+fn parse_threads(s: &str) -> Result<usize, String> {
+    match s.trim().parse::<usize>() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("{s:?} is not a positive integer")),
+    }
+}
+
 /// Number of worker threads to use, read once from `NAZAR_NUM_THREADS`.
 ///
-/// Values of `0` or unparsable strings fall back to the default:
-/// [`std::thread::available_parallelism`] (or 1 if that is unavailable).
+/// Unset means [`std::thread::available_parallelism`] (or 1 if that is
+/// unavailable); so does anything but a positive integer, after one stderr
+/// line saying so.
 pub fn num_threads() -> usize {
     static THREADS: OnceLock<usize> = OnceLock::new();
     *THREADS.get_or_init(|| {
-        match std::env::var("NAZAR_NUM_THREADS")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-        {
-            Some(n) if n > 0 => n,
-            _ => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+        let default = std::thread::available_parallelism().map_or(1, |n| n.get());
+        match std::env::var("NAZAR_NUM_THREADS").map(|v| parse_threads(&v)) {
+            Ok(Ok(n)) => n,
+            Ok(Err(e)) => {
+                eprintln!("nazar-tensor: NAZAR_NUM_THREADS: {e}; using {default} threads");
+                default
+            }
+            Err(_) => default,
         }
     })
 }
@@ -136,6 +146,16 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn thread_count_parsing_rejects_what_is_not_a_positive_integer() {
+        assert_eq!(parse_threads("4"), Ok(4));
+        assert_eq!(parse_threads(" 1\n"), Ok(1));
+        for bad in ["two", "0", "-1", "", "1.5"] {
+            let err = parse_threads(bad).expect_err("rejected");
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+        }
+    }
 
     #[test]
     fn par_map_preserves_order() {

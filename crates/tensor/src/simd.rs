@@ -58,13 +58,17 @@ pub enum SimdTier {
 }
 
 impl SimdTier {
-    /// Parses a `NAZAR_TENSOR_SIMD` value. Unknown strings map to `None`.
-    pub fn parse(s: &str) -> Option<SimdTier> {
+    /// Parses a `NAZAR_TENSOR_SIMD` value.
+    ///
+    /// # Errors
+    ///
+    /// Names the rejected value and the accepted spellings.
+    pub fn parse(s: &str) -> Result<SimdTier, String> {
         match s.trim().to_ascii_lowercase().as_str() {
-            "off" | "0" | "scalar" | "none" => Some(SimdTier::Off),
-            "exact" | "1" | "on" => Some(SimdTier::Exact),
-            "fast" | "fma" => Some(SimdTier::Fast),
-            _ => None,
+            "off" | "0" | "scalar" | "none" => Ok(SimdTier::Off),
+            "exact" | "1" | "on" => Ok(SimdTier::Exact),
+            "fast" | "fma" => Ok(SimdTier::Fast),
+            _ => Err(format!("{s:?} is not one of off, exact, fast")),
         }
     }
 
@@ -106,17 +110,22 @@ pub fn effective(requested: SimdTier) -> SimdTier {
 
 /// Process-wide tier from `NAZAR_TENSOR_SIMD`, read once and latched.
 ///
-/// Unset or unrecognized values default to [`SimdTier::Exact`]; the result
-/// is clamped by [`effective`], so hosts without AVX-512F silently run the
-/// scalar path. Tests that need to sweep tiers in one process use the
-/// explicit `*_tier` kernel entry points instead of this knob.
+/// Unset means [`SimdTier::Exact`]; so does a value [`SimdTier::parse`]
+/// rejects, after one stderr line saying so. The result is clamped by
+/// [`effective`], so hosts without AVX-512F silently run the scalar path.
+/// Tests that need to sweep tiers in one process use the explicit `*_tier`
+/// kernel entry points instead of this knob.
 pub fn env_tier() -> SimdTier {
     static TIER: OnceLock<SimdTier> = OnceLock::new();
     *TIER.get_or_init(|| {
-        let requested = std::env::var("NAZAR_TENSOR_SIMD")
-            .ok()
-            .and_then(|s| SimdTier::parse(&s))
-            .unwrap_or(SimdTier::Exact);
+        let requested = match std::env::var("NAZAR_TENSOR_SIMD").map(|v| SimdTier::parse(&v)) {
+            Ok(Ok(tier)) => tier,
+            Ok(Err(e)) => {
+                eprintln!("nazar-tensor: NAZAR_TENSOR_SIMD: {e}; using exact");
+                SimdTier::Exact
+            }
+            Err(_) => SimdTier::Exact,
+        };
         effective(requested)
     })
 }
@@ -529,12 +538,13 @@ mod tests {
 
     #[test]
     fn tier_parsing_covers_knob_spellings() {
-        assert_eq!(SimdTier::parse("off"), Some(SimdTier::Off));
-        assert_eq!(SimdTier::parse("0"), Some(SimdTier::Off));
-        assert_eq!(SimdTier::parse("EXACT"), Some(SimdTier::Exact));
-        assert_eq!(SimdTier::parse("fast"), Some(SimdTier::Fast));
-        assert_eq!(SimdTier::parse("fma"), Some(SimdTier::Fast));
-        assert_eq!(SimdTier::parse("banana"), None);
+        assert_eq!(SimdTier::parse("off"), Ok(SimdTier::Off));
+        assert_eq!(SimdTier::parse("0"), Ok(SimdTier::Off));
+        assert_eq!(SimdTier::parse("EXACT"), Ok(SimdTier::Exact));
+        assert_eq!(SimdTier::parse("fast"), Ok(SimdTier::Fast));
+        assert_eq!(SimdTier::parse("fma"), Ok(SimdTier::Fast));
+        let err = SimdTier::parse("of").expect_err("a typo is rejected");
+        assert!(err.contains("\"of\""), "{err}");
         assert_eq!(SimdTier::default(), SimdTier::Exact);
     }
 

@@ -13,10 +13,9 @@
 //! ```
 //!
 //! Wall-clock fields (`analysis_time`, `adapt_time`) are deliberately not
-//! part of the trace, and the network config is pinned to
-//! [`NetConfig::default`] so `NAZAR_NET_*` knobs cannot perturb it. The CI
-//! `test-matrix` job runs this under `NAZAR_NUM_THREADS=1` and `=8`, which
-//! makes the snapshot a cross-thread-count determinism check too.
+//! part of the trace. The CI `test-matrix` job runs this under
+//! `NAZAR_NUM_THREADS=1` and `=8`, which makes the snapshot a
+//! cross-thread-count determinism check too.
 //!
 //! Since ISSUE 6 the fleet has two scheduling engines — the event-driven
 //! virtual-time scheduler ([`SchedulerMode::EventDriven`], the default) and
@@ -24,7 +23,6 @@
 //! the same snapshot here, which pins them bitwise equivalent end-to-end.
 
 use nazar::prelude::*;
-use nazar_net::NetConfig;
 use nazar_store::{DriftStore, StoreConfig};
 
 const SNAPSHOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/run_summary.txt");
@@ -53,8 +51,6 @@ fn run_with_persist(scheduler: SchedulerMode, persist: Option<StoreConfig>) -> R
     .with_config(CloudConfig {
         windows: 4,
         min_samples_per_cause: 12,
-        // Hermetic: ignore any NAZAR_NET_* knobs set in the environment.
-        net: Some(NetConfig::default()),
         scheduler,
         persist,
         ..CloudConfig::default()

@@ -11,7 +11,6 @@
 //! ```
 
 use nazar::prelude::*;
-use nazar_net::NetConfig;
 
 const SNAPSHOT: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -39,8 +38,6 @@ fn text_system() -> (TextDataset, NazarSystem) {
     .with_config(CloudConfig {
         windows: 4,
         min_samples_per_cause: 12,
-        // Hermetic: ignore any NAZAR_NET_* knobs set in the environment.
-        net: Some(NetConfig::default()),
         ..CloudConfig::default()
     });
     (dataset, system)

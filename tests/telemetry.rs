@@ -2,16 +2,14 @@
 //! top of `nazar-obs` must be deterministic, delta-consistent, and free
 //! when observability is off.
 //!
-//! Four guarantees are asserted here:
+//! Three guarantees are asserted here:
 //!
 //! 1. the series a fleet run records is **bitwise identical** across worker
 //!    thread counts — snapshots are stamped with virtual time and volatile
 //!    (thread-dependent) metric families are excluded;
 //! 2. each snapshot's counter deltas sum to the run totals in the closing
 //!    `telemetry_summary` line (delta consistency);
-//! 3. the live HTTP exporter serves well-formed `/metrics`, `/series.json`,
-//!    `/spans.json`, and `/healthz` responses mid-run;
-//! 4. with observability disabled the recorder is inert: no snapshots, no
+//! 3. with observability disabled the recorder is inert: no snapshots, no
 //!    series, and experiment outputs untouched.
 //!
 //! Observability state is process-global, so every test takes [`obs_lock`].
@@ -22,7 +20,6 @@ use nazar_nn::{MlpResNet, ModelArch};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::Value;
-use std::io::{Read, Write};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Serializes tests that toggle the global observability state. Poison
@@ -195,81 +192,6 @@ fn snapshot_deltas_sum_to_summary_totals() {
             last_totals[key]
         );
     }
-}
-
-/// Minimal HTTP GET against the exporter; returns (status line, body).
-fn http_get(addr: std::net::SocketAddr, path: &str) -> (String, String) {
-    let mut stream = std::net::TcpStream::connect(addr).expect("connect to exporter");
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n"
-    )
-    .expect("send request");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    let status = response.lines().next().unwrap_or_default().to_string();
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
-
-#[test]
-fn exporter_serves_well_formed_responses_mid_run() {
-    let _guard = obs_lock();
-    nazar_obs::testing::enable_memory_sink();
-    let server = nazar_obs::http::start("127.0.0.1:0").expect("bind exporter");
-    let addr = server.local_addr();
-
-    // Take snapshots mid-run, then query while the run is still open.
-    let _series = run_series(2, 2);
-
-    let (status, body) = http_get(addr, "/healthz");
-    assert!(status.contains("200"), "healthz: {status}");
-    assert_eq!(body, "ok\n");
-
-    let (status, body) = http_get(addr, "/metrics");
-    assert!(status.contains("200"), "metrics: {status}");
-    assert!(
-        body.contains("# TYPE nazar_device_inferences_total counter"),
-        "metrics body must carry TYPE lines"
-    );
-    assert!(
-        body.contains("quantile=\"0.95\""),
-        "histogram summaries must include quantile lines"
-    );
-
-    let (status, body) = http_get(addr, "/series.json");
-    assert!(status.contains("200"), "series: {status}");
-    let parsed: Value = serde_json::from_str(&body).expect("series.json parses");
-    let Value::Seq(items) = parsed else {
-        panic!("series.json must be a JSON array")
-    };
-    assert!(
-        items.len() >= 2,
-        "series.json must include the run's snapshots"
-    );
-
-    let (status, body) = http_get(addr, "/spans.json");
-    assert!(status.contains("200"), "spans: {status}");
-    let parsed: Value = serde_json::from_str(&body).expect("spans.json parses");
-    let Value::Seq(spans) = parsed else {
-        panic!("spans.json must be a JSON array")
-    };
-    assert!(
-        spans
-            .iter()
-            .filter_map(|s| s.as_map())
-            .any(|s| matches!(serde::value_get(s, "name"), Some(Value::Str(n)) if n == "detect")),
-        "live span aggregate must include the detect stage"
-    );
-
-    let (status, _) = http_get(addr, "/nope");
-    assert!(status.contains("404"), "unknown route: {status}");
-
-    server.shutdown();
-    nazar_obs::testing::disable();
 }
 
 #[test]
