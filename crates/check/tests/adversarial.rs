@@ -15,14 +15,14 @@ use nazar_analysis::{analyze_variant_with, AnalysisVariant, FimAlgorithm, FimCon
 use nazar_check::{
     assert_all_finite, assert_no_nan, degenerate_logits, degenerate_matrices, POISON_VALUES,
 };
-use nazar_cloud::sanitize_uploads;
+use nazar_cloud::{sanitize_uploads, CloudConfig, Orchestrator, Strategy};
 use nazar_detect::eval::sweep_msp_thresholds;
 use nazar_detect::{
     msp_of_logits, CsiLike, DetectError, DetectorKind, DriftDetector, EnergyScore,
     EntropyThreshold, GOdin, KsTestDetector, Mahalanobis, MaxLogitScore, MspThreshold, Odin,
     OutlierExposure, SslRotation, StreamDetector,
 };
-use nazar_device::{DeviceConfig, Fleet, UploadedSample, WindowStats, LOG_SCHEMA};
+use nazar_device::{DeviceConfig, FleetSim, UploadedSample, WindowStats, LOG_SCHEMA};
 use nazar_log::{DriftLog, DriftLogEntry};
 use nazar_net::wire::{self, Message, Writer};
 use nazar_net::NetError;
@@ -428,7 +428,7 @@ fn non_finite_patches_are_rejected_before_touching_a_model() {
 #[test]
 fn empty_fleet_windows_produce_identity_statistics() {
     let fleet_model = model();
-    let mut fleet = Fleet::from_streams(&[], &fleet_model, &DeviceConfig::default());
+    let mut fleet = FleetSim::from_streams(&[], &fleet_model, &DeviceConfig::default());
     let mut rng = SmallRng::seed_from_u64(4);
     let out = fleet.process_window(&[], 0, 8, &mut rng);
     assert_eq!(out.stats, WindowStats::default());
@@ -466,6 +466,50 @@ fn cloud_quarantines_poisoned_uploads() {
     for u in &kept {
         assert_all_finite("kept upload", &u.features);
     }
+}
+
+/// Uploads whose width is not the model's reach the cloud intact (the wire
+/// takes any per-sample feature count); the orchestrator quarantines them
+/// instead of panicking on an unstackable adaptation set, and adapts on
+/// the rest.
+#[test]
+fn cloud_quarantines_wrong_width_uploads() {
+    // Per day a wide and a narrow sample beside two good ones: the fleet
+    // stacks a window's rows, so together they still fill whole rows of
+    // its forward, and every sample is uploaded at its own width.
+    let items = (0..8u16)
+        .flat_map(|day| {
+            [DIM, DIM, DIM + 1, DIM - 1].map(|width| nazar_data::StreamItem {
+                features: vec![0.25; width],
+                label: 0,
+                date: nazar_data::SimDate::new(day),
+                location: "quebec".into(),
+                device_id: "quebec-dev00".into(),
+                weather: nazar_data::Weather::Clear,
+                true_cause: None,
+                severity: nazar_data::Severity::NONE,
+            })
+        })
+        .collect();
+    let streams = [nazar_data::LocationStream {
+        location: "quebec".into(),
+        items,
+    }];
+    let config = CloudConfig {
+        windows: 1,
+        min_samples_per_cause: 4,
+        device: DeviceConfig {
+            sample_rate: 1.0,
+            ..DeviceConfig::default()
+        },
+        ..CloudConfig::default()
+    };
+    let result = Orchestrator::new(model(), &streams, Strategy::Nazar, config).run(&streams);
+    assert_eq!(result.log_rows, 32);
+    assert!(
+        result.patch_bytes_shipped > 0,
+        "the clean job adapts on the 16 well-formed samples"
+    );
 }
 
 /// A frame of `msg_type` under protocol `version` around `payload`, with a

@@ -1,9 +1,9 @@
 //! The windowed monitor → analyze → adapt → deploy loop.
 
-use crate::backend::{FleetBackend, SchedulerMode};
+use crate::backend::SchedulerMode;
 use nazar_adapt::{adapt_to_patch, AdaptMethod};
 use nazar_analysis::{analyze_variant_with, AnalysisVariant, FimAlgorithm, FimConfig, RankedCause};
-use nazar_device::{DeviceConfig, UploadedSample, WindowStats, LOG_SCHEMA};
+use nazar_device::{DeviceConfig, FleetSim, UploadedSample, WindowStats, LOG_SCHEMA};
 use nazar_log::{DriftLog, DriftLogEntry};
 use nazar_net::{Exchange, NetConfig, NetReport};
 use nazar_nn::MlpResNet;
@@ -147,10 +147,9 @@ pub struct CloudConfig {
     /// [`DriftLog::retain_last`], which drops whole head index segments.
     #[serde(default)]
     pub log_retention: Option<usize>,
-    /// Which fleet engine runs the devices: the columnar virtual-time
-    /// fleet (default) or the legacy lockstep window sweep. The two are
-    /// bitwise equivalent (golden-trace pinned); lockstep survives as the
-    /// differential oracle.
+    /// The fleet engine; [`SchedulerMode`] has one value. Read by nothing
+    /// in the loop: the field survives only because the benchmark's staged
+    /// replay names it, and goes when the replay does.
     #[serde(default)]
     pub scheduler: SchedulerMode,
     /// Durable drift-log persistence. `Some` mirrors every ingested entry
@@ -288,7 +287,7 @@ static ADAPT_JOB_SECONDS: LazyHistogram = LazyHistogram::new(
 
 static QUARANTINED_UPLOADS: LazyCounter = LazyCounter::new(
     "nazar_cloud_quarantined_uploads_total",
-    "Uploaded samples dropped for carrying non-finite features",
+    "Uploaded samples dropped for carrying non-finite features or the wrong feature width",
     &[],
 );
 
@@ -323,7 +322,7 @@ pub struct Orchestrator {
     /// The continuously-adapted model used by the adapt-all baseline and the
     /// optional clean fallback of Nazar.
     rolling_model: MlpResNet,
-    fleet: FleetBackend,
+    fleet: FleetSim,
     /// Cumulative drift log (all windows), as the paper's Aurora table.
     drift_log: DriftLog,
     rng: SmallRng,
@@ -350,8 +349,7 @@ impl Orchestrator {
         strategy: Strategy,
         config: CloudConfig,
     ) -> Self {
-        let fleet =
-            FleetBackend::from_streams(config.scheduler, streams, &base_model, &config.device);
+        let fleet = FleetSim::from_streams(streams, &base_model, &config.device);
         let mut sizer = base_model.clone();
         let model_scalars = sizer.num_params() as u64;
         let exchange = config
@@ -550,7 +548,7 @@ impl Orchestrator {
                 (output.stats, output.entries, output.uploads)
             };
             self.ingest(&entries);
-            let uploads = sanitize_uploads(uploads);
+            let uploads = quarantine_uploads(uploads, Some(self.base_model.arch().input_dim));
             result.log_rows = self.drift_log.num_rows();
 
             let causes = match self.strategy {
@@ -596,19 +594,10 @@ impl Orchestrator {
                 flagged = stats.flagged,
                 causes = causes.len(),
             );
-            if nazar_obs::enabled() {
-                // Second snapshot per window, after the cloud side (ingest,
-                // analysis, adaptation, deploy) has run — captures the
-                // metrics the window_close snapshot can't see. Stamped with
-                // the fleet clock; the lockstep engine has no clock (always
-                // 0), so fall back to the window's day boundary.
-                let (_, end_day) = nazar_data::SimDate::window_range(w, self.config.windows);
-                let t_us = self
-                    .fleet
-                    .clock_us()
-                    .max(u64::from(end_day) * nazar_device::DAY_US);
-                nazar_obs::telemetry::snapshot(t_us, "window_complete");
-            }
+            // Second snapshot per window, after the cloud side (ingest,
+            // analysis, adaptation, deploy) has run — captures the metrics
+            // the window_close snapshot can't see — at the fleet clock.
+            nazar_obs::telemetry::snapshot(self.fleet.clock_us(), "window_complete");
             result
                 .causes_per_window
                 .push(causes.iter().map(RankedCause::label).collect());
@@ -745,7 +734,11 @@ impl Orchestrator {
                 });
                 continue;
             }
-            let data = Tensor::stack_rows(&rows).expect("uniform feature width");
+            // Every upload has the model's width (quarantined in `run`), so
+            // only an empty set fails to stack.
+            let Ok(data) = Tensor::stack_rows(&rows) else {
+                continue;
+            };
             jobs.push((cause, data, self.rng.next_u64()));
         }
         let base_model = &self.base_model;
@@ -777,8 +770,10 @@ impl Orchestrator {
                 .filter(|(_, &c)| !c)
                 .map(|(u, _)| u.features.clone())
                 .collect();
-            if clean_rows.len() >= self.config.min_samples_per_cause {
-                let data = Tensor::stack_rows(&clean_rows).expect("uniform feature width");
+            let data = (clean_rows.len() >= self.config.min_samples_per_cause)
+                .then(|| Tensor::stack_rows(&clean_rows).ok())
+                .flatten();
+            if let Some(data) = data {
                 let (patch, _) = adapt_to_patch(
                     &self.rolling_model,
                     &data,
@@ -828,9 +823,18 @@ fn open_store(config: StoreConfig) -> Option<DriftStore> {
 /// transfers; adapting on them would bake NaN into BN patches shipped
 /// fleet-wide, so they are quarantined at the door (DESIGN.md §9).
 pub fn sanitize_uploads(uploads: Vec<UploadedSample>) -> Vec<UploadedSample> {
+    quarantine_uploads(uploads, None)
+}
+
+/// [`sanitize_uploads`], also dropping samples whose feature count is not
+/// `width` when one is given: the wire accepts any per-sample width, and
+/// a sample the model cannot take would make the adaptation set
+/// unstackable or reach adaptation at the wrong shape.
+fn quarantine_uploads(uploads: Vec<UploadedSample>, width: Option<usize>) -> Vec<UploadedSample> {
     let before = uploads.len();
     let kept: Vec<UploadedSample> = uploads
         .into_iter()
+        .filter(|u| width.is_none_or(|w| u.features.len() == w))
         .filter(|u| u.features.iter().all(|v| v.is_finite()))
         .collect();
     let dropped = (before - kept.len()) as u64;
@@ -888,6 +892,15 @@ mod tests {
             .iter()
             .all(|u| u.features.iter().all(|v| v.is_finite())));
         assert!(sanitize_uploads(Vec::new()).is_empty());
+        // Given the model's width, the orchestrator also drops the samples
+        // it cannot take.
+        let mixed = vec![
+            upload(vec![1.0, 2.0]),
+            upload(vec![1.0]),
+            upload(vec![f32::NAN, 1.0]),
+            upload(vec![1.0, 2.0, 3.0]),
+        ];
+        assert_eq!(quarantine_uploads(mixed, Some(2)).len(), 1);
     }
 
     #[test]

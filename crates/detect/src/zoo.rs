@@ -1,8 +1,8 @@
 //! The on-device streaming detector: one threshold on the softmax
 //! confidence, per input.
 //!
-//! Every device — in the lockstep and in the columnar fleet engine — feeds
-//! each inference's MSP to a [`StreamDetector`] and logs the verdict. The
+//! Every device of the fleet feeds each inference's MSP to a
+//! [`StreamDetector`] and logs the verdict. The
 //! detector keeps nothing between inputs: drift on a device comes and goes
 //! with the weather, a drifted run is a handful of items long, and the
 //! drift log's consumer (FIM) reads the flag row by row. DESIGN.md §15

@@ -1,12 +1,11 @@
-//! A single simulated mobile device.
+//! The per-device half of the on-device loop: configuration, the eval
+//! forward that serves both prediction and MSP, and emission.
 
-use crate::item_attributes;
 use nazar_data::{Corruption, SimDate, StreamItem};
 use nazar_detect::{msp_of_row, DetectorKind, StreamDetector};
 use nazar_log::{Attribute, DriftLogEntry};
-use nazar_nn::{BnPatch, MlpResNet};
+use nazar_nn::MlpResNet;
 use nazar_obs::LazyCounter;
-use nazar_registry::{DeployOutcome, ModelPool, VersionMeta};
 use nazar_tensor::{kernels, simd, Workspace};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -59,126 +58,6 @@ pub struct UploadedSample {
     pub true_cause: Option<Corruption>,
 }
 
-/// The result of processing one inference request.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DeviceOutput {
-    /// The drift-log entry to ship to the cloud.
-    pub entry: DriftLogEntry,
-    /// The sampled upload, if this input was selected.
-    pub sample: Option<UploadedSample>,
-    /// The model's prediction.
-    pub prediction: usize,
-    /// Whether the prediction matched the ground-truth label.
-    pub correct: bool,
-    /// Id of the model version used (`None` = base model).
-    pub version_used: Option<u64>,
-}
-
-/// A simulated mobile device running Nazar's on-device loop.
-#[derive(Debug, Clone)]
-pub struct Device {
-    id: String,
-    location: String,
-    base_patch: BnPatch,
-    active_model: MlpResNet,
-    active_version: Option<u64>,
-    pool: ModelPool<BnPatch>,
-    detector: StreamDetector,
-    config: DeviceConfig,
-    seq: u64,
-}
-
-impl Device {
-    /// Creates a device with the given base model.
-    pub fn new(
-        id: impl Into<String>,
-        location: impl Into<String>,
-        mut base_model: MlpResNet,
-        config: DeviceConfig,
-    ) -> Self {
-        let base_patch = BnPatch::extract(&mut base_model);
-        Device {
-            id: id.into(),
-            location: location.into(),
-            base_patch,
-            active_model: base_model,
-            active_version: None,
-            pool: ModelPool::new(config.pool_capacity),
-            detector: config.detector(),
-            config,
-            seq: 0,
-        }
-    }
-
-    /// The device identifier.
-    pub fn id(&self) -> &str {
-        &self.id
-    }
-
-    /// The device's location attribute.
-    pub fn location(&self) -> &str {
-        &self.location
-    }
-
-    /// Number of stored model versions.
-    pub fn num_versions(&self) -> usize {
-        self.pool.len()
-    }
-
-    /// Installs a new model version pushed from the cloud.
-    pub fn install(&mut self, meta: VersionMeta, patch: BnPatch) -> DeployOutcome {
-        let outcome = self.pool.deploy(meta, patch);
-        // The active version may have been evicted or replaced; force a
-        // re-selection on the next inference.
-        self.activate_base();
-        outcome
-    }
-
-    fn activate_base(&mut self) {
-        self.base_patch
-            .apply(&mut self.active_model)
-            .expect("base patch fits its own model");
-        self.active_version = None;
-    }
-
-    fn activate(&mut self, attrs: &[Attribute]) {
-        let selected = self.pool.select(attrs).map(|v| (v.id, v.payload.clone()));
-        match selected {
-            Some((id, patch)) => {
-                if self.active_version != Some(id) {
-                    patch
-                        .apply(&mut self.active_model)
-                        .expect("pool patches fit the base model");
-                    self.active_version = Some(id);
-                }
-            }
-            None => {
-                if self.active_version.is_some() {
-                    self.activate_base();
-                }
-            }
-        }
-    }
-
-    /// Runs the full on-device loop for one inference request.
-    pub fn process<R: Rng + ?Sized>(&mut self, item: &StreamItem, rng: &mut R) -> DeviceOutput {
-        let attrs = item_attributes(item);
-        self.activate(&attrs);
-        let (prediction, msp) = forward_item(&self.active_model, item);
-        self.seq += 1;
-        let drift = self.detector.observe(msp);
-        let (entry, sample) =
-            emit_outputs(item, attrs, drift, self.config.sample_rate, self.seq, rng);
-        DeviceOutput {
-            entry,
-            sample,
-            prediction,
-            correct: prediction == item.label,
-            version_used: self.active_version,
-        }
-    }
-}
-
 static FORWARD_CALLS: LazyCounter = LazyCounter::new_volatile(
     "nazar_device_forward_calls_total",
     "Eval forward passes issued by the fleet (one per batched group, so it varies with the worker count)",
@@ -196,9 +75,9 @@ static FORWARD_ROWS: LazyCounter = LazyCounter::new(
 /// the paper picks this detector ("the logit scores are computed by the
 /// inference anyways"). A row's result does not depend on the rows stacked
 /// with it ([`MlpResNet::infer_into`]), which is what lets
-/// [`crate::FleetSim`] batch what [`Device::process`] runs one item at a
-/// time and still match it bit for bit. The matmuls stay on the calling thread: the
-/// fleet's parallelism is across devices, not inside a forward.
+/// [`crate::FleetSim`] batch a window's items and still match a device that
+/// runs them one at a time bit for bit. The matmuls stay on the calling
+/// thread: the fleet's parallelism is across devices, not inside a forward.
 pub(crate) fn forward_rows(
     model: &MlpResNet,
     x: &[f32],
@@ -217,22 +96,10 @@ pub(crate) fn forward_rows(
     ws.recycle(logits);
 }
 
-/// [`forward_rows`] for one stream item: `(prediction, MSP)`.
-fn forward_item(model: &MlpResNet, item: &StreamItem) -> (usize, f32) {
-    let mut out = (0, 0.0);
-    Workspace::with_thread_local(|ws| {
-        forward_rows(model, &item.features, 1, ws, |_, prediction, msp| {
-            out = (prediction, msp);
-        });
-    });
-    out
-}
-
 /// The emission half of the on-device loop: drift-log entry and the sampled
 /// upload (one RNG draw per item). The drift verdict is the caller's
 /// [`StreamDetector`]'s. `seq` is the device's entry sequence number
-/// *after* incrementing for this item. Shared by [`Device::process`] and
-/// [`crate::FleetSim`].
+/// *after* incrementing for this item.
 pub(crate) fn emit_outputs<R: Rng + ?Sized>(
     item: &StreamItem,
     attrs: Vec<Attribute>,
@@ -258,134 +125,122 @@ pub(crate) fn emit_outputs<R: Rng + ?Sized>(
     (entry, sample)
 }
 
+/// The on-device loop's contract, checked on a one-device [`crate::FleetSim`].
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nazar_data::{Severity, Weather};
-    use nazar_nn::ModelArch;
+    use crate::{FleetSim, WindowOutput};
+    use nazar_data::{LocationStream, Severity, Weather};
+    use nazar_nn::{BnPatch, ModelArch};
+    use nazar_registry::VersionMeta;
     use nazar_tensor::Tensor;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    fn item(weather: Weather, device: &str) -> StreamItem {
-        StreamItem {
-            features: vec![0.1; 8],
-            label: 0,
-            date: SimDate::new(5),
-            location: "quebec".into(),
-            device_id: device.into(),
-            weather,
-            true_cause: weather.corruption(),
-            severity: if weather.is_drifting() {
-                Severity::DEFAULT
-            } else {
-                Severity::NONE
-            },
-        }
+    const ID: &str = "quebec-dev00";
+
+    /// `n` inputs to the one device, with varied features.
+    fn items(weather: Weather, n: usize) -> Vec<StreamItem> {
+        let rows = Tensor::rand_uniform(&mut SmallRng::seed_from_u64(9), &[n, 8], -1.0, 1.0);
+        (0..n)
+            .map(|i| StreamItem {
+                features: rows.row(i).expect("row").to_vec(),
+                label: i % 3,
+                date: SimDate::new(5),
+                location: "quebec".into(),
+                device_id: ID.into(),
+                weather,
+                true_cause: weather.corruption(),
+                severity: Severity::NONE,
+            })
+            .collect()
     }
 
-    fn device() -> Device {
-        let mut rng = SmallRng::seed_from_u64(0);
-        let model = MlpResNet::new(ModelArch::tiny(8, 3), &mut rng);
-        Device::new("quebec-dev00", "quebec", model, DeviceConfig::default())
+    fn model() -> MlpResNet {
+        MlpResNet::new(ModelArch::tiny(8, 3), &mut SmallRng::seed_from_u64(0))
+    }
+
+    fn device(config: &DeviceConfig) -> FleetSim {
+        FleetSim::new([(ID.to_string(), "quebec".to_string())], &model(), config)
+    }
+
+    /// Replays `items` as one window on `sim`'s device.
+    fn process(sim: &mut FleetSim, items: Vec<StreamItem>, seed: u64) -> WindowOutput {
+        let stream = LocationStream {
+            location: "quebec".into(),
+            items,
+        };
+        sim.process_window(&[stream], 0, 1, &mut SmallRng::seed_from_u64(seed))
     }
 
     #[test]
     fn process_emits_schema_conformant_entries() {
-        let mut d = device();
-        let mut rng = SmallRng::seed_from_u64(1);
-        let out = d.process(&item(Weather::Snow, "quebec-dev00"), &mut rng);
-        assert_eq!(out.entry.attr("weather"), Some("snow"));
-        assert_eq!(out.entry.attr("location"), Some("quebec"));
-        assert_eq!(out.entry.attr("device_id"), Some("quebec-dev00"));
-        assert!(out.version_used.is_none(), "no versions installed yet");
+        let mut d = device(&DeviceConfig::default());
+        let out = process(&mut d, items(Weather::Snow, 1), 1);
+        let entry = &out.entries[0];
+        assert_eq!(entry.attr("weather"), Some("snow"));
+        assert_eq!(entry.attr("location"), Some("quebec"));
+        assert_eq!(entry.attr("device_id"), Some(ID));
+        assert_eq!(d.max_versions(), 0, "no versions installed yet");
     }
 
+    /// A version is used exactly when the output differs from the same
+    /// device without it.
     #[test]
     fn installed_version_is_used_for_matching_inputs_only() {
-        let mut d = device();
-        let mut rng = SmallRng::seed_from_u64(2);
         // Manufacture a distinct snow patch by perturbing the base state.
-        let mut donor = {
-            let mut r = SmallRng::seed_from_u64(0);
-            MlpResNet::new(ModelArch::tiny(8, 3), &mut r)
-        };
-        let x = Tensor::rand_uniform(&mut rng, &[16, 8], -1.0, 1.0);
+        let mut donor = model();
+        let x = Tensor::rand_uniform(&mut SmallRng::seed_from_u64(2), &[16, 8], -1.0, 1.0);
         let _ = donor.logits(&x, nazar_nn::Mode::Train);
-        let patch = BnPatch::extract(&mut donor);
-
         let meta = VersionMeta::new(vec![Attribute::new("weather", "snow")], 3.0);
-        d.install(meta, patch);
+        let mut with = device(&DeviceConfig::default());
+        with.deploy(&meta, &BnPatch::extract(&mut donor));
+        let mut without = device(&DeviceConfig::default());
+        let mut run = |weather: Weather, seed: u64| {
+            let a = process(&mut with, items(weather, 32), seed);
+            (a, process(&mut without, items(weather, 32), seed))
+        };
 
-        let snow_out = d.process(&item(Weather::Snow, "quebec-dev00"), &mut rng);
-        assert!(snow_out.version_used.is_some());
-        let clear_out = d.process(&item(Weather::Clear, "quebec-dev00"), &mut rng);
-        assert!(clear_out.version_used.is_none());
-        // Switching back must restore base behaviour exactly.
-        let again = d.process(&item(Weather::Snow, "quebec-dev00"), &mut rng);
-        assert_eq!(again.version_used, snow_out.version_used);
+        let (snow, snow_base) = run(Weather::Snow, 3);
+        assert_ne!(snow, snow_base, "snow inputs must use the version");
+        let (clear, clear_base) = run(Weather::Clear, 4);
+        assert_eq!(clear, clear_base, "clear inputs must use the base");
+        // Switching back must select the version again.
+        let (again, again_base) = run(Weather::Snow, 3);
+        assert_eq!(again.stats, snow.stats);
+        assert_ne!(again, again_base);
     }
 
     #[test]
     fn sampling_rate_is_respected() {
-        let mut rng = SmallRng::seed_from_u64(3);
-        let model = MlpResNet::new(ModelArch::tiny(8, 3), &mut rng);
-        let mut d = Device::new(
-            "x",
-            "quebec",
-            model,
-            DeviceConfig {
-                sample_rate: 0.5,
-                ..DeviceConfig::default()
-            },
-        );
-        let n = 400;
-        let sampled = (0..n)
-            .filter(|_| {
-                d.process(&item(Weather::Clear, "x"), &mut rng)
-                    .sample
-                    .is_some()
-            })
-            .count();
-        let frac = sampled as f64 / n as f64;
+        let mut d = device(&DeviceConfig {
+            sample_rate: 0.5,
+            ..DeviceConfig::default()
+        });
+        let out = process(&mut d, items(Weather::Clear, 400), 3);
+        let frac = out.uploads.len() as f64 / 400.0;
         assert!((frac - 0.5).abs() < 0.1, "sampled fraction {frac}");
     }
 
     #[test]
     fn zero_sample_rate_uploads_nothing() {
-        let mut rng = SmallRng::seed_from_u64(4);
-        let model = MlpResNet::new(ModelArch::tiny(8, 3), &mut rng);
-        let mut d = Device::new(
-            "x",
-            "quebec",
-            model,
-            DeviceConfig {
-                sample_rate: 0.0,
-                ..DeviceConfig::default()
-            },
-        );
-        for _ in 0..50 {
-            assert!(d
-                .process(&item(Weather::Rain, "x"), &mut rng)
-                .sample
-                .is_none());
-        }
+        let mut d = device(&DeviceConfig {
+            sample_rate: 0.0,
+            ..DeviceConfig::default()
+        });
+        let out = process(&mut d, items(Weather::Rain, 50), 4);
+        assert_eq!(out.entries.len(), 50);
+        assert!(out.uploads.is_empty());
     }
 
     #[test]
     fn pool_capacity_bounds_versions() {
-        let mut d = device();
-        let patch = {
-            let mut r = SmallRng::seed_from_u64(0);
-            let mut m = MlpResNet::new(ModelArch::tiny(8, 3), &mut r);
-            BnPatch::extract(&mut m)
-        };
+        let mut d = device(&DeviceConfig::default());
+        let patch = BnPatch::extract(&mut model());
         for i in 0..20 {
-            d.install(
-                VersionMeta::new(vec![Attribute::new("device_id", format!("d{i}"))], 1.0),
-                patch.clone(),
-            );
+            let cause = vec![Attribute::new("device_id", format!("d{i}"))];
+            d.install_on(ID, &VersionMeta::new(cause, 1.0), &patch);
         }
-        assert!(d.num_versions() <= DeviceConfig::default().pool_capacity.unwrap());
+        assert!(d.max_versions() <= DeviceConfig::default().pool_capacity.unwrap());
     }
 }

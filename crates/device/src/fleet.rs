@@ -1,14 +1,9 @@
-//! A fleet of devices replaying the generated streams.
+//! What a fleet window produces: per-device outputs and their statistics.
 
-use crate::device::{Device, DeviceConfig, DeviceOutput, UploadedSample};
-use nazar_data::{Corruption, LocationStream, SimDate, StreamItem};
+use crate::device::UploadedSample;
+use nazar_data::{Corruption, StreamItem};
 use nazar_log::DriftLogEntry;
-use nazar_nn::{BnPatch, MlpResNet};
 use nazar_obs::LazyCounter;
-use nazar_registry::VersionMeta;
-use nazar_tensor::parallel;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -105,198 +100,6 @@ pub struct WindowOutput {
     pub stats: WindowStats,
 }
 
-/// A fleet of simulated devices, one per distinct `device_id` in the
-/// streams.
-#[derive(Debug, Clone)]
-pub struct Fleet {
-    devices: BTreeMap<String, Device>,
-}
-
-impl Fleet {
-    /// Builds one device per distinct device id in `streams`, each holding a
-    /// clone of `base_model`.
-    pub fn from_streams(
-        streams: &[LocationStream],
-        base_model: &MlpResNet,
-        config: &DeviceConfig,
-    ) -> Self {
-        let mut devices = BTreeMap::new();
-        for stream in streams {
-            for item in &stream.items {
-                devices.entry(item.device_id.clone()).or_insert_with(|| {
-                    Device::new(
-                        item.device_id.clone(),
-                        item.location.clone(),
-                        base_model.clone(),
-                        config.clone(),
-                    )
-                });
-            }
-        }
-        Fleet { devices }
-    }
-
-    /// Number of devices.
-    pub fn len(&self) -> usize {
-        self.devices.len()
-    }
-
-    /// Whether the fleet is empty.
-    pub fn is_empty(&self) -> bool {
-        self.devices.is_empty()
-    }
-
-    /// Maximum number of model versions stored on any device.
-    pub fn max_versions(&self) -> usize {
-        self.devices
-            .values()
-            .map(|d| d.num_versions())
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// All device ids, sorted.
-    pub fn device_ids(&self) -> Vec<String> {
-        self.devices.keys().cloned().collect()
-    }
-
-    /// Pushes a model version to every device (the cloud's deployment step).
-    pub fn deploy(&mut self, meta: &VersionMeta, patch: &BnPatch) {
-        for device in self.devices.values_mut() {
-            device.install(meta.clone(), patch.clone());
-        }
-    }
-
-    /// Installs a model version on one specific device (the transport
-    /// layer's per-device delivery path). Returns `false` for unknown ids.
-    pub fn install_on(&mut self, device_id: &str, meta: &VersionMeta, patch: &BnPatch) -> bool {
-        match self.devices.get_mut(device_id) {
-            Some(device) => {
-                device.install(meta.clone(), patch.clone());
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// The devices a version's cause can ever match, sorted by id: if the
-    /// cause names a `location` or `device_id`, other devices never select
-    /// the version, so shipping it to them wastes network and pool slots.
-    pub fn target_ids(&self, meta: &VersionMeta) -> Vec<String> {
-        let location = meta
-            .attrs
-            .iter()
-            .find(|a| a.key == "location")
-            .map(|a| a.value.clone());
-        let device_id = meta
-            .attrs
-            .iter()
-            .find(|a| a.key == "device_id")
-            .map(|a| a.value.clone());
-        self.devices
-            .values()
-            .filter(|device| {
-                let location_ok = location.as_deref().is_none_or(|l| device.location() == l);
-                let device_ok = device_id.as_deref().is_none_or(|d| device.id() == d);
-                location_ok && device_ok
-            })
-            .map(|device| device.id().to_string())
-            .collect()
-    }
-
-    /// Pushes a model version only to the devices [`Fleet::target_ids`]
-    /// selects. Returns how many devices received the version.
-    pub fn deploy_targeted(&mut self, meta: &VersionMeta, patch: &BnPatch) -> usize {
-        let targets = self.target_ids(meta);
-        let mut installed = 0;
-        for id in &targets {
-            if self.install_on(id, meta, patch) {
-                installed += 1;
-            }
-        }
-        installed
-    }
-
-    /// Replays window `w` of `windows` from all streams through the fleet.
-    ///
-    /// Devices are independent, so each device's items run on a scoped
-    /// worker thread (see [`nazar_tensor::parallel`]). Every participating
-    /// device draws a dedicated RNG seed from `rng` in sorted device order
-    /// and the per-device outputs are merged back in that same order, so
-    /// the result is independent of thread count and scheduling.
-    pub fn process_window<R: Rng + ?Sized>(
-        &mut self,
-        streams: &[LocationStream],
-        w: usize,
-        windows: usize,
-        rng: &mut R,
-    ) -> WindowOutput {
-        let parts = self.process_window_parts(streams, w, windows, rng);
-        let mut out = WindowOutput::default();
-        for (_, part) in parts {
-            out.stats.merge(&part.stats);
-            out.entries.extend(part.entries);
-            out.uploads.extend(part.uploads);
-        }
-        out
-    }
-
-    /// Like [`Fleet::process_window`], but returns each participating
-    /// device's output separately (sorted by device id) instead of a merged
-    /// whole — the shape the transport layer needs, since every device
-    /// uploads its own batch. Concatenating the parts in the returned order
-    /// reproduces [`Fleet::process_window`] exactly.
-    pub fn process_window_parts<R: Rng + ?Sized>(
-        &mut self,
-        streams: &[LocationStream],
-        w: usize,
-        windows: usize,
-        rng: &mut R,
-    ) -> Vec<(String, WindowOutput)> {
-        let _span = nazar_obs::span_detail("detect", || format!("w={w}"));
-        // Group this window's items per device, keeping stream order.
-        let mut per_device: BTreeMap<&str, Vec<&StreamItem>> = BTreeMap::new();
-        for stream in streams {
-            for item in stream.window_items(w, windows) {
-                per_device
-                    .entry(item.device_id.as_str())
-                    .or_default()
-                    .push(item);
-            }
-        }
-
-        let mut jobs = Vec::with_capacity(per_device.len());
-        for (id, device) in self.devices.iter_mut() {
-            if let Some(items) = per_device.remove(id.as_str()) {
-                jobs.push((device, items, SmallRng::seed_from_u64(rng.next_u64())));
-            }
-        }
-
-        let parts = parallel::par_map(jobs, |(device, items, mut device_rng)| {
-            let mut part = WindowOutput::default();
-            for item in items {
-                let result = device.process(item, &mut device_rng);
-                tally(&mut part, item, result);
-            }
-            (device.id().to_string(), part)
-        });
-        for (_, part) in &parts {
-            record_stats(part);
-        }
-        // Window-close telemetry snapshot, stamped with the virtual time
-        // `FleetSim` closes this window at (the lockstep engine has no
-        // clock of its own) — same trigger, same timeline.
-        if nazar_obs::enabled() {
-            let (_, end_day) = SimDate::window_range(w, windows);
-            nazar_obs::telemetry::snapshot(
-                u64::from(end_day) * crate::scheduler::DAY_US,
-                "window_close",
-            );
-        }
-        parts
-    }
-}
-
 static INFERENCES: LazyCounter = LazyCounter::new(
     "nazar_device_inferences_total",
     "Inference requests processed by the fleet",
@@ -333,8 +136,7 @@ static UPLOADS: LazyCounter = LazyCounter::new(
     &[],
 );
 
-/// Exports one window's aggregated statistics as fleet-wide counters
-/// (shared with [`crate::FleetSim`]).
+/// Exports one window's aggregated statistics as fleet-wide counters.
 pub(crate) fn record_stats(out: &WindowOutput) {
     if !nazar_obs::enabled() {
         return;
@@ -348,14 +150,21 @@ pub(crate) fn record_stats(out: &WindowOutput) {
     UPLOADS.add(out.uploads.len() as u64);
 }
 
-/// Folds one processed item into a window output (shared with
-/// [`crate::FleetSim`]).
-pub(crate) fn tally(out: &mut WindowOutput, item: &StreamItem, result: DeviceOutput) {
+/// Folds one processed item — its prediction and what the device emitted
+/// for it — into a window output.
+pub(crate) fn tally(
+    out: &mut WindowOutput,
+    item: &StreamItem,
+    prediction: usize,
+    entry: DriftLogEntry,
+    sample: Option<UploadedSample>,
+) {
+    let correct = prediction == item.label;
     out.stats.total += 1;
-    if result.correct {
+    if correct {
         out.stats.correct += 1;
     }
-    if result.entry.drift {
+    if entry.drift {
         out.stats.flagged += 1;
         if item.true_cause.is_none() {
             out.stats.false_positives += 1;
@@ -365,12 +174,12 @@ pub(crate) fn tally(out: &mut WindowOutput, item: &StreamItem, result: DeviceOut
     }
     if let Some(cause) = item.true_cause {
         out.stats.drifted_total += 1;
-        if result.correct {
+        if correct {
             out.stats.drifted_correct += 1;
         }
         // Look up before inserting: the key is allocated once per cause,
         // not once per drifted item.
-        let hit = (usize::from(result.correct), 1);
+        let hit = (usize::from(correct), 1);
         if let Some(e) = out.stats.per_cause.get_mut(cause.name()) {
             e.0 += hit.0;
             e.1 += hit.1;
@@ -378,8 +187,8 @@ pub(crate) fn tally(out: &mut WindowOutput, item: &StreamItem, result: DeviceOut
             out.stats.per_cause.insert(cause.name().to_string(), hit);
         }
     }
-    out.entries.push(result.entry);
-    if let Some(sample) = result.sample {
+    out.entries.push(entry);
+    if let Some(sample) = sample {
         out.uploads.push(sample);
     }
 }
@@ -387,12 +196,16 @@ pub(crate) fn tally(out: &mut WindowOutput, item: &StreamItem, result: DeviceOut
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DeviceConfig, FleetSim};
     use nazar_data::{AnimalsConfig, AnimalsDataset};
-    use nazar_nn::ModelArch;
+    use nazar_log::Attribute;
+    use nazar_nn::{BnPatch, MlpResNet, ModelArch};
+    use nazar_registry::VersionMeta;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+    use std::collections::BTreeSet;
 
-    fn small_world() -> (AnimalsDataset, Fleet) {
+    fn small_world() -> (AnimalsDataset, FleetSim) {
         let cfg = AnimalsConfig {
             devices_per_location: 2,
             arrivals_per_day: 0.5,
@@ -401,32 +214,34 @@ mod tests {
         let data = AnimalsDataset::generate(&cfg);
         let mut rng = SmallRng::seed_from_u64(0);
         let model = MlpResNet::new(ModelArch::tiny(cfg.dim, cfg.classes), &mut rng);
-        let fleet = Fleet::from_streams(&data.streams, &model, &DeviceConfig::default());
+        let fleet = FleetSim::from_streams(&data.streams, &model, &DeviceConfig::default());
         (data, fleet)
+    }
+
+    fn patch() -> BnPatch {
+        BnPatch::extract(&mut MlpResNet::new(
+            ModelArch::tiny(32, 8),
+            &mut SmallRng::seed_from_u64(0),
+        ))
     }
 
     #[test]
     fn fleet_builds_one_device_per_id() {
         let (data, fleet) = small_world();
-        let mut ids = std::collections::HashSet::new();
-        for s in &data.streams {
-            for item in &s.items {
-                ids.insert(item.device_id.clone());
-            }
-        }
+        let items = data.streams.iter().flat_map(|s| &s.items);
+        let ids: BTreeSet<&String> = items.map(|item| &item.device_id).collect();
         assert_eq!(fleet.len(), ids.len());
     }
 
     #[test]
     fn window_outputs_cover_all_items_in_window() {
         let (data, mut fleet) = small_world();
-        let mut rng = SmallRng::seed_from_u64(1);
         let expected: usize = data
             .streams
             .iter()
             .map(|s| s.window_items(0, 8).count())
             .sum();
-        let out = fleet.process_window(&data.streams, 0, 8, &mut rng);
+        let out = fleet.process_window(&data.streams, 0, 8, &mut SmallRng::seed_from_u64(1));
         assert_eq!(out.stats.total, expected);
         assert_eq!(out.entries.len(), expected);
         assert!(out.stats.correct <= out.stats.total);
@@ -454,8 +269,7 @@ mod tests {
     #[test]
     fn tally_classifies_false_positives_and_misses() {
         let (data, mut fleet) = small_world();
-        let mut rng = SmallRng::seed_from_u64(1);
-        let out = fleet.process_window(&data.streams, 0, 8, &mut rng);
+        let out = fleet.process_window(&data.streams, 0, 8, &mut SmallRng::seed_from_u64(1));
         // Confusion counts partition consistently.
         assert!(out.stats.false_positives <= out.stats.flagged);
         assert!(out.stats.misses <= out.stats.drifted_total);
@@ -490,46 +304,27 @@ mod tests {
     #[test]
     fn targeted_deploy_installs_only_on_matching_devices() {
         let (data, mut fleet) = small_world();
-        let patch = {
-            let mut rng = SmallRng::seed_from_u64(0);
-            let mut m = MlpResNet::new(ModelArch::tiny(32, 8), &mut rng);
-            nazar_nn::BnPatch::extract(&mut m)
-        };
         // A cause scoped to one location reaches only that location's devices.
-        let location = data.streams[0].location.clone();
-        let meta = VersionMeta::new(
-            vec![
-                nazar_log::Attribute::new("weather", "snow"),
-                nazar_log::Attribute::new("location", location.clone()),
-            ],
-            2.0,
-        );
-        let installed = fleet.deploy_targeted(&meta, &patch);
-        let expected = fleet
-            .devices
-            .values()
-            .filter(|d| d.location() == location)
-            .count();
-        assert_eq!(installed, expected);
+        let stream = &data.streams[0];
+        let cause = vec![
+            Attribute::new("weather", "snow"),
+            Attribute::new("location", stream.location.clone()),
+        ];
+        let installed = fleet.deploy_targeted(&VersionMeta::new(cause, 2.0), &patch());
+        let local: BTreeSet<&String> = stream.items.iter().map(|item| &item.device_id).collect();
+        assert_eq!(installed, local.len());
         assert!(installed < fleet.len(), "must not broadcast");
         // A location-free cause broadcasts.
-        let broad = VersionMeta::new(vec![nazar_log::Attribute::new("weather", "fog")], 2.0);
-        assert_eq!(fleet.deploy_targeted(&broad, &patch), fleet.len());
+        let broad = VersionMeta::new(vec![Attribute::new("weather", "fog")], 2.0);
+        assert_eq!(fleet.deploy_targeted(&broad, &patch()), fleet.len());
     }
 
     #[test]
     fn deploy_reaches_every_device() {
         let (_data, mut fleet) = small_world();
-        let patch = {
-            let mut rng = SmallRng::seed_from_u64(0);
-            let mut m = MlpResNet::new(ModelArch::tiny(32, 8), &mut rng);
-            nazar_nn::BnPatch::extract(&mut m)
-        };
-        fleet.deploy(
-            &VersionMeta::new(vec![nazar_log::Attribute::new("weather", "fog")], 2.0),
-            &patch,
-        );
-        assert!(fleet.devices.values().all(|d| d.num_versions() == 1));
+        let meta = VersionMeta::new(vec![Attribute::new("weather", "fog")], 2.0);
+        fleet.deploy(&meta, &patch());
+        assert!((0..fleet.len()).all(|d| fleet.pools.slots(d).len() == 1));
         assert_eq!(fleet.max_versions(), 1);
     }
 }

@@ -1,11 +1,11 @@
 //! The simulated mobile-device fleet (DESIGN.md substitution S9).
 //!
-//! Each [`Device`] runs the on-device half of Nazar for every inference
+//! Every device runs the on-device half of Nazar for every inference
 //! request it receives:
 //!
 //! 1. **select** the stored model version whose attributes best match the
-//!    input's metadata (via [`nazar_registry::ModelPool`]), falling back to
-//!    the base model;
+//!    input's metadata (the pool semantics of
+//!    [`nazar_registry::ModelPool`]), falling back to the base model;
 //! 2. **infer** with the selected model;
 //! 3. **detect** drift with the lightweight MSP threshold on the inference
 //!    output;
@@ -14,10 +14,11 @@
 //! 5. **sample** a configurable fraction of raw inputs for upload to the
 //!    cloud (the data by-cause adaptation trains on).
 //!
-//! A [`Fleet`] replays pre-generated [`nazar_data::StreamItem`]s through
-//! many devices
+//! One engine runs that loop: [`FleetSim`] replays pre-generated
+//! [`nazar_data::StreamItem`]s through every device over columnar state
 //! and aggregates accuracy statistics per window — the measurement loop
-//! behind every end-to-end figure (Fig. 8 / 9).
+//! behind every end-to-end figure (Fig. 8 / 9). Its bitwise reference is a
+//! per-item lockstep oracle in test support (`tests/oracle/mod.rs`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,8 +28,8 @@ mod fleet;
 mod scheduler;
 mod state;
 
-pub use device::{Device, DeviceConfig, DeviceOutput, UploadedSample};
-pub use fleet::{Fleet, WindowOutput, WindowStats};
+pub use device::{DeviceConfig, UploadedSample};
+pub use fleet::{WindowOutput, WindowStats};
 pub use scheduler::{peak_rss_bytes, FleetSim, DAY_US, FORWARD_ROWS_CAP};
 
 use nazar_data::StreamItem;

@@ -1,9 +1,9 @@
 //! The columnar virtual-time fleet.
 //!
-//! [`crate::Fleet`] steps every device in lockstep once per window, which is
-//! faithful to the paper's evaluation loop but caps single-process fleets at
-//! tens of thousands of devices (one boxed [`crate::Device`] each, one model
-//! clone each). [`FleetSim`] runs the *same* algorithm over columns:
+//! The paper's evaluation loop steps every device once per window, one
+//! item at a time; a device object per device (a model clone and a version
+//! pool each) caps a single-process fleet at tens of thousands of devices.
+//! [`FleetSim`] runs the *same* algorithm over columns:
 //!
 //! * device state lives in struct-of-arrays columns
 //!   ([`crate::state::FleetState`], [`crate::state::DevicePools`]) and
@@ -31,13 +31,12 @@
 //! devices run, so no event queue is needed to decide it; the only
 //! event-driven part of the system is the `nazar-net` exchange.
 //!
-//! The golden trace (`tests/golden_trace.rs`) pins that a full
-//! orchestrator run through [`FleetSim`] is *identical* to the lockstep
-//! [`crate::Fleet`] path, and the proptests in
-//! `tests/scheduler_determinism.rs` pin output and clock determinism
-//! across thread counts.
+//! `tests/scheduler_determinism.rs` pins [`FleetSim`] bit for bit — parts,
+//! clock and stored versions — against `tests/oracle/mod.rs`, a per-item
+//! lockstep fleet built only from public APIs that shares no code with
+//! this one, and pins output and clock determinism across thread counts.
 
-use crate::device::{emit_outputs, forward_rows, DeviceConfig, DeviceOutput};
+use crate::device::{emit_outputs, forward_rows, DeviceConfig};
 use crate::fleet::{record_stats, tally, WindowOutput};
 use crate::state::{DevicePools, FleetState};
 use crate::{item_attributes, item_matches};
@@ -117,9 +116,9 @@ struct Scratch {
     ws: Workspace,
     /// Stacked feature rows of the forward in flight, `[rows, input_dim]`.
     rows: Vec<f32>,
-    /// Per chunk item: the selected version as `(device-local id, arena
-    /// id)`, `None` for the base model.
-    selected: Vec<Option<(u64, u32)>>,
+    /// Per chunk item: the arena id of the selected version, `None` for
+    /// the base model.
+    selected: Vec<Option<u32>>,
     /// Chunk item indices grouped by selected arena version.
     order: Vec<usize>,
     /// Per chunk item: `(prediction, MSP)` of its forward pass.
@@ -169,12 +168,11 @@ struct WindowCtx<'a> {
     span: Option<u64>,
 }
 
-/// The columnar fleet: drop-in replacement for [`crate::Fleet`] that
-/// scales to 1M+ devices (see the module docs).
+/// The columnar fleet, scaling to 1M+ devices (see the module docs).
 #[derive(Debug)]
 pub struct FleetSim {
     state: FleetState,
-    pools: DevicePools,
+    pub(crate) pools: DevicePools,
     arena: VersionArena<BnPatch>,
     base_model: MlpResNet,
     base_patch: BnPatch,
@@ -219,8 +217,7 @@ impl FleetSim {
         }
     }
 
-    /// Builds one device per distinct device id in `streams`, mirroring
-    /// [`crate::Fleet::from_streams`].
+    /// Builds one device per distinct device id in `streams`.
     pub fn from_streams(
         streams: &[LocationStream],
         base_model: &MlpResNet,
@@ -307,8 +304,9 @@ impl FleetSim {
         true
     }
 
-    /// The devices a version's cause can ever match, sorted by id
-    /// (see [`crate::Fleet::target_ids`]).
+    /// The devices a version's cause can ever match, sorted by id: if the
+    /// cause names a `location` or `device_id`, other devices never select
+    /// the version, so shipping it to them wastes network and pool slots.
     pub fn target_ids(&self, meta: &VersionMeta) -> Vec<String> {
         self.state
             .target_indices(meta)
@@ -328,8 +326,7 @@ impl FleetSim {
         targets.len()
     }
 
-    /// Replays window `w` of `windows` and merges the per-device parts,
-    /// mirroring [`crate::Fleet::process_window`].
+    /// Replays window `w` of `windows` and merges the per-device parts.
     pub fn process_window<R: Rng + ?Sized>(
         &mut self,
         streams: &[LocationStream],
@@ -348,8 +345,9 @@ impl FleetSim {
     }
 
     /// Replays window `w` of `windows`, returning each participating
-    /// device's output separately, sorted by device id — byte-identical to
-    /// [`crate::Fleet::process_window_parts`] for the same seed.
+    /// device's output separately, sorted by device id — the shape the
+    /// transport needs, since every device uploads its own batch.
+    /// Concatenating the parts reproduces [`FleetSim::process_window`].
     pub fn process_window_parts<R: Rng + ?Sized>(
         &mut self,
         streams: &[LocationStream],
@@ -375,8 +373,8 @@ impl FleetSim {
 
         // The window's items, tagged with their device. The sort is stable,
         // so it groups them per device in ascending device order and keeps
-        // stream order inside a device — the grouping the lockstep path
-        // builds. Items of devices the fleet does not know are skipped.
+        // stream order inside a device. Items of devices the fleet does not
+        // know are skipped.
         let mut items: Vec<Arrival<'_>> = Vec::new();
         for stream in streams {
             for item in stream.window_items(w, windows) {
@@ -388,9 +386,9 @@ impl FleetSim {
         items.sort_by_key(|&(d, _)| d);
 
         // One job per participating device, ascending: a dedicated RNG
-        // drawn from `rng` — the lockstep path's exact seeding contract —
-        // and the device's sequence number, which `iter_mut` walks in that
-        // order.
+        // drawn from `rng` in that order — so no device's draws depend on
+        // another's — and the device's sequence number, which `iter_mut`
+        // walks in that order.
         // On the virtual timeline item `k` of a device lands at its stream
         // day, `ITEM_SPACING_US` after item `k-1` — clamped forward so time
         // never runs backwards after the clock synced with the network
@@ -497,13 +495,14 @@ fn run_chunk(chunk: Chunk<'_, '_>, ctx: &WindowCtx<'_>) -> Vec<(u32, WindowOutpu
     selected.extend(chunk.items.iter().map(|&(d, item)| {
         ctx.pools
             .select(ctx.arena, d as usize, |meta| item_matches(meta, item))
+            .map(|(_, arena)| arena)
     }));
 
     // Forward passes, one group per selected version. The sort is stable
     // and `order` starts in item order, but neither matters to the result:
     // a row's `(prediction, msp)` is the same in any batch.
     let forward_span = nazar_obs::span("detect.forward");
-    let arena_of = |i: usize| selected[i].map(|(_, arena)| arena);
+    let arena_of = |i: usize| selected[i];
     order.clear();
     order.extend(0..selected.len());
     order.sort_by_key(|&i| arena_of(i));
@@ -528,15 +527,16 @@ fn run_chunk(chunk: Chunk<'_, '_>, ctx: &WindowCtx<'_>) -> Vec<(u32, WindowOutpu
     drop(forward_span);
 
     // A device's items are walked in stream order: its RNG draws and its
-    // sequence numbers follow that order, as on the lockstep device.
+    // sequence numbers follow that order, as on a device serving them one
+    // at a time.
     let mut detector = ctx.detector;
     let mut parts = Vec::with_capacity(chunk.jobs.len());
     let mut first = 0; // chunk position of the job's first item
     for job in chunk.jobs {
         let mut part = WindowOutput::default();
-        let results = selected[first..].iter().zip(&passes[first..]);
+        let results = &passes[first..];
         first += job.items.len();
-        for (&(_, item), (sel, &(prediction, msp))) in job.items.iter().zip(results) {
+        for (&(_, item), &(prediction, msp)) in job.items.iter().zip(results) {
             *job.seq += 1;
             let drift = detector.observe(msp);
             let (entry, sample) = emit_outputs(
@@ -547,14 +547,7 @@ fn run_chunk(chunk: Chunk<'_, '_>, ctx: &WindowCtx<'_>) -> Vec<(u32, WindowOutpu
                 *job.seq,
                 &mut job.rng,
             );
-            let output = DeviceOutput {
-                entry,
-                sample,
-                prediction,
-                correct: prediction == item.label,
-                version_used: sel.map(|(local_id, _)| local_id),
-            };
-            tally(&mut part, item, output);
+            tally(&mut part, item, prediction, entry, sample);
         }
         parts.push((job.device, part));
     }
@@ -564,7 +557,6 @@ fn run_chunk(chunk: Chunk<'_, '_>, ctx: &WindowCtx<'_>) -> Vec<(u32, WindowOutpu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::Fleet;
     use nazar_data::{AnimalsConfig, AnimalsDataset};
     use nazar_log::Attribute;
     use nazar_nn::{Mode, ModelArch};
@@ -589,59 +581,6 @@ mod tests {
         let x = Tensor::rand_uniform(&mut rng, &[16, dim], -1.0, 1.0);
         let _ = donor.logits(&x, Mode::Train);
         BnPatch::extract(&mut donor)
-    }
-
-    /// The core contract: the columnar fleet reproduces the lockstep
-    /// fleet bit-for-bit across windows and deployments.
-    #[test]
-    fn event_fleet_matches_lockstep_across_windows_and_deploys() {
-        let (data, model) = small_world();
-        let config = DeviceConfig::default();
-        let mut lockstep = Fleet::from_streams(&data.streams, &model, &config);
-        let mut event = FleetSim::from_streams(&data.streams, &model, &config);
-        assert_eq!(lockstep.len(), event.len());
-        assert_eq!(lockstep.device_ids(), event.device_ids());
-
-        let windows = 4;
-        let dim = data.streams[0].items[0].features.len();
-        let classes = 6; // AnimalsConfig::small() class count
-        let mut rng_a = SmallRng::seed_from_u64(42);
-        let mut rng_b = SmallRng::seed_from_u64(42);
-        for w in 0..windows {
-            let a = lockstep.process_window_parts(&data.streams, w, windows, &mut rng_a);
-            let b = event.process_window_parts(&data.streams, w, windows, &mut rng_b);
-            assert_eq!(a.len(), b.len(), "window {w}: participant count");
-            for ((id_a, part_a), (id_b, part_b)) in a.iter().zip(&b) {
-                assert_eq!(id_a, id_b, "window {w}: device order");
-                assert_eq!(part_a, part_b, "window {w}: output of {id_a}");
-            }
-            // Interleave deployments exactly as the orchestrator does:
-            // broadcast one window, target the next.
-            let patch = donor_patch(dim, classes, w as u64);
-            if w % 2 == 0 {
-                let meta =
-                    VersionMeta::new(vec![Attribute::new("weather", "snow")], 2.0 + w as f64);
-                lockstep.deploy(&meta, &patch);
-                event.deploy(&meta, &patch);
-            } else {
-                let location = data.streams[0].location.clone();
-                let meta = VersionMeta::new(
-                    vec![
-                        Attribute::new("weather", "fog"),
-                        Attribute::new("location", location),
-                    ],
-                    1.0 + w as f64,
-                );
-                let na = lockstep.deploy_targeted(&meta, &patch);
-                let nb = event.deploy_targeted(&meta, &patch);
-                assert_eq!(na, nb, "window {w}: targeted install count");
-            }
-            assert_eq!(
-                lockstep.max_versions(),
-                event.max_versions(),
-                "window {w}: max stored versions"
-            );
-        }
     }
 
     #[test]

@@ -1,20 +1,22 @@
-//! Property tests for the columnar fleet's determinism contract (ISSUE 6
-//! satellite): for any randomized stream shape and seed, the fleet output
-//! and the virtual clock are identical at every worker count, and
-//! `FleetSim` reproduces the lockstep engine bit-for-bit.
+//! Property tests for the columnar fleet's determinism contract: for any
+//! randomized stream shape and seed, the fleet output and the virtual
+//! clock are identical at every worker count, and `FleetSim` reproduces
+//! the lockstep oracle (`oracle/mod.rs`) bit-for-bit.
 //!
-//! The unit tests in `src/scheduler.rs` pin these properties on one fixed
+//! The unit tests in `src/scheduler.rs` pin the clock on one fixed
 //! dataset; here proptest varies the device set, arrival days, labels and
-//! weather mix, the RNG seed, the worker count, and whether a broadcast
-//! deployment lands between windows.
+//! weather mix, the RNG seed, the worker count, and which deployment lands
+//! between windows.
 
 mod common;
+mod oracle;
 
-use common::{base_model, donor_patch, mixed_version_world, streams_from, CLASSES};
-use nazar_data::SimDate;
-use nazar_device::{DeviceConfig, Fleet, FleetSim};
+use common::{base_model, donor_patch, mixed_version_world, streams_from, CLASSES, DIM};
+use nazar_data::{AnimalsConfig, AnimalsDataset, SimDate};
+use nazar_device::{DeviceConfig, FleetSim};
 use nazar_log::Attribute;
 use nazar_registry::VersionMeta;
+use oracle::Oracle;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -28,16 +30,62 @@ const WINDOWS: usize = 2;
 /// `FORWARD_ROWS_CAP` into a second piece.
 const BURST: usize = 40;
 
+/// The core contract on a generated dataset: the columnar fleet
+/// reproduces the oracle bit-for-bit across windows and deployments.
+#[test]
+fn event_fleet_matches_lockstep_across_windows_and_deploys() {
+    let data = AnimalsDataset::generate(&AnimalsConfig {
+        dim: DIM,
+        classes: CLASSES,
+        devices_per_location: 2,
+        arrivals_per_day: 0.5,
+        ..AnimalsConfig::small()
+    });
+    let (model, config) = (base_model(), DeviceConfig::default());
+    let mut lockstep = Oracle::from_streams(&data.streams, &model, &config);
+    let mut event = FleetSim::from_streams(&data.streams, &model, &config);
+    assert_eq!(lockstep.device_ids(), event.device_ids());
+
+    let windows = 4;
+    let mut rng_a = SmallRng::seed_from_u64(42);
+    let mut rng_b = SmallRng::seed_from_u64(42);
+    for w in 0..windows {
+        let a = lockstep.process_window_parts(&data.streams, w, windows, &mut rng_a);
+        let b = event.process_window_parts(&data.streams, w, windows, &mut rng_b);
+        assert_eq!(a, b, "window {w}: per-device outputs");
+        assert_eq!(lockstep.clock_us(), event.clock_us(), "window {w}: clock");
+        // Interleave deployments exactly as the orchestrator does:
+        // broadcast one window, target the next.
+        let patch = donor_patch(w as u64);
+        let mut cause = vec![Attribute::new("weather", "snow")];
+        if w % 2 == 0 {
+            let meta = VersionMeta::new(cause, 2.0 + w as f64);
+            lockstep.deploy(&meta, &patch);
+            event.deploy(&meta, &patch);
+        } else {
+            cause.push(Attribute::new("location", data.streams[0].location.clone()));
+            let meta = VersionMeta::new(cause, 1.0 + w as f64);
+            let installed = lockstep.deploy_targeted(&meta, &patch);
+            assert_eq!(
+                installed,
+                event.deploy_targeted(&meta, &patch),
+                "window {w}"
+            );
+        }
+        assert_eq!(lockstep.max_versions(), event.max_versions(), "window {w}");
+    }
+}
+
 /// Each day of the window mixes the base and four versions; whatever the
-/// chunk count, the batched pass must hand back the lockstep engine's
-/// window byte for byte.
+/// chunk count, the batched pass must hand back the oracle's window byte
+/// for byte.
 #[test]
 fn mixed_versions_in_one_day_match_lockstep_at_every_chunk_count() {
     let (streams, deployments) = mixed_version_world();
     let model = base_model();
     let config = DeviceConfig::default();
 
-    let mut lockstep = Fleet::from_streams(&streams, &model, &config);
+    let mut lockstep = Oracle::from_streams(&streams, &model, &config);
     for (meta, seed) in &deployments {
         lockstep.deploy_targeted(meta, &donor_patch(*seed));
     }
@@ -110,9 +158,11 @@ proptest! {
         prop_assert_eq!(clock_1, clock_n);
     }
 
-    /// `FleetSim` reproduces the lockstep engine bit-for-bit on any
-    /// randomized stream shape (the differential the golden trace pins at
-    /// paper scale, here under proptest at unit scale).
+    /// `FleetSim` reproduces the oracle bit-for-bit — parts, clock and
+    /// stored versions — on any randomized stream shape, with no
+    /// deployment, a broadcast one, or one `(meta, patch)` installed device
+    /// by device on a drawn subset of devices (the transport's delivery
+    /// shape, which reuses one interned arena version).
     #[test]
     fn event_engine_matches_lockstep_engine(
         seed in 0u64..1_000_000,
@@ -120,7 +170,8 @@ proptest! {
             (0usize..10, 0u16..SimDate::TOTAL_DAYS, 0usize..CLASSES, 0usize..4),
             1..30,
         ),
-        do_deploy in any::<bool>(),
+        deploy in 0usize..3,
+        subset in 0u32..1 << 10,
     ) {
         let raw: Vec<_> = raw
             .iter()
@@ -129,9 +180,10 @@ proptest! {
         let streams = streams_from(&raw);
         let model = base_model();
         let config = DeviceConfig::default();
-        let mut lockstep = Fleet::from_streams(&streams, &model, &config);
+        let mut lockstep = Oracle::from_streams(&streams, &model, &config);
         let mut event = FleetSim::from_streams(&streams, &model, &config);
-        prop_assert_eq!(lockstep.device_ids(), event.device_ids());
+        let ids = event.device_ids();
+        prop_assert_eq!(lockstep.device_ids(), ids.clone());
 
         let mut rng_a = SmallRng::seed_from_u64(seed);
         let mut rng_b = SmallRng::seed_from_u64(seed);
@@ -139,11 +191,24 @@ proptest! {
             let a = lockstep.process_window_parts(&streams, w, WINDOWS, &mut rng_a);
             let b = event.process_window_parts(&streams, w, WINDOWS, &mut rng_b);
             prop_assert_eq!(a, b);
-            if do_deploy && w == 0 {
+            prop_assert_eq!(lockstep.clock_us(), event.clock_us());
+            if w == 0 {
                 let patch = donor_patch(seed ^ 1);
                 let meta = VersionMeta::new(vec![Attribute::new("weather", "fog")], 1.5);
-                lockstep.deploy(&meta, &patch);
-                event.deploy(&meta, &patch);
+                match deploy {
+                    1 => {
+                        lockstep.deploy(&meta, &patch);
+                        event.deploy(&meta, &patch);
+                    }
+                    2 => {
+                        let drawn = ids.iter().enumerate().filter(|(d, _)| subset & (1 << d) != 0);
+                        for (_, id) in drawn {
+                            prop_assert!(lockstep.install_on(id, &meta, &patch));
+                            prop_assert!(event.install_on(id, &meta, &patch));
+                        }
+                    }
+                    _ => {}
+                }
             }
         }
         prop_assert_eq!(lockstep.max_versions(), event.max_versions());

@@ -3,6 +3,8 @@
 //! matching inputs only.
 
 use nazar::adapt::{adapt_to_patch, AdaptMethod, TentConfig};
+use nazar::data::LocationStream;
+use nazar::device::{FleetSim, WindowOutput};
 use nazar::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -31,6 +33,24 @@ fn corrupt_matrix(
         labels.push(s.label);
     }
     (Tensor::stack_rows(&rows).expect("rows"), labels)
+}
+
+/// Replays `items` as one window on a fresh one-device fleet holding
+/// `versions`.
+fn serve(
+    base: &MlpResNet,
+    versions: &[(VersionMeta, BnPatch)],
+    items: &[StreamItem],
+) -> WindowOutput {
+    let streams = [LocationStream {
+        location: "quebec".into(),
+        items: items.to_vec(),
+    }];
+    let mut fleet = FleetSim::from_streams(&streams, base, &DeviceConfig::default());
+    for (meta, patch) in versions {
+        fleet.deploy(meta, patch);
+    }
+    fleet.process_window(&streams, 0, 1, &mut SmallRng::seed_from_u64(0))
 }
 
 #[test]
@@ -68,83 +88,82 @@ fn device_serves_matching_inputs_with_the_matching_version() {
     let (space, base) = trained_world();
     let mut rng = SmallRng::seed_from_u64(2);
     let method = AdaptMethod::default();
-    let (fog_x, _) = corrupt_matrix(&space, Corruption::Fog, 64, 13);
+    let (fog_x, fog_y) = corrupt_matrix(&space, Corruption::Fog, 64, 13);
     let (fog_patch, _) = adapt_to_patch(&base, &fog_x, &method, &mut rng);
-
-    let mut device = Device::new("d0", "quebec", base, DeviceConfig::default());
-    device.install(
+    let fog_version = [(
         VersionMeta::new(vec![Attribute::new("weather", "fog")], 2.5),
         fog_patch,
+    )];
+
+    let foggy: Vec<StreamItem> = (0..16)
+        .map(|i| StreamItem {
+            features: fog_x.row(i).expect("row").to_vec(),
+            label: fog_y[i],
+            date: SimDate::new(3),
+            location: "quebec".into(),
+            device_id: "d0".into(),
+            weather: Weather::Fog,
+            true_cause: Some(Corruption::Fog),
+            severity: Severity::DEFAULT,
+        })
+        .collect();
+    // A version is used exactly when the output differs from the same
+    // device without it.
+    assert_ne!(
+        serve(&base, &fog_version, &foggy),
+        serve(&base, &[], &foggy),
+        "fog inputs should use the fog version"
     );
 
-    let foggy_item = StreamItem {
-        features: fog_x.row(0).expect("row").to_vec(),
-        label: 0,
-        date: SimDate::new(3),
-        location: "quebec".into(),
-        device_id: "d0".into(),
-        weather: Weather::Fog,
-        true_cause: Some(Corruption::Fog),
-        severity: Severity::DEFAULT,
-    };
-    let out = device.process(&foggy_item, &mut rng);
-    assert!(
-        out.version_used.is_some(),
-        "fog input should use the fog version"
-    );
-
-    let clear_item = StreamItem {
-        weather: Weather::Clear,
-        ..foggy_item
-    };
-    let out = device.process(&clear_item, &mut rng);
-    assert!(
-        out.version_used.is_none(),
-        "clear input should use the base model"
+    let clear: Vec<StreamItem> = foggy
+        .into_iter()
+        .map(|item| StreamItem {
+            weather: Weather::Clear,
+            ..item
+        })
+        .collect();
+    assert_eq!(
+        serve(&base, &fog_version, &clear),
+        serve(&base, &[], &clear),
+        "clear inputs should use the base model"
     );
 }
 
 #[test]
 fn consolidation_keeps_fleet_pools_bounded_under_version_churn() {
     let (_, base) = trained_world();
-    let fleet = Fleet::from_streams(
-        &[nazar::data::LocationStream {
+    let config = DeviceConfig {
+        pool_capacity: Some(3),
+        ..DeviceConfig::default()
+    };
+    let fleet = FleetSim::from_streams(
+        &[LocationStream {
             location: "quebec".into(),
             items: Vec::new(),
         }],
         &base,
-        &DeviceConfig {
-            pool_capacity: Some(3),
-            ..DeviceConfig::default()
-        },
+        &config,
     );
-    // No devices (empty stream) — build one manually through the Device API.
+    // No devices (empty stream) — build one from an explicit id instead.
     assert!(fleet.is_empty());
-    let mut device = Device::new(
-        "d1",
-        "quebec",
-        base.clone(),
-        DeviceConfig {
-            pool_capacity: Some(3),
-            ..DeviceConfig::default()
-        },
-    );
+    assert_eq!(fleet.max_versions(), 0);
+    let mut device = FleetSim::new([("d1".to_string(), "quebec".to_string())], &base, &config);
     let patch = {
         let mut m = base.clone();
         BnPatch::extract(&mut m)
     };
     for i in 0..12 {
-        device.install(
-            VersionMeta::new(
+        device.install_on(
+            "d1",
+            &VersionMeta::new(
                 vec![
                     Attribute::new("weather", ["rain", "snow", "fog"][i % 3].to_string()),
                     Attribute::new("location", format!("loc{i}")),
                 ],
                 1.0 + i as f64,
             ),
-            patch.clone(),
+            &patch,
         );
     }
-    assert!(device.num_versions() <= 3);
-    let _ = fleet.max_versions();
+    assert!(device.max_versions() <= 3);
 }

@@ -2,7 +2,9 @@
 //! MSP verdicts, aggregated in the drift log, must still yield the correct
 //! root cause — the system-level noise-robustness claim of §3.3.
 
+use nazar::data::LocationStream;
 use nazar::detect::{msp_of_logits, DriftDetector, MspThreshold};
+use nazar::device::FleetSim;
 use nazar::nn::Mode;
 use nazar::prelude::*;
 use rand::rngs::SmallRng;
@@ -70,10 +72,11 @@ fn detector_trait_and_device_loop_agree() {
     // detector on the same inputs.
     let (space, model) = trained_world();
     let mut rng = SmallRng::seed_from_u64(4);
-    let mut device = Device::new("dev-x", "quebec", model.clone(), DeviceConfig::default());
     let mut det = MspThreshold::default();
-    let mut standalone = model;
+    let mut standalone = model.clone();
 
+    let mut items = Vec::new();
+    let mut expected = Vec::new();
     for i in 0..40 {
         let sample = space.sample(&mut rng, i % 20);
         let features = if i % 2 == 0 {
@@ -81,8 +84,10 @@ fn detector_trait_and_device_loop_agree() {
         } else {
             sample.features
         };
-        let item = StreamItem {
-            features: features.clone(),
+        let x = Tensor::from_vec(features.clone(), &[1, 32]).expect("row");
+        expected.push(det.detect(&mut standalone, &x)[0]);
+        items.push(StreamItem {
+            features,
             label: sample.label,
             date: SimDate::new(1),
             location: "quebec".into(),
@@ -90,11 +95,17 @@ fn detector_trait_and_device_loop_agree() {
             weather: Weather::Clear,
             true_cause: None,
             severity: Severity::NONE,
-        };
-        let out = device.process(&item, &mut rng);
-        let x = Tensor::from_vec(features, &[1, 32]).expect("row");
-        let expected = det.detect(&mut standalone, &x)[0];
-        assert_eq!(out.entry.drift, expected, "item {i}");
+        });
+    }
+    let streams = [LocationStream {
+        location: "quebec".into(),
+        items,
+    }];
+    let mut device = FleetSim::from_streams(&streams, &model, &DeviceConfig::default());
+    let out = device.process_window(&streams, 0, 1, &mut rng);
+    assert_eq!(out.entries.len(), expected.len());
+    for (i, (entry, expected)) in out.entries.iter().zip(&expected).enumerate() {
+        assert_eq!(entry.drift, *expected, "item {i}");
     }
 }
 

@@ -4,6 +4,8 @@
 
 use nazar::adapt::federated::{average_patches, federated_round, local_tent_round};
 use nazar::adapt::TentConfig;
+use nazar::data::LocationStream;
+use nazar::device::FleetSim;
 use nazar::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -42,27 +44,36 @@ fn federated_patch_deploys_and_serves_on_devices() {
     assert_eq!(reports.len(), 4);
     assert!(reports.iter().all(|r| r.steps > 0));
 
-    // Deploy the aggregated patch to a device and verify selection.
-    let mut device = Device::new("d0", "quebec", base.clone(), DeviceConfig::default());
-    device.install(
-        VersionMeta::new(vec![Attribute::new("weather", "fog")], 2.0),
-        patch.clone(),
-    );
-    let (test_x, _) = drifted(&space, 1, 999);
-    let item = StreamItem {
-        features: test_x.row(0).expect("row").to_vec(),
-        label: 0,
-        date: SimDate::new(2),
+    // Deploy the aggregated patch to a one-device fleet and verify
+    // selection: fog inputs are served differently than without it.
+    let (test_x, test_y) = drifted(&space, 16, 999);
+    let items = (0..16)
+        .map(|i| StreamItem {
+            features: test_x.row(i).expect("row").to_vec(),
+            label: test_y[i],
+            date: SimDate::new(2),
+            location: "quebec".into(),
+            device_id: "d0".into(),
+            weather: Weather::Fog,
+            true_cause: Some(Corruption::Fog),
+            severity: Severity::DEFAULT,
+        })
+        .collect();
+    let streams = [LocationStream {
         location: "quebec".into(),
-        device_id: "d0".into(),
-        weather: Weather::Fog,
-        true_cause: Some(Corruption::Fog),
-        severity: Severity::DEFAULT,
+        items,
+    }];
+    let serve = |version: Option<&BnPatch>| {
+        let mut fleet = FleetSim::from_streams(&streams, &base, &DeviceConfig::default());
+        if let Some(patch) = version {
+            let meta = VersionMeta::new(vec![Attribute::new("weather", "fog")], 2.0);
+            fleet.deploy(&meta, patch);
+        }
+        fleet.process_window(&streams, 0, 1, &mut SmallRng::seed_from_u64(0))
     };
-    let mut rng = SmallRng::seed_from_u64(0);
-    let out = device.process(&item, &mut rng);
-    assert!(
-        out.version_used.is_some(),
+    assert_ne!(
+        serve(Some(&patch)),
+        serve(None),
         "federated version must serve fog inputs"
     );
 }

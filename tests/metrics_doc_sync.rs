@@ -18,6 +18,10 @@
 //! `crates/*/src` that read the environment at all are exactly
 //! [`ENV_READERS`] — configuration is a value the caller passes, so a new
 //! `env::var` is a change to that list, made on purpose.
+//!
+//! Last, every `[dependencies]` edge of a `crates/*/Cargo.toml` is named
+//! by some file under that crate's `src/` or `benches/`: a crate links
+//! only what it uses.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -187,5 +191,72 @@ fn environment_reads_stay_on_the_allow_list() {
         readers, ENV_READERS,
         "files under crates/*/src that call env::var (left) against the \
          allow-list (right): configuration is a value the caller passes"
+    );
+}
+
+/// The `[dependencies]` entries of a manifest (dev- and build-dependencies
+/// excluded).
+fn dependency_names(manifest: &str) -> Vec<String> {
+    let mut section = "";
+    manifest
+        .lines()
+        .map(str::trim)
+        .filter_map(|line| {
+            if line.starts_with('[') {
+                section = line;
+                return None;
+            }
+            let (name, _) = line.split_once('=')?;
+            (section == "[dependencies]").then(|| name.trim().to_string())
+        })
+        .collect()
+}
+
+/// Whether `ident` appears in `text` as a whole identifier (a doc link
+/// counts: rustdoc resolves it through the edge).
+fn names_identifier(text: &str, ident: &str) -> bool {
+    let is_ident = |c: Option<char>| c.is_some_and(|c| c.is_ascii_alphanumeric() || c == '_');
+    text.match_indices(ident).any(|(at, _)| {
+        !is_ident(text[..at].chars().next_back())
+            && !is_ident(text[at + ident.len()..].chars().next())
+    })
+}
+
+#[test]
+fn dependency_edges_are_used() {
+    let mut checked = 0;
+    let mut dead = Vec::new();
+    for entry in std::fs::read_dir(repo_root().join("crates")).expect("read crates/") {
+        let name = entry
+            .expect("dir entry")
+            .file_name()
+            .to_string_lossy()
+            .into_owned();
+        let crate_dir = format!("crates/{name}");
+        let Ok(manifest) = std::fs::read_to_string(repo_root().join(&crate_dir).join("Cargo.toml"))
+        else {
+            continue;
+        };
+        let sources: Vec<String> = ["src", "benches"]
+            .iter()
+            .map(|sub| format!("{crate_dir}/{sub}"))
+            .filter(|dir| repo_root().join(dir).is_dir())
+            .flat_map(|dir| rust_sources(&dir))
+            .map(|(_, text)| text)
+            .collect();
+        for dependency in dependency_names(&manifest) {
+            checked += 1;
+            let ident = dependency.replace('-', "_");
+            if !sources.iter().any(|text| names_identifier(text, &ident)) {
+                dead.push(format!("{crate_dir} -> {dependency}"));
+            }
+        }
+    }
+    assert!(checked > 0, "the scanner must find dependency edges");
+    dead.sort();
+    assert!(
+        dead.is_empty(),
+        "[dependencies] edges no file under the crate's src/ or benches/ \
+         names (drop them from the manifest): {dead:?}"
     );
 }

@@ -58,29 +58,48 @@ fn deterministic_view(r: &RunResult) -> DeterministicView<'_> {
 #[test]
 fn perfect_link_transport_is_bitwise_identical_to_direct_path() {
     let (data, base) = small_world();
-    let direct_cfg = CloudConfig {
-        net: None,
-        ..small_config()
-    };
-    let net_cfg = CloudConfig {
-        net: Some(NetConfig::default()),
-        ..small_config()
-    };
     for strategy in [Strategy::Nazar, Strategy::AdaptAll] {
-        let direct = run_strategy(&base, &data.streams, strategy, &direct_cfg);
-        let net = run_strategy(&base, &data.streams, strategy, &net_cfg);
-        assert_eq!(
-            deterministic_view(&direct),
-            deterministic_view(&net),
-            "{strategy:?}: a perfect link must reproduce the direct path bitwise"
-        );
-        // The transport did run: frames actually crossed the (perfect) wire.
-        assert!(net.net.frames_sent > 0);
-        assert_eq!(net.net.frames_lost, 0);
-        assert_eq!(
-            direct.net.frames_sent, 0,
-            "direct path never touches the wire"
-        );
+        let mut broadcast_bytes = 0;
+        // Broadcast deploys, then targeted ones: each cause version ships
+        // only to the devices whose attributes can select it.
+        for targeted_deployment in [false, true] {
+            let cfg = CloudConfig {
+                targeted_deployment,
+                ..small_config()
+            };
+            let direct_cfg = CloudConfig {
+                net: None,
+                ..cfg.clone()
+            };
+            let net_cfg = CloudConfig {
+                net: Some(NetConfig::default()),
+                ..cfg
+            };
+            let direct = run_strategy(&base, &data.streams, strategy, &direct_cfg);
+            let net = run_strategy(&base, &data.streams, strategy, &net_cfg);
+            assert_eq!(
+                deterministic_view(&direct),
+                deterministic_view(&net),
+                "{strategy:?}, targeted {targeted_deployment}: a perfect link must \
+                 reproduce the direct path bitwise"
+            );
+            // The transport did run: frames actually crossed the (perfect) wire.
+            assert!(net.net.frames_sent > 0);
+            assert_eq!(net.net.frames_lost, 0);
+            assert_eq!(
+                direct.net.frames_sent, 0,
+                "direct path never touches the wire"
+            );
+            if targeted_deployment {
+                assert!(
+                    net.patch_bytes_shipped <= broadcast_bytes,
+                    "{strategy:?}: targeted deploys shipped {} bytes, broadcast {broadcast_bytes}",
+                    net.patch_bytes_shipped
+                );
+            } else {
+                broadcast_bytes = net.patch_bytes_shipped;
+            }
+        }
     }
 }
 

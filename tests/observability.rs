@@ -19,7 +19,7 @@
 use nazar_cloud::experiment::{run_strategy, train_base_model};
 use nazar_cloud::{CloudConfig, RunResult, Strategy};
 use nazar_data::{AnimalsConfig, AnimalsDataset};
-use nazar_device::{DeviceConfig, Fleet};
+use nazar_device::{DeviceConfig, FleetSim};
 use nazar_nn::{MlpResNet, ModelArch};
 use nazar_obs::metrics::SnapshotValue;
 use nazar_tensor::parallel::{par_map, par_row_bands};
@@ -120,12 +120,10 @@ fn matmul_and_process_window_time_the_same_with_obs_on_and_off() {
     let mut rng = SmallRng::seed_from_u64(3);
     let a = Tensor::randn(&mut rng, &[256, 256], 0.0, 1.0);
     let b = Tensor::randn(&mut rng, &[256, 256], 0.0, 1.0);
-    let fleet = Fleet::from_streams(&dataset.streams, model, &DeviceConfig::default());
-
     let run = || {
         let before = counters();
         let product = a.matmul(&b).expect("shapes match");
-        let mut fleet = fleet.clone();
+        let mut fleet = FleetSim::from_streams(&dataset.streams, model, &DeviceConfig::default());
         let window = fleet.process_window(&dataset.streams, 0, 4, &mut SmallRng::seed_from_u64(11));
         (product, window, deltas(&before, &counters()))
     };
