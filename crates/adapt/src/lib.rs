@@ -11,7 +11,8 @@
 //!   (Eq. 3), likewise restricted to BN layers.
 //! * [`adapt_to_patch`] — the deployment-facing entry point: clone the base
 //!   model, adapt it on a cause's sampled data, and return the compact
-//!   [`BnPatch`] that Nazar ships to devices.
+//!   [`BnPatch`] that Nazar ships to devices. It skips the entropy report
+//!   the two functions above compute.
 //!
 //! The by-cause vs. adapt-all comparison (Table 4 / Fig. 7) is a matter of
 //! *which data* these functions receive; the grouping logic lives in the
@@ -46,10 +47,11 @@ pub use federated::{average_patches, federated_round, local_tent_round, LocalUpd
 pub use memo::{memo_adapt, MemoConfig};
 pub use tent::{tent_adapt, TentConfig};
 
-use nazar_nn::{BnPatch, MlpResNet};
-use nazar_tensor::Tensor;
+use nazar_nn::{entropy_of_logits, BnPatch, MlpResNet, Mode};
+use nazar_tensor::{TapePool, Tensor};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Drops rows of an `[n, d]` matrix that contain any non-finite feature.
 ///
@@ -64,6 +66,11 @@ use serde::{Deserialize, Serialize};
 /// Panics if `data` is not an `[n, d]` matrix (a shape contract, not a data
 /// condition).
 pub fn sanitize_rows(data: &Tensor) -> Option<Tensor> {
+    finite_rows(data).map(Cow::into_owned)
+}
+
+/// [`sanitize_rows`] without the copy when every row is finite.
+fn finite_rows(data: &Tensor) -> Option<Cow<'_, Tensor>> {
     let n = data.nrows().expect("adaptation data is [n, d]");
     let d = data.ncols().expect("adaptation data is [n, d]");
     let raw = data.data();
@@ -80,9 +87,88 @@ pub fn sanitize_rows(data: &Tensor) -> Option<Tensor> {
         return None;
     }
     if rows == n {
-        return Some(data.clone());
+        return Some(Cow::Borrowed(data));
     }
-    Some(Tensor::from_vec(kept, &[rows, d]).expect("kept rows form a matrix"))
+    Some(Cow::Owned(
+        Tensor::from_vec(kept, &[rows, d]).expect("kept rows form a matrix"),
+    ))
+}
+
+/// The frame of every adaptation routine: drop non-finite rows, run
+/// `steps` on the rest with only the BN affine parameters trainable, and
+/// roll back a result that left the BN state non-finite. Returns the step
+/// count; `0` leaves the model's BN state as it was.
+fn adapt_bn(
+    model: &mut MlpResNet,
+    data: &Tensor,
+    steps: impl FnOnce(&mut MlpResNet, &Tensor) -> usize,
+) -> usize {
+    let Some(data) = finite_rows(data) else {
+        return 0;
+    };
+    let snapshot = BnPatch::extract(model);
+    model.set_all_trainable(false);
+    model.set_bn_affine_trainable(true);
+    let steps = steps(model, &data);
+    model.set_all_trainable(true);
+    // Finite-but-extreme inputs can overflow the batch statistics and leave
+    // NaN/Inf in the BN state even though every input row was finite. A
+    // poisoned model must never leave an adaptation (DESIGN.md §9): roll
+    // back to the pre-adaptation snapshot and count zero effective steps.
+    if !BnPatch::extract(model).is_finite() {
+        let _ = snapshot.apply(model);
+        return 0;
+    }
+    steps
+}
+
+/// Runs `adapt` (an adaptation routine returning its step count) and
+/// reports the model's mean eval-mode entropy on the finite rows of `data`
+/// before and after. With no finite row the report is
+/// [`AdaptReport::noop`].
+fn reported(
+    model: &mut MlpResNet,
+    data: &Tensor,
+    adapt: impl FnOnce(&mut MlpResNet, &Tensor) -> usize,
+) -> AdaptReport {
+    let Some(clean) = finite_rows(data) else {
+        // Still run it: it checks its configuration, then adapts nothing.
+        adapt(model, data);
+        return AdaptReport::noop();
+    };
+    let entropy_before = mean_entropy_of(model, &clean);
+    let steps = adapt(model, &clean);
+    // Zero steps left the BN state, and so the entropy, as it was.
+    let entropy_after = match steps {
+        0 => entropy_before,
+        _ => mean_entropy_of(model, &clean),
+    };
+    AdaptReport {
+        entropy_before,
+        entropy_after,
+        steps,
+    }
+}
+
+thread_local! {
+    /// The tape pool every adaptation step on this thread draws on. A
+    /// pool per job would hand a step's buffers back to the allocator at
+    /// each job's end, and glibc, in some processes, trims them off the
+    /// heap for the next job to fault back in; this one is filled by the
+    /// thread's first step and holds one step's buffers from then on.
+    static TAPE_POOL: TapePool = TapePool::new();
+}
+
+/// This thread's adaptation tape pool.
+fn tape_pool() -> TapePool {
+    TAPE_POOL.with(TapePool::clone)
+}
+
+/// Mean prediction entropy of `model` on `data` (eval mode, no adaptation).
+fn mean_entropy_of(model: &mut MlpResNet, data: &Tensor) -> f32 {
+    let logits = model.logits(data, Mode::Eval);
+    let h = entropy_of_logits(&logits);
+    h.iter().sum::<f32>() / h.len().max(1) as f32
 }
 
 /// Summary of one adaptation run.
@@ -134,22 +220,24 @@ impl AdaptMethod {
 }
 
 /// Clones `base`, adapts the clone on `data` with `method`, and returns the
-/// resulting BN patch plus the adaptation report.
+/// resulting BN patch with the number of gradient steps taken.
 ///
 /// This is what Nazar's cloud side runs once per root cause: the patch is
-/// tagged with the cause's attributes and deployed to matching devices.
+/// tagged with the cause's attributes and deployed to matching devices. It
+/// runs the adaptation [`tent_adapt`] and [`memo_adapt`] report on, without
+/// their two eval passes for the entropy report.
 pub fn adapt_to_patch<R: Rng + ?Sized>(
     base: &MlpResNet,
-    data: &nazar_tensor::Tensor,
+    data: &Tensor,
     method: &AdaptMethod,
     rng: &mut R,
-) -> (BnPatch, AdaptReport) {
+) -> (BnPatch, usize) {
     let mut model = base.clone();
-    let report = match method {
-        AdaptMethod::Tent(cfg) => tent_adapt(&mut model, data, cfg),
-        AdaptMethod::Memo(cfg) => memo_adapt(&mut model, data, cfg, rng),
+    let steps = match method {
+        AdaptMethod::Tent(cfg) => tent::adapt(&mut model, data, cfg),
+        AdaptMethod::Memo(cfg) => memo::adapt(&mut model, data, cfg, rng),
     };
-    (BnPatch::extract(&mut model), report)
+    (BnPatch::extract(&mut model), steps)
 }
 
 #[cfg(test)]
@@ -230,19 +318,25 @@ mod tests {
         let mut base = bed.model.clone();
         let before = train::evaluate(&mut base, &drifted, &bed.clean_y).accuracy;
 
-        let (patch, report) = adapt_to_patch(
+        let config = TentConfig {
+            epochs: 3,
+            ..TentConfig::default()
+        };
+        let (patch, steps) = adapt_to_patch(
             &bed.model,
             &drifted,
-            &AdaptMethod::Tent(TentConfig {
-                epochs: 3,
-                ..TentConfig::default()
-            }),
+            &AdaptMethod::Tent(config.clone()),
             &mut rng,
         );
         let mut adapted = bed.model.clone();
         patch.apply(&mut adapted).unwrap();
         let after = train::evaluate(&mut adapted, &drifted, &bed.clean_y).accuracy;
 
+        // `tent_adapt` runs the same adaptation and reports on it.
+        let mut reported = bed.model.clone();
+        let report = tent_adapt(&mut reported, &drifted, &config);
+        assert_eq!(report.steps, steps);
+        assert_eq!(nazar_nn::BnPatch::extract(&mut reported), patch);
         assert!(report.entropy_after < report.entropy_before);
         assert!(
             after > before + 0.05,

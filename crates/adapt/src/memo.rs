@@ -2,7 +2,7 @@
 
 use crate::augment::Augmentation;
 use crate::AdaptReport;
-use nazar_nn::{entropy_of_logits, Adam, Layer, MlpResNet, Mode, Optimizer};
+use nazar_nn::{Adam, Layer, MlpResNet, Mode, Optimizer};
 use nazar_tensor::{Tape, Tensor, Var};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -34,12 +34,14 @@ impl Default for MemoConfig {
 
 /// Adapts `model` to unlabeled `data` by minimizing the entropy of the
 /// marginal prediction over random augmentations (Eq. 3 of the paper),
-/// restricted to BN layers.
+/// restricted to BN layers, and reports the mean prediction entropy
+/// before and after.
 ///
 /// Rows containing non-finite features are dropped before adaptation, and
 /// with no usable rows the model is left untouched and a zero-step
 /// [`AdaptReport::noop`] is returned (DESIGN.md §9, same policy as
-/// [`crate::tent_adapt`]).
+/// [`crate::tent_adapt`]). A trailing one-row batch is skipped, as TENT
+/// skips it: its batch variance is zero in every channel.
 ///
 /// # Panics
 ///
@@ -51,85 +53,71 @@ pub fn memo_adapt<R: Rng + ?Sized>(
     config: &MemoConfig,
     rng: &mut R,
 ) -> AdaptReport {
+    crate::reported(model, data, |model, data| adapt(model, data, config, rng))
+}
+
+/// The adaptation [`memo_adapt`] reports on and [`crate::adapt_to_patch`]
+/// ships. Returns the step count (0 after a rollback).
+pub(crate) fn adapt<R: Rng + ?Sized>(
+    model: &mut MlpResNet,
+    data: &Tensor,
+    config: &MemoConfig,
+    rng: &mut R,
+) -> usize {
     assert!(
         config.augmentations > 0,
         "memo requires at least one augmentation"
     );
-    let Some(data) = crate::sanitize_rows(data) else {
-        return AdaptReport::noop();
-    };
-    let data = &data;
-    let n = data.nrows().expect("adaptation data is [n, d]");
+    crate::adapt_bn(model, data, |model, data| {
+        let n = data.nrows().expect("adaptation data is [n, d]");
+        let pool = crate::tape_pool();
+        let mut opt = Adam::new(config.lr);
+        let mut steps = 0;
+        for _ in 0..config.epochs {
+            for start in (0..n).step_by(config.batch_size) {
+                let end = (start + config.batch_size).min(n);
+                // A one-row batch has zero variance in every channel, which
+                // Adapt mode would fold into every BN layer's running
+                // variance once per augmentation. Stop before drawing its
+                // augmentations, so later epochs see the same RNG stream as
+                // without the row.
+                if end - start < 2 {
+                    break;
+                }
+                let batch = data.slice_rows(start, end).expect("rows in range");
+                let rows = end - start;
 
-    let snapshot = nazar_nn::BnPatch::extract(model);
-    let entropy_before = mean_entropy_of(model, data);
-    model.set_all_trainable(false);
-    model.set_bn_affine_trainable(true);
-
-    let mut opt = Adam::new(config.lr);
-    let mut steps = 0;
-    for _ in 0..config.epochs {
-        let mut start = 0;
-        while start < n {
-            let end = (start + config.batch_size).min(n);
-            let idx: Vec<usize> = (start..end).collect();
-            let batch = data.select_rows(&idx).expect("rows in range");
-            let rows = end - start;
-
-            let tape = Tape::new();
-            // Marginal probability: p̄ = (1/B) Σ_b softmax(f(aug_b(x))).
-            let mut marginal: Option<Var> = None;
-            for _ in 0..config.augmentations {
-                let aug = Augmentation::random(rng).apply(&batch, rng);
-                let xv = tape.constant(aug);
-                let logits = model.forward(&tape, &xv, Mode::Adapt);
-                let p = logits.log_softmax().exp();
-                marginal = Some(match marginal {
-                    Some(acc) => acc.add(&p),
-                    None => p,
-                });
+                let tape = Tape::with_pool(&pool);
+                // Marginal probability: p̄ = (1/B) Σ_b softmax(f(aug_b(x))).
+                let mut marginal: Option<Var> = None;
+                for _ in 0..config.augmentations {
+                    let aug = Augmentation::random(rng).apply(&batch, rng);
+                    let xv = tape.constant(aug);
+                    let logits = model.forward(&tape, &xv, Mode::Adapt);
+                    let p = logits.log_softmax().exp();
+                    marginal = Some(match marginal {
+                        Some(acc) => acc.add(&p),
+                        None => p,
+                    });
+                }
+                let p_bar = marginal
+                    .expect("at least one augmentation")
+                    .scale(1.0 / config.augmentations as f32);
+                // H(p̄) averaged over the batch; clamp via +ε inside the log to
+                // keep gradients finite when a class probability hits zero.
+                let loss = p_bar
+                    .mul(&p_bar.add_scalar(1e-8).ln())
+                    .sum_all()
+                    .scale(-1.0 / rows as f32);
+                let grads = loss.backward();
+                model.collect_grads(&grads);
+                opt.step(model);
+                model.zero_grads();
+                steps += 1;
             }
-            let p_bar = marginal
-                .expect("at least one augmentation")
-                .scale(1.0 / config.augmentations as f32);
-            // H(p̄) averaged over the batch; clamp via +ε inside the log to
-            // keep gradients finite when a class probability hits zero.
-            let loss = p_bar
-                .mul(&p_bar.add_scalar(1e-8).ln())
-                .sum_all()
-                .scale(-1.0 / rows as f32);
-            let grads = loss.backward();
-            model.collect_grads(&grads);
-            opt.step(model);
-            model.zero_grads();
-            steps += 1;
-            start = end;
         }
-    }
-
-    model.set_all_trainable(true);
-    // Same overflow rollback as `tent_adapt` (DESIGN.md §9): never hand
-    // back a model whose BN state went non-finite.
-    if !nazar_nn::BnPatch::extract(model).is_finite() {
-        let _ = snapshot.apply(model);
-        return AdaptReport {
-            entropy_before,
-            entropy_after: entropy_before,
-            steps: 0,
-        };
-    }
-    let entropy_after = mean_entropy_of(model, data);
-    AdaptReport {
-        entropy_before,
-        entropy_after,
-        steps,
-    }
-}
-
-fn mean_entropy_of(model: &mut MlpResNet, data: &Tensor) -> f32 {
-    let logits = model.logits(data, Mode::Eval);
-    let h = entropy_of_logits(&logits);
-    h.iter().sum::<f32>() / h.len().max(1) as f32
+        steps
+    })
 }
 
 #[cfg(test)]
@@ -191,6 +179,32 @@ mod tests {
         assert_eq!(report, crate::AdaptReport::noop());
 
         assert_eq!(nazar_nn::BnPatch::extract(&mut model), before);
+    }
+
+    #[test]
+    fn a_trailing_one_row_batch_leaves_the_patch_unchanged() {
+        // Regression: a one-row batch in Adapt mode has zero batch
+        // variance, and MEMO folded it into every BN layer's running
+        // variance once per augmentation (0.9^4 a batch) — and drew that
+        // batch's augmentations from the RNG, shifting every later epoch.
+        let bed = trained_bed();
+        let drifted = corrupt(&bed.clean_x, Corruption::Fog, 3, 23);
+        let config = MemoConfig {
+            epochs: 2,
+            ..MemoConfig::default()
+        };
+        let patch_bits = |rows: usize| {
+            let mut model = bed.model.clone();
+            let data = drifted.slice_rows(0, rows).unwrap();
+            memo_adapt(&mut model, &data, &config, &mut SmallRng::seed_from_u64(9));
+            let patch = nazar_nn::BnPatch::extract(&mut model);
+            let tensors = |l: &nazar_nn::BnLayerState| {
+                [&l.gamma, &l.beta, &l.running_mean, &l.running_var]
+                    .map(|t| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+            };
+            patch.layers().iter().flat_map(tensors).collect::<Vec<_>>()
+        };
+        assert_eq!(patch_bits(65), patch_bits(64));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! TENT: fully test-time adaptation by entropy minimization.
 
 use crate::AdaptReport;
-use nazar_nn::{entropy_of_logits, mean_entropy, Adam, Layer, MlpResNet, Mode, Optimizer};
+use nazar_nn::{mean_entropy, Adam, Layer, MlpResNet, Mode, Optimizer};
 use nazar_tensor::{Tape, Tensor};
 use serde::{Deserialize, Serialize};
 
@@ -30,7 +30,8 @@ impl Default for TentConfig {
 
 /// Adapts `model` to unlabeled `data` by entropy minimization on its BN
 /// layers (affine parameters via gradient; running statistics via exposure
-/// to the adaptation batches in [`Mode::Adapt`]).
+/// to the adaptation batches in [`Mode::Adapt`]), and reports the mean
+/// prediction entropy before and after.
 ///
 /// All non-BN parameters are frozen for the duration and their trainability
 /// flags restored afterwards.
@@ -46,73 +47,40 @@ impl Default for TentConfig {
 /// Panics if `data` is not an `[n, d]` matrix or the batch size is smaller
 /// than 2 (configuration contracts, not data conditions).
 pub fn tent_adapt(model: &mut MlpResNet, data: &Tensor, config: &TentConfig) -> AdaptReport {
+    crate::reported(model, data, |model, data| adapt(model, data, config))
+}
+
+/// The adaptation [`tent_adapt`] reports on and [`crate::adapt_to_patch`]
+/// ships: one Adam step per batch of `data`'s finite rows, every epoch.
+/// Returns the step count (0 after a rollback).
+pub(crate) fn adapt(model: &mut MlpResNet, data: &Tensor, config: &TentConfig) -> usize {
     assert!(
         config.batch_size >= 2,
         "tent requires batches of at least 2 inputs"
     );
-    let Some(data) = crate::sanitize_rows(data) else {
-        return AdaptReport::noop();
-    };
-    let data = &data;
-    let n = data.nrows().expect("adaptation data is [n, d]");
-
-    let snapshot = nazar_nn::BnPatch::extract(model);
-    let entropy_before = mean_entropy_of(model, data);
-
-    // TENT configuration: only γ/β receive gradients.
-    model.set_all_trainable(false);
-    model.set_bn_affine_trainable(true);
-
-    let mut opt = Adam::new(config.lr);
-    let mut steps = 0;
-    for _ in 0..config.epochs {
-        let mut start = 0;
-        while start < n {
-            let end = (start + config.batch_size).min(n);
-            if end - start < 2 {
-                break; // a trailing singleton batch has the trivial optimum
+    crate::adapt_bn(model, data, |model, data| {
+        let n = data.nrows().expect("adaptation data is [n, d]");
+        let pool = crate::tape_pool();
+        let mut opt = Adam::new(config.lr);
+        let mut steps = 0;
+        for _ in 0..config.epochs {
+            for start in (0..n).step_by(config.batch_size) {
+                let end = (start + config.batch_size).min(n);
+                if end - start < 2 {
+                    break; // a trailing singleton batch has the trivial optimum
+                }
+                let tape = Tape::with_pool(&pool);
+                let xv = tape.constant_rows(data, start, end);
+                let logits = model.forward(&tape, &xv, Mode::Adapt);
+                let grads = mean_entropy(&logits).backward();
+                model.collect_grads(&grads);
+                opt.step(model);
+                model.zero_grads();
+                steps += 1;
             }
-            let batch = data.slice_rows(start, end).expect("rows in range");
-
-            let tape = Tape::new();
-            let xv = tape.constant(batch);
-            let logits = model.forward(&tape, &xv, Mode::Adapt);
-            let loss = mean_entropy(&logits);
-            let grads = loss.backward();
-            model.collect_grads(&grads);
-            opt.step(model);
-            model.zero_grads();
-            steps += 1;
-            start = end;
         }
-    }
-
-    model.set_all_trainable(true);
-    // Finite-but-extreme inputs can overflow the batch statistics and leave
-    // NaN/Inf in the BN state even though every input row was finite. A
-    // poisoned model must never leave this function (DESIGN.md §9): roll
-    // back to the pre-adaptation snapshot and report zero effective steps.
-    if !nazar_nn::BnPatch::extract(model).is_finite() {
-        let _ = snapshot.apply(model);
-        return AdaptReport {
-            entropy_before,
-            entropy_after: entropy_before,
-            steps: 0,
-        };
-    }
-    let entropy_after = mean_entropy_of(model, data);
-    AdaptReport {
-        entropy_before,
-        entropy_after,
-        steps,
-    }
-}
-
-/// Mean prediction entropy of `model` on `data` (eval mode, no adaptation).
-fn mean_entropy_of(model: &mut MlpResNet, data: &Tensor) -> f32 {
-    let logits = model.logits(data, Mode::Eval);
-    let h = entropy_of_logits(&logits);
-    h.iter().sum::<f32>() / h.len().max(1) as f32
+        steps
+    })
 }
 
 #[cfg(test)]

@@ -6,7 +6,8 @@
 //!   for output-score detectors vs the backprop cost of ODIN;
 //! * `analysis_scaling` — Fig. 9d's linear root-cause-analysis runtime;
 //! * `adaptation_step` — §3.4's BN-only adaptation efficiency (one BN-only
-//!   TENT step against one full-parameter step, same model and batch);
+//!   TENT step against one full-parameter step and the tape-free eval
+//!   forward, same model and batch);
 //! * `wire` and `log/ingest_batch_30k` — what one upload frame and one
 //!   window's ingest cost at the shapes the fleet workloads send (these
 //!   rows also join `BENCH_fleet.json`, beside the runs they explain);
@@ -23,7 +24,7 @@ use nazar_log::{Attribute, DriftLog, DriftLogEntry};
 use nazar_net::wire;
 use nazar_nn::{Adam, Layer, MlpResNet, Mode, ModelArch, Optimizer};
 use nazar_registry::{ModelPool, VersionMeta};
-use nazar_tensor::{kernels, SimdTier, Tape, Tensor, Workspace};
+use nazar_tensor::{kernels, SimdTier, Tape, TapePool, Tensor, Workspace};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -294,11 +295,12 @@ fn bench_fim_algorithms(c: &mut Criterion) {
 }
 
 /// One entropy-minimisation step on `x`: Adapt-mode forward, backward,
-/// collect, Adam. What `tent_adapt` runs per batch; which parameters it
-/// trains is the model's trainability flags.
-fn tent_step(model: &mut MlpResNet, opt: &mut Adam, x: &Tensor) {
-    let tape = Tape::new();
-    let xv = tape.constant(x.clone());
+/// collect, Adam. What `tent_adapt` runs per batch, on the tape pool its
+/// earlier steps filled; which parameters it trains is the model's
+/// trainability flags.
+fn tent_step(model: &mut MlpResNet, opt: &mut Adam, x: &Tensor, pool: &TapePool) {
+    let tape = Tape::with_pool(pool);
+    let xv = tape.constant(x);
     let logits = model.forward(&tape, &xv, Mode::Adapt);
     let grads = nazar_nn::mean_entropy(&logits).backward();
     model.collect_grads(&grads);
@@ -307,9 +309,11 @@ fn tent_step(model: &mut MlpResNet, opt: &mut Adam, x: &Tensor) {
 }
 
 fn bench_adaptation(c: &mut Criterion) {
-    // Both rows time the same step on the same model and the same batch,
-    // from a fresh clone each iteration so the weights never drift; the
-    // clone (~0.6 MB) is in both. Only the freeze differs.
+    // The two step rows time the same step on the same model and the same
+    // batch, from a fresh clone each iteration so the weights never drift;
+    // the clone (~0.6 MB) is in both. Only the freeze differs.
+    // `eval_forward` is the tape-free eval forward of that model and batch,
+    // the floor a BN-only step is measured against.
     let (all_params, x) = trained_world();
     let mut bn_only = all_params.clone();
     bn_only.set_all_trainable(false);
@@ -320,14 +324,19 @@ fn bench_adaptation(c: &mut Criterion) {
     // (what Nazar avoids — every adaptation would ship the whole model).
     for (name, model) in [("tent_bn_only", &bn_only), ("tent_all_params", &all_params)] {
         let mut opt = Adam::new(1e-2);
+        let pool = TapePool::new();
         group.bench_function(name, |b| {
             b.iter(|| {
                 let mut m = model.clone();
-                tent_step(&mut m, &mut opt, &x);
+                tent_step(&mut m, &mut opt, &x, &pool);
                 black_box(m)
             })
         });
     }
+    let mut model = all_params;
+    group.bench_function("eval_forward", |b| {
+        b.iter(|| black_box(model.logits(&x, Mode::Eval)))
+    });
     group.finish();
 }
 
@@ -371,14 +380,6 @@ criterion_group!(
 /// Runs every group and writes `BENCH_tensor.json` under a header naming
 /// what shaped the numbers: commit, host, thread width and SIMD tier.
 fn main() {
-    // A process that has run for a while has freed multi-megabyte buffers
-    // (datasets, log columns), and glibc raises its heap-trim threshold
-    // when it has. One that goes straight to a tape step has not: it hands
-    // the tape's pages back to the OS after every iteration and faults
-    // them in again — 2 ms of a 5 ms BN-only step, and nothing of the
-    // all-parameters step, whose Adam moments happen to sit above the
-    // tape and pin the heap. Free one such buffer before timing anything.
-    drop(black_box(vec![0u8; 24 << 20]));
     let mut criterion = Criterion::default();
     for (key, value) in nazar_bench::report::run_header() {
         criterion.header(key, value);

@@ -60,7 +60,7 @@ fn perturbed_scores(model: &mut MlpResNet, x: &Tensor, temperature: f32, epsilon
     model.visit_params(&mut |p| trainable.push(p.trainable()));
     model.set_all_trainable(false);
     let tape = Tape::new();
-    let xv = tape.leaf(x.clone());
+    let xv = tape.leaf(x);
     let (_, logits) = model.forward_with_features(&tape, &xv, Mode::Eval);
     let mut restore = trainable.into_iter();
     model.visit_params(&mut |p| p.set_trainable(restore.next().unwrap_or(true)));

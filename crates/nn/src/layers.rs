@@ -224,50 +224,37 @@ impl BatchNorm1d {
 
 impl Layer for BatchNorm1d {
     fn forward(&mut self, tape: &Tape, x: &Var, mode: Mode) -> Var {
-        let use_batch_stats = matches!(mode, Mode::Train | Mode::Adapt);
         let gamma = self.gamma.bind(tape);
         let beta = self.beta.bind(tape);
-
-        let x_hat = if use_batch_stats {
-            let mean = x.mean_axis0();
-            let centered = x.sub_row(&mean);
-            let var = centered.mul(&centered).mean_axis0();
-            let std = var.add_scalar(self.eps).sqrt();
-
-            // Fold the observed batch statistics into the running estimates,
-            // in place: r = r * (1 - m) + batch * m per feature. A channel
-            // whose batch statistic is non-finite (a poisoned batch) keeps
-            // its previous running value — one bad batch must not poison
-            // the layer's state permanently (DESIGN.md §9). A zero-variance
-            // channel is fine: eps keeps the normalization bounded.
-            let m = self.momentum;
-            self.running_mean
-                .zip_inplace(&mean.value(), |r, b| {
-                    if b.is_finite() {
-                        r * (1.0 - m) + b * m
-                    } else {
-                        r
-                    }
-                })
-                .expect("bn running mean width drifted");
-            self.running_var
-                .zip_inplace(&var.value(), |r, b| {
-                    if b.is_finite() {
-                        r * (1.0 - m) + b * m
-                    } else {
-                        r
-                    }
-                })
-                .expect("bn running var width drifted");
-
-            centered.div_row(&std)
-        } else {
+        if mode == Mode::Eval {
             // Eval: constants, no gradient path through the statistics.
-            let mean = tape.constant(self.running_mean.clone());
+            let mean = tape.constant(&self.running_mean);
             let std = tape.constant(self.running_var.add_scalar(self.eps).map(f32::sqrt));
-            x.sub_row(&mean).div_row(&std)
+            let x_hat = x.sub_row(&mean).div_row(&std);
+            return x_hat.mul_row(&gamma).add_row(&beta);
+        }
+        let (y, mean, var) = x.batch_norm(&gamma, &beta, self.eps);
+        // Fold the observed batch statistics into the running estimates,
+        // in place: r = r * (1 - m) + batch * m per feature. A channel
+        // whose batch statistic is non-finite (a poisoned batch) keeps
+        // its previous running value — one bad batch must not poison
+        // the layer's state permanently (DESIGN.md §9). A zero-variance
+        // channel is fine: eps keeps the normalization bounded.
+        let m = self.momentum;
+        let fold = |r: f32, b: f32| {
+            if b.is_finite() {
+                r * (1.0 - m) + b * m
+            } else {
+                r
+            }
         };
-        x_hat.mul_row(&gamma).add_row(&beta)
+        self.running_mean
+            .zip_inplace(&mean, fold)
+            .expect("bn running mean width drifted");
+        self.running_var
+            .zip_inplace(&var, fold)
+            .expect("bn running var width drifted");
+        y
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

@@ -43,10 +43,10 @@ pub fn cross_entropy_smoothed(logits: &Var, targets: &[usize], epsilon: f32) -> 
 ///
 /// Panics if `logits` is not a non-empty `[n, c]` matrix.
 pub fn mean_entropy(logits: &Var) -> Var {
-    let n = logits
-        .value()
-        .nrows()
-        .expect("mean_entropy expects [n, c] logits") as f32;
+    let n = match logits.dims()[..] {
+        [n, _] => n as f32,
+        ref dims => panic!("mean_entropy expects [n, c] logits, got {dims:?}"),
+    };
     let lp = logits.log_softmax();
     let p = lp.exp();
     p.mul(&lp).sum_all().scale(-1.0 / n)

@@ -307,7 +307,7 @@ impl MlpResNet {
     pub fn logits(&mut self, x: &Tensor, mode: Mode) -> Tensor {
         if mode != Mode::Eval {
             let tape = Tape::new();
-            let xv = tape.constant(x.clone());
+            let xv = tape.constant(x);
             let (_, logits) = self.forward_with_features(&tape, &xv, mode);
             return logits.value();
         }

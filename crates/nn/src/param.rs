@@ -64,12 +64,13 @@ impl Param {
     }
 
     /// Registers the value on `tape` — a leaf when trainable, a constant
-    /// when frozen — and remembers its node id.
+    /// when frozen, copied into the tape's pool — and remembers its node
+    /// id.
     pub fn bind(&mut self, tape: &Tape) -> Var {
         let var = if self.trainable {
-            tape.leaf(self.value.clone())
+            tape.leaf(&self.value)
         } else {
-            tape.constant(self.value.clone())
+            tape.constant(&self.value)
         };
         self.last_id = Some(var.id());
         var

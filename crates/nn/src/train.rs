@@ -5,7 +5,7 @@ use crate::layers::{Layer, Mode};
 use crate::loss::cross_entropy;
 use crate::model::MlpResNet;
 use crate::optim::Optimizer;
-use nazar_tensor::{Tape, Tensor};
+use nazar_tensor::{Tape, TapePool, Tensor};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -54,14 +54,16 @@ pub fn train_epoch<R: Rng + ?Sized>(
     let mut order: Vec<usize> = (0..n).collect();
     order.shuffle(rng);
 
+    // One pool for the epoch: each batch's tape reuses the last one's buffers.
+    let pool = TapePool::new();
     let mut total_loss = 0.0;
     let mut batches = 0;
     for chunk in order.chunks(batch_size) {
         let bx = xs.select_rows(chunk).expect("valid row indices");
         let by: Vec<usize> = chunk.iter().map(|&i| ys[i]).collect();
 
-        let tape = Tape::new();
-        let xv = tape.constant(bx);
+        let tape = Tape::with_pool(&pool);
+        let xv = tape.constant(&bx);
         let logits = model.forward(&tape, &xv, Mode::Train);
         let loss = cross_entropy(&logits, &by);
         total_loss += loss.value().item().expect("scalar loss");

@@ -5,8 +5,8 @@
 //! Because parents always have lower node ids than their children, the
 //! backward pass is a single reverse sweep over the node vector.
 //!
-//! Leaves also receive gradients, which is what makes input-gradient
-//! detectors (ODIN, Generalized-ODIN) implementable downstream.
+//! The backward returns the gradients of the leaves — the parameters,
+//! and the inputs of input-gradient detectors (ODIN, Generalized-ODIN).
 //!
 //! A value nothing will differentiate with respect to — a frozen weight,
 //! an input batch, a running statistic — is registered with
@@ -15,6 +15,12 @@
 //! nothing for the rest: BN-only adaptation pays no weight-gradient
 //! product for a frozen `Linear`, and no input-gradient product below the
 //! first trainable node.
+//!
+//! Every node value and gradient buffer comes from the tape's
+//! [`TapePool`] and goes back to it when the tape and its [`Gradients`]
+//! drop. A loop that runs one tape per step on a shared pool — a TENT
+//! job, a training epoch — allocates its buffers in the first step and
+//! reuses them in every later one.
 
 use crate::kernels;
 use crate::tensor::Tensor;
@@ -38,7 +44,6 @@ enum Op {
     Mul(usize, usize),
     MulRow(usize, usize),
     DivRow(usize, usize),
-    Neg(usize),
     Scale(usize, f32),
     AddScalar(usize, f32),
     Matmul(usize, usize),
@@ -51,6 +56,14 @@ enum Op {
     SumAll(usize),
     MeanAll(usize),
     NllLoss(usize, Vec<usize>),
+    /// [`Var::batch_norm`]; `stats` holds the `[d]` batch mean, then the
+    /// `[d]` batch `sqrt(var + eps)`.
+    BatchNorm {
+        x: usize,
+        gamma: usize,
+        beta: usize,
+        stats: Vec<f32>,
+    },
 }
 
 #[derive(Debug)]
@@ -63,9 +76,102 @@ struct Node {
     needs_grad: bool,
 }
 
-#[derive(Debug, Default)]
+/// Buffers that outlive the tapes drawing on them.
+///
+/// A [`Tape`] takes every node value, and its backward sweep every
+/// gradient buffer, from its pool; dropping the tape and its
+/// [`Gradients`] hands them back, together with the emptied node and
+/// gradient lists. The tapes of one job share a pool
+/// ([`Tape::with_pool`]), so after the first step a step finds every
+/// buffer it needs already here and allocates none of them. The pool is
+/// freed with its last handle; a [`Tape::new`] tape has a pool of its own.
+#[derive(Clone, Default)]
+pub struct TapePool {
+    inner: Rc<RefCell<PoolInner>>,
+}
+
+#[derive(Default)]
+struct PoolInner {
+    /// Free buffers, one stack per capacity, capacities ascending.
+    free: Vec<(usize, Vec<Vec<f32>>)>,
+    /// The node list of the last tape dropped, emptied.
+    nodes: Vec<Node>,
+    /// The gradient list of the last [`Gradients`] dropped, emptied.
+    grads: Vec<Option<Tensor>>,
+}
+
+impl fmt::Debug for TapePool {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "TapePool({} buffers)", self.buffers())
+    }
+}
+
+impl TapePool {
+    /// An empty pool.
+    pub fn new() -> Self {
+        TapePool::default()
+    }
+
+    /// Number of buffers waiting in the pool.
+    pub(crate) fn buffers(&self) -> usize {
+        self.inner.borrow().free.iter().map(|(_, s)| s.len()).sum()
+    }
+
+    /// A buffer of exactly `len` elements with unspecified contents: the
+    /// pooled one of least capacity that fits, or a new one.
+    fn take(&self, len: usize) -> Vec<f32> {
+        let mut inner = self.inner.borrow_mut();
+        let fits = inner.free.partition_point(|&(cap, _)| cap < len);
+        let Some(mut buf) = inner.free[fits..]
+            .iter_mut()
+            .find_map(|(_, stack)| stack.pop())
+        else {
+            return vec![0.0; len];
+        };
+        // A recycled buffer keeps its old length, so this zero-fills only
+        // capacity no value has used yet.
+        buf.resize(len, 0.0);
+        buf
+    }
+
+    /// `take` as the output allocator of the `Tensor` `*_in` operations.
+    fn alloc(&self) -> impl FnOnce(usize) -> Vec<f32> + '_ {
+        |len| self.take(len)
+    }
+
+    fn recycle(&self, buf: Vec<f32>) {
+        let cap = buf.capacity();
+        if cap == 0 {
+            return;
+        }
+        let mut inner = self.inner.borrow_mut();
+        match inner.free.binary_search_by_key(&cap, |&(c, _)| c) {
+            Ok(i) => inner.free[i].1.push(buf),
+            Err(i) => inner.free.insert(i, (cap, vec![buf])),
+        }
+    }
+}
+
+#[derive(Default)]
 struct TapeInner {
     nodes: Vec<Node>,
+    pool: TapePool,
+}
+
+impl Drop for TapeInner {
+    fn drop(&mut self) {
+        let mut nodes = std::mem::take(&mut self.nodes);
+        for node in nodes.drain(..) {
+            self.pool.recycle(node.value.into_data());
+            if let Op::BatchNorm { stats, .. } = node.op {
+                self.pool.recycle(stats);
+            }
+        }
+        let mut pool = self.pool.inner.borrow_mut();
+        if nodes.capacity() > pool.nodes.capacity() {
+            pool.nodes = nodes;
+        }
+    }
 }
 
 /// A gradient tape for reverse-mode automatic differentiation.
@@ -98,9 +204,21 @@ impl fmt::Debug for Tape {
 }
 
 impl Tape {
-    /// Creates an empty tape.
+    /// Creates an empty tape with a pool of its own.
     pub fn new() -> Self {
         Tape::default()
+    }
+
+    /// Creates an empty tape that takes its buffers from `pool` and hands
+    /// them back to it when it drops.
+    pub fn with_pool(pool: &TapePool) -> Self {
+        let nodes = std::mem::take(&mut pool.inner.borrow_mut().nodes);
+        Tape {
+            inner: Rc::new(RefCell::new(TapeInner {
+                nodes,
+                pool: pool.clone(),
+            })),
+        }
     }
 
     /// Number of nodes currently recorded.
@@ -113,17 +231,47 @@ impl Tape {
         self.len() == 0
     }
 
+    // `Borrow` is spelled out, not imported: in scope, its `borrow` would
+    // shadow `RefCell::borrow` on the tape's `Rc`.
+
     /// Registers `value` as a differentiable leaf and returns its handle.
-    pub fn leaf(&self, value: Tensor) -> Var {
-        self.push(value, Op::Leaf, true)
+    /// The tape keeps a copy in a buffer from its pool, so a borrowed
+    /// value (a parameter, a data set) is copied once and never cloned.
+    pub fn leaf(&self, value: impl std::borrow::Borrow<Tensor>) -> Var {
+        self.copy(value.borrow(), true)
     }
 
-    /// Registers `value` as a leaf no gradient is wanted for. It takes
-    /// part in the forward pass like any other; [`Var::backward`] computes
-    /// nothing for it, nor for any node built from constants alone, and
-    /// [`Gradients::get`] returns `None` for them.
-    pub fn constant(&self, value: Tensor) -> Var {
-        self.push(value, Op::Leaf, false)
+    /// Registers `value` as a leaf no gradient is wanted for, copied like
+    /// [`Tape::leaf`]'s. It takes part in the forward pass like any other;
+    /// [`Var::backward`] computes nothing for it, nor for any node built
+    /// from constants alone, and [`Gradients::get`] returns `None` for
+    /// them.
+    pub fn constant(&self, value: impl std::borrow::Borrow<Tensor>) -> Var {
+        self.copy(value.borrow(), false)
+    }
+
+    /// [`Tape::constant`] of rows `start..end` of the matrix `value` — a
+    /// mini-batch, copied straight into a pooled buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `value` is not a matrix or the range is out of bounds.
+    pub fn constant_rows(&self, value: &Tensor, start: usize, end: usize) -> Var {
+        let d = value
+            .ncols()
+            .unwrap_or_else(|e| panic!("constant_rows: {e}"));
+        let rows = value
+            .data()
+            .get(start * d..end * d)
+            .unwrap_or_else(|| panic!("constant_rows: rows {start}..{end} of {:?}", value.dims()));
+        let mut data = self.inner.borrow().pool.take(rows.len());
+        data.copy_from_slice(rows);
+        self.push(Tensor::from_raw(data, &[end - start, d]), Op::Leaf, false)
+    }
+
+    fn copy(&self, value: &Tensor, needs_grad: bool) -> Var {
+        let value = value.map_in(self.inner.borrow().pool.alloc(), |v| v);
+        self.push(value, Op::Leaf, needs_grad)
     }
 
     fn push(&self, value: Tensor, op: Op, needs_grad: bool) -> Var {
@@ -139,23 +287,22 @@ impl Tape {
             id,
         }
     }
-
-    fn value(&self, id: usize) -> Tensor {
-        self.inner.borrow().nodes[id].value.clone()
-    }
 }
 
-/// Accumulated gradients, indexed by the [`Var`] they belong to.
+/// The gradients of a backward root with respect to the tape's leaves,
+/// indexed by the [`Var`] they belong to.
+///
+/// Dropping them hands their buffers back to the tape's [`TapePool`].
 #[derive(Debug)]
 pub struct Gradients {
     grads: Vec<Option<Tensor>>,
+    pool: TapePool,
 }
 
 impl Gradients {
     /// The gradient of the backward root with respect to `var`, if `var`
-    /// participated in the computation and needs one: `None` for a
-    /// [`Tape::constant`] and for every node computed from constants
-    /// alone.
+    /// is a [`Tape::leaf`] that participated in the computation: `None`
+    /// for a [`Tape::constant`] and for every operation's output.
     pub fn get(&self, var: &Var) -> Option<&Tensor> {
         self.by_id(var.id)
     }
@@ -168,6 +315,19 @@ impl Gradients {
     /// here after the backward pass.
     pub fn by_id(&self, id: usize) -> Option<&Tensor> {
         self.grads.get(id).and_then(|g| g.as_ref())
+    }
+}
+
+impl Drop for Gradients {
+    fn drop(&mut self) {
+        let mut grads = std::mem::take(&mut self.grads);
+        for g in grads.drain(..).flatten() {
+            self.pool.recycle(g.into_data());
+        }
+        let mut pool = self.pool.inner.borrow_mut();
+        if grads.capacity() > pool.grads.capacity() {
+            pool.grads = grads;
+        }
     }
 }
 
@@ -190,14 +350,22 @@ pub struct Var {
 
 impl fmt::Debug for Var {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Var(id={}, shape={})", self.id, self.value().shape())
+        write!(f, "Var(id={}, shape={:?})", self.id, self.dims())
     }
 }
 
 impl Var {
     /// A snapshot of this node's value.
     pub fn value(&self) -> Tensor {
-        self.tape.value(self.id)
+        self.tape.inner.borrow().nodes[self.id].value.clone()
+    }
+
+    /// The dimensions of this node's value, without copying the value.
+    pub fn dims(&self) -> Vec<usize> {
+        self.tape.inner.borrow().nodes[self.id]
+            .value
+            .dims()
+            .to_vec()
     }
 
     /// The node id on its tape (stable for the tape's lifetime).
@@ -218,15 +386,16 @@ impl Var {
         let (value, needs_grad) = {
             let inner = self.tape.inner.borrow();
             let (a, b) = (&inner.nodes[self.id], &inner.nodes[other.id]);
+            let (av, bv, alloc) = (&a.value, &b.value, inner.pool.alloc());
             let value = match op(0, 0) {
-                Op::Add(..) => a.value.add(&b.value),
-                Op::AddRow(..) => a.value.add_row(&b.value),
-                Op::SubRow(..) => a.value.sub_row(&b.value),
-                Op::Sub(..) => a.value.sub(&b.value),
-                Op::Mul(..) => a.value.mul(&b.value),
-                Op::MulRow(..) => a.value.mul_row(&b.value),
-                Op::DivRow(..) => a.value.div_row(&b.value),
-                Op::Matmul(..) => a.value.matmul(&b.value),
+                Op::Add(..) => av.zip_with_in(bv, alloc, |x, y| x + y),
+                Op::AddRow(..) => av.broadcast_row_in("add_row", bv, alloc, |x, y| x + y),
+                Op::SubRow(..) => av.broadcast_row_in("sub_row", bv, alloc, |x, y| x - y),
+                Op::Sub(..) => av.zip_with_in(bv, alloc, |x, y| x - y),
+                Op::Mul(..) => av.zip_with_in(bv, alloc, |x, y| x * y),
+                Op::MulRow(..) => av.broadcast_row_in("mul_row", bv, alloc, |x, y| x * y),
+                Op::DivRow(..) => av.broadcast_row_in("div_row", bv, alloc, |x, y| x / y),
+                Op::Matmul(..) => av.matmul_in(bv, alloc),
                 _ => unreachable!(),
             };
             (value, a.needs_grad || b.needs_grad)
@@ -236,14 +405,24 @@ impl Var {
     }
 
     /// Records `op` with the value `f` computes from this node's, read in
-    /// place on the tape.
-    fn unary(&self, op: Op, f: impl FnOnce(&Tensor) -> Tensor) -> Var {
+    /// place on the tape, into a buffer from the tape's pool.
+    fn unary(&self, op: Op, f: impl FnOnce(&Tensor, &TapePool) -> Tensor) -> Var {
         let (value, needs_grad) = {
             let inner = self.tape.inner.borrow();
             let node = &inner.nodes[self.id];
-            (f(&node.value), node.needs_grad)
+            (f(&node.value, &inner.pool), node.needs_grad)
         };
         self.tape.push(value, op, needs_grad)
+    }
+
+    /// [`Var::unary`] for an elementwise `f`.
+    fn map(&self, op: Op, f: impl Fn(f32) -> f32) -> Var {
+        self.unary(op, |x, pool| x.map_in(pool.alloc(), f))
+    }
+
+    /// [`Var::unary`] for a scalar result.
+    fn scalar(&self, op: Op, f: impl FnOnce(&Tensor) -> f32) -> Var {
+        self.unary(op, |x, pool| Tensor::full_in(&[], f(x), pool.alloc()))
     }
 
     /// Elementwise sum. See [`Tensor::add`].
@@ -286,65 +465,61 @@ impl Var {
         self.binary(other, Op::Matmul, "matmul")
     }
 
-    /// Elementwise negation.
-    pub fn neg(&self) -> Var {
-        self.unary(Op::Neg(self.id), |x| x.scale(-1.0))
-    }
-
     /// Multiplies every element by the constant `c`.
     pub fn scale(&self, c: f32) -> Var {
-        self.unary(Op::Scale(self.id, c), |x| x.scale(c))
+        self.map(Op::Scale(self.id, c), |x| x * c)
     }
 
     /// Adds the constant `c` to every element.
     pub fn add_scalar(&self, c: f32) -> Var {
-        self.unary(Op::AddScalar(self.id, c), |x| x.add_scalar(c))
+        self.map(Op::AddScalar(self.id, c), |x| x + c)
     }
 
     /// Rectified linear unit, elementwise.
     pub fn relu(&self) -> Var {
-        self.unary(Op::Relu(self.id), |x| x.map(|v| v.max(0.0)))
+        self.map(Op::Relu(self.id), |v| v.max(0.0))
     }
 
     /// Elementwise exponential.
     pub fn exp(&self) -> Var {
-        self.unary(Op::Exp(self.id), |x| x.map(f32::exp))
+        self.map(Op::Exp(self.id), f32::exp)
     }
 
     /// Elementwise natural logarithm.
     pub fn ln(&self) -> Var {
-        self.unary(Op::Ln(self.id), |x| x.map(f32::ln))
+        self.map(Op::Ln(self.id), f32::ln)
     }
 
     /// Elementwise square root.
     pub fn sqrt(&self) -> Var {
-        self.unary(Op::Sqrt(self.id), |x| x.map(f32::sqrt))
+        self.map(Op::Sqrt(self.id), f32::sqrt)
     }
 
     /// Row-wise log-softmax of an `[n, c]` logit matrix.
     pub fn log_softmax(&self) -> Var {
-        self.unary(Op::LogSoftmax(self.id), |x| {
-            x.log_softmax_rows()
+        self.unary(Op::LogSoftmax(self.id), |x, pool| {
+            x.log_softmax_rows_in(pool.alloc())
                 .unwrap_or_else(|e| panic!("log_softmax: {e}"))
         })
     }
 
     /// Column means of an `[n, d]` matrix, as a `[d]` vector.
     pub fn mean_axis0(&self) -> Var {
-        self.unary(Op::MeanAxis0(self.id), |x| {
-            x.mean_axis0().unwrap_or_else(|e| panic!("mean_axis0: {e}"))
+        self.unary(Op::MeanAxis0(self.id), |x, pool| {
+            x.mean_axis0_in(pool.alloc())
+                .unwrap_or_else(|e| panic!("mean_axis0: {e}"))
         })
     }
 
     /// Sum of all elements, as a scalar variable.
     pub fn sum_all(&self) -> Var {
-        self.unary(Op::SumAll(self.id), |x| Tensor::scalar(x.sum_all()))
+        self.scalar(Op::SumAll(self.id), Tensor::sum_all)
     }
 
     /// Mean of all elements, as a scalar variable.
     pub fn mean_all(&self) -> Var {
-        self.unary(Op::MeanAll(self.id), |x| {
-            Tensor::scalar(x.mean_all().unwrap_or_else(|e| panic!("mean_all: {e}")))
+        self.scalar(Op::MeanAll(self.id), |x| {
+            x.mean_all().unwrap_or_else(|e| panic!("mean_all: {e}"))
         })
     }
 
@@ -359,7 +534,7 @@ impl Var {
     /// Panics if `targets.len()` differs from the row count or a target is
     /// out of class range.
     pub fn nll_loss(&self, targets: &[usize]) -> Var {
-        self.unary(Op::NllLoss(self.id, targets.to_vec()), |lp| {
+        self.scalar(Op::NllLoss(self.id, targets.to_vec()), |lp| {
             let (n, c) = (
                 lp.nrows().expect("nll_loss: rank-2 input"),
                 lp.ncols().unwrap(),
@@ -370,22 +545,107 @@ impl Var {
                 assert!(t < c, "nll_loss: target {t} out of range for {c} classes");
                 acc -= lp.data()[i * c + t];
             }
-            Tensor::scalar(acc / n as f32)
+            acc / n as f32
         })
+    }
+
+    /// Batch-statistic batch normalization of this `[n, d]` variable:
+    /// `y = (x - mean) / sqrt(var + eps) * γ + β` over the batch's column
+    /// mean and (population) variance, for `[d]` variables γ and β.
+    /// Returns `y` with the batch mean and variance, which the caller folds
+    /// into its running statistics.
+    ///
+    /// One node, with a hand-written backward, for what the composition
+    /// `x.mean_axis0()` → `sub_row` → `mul` → `mean_axis0` →
+    /// `add_scalar(eps)` → `sqrt` → `div_row` → `mul_row(γ)` → `add_row(β)`
+    /// records in nine. Forward and backward perform the composition's
+    /// float operations in its order, so every value and every gradient is
+    /// bitwise the composition's (the oracle in `kernel_equivalence.rs`).
+    /// The node keeps `y` and the per-column mean and standard deviation;
+    /// the backward recomputes the centered values from `x`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self` is not a non-empty `[n, d]` matrix, γ or β is not
+    /// `[d]`, or the three come from different tapes.
+    pub fn batch_norm(&self, gamma: &Var, beta: &Var, eps: f32) -> (Var, Tensor, Tensor) {
+        self.same_tape(gamma);
+        self.same_tape(beta);
+        let (y, op, mean, var, needs_grad) = {
+            let inner = self.tape.inner.borrow();
+            let [x, g, b] = [self.id, gamma.id, beta.id].map(|id| &inner.nodes[id]);
+            let (n, d) = match *x.value.dims() {
+                [n, d] if n > 0 && d > 0 => (n, d),
+                ref dims => {
+                    panic!("batch_norm: input must be a non-empty [n, d] batch, got {dims:?}")
+                }
+            };
+            assert!(
+                g.value.dims() == [d] && b.value.dims() == [d],
+                "batch_norm: γ and β must be [{d}], got {:?} and {:?}",
+                g.value.dims(),
+                b.value.dims()
+            );
+            let mut stats = inner.pool.take(2 * d);
+            let mut y = inner.pool.take(n * d);
+            let mut var = vec![0.0; d];
+            let (mean, std) = stats.split_at_mut(d);
+            kernels::mean_axis0_into(x.value.data(), n, d, mean);
+            // The squared centered values borrow `y` until the output
+            // overwrites them.
+            for (yrow, xrow) in y.chunks_exact_mut(d).zip(x.value.data().chunks_exact(d)) {
+                for ((o, &v), &m) in yrow.iter_mut().zip(xrow).zip(&*mean) {
+                    let c = v - m;
+                    *o = c * c;
+                }
+            }
+            kernels::mean_axis0_into(&y, n, d, &mut var);
+            for (s, &v) in std.iter_mut().zip(&var) {
+                *s = (v + eps).sqrt();
+            }
+            let (gamma_v, beta_v) = (g.value.data(), b.value.data());
+            for (yrow, xrow) in y.chunks_exact_mut(d).zip(x.value.data().chunks_exact(d)) {
+                for (((((o, &v), &m), &s), &ga), &be) in yrow
+                    .iter_mut()
+                    .zip(xrow)
+                    .zip(&*mean)
+                    .zip(&*std)
+                    .zip(gamma_v)
+                    .zip(beta_v)
+                {
+                    *o = (v - m) / s * ga + be;
+                }
+            }
+            let mean = Tensor::from_raw(mean.to_vec(), &[d]);
+            let op = Op::BatchNorm {
+                x: self.id,
+                gamma: gamma.id,
+                beta: beta.id,
+                stats,
+            };
+            let needs_grad = x.needs_grad || g.needs_grad || b.needs_grad;
+            let var = Tensor::from_raw(var, &[d]);
+            (Tensor::from_raw(y, &[n, d]), op, mean, var, needs_grad)
+        };
+        (self.tape.push(y, op, needs_grad), mean, var)
     }
 
     /// Runs the backward pass from this (scalar) variable.
     ///
-    /// Returns the gradients of `self` with respect to every node that
-    /// contributed to it and needs one — every [`Tape::leaf`] and every
-    /// node with a leaf among its ancestors. A [`Tape::constant`], and a
-    /// node built from constants alone, gets no buffer and costs no work:
-    /// each contribution to such a parent is skipped.
+    /// Returns the gradient of `self` with respect to every
+    /// [`Tape::leaf`] that contributed to it. The sweep computes a
+    /// gradient for every node with a leaf among its ancestors, and hands
+    /// an operation's buffer back to the tape's [`TapePool`] once the node
+    /// has passed it on to its parents — no later node reads it — so the
+    /// buffers live at once are the leaves' and a frontier's, not one per
+    /// node. A [`Tape::constant`], and a node built from constants alone,
+    /// gets no buffer and costs no work: each contribution to such a
+    /// parent is skipped.
     ///
     /// The sweep is written over the in-place [`kernels`]: each node's
     /// contribution is accumulated directly into its parents' gradient
-    /// buffers (allocated once per node that needs one), and the matmul
-    /// backward adds `g · bᵀ` and `aᵀ · g` into them through
+    /// buffers (taken from the pool), and the matmul backward adds
+    /// `g · bᵀ` and `aᵀ · g` into them through
     /// [`kernels::matmul_a_bt_into`] and [`kernels::matmul_at_b_into`].
     /// Skipping a contribution never reorders the ones that remain, so a
     /// gradient that is computed is bitwise the one the all-leaves tape
@@ -395,13 +655,15 @@ impl Var {
     ///
     /// Panics if `self` does not hold exactly one element.
     pub fn backward(&self) -> Gradients {
-        let root = self.value();
-        assert_eq!(root.len(), 1, "backward requires a scalar root");
         let inner = self.tape.inner.borrow();
-        let needs = |id: usize| inner.nodes[id].needs_grad;
-        let mut grads: Vec<Option<Tensor>> = vec![None; inner.nodes.len()];
+        let (nodes, pool) = (&inner.nodes, &inner.pool);
+        let root = &nodes[self.id].value;
+        assert_eq!(root.len(), 1, "backward requires a scalar root");
+        let needs = |id: usize| nodes[id].needs_grad;
+        let mut grads = std::mem::take(&mut pool.inner.borrow_mut().grads);
+        grads.resize(nodes.len(), None);
         if needs(self.id) {
-            grads[self.id] = Some(Tensor::full(root.dims(), 1.0));
+            grads[self.id] = Some(Tensor::full_in(root.dims(), 1.0, pool.alloc()));
         }
 
         for id in (0..=self.id).rev() {
@@ -410,33 +672,37 @@ impl Var {
             let (parents, rest) = grads.split_at_mut(id);
             // A node that needs no gradient never received one. A node
             // with one parent needs a gradient exactly when the parent
-            // does, so only the two-parent rules check each side.
+            // does, so only the multi-parent rules check each side.
             let Some(g) = rest[0].as_ref() else { continue };
-            let node = &inner.nodes[id];
+            let node = &nodes[id];
             match &node.op {
                 Op::Leaf => {}
                 Op::Add(a, b) => {
                     if needs(*a) {
-                        acc_copy(parents, *a, g);
+                        acc_copy(parents, *a, g, pool);
                     }
                     if needs(*b) {
-                        acc_copy(parents, *b, g);
+                        acc_copy(parents, *b, g, pool);
                     }
                 }
                 Op::AddRow(a, b) => {
                     if needs(*b) {
                         let (n, d) = row_dims(g);
-                        let gb = slot(parents, *b, &inner.nodes[*b].value);
-                        kernels::sum_axis0_assign(g.data(), n, d, gb.data_mut());
+                        kernels::sum_axis0_assign(
+                            g.data(),
+                            n,
+                            d,
+                            slot(parents, *b, nodes, pool).data_mut(),
+                        );
                     }
                     if needs(*a) {
-                        acc_copy(parents, *a, g);
+                        acc_copy(parents, *a, g, pool);
                     }
                 }
                 Op::SubRow(a, b) => {
                     if needs(*b) {
                         let (_, d) = row_dims(g);
-                        let gb = slot(parents, *b, &inner.nodes[*b].value);
+                        let gb = slot(parents, *b, nodes, pool);
                         for row in g.data().chunks_exact(d) {
                             for (o, &x) in gb.data_mut().iter_mut().zip(row) {
                                 *o -= x;
@@ -444,33 +710,39 @@ impl Var {
                         }
                     }
                     if needs(*a) {
-                        acc_copy(parents, *a, g);
+                        acc_copy(parents, *a, g, pool);
                     }
                 }
                 Op::Sub(a, b) => {
                     if needs(*a) {
-                        acc_copy(parents, *a, g);
+                        acc_copy(parents, *a, g, pool);
                     }
                     if needs(*b) {
-                        acc_axpy(parents, *b, &inner.nodes[*b].value, -1.0, g);
+                        axpy(slot(parents, *b, nodes, pool), -1.0, g);
                     }
                 }
                 Op::Mul(a, b) => {
-                    let (av, bv) = (&inner.nodes[*a].value, &inner.nodes[*b].value);
+                    let (av, bv) = (&nodes[*a].value, &nodes[*b].value);
                     if needs(*a) {
-                        let ga = slot(parents, *a, av);
-                        kernels::fma_assign(ga.data_mut(), g.data(), bv.data());
+                        kernels::fma_assign(
+                            slot(parents, *a, nodes, pool).data_mut(),
+                            g.data(),
+                            bv.data(),
+                        );
                     }
                     if needs(*b) {
-                        let gb = slot(parents, *b, bv);
-                        kernels::fma_assign(gb.data_mut(), g.data(), av.data());
+                        kernels::fma_assign(
+                            slot(parents, *b, nodes, pool).data_mut(),
+                            g.data(),
+                            av.data(),
+                        );
                     }
                 }
                 Op::MulRow(a, b) => {
-                    let (av, bv) = (&inner.nodes[*a].value, &inner.nodes[*b].value);
+                    let (av, bv) = (&nodes[*a].value, &nodes[*b].value);
                     let (_, d) = row_dims(g);
                     if needs(*a) {
-                        let ga = slot(parents, *a, av);
+                        let ga = slot(parents, *a, nodes, pool);
                         for (orow, grow) in ga
                             .data_mut()
                             .chunks_exact_mut(d)
@@ -480,7 +752,7 @@ impl Var {
                         }
                     }
                     if needs(*b) {
-                        let gb = slot(parents, *b, bv);
+                        let gb = slot(parents, *b, nodes, pool);
                         for (grow, arow) in g.data().chunks_exact(d).zip(av.data().chunks_exact(d))
                         {
                             kernels::fma_assign(gb.data_mut(), grow, arow);
@@ -488,10 +760,10 @@ impl Var {
                     }
                 }
                 Op::DivRow(a, b) => {
-                    let (av, bv) = (&inner.nodes[*a].value, &inner.nodes[*b].value);
+                    let (av, bv) = (&nodes[*a].value, &nodes[*b].value);
                     let (_, d) = row_dims(g);
                     if needs(*a) {
-                        let ga = slot(parents, *a, av);
+                        let ga = slot(parents, *a, nodes, pool);
                         for (orow, grow) in ga
                             .data_mut()
                             .chunks_exact_mut(d)
@@ -504,7 +776,7 @@ impl Var {
                     }
                     if needs(*b) {
                         // d/db (a/b) = -a / b^2, summed over the broadcast rows.
-                        let gb = slot(parents, *b, bv);
+                        let gb = slot(parents, *b, nodes, pool);
                         for (grow, arow) in g.data().chunks_exact(d).zip(av.data().chunks_exact(d))
                         {
                             for (((o, &gv), &a), &b) in
@@ -515,28 +787,27 @@ impl Var {
                         }
                     }
                 }
-                Op::Neg(a) => acc_axpy(parents, *a, &inner.nodes[*a].value, -1.0, g),
-                Op::Scale(a, c) => acc_axpy(parents, *a, &inner.nodes[*a].value, *c, g),
-                Op::AddScalar(a, _) => acc_copy(parents, *a, g),
+                Op::Scale(a, c) => axpy(slot(parents, *a, nodes, pool), *c, g),
+                Op::AddScalar(a, _) => acc_copy(parents, *a, g, pool),
                 Op::Matmul(a, b) => {
-                    let (av, bv) = (&inner.nodes[*a].value, &inner.nodes[*b].value);
+                    let (av, bv) = (&nodes[*a].value, &nodes[*b].value);
                     let (n, k) = row_dims(av);
                     let (_, m) = row_dims(bv);
                     if needs(*a) {
-                        let ga = slot(parents, *a, av);
+                        let ga = slot(parents, *a, nodes, pool);
                         Workspace::with_thread_local(|ws| {
                             let (g, b) = (g.data(), bv.data());
                             kernels::matmul_a_bt_into(g, b, n, m, k, ga.data_mut(), ws);
                         });
                     }
                     if needs(*b) {
-                        let gb = slot(parents, *b, bv);
+                        let gb = slot(parents, *b, nodes, pool);
                         kernels::matmul_at_b_into(av.data(), g.data(), n, k, m, gb.data_mut());
                     }
                 }
                 Op::Relu(a) => {
-                    let av = &inner.nodes[*a].value;
-                    let ga = slot(parents, *a, av);
+                    let av = &nodes[*a].value;
+                    let ga = slot(parents, *a, nodes, pool);
                     for ((o, &gv), &x) in ga.data_mut().iter_mut().zip(g.data()).zip(av.data()) {
                         if x > 0.0 {
                             *o += gv;
@@ -544,18 +815,21 @@ impl Var {
                     }
                 }
                 Op::Exp(a) => {
-                    let ga = slot(parents, *a, &inner.nodes[*a].value);
-                    kernels::fma_assign(ga.data_mut(), g.data(), node.value.data());
+                    kernels::fma_assign(
+                        slot(parents, *a, nodes, pool).data_mut(),
+                        g.data(),
+                        node.value.data(),
+                    );
                 }
                 Op::Ln(a) => {
-                    let av = &inner.nodes[*a].value;
-                    let ga = slot(parents, *a, av);
+                    let av = &nodes[*a].value;
+                    let ga = slot(parents, *a, nodes, pool);
                     for ((o, &gv), &x) in ga.data_mut().iter_mut().zip(g.data()).zip(av.data()) {
                         *o += gv / x;
                     }
                 }
                 Op::Sqrt(a) => {
-                    let ga = slot(parents, *a, &inner.nodes[*a].value);
+                    let ga = slot(parents, *a, nodes, pool);
                     for ((o, &gv), &y) in ga
                         .data_mut()
                         .iter_mut()
@@ -568,7 +842,7 @@ impl Var {
                 Op::LogSoftmax(a) => {
                     // d logsoftmax: g - softmax(a) * rowsum(g)
                     let (_, c) = row_dims(&node.value);
-                    let ga = slot(parents, *a, &inner.nodes[*a].value);
+                    let ga = slot(parents, *a, nodes, pool);
                     for ((orow, grow), lprow) in ga
                         .data_mut()
                         .chunks_exact_mut(c)
@@ -582,38 +856,153 @@ impl Var {
                     }
                 }
                 Op::MeanAxis0(a) => {
-                    let av = &inner.nodes[*a].value;
-                    let (n, d) = row_dims(av);
+                    let (n, d) = row_dims(&nodes[*a].value);
                     let inv_n = 1.0 / n as f32;
-                    let ga = slot(parents, *a, av);
-                    for orow in ga.data_mut().chunks_exact_mut(d) {
+                    for orow in slot(parents, *a, nodes, pool)
+                        .data_mut()
+                        .chunks_exact_mut(d)
+                    {
                         kernels::axpy_into(inv_n, g.data(), orow);
                     }
                 }
                 Op::SumAll(a) => {
                     let c = g.data()[0];
-                    let ga = slot(parents, *a, &inner.nodes[*a].value);
-                    ga.map_inplace(|x| x + c);
+                    slot(parents, *a, nodes, pool).map_inplace(|x| x + c);
                 }
                 Op::MeanAll(a) => {
-                    let av = &inner.nodes[*a].value;
-                    let c = g.data()[0] / av.len() as f32;
-                    let ga = slot(parents, *a, av);
-                    ga.map_inplace(|x| x + c);
+                    let c = g.data()[0] / nodes[*a].value.len() as f32;
+                    slot(parents, *a, nodes, pool).map_inplace(|x| x + c);
                 }
                 Op::NllLoss(a, targets) => {
-                    let av = &inner.nodes[*a].value;
-                    let (n, c) = row_dims(av);
+                    let (n, c) = row_dims(&nodes[*a].value);
                     let coef = -g.data()[0] / n as f32;
-                    let ga = slot(parents, *a, av);
+                    let ga = slot(parents, *a, nodes, pool);
                     for (i, &t) in targets.iter().enumerate() {
                         ga.data_mut()[i * c + t] += coef;
                     }
                 }
+                Op::BatchNorm {
+                    x,
+                    gamma,
+                    beta,
+                    stats,
+                } => {
+                    let (xv, gamma_v) = (&nodes[*x].value, nodes[*gamma].value.data());
+                    let (n, d) = row_dims(xv);
+                    let (mean, std) = stats.split_at(d);
+                    let rows = || g.data().chunks_exact(d).zip(xv.data().chunks_exact(d));
+                    if needs(*beta) {
+                        kernels::sum_axis0_assign(
+                            g.data(),
+                            n,
+                            d,
+                            slot(parents, *beta, nodes, pool).data_mut(),
+                        );
+                    }
+                    if needs(*gamma) {
+                        // ∂/∂γ = Σᵢ g · x̂, x̂ recomputed as the forward did.
+                        let gg = slot(parents, *gamma, nodes, pool).data_mut();
+                        for (grow, xrow) in rows() {
+                            for ((((o, &gv), &v), &m), &s) in
+                                gg.iter_mut().zip(grow).zip(xrow).zip(mean).zip(std)
+                            {
+                                *o += gv * ((v - m) / s);
+                            }
+                        }
+                    }
+                    if needs(*x) {
+                        batch_norm_input_grad(parents, *x, g, xv, gamma_v, stats, pool);
+                    }
+                }
+            }
+            if !matches!(node.op, Op::Leaf) {
+                if let Some(done) = rest[0].take() {
+                    pool.recycle(done.into_data());
+                }
             }
         }
-        Gradients { grads }
+        Gradients {
+            grads,
+            pool: pool.clone(),
+        }
     }
+}
+
+/// `grads[x] += ∂/∂x` for [`Var::batch_norm`], performing the float
+/// operations of the composition's backward in its order. With the
+/// centered values `c = x − mean` recomputed and `s = sqrt(var + eps)`,
+/// every gradient the composition starts in a zeroed slot keeps its `0 +`:
+///
+/// * `∂x̂ = 0 + g·γ`, then `∂c = 0 + ∂x̂/s`;
+/// * `∂s = Σᵢ −(∂x̂·c)/(s·s)` from zero, in row order;
+/// * `∂(var + eps) = 0 + ∂s·(0.5/s)`, `∂var` a copy of it, and
+///   `k = ∂(c·c) = 0 + (1/n)·∂var`, one value per column;
+/// * `∂c += k·c` twice, once per operand of the `c·c` product;
+/// * `∂mean = Σᵢ −∂c` from zero, in row order;
+/// * `∂x` takes `∂c` (a copy into an empty slot, else `+=`), then
+///   `+= (1/n)·∂mean`.
+fn batch_norm_input_grad(
+    grads: &mut [Option<Tensor>],
+    x: usize,
+    g: &Tensor,
+    xv: &Tensor,
+    gamma: &[f32],
+    stats: &[f32],
+    pool: &TapePool,
+) {
+    let (n, d) = row_dims(xv);
+    let (mean, std) = stats.split_at(d);
+    let inv_n = 1.0 / n as f32;
+    let rows = || g.data().chunks_exact(d).zip(xv.data().chunks_exact(d));
+    // `k` is ∂/∂std until the second loop makes it ∂/∂(c·c).
+    let mut k = pool.take(d);
+    k.fill(0.0);
+    for (grow, xrow) in rows() {
+        for (((((o, &gv), &v), &m), &s), &ga) in k
+            .iter_mut()
+            .zip(grow)
+            .zip(xrow)
+            .zip(mean)
+            .zip(std)
+            .zip(gamma)
+        {
+            let g_xhat = 0.0 + gv * ga;
+            *o -= g_xhat * (v - m) / (s * s);
+        }
+    }
+    for (o, &s) in k.iter_mut().zip(std) {
+        let g_var = 0.0 + *o * (0.5 / s);
+        *o = 0.0 + inv_n * g_var;
+    }
+    let mut g_mean = pool.take(d);
+    g_mean.fill(0.0);
+    let empty = grads[x].is_none();
+    // An empty slot takes `c` as it is: its stale contents are never read.
+    let gx = grads[x].get_or_insert_with(|| Tensor::from_raw(pool.take(xv.len()), xv.dims()));
+    for (orow, (grow, xrow)) in gx.data_mut().chunks_exact_mut(d).zip(rows()) {
+        for (((((((o, &gv), &v), &m), &s), &ga), &kj), gm) in orow
+            .iter_mut()
+            .zip(grow)
+            .zip(xrow)
+            .zip(mean)
+            .zip(std)
+            .zip(gamma)
+            .zip(&k)
+            .zip(g_mean.iter_mut())
+        {
+            let c = v - m;
+            let mut g_c = 0.0 + (0.0 + gv * ga) / s;
+            g_c += kj * c;
+            g_c += kj * c;
+            *gm -= g_c;
+            *o = if empty { g_c } else { *o + g_c };
+        }
+    }
+    for orow in gx.data_mut().chunks_exact_mut(d) {
+        kernels::axpy_into(inv_n, &g_mean, orow);
+    }
+    pool.recycle(k);
+    pool.recycle(g_mean);
 }
 
 /// Rows and columns of a rank-2 node value (backward-pass internal).
@@ -624,25 +1013,31 @@ fn row_dims(t: &Tensor) -> (usize, usize) {
     )
 }
 
-/// The gradient accumulator for node `id`, created zeroed on first use.
-fn slot<'g>(grads: &'g mut [Option<Tensor>], id: usize, value: &Tensor) -> &'g mut Tensor {
-    grads[id].get_or_insert_with(|| Tensor::zeros(value.dims()))
+/// The gradient accumulator for node `id`, zeroed from `pool` on first
+/// use.
+fn slot<'g>(
+    grads: &'g mut [Option<Tensor>],
+    id: usize,
+    nodes: &[Node],
+    pool: &TapePool,
+) -> &'g mut Tensor {
+    grads[id].get_or_insert_with(|| Tensor::full_in(nodes[id].value.dims(), 0.0, pool.alloc()))
 }
 
-/// `grads[id] += g`.
-fn acc_copy(grads: &mut [Option<Tensor>], id: usize, g: &Tensor) {
+/// `grads[id] += g`, into a copy of `g` from `pool` if `id` has no
+/// gradient yet.
+fn acc_copy(grads: &mut [Option<Tensor>], id: usize, g: &Tensor, pool: &TapePool) {
     match &mut grads[id] {
         Some(acc) => acc
             .add_assign(g)
             .expect("gradient accumulation shape mismatch"),
-        empty => *empty = Some(g.clone()),
+        empty => *empty = Some(g.map_in(pool.alloc(), |v| v)),
     }
 }
 
-/// `grads[id] += alpha * g`.
-fn acc_axpy(grads: &mut [Option<Tensor>], id: usize, value: &Tensor, alpha: f32, g: &Tensor) {
-    slot(grads, id, value)
-        .axpy_assign(alpha, g)
+/// `acc += alpha * g`.
+fn axpy(acc: &mut Tensor, alpha: f32, g: &Tensor) {
+    acc.axpy_assign(alpha, g)
         .expect("gradient accumulation shape mismatch");
 }
 
@@ -797,6 +1192,79 @@ mod tests {
     }
 
     #[test]
+    fn grad_batch_norm_node() {
+        // The fused node against central differences of the same function,
+        // with x also used beside the BN so its gradient sums two paths.
+        let mut rng = SmallRng::seed_from_u64(5);
+        let x0 = Tensor::randn(&mut rng, &[6, 3], 1.0, 2.0);
+        let gamma0 = Tensor::randn(&mut rng, &[3], 1.0, 0.1);
+        let beta0 = Tensor::randn(&mut rng, &[3], 0.0, 0.1);
+        let eps = 1e-5;
+
+        let f = |x: &Tensor, gamma: &Tensor, beta: &Tensor| -> f32 {
+            let mean = x.mean_axis0().unwrap();
+            let std = x.var_axis0().unwrap().add_scalar(eps).map(f32::sqrt);
+            let xh = x.sub_row(&mean).unwrap().div_row(&std).unwrap();
+            let y = xh.mul_row(gamma).unwrap().add_row(beta).unwrap();
+            y.map(|v| v * v).sum_all() + x.sum_all()
+        };
+
+        let tape = Tape::new();
+        let x = tape.leaf(&x0);
+        let gamma = tape.leaf(&gamma0);
+        let beta = tape.leaf(&beta0);
+        let (y, mean, var) = x.batch_norm(&gamma, &beta, eps);
+        assert!(mean.approx_eq(&x0.mean_axis0().unwrap(), 1e-6));
+        assert!(var.approx_eq(&x0.var_axis0().unwrap(), 1e-5));
+        let grads = y.mul(&y).sum_all().add(&x.sum_all()).backward();
+
+        let nx = fd(|x| f(x, &gamma0, &beta0), &x0, 1e-2);
+        assert!(
+            grads.get(&x).unwrap().approx_eq(&nx, 6e-2),
+            "x grad mismatch: {:?} vs {:?}",
+            grads.get(&x).unwrap(),
+            nx
+        );
+        let ng = fd(|g| f(&x0, g, &beta0), &gamma0, 1e-3);
+        assert!(grads.get(&gamma).unwrap().approx_eq(&ng, 5e-2));
+        let nb = fd(|b| f(&x0, &gamma0, b), &beta0, 1e-3);
+        assert!(grads.get(&beta).unwrap().approx_eq(&nb, 5e-2));
+    }
+
+    #[test]
+    fn a_shared_pool_serves_every_step_after_the_first() {
+        // Three identical steps on one pool: the first fills it, and each
+        // later step takes back exactly what the one before returned.
+        let mut rng = SmallRng::seed_from_u64(6);
+        let x0 = Tensor::randn(&mut rng, &[8, 4], 0.0, 1.0);
+        let w0 = Tensor::randn(&mut rng, &[4, 4], 0.0, 1.0);
+        let pool = TapePool::new();
+        let mut pooled = Vec::new();
+        let mut grads_seen = Vec::new();
+        for _ in 0..3 {
+            let tape = Tape::with_pool(&pool);
+            let x = tape.constant_rows(&x0, 1, 7);
+            let w = tape.constant(&w0);
+            let gamma = tape.leaf(Tensor::ones(&[4]));
+            let beta = tape.leaf(Tensor::zeros(&[4]));
+            let (y, _, _) = x.matmul(&w).batch_norm(&gamma, &beta, 1e-5);
+            let grads = y
+                .relu()
+                .log_softmax()
+                .nll_loss(&[0, 1, 2, 3, 0, 1])
+                .backward();
+            grads_seen.push(grads.get(&gamma).unwrap().clone());
+            drop((grads, tape, x, w, gamma, beta, y));
+            pooled.push(pool.buffers());
+        }
+        assert!(pooled[0] > 0);
+        assert_eq!(pooled[1], pooled[0]);
+        assert_eq!(pooled[2], pooled[0]);
+        assert_eq!(grads_seen[1], grads_seen[0]);
+        assert_eq!(grads_seen[2], grads_seen[0]);
+    }
+
+    #[test]
     fn grad_accumulates_over_reused_vars() {
         let tape = Tape::new();
         let x = tape.leaf(Tensor::from_vec(vec![3.0], &[1, 1]).unwrap());
@@ -855,8 +1323,10 @@ mod tests {
         fixed: Vec<Var>,
         /// Computed from `fixed` values alone.
         untrainable: Vec<Var>,
-        /// Leaves in both builds, and nodes downstream of one.
+        /// Leaves in both builds.
         trainable: Vec<Var>,
+        /// Operations downstream of a trainable leaf.
+        downstream: Vec<Var>,
     }
 
     /// A frozen-`Linear` → batch-stat BN → frozen-`Linear` → eval BN →
@@ -900,7 +1370,8 @@ mod tests {
             loss,
             fixed: vec![x, w1, b1, w2, b2, mean2, std2],
             untrainable: vec![h, mean, centered, var, x_hat],
-            trainable: vec![gamma, beta, gamma2, w3, std3, mean3, y, z, r, side, lp],
+            trainable: vec![gamma, beta, gamma2, w3, std3, mean3],
+            downstream: vec![y, z, r, side, lp],
         }
     }
 
@@ -913,32 +1384,27 @@ mod tests {
         let full = all_leaves.loss.backward();
         let grads = pruned.loss.backward();
 
-        for var in all_leaves
-            .fixed
-            .iter()
-            .chain(&all_leaves.untrainable)
-            .chain(&all_leaves.trainable)
-        {
+        for var in all_leaves.fixed.iter().chain(&all_leaves.trainable) {
             assert!(full.get(var).is_some(), "all-leaves tape lost {var:?}");
         }
-        for var in pruned.fixed.iter().chain(&pruned.untrainable) {
-            assert!(grads.get(var).is_none(), "gradient computed for {var:?}");
+        for var in pruned.fixed.iter().chain(&pruned.trainable) {
+            let leaf = pruned.trainable.iter().any(|t| t.id() == var.id());
+            assert_eq!(grads.get(var).is_some(), leaf, "{var:?}");
         }
-        for var in &pruned.trainable {
-            assert!(grads.get(var).is_some(), "gradient pruned for {var:?}");
+        // Operations hand their gradients back during the sweep.
+        for var in all_leaves.untrainable.iter().chain(&all_leaves.downstream) {
+            assert!(full.get(var).is_none(), "{var:?} kept its gradient");
         }
-        // The two tapes number their nodes alike: every gradient the pruned
-        // sweep still computes is the all-leaves one, bit for bit.
-        let mut surviving = 0;
-        for id in 0..pruned.tape.len() {
-            let Some(g) = grads.by_id(id) else { continue };
-            let reference = full.by_id(id).expect("all-leaves gradient");
-            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(g), bits(reference), "node {id}");
-            surviving += 1;
+        // The two tapes number their nodes alike, and every trainable
+        // leaf's gradient — a sum through every kind of node the graph
+        // records, with gradient-free operands on each side — is the
+        // all-leaves one, bit for bit.
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (pruned_var, full_var) in pruned.trainable.iter().zip(&all_leaves.trainable) {
+            assert_eq!(pruned_var.id(), full_var.id());
+            let (g, reference) = (grads.get(pruned_var), full.get(full_var));
+            assert_eq!(g.map(bits), reference.map(bits), "{pruned_var:?}");
         }
-        assert!(surviving > pruned.trainable.len());
-        assert!(surviving < pruned.tape.len() - pruned.fixed.len());
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! the naive loop regardless of tiling or thread count. The same holds
 //! for [`matmul_at_b_into`] against its transpose-then-multiply reference,
 //! for [`matmul_a_bt_into`] — which *is* transpose-then-[`matmul_into`] —
-//! against the dot-product loop, and for [`sum_axis0_into`] against a
-//! row-ordered accumulation.
+//! against the dot-product loop, and for [`sum_axis0_into`] and
+//! [`mean_axis0_into`] against a row-ordered accumulation.
 
 use crate::parallel::{num_threads, par_row_bands};
 use crate::simd::{self, SimdTier};
@@ -468,6 +468,31 @@ pub fn sum_axis0_assign(a: &[f32], n: usize, d: usize, out: &mut [f32]) {
         for (o, &x) in out.iter_mut().zip(row) {
             *o += x;
         }
+    }
+}
+
+/// Column means of row-major `a: [n, d]` into `out: [d]`: the column sums
+/// of [`sum_axis0_into`] times `1 / n`. Above [`F32_EXACT_COUNT`] rows,
+/// where `n as f32` rounds, each column is summed in row order in `f64`
+/// and divided there, rounding once.
+///
+/// # Panics
+///
+/// Panics if the slice lengths disagree with the given dimensions.
+pub fn mean_axis0_into(a: &[f32], n: usize, d: usize, out: &mut [f32]) {
+    if n <= F32_EXACT_COUNT {
+        sum_axis0_into(a, n, d, out);
+        scale_assign(out, 1.0 / n as f32);
+        return;
+    }
+    assert_eq!(a.len(), n * d, "mean_axis0 input length");
+    assert_eq!(out.len(), d, "mean_axis0 out length");
+    for (j, o) in out.iter_mut().enumerate() {
+        let mut sum = 0.0f64;
+        for row in a.chunks_exact(d) {
+            sum += f64::from(row[j]);
+        }
+        *o = (sum / n as f64) as f32;
     }
 }
 

@@ -14,8 +14,11 @@
 //!   kernels as the always-available bitwise oracle.
 //! * [`Tape`] / [`Var`] — a classic reverse-mode autodiff tape. Operations on
 //!   [`Var`]s record nodes on the tape; [`Var::backward`] walks the tape in
-//!   reverse and accumulates gradients for every node (including leaves, so
-//!   input-gradient methods such as ODIN work).
+//!   reverse and returns the gradients of its leaves (parameters, and the
+//!   inputs input-gradient methods such as ODIN differentiate).
+//!   Batch-statistic batch normalization is one node, [`Var::batch_norm`].
+//!   A [`TapePool`] keeps node values and gradient buffers from one tape to
+//!   the next.
 //! * [`kernels`] — out-parameter slice kernels (tiled/packed-B matmul,
 //!   blocked transpose, elementwise map/zip, axpy) that the `Tensor`
 //!   methods and the backward sweep are thin wrappers over.
@@ -54,7 +57,7 @@ pub mod simd;
 mod tensor;
 mod workspace;
 
-pub use autograd::{Gradients, Tape, Var};
+pub use autograd::{Gradients, Tape, TapePool, Var};
 pub use error::{Result, TensorError};
 pub use kernels::log_sum_exp;
 pub use shape::Shape;

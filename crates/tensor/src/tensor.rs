@@ -84,6 +84,26 @@ impl Tensor {
         }
     }
 
+    /// [`Tensor::full`] in the buffer `alloc` hands out.
+    pub(crate) fn full_in(
+        dims: &[usize],
+        value: f32,
+        alloc: impl FnOnce(usize) -> Vec<f32>,
+    ) -> Self {
+        let shape = Shape::new(dims);
+        let mut data = alloc(shape.len());
+        data.fill(value);
+        Tensor { data, shape }
+    }
+
+    /// A tensor of `dims` over `data`, whose length the caller made the
+    /// product of `dims` (the tape's pooled values).
+    pub(crate) fn from_raw(data: Vec<f32>, dims: &[usize]) -> Self {
+        let shape = Shape::new(dims);
+        debug_assert_eq!(data.len(), shape.len(), "from_raw length");
+        Tensor { data, shape }
+    }
+
     /// The `n`-by-`n` identity matrix.
     pub fn eye(n: usize) -> Self {
         let mut t = Tensor::zeros(&[n, n]);
@@ -290,7 +310,16 @@ impl Tensor {
 
     /// Applies `f` to every element, producing a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        let mut data = vec![0.0f32; self.data.len()];
+        self.map_in(fresh, f)
+    }
+
+    /// [`Tensor::map`] into the buffer `alloc` hands out (see [`fresh`]).
+    pub(crate) fn map_in(
+        &self,
+        alloc: impl FnOnce(usize) -> Vec<f32>,
+        f: impl Fn(f32) -> f32,
+    ) -> Tensor {
+        let mut data = alloc(self.data.len());
         kernels::map_into(&self.data, &mut data, f);
         Tensor {
             data,
@@ -309,8 +338,18 @@ impl Tensor {
     ///
     /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
     pub fn zip_with(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Result<Tensor> {
+        self.zip_with_in(other, fresh, f)
+    }
+
+    /// [`Tensor::zip_with`] into the buffer `alloc` hands out.
+    pub(crate) fn zip_with_in(
+        &self,
+        other: &Tensor,
+        alloc: impl FnOnce(usize) -> Vec<f32>,
+        f: impl Fn(f32, f32) -> f32,
+    ) -> Result<Tensor> {
         self.expect_same_shape("zip_with", other)?;
-        let mut data = vec![0.0f32; self.data.len()];
+        let mut data = alloc(self.data.len());
         kernels::zip_into(&self.data, &other.data, &mut data, f);
         Ok(Tensor {
             data,
@@ -418,7 +457,7 @@ impl Tensor {
     ///
     /// Returns an error if `self` is not a matrix or `row` is not `[d]`.
     pub fn add_row(&self, row: &Tensor) -> Result<Tensor> {
-        self.broadcast_row("add_row", row, |a, b| a + b)
+        self.broadcast_row_in("add_row", row, fresh, |a, b| a + b)
     }
 
     /// Subtracts a `[d]` vector from every row of an `[n, d]` matrix.
@@ -427,7 +466,7 @@ impl Tensor {
     ///
     /// Returns an error if `self` is not a matrix or `row` is not `[d]`.
     pub fn sub_row(&self, row: &Tensor) -> Result<Tensor> {
-        self.broadcast_row("sub_row", row, |a, b| a - b)
+        self.broadcast_row_in("sub_row", row, fresh, |a, b| a - b)
     }
 
     /// Multiplies every row of an `[n, d]` matrix by a `[d]` vector.
@@ -436,7 +475,7 @@ impl Tensor {
     ///
     /// Returns an error if `self` is not a matrix or `row` is not `[d]`.
     pub fn mul_row(&self, row: &Tensor) -> Result<Tensor> {
-        self.broadcast_row("mul_row", row, |a, b| a * b)
+        self.broadcast_row_in("mul_row", row, fresh, |a, b| a * b)
     }
 
     /// Divides every row of an `[n, d]` matrix by a `[d]` vector.
@@ -445,13 +484,16 @@ impl Tensor {
     ///
     /// Returns an error if `self` is not a matrix or `row` is not `[d]`.
     pub fn div_row(&self, row: &Tensor) -> Result<Tensor> {
-        self.broadcast_row("div_row", row, |a, b| a / b)
+        self.broadcast_row_in("div_row", row, fresh, |a, b| a / b)
     }
 
-    fn broadcast_row(
+    /// `f(self[i, j], row[j])` into the buffer `alloc` hands out: the
+    /// kernel of the four row-broadcast operations, named `op` in errors.
+    pub(crate) fn broadcast_row_in(
         &self,
         op: &'static str,
         row: &Tensor,
+        alloc: impl FnOnce(usize) -> Vec<f32>,
         f: impl Fn(f32, f32) -> f32,
     ) -> Result<Tensor> {
         let d = self.ncols()?;
@@ -462,7 +504,7 @@ impl Tensor {
                 rhs: row.dims().to_vec(),
             });
         }
-        let mut data = vec![0.0f32; self.data.len()];
+        let mut data = alloc(self.data.len());
         for (out, chunk) in data.chunks_exact_mut(d).zip(self.data.chunks_exact(d)) {
             kernels::zip_into(chunk, &row.data, out, &f);
         }
@@ -486,6 +528,15 @@ impl Tensor {
     /// Returns an error unless both tensors are matrices with matching
     /// inner dimension.
     pub fn matmul(&self, other: &Tensor) -> Result<Tensor> {
+        self.matmul_in(other, fresh)
+    }
+
+    /// [`Tensor::matmul`] into the buffer `alloc` hands out.
+    pub(crate) fn matmul_in(
+        &self,
+        other: &Tensor,
+        alloc: impl FnOnce(usize) -> Vec<f32>,
+    ) -> Result<Tensor> {
         let (n, k) = (self.nrows()?, self.ncols()?);
         let (k2, m) = (other.nrows()?, other.ncols()?);
         if k != k2 {
@@ -495,7 +546,7 @@ impl Tensor {
                 rhs: other.dims().to_vec(),
             });
         }
-        let mut out = vec![0.0f32; n * m];
+        let mut out = alloc(n * m);
         Workspace::with_thread_local(|ws| {
             kernels::matmul_into(&self.data, &other.data, n, k, m, &mut out, ws);
         });
@@ -565,25 +616,20 @@ impl Tensor {
     ///
     /// Returns an error for non-matrices or when the matrix has zero rows.
     pub fn mean_axis0(&self) -> Result<Tensor> {
-        let n = self.nrows()?;
+        self.mean_axis0_in(fresh)
+    }
+
+    /// [`Tensor::mean_axis0`] into the buffer `alloc` hands out. Above the
+    /// exact-count range the column sums and the division run in `f64`
+    /// (see `mean_all` and [`kernels::mean_axis0_into`]).
+    pub(crate) fn mean_axis0_in(&self, alloc: impl FnOnce(usize) -> Vec<f32>) -> Result<Tensor> {
+        let (n, d) = (self.nrows()?, self.ncols()?);
         if n == 0 {
             return Err(TensorError::Empty { op: "mean_axis0" });
         }
-        if n > kernels::F32_EXACT_COUNT {
-            // See `mean_all`: keep the denominator (and the column sums,
-            // which overflow f32 precision long before the count does)
-            // in f64 above the exact-count range.
-            let d = self.ncols()?;
-            let mut sums = vec![0.0f64; d];
-            for row in self.data.chunks_exact(d) {
-                for (s, &x) in sums.iter_mut().zip(row) {
-                    *s += f64::from(x);
-                }
-            }
-            let data: Vec<f32> = sums.iter().map(|&s| (s / n as f64) as f32).collect();
-            return Tensor::from_vec(data, &[d]);
-        }
-        Ok(self.sum_axis0()?.scale(1.0 / n as f32))
+        let mut data = alloc(d);
+        kernels::mean_axis0_into(&self.data, n, d, &mut data);
+        Tensor::from_vec(data, &[d])
     }
 
     /// Population variance of each column of an `[n, d]` matrix.
@@ -762,20 +808,29 @@ impl Tensor {
     ///
     /// Returns an error for non-matrices or zero-width rows.
     pub fn log_softmax_rows(&self) -> Result<Tensor> {
+        self.log_softmax_rows_in(fresh)
+    }
+
+    /// [`Tensor::log_softmax_rows`] into the buffer `alloc` hands out.
+    pub(crate) fn log_softmax_rows_in(
+        &self,
+        alloc: impl FnOnce(usize) -> Vec<f32>,
+    ) -> Result<Tensor> {
         let (n, c) = (self.nrows()?, self.ncols()?);
         if c == 0 {
             return Err(TensorError::Empty {
                 op: "log_softmax_rows",
             });
         }
-        let mut out = Vec::with_capacity(n * c);
-        for i in 0..n {
-            let row = &self.data[i * c..(i + 1) * c];
+        let mut out = alloc(n * c);
+        for (orow, row) in out.chunks_exact_mut(c).zip(self.data.chunks_exact(c)) {
             // At t = 1.0 the shared helper's divide/multiply by the
             // temperature are bitwise no-ops, so this is the historical
             // max-shifted formula exactly.
             let lse = kernels::log_sum_exp(row, 1.0);
-            out.extend(row.iter().map(|&x| x - lse));
+            for (o, &x) in orow.iter_mut().zip(row) {
+                *o = x - lse;
+            }
         }
         Tensor::from_vec(out, &[n, c])
     }
@@ -793,6 +848,14 @@ impl Tensor {
                 .zip(other.data.iter())
                 .all(|(a, b)| (a - b).abs() <= tol)
     }
+}
+
+/// The allocating API's output buffer: `len` zeros, freshly allocated.
+/// The crate-private `*_in` operations take any `alloc(len)` that returns
+/// exactly `len` elements, all of which they overwrite — the tape passes
+/// one that recycles its pool's buffers.
+fn fresh(len: usize) -> Vec<f32> {
+    vec![0.0; len]
 }
 
 // Hand-written serde impls for the default f32 tensor, matching the wire

@@ -8,9 +8,10 @@
 //! than within a tolerance. A dedicated case checks that the parallel
 //! matmul path is bitwise identical to the sequential one for every
 //! thread count, which is what makes `NAZAR_NUM_THREADS` a pure
-//! performance knob.
+//! performance knob. The fused batch-statistic BN node is checked
+//! against the tape composition it replaced, bit for bit.
 
-use nazar_tensor::{kernels, simd, SimdTier, Workspace};
+use nazar_tensor::{kernels, simd, SimdTier, Tape, Tensor, Workspace};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -451,4 +452,109 @@ fn simd_tier_reporting_is_consistent() {
     } else {
         assert_eq!(simd::effective(SimdTier::Fast), SimdTier::Off);
     }
+}
+
+// --------------------------------------------------------------------
+// The fused batch-statistic BN node vs the composition it replaced
+// --------------------------------------------------------------------
+
+/// `y`, batch mean, batch variance and the gradients of x, γ and β (those
+/// registered as leaves) of one batch-statistic BN forward and backward.
+type BnOutcome = (Vec<Vec<u32>>, [Option<Vec<u32>>; 3]);
+
+/// Runs batch-statistic BN on `x`, `gamma`, `beta` — leaves where `leaf`
+/// says so, constants elsewhere — either as the fused node or as the
+/// nine-node composition `BatchNorm1d` recorded before it, under the loss
+/// `Σ y·w` (plus `Σ x·w` when `x_reused`, recorded after the BN so that
+/// the BN backward adds into a gradient `x` already has).
+fn bn_outcome(
+    fused: bool,
+    [x, gamma, beta]: [&Tensor; 3],
+    leaf: [bool; 3],
+    w: &Tensor,
+    x_reused: bool,
+) -> BnOutcome {
+    let eps = 1e-5;
+    let tape = Tape::new();
+    let bind = |t: &Tensor, leaf: bool| if leaf { tape.leaf(t) } else { tape.constant(t) };
+    let (xv, gv, bv) = (bind(x, leaf[0]), bind(gamma, leaf[1]), bind(beta, leaf[2]));
+    let (y, mean, var) = if fused {
+        xv.batch_norm(&gv, &bv, eps)
+    } else {
+        let mean = xv.mean_axis0();
+        let centered = xv.sub_row(&mean);
+        let var = centered.mul(&centered).mean_axis0();
+        let std = var.add_scalar(eps).sqrt();
+        let y = centered.div_row(&std).mul_row(&gv).add_row(&bv);
+        (y, mean.value(), var.value())
+    };
+    let wv = tape.constant(w);
+    let mut loss = y.mul(&wv).sum_all();
+    if x_reused {
+        loss = loss.add(&xv.mul(&wv).sum_all());
+    }
+    let grads = loss.backward();
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let grad = |v: &nazar_tensor::Var| grads.get(v).map(bits);
+    (
+        vec![bits(&y.value()), bits(&mean), bits(&var)],
+        [grad(&xv), grad(&gv), grad(&bv)],
+    )
+}
+
+#[test]
+fn fused_batch_norm_is_bitwise_the_composition() {
+    let mut checked = 0;
+    for n in [2usize, 3, 64, 65] {
+        for d in [1usize, 13, 96] {
+            for case in ["plain", "zero_variance", "non_finite"] {
+                let seed = (n * 1000 + d) as u64;
+                let mut x = data(seed, n * d);
+                match case {
+                    // Channel 0 constant: batch variance exactly zero.
+                    "zero_variance" => (0..n).for_each(|i| x[i * d] = 0.75),
+                    // Channel 0 holds a NaN, the last channel ±Inf.
+                    "non_finite" => {
+                        x[d] = f32::NAN;
+                        x[d - 1] = f32::INFINITY;
+                        x[(n - 1) * d + d - 1] = f32::NEG_INFINITY;
+                    }
+                    _ => {}
+                }
+                let x = Tensor::from_vec(x, &[n, d]).unwrap();
+                // γ negative in places and ±0 in others, so `g·γ` makes
+                // -0.0 that only the zeroed slot's `0 +` turns into +0.0.
+                let mut gamma = data(seed + 1, d);
+                gamma[0] = -0.0;
+                if d > 2 {
+                    gamma[1] = 0.0;
+                }
+                let gamma = Tensor::from_vec(gamma, &[d]).unwrap();
+                let beta = Tensor::from_vec(data(seed + 2, d), &[d]).unwrap();
+                // The upstream gradient holds +0.0, -0.0 and signed values.
+                let mut w = data(seed + 3, n * d);
+                w[0] = -0.0;
+                w[n * d - 1] = 0.0;
+                w[n * d / 2] = -0.0;
+                let w = Tensor::from_vec(w, &[n, d]).unwrap();
+                for mask in 0..8 {
+                    let leaf = [mask & 1 != 0, mask & 2 != 0, mask & 4 != 0];
+                    for x_reused in [false, true] {
+                        let inputs = [&x, &gamma, &beta];
+                        let fused = bn_outcome(true, inputs, leaf, &w, x_reused);
+                        let oracle = bn_outcome(false, inputs, leaf, &w, x_reused);
+                        assert_eq!(
+                            fused, oracle,
+                            "n {n} d {d} {case} leaves {leaf:?} x reused {x_reused}"
+                        );
+                        for (has, wanted) in fused.1.iter().zip(leaf) {
+                            assert_eq!(has.is_some(), wanted, "gradient presence");
+                        }
+                        checked += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(checked, 4 * 3 * 3 * 8 * 2);
 }
