@@ -18,9 +18,9 @@
 //!
 //! Every node value and gradient buffer comes from the tape's
 //! [`TapePool`] and goes back to it when the tape and its [`Gradients`]
-//! drop. A loop that runs one tape per step on a shared pool — a TENT
-//! job, a training epoch — allocates its buffers in the first step and
-//! reuses them in every later one.
+//! drop. A loop that runs one tape per step on a shared pool — TENT and
+//! MEMO steps, a training epoch — allocates its buffers in the first step
+//! and reuses them in every later one.
 
 use crate::kernels;
 use crate::tensor::Tensor;
@@ -81,7 +81,7 @@ struct Node {
 /// A [`Tape`] takes every node value, and its backward sweep every
 /// gradient buffer, from its pool; dropping the tape and its
 /// [`Gradients`] hands them back, together with the emptied node and
-/// gradient lists. The tapes of one job share a pool
+/// gradient lists. The tapes of a step loop share a pool
 /// ([`Tape::with_pool`]), so after the first step a step finds every
 /// buffer it needs already here and allocates none of them. The pool is
 /// freed with its last handle; a [`Tape::new`] tape has a pool of its own.
