@@ -52,6 +52,7 @@ use nazar_tensor::{TapePool, Tensor};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Drops rows of an `[n, d]` matrix that contain any non-finite feature.
 ///
@@ -95,13 +96,14 @@ fn finite_rows(data: &Tensor) -> Option<Cow<'_, Tensor>> {
 }
 
 /// The frame of every adaptation routine: drop non-finite rows, run
-/// `steps` on the rest with only the BN affine parameters trainable, and
-/// roll back a result that left the BN state non-finite. Returns the step
-/// count; `0` leaves the model's BN state as it was.
+/// `steps` on the rest with only the BN affine parameters trainable and a
+/// tape pool for their tapes, and roll back a result that left the BN
+/// state non-finite. Returns the step count; `0` leaves the model's BN
+/// state as it was.
 fn adapt_bn(
     model: &mut MlpResNet,
     data: &Tensor,
-    steps: impl FnOnce(&mut MlpResNet, &Tensor) -> usize,
+    steps: impl FnOnce(&mut MlpResNet, &Tensor, &TapePool) -> usize,
 ) -> usize {
     let Some(data) = finite_rows(data) else {
         return 0;
@@ -109,7 +111,9 @@ fn adapt_bn(
     let snapshot = BnPatch::extract(model);
     model.set_all_trainable(false);
     model.set_bn_affine_trainable(true);
-    let steps = steps(model, &data);
+    let pool = lock_idle_pools().pop().unwrap_or_default();
+    let steps = steps(model, &data, &pool);
+    lock_idle_pools().push(pool);
     model.set_all_trainable(true);
     // Finite-but-extreme inputs can overflow the batch statistics and leave
     // NaN/Inf in the BN state even though every input row was finite. A
@@ -150,18 +154,20 @@ fn reported(
     }
 }
 
-thread_local! {
-    /// The tape pool every adaptation step on this thread draws on. A
-    /// pool per job would hand a step's buffers back to the allocator at
-    /// each job's end, and glibc, in some processes, trims them off the
-    /// heap for the next job to fault back in; this one is filled by the
-    /// thread's first step and holds one step's buffers from then on.
-    static TAPE_POOL: TapePool = TapePool::new();
-}
+/// The tape pools of the adaptation jobs not running. A job takes one,
+/// or starts an empty one, and puts it back when it ends, so there are
+/// as many pools as jobs ever ran at once, each holding one step's
+/// buffers. A pool per job would hand a step's buffers back to the
+/// allocator at each job's end, and glibc, in some processes, trims them
+/// off the heap for the next job to fault back in. A pool per thread
+/// would do the same wherever jobs run on threads spawned for one fan-out
+/// and joined after it, as the orchestrator's are.
+static IDLE_POOLS: Mutex<Vec<TapePool>> = Mutex::new(Vec::new());
 
-/// This thread's adaptation tape pool.
-fn tape_pool() -> TapePool {
-    TAPE_POOL.with(TapePool::clone)
+/// [`IDLE_POOLS`]. A job holds the lock only to pop or push one pool, so
+/// the list is whole even if the lock was poisoned.
+fn lock_idle_pools() -> MutexGuard<'static, Vec<TapePool>> {
+    IDLE_POOLS.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Mean prediction entropy of `model` on `data` (eval mode, no adaptation).

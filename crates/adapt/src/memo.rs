@@ -68,9 +68,8 @@ pub(crate) fn adapt<R: Rng + ?Sized>(
         config.augmentations > 0,
         "memo requires at least one augmentation"
     );
-    crate::adapt_bn(model, data, |model, data| {
+    crate::adapt_bn(model, data, |model, data, pool| {
         let n = data.nrows().expect("adaptation data is [n, d]");
-        let pool = crate::tape_pool();
         let mut opt = Adam::new(config.lr);
         let mut steps = 0;
         for _ in 0..config.epochs {
@@ -87,7 +86,7 @@ pub(crate) fn adapt<R: Rng + ?Sized>(
                 let batch = data.slice_rows(start, end).expect("rows in range");
                 let rows = end - start;
 
-                let tape = Tape::with_pool(&pool);
+                let tape = Tape::with_pool(pool);
                 // Marginal probability: p̄ = (1/B) Σ_b softmax(f(aug_b(x))).
                 let mut marginal: Option<Var> = None;
                 for _ in 0..config.augmentations {

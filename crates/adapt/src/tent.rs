@@ -58,9 +58,8 @@ pub(crate) fn adapt(model: &mut MlpResNet, data: &Tensor, config: &TentConfig) -
         config.batch_size >= 2,
         "tent requires batches of at least 2 inputs"
     );
-    crate::adapt_bn(model, data, |model, data| {
+    crate::adapt_bn(model, data, |model, data, pool| {
         let n = data.nrows().expect("adaptation data is [n, d]");
-        let pool = crate::tape_pool();
         let mut opt = Adam::new(config.lr);
         let mut steps = 0;
         for _ in 0..config.epochs {
@@ -69,8 +68,8 @@ pub(crate) fn adapt(model: &mut MlpResNet, data: &Tensor, config: &TentConfig) -
                 if end - start < 2 {
                     break; // a trailing singleton batch has the trivial optimum
                 }
-                let tape = Tape::with_pool(&pool);
-                let xv = tape.constant_rows(data, start, end);
+                let tape = Tape::with_pool(pool);
+                let xv = tape.constant_rows(data, start..end);
                 let logits = model.forward(&tape, &xv, Mode::Adapt);
                 let grads = mean_entropy(&logits).backward();
                 model.collect_grads(&grads);

@@ -59,11 +59,10 @@ pub fn train_epoch<R: Rng + ?Sized>(
     let mut total_loss = 0.0;
     let mut batches = 0;
     for chunk in order.chunks(batch_size) {
-        let bx = xs.select_rows(chunk).expect("valid row indices");
         let by: Vec<usize> = chunk.iter().map(|&i| ys[i]).collect();
 
         let tape = Tape::with_pool(&pool);
-        let xv = tape.constant(&bx);
+        let xv = tape.constant_rows(xs, chunk.iter().copied());
         let logits = model.forward(&tape, &xv, Mode::Train);
         let loss = cross_entropy(&logits, &by);
         total_loss += loss.value().item().expect("scalar loss");

@@ -25,9 +25,11 @@
 use crate::kernels;
 use crate::tensor::Tensor;
 use crate::workspace::Workspace;
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// The recorded operation that produced a node.
 ///
@@ -83,21 +85,35 @@ struct Node {
 /// [`Gradients`] hands them back, together with the emptied node and
 /// gradient lists. The tapes of a step loop share a pool
 /// ([`Tape::with_pool`]), so after the first step a step finds every
-/// buffer it needs already here and allocates none of them. The pool is
-/// freed with its last handle; a [`Tape::new`] tape has a pool of its own.
+/// buffer it needs already here and allocates none of them.
+///
+/// The pool holds what one tape used, not the most any tape ever did:
+/// starting a tape on it frees the buffers that sat unused through the
+/// whole of the previous one. It is freed with its last handle; a
+/// [`Tape::new`] tape has a pool of its own. A handle may move between
+/// threads, so a pool can outlive the thread that filled it.
 #[derive(Clone, Default)]
 pub struct TapePool {
-    inner: Rc<RefCell<PoolInner>>,
+    inner: Arc<Mutex<PoolInner>>,
 }
 
 #[derive(Default)]
 struct PoolInner {
     /// Free buffers, one stack per capacity, capacities ascending.
-    free: Vec<(usize, Vec<Vec<f32>>)>,
+    free: Vec<FreeStack>,
     /// The node list of the last tape dropped, emptied.
     nodes: Vec<Node>,
     /// The gradient list of the last [`Gradients`] dropped, emptied.
     grads: Vec<Option<Tensor>>,
+}
+
+/// The free buffers of one capacity.
+struct FreeStack {
+    cap: usize,
+    bufs: Vec<Vec<f32>>,
+    /// How many of `bufs` no take has reached since the last tape
+    /// started: the stack's low-water mark.
+    idle: usize,
 }
 
 impl fmt::Debug for TapePool {
@@ -112,19 +128,33 @@ impl TapePool {
         TapePool::default()
     }
 
+    /// The pool's contents. No update of them can stop part-way — each
+    /// moves whole buffers and lists — so a poisoned lock is taken as it
+    /// is.
+    fn lock(&self) -> MutexGuard<'_, PoolInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Number of buffers waiting in the pool.
     pub(crate) fn buffers(&self) -> usize {
-        self.inner.borrow().free.iter().map(|(_, s)| s.len()).sum()
+        self.lock().free.iter().map(|s| s.bufs.len()).sum()
     }
 
     /// A buffer of exactly `len` elements with unspecified contents: the
-    /// pooled one of least capacity that fits, or a new one.
+    /// pooled one of least capacity that fits, or a new one if none fits
+    /// within twice `len` — so a small tape after a large one leaves the
+    /// large buffers idle for the next tape to free.
     fn take(&self, len: usize) -> Vec<f32> {
-        let mut inner = self.inner.borrow_mut();
-        let fits = inner.free.partition_point(|&(cap, _)| cap < len);
+        let mut inner = self.lock();
+        let fits = inner.free.partition_point(|s| s.cap < len);
         let Some(mut buf) = inner.free[fits..]
             .iter_mut()
-            .find_map(|(_, stack)| stack.pop())
+            .take_while(|s| s.cap <= len.saturating_mul(2))
+            .find_map(|s| {
+                let buf = s.bufs.pop()?;
+                s.idle = s.idle.min(s.bufs.len());
+                Some(buf)
+            })
         else {
             return vec![0.0; len];
         };
@@ -144,11 +174,31 @@ impl TapePool {
         if cap == 0 {
             return;
         }
-        let mut inner = self.inner.borrow_mut();
-        match inner.free.binary_search_by_key(&cap, |&(c, _)| c) {
-            Ok(i) => inner.free[i].1.push(buf),
-            Err(i) => inner.free.insert(i, (cap, vec![buf])),
+        let mut inner = self.lock();
+        match inner.free.binary_search_by_key(&cap, |s| s.cap) {
+            Ok(i) => inner.free[i].bufs.push(buf),
+            Err(i) => inner.free.insert(
+                i,
+                FreeStack {
+                    cap,
+                    bufs: vec![buf],
+                    idle: 0,
+                },
+            ),
         }
+    }
+}
+
+impl PoolInner {
+    /// Frees the buffers no take reached since the last call. A step loop
+    /// takes the same buffers every step, so this frees nothing there; a
+    /// smaller tape after a larger one gives the difference back.
+    fn trim(&mut self) {
+        for stack in &mut self.free {
+            stack.bufs.truncate(stack.bufs.len() - stack.idle);
+            stack.idle = stack.bufs.len();
+        }
+        self.free.retain(|s| !s.bufs.is_empty());
     }
 }
 
@@ -167,7 +217,7 @@ impl Drop for TapeInner {
                 self.pool.recycle(stats);
             }
         }
-        let mut pool = self.pool.inner.borrow_mut();
+        let mut pool = self.pool.lock();
         if nodes.capacity() > pool.nodes.capacity() {
             pool.nodes = nodes;
         }
@@ -210,9 +260,14 @@ impl Tape {
     }
 
     /// Creates an empty tape that takes its buffers from `pool` and hands
-    /// them back to it when it drops.
+    /// them back to it when it drops. The pool first frees the buffers
+    /// the previous tape on it left unused.
     pub fn with_pool(pool: &TapePool) -> Self {
-        let nodes = std::mem::take(&mut pool.inner.borrow_mut().nodes);
+        let nodes = {
+            let mut inner = pool.lock();
+            inner.trim();
+            std::mem::take(&mut inner.nodes)
+        };
         Tape {
             inner: Rc::new(RefCell::new(TapeInner {
                 nodes,
@@ -231,46 +286,49 @@ impl Tape {
         self.len() == 0
     }
 
-    // `Borrow` is spelled out, not imported: in scope, its `borrow` would
-    // shadow `RefCell::borrow` on the tape's `Rc`.
-
     /// Registers `value` as a differentiable leaf and returns its handle.
-    /// The tape keeps a copy in a buffer from its pool, so a borrowed
-    /// value (a parameter, a data set) is copied once and never cloned.
-    pub fn leaf(&self, value: impl std::borrow::Borrow<Tensor>) -> Var {
-        self.copy(value.borrow(), true)
+    /// An owned tensor moves onto the tape as it is. A borrowed one — a
+    /// parameter, a data set — is copied into a buffer from the tape's
+    /// pool, never cloned.
+    pub fn leaf<'a>(&self, value: impl Into<Cow<'a, Tensor>>) -> Var {
+        self.register(value.into(), true)
     }
 
-    /// Registers `value` as a leaf no gradient is wanted for, copied like
-    /// [`Tape::leaf`]'s. It takes part in the forward pass like any other;
-    /// [`Var::backward`] computes nothing for it, nor for any node built
-    /// from constants alone, and [`Gradients::get`] returns `None` for
-    /// them.
-    pub fn constant(&self, value: impl std::borrow::Borrow<Tensor>) -> Var {
-        self.copy(value.borrow(), false)
+    /// Registers `value`, moved or copied as by [`Tape::leaf`], as a leaf
+    /// no gradient is wanted for. It takes part in the forward pass like
+    /// any other; [`Var::backward`] computes nothing for it, nor for any
+    /// node built from constants alone, and [`Gradients::get`] returns
+    /// `None` for them.
+    pub fn constant<'a>(&self, value: impl Into<Cow<'a, Tensor>>) -> Var {
+        self.register(value.into(), false)
     }
 
-    /// [`Tape::constant`] of rows `start..end` of the matrix `value` — a
-    /// mini-batch, copied straight into a pooled buffer.
+    /// [`Tape::constant`] of the given rows of the matrix `value`, in
+    /// order — a mini-batch, gathered straight into a pooled buffer.
     ///
     /// # Panics
     ///
-    /// Panics if `value` is not a matrix or the range is out of bounds.
-    pub fn constant_rows(&self, value: &Tensor, start: usize, end: usize) -> Var {
+    /// Panics if `value` is not a matrix or a row is out of bounds.
+    pub fn constant_rows(&self, value: &Tensor, rows: impl ExactSizeIterator<Item = usize>) -> Var {
         let d = value
             .ncols()
             .unwrap_or_else(|e| panic!("constant_rows: {e}"));
-        let rows = value
-            .data()
-            .get(start * d..end * d)
-            .unwrap_or_else(|| panic!("constant_rows: rows {start}..{end} of {:?}", value.dims()));
-        let mut data = self.inner.borrow().pool.take(rows.len());
-        data.copy_from_slice(rows);
-        self.push(Tensor::from_raw(data, &[end - start, d]), Op::Leaf, false)
+        let n = rows.len();
+        let mut data = self.inner.borrow().pool.take(n * d);
+        for (out, i) in data.chunks_exact_mut(d.max(1)).zip(rows) {
+            let row = value
+                .row(i)
+                .unwrap_or_else(|e| panic!("constant_rows: {e}"));
+            out.copy_from_slice(row);
+        }
+        self.push(Tensor::from_raw(data, &[n, d]), Op::Leaf, false)
     }
 
-    fn copy(&self, value: &Tensor, needs_grad: bool) -> Var {
-        let value = value.map_in(self.inner.borrow().pool.alloc(), |v| v);
+    fn register(&self, value: Cow<'_, Tensor>, needs_grad: bool) -> Var {
+        let value = match value {
+            Cow::Owned(value) => value,
+            Cow::Borrowed(value) => value.map_in(self.inner.borrow().pool.alloc(), |v| v),
+        };
         self.push(value, Op::Leaf, needs_grad)
     }
 
@@ -324,7 +382,7 @@ impl Drop for Gradients {
         for g in grads.drain(..).flatten() {
             self.pool.recycle(g.into_data());
         }
-        let mut pool = self.pool.inner.borrow_mut();
+        let mut pool = self.pool.lock();
         if grads.capacity() > pool.grads.capacity() {
             pool.grads = grads;
         }
@@ -660,11 +718,13 @@ impl Var {
         let root = &nodes[self.id].value;
         assert_eq!(root.len(), 1, "backward requires a scalar root");
         let needs = |id: usize| nodes[id].needs_grad;
-        let mut grads = std::mem::take(&mut pool.inner.borrow_mut().grads);
+        let mut grads = std::mem::take(&mut pool.lock().grads);
         grads.resize(nodes.len(), None);
         if needs(self.id) {
             grads[self.id] = Some(Tensor::full_in(root.dims(), 1.0, pool.alloc()));
         }
+        #[cfg(test)]
+        tests::SWEPT.with(|swept| swept.borrow_mut().clear());
 
         for id in (0..=self.id).rev() {
             // Parents always have lower ids, so the split borrows this
@@ -674,6 +734,8 @@ impl Var {
             // with one parent needs a gradient exactly when the parent
             // does, so only the multi-parent rules check each side.
             let Some(g) = rest[0].as_ref() else { continue };
+            #[cfg(test)]
+            tests::SWEPT.with(|swept| swept.borrow_mut().insert(id, tests::bits(g)));
             let node = &nodes[id];
             match &node.op {
                 Op::Leaf => {}
@@ -1046,6 +1108,25 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+    use std::collections::BTreeMap;
+
+    thread_local! {
+        /// Every gradient the last backward sweep on this thread computed,
+        /// by node id, as the sweep reached it: complete, and before an
+        /// operation's goes back to the pool.
+        pub(super) static SWEPT: RefCell<BTreeMap<usize, Vec<u32>>> =
+            const { RefCell::new(BTreeMap::new()) };
+    }
+
+    pub(super) fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The backward from `root`, and what its sweep computed.
+    fn sweep(root: &Var) -> (Gradients, BTreeMap<usize, Vec<u32>>) {
+        let grads = root.backward();
+        (grads, SWEPT.with(|swept| swept.take()))
+    }
 
     /// Central finite-difference gradient of a scalar function of a tensor.
     fn fd<F: Fn(&Tensor) -> f32>(f: F, x0: &Tensor, eps: f32) -> Tensor {
@@ -1238,15 +1319,16 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(6);
         let x0 = Tensor::randn(&mut rng, &[8, 4], 0.0, 1.0);
         let w0 = Tensor::randn(&mut rng, &[4, 4], 0.0, 1.0);
+        let (gamma0, beta0) = (Tensor::ones(&[4]), Tensor::zeros(&[4]));
         let pool = TapePool::new();
         let mut pooled = Vec::new();
         let mut grads_seen = Vec::new();
         for _ in 0..3 {
             let tape = Tape::with_pool(&pool);
-            let x = tape.constant_rows(&x0, 1, 7);
+            let x = tape.constant_rows(&x0, 1..7);
             let w = tape.constant(&w0);
-            let gamma = tape.leaf(Tensor::ones(&[4]));
-            let beta = tape.leaf(Tensor::zeros(&[4]));
+            let gamma = tape.leaf(&gamma0);
+            let beta = tape.leaf(&beta0);
             let (y, _, _) = x.matmul(&w).batch_norm(&gamma, &beta, 1e-5);
             let grads = y
                 .relu()
@@ -1262,6 +1344,40 @@ mod tests {
         assert_eq!(pooled[2], pooled[0]);
         assert_eq!(grads_seen[1], grads_seen[0]);
         assert_eq!(grads_seen[2], grads_seen[0]);
+    }
+
+    #[test]
+    fn a_pool_holds_what_the_last_tape_used() {
+        // One 64-row tape, then 8-row ones: the first small tape takes none
+        // of the large buffers (over twice its sizes), and the next frees
+        // them before it starts.
+        let pool = TapePool::new();
+        let step = |rows: usize| {
+            let tape = Tape::with_pool(&pool);
+            // Borrowed, so the tape copies it into a buffer of the pool's.
+            let x0 = Tensor::ones(&[rows, 4]);
+            let x = tape.leaf(&x0);
+            let grads = x.mul(&x).relu().sum_all().backward();
+            assert_eq!(grads.get(&x).unwrap().dims(), x0.dims());
+        };
+        let large_buffers = || {
+            let inner = pool.lock();
+            let large = inner.free.iter().filter(|s| s.cap >= 64 * 4);
+            large.map(|s| s.bufs.len()).sum::<usize>()
+        };
+        step(64);
+        let (after_large, large) = (pool.buffers(), large_buffers());
+        assert!(large > 0);
+        step(8);
+        assert!(pool.buffers() > after_large, "the small tape made its own");
+        assert_eq!(large_buffers(), large, "the small tape took a large buffer");
+        let after_small = pool.buffers();
+        step(8);
+        assert_eq!(large_buffers(), 0);
+        let settled = pool.buffers();
+        assert!(settled < after_small);
+        step(8);
+        assert_eq!(pool.buffers(), settled);
     }
 
     #[test]
@@ -1381,25 +1497,42 @@ mod tests {
         let pruned = pruning_graph(|tape, t| tape.constant(t));
         assert_eq!(all_leaves.tape.len(), pruned.tape.len());
         assert!(pruned.loss.value().data()[0].is_finite());
-        let full = all_leaves.loss.backward();
-        let grads = pruned.loss.backward();
+        let (full, full_swept) = sweep(&all_leaves.loss);
+        let (grads, swept) = sweep(&pruned.loss);
 
+        // The all-leaves sweep reaches every node; the pruned one none
+        // built from constants alone, and every other.
+        assert_eq!(full_swept.len(), all_leaves.tape.len());
+        for var in pruned.fixed.iter().chain(&pruned.untrainable) {
+            assert!(
+                !swept.contains_key(&var.id()),
+                "gradient computed for {var:?}"
+            );
+        }
+        for var in pruned.trainable.iter().chain(&pruned.downstream) {
+            assert!(swept.contains_key(&var.id()), "gradient pruned for {var:?}");
+        }
+        assert!(swept.len() < pruned.tape.len() - pruned.fixed.len());
+
+        // `Gradients` keeps the leaves' gradients only: operations hand
+        // theirs back during the sweep.
         for var in all_leaves.fixed.iter().chain(&all_leaves.trainable) {
             assert!(full.get(var).is_some(), "all-leaves tape lost {var:?}");
+        }
+        for var in all_leaves.untrainable.iter().chain(&all_leaves.downstream) {
+            assert!(full.get(var).is_none(), "{var:?} kept its gradient");
         }
         for var in pruned.fixed.iter().chain(&pruned.trainable) {
             let leaf = pruned.trainable.iter().any(|t| t.id() == var.id());
             assert_eq!(grads.get(var).is_some(), leaf, "{var:?}");
         }
-        // Operations hand their gradients back during the sweep.
-        for var in all_leaves.untrainable.iter().chain(&all_leaves.downstream) {
-            assert!(full.get(var).is_none(), "{var:?} kept its gradient");
-        }
-        // The two tapes number their nodes alike, and every trainable
-        // leaf's gradient — a sum through every kind of node the graph
-        // records, with gradient-free operands on each side — is the
+
+        // The two tapes number their nodes alike: every gradient the
+        // pruned sweep computes — leaves' and operations' — is the
         // all-leaves one, bit for bit.
-        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (id, g) in &swept {
+            assert_eq!(Some(g), full_swept.get(id), "node {id}");
+        }
         for (pruned_var, full_var) in pruned.trainable.iter().zip(&all_leaves.trainable) {
             assert_eq!(pruned_var.id(), full_var.id());
             let (g, reference) = (grads.get(pruned_var), full.get(full_var));

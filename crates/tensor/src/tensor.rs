@@ -6,6 +6,7 @@ use crate::shape::Shape;
 use crate::workspace::Workspace;
 use rand::Rng;
 use serde::{DeError, Deserialize, Serialize, Value};
+use std::borrow::Cow;
 use std::fmt;
 
 /// A dense, row-major tensor: a flat `Vec<f32>` plus a [`Shape`].
@@ -892,6 +893,19 @@ impl Deserialize for Tensor {
             )));
         }
         Ok(Tensor { data, shape })
+    }
+}
+
+// What `Tape::leaf` and `Tape::constant` take: an owned tensor or a borrow.
+impl From<Tensor> for Cow<'_, Tensor> {
+    fn from(t: Tensor) -> Self {
+        Cow::Owned(t)
+    }
+}
+
+impl<'a> From<&'a Tensor> for Cow<'a, Tensor> {
+    fn from(t: &'a Tensor) -> Self {
+        Cow::Borrowed(t)
     }
 }
 
