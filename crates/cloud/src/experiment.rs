@@ -61,19 +61,6 @@ pub fn run_strategy(
     Orchestrator::new(base.clone(), streams, strategy, config.clone()).run(streams)
 }
 
-/// Runs all three strategies with the same base model and configuration —
-/// the comparison behind every end-to-end figure.
-pub fn run_all_strategies(
-    base: &MlpResNet,
-    streams: &[LocationStream],
-    config: &CloudConfig,
-) -> Vec<(Strategy, RunResult)> {
-    [Strategy::Nazar, Strategy::AdaptAll, Strategy::NoAdapt]
-        .into_iter()
-        .map(|s| (s, run_strategy(base, streams, s, config)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,6 +84,20 @@ mod tests {
         (data, base)
     }
 
+    /// `windows` windows of the small world: 8 samples gate a cause, TENT
+    /// adapts in batches of 16.
+    fn small_config(windows: usize) -> CloudConfig {
+        CloudConfig {
+            windows,
+            min_samples_per_cause: 8,
+            method: AdaptMethod::Tent(TentConfig {
+                batch_size: 16,
+                ..TentConfig::default()
+            }),
+            ..CloudConfig::default()
+        }
+    }
+
     #[test]
     fn base_model_trains_to_reasonable_accuracy() {
         let (_, base) = small_setup();
@@ -110,15 +111,7 @@ mod tests {
     #[test]
     fn nazar_run_produces_window_results_and_versions() {
         let (data, base) = small_setup();
-        let config = CloudConfig {
-            windows: 4,
-            min_samples_per_cause: 8,
-            method: AdaptMethod::Tent(TentConfig {
-                batch_size: 16,
-                ..TentConfig::default()
-            }),
-            ..CloudConfig::default()
-        };
+        let config = small_config(4);
         let result = run_strategy(&base.model, &data.streams, Strategy::Nazar, &config);
         assert_eq!(result.per_window.len(), 4);
         assert_eq!(result.version_counts.len(), 4);
@@ -148,15 +141,7 @@ mod tests {
     #[test]
     fn adapt_all_deploys_a_single_universal_version() {
         let (data, base) = small_setup();
-        let config = CloudConfig {
-            windows: 3,
-            min_samples_per_cause: 8,
-            method: AdaptMethod::Tent(TentConfig {
-                batch_size: 16,
-                ..TentConfig::default()
-            }),
-            ..CloudConfig::default()
-        };
+        let config = small_config(3);
         let result = run_strategy(&base.model, &data.streams, Strategy::AdaptAll, &config);
         assert!(result.version_counts.iter().all(|&c| c <= 1));
         assert!(result.version_counts.last().copied().unwrap_or(0) == 1);
@@ -222,17 +207,45 @@ mod tests {
     }
 
     #[test]
-    fn transfer_ledger_shows_patch_savings() {
+    fn manual_approval_between_windows_serves_the_next_window() {
         let (data, base) = small_setup();
         let config = CloudConfig {
-            windows: 3,
-            min_samples_per_cause: 8,
-            method: AdaptMethod::Tent(TentConfig {
-                batch_size: 16,
-                ..TentConfig::default()
-            }),
-            ..CloudConfig::default()
+            mode: OperationMode::Manual,
+            adapt_clean: false,
+            ..small_config(4)
         };
+        // Resolves alert 0 right after the first window that raised one, and
+        // returns the version count the next window reports.
+        let next_window_versions = |approve: bool| {
+            let mut orch = Orchestrator::new(
+                base.model.clone(),
+                &data.streams,
+                Strategy::Nazar,
+                config.clone(),
+            );
+            while let Some(report) = orch.step(&data.streams) {
+                assert_eq!(report.max_versions, 0, "nothing deploys unapproved");
+                if orch.pending_alerts().is_empty() {
+                    continue;
+                }
+                if approve {
+                    orch.approve_alert(0).expect("alert 0 is pending");
+                } else {
+                    orch.dismiss_alert(0).expect("alert 0 is pending");
+                }
+                let next = orch.step(&data.streams).expect("a next window");
+                return next.max_versions;
+            }
+            panic!("no window raised an alert");
+        };
+        assert!(next_window_versions(true) >= 1);
+        assert_eq!(next_window_versions(false), 0);
+    }
+
+    #[test]
+    fn transfer_ledger_shows_patch_savings() {
+        let (data, base) = small_setup();
+        let config = small_config(3);
         let result = run_strategy(&base.model, &data.streams, Strategy::Nazar, &config);
         if result.patch_bytes_shipped > 0 {
             // BN patches must be far smaller than full-model pushes (§3.4).

@@ -15,6 +15,11 @@
 //!    cause's attributes;
 //! 4. accuracy/detection statistics are recorded per window.
 //!
+//! [`Orchestrator::step`] runs one window through those stages and returns
+//! its [`WindowReport`]; [`Orchestrator::run`] folds the steps into a
+//! [`RunResult`]. Between steps the ML-ops team can approve or dismiss the
+//! window's alerts in [`OperationMode::Manual`].
+//!
 //! [`Strategy`] selects between full Nazar, the adapt-all baseline (one
 //! model continuously adapted on all uploads — Ekya-style), and the
 //! non-adapted baseline, so every end-to-end figure (Fig. 8/9) is a matter
@@ -31,7 +36,7 @@ pub mod timing;
 pub use backend::{FleetBackend, SchedulerMode};
 pub use orchestrator::{
     sanitize_uploads, AlertIndexError, CloudConfig, DriftAlert, OperationMode, Orchestrator,
-    RunResult, Strategy,
+    RunResult, Strategy, WindowReport,
 };
 // Re-exported so experiment drivers can configure the transport without
 // depending on `nazar-net` directly.

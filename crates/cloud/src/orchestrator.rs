@@ -3,11 +3,11 @@
 use crate::backend::SchedulerMode;
 use nazar_adapt::{adapt_to_patch, AdaptMethod};
 use nazar_analysis::{analyze_variant_with, AnalysisVariant, FimAlgorithm, FimConfig, RankedCause};
+use nazar_data::LocationStream;
 use nazar_device::{DeviceConfig, FleetSim, UploadedSample, WindowStats, LOG_SCHEMA};
 use nazar_log::{DriftLog, DriftLogEntry};
-use nazar_net::{Exchange, NetConfig, NetReport};
-use nazar_nn::MlpResNet;
-use nazar_nn::{BnPatch, Layer};
+use nazar_net::{Exchange, NetConfig, NetReport, WindowDelivery};
+use nazar_nn::{BnPatch, Layer, MlpResNet};
 use nazar_obs::{event, LazyCounter, LazyHistogram};
 use nazar_registry::VersionMeta;
 use nazar_store::{DriftStore, StoreConfig};
@@ -63,11 +63,8 @@ pub struct AlertIndexError {
 
 impl std::fmt::Display for AlertIndexError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "alert index {} out of range ({} pending)",
-            self.index, self.pending
-        )
+        let AlertIndexError { index, pending } = self;
+        write!(f, "alert index {index} out of range ({pending} pending)")
     }
 }
 
@@ -134,10 +131,11 @@ pub struct CloudConfig {
     /// Which FIM algorithm powers the analysis (apriori by default).
     #[serde(default)]
     pub algorithm: FimAlgorithm,
-    /// Device↔cloud transport. `Some` routes every upload and deployment
-    /// through the `nazar-net` wire protocol and link simulator (the
-    /// default, over a perfect link); `None` keeps the legacy direct
-    /// in-process path.
+    /// Device↔cloud transport: every upload and deployment crosses the
+    /// `nazar-net` wire protocol and link simulator. `None` means
+    /// [`NetConfig::default()`], the perfect link. The field is an `Option`
+    /// only because the benchmark's staged replay unwraps it; the `Option`
+    /// goes with the replay.
     #[serde(default)]
     pub net: Option<NetConfig>,
     /// Retention bound on the global drift log: after each window's ingest,
@@ -197,7 +195,8 @@ pub struct RunResult {
     pub analysis_time: Duration,
     /// Total wall-clock time spent in model adaptation.
     pub adapt_time: Duration,
-    /// Total drift-log rows ingested.
+    /// Drift-log rows held after the last window's ingest — fewer than were
+    /// ingested when [`CloudConfig::log_retention`] trims the log.
     pub log_rows: usize,
     /// Bytes shipped to devices as BN patches, at the encoded wire size
     /// ([`BnPatch::encoded_len`]: scalars plus per-layer framing).
@@ -210,8 +209,8 @@ pub struct RunResult {
     /// Bytes the same deployments would have cost as full model pushes —
     /// the §3.4 efficiency argument ("the BN layer is 217× smaller").
     pub full_model_bytes_equivalent: u64,
-    /// Wire-level transport statistics (all zeros on the legacy direct
-    /// path, which never touches the simulated network).
+    /// Wire-level statistics of the simulated network every upload and
+    /// deployment crossed.
     #[serde(default)]
     pub net: NetReport,
 }
@@ -219,24 +218,21 @@ pub struct RunResult {
 impl RunResult {
     /// Mean accuracy over the last `k` windows (the paper reports the last 7).
     pub fn mean_accuracy_last(&self, k: usize) -> f32 {
-        mean(
-            self.per_window
-                .iter()
-                .rev()
-                .take(k)
-                .map(WindowStats::accuracy),
-        )
+        self.mean_last(k, WindowStats::accuracy)
     }
 
     /// Mean drifted-data accuracy over the last `k` windows.
     pub fn mean_drifted_accuracy_last(&self, k: usize) -> f32 {
-        mean(
-            self.per_window
-                .iter()
-                .rev()
-                .take(k)
-                .map(WindowStats::drifted_accuracy),
-        )
+        self.mean_last(k, WindowStats::drifted_accuracy)
+    }
+
+    fn mean_last(&self, k: usize, metric: fn(&WindowStats) -> f32) -> f32 {
+        let v: Vec<f32> = self.per_window.iter().rev().take(k).map(metric).collect();
+        if v.is_empty() {
+            0.0
+        } else {
+            v.iter().sum::<f32>() / v.len() as f32
+        }
     }
 
     /// Network savings factor of BN-patch deployment over full-model pushes.
@@ -278,6 +274,26 @@ impl RunResult {
     }
 }
 
+/// What one [`Orchestrator::step`] did: the pieces [`Orchestrator::run`]
+/// folds into a [`RunResult`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct WindowReport {
+    /// The window's index, from 0.
+    pub window: usize,
+    /// The window's accuracy/detection statistics, measured on-device.
+    pub stats: WindowStats,
+    /// The causes adapted and deployed in the window.
+    pub causes: Vec<RankedCause>,
+    /// Drift-log rows held after the window's ingest and retention.
+    pub log_rows: usize,
+    /// Maximum number of model versions on any device after the window.
+    pub max_versions: usize,
+    /// Wall-clock time in root-cause analysis.
+    pub analysis_time: Duration,
+    /// Wall-clock time in adaptation, its deploys included.
+    pub adapt_time: Duration,
+}
+
 static ADAPT_JOB_SECONDS: LazyHistogram = LazyHistogram::new(
     "nazar_cloud_adapt_job_seconds",
     "Wall-clock duration of one per-cause adaptation job",
@@ -303,15 +319,6 @@ static REJECTED_PATCHES: LazyCounter = LazyCounter::new(
     &[],
 );
 
-fn mean(values: impl Iterator<Item = f32>) -> f32 {
-    let v: Vec<f32> = values.collect();
-    if v.is_empty() {
-        0.0
-    } else {
-        v.iter().sum::<f32>() / v.len() as f32
-    }
-}
-
 /// The cloud orchestrator: owns the fleet, the drift log, and the adaptation
 /// state for one strategy.
 #[derive(Debug)]
@@ -335,42 +342,38 @@ pub struct Orchestrator {
     ledger: (u64, u64),
     /// The same deployments accounted at raw scalar width (no framing).
     scalar_ledger: u64,
-    /// The simulated device↔cloud network (`None` = legacy direct path).
-    exchange: Option<Exchange>,
+    /// The simulated device↔cloud network.
+    exchange: Exchange,
     /// Durable mirror of the drift log (`None` = in-memory only).
     store: Option<DriftStore>,
+    /// The next window [`Orchestrator::step`] runs.
+    window: usize,
 }
 
 impl Orchestrator {
     /// Creates an orchestrator over a fleet built from `streams`.
     pub fn new(
         base_model: MlpResNet,
-        streams: &[nazar_data::LocationStream],
+        streams: &[LocationStream],
         strategy: Strategy,
         config: CloudConfig,
     ) -> Self {
         let fleet = FleetSim::from_streams(streams, &base_model, &config.device);
-        let mut sizer = base_model.clone();
-        let model_scalars = sizer.num_params() as u64;
-        let exchange = config
-            .net
-            .clone()
-            .map(|net| Exchange::new(fleet.device_ids(), net));
-        let store = config.persist.clone().and_then(open_store);
         Orchestrator {
             strategy,
+            model_scalars: base_model.clone().num_params() as u64,
             rolling_model: base_model.clone(),
             base_model,
+            exchange: Exchange::new(fleet.device_ids(), config.net.clone().unwrap_or_default()),
             fleet,
             drift_log: DriftLog::new(&LOG_SCHEMA),
             rng: SmallRng::seed_from_u64(config.seed),
+            store: config.persist.clone().and_then(open_store),
             config,
             pending_alerts: Vec::new(),
-            model_scalars,
             ledger: (0, 0),
             scalar_ledger: 0,
-            exchange,
-            store,
+            window: 0,
         }
     }
 
@@ -388,13 +391,7 @@ impl Orchestrator {
     /// name a pending alert — an ML-ops console racing a concurrent
     /// approval must not crash the orchestrator.
     pub fn approve_alert(&mut self, index: usize) -> Result<RankedCause, AlertIndexError> {
-        if index >= self.pending_alerts.len() {
-            return Err(AlertIndexError {
-                index,
-                pending: self.pending_alerts.len(),
-            });
-        }
-        let alert = self.pending_alerts.remove(index);
+        let alert = self.take_alert(index)?;
         // Retained samples with inconsistent widths cannot be stacked; the
         // approval then resolves the alert without deploying anything
         // (DESIGN.md §9) rather than crashing the console.
@@ -415,22 +412,24 @@ impl Orchestrator {
     ///
     /// Returns [`AlertIndexError`] if `index` does not name a pending alert.
     pub fn dismiss_alert(&mut self, index: usize) -> Result<(), AlertIndexError> {
-        if index >= self.pending_alerts.len() {
-            return Err(AlertIndexError {
-                index,
-                pending: self.pending_alerts.len(),
-            });
+        self.take_alert(index).map(drop)
+    }
+
+    /// Removes pending alert `index` — or, naming none, changes nothing.
+    fn take_alert(&mut self, index: usize) -> Result<DriftAlert, AlertIndexError> {
+        let pending = self.pending_alerts.len();
+        if index >= pending {
+            return Err(AlertIndexError { index, pending });
         }
-        self.pending_alerts.remove(index);
-        Ok(())
+        Ok(self.pending_alerts.remove(index))
     }
 
     /// Deploys a patch (targeted or broadcast) and charges the ledger.
     ///
-    /// With a transport configured, the patch crosses the simulated network
-    /// as a chunked, resumable download and only the devices whose transfer
-    /// completed install it — each installing the copy it decoded off the
-    /// wire. The ledger charges the devices that actually received it.
+    /// The patch crosses the simulated network as a chunked, resumable
+    /// download and only the devices whose transfer completed install it —
+    /// each installing the copy it decoded off the wire. The ledger charges
+    /// the devices that actually received it.
     fn deploy(&mut self, meta: &VersionMeta, patch: &BnPatch) {
         let _span = nazar_obs::span("deploy");
         // Last line of defense (DESIGN.md §9): a patch with NaN/Inf BN state
@@ -438,55 +437,29 @@ impl Orchestrator {
         // refused here no matter which path produced it.
         if !patch.is_finite() {
             REJECTED_PATCHES.inc();
-            event!(
-                "patch_rejected",
-                cause = meta
-                    .attrs
-                    .iter()
-                    .map(|a| a.to_string())
-                    .collect::<Vec<_>>()
-                    .join(","),
-            );
+            event!("patch_rejected", cause = attrs_label(meta));
             return;
         }
-        let devices = match self.exchange.as_mut() {
-            Some(exchange) => {
-                let targets = if self.config.targeted_deployment {
-                    self.fleet.target_ids(meta)
-                } else {
-                    self.fleet.device_ids()
-                };
-                let delivery = exchange.deploy(&targets, meta, patch);
-                let delivered = delivery.delivered.len() as u64;
-                {
-                    let _install_span = nazar_obs::span("install");
-                    for (device, meta, patch) in delivery.delivered {
-                        self.fleet.install_on(&device, &meta, &patch);
-                    }
-                }
-                self.fleet.advance_clock_to(exchange.clock_us());
-                delivered
-            }
-            None => {
-                if self.config.targeted_deployment {
-                    self.fleet.deploy_targeted(meta, patch) as u64
-                } else {
-                    self.fleet.deploy(meta, patch);
-                    self.fleet.len() as u64
-                }
-            }
+        let targets = if self.config.targeted_deployment {
+            self.fleet.target_ids(meta)
+        } else {
+            self.fleet.device_ids()
         };
+        let delivery = self.exchange.deploy(&targets, meta, patch);
+        let devices = delivery.delivered.len() as u64;
+        {
+            let _install_span = nazar_obs::span("install");
+            for (device, meta, patch) in delivery.delivered {
+                self.fleet.install_on(&device, &meta, &patch);
+            }
+        }
+        self.fleet.advance_clock_to(self.exchange.clock_us());
         self.ledger.0 += devices * patch.encoded_len() as u64;
         self.ledger.1 += devices * self.model_scalars * 4;
         self.scalar_ledger += devices * patch.num_scalars() as u64 * 4;
         event!(
             "deploy",
-            cause = meta
-                .attrs
-                .iter()
-                .map(|a| a.to_string())
-                .collect::<Vec<_>>()
-                .join(","),
+            cause = attrs_label(meta),
             devices = devices,
             patch_bytes = patch.encoded_len(),
         );
@@ -503,114 +476,107 @@ impl Orchestrator {
         self.store.as_ref()
     }
 
-    /// Runs all windows of the workload and returns the collected results.
-    pub fn run(&mut self, streams: &[nazar_data::LocationStream]) -> RunResult {
-        // The run's whole configuration, in its own header: the caller's
-        // `CloudConfig` plus the two process-wide execution switches.
-        event!(
-            "run_start",
-            strategy = self.strategy.name(),
-            windows = self.config.windows,
-            devices = self.fleet.len(),
-            config = format!("{:?}", self.config),
-            threads = nazar_tensor::parallel::num_threads(),
-            simd = nazar_tensor::simd::env_tier().as_str(),
-        );
+    /// Runs the remaining windows and returns the collected results.
+    pub fn run(&mut self, streams: &[LocationStream]) -> RunResult {
         let mut result = RunResult::default();
-        for w in 0..self.config.windows {
-            let _window_span = nazar_obs::span_detail("window", || format!("w={w}"));
-            // Replay the window on-device; with a transport configured, the
-            // entries and uploads the cloud sees are only what survived the
-            // link (stats stay ground truth — they are measured on-device).
-            let (stats, entries, uploads) = if let Some(exchange) = &mut self.exchange {
-                let parts =
-                    self.fleet
-                        .process_window_parts(streams, w, self.config.windows, &mut self.rng);
-                let mut stats = WindowStats::default();
-                let mut batches = Vec::with_capacity(parts.len());
-                for (id, part) in parts {
-                    stats.merge(&part.stats);
-                    batches.push((id, part.entries, part.uploads));
-                }
-                let _net_span = nazar_obs::span_detail("net_upload", || format!("w={w}"));
-                // Fleet and transport share one virtual timeline: the
-                // window's events have moved the fleet clock past the
-                // window boundary, so the uploads' link events start there,
-                // and the fleet resumes no earlier than the last delivery.
-                exchange.advance_clock_to(self.fleet.clock_us());
-                let delivery = exchange.upload_window(batches);
-                self.fleet.advance_clock_to(exchange.clock_us());
-                (stats, delivery.entries, delivery.uploads)
-            } else {
-                let output =
-                    self.fleet
-                        .process_window(streams, w, self.config.windows, &mut self.rng);
-                (output.stats, output.entries, output.uploads)
-            };
-            self.ingest(&entries);
-            let uploads = quarantine_uploads(uploads, Some(self.base_model.arch().input_dim));
-            result.log_rows = self.drift_log.num_rows();
-
-            let causes = match self.strategy {
-                Strategy::NoAdapt => Vec::new(),
-                Strategy::AdaptAll => {
-                    let t0 = Instant::now();
-                    self.adapt_all(&uploads);
-                    result.adapt_time += t0.elapsed();
-                    Vec::new()
-                }
-                Strategy::Nazar => {
-                    let (causes, analysis_d, adapt_d) = self.nazar_window(w, &entries, &uploads);
-                    result.analysis_time += analysis_d;
-                    result.adapt_time += adapt_d;
-                    causes
-                }
-            };
-
-            // Make the window's rows durable before declaring it complete:
-            // a crash after this point replays no ingested entry. Flush
-            // failures degrade to an event — the analysis loop must outlive
-            // a full disk.
-            if let Some(store) = self.store.as_mut() {
-                let _flush_span = nazar_obs::span_detail("store_flush", || format!("w={w}"));
-                match store.flush() {
-                    Ok(report) => {
-                        if report.chunks_written > 0 {
-                            event!(
-                                "store_flush",
-                                window = w,
-                                chunks = report.chunks_written,
-                                rows_sealed = report.rows_sealed,
-                            );
-                        }
-                    }
-                    Err(err) => event!("store_flush_failed", error = err.to_string()),
-                }
-            }
-            event!(
-                "window_complete",
-                window = w,
-                accuracy = stats.accuracy(),
-                flagged = stats.flagged,
-                causes = causes.len(),
-            );
-            // Second snapshot per window, after the cloud side (ingest,
-            // analysis, adaptation, deploy) has run — captures the metrics
-            // the window_close snapshot can't see — at the fleet clock.
-            nazar_obs::telemetry::snapshot(self.fleet.clock_us(), "window_complete");
-            result
-                .causes_per_window
-                .push(causes.iter().map(RankedCause::label).collect());
-            result.version_counts.push(self.fleet.max_versions());
-            result.per_window.push(stats);
+        while let Some(report) = self.step(streams) {
+            let causes = report.causes.iter().map(RankedCause::label).collect();
+            result.causes_per_window.push(causes);
+            result.version_counts.push(report.max_versions);
+            result.per_window.push(report.stats);
+            result.log_rows = report.log_rows;
+            result.analysis_time += report.analysis_time;
+            result.adapt_time += report.adapt_time;
         }
         result.patch_bytes_shipped = self.ledger.0;
         result.patch_scalar_bytes = self.scalar_ledger;
         result.full_model_bytes_equivalent = self.ledger.1;
-        if let Some(exchange) = &self.exchange {
-            result.net = *exchange.report();
-        }
+        result.net = *self.exchange.report();
         result
+    }
+
+    /// Runs the next window — device replay and upload, ingest, analysis,
+    /// adaptation and its deploys, flush — and reports it; `None` after the
+    /// last. Between steps the ML-ops team can act on the window's alerts
+    /// ([`Orchestrator::approve_alert`]): an approved version serves the next.
+    pub fn step(&mut self, streams: &[LocationStream]) -> Option<WindowReport> {
+        let w = self.window;
+        if w == 0 {
+            // The run's header: its whole `CloudConfig` and both process-wide switches.
+            event!(
+                "run_start",
+                strategy = self.strategy.name(),
+                windows = self.config.windows,
+                devices = self.fleet.len(),
+                config = format!("{:?}", self.config),
+                threads = nazar_tensor::parallel::num_threads(),
+                simd = nazar_tensor::simd::env_tier().as_str(),
+            );
+        }
+        if w >= self.config.windows {
+            return None;
+        }
+        self.window += 1;
+        let _window_span = nazar_obs::span_detail("window", || format!("w={w}"));
+        let (stats, delivery) = self.device_window(streams, w);
+        self.ingest(&delivery.entries);
+        let uploads = quarantine_uploads(delivery.uploads, Some(self.base_model.arch().input_dim));
+        let log_rows = self.drift_log.num_rows();
+        let (causes, analysis_time, adapt_time) = match self.strategy {
+            Strategy::NoAdapt => (Vec::new(), Duration::ZERO, Duration::ZERO),
+            Strategy::AdaptAll => {
+                let t0 = Instant::now();
+                let _span = nazar_obs::span_detail("adapt", || "adapt_all".to_string());
+                self.adapt_rolling(&uploads);
+                (Vec::new(), Duration::ZERO, t0.elapsed())
+            }
+            Strategy::Nazar => {
+                let t0 = Instant::now();
+                let causes = self.analyse(&delivery.entries);
+                let (analysis_time, t1) = (t0.elapsed(), Instant::now());
+                let adapted = self.adapt(w, causes, &uploads);
+                (adapted, analysis_time, t1.elapsed())
+            }
+        };
+        self.flush(w);
+        self.close(w, &stats, causes.len());
+        Some(WindowReport {
+            window: w,
+            stats,
+            causes,
+            log_rows,
+            max_versions: self.fleet.max_versions(),
+            analysis_time,
+            adapt_time,
+        })
+    }
+
+    /// Replays window `w` on-device and carries its rows and samples over
+    /// the link: the entries and uploads the cloud sees are only what
+    /// survived it (stats stay ground truth — they are measured on-device).
+    fn device_window(
+        &mut self,
+        streams: &[LocationStream],
+        w: usize,
+    ) -> (WindowStats, WindowDelivery) {
+        let parts = self
+            .fleet
+            .process_window_parts(streams, w, self.config.windows, &mut self.rng);
+        let mut stats = WindowStats::default();
+        let mut batches = Vec::with_capacity(parts.len());
+        for (id, part) in parts {
+            stats.merge(&part.stats);
+            batches.push((id, part.entries, part.uploads));
+        }
+        let _net_span = nazar_obs::span_detail("net_upload", || format!("w={w}"));
+        // Fleet and transport share one virtual timeline: the window's
+        // events have moved the fleet clock past the window boundary, so
+        // the uploads' link events start there, and the fleet resumes no
+        // earlier than the last delivery.
+        self.exchange.advance_clock_to(self.fleet.clock_us());
+        let delivery = self.exchange.upload_window(batches);
+        self.fleet.advance_clock_to(self.exchange.clock_us());
+        (stats, delivery)
     }
 
     fn ingest(&mut self, entries: &[DriftLogEntry]) {
@@ -647,16 +613,18 @@ impl Orchestrator {
         }
     }
 
-    /// The adapt-all baseline: continuously adapt one model on all uploads
-    /// and deploy it as the universal (empty-attribute) version.
-    fn adapt_all(&mut self, uploads: &[UploadedSample]) {
-        let _span = nazar_obs::span_detail("adapt", || "adapt_all".to_string());
-        let Some(data) = stack_features(uploads) else {
-            return;
-        };
-        if data.nrows().unwrap_or(0) < self.config.min_samples_per_cause {
+    /// Adapts the rolling model on `uploads` and deploys it as the universal
+    /// (empty-attribute) version: the adapt-all baseline's whole window,
+    /// and Nazar's clean fallback. Fewer than `min_samples_per_cause`
+    /// samples adapt nothing.
+    fn adapt_rolling<'a>(&mut self, uploads: impl IntoIterator<Item = &'a UploadedSample>) {
+        let rows: Vec<Vec<f32>> = uploads.into_iter().map(|u| u.features.clone()).collect();
+        if rows.len() < self.config.min_samples_per_cause {
             return;
         }
+        let Ok(data) = Tensor::stack_rows(&rows) else {
+            return;
+        };
         let (patch, _) = adapt_to_patch(
             &self.rolling_model,
             &data,
@@ -669,35 +637,32 @@ impl Orchestrator {
         self.deploy(&VersionMeta::clean(), &patch);
     }
 
-    /// One Nazar analysis + by-cause adaptation round.
-    fn nazar_window(
-        &mut self,
-        window: usize,
-        entries: &[DriftLogEntry],
-        uploads: &[UploadedSample],
-    ) -> (Vec<RankedCause>, Duration, Duration) {
-        // Root-cause analysis over this window's entries (the Lambda run).
-        let t0 = Instant::now();
-        let window_log = window_log(entries);
+    /// Root-cause analysis over one window's entries (the Lambda run).
+    fn analyse(&self, entries: &[DriftLogEntry]) -> Vec<RankedCause> {
         let mut causes = analyze_variant_with(
-            &window_log,
+            &window_log(entries),
             &self.config.fim,
             self.config.analysis_variant,
             self.config.algorithm,
         );
         causes.truncate(self.config.max_causes_per_window);
-        let analysis_time = t0.elapsed();
+        causes
+    }
 
-        // By-cause adaptation on the sampled inputs matching each cause.
-        // Gating, covered-marking, alert-raising and seed-drawing run
-        // sequentially in cause order; the adaptation jobs themselves are
-        // independent (each starts from the immutable base model with its
-        // own pre-drawn RNG), so they fan out across scoped threads and
-        // deploy back in cause order.
-        let t1 = Instant::now();
+    /// By-cause adaptation on the sampled inputs matching each cause (in
+    /// manual mode, an alert instead), then the clean fallback on the rest;
+    /// deploys every patch and returns the causes adapted. Gating, alerts
+    /// and seed draws run in cause order; the jobs are independent (each
+    /// starts from the base model with its own pre-drawn RNG), so they fan
+    /// out across scoped threads and deploy back in cause order.
+    fn adapt(
+        &mut self,
+        window: usize,
+        causes: Vec<RankedCause>,
+        uploads: &[UploadedSample],
+    ) -> Vec<RankedCause> {
         let adapt_span = nazar_obs::span("adapt");
         let adapt_parent = adapt_span.id();
-        let mut adapted = Vec::new();
         let mut covered = vec![false; uploads.len()];
         let mut jobs: Vec<(RankedCause, Tensor, u64)> = Vec::new();
         for cause in causes {
@@ -734,24 +699,24 @@ impl Orchestrator {
                 });
                 continue;
             }
-            // Every upload has the model's width (quarantined in `run`), so
-            // only an empty set fails to stack.
+            // Every upload has the model's width (quarantined in `step`),
+            // so only an empty set fails to stack.
             let Ok(data) = Tensor::stack_rows(&rows) else {
                 continue;
             };
             jobs.push((cause, data, self.rng.next_u64()));
         }
-        let base_model = &self.base_model;
-        let method = &self.config.method;
         let patches = parallel::par_map(jobs, |(cause, data, seed)| {
             let mut job_span = nazar_obs::span_child("adapt_job", adapt_parent);
             job_span.set_detail(cause.label());
             let job_start = Instant::now();
             let mut job_rng = SmallRng::seed_from_u64(seed);
-            let (patch, _) = adapt_to_patch(base_model, &data, method, &mut job_rng);
+            let (patch, _) =
+                adapt_to_patch(&self.base_model, &data, &self.config.method, &mut job_rng);
             ADAPT_JOB_SECONDS.observe_since(job_start);
             (cause, patch)
         });
+        let mut adapted = Vec::with_capacity(patches.len());
         for (cause, patch) in patches {
             let meta = VersionMeta::new(cause.attrs.clone(), cause.stats.risk_ratio);
             self.deploy(&meta, &patch);
@@ -764,30 +729,43 @@ impl Orchestrator {
         // root causes").
         if self.config.adapt_clean {
             let _clean_span = nazar_obs::span_child("adapt_clean", adapt_parent);
-            let clean_rows: Vec<Vec<f32>> = uploads
-                .iter()
-                .zip(&covered)
-                .filter(|(_, &c)| !c)
-                .map(|(u, _)| u.features.clone())
-                .collect();
-            let data = (clean_rows.len() >= self.config.min_samples_per_cause)
-                .then(|| Tensor::stack_rows(&clean_rows).ok())
-                .flatten();
-            if let Some(data) = data {
-                let (patch, _) = adapt_to_patch(
-                    &self.rolling_model,
-                    &data,
-                    &self.config.method,
-                    &mut self.rng,
-                );
-                patch
-                    .apply(&mut self.rolling_model)
-                    .expect("same architecture");
-                self.deploy(&VersionMeta::clean(), &patch);
-            }
+            let clean = uploads.iter().zip(&covered).filter(|(_, &c)| !c);
+            self.adapt_rolling(clean.map(|(u, _)| u));
         }
-        let adapt_time = t1.elapsed();
-        (adapted, analysis_time, adapt_time)
+        adapted
+    }
+
+    /// Makes window `w`'s rows durable before it completes: a crash after
+    /// this replays no ingested entry. A failed flush degrades to an event —
+    /// the analysis loop must outlive a full disk.
+    fn flush(&mut self, w: usize) {
+        let Some(store) = self.store.as_mut() else {
+            return;
+        };
+        let _flush_span = nazar_obs::span_detail("store_flush", || format!("w={w}"));
+        match store.flush() {
+            Ok(report) if report.chunks_written > 0 => event!(
+                "store_flush",
+                window = w,
+                chunks = report.chunks_written,
+                rows_sealed = report.rows_sealed,
+            ),
+            Ok(_) => {}
+            Err(err) => event!("store_flush_failed", error = err.to_string()),
+        }
+    }
+
+    /// Closes window `w`: its completion event, then the window's second
+    /// telemetry snapshot, at the fleet clock, with the cloud side's metrics.
+    fn close(&self, w: usize, stats: &WindowStats, causes: usize) {
+        event!(
+            "window_complete",
+            window = w,
+            accuracy = stats.accuracy(),
+            flagged = stats.flagged,
+            causes = causes,
+        );
+        nazar_obs::telemetry::snapshot(self.fleet.clock_us(), "window_complete");
     }
 }
 
@@ -795,25 +773,20 @@ impl Orchestrator {
 /// failure: persistence must never keep the fleet from running. A store
 /// that opened by dropping torn chunks reports what recovery salvaged.
 fn open_store(config: StoreConfig) -> Option<DriftStore> {
-    match DriftStore::open_config(&LOG_SCHEMA, config) {
-        Ok(store) => {
-            if !store.recovery().is_clean() {
-                event!(
-                    "store_recovered",
-                    rows = store.num_rows(),
-                    dropped_chunks = store.recovery().dropped_chunks,
-                    swept_orphans = store.recovery().swept_orphans,
-                );
-            } else if store.num_rows() > 0 {
-                event!("store_reopened", rows = store.num_rows());
-            }
-            Some(store)
-        }
-        Err(err) => {
-            event!("store_open_failed", error = err.to_string());
-            None
-        }
+    let store = DriftStore::open_config(&LOG_SCHEMA, config)
+        .inspect_err(|err| event!("store_open_failed", error = err.to_string()))
+        .ok()?;
+    if !store.recovery().is_clean() {
+        event!(
+            "store_recovered",
+            rows = store.num_rows(),
+            dropped_chunks = store.recovery().dropped_chunks,
+            swept_orphans = store.recovery().swept_orphans,
+        );
+    } else if store.num_rows() > 0 {
+        event!("store_reopened", rows = store.num_rows());
     }
+    Some(store)
 }
 
 /// Drops uploaded samples that carry any non-finite feature, counting the
@@ -845,13 +818,11 @@ fn quarantine_uploads(uploads: Vec<UploadedSample>, width: Option<usize>) -> Vec
     kept
 }
 
-/// Stacks upload features into a matrix; `None` when empty.
-fn stack_features(uploads: &[UploadedSample]) -> Option<Tensor> {
-    if uploads.is_empty() {
-        return None;
-    }
-    let rows: Vec<Vec<f32>> = uploads.iter().map(|u| u.features.clone()).collect();
-    Tensor::stack_rows(&rows).ok()
+/// A version's attributes as comma-joined `key=value` pairs: the `cause`
+/// field of the deploy events.
+fn attrs_label(meta: &VersionMeta) -> String {
+    let attrs: Vec<String> = meta.attrs.iter().map(ToString::to_string).collect();
+    attrs.join(",")
 }
 
 /// The log one window's analysis runs over: exactly this window's rows.
@@ -874,6 +845,22 @@ mod tests {
             label: 0,
             true_cause: None,
         }
+    }
+
+    /// A no-adapt orchestrator over no streams, with a tiny model.
+    fn tiny_orchestrator(config: CloudConfig) -> Orchestrator {
+        let model = MlpResNet::new(
+            nazar_nn::ModelArch::tiny(4, 3),
+            &mut SmallRng::seed_from_u64(0),
+        );
+        Orchestrator::new(model, &[], Strategy::NoAdapt, config)
+    }
+
+    /// A row with every schema column, and one naming a column the schema lacks.
+    fn good_and_bad(ts: u64, drift: bool) -> [DriftLogEntry; 2] {
+        let columns: Vec<_> = LOG_SCHEMA.iter().map(|&k| (k, "v")).collect();
+        let bad = DriftLogEntry::new(0, &[("no-such-column", "x")], false);
+        [DriftLogEntry::new(ts, &columns, drift), bad]
     }
 
     #[test]
@@ -907,27 +894,13 @@ mod tests {
     fn ingest_quarantines_schema_violations() {
         // Regression (tentpole): a malformed drift-log entry panicked the
         // whole orchestrator; it must be dropped while good rows land.
-        use nazar_nn::ModelArch;
-        use rand::rngs::SmallRng;
-        use rand::SeedableRng;
-        let model = MlpResNet::new(ModelArch::tiny(4, 3), &mut SmallRng::seed_from_u64(0));
-        let mut orch = Orchestrator::new(model, &[], Strategy::NoAdapt, CloudConfig::default());
-
-        let good = DriftLogEntry::new(
-            0,
-            &LOG_SCHEMA.iter().map(|&k| (k, "v")).collect::<Vec<_>>(),
-            false,
-        );
-        let bad = DriftLogEntry::new(0, &[("no-such-column", "x")], false);
-        orch.ingest(&[good, bad]);
+        let mut orch = tiny_orchestrator(CloudConfig::default());
+        orch.ingest(&good_and_bad(0, false));
         assert_eq!(orch.drift_log().num_rows(), 1);
     }
 
     #[test]
     fn persisted_log_mirrors_ingest_and_survives_restart() {
-        use nazar_nn::ModelArch;
-        use rand::rngs::SmallRng;
-        use rand::SeedableRng;
         let dir = std::env::temp_dir().join(format!("nazar-cloud-persist-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let config = CloudConfig {
@@ -935,16 +908,8 @@ mod tests {
             persist: Some(StoreConfig::at(dir.to_string_lossy().into_owned())),
             ..CloudConfig::default()
         };
-        let model = MlpResNet::new(ModelArch::tiny(4, 3), &mut SmallRng::seed_from_u64(0));
-        let mut orch = Orchestrator::new(model.clone(), &[], Strategy::NoAdapt, config.clone());
-
-        let good = DriftLogEntry::new(
-            7,
-            &LOG_SCHEMA.iter().map(|&k| (k, "v")).collect::<Vec<_>>(),
-            true,
-        );
-        let bad = DriftLogEntry::new(0, &[("no-such-column", "x")], false);
-        orch.ingest(&[good, bad]);
+        let mut orch = tiny_orchestrator(config.clone());
+        orch.ingest(&good_and_bad(7, true));
         // The durable mirror quarantined the same entry the in-memory log did.
         let store = orch.drift_store().expect("store open");
         assert_eq!(store.num_rows(), orch.drift_log().num_rows());
@@ -954,7 +919,7 @@ mod tests {
         drop(orch);
 
         // A restarted orchestrator re-opens the same history.
-        let orch2 = Orchestrator::new(model, &[], Strategy::NoAdapt, config);
+        let orch2 = tiny_orchestrator(config);
         let store = orch2.drift_store().expect("store reopen");
         assert!(store.recovery().is_clean());
         assert_eq!(store.num_rows(), 1);
@@ -968,17 +933,13 @@ mod tests {
         // read one borrowed slice; each must end up where handing it its
         // own clone of the batch (and where pushing row by row) left it,
         // including what a quarantined row interned before it failed.
-        use nazar_nn::ModelArch;
-        use rand::rngs::SmallRng;
-        use rand::SeedableRng;
         let dir = std::env::temp_dir().join(format!("nazar-cloud-borrow-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let config = CloudConfig {
             persist: Some(StoreConfig::at(dir.to_string_lossy().into_owned())),
             ..CloudConfig::default()
         };
-        let model = MlpResNet::new(ModelArch::tiny(4, 3), &mut SmallRng::seed_from_u64(0));
-        let mut orch = Orchestrator::new(model, &[], Strategy::NoAdapt, config);
+        let mut orch = tiny_orchestrator(config);
 
         let row = |ts: u64, weather: &str, device: &str| {
             DriftLogEntry::new(

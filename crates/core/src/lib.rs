@@ -53,7 +53,7 @@ pub mod prelude {
     pub use nazar_analysis::{
         analyze, AnalysisVariant, FimAlgorithm, FimConfig, RankedCause, RankingMetric,
     };
-    pub use nazar_cloud::experiment::{run_all_strategies, run_strategy, train_base_model};
+    pub use nazar_cloud::experiment::{run_strategy, train_base_model};
     pub use nazar_cloud::{
         CloudConfig, DriftAlert, OperationMode, Orchestrator, RunResult, Strategy,
     };

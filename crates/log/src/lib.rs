@@ -13,9 +13,9 @@
 //!   attribute schema, supporting the counting queries frequent-itemset
 //!   mining needs (`COUNT(*) WHERE attr1 = v1 AND attr2 = v2 [AND drift]`),
 //!   windowed scans, and drift-mask overrides for counterfactual analysis.
-//! * [`varint`] — the workspace's LEB128, here because both crates that
-//!   serialise rows (`nazar-store` to disk, `nazar-net` to the wire)
-//!   already depend on this one.
+//! * [`varint`] and [`crc`] — the workspace's LEB128 and CRC-32, here
+//!   because both crates that serialise rows (`nazar-store` to disk,
+//!   `nazar-net` to the wire) already depend on this one.
 //!
 //! # Example
 //!
@@ -34,6 +34,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod crc;
 mod entry;
 pub mod probe;
 mod store;

@@ -54,9 +54,9 @@ impl RetryPolicy {
 /// Top-level transport configuration.
 ///
 /// The default routes every exchange through the wire protocol over a
-/// **perfect** simulated link (instant, lossless), which is bitwise
-/// equivalent to the old direct-call path; fault injection is opt-in via
-/// the fields here.
+/// **perfect** simulated link (instant, lossless), which delivers bitwise
+/// what direct `FleetSim` calls produce; fault injection is opt-in via the
+/// fields here.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NetConfig {
     /// Fault/delay model, applied to both directions.

@@ -26,7 +26,7 @@
 //! by the configured master seed and a stable per-device hash, and nothing
 //! here touches wall clocks or threads — so a run is bit-identical for a
 //! given seed across machines and `NAZAR_NUM_THREADS` settings, and a
-//! perfect link reproduces the direct-call path exactly.
+//! perfect link delivers exactly what direct `FleetSim` calls produce.
 
 use crate::client::{ClientAction, DecodeMemo, DeviceClient};
 use crate::clock::VirtualClock;

@@ -14,8 +14,8 @@
 //!
 //! All integers are little-endian; `f32`/`f64` travel as their raw LE bit
 //! patterns, so numeric round trips are *exact* (bitwise), which is what
-//! keeps the perfect-link transport path bit-identical to the in-process
-//! direct-call path. Decoding never panics: every violation surfaces as a
+//! keeps a perfect link bit-identical to direct in-process `FleetSim`
+//! calls. Decoding never panics: every violation surfaces as a
 //! [`NetError`].
 //!
 //! Downward payloads (`UploadAck`, `DeployChunk`, the deploy payload) and
@@ -56,6 +56,7 @@
 use crate::error::{NetError, Result};
 use nazar_data::{Corruption, SimDate};
 use nazar_device::{UploadedSample, LOG_SCHEMA};
+pub use nazar_log::crc::crc32;
 use nazar_log::varint::{self, VarintError};
 use nazar_log::{Attribute, DriftLogEntry};
 use nazar_nn::{BnLayerState, BnPatch};
@@ -73,67 +74,6 @@ pub const FRAME_OVERHEAD: usize = 4 + 1 + 1 + 4 + 4;
 /// Hard cap on decoded collection sizes, so a corrupt length field cannot
 /// ask the decoder to allocate gigabytes.
 const MAX_ELEMS: usize = 1 << 24;
-
-// ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3), slice-by-8 over compile-time tables.
-// ---------------------------------------------------------------------------
-
-/// `tables[0]` is the classic byte-at-a-time table; `tables[k][b]` is the
-/// CRC state after byte `b` followed by `k` zero bytes, which lets eight
-/// input bytes fold into the state with eight independent lookups.
-const fn crc32_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        tables[0][i] = c;
-        i += 1;
-    }
-    let mut t = 1;
-    while t < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[t - 1][i];
-            tables[t][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
-            i += 1;
-        }
-        t += 1;
-    }
-    tables
-}
-
-static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
-
-/// CRC-32 (IEEE) of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let mut c = 0xFFFF_FFFFu32;
-    let mut words = bytes.chunks_exact(8);
-    for w in &mut words {
-        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        c = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][w[4] as usize]
-            ^ t[2][w[5] as usize]
-            ^ t[1][w[6] as usize]
-            ^ t[0][w[7] as usize];
-    }
-    for &b in words.remainder() {
-        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
 
 // ---------------------------------------------------------------------------
 // Byte-level writer / reader
@@ -900,48 +840,17 @@ pub fn decode_frame(bytes: &[u8]) -> Result<Message> {
 mod tests {
     use super::*;
 
-    /// One step of the bit-at-a-time CRC-32 (IEEE) definition.
-    fn crc32_fold(state: u32, byte: u8) -> u32 {
-        let mut c = state ^ u32::from(byte);
-        for _ in 0..8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-        }
-        c
-    }
-
     #[test]
     fn crc32_known_vector() {
-        // The canonical IEEE CRC-32 check value.
+        // The canonical IEEE CRC-32 check value, and the empty input.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
 
-        // Every length 0..=4096 at every start offset mod 8: the eight-byte
-        // main loop, its remainder and unaligned starts all agree with the
-        // bitwise definition.
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        let buf: Vec<u8> = (0..4096 + 8)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                (x >> 24) as u8
-            })
-            .collect();
-        for start in 0..8 {
-            let mut state = 0xFFFF_FFFFu32;
-            for len in 0..=4096 {
-                assert_eq!(
-                    crc32(&buf[start..start + len]),
-                    state ^ 0xFFFF_FFFF,
-                    "crc32 differs at start {start} len {len}"
-                );
-                state = crc32_fold(state, buf[start + len]);
-            }
-        }
+        // A sealed frame's trailer is that same CRC over everything after
+        // the magic.
+        let bytes = encode_frame(&Message::UploadAck { seq: 42 });
+        let (body, trailer) = bytes.split_at(bytes.len() - 4);
+        assert_eq!(trailer, crc32(&body[4..]).to_le_bytes());
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //! workspace's typed-error policy (DESIGN.md §9).
 
 use crate::config::CodecChoice;
+/// CRC-32 (IEEE) of `bytes` — the chunk-footer checksum.
+pub use nazar_log::crc::crc32;
 use nazar_log::varint::{get_varint, put_varint, VarintError};
 
 /// Codec id: raw little-endian `u32`s, 4 bytes per value.
@@ -47,42 +49,6 @@ impl std::fmt::Display for CodecError {
             CodecError::InvalidEncoding(what) => write!(f, "invalid encoding: {what}"),
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// CRC-32 (IEEE) — same table construction as `nazar-net`'s wire format;
-// duplicated here so the store has no dependency on the transport crate.
-// ---------------------------------------------------------------------------
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = crc32_table();
-
-/// CRC-32 (IEEE) of `bytes` — the chunk-footer checksum.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
 }
 
 // ---------------------------------------------------------------------------

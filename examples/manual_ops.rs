@@ -1,9 +1,10 @@
 //! Manual mode: the ML-ops team in the loop (§3.1 "Modes of operation").
 //!
 //! By default Nazar runs on autopilot. This example runs the same workload
-//! in manual mode: analysis raises alerts; a (simulated) operator reviews
-//! each alert's evidence, approves the convincing causes and dismisses the
-//! rest; only approved causes are adapted and deployed.
+//! in manual mode: analysis raises alerts; after every window a (simulated)
+//! operator reviews that window's alerts, approves the convincing causes and
+//! dismisses the rest; only approved causes are adapted and deployed, in
+//! time to serve the next window.
 //!
 //! Run with:
 //!
@@ -43,33 +44,40 @@ fn main() {
     };
     let mut orchestrator =
         Orchestrator::new(trained.model, &dataset.streams, Strategy::Nazar, config);
-    let result = orchestrator.run(&dataset.streams);
-    println!(
-        "run finished: {} windows, {} drift-log rows, {} alerts raised\n",
-        result.per_window.len(),
-        result.log_rows,
-        orchestrator.pending_alerts().len(),
-    );
 
-    // The operator's review policy here: approve causes with risk ratio
-    // above 1.5 and at least 24 samples; dismiss the rest.
-    println!("operator inbox:");
-    let mut approved = Vec::new();
-    while let Some(alert) = orchestrator.pending_alerts().first() {
-        let convincing = alert.cause.stats.risk_ratio > 1.5 && alert.sample_count >= 24;
+    // The operator reviews each window's alerts as soon as the window
+    // closes, so an approved cause is served from the next window on. The
+    // review policy: approve causes with risk ratio above 1.5 and at least
+    // 24 samples; dismiss the rest.
+    let (mut raised, mut approved) = (0, Vec::new());
+    while let Some(report) = orchestrator.step(&dataset.streams) {
         println!(
-            "  {} -> {}",
-            alert.summary(),
-            if convincing { "APPROVE" } else { "dismiss" }
+            "window {}: {:.1}% accuracy; model versions per device, max: {}",
+            report.window + 1,
+            report.stats.accuracy() * 100.0,
+            report.max_versions,
         );
-        if convincing {
-            approved.push(orchestrator.approve_alert(0).expect("alert 0 is pending"));
-        } else {
-            orchestrator.dismiss_alert(0).expect("alert 0 is pending");
+        while let Some(alert) = orchestrator.pending_alerts().first() {
+            raised += 1;
+            let convincing = alert.cause.stats.risk_ratio > 1.5 && alert.sample_count >= 24;
+            println!(
+                "  {} -> {}",
+                alert.summary(),
+                if convincing { "APPROVE" } else { "dismiss" }
+            );
+            if convincing {
+                approved.push(orchestrator.approve_alert(0).expect("alert 0 is pending"));
+            } else {
+                orchestrator.dismiss_alert(0).expect("alert 0 is pending");
+            }
         }
     }
     println!(
-        "\napproved and deployed {} causes: {:?}",
+        "\nrun finished: {} drift-log rows, {raised} alerts raised",
+        orchestrator.drift_log().num_rows(),
+    );
+    println!(
+        "approved and deployed {} causes: {:?}",
         approved.len(),
         approved.iter().map(RankedCause::label).collect::<Vec<_>>()
     );

@@ -93,3 +93,33 @@ fn strategies_share_the_same_stream_volume() {
     assert_eq!(totals(&a), totals(&b));
     assert_eq!(a.log_rows, b.log_rows);
 }
+
+#[test]
+fn step_fold_equals_run() {
+    let (dataset, system) = workload();
+    let run = system.run(&dataset.streams, Strategy::Nazar);
+    let (base, config) = (system.base_model().clone(), system.config().clone());
+    let mut orch = Orchestrator::new(base, &dataset.streams, Strategy::Nazar, config);
+    let mut reports = Vec::new();
+    while let Some(report) = orch.step(&dataset.streams) {
+        reports.push(report);
+    }
+    assert!(orch.step(&dataset.streams).is_none(), "past the end");
+    let windows: Vec<usize> = reports.iter().map(|r| r.window).collect();
+    assert_eq!(windows, (0..run.per_window.len()).collect::<Vec<_>>());
+    let stats: Vec<WindowStats> = reports.iter().map(|r| r.stats.clone()).collect();
+    assert_eq!(stats, run.per_window);
+    let versions: Vec<usize> = reports.iter().map(|r| r.max_versions).collect();
+    assert_eq!(versions, run.version_counts);
+    let causes: Vec<Vec<String>> = reports
+        .iter()
+        .map(|r| r.causes.iter().map(RankedCause::label).collect())
+        .collect();
+    assert_eq!(causes, run.causes_per_window);
+    assert_eq!(reports.last().map(|r| r.log_rows), Some(run.log_rows));
+    // The ledger and the wire totals are the rest of the run's result.
+    let rest = orch.run(&dataset.streams);
+    assert!(rest.per_window.is_empty());
+    assert_eq!(rest.patch_bytes_shipped, run.patch_bytes_shipped);
+    assert_eq!(rest.net, run.net);
+}
