@@ -68,7 +68,6 @@ fn bench_tensor_ops(c: &mut Criterion) {
     let b128 = Tensor::randn(&mut rng, &[128, 128], 0.0, 1.0);
     let a256 = Tensor::randn(&mut rng, &[256, 256], 0.0, 1.0);
     let b256 = Tensor::randn(&mut rng, &[256, 256], 0.0, 1.0);
-    let wide = Tensor::randn(&mut rng, &[512, 512], 0.0, 1.0);
     let mut group = c.benchmark_group("tensor_ops");
     group.bench_function("matmul_128", |bencher| {
         bencher.iter(|| black_box(a128.matmul(&b128).expect("shapes match")))
@@ -133,9 +132,6 @@ fn bench_tensor_ops(c: &mut Criterion) {
             kernels::matmul_at_b_into(x.data(), g.data(), n, k, m, &mut dw);
             black_box(dw[0])
         })
-    });
-    group.bench_function("transpose_512", |bencher| {
-        bencher.iter(|| black_box(wide.transpose().expect("matrix")))
     });
     group.bench_function("softmax_rows_128", |bencher| {
         bencher.iter(|| black_box(a128.softmax_rows().expect("matrix")))

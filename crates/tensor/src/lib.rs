@@ -19,8 +19,8 @@
 //!   Batch-statistic batch normalization is one node, [`Var::batch_norm`].
 //!   A [`TapePool`] keeps node values and gradient buffers from one tape to
 //!   the next.
-//! * [`kernels`] — out-parameter slice kernels (tiled/packed-B matmul,
-//!   blocked transpose, elementwise map/zip, axpy) that the `Tensor`
+//! * [`kernels`] — out-parameter slice kernels (tiled/packed-B matmul and
+//!   its two backward products, elementwise map/zip, axpy) that the `Tensor`
 //!   methods and the backward sweep are thin wrappers over.
 //! * [`Workspace`] — a recycling buffer pool feeding the kernels' scratch
 //!   needs, with a thread-local instance behind the allocating API.

@@ -554,18 +554,6 @@ impl Tensor {
         Tensor::from_vec(out, &[n, m])
     }
 
-    /// Transpose of a rank-2 tensor (cache-blocked kernel).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] for non-matrices.
-    pub fn transpose(&self) -> Result<Tensor> {
-        let (n, m) = (self.nrows()?, self.ncols()?);
-        let mut out = vec![0.0f32; n * m];
-        kernels::transpose_into(&self.data, n, m, &mut out);
-        Tensor::from_vec(out, &[m, n])
-    }
-
     /// Euclidean norm of the flattened tensor.
     pub fn l2_norm(&self) -> f32 {
         self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
@@ -956,14 +944,6 @@ mod tests {
         let a = m(&[1.0; 6], &[2, 3]);
         let b = m(&[1.0; 4], &[2, 2]);
         assert!(a.matmul(&b).is_err());
-    }
-
-    #[test]
-    fn transpose_round_trip() {
-        let a = m(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
-        let t = a.transpose().unwrap();
-        assert_eq!(t.dims(), &[3, 2]);
-        assert_eq!(t.transpose().unwrap(), a);
     }
 
     #[test]

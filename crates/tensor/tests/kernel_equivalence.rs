@@ -54,6 +54,21 @@ fn dot_loop_a_bt(g: &[f32], b: &[f32], n: usize, m: usize, k: usize, out: &mut [
     }
 }
 
+/// The scalar `out += aT · g` row loop `matmul_at_b_into` ran before its
+/// vector tiles — `a: [n, k]`, `g: [n, m]`, `out: [k, m]`, every element
+/// getting `a[i, p] · g[i, j]` added for `i = 0..n` in order. Kept here
+/// as the oracle.
+fn row_loop_at_b(a: &[f32], g: &[f32], n: usize, k: usize, m: usize, out: &mut [f32]) {
+    for i in 0..n {
+        for p in 0..k {
+            let ap = a[i * k + p];
+            for j in 0..m {
+                out[p * m + j] += ap * g[i * m + j];
+            }
+        }
+    }
+}
+
 /// Naive transpose of row-major `[n, m]`.
 fn naive_transpose(src: &[f32], n: usize, m: usize) -> Vec<f32> {
     let mut dst = vec![0.0f32; n * m];
@@ -103,20 +118,46 @@ proptest! {
 
     #[test]
     fn matmul_at_b_matches_transposed_naive(
-        n in 1usize..16,
-        k in 1usize..16,
-        m in 1usize..16,
+        n in 1usize..80,
+        k in 1usize..80,
+        m in 1usize..80,
         seed in 0u64..1_000,
     ) {
-        // out[k, m] += aT · g, accumulated over i in order — identical to
-        // transposing a first and running the naive loop.
+        // out[k, m] += aT · g, accumulated over i in order. Dims to 80
+        // cross the 4-row tile and 32-column panel edges, and `out` enters
+        // non-zero so the load-accumulate-store of each tile is checked.
         let a = data(seed, n * k);
         let g = data(seed.wrapping_add(3), n * m);
-        let mut out = vec![0.0f32; k * m];
-        kernels::matmul_at_b_into(&a, &g, n, k, m, &mut out);
-        let reference = naive_matmul(&naive_transpose(&a, n, k), &g, k, n, m);
-        for (&o, &r) in out.iter().zip(&reference) {
-            prop_assert!(o == r, "at_b {o} != reference {r}");
+        let entry = data(seed.wrapping_add(13), k * m);
+        let mut reference = entry.clone();
+        row_loop_at_b(&a, &g, n, k, m, &mut reference);
+        for tier in [SimdTier::Off, SimdTier::Exact] {
+            let mut out = entry.clone();
+            kernels::matmul_at_b_into_tier(&a, &g, n, k, m, &mut out, tier);
+            for (i, (&o, &r)) in out.iter().zip(&reference).enumerate() {
+                prop_assert!(
+                    o.to_bits() == r.to_bits(),
+                    "tier {tier:?} element {i}: {o} != oracle {r}",
+                );
+            }
+        }
+        // From zero, the row loop is the transpose-then-multiply product.
+        let mut zeroed = vec![0.0f32; k * m];
+        kernels::matmul_at_b_into(&a, &g, n, k, m, &mut zeroed);
+        prop_assert_eq!(zeroed, naive_matmul(&naive_transpose(&a, n, k), &g, k, n, m));
+        // The fast tier contracts each multiply-add: the suite's envelope
+        // over the accumulation length n.
+        let mut fast = entry.clone();
+        kernels::matmul_at_b_into_tier(&a, &g, n, k, m, &mut fast, SimdTier::Fast);
+        let abs_at: Vec<f32> = naive_transpose(&a, n, k).iter().map(|x| x.abs()).collect();
+        let abs_g: Vec<f32> = g.iter().map(|x| x.abs()).collect();
+        let abs_ref = naive_matmul(&abs_at, &abs_g, k, n, m);
+        for i in 0..k * m {
+            let tol = 1e-6 + abs_ref[i] * (n as f32) * 1e-6;
+            prop_assert!(
+                (fast[i] - reference[i]).abs() <= tol,
+                "fast {} vs oracle {} (tol {tol})", fast[i], reference[i],
+            );
         }
     }
 
@@ -166,18 +207,29 @@ proptest! {
     }
 
     #[test]
-    fn transpose_into_matches_naive_and_round_trips(
-        n in 1usize..80,
-        m in 1usize..80,
+    fn matmul_a_bt_rows_do_not_depend_on_their_batch_in_any_tier(
+        n in 1usize..24,
+        k in 1usize..72,
+        m in 1usize..48,
+        threads in 1usize..=8,
         seed in 0u64..1_000,
     ) {
-        let src = data(seed, n * m);
-        let mut dst = vec![0.0f32; n * m];
-        kernels::transpose_into(&src, n, m, &mut dst);
-        prop_assert_eq!(&dst, &naive_transpose(&src, n, m));
-        let mut back = vec![0.0f32; n * m];
-        kernels::transpose_into(&dst, m, n, &mut back);
-        prop_assert_eq!(back, src);
+        // Row `i` of dX = g · bT equals the one-row product of row `i` of
+        // `g`, bitwise, whether it ran in a register block or in the row
+        // tail (both read the packed panels of bT) — in the fast tier too.
+        let g = data(seed, n * m);
+        let b = data(seed.wrapping_add(15), k * m);
+        let mut ws = Workspace::new();
+        for tier in [SimdTier::Off, SimdTier::Exact, SimdTier::Fast] {
+            let mut batched = vec![0.0f32; n * k];
+            kernels::matmul_a_bt_into_tier(&g, &b, n, m, k, &mut batched, &mut ws, threads, tier);
+            for i in 0..n {
+                let mut row = vec![0.0f32; k];
+                let g_row = &g[i * m..(i + 1) * m];
+                kernels::matmul_a_bt_into_tier(g_row, &b, 1, m, k, &mut row, &mut ws, 1, tier);
+                prop_assert!(batched[i * k..(i + 1) * k] == row[..], "tier {tier:?} row {i}");
+            }
+        }
     }
 
     #[test]
