@@ -25,11 +25,13 @@
 //! CI diffs them. Timings go to stderr and the JSON report.
 //!
 //! `NAZAR_STORE_QUICK=1` shrinks the run for smoke tests; the equality
-//! and compression assertions still apply.
+//! and compression assertions still apply. The quick run seals 1 024-row
+//! chunks, so its ≈ 20 chunks overflow the 8-chunk decode cache and the
+//! warm mix exercises the cache's insertion policy.
 
 use nazar_cloud::timing::synthetic_drift_log;
 use nazar_log::{Attribute, DriftLog, MatchCounts};
-use nazar_store::{chunk::EncodeStats, DriftStore, StoreConfig};
+use nazar_store::{chunk::EncodeStats, DriftStore, StoreConfig, DEFAULT_CHUNK_ROWS};
 use std::time::Instant;
 
 /// Everything the query mix produces, for bitwise comparison.
@@ -141,7 +143,10 @@ fn main() {
 
     let dir = std::env::temp_dir().join(format!("nazar-store-scale-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let config = StoreConfig::at(dir.to_string_lossy().into_owned());
+    let config = StoreConfig {
+        chunk_rows: if quick { 1_024 } else { DEFAULT_CHUNK_ROWS },
+        ..StoreConfig::at(dir.to_string_lossy().into_owned())
+    };
     let schema = ["weather", "location", "device_id"];
 
     // ----- write path: windowed pushes + flushes, as the orchestrator does.

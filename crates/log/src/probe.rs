@@ -11,7 +11,8 @@
 //! ones by construction, not by parallel reimplementation.
 //!
 //! A [`ColumnarBlock`] is built from a decoded chunk's raw columns and
-//! indexes them once (one `Segment` worth of posting lists); each probe
+//! indexes them once, in bulk (one `Segment` worth of posting lists, each
+//! sized by a counting pass before it is filled); each probe
 //! then answers `count`/`rows`/`value_counts` questions against the block.
 //! All row offsets inside the block are local; callers carry the block's
 //! global start row and pass it to the probes that return rows, which is
@@ -21,7 +22,7 @@
 //! counts, [`group_counts`]) live in this crate too, so the in-memory log
 //! over its segments and the store over chunks + tail cannot disagree.
 
-use crate::store::{segment_count, segment_rows, MatchCounts, Segment};
+use crate::store::{code_counts, segment_count, segment_rows, MatchCounts, Segment};
 
 /// One decoded block of dictionary-encoded rows plus its probe index.
 ///
@@ -42,18 +43,28 @@ pub struct ColumnarBlock {
 impl ColumnarBlock {
     /// Builds a block (and its probe index) over decoded columnar data.
     /// `columns` must all have the same length as `drift` and `timestamps`;
-    /// rows beyond the shortest column are ignored.
-    pub fn build(columns: Vec<Vec<u32>>, drift: &[bool], timestamps: &[u64]) -> ColumnarBlock {
+    /// rows beyond the shortest column are ignored. `dict_lens` gives, per
+    /// column, a bound every code lies below (the dictionary length at the
+    /// chunk's seal); it sizes the index build's scratch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a code is not below its column's `dict_lens` entry, or a
+    /// column has no entry: callers check decoded codes first.
+    pub fn build(
+        columns: Vec<Vec<u32>>,
+        drift: &[bool],
+        timestamps: &[u64],
+        dict_lens: impl IntoIterator<Item = usize>,
+    ) -> ColumnarBlock {
         let rows = columns
             .iter()
             .map(Vec::len)
             .chain([drift.len(), timestamps.len()])
             .min()
             .unwrap_or(0);
-        let mut seg = Segment::new(0, columns.len());
-        for row in 0..rows {
-            seg.push_row(&columns, row, drift[row], timestamps[row]);
-        }
+        let mut counts = code_counts(dict_lens);
+        let seg = Segment::build(0..rows, &columns, drift, timestamps, &mut counts);
         ColumnarBlock {
             columns,
             timestamps: timestamps[..rows].to_vec(),

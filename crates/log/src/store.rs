@@ -21,7 +21,10 @@
 //! (pinned against a naive row scan by `tests/query_equivalence.rs`).
 //! Maintenance is incremental: `push` appends to the tail segment in place,
 //! `retain_last` drops whole head segments and rebuilds at most one partial
-//! head segment, and `window` prunes segments by timestamp range.
+//! head segment, and `window` prunes segments by timestamp range. Every
+//! rebuild (that boundary segment, a deserialized or reopened log, a new
+//! segment size) indexes its rows in bulk: one counting pass per column
+//! sizes each posting list exactly before it is filled.
 //!
 //! The segments cover every row at all times: the index is not serialized,
 //! so deserializing a log rebuilds it (and the [`Dict`] interning maps) on
@@ -33,6 +36,7 @@ use nazar_tensor::parallel;
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 
 static INGEST_ROWS: LazyCounter = LazyCounter::new(
     "nazar_log_ingest_rows_total",
@@ -104,6 +108,14 @@ pub enum LogError {
         /// Number of rows in the log.
         rows: usize,
     },
+    /// Rows handed over as code columns do not fit the log: a column of
+    /// the wrong length, or a code outside its dictionary.
+    CorruptColumn {
+        /// The column's key (`timestamps` for the timestamp column).
+        key: String,
+        /// What was wrong.
+        reason: String,
+    },
 }
 
 impl fmt::Display for LogError {
@@ -116,6 +128,7 @@ impl fmt::Display for LogError {
             LogError::RowOutOfRange { row, rows } => {
                 write!(f, "row {row} out of range for log of {rows} rows")
             }
+            LogError::CorruptColumn { key, reason } => write!(f, "column `{key}`: {reason}"),
         }
     }
 }
@@ -180,18 +193,6 @@ impl Dict {
             .map(|(i, v)| (v.clone(), i as u32))
             .collect();
     }
-
-    /// A dictionary over pre-interned `values` (code = position), with the
-    /// lookup index ready. Used when reopening a persisted log whose
-    /// dictionaries come from the store manifest.
-    fn from_values(values: Vec<String>) -> Self {
-        let mut dict = Dict {
-            values,
-            index: HashMap::new(),
-        };
-        dict.rebuild_index();
-        dict
-    }
 }
 
 /// Default rows per index segment. Small enough that tail maintenance and
@@ -215,7 +216,7 @@ const NOT_CODED: u32 = u32::MAX;
 /// [`DriftLog::retain_last`] shift surviving segments by adjusting `start`
 /// alone. Crate-visible so [`crate::probe::ColumnarBlock`] can build the
 /// same index over a decoded storage chunk.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct Segment {
     /// Global row id of local row 0.
     start: usize,
@@ -242,8 +243,60 @@ impl Segment {
         }
     }
 
+    /// Indexes global rows `rows` of `columns`, `drift` and `timestamps` in
+    /// one go: the segment [`Segment::push_row`] would build row by row,
+    /// structurally equal (same posting order, same rows, a bitmap that
+    /// ends at the word of the last drifted row).
+    ///
+    /// Per column, one counting pass sizes every posting list; the lists
+    /// are then allocated at that exact size in code order and filled in
+    /// ascending row order. `counts` holds one zeroed slot per dictionary
+    /// value per column ([`code_counts`]); the build resets the slots it
+    /// touched, so one scratch serves any number of segments.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a code in `rows` has no slot in its column's `counts`:
+    /// callers check codes against their dictionary first.
+    pub(crate) fn build(
+        rows: Range<usize>,
+        columns: &[Vec<u32>],
+        drift: &[bool],
+        timestamps: &[u64],
+        counts: &mut [Vec<u32>],
+    ) -> Segment {
+        let mut seg = Segment {
+            start: rows.start,
+            rows: rows.len(),
+            ..Segment::default()
+        };
+        seg.postings = columns
+            .iter()
+            .zip(counts.iter_mut())
+            .map(|(column, counts)| postings(&column[rows.clone()], counts))
+            .collect();
+        seg.drifted = vec![0; rows.len().div_ceil(64)];
+        let (mut ts_min, mut ts_max) = (u64::MAX, u64::MIN);
+        let flags = drift[rows.clone()].iter().zip(&timestamps[rows]);
+        for (local, (&d, &ts)) in flags.enumerate() {
+            if d {
+                seg.drifted[local / 64] |= 1 << (local % 64);
+                seg.drifted_count += 1;
+            }
+            ts_min = ts_min.min(ts);
+            ts_max = ts_max.max(ts);
+        }
+        while seg.drifted.last() == Some(&0) {
+            seg.drifted.pop();
+        }
+        if seg.rows > 0 {
+            (seg.ts_min, seg.ts_max) = (ts_min, ts_max);
+        }
+        seg
+    }
+
     /// Appends global row `row` (read from the log's columns) as the next
-    /// local row.
+    /// local row — the one-row append at the log's tail.
     pub(crate) fn push_row(&mut self, columns: &[Vec<u32>], row: usize, drift: bool, ts: u64) {
         let local = self.rows as u32;
         for (posting, column) in self.postings.iter_mut().zip(columns) {
@@ -308,6 +361,40 @@ impl Segment {
     }
 }
 
+/// [`Segment::build`]'s scratch: per column, one zeroed count slot per
+/// dictionary value.
+pub(crate) fn code_counts(dict_lens: impl IntoIterator<Item = usize>) -> Vec<Vec<u32>> {
+    dict_lens.into_iter().map(|len| vec![0; len]).collect()
+}
+
+/// One column's posting lists over `codes` (local rows), sorted by code,
+/// each allocated at its exact length. `counts` comes in and goes out
+/// zeroed.
+fn postings(codes: &[u32], counts: &mut [u32]) -> Vec<(u32, Vec<u32>)> {
+    let mut lists: Vec<(u32, Vec<u32>)> = Vec::new();
+    for &code in codes {
+        let n = &mut counts[code as usize];
+        if *n == 0 {
+            lists.push((code, Vec::new()));
+        }
+        *n += 1;
+    }
+    lists.sort_unstable_by_key(|&(code, _)| code);
+    // Each touched slot now holds its list's position instead of its count.
+    for (pos, (code, list)) in lists.iter_mut().enumerate() {
+        let slot = &mut counts[*code as usize];
+        *list = Vec::with_capacity(*slot as usize);
+        *slot = pos as u32;
+    }
+    for (local, &code) in codes.iter().enumerate() {
+        lists[counts[code as usize] as usize].1.push(local as u32);
+    }
+    for &(code, _) in &lists {
+        counts[code as usize] = 0;
+    }
+    lists
+}
+
 /// The global drift log: one dictionary-encoded column per attribute key,
 /// plus the drift flags and timestamps (DESIGN.md substitution S7 for the
 /// paper's Aurora table), sharded into row-range index `Segment`s.
@@ -341,61 +428,20 @@ struct Snapshot {
     timestamps: Vec<u64>,
 }
 
-/// Validates the snapshot's shape (a snapshot is outside input; the query
-/// paths index columns and dictionaries unchecked) and rebuilds the
-/// interning maps and the segment index, so a deserialized log is
-/// indistinguishable from one built by `push`.
+/// A snapshot is outside input: [`DriftLog::from_parts`] checks its shape
+/// before the log exists, so a deserialized log is indistinguishable from
+/// one built by `push`.
 impl Deserialize for DriftLog {
     fn from_value(v: &Value) -> std::result::Result<Self, DeError> {
         let Snapshot {
             schema,
             columns,
-            mut dicts,
-            drift,
-            timestamps,
-        } = Snapshot::from_value(v)?;
-        if columns.len() != schema.len() || dicts.len() != schema.len() {
-            return Err(DeError::custom(format!(
-                "DriftLog has {} schema keys, {} columns, {} dictionaries",
-                schema.len(),
-                columns.len(),
-                dicts.len()
-            )));
-        }
-        if timestamps.len() != drift.len() {
-            return Err(DeError::custom(format!(
-                "DriftLog has {} drift flags, {} timestamps",
-                drift.len(),
-                timestamps.len()
-            )));
-        }
-        for (ci, (column, dict)) in columns.iter().zip(&dicts).enumerate() {
-            if column.len() != drift.len() {
-                return Err(DeError::custom(format!(
-                    "DriftLog column {ci} has {} rows, expected {}",
-                    column.len(),
-                    drift.len()
-                )));
-            }
-            if let Some(code) = column.iter().find(|&&c| c as usize >= dict.values.len()) {
-                return Err(DeError::custom(format!(
-                    "DriftLog column {ci} code {code} outside its {}-value dictionary",
-                    dict.values.len()
-                )));
-            }
-        }
-        dicts.iter_mut().for_each(Dict::rebuild_index);
-        let mut log = DriftLog {
-            schema,
-            columns,
             dicts,
             drift,
             timestamps,
-            segments: Vec::new(),
-            segment_rows: 0,
-        };
-        log.rebuild_index();
-        Ok(log)
+        } = Snapshot::from_value(v)?;
+        DriftLog::from_parts(schema, columns, dicts, drift, timestamps)
+            .map_err(|e| DeError::custom(format!("DriftLog: {e}")))
     }
 }
 
@@ -430,29 +476,91 @@ impl DriftLog {
         }
     }
 
-    /// Creates an empty log whose per-column dictionaries are pre-seeded
-    /// with `dict_values` (one value list per schema key, code = position).
+    /// Creates a log whose per-column dictionaries are pre-seeded with
+    /// `dict_values` (one value list per schema key, code = position) and
+    /// whose rows are given already coded: `columns` (one code column per
+    /// schema key), `drift` and `timestamps`, all of one length.
     ///
     /// This is the reopen path of the persistent store (`nazar-store`): the
-    /// manifest records the dictionaries interned so far, and the tail log
-    /// must resolve and intern against *exactly* those codes so persisted
-    /// chunks and fresh rows share one code space.
+    /// manifest records the dictionaries interned so far, the partial tail
+    /// chunk's rows come back by their codes, and the tail log must
+    /// resolve and intern against *exactly* those codes so persisted
+    /// chunks and fresh rows share one code space. The rows are indexed in
+    /// bulk and count as appended rows.
     ///
     /// # Errors
     ///
-    /// Returns [`LogError::SchemaMismatch`] when `dict_values` does not
-    /// provide exactly one value list per schema key.
-    pub fn with_dict_values(schema: &[String], dict_values: Vec<Vec<String>>) -> Result<Self> {
-        if dict_values.len() != schema.len() {
-            return Err(LogError::SchemaMismatch {
-                key: schema
-                    .get(dict_values.len())
-                    .cloned()
-                    .unwrap_or_else(|| "<extra dictionary>".to_string()),
-            });
+    /// [`LogError::SchemaMismatch`] when `dict_values` or `columns` does
+    /// not provide exactly one entry per schema key;
+    /// [`LogError::CorruptColumn`] when a column's length differs from
+    /// `drift`'s or a code lies outside its dictionary.
+    pub fn with_dict_values(
+        schema: &[String],
+        dict_values: Vec<Vec<String>>,
+        columns: Vec<Vec<u32>>,
+        drift: Vec<bool>,
+        timestamps: Vec<u64>,
+    ) -> Result<Self> {
+        let dicts = dict_values
+            .into_iter()
+            .map(|values| Dict {
+                values,
+                index: HashMap::new(),
+            })
+            .collect();
+        let log = DriftLog::from_parts(schema.to_vec(), columns, dicts, drift, timestamps)?;
+        INGEST_ROWS.add(log.num_rows() as u64);
+        INGEST_DRIFTED.add(log.num_drifted() as u64);
+        Ok(log)
+    }
+
+    /// A log over coded rows, checked first (every column as long as
+    /// `drift`, every code inside its dictionary), with its dictionaries'
+    /// lookup maps and its segment index built.
+    fn from_parts(
+        schema: Vec<String>,
+        columns: Vec<Vec<u32>>,
+        mut dicts: Vec<Dict>,
+        drift: Vec<bool>,
+        timestamps: Vec<u64>,
+    ) -> Result<Self> {
+        if columns.len() != schema.len() || dicts.len() != schema.len() {
+            let key = schema
+                .get(columns.len().min(dicts.len()))
+                .cloned()
+                .unwrap_or_else(|| "<extra column>".to_string());
+            return Err(LogError::SchemaMismatch { key });
         }
-        let mut log = DriftLog::new(&schema.iter().map(String::as_str).collect::<Vec<_>>());
-        log.dicts = dict_values.into_iter().map(Dict::from_values).collect();
+        let corrupt = |key: &str, reason: String| LogError::CorruptColumn {
+            key: key.to_string(),
+            reason,
+        };
+        if timestamps.len() != drift.len() {
+            let reason = format!("{} timestamps for {} rows", timestamps.len(), drift.len());
+            return Err(corrupt("timestamps", reason));
+        }
+        for ((key, column), dict) in schema.iter().zip(&columns).zip(&dicts) {
+            if column.len() != drift.len() {
+                let reason = format!("{} codes for {} rows", column.len(), drift.len());
+                return Err(corrupt(key, reason));
+            }
+            let len = dict.values.len();
+            if let Some(code) = column.iter().find(|&&c| c as usize >= len) {
+                let reason = format!("code {code} outside its {len}-value dictionary");
+                return Err(corrupt(key, reason));
+            }
+        }
+        dicts.iter_mut().for_each(Dict::rebuild_index);
+        let mut log = DriftLog {
+            schema,
+            columns,
+            dicts,
+            drift,
+            timestamps,
+            segments: Vec::new(),
+            segment_rows: 0,
+        };
+        log.rebuild_index();
         Ok(log)
     }
 
@@ -508,26 +616,24 @@ impl DriftLog {
     }
 
     fn rebuild_index(&mut self) {
-        self.segments.clear();
         let rows = self.num_rows();
         let step = self.segment_rows();
-        let mut start = 0;
-        while start < rows {
-            let n = step.min(rows - start);
-            self.segments.push(self.build_segment(start, n));
-            start += n;
-        }
+        let mut counts = self.code_counts();
+        self.segments = (0..rows)
+            .step_by(step)
+            .map(|start| self.build_segment(start..rows.min(start + step), &mut counts))
+            .collect();
         SEGMENTS.set(self.segments.len() as f64);
     }
 
-    /// Builds one segment over global rows `start..start + n` from the
-    /// columnar store.
-    fn build_segment(&self, start: usize, n: usize) -> Segment {
-        let mut seg = Segment::new(start, self.schema.len());
-        for row in start..start + n {
-            seg.push_row(&self.columns, row, self.drift[row], self.timestamps[row]);
-        }
-        seg
+    /// [`Segment::build`]'s scratch, sized by this log's dictionaries.
+    fn code_counts(&self) -> Vec<Vec<u32>> {
+        code_counts(self.dicts.iter().map(|d| d.values.len()))
+    }
+
+    /// Builds one segment over global rows `rows` from the columnar store.
+    fn build_segment(&self, rows: Range<usize>, counts: &mut [Vec<u32>]) -> Segment {
+        Segment::build(rows, &self.columns, &self.drift, &self.timestamps, counts)
     }
 
     /// Incremental tail maintenance: indexes the row just appended to the
@@ -874,7 +980,7 @@ impl DriftLog {
             } else {
                 // The one boundary segment that straddles the cut: rebuild
                 // its postings/bitmap over the retained prefix rows.
-                segments.push(self.build_segment(0, end - drop));
+                segments.push(self.build_segment(0..end - drop, &mut self.code_counts()));
             }
         }
         self.segments = segments;
@@ -1337,6 +1443,62 @@ mod tests {
     }
 
     #[test]
+    fn with_dict_values_indexes_coded_rows_and_checks_them() {
+        // The paper log, handed over by its codes, is the log `push` built.
+        let log = sample_log();
+        let schema = log.schema().to_vec();
+        let parts = |log: &DriftLog| {
+            let dicts = (0..3).map(|ci| log.dict_values(ci).to_vec()).collect();
+            let columns = (0..3).map(|ci| log.column_codes(ci).to_vec()).collect();
+            (dicts, columns)
+        };
+        let (dicts, columns) = parts(&log);
+        let back = DriftLog::with_dict_values(
+            &schema,
+            dicts,
+            columns,
+            log.drift_mask(),
+            log.timestamps().to_vec(),
+        )
+        .unwrap();
+        assert_eq!(back, log);
+        assert_eq!(back.num_drifted(), 3);
+        let snow = [Attribute::new("weather", "snow")];
+        assert_eq!(back.rows_matching(&snow).unwrap(), vec![3, 4]);
+
+        // A code outside its dictionary, a short column, short timestamps,
+        // a missing column: typed errors.
+        let mut bad = Vec::new();
+        let (dicts, mut columns) = parts(&log);
+        columns[2][4] = 2;
+        bad.push((dicts, columns, log.timestamps().to_vec()));
+        let (dicts, mut columns) = parts(&log);
+        columns[1].pop();
+        bad.push((dicts, columns, log.timestamps().to_vec()));
+        let (dicts, columns) = parts(&log);
+        bad.push((dicts, columns, log.timestamps()[1..].to_vec()));
+        for (dicts, columns, ts) in bad {
+            let err = DriftLog::with_dict_values(&schema, dicts, columns, log.drift_mask(), ts);
+            assert!(
+                matches!(err, Err(LogError::CorruptColumn { .. })),
+                "{err:?}"
+            );
+        }
+        let (dicts, mut columns) = parts(&log);
+        columns.pop();
+        assert!(matches!(
+            DriftLog::with_dict_values(
+                &schema,
+                dicts,
+                columns,
+                log.drift_mask(),
+                log.timestamps().to_vec()
+            ),
+            Err(LogError::SchemaMismatch { .. })
+        ));
+    }
+
+    #[test]
     fn queries_cross_segment_boundaries() {
         // 10 rows at 3 rows/segment: segments of 3, 3, 3, 1.
         let mut log = DriftLog::new(&["k", "j"]).with_segment_rows(3);
@@ -1406,7 +1568,96 @@ mod tests {
         assert_eq!(log.num_drifted(), 2);
     }
 
+    /// The oracle for [`Segment::build`]: the segment `push_row` builds one
+    /// row at a time.
+    fn pushed(rows: Range<usize>, columns: &[Vec<u32>], drift: &[bool], ts: &[u64]) -> Segment {
+        let mut seg = Segment::new(rows.start, columns.len());
+        for row in rows {
+            seg.push_row(columns, row, drift[row], ts[row]);
+        }
+        seg
+    }
+
+    /// Builds `rows` twice through one scratch (the second build sees only
+    /// what the first left behind) and checks both against the oracle.
+    fn assert_build_equals_push(
+        rows: Range<usize>,
+        columns: &[Vec<u32>],
+        drift: &[bool],
+        ts: &[u64],
+        dict_len: usize,
+    ) {
+        let mut counts = code_counts(vec![dict_len; columns.len()]);
+        let oracle = pushed(rows.clone(), columns, drift, ts);
+        for _ in 0..2 {
+            let built = Segment::build(rows.clone(), columns, drift, ts, &mut counts);
+            assert_eq!(built, oracle, "rows {rows:?}");
+            assert!(
+                counts.iter().flatten().all(|&c| c == 0),
+                "scratch not reset"
+            );
+        }
+    }
+
+    #[test]
+    fn segment_build_equals_push_row_loop_on_edge_cases() {
+        let n = 300;
+        let ts: Vec<u64> = (0..n as u64).map(|i| 1_000 + (i * 7919) % 613).collect();
+        let drift_at =
+            |rows: &[usize]| -> Vec<bool> { (0..n).map(|r| rows.contains(&r)).collect() };
+        let some_drift = drift_at(&[0, 5, 64, 65, 199, 250]);
+        let mixed: Vec<Vec<u32>> = vec![
+            (0..n as u32).map(|r| r % 7).collect(),
+            (0..n as u32).map(|r| (r * r) % 11).collect(),
+        ];
+        // No rows, at 0 and mid-column.
+        assert_build_equals_push(0..0, &mixed, &some_drift, &ts, 11);
+        assert_build_equals_push(120..120, &mixed, &some_drift, &ts, 11);
+        // One code only.
+        let single = vec![vec![3; n], vec![0; n]];
+        assert_build_equals_push(0..n, &single, &some_drift, &ts, 4);
+        // Sparse codes in a large dictionary.
+        let sparse = vec![(0..n as u32)
+            .map(|r| [0, 97, 4_999, 1_000][r as usize % 4])
+            .collect()];
+        assert_build_equals_push(0..n, &sparse, &some_drift, &ts, 5_000);
+        // No drifted rows: an empty bitmap.
+        assert_build_equals_push(0..n, &mixed, &vec![false; n], &ts, 11);
+        // Drift only in the last word: two leading zero words stay.
+        assert_build_equals_push(0..150, &mixed, &drift_at(&[140, 149]), &ts, 11);
+        // A row range that does not start at 0, and one that starts
+        // mid-word of the drift flags.
+        assert_build_equals_push(64..256, &mixed, &some_drift, &ts, 11);
+        assert_build_equals_push(37..200, &mixed, &some_drift, &ts, 11);
+    }
+
     proptest::proptest! {
+        #[test]
+        fn segment_build_equals_push_row_loop(
+            seed in 0u64..u64::MAX,
+            n in 0usize..400,
+            dict in 1u32..60,
+            width in 1usize..4,
+            drift_per_mille in 0u64..=1000,
+            cut in (0usize..400, 0usize..400),
+        ) {
+            // A xorshift stream stands in for random columns.
+            let mut state = seed | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            let columns: Vec<Vec<u32>> = (0..width)
+                .map(|_| (0..n).map(|_| (next() % u64::from(dict)) as u32).collect())
+                .collect();
+            let drift: Vec<bool> = (0..n).map(|_| next() % 1000 < drift_per_mille).collect();
+            let ts: Vec<u64> = (0..n).map(|_| next() % 10_000).collect();
+            let (lo, hi) = (cut.0.min(cut.1).min(n), cut.0.max(cut.1).min(n));
+            assert_build_equals_push(lo..hi, &columns, &drift, &ts, dict as usize);
+        }
+
         #[test]
         fn counts_never_exceed_rows(drifts in proptest::collection::vec(proptest::bool::ANY, 1..60)) {
             let mut log = DriftLog::new(&["k"]);

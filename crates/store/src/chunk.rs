@@ -166,6 +166,8 @@ pub struct ChunkHeader {
     pub ts_min: u64,
     /// Maximum timestamp (0 when empty).
     pub ts_max: u64,
+    /// The CRC-32 footer, checked against the bytes above it.
+    pub crc32: u32,
 }
 
 const HEADER_LEN: usize = 4 + 2 + 2 + 4 + 4 + 8 + 8;
@@ -220,6 +222,7 @@ pub fn verify_chunk(key: &str, bytes: &[u8]) -> Result<ChunkHeader> {
         ts_max: u64::from_le_bytes([
             bytes[24], bytes[25], bytes[26], bytes[27], bytes[28], bytes[29], bytes[30], bytes[31],
         ]),
+        crc32: stored,
     })
 }
 

@@ -37,8 +37,12 @@ pub struct StoreConfig {
     /// omits the field deserializes to) means [`DEFAULT_CHUNK_ROWS`].
     #[serde(default)]
     pub chunk_rows: usize,
-    /// Decoded chunks kept in the in-memory LRU cache; `0` disables
-    /// caching (every probe re-reads and re-decodes its chunks).
+    /// Decoded chunks kept in the in-memory cache; `0` disables caching
+    /// (every probe re-reads and re-decodes its chunks). A hit moves its
+    /// chunk to the most-recently-used end; a miss enters at the
+    /// least-recently-used end, so a query scanning more chunks than this
+    /// keeps all but one slot for the next query instead of flushing
+    /// them.
     #[serde(default)]
     pub cache_chunks: usize,
     /// Codec for dict-code columns.

@@ -160,7 +160,14 @@ impl RecoveryReport {
     }
 }
 
-/// Decoded-chunk LRU cache (keyed by chunk storage key).
+/// Decoded-chunk cache (keyed by chunk storage key), ordered from the
+/// least recently used entry at the front to the most recent at the back.
+///
+/// A hit moves its entry to the back. A miss enters at the *front*,
+/// evicting whatever was there, so a scan wider than the cache churns one
+/// slot and keeps the other `cap - 1`: every query of an in-order mix
+/// over `cap + k` chunks finds `cap - 1` of them cached, where an LRU
+/// would have evicted each chunk before its next read.
 #[derive(Debug, Default)]
 struct ChunkCache {
     entries: VecDeque<(String, Arc<ColumnarBlock>)>,
@@ -180,15 +187,27 @@ impl ChunkCache {
             return;
         }
         self.entries.retain(|(k, _)| k != key);
-        self.entries.push_back((key.to_string(), block));
-        while self.entries.len() > cap {
+        if self.entries.len() >= cap {
             self.entries.pop_front();
         }
+        self.entries.push_front((key.to_string(), block));
     }
 
     fn evict(&mut self, key: &str) {
         self.entries.retain(|(k, _)| k != key);
     }
+}
+
+/// A tail log over the dictionaries `dicts`, holding no rows yet.
+fn empty_tail(schema: &[String], dicts: Vec<Vec<String>>) -> Result<DriftLog> {
+    let columns = vec![Vec::new(); schema.len()];
+    Ok(DriftLog::with_dict_values(
+        schema,
+        dicts,
+        columns,
+        Vec::new(),
+        Vec::new(),
+    )?)
 }
 
 /// The persistent chunked drift log. See the crate docs for the layout.
@@ -236,10 +255,7 @@ impl DriftStore {
         let mut store = match manifest {
             None => DriftStore {
                 storage,
-                tail: DriftLog::with_dict_values(
-                    &schema_strings,
-                    vec![Vec::new(); schema_strings.len()],
-                )?,
+                tail: empty_tail(&schema_strings, vec![Vec::new(); schema_strings.len()])?,
                 chunks: Vec::new(),
                 next_chunk_id: 0,
                 tail_start: 0,
@@ -333,27 +349,39 @@ impl DriftStore {
                 .collect()
         };
 
-        let mut tail = DriftLog::with_dict_values(&schema, dicts)?;
+        // An undersized last chunk is the partial tail chunk: its rows
+        // load back into the tail, by their codes, so the next flush can
+        // replace it with a fuller one. (After retention resizes chunks
+        // this is heuristic — loading a full-size last chunk into the tail
+        // would be equally correct, just pointless memory.)
+        let total_rows: usize = survivors.iter().map(|m| m.rows as usize).sum();
+        let partial = match (survivors.last(), &last_bytes) {
+            (Some(meta), Some(bytes)) if (meta.rows as usize) < config.chunk_rows_clamped() => {
+                Some((meta, decode_chunk(&meta.key, bytes)?))
+            }
+            _ => None,
+        };
+        let (tail, tail_start, tail_sealed) = match partial {
+            Some((meta, data)) => {
+                let rows = data.rows();
+                let tail = DriftLog::with_dict_values(
+                    &schema,
+                    dicts,
+                    data.columns,
+                    data.drift,
+                    data.timestamps,
+                )
+                .map_err(|e| StoreError::Corrupt {
+                    key: meta.key.clone(),
+                    reason: e.to_string(),
+                })?;
+                (tail, meta.start_row as usize, rows)
+            }
+            None => (empty_tail(&schema, dicts)?, total_rows, 0),
+        };
         let manifest_dict_lens = (0..schema.len())
             .map(|ci| tail.dict_values(ci).len())
             .collect();
-
-        // An undersized last chunk is the partial tail chunk: its rows
-        // load back into the tail so the next flush can replace it with a
-        // fuller one. (After retention resizes chunks this is heuristic —
-        // loading a full-size last chunk into the tail would be equally
-        // correct, just pointless memory.)
-        let total_rows: usize = survivors.iter().map(|m| m.rows as usize).sum();
-        let mut tail_start = total_rows;
-        let mut tail_sealed = 0usize;
-        if let (Some(meta), Some(bytes)) = (survivors.last(), &last_bytes) {
-            if (meta.rows as usize) < config.chunk_rows_clamped() {
-                let data = decode_chunk(&meta.key, bytes)?;
-                tail_start = meta.start_row as usize;
-                tail_sealed = data.rows();
-                Self::load_rows_into_tail(&mut tail, &data, &meta.key)?;
-            }
-        }
 
         Ok(DriftStore {
             storage,
@@ -387,38 +415,14 @@ impl DriftStore {
         // so this also pins the chunk's column count to the schema —
         // without it a checksum-valid chunk of the wrong width would panic
         // downstream code that indexes columns by schema position.
+        // `verify_chunk` has checked the footer CRC against the bytes, so
+        // comparing the footer with the manifest's CRC covers the bytes.
         let matches = header.columns == meta.dict_lens.len()
             && header.rows as u64 == meta.rows
             && header.drifted as u64 == meta.drifted
             && (header.rows == 0 || (header.ts_min, header.ts_max) == (meta.ts_min, meta.ts_max))
-            && crc32(&bytes[..bytes.len() - 4]) == meta.crc32;
+            && header.crc32 == meta.crc32;
         Ok(matches.then_some(bytes))
-    }
-
-    /// Replays decoded chunk rows into the tail log. Codes must index the
-    /// tail's (already loaded) dictionaries.
-    fn load_rows_into_tail(tail: &mut DriftLog, data: &ChunkData, key: &str) -> Result<()> {
-        let schema: Vec<String> = tail.schema().to_vec();
-        for row in 0..data.rows() {
-            let mut attrs = Vec::with_capacity(schema.len());
-            for (ci, name) in schema.iter().enumerate() {
-                let code = data.columns[ci][row] as usize;
-                let value = tail
-                    .dict_values(ci)
-                    .get(code)
-                    .ok_or_else(|| StoreError::Corrupt {
-                        key: key.to_string(),
-                        reason: format!("column {ci} code {code} outside dictionary"),
-                    })?;
-                attrs.push(Attribute::new(name.clone(), value.clone()));
-            }
-            tail.push(DriftLogEntry {
-                timestamp: data.timestamps[row],
-                attrs,
-                drift: data.drift[row],
-            })?;
-        }
-        Ok(())
     }
 
     /// Deletes backend keys no live chunk (nor the manifest) references —
@@ -785,7 +789,8 @@ impl DriftStore {
         self.cache.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Fetches and decodes a chunk's raw columnar data (uncached).
+    /// Fetches and decodes a chunk's raw columnar data (uncached), every
+    /// code checked against the chunk's dictionary high-water marks.
     fn read_chunk_data(&self, meta: &ChunkMeta) -> Result<ChunkData> {
         let bytes = self
             .storage
@@ -811,10 +816,22 @@ impl DriftStore {
                 ),
             });
         }
+        // Every code a chunk's rows use lies below its `dict_lens` (the
+        // dictionaries after those rows), which the block's index build
+        // sizes its scratch by. Manifest validation pins `dict_lens` to
+        // the schema width.
+        for ((ci, column), &len) in data.columns.iter().enumerate().zip(&meta.dict_lens) {
+            if let Some(code) = column.iter().find(|&&c| u64::from(c) >= len) {
+                return Err(StoreError::Corrupt {
+                    key: meta.key.clone(),
+                    reason: format!("column {ci} code {code} at or past its dict_lens {len}"),
+                });
+            }
+        }
         Ok(data)
     }
 
-    /// Fetches a chunk as a probe-ready block, through the LRU cache.
+    /// Fetches a chunk as a probe-ready block, through the chunk cache.
     fn load_block(&self, meta: &ChunkMeta) -> Result<Arc<ColumnarBlock>> {
         if self.config.cache_chunks > 0 {
             if let Some(block) = self.lock_cache().get(&meta.key) {
@@ -828,6 +845,7 @@ impl DriftStore {
             data.columns,
             &data.drift,
             &data.timestamps,
+            meta.dict_lens.iter().map(|&len| len as usize),
         ));
         self.lock_cache()
             .put(self.config.cache_chunks, &meta.key, block.clone());
@@ -1034,5 +1052,63 @@ impl DriftStore {
             attrs,
             drift: block.drift_flag(local_row),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One pass of an in-order scan over `keys` through `cache`, as
+    /// `load_block` drives it; returns the hits.
+    fn scan(cache: &mut ChunkCache, cap: usize, keys: &[String]) -> usize {
+        let mut hits = 0;
+        for key in keys {
+            if cache.get(key).is_some() {
+                hits += 1;
+            } else {
+                let block = ColumnarBlock::build(Vec::new(), &[], &[], []);
+                cache.put(cap, key, Arc::new(block));
+            }
+        }
+        hits
+    }
+
+    #[test]
+    fn an_in_order_scan_wider_than_the_cache_keeps_all_but_one_slot() {
+        for cap in [1, 2, 8] {
+            let keys: Vec<String> = (0..cap + 5).map(|i| format!("chunk-{i}")).collect();
+            let mut cache = ChunkCache::default();
+            assert_eq!(scan(&mut cache, cap, &keys), 0);
+            for pass in 1..4 {
+                assert_eq!(
+                    scan(&mut cache, cap, &keys),
+                    cap - 1,
+                    "cap {cap} pass {pass}"
+                );
+                assert_eq!(cache.entries.len(), cap);
+            }
+        }
+    }
+
+    #[test]
+    fn a_hot_entry_survives_a_scan() {
+        let cap = 4;
+        let keys: Vec<String> = (0..20).map(|i| format!("chunk-{i}")).collect();
+        let hot = "hot".to_string();
+        let mut cache = ChunkCache::default();
+        scan(&mut cache, cap, std::slice::from_ref(&hot));
+        for key in &keys {
+            scan(&mut cache, cap, std::slice::from_ref(key));
+            assert_eq!(
+                scan(&mut cache, cap, std::slice::from_ref(&hot)),
+                1,
+                "after {key}"
+            );
+        }
+        // A disabled cache keeps nothing.
+        let mut off = ChunkCache::default();
+        assert_eq!(scan(&mut off, 0, &keys[..3]), 0);
+        assert_eq!(scan(&mut off, 0, &keys[..3]), 0);
     }
 }
