@@ -1,4 +1,4 @@
-//! Criterion microbenchmarks for the performance-sensitive paths.
+//! Microbenchmarks for the performance-sensitive paths.
 //!
 //! These back the paper's systems claims quantitatively:
 //!
@@ -13,8 +13,12 @@
 //!   rows also join `BENCH_fleet.json`, beside the runs they explain);
 //! * plus substrate benchmarks (matmul, inference, log ingest, FIM,
 //!   version selection).
+//!
+//! Every row is timed by [`nazar_bench::median_ns`] and written to
+//! `BENCH_tensor.json` by [`nazar_bench::merge_bench_json`].
+//! `NAZAR_BENCH_FILTER` runs only the ids that contain it, and such a run
+//! replaces only the rows it measured.
 
-use criterion::{criterion_group, BenchmarkId, Criterion};
 use nazar_analysis::{analyze, mine, FimConfig};
 use nazar_cloud::timing::synthetic_drift_log;
 use nazar_data::{ClassSpace, Corruption, SimDate};
@@ -27,7 +31,40 @@ use nazar_registry::{ModelPool, VersionMeta};
 use nazar_tensor::{kernels, SimdTier, Tape, TapePool, Tensor, Workspace};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::hint::black_box;
+
+/// Samples per row, unless a group below sets fewer.
+const SAMPLES: usize = 20;
+
+/// The rows one run measures, in the order it measures them.
+struct Suite {
+    /// `NAZAR_BENCH_FILTER`: only ids that contain it run.
+    filter: String,
+    /// `(id, report row)`.
+    rows: Vec<(String, serde::Value)>,
+}
+
+impl Suite {
+    /// Times `routine` under `id`, unless the filter skips it.
+    fn bench<O>(&mut self, id: &str, samples: usize, routine: impl FnMut() -> O) {
+        if !id.contains(self.filter.as_str()) {
+            return;
+        }
+        let ns = nazar_bench::median_ns(samples, routine);
+        println!("bench {id:<48} median {ns:>12.1} ns/iter");
+        let fields = [("median_ns", ns), ("samples", samples as f64)];
+        self.rows
+            .push((id.to_string(), nazar_bench::bench_row(id, &fields)));
+    }
+
+    /// The measured rows whose id `keep` accepts, as report rows.
+    fn report_rows(&self, keep: impl Fn(&str) -> bool) -> Vec<serde::Value> {
+        self.rows
+            .iter()
+            .filter(|(id, _)| keep(id))
+            .map(|(_, row)| row.clone())
+            .collect()
+    }
+}
 
 fn trained_world() -> (MlpResNet, Tensor) {
     let mut rng = SmallRng::seed_from_u64(0);
@@ -62,21 +99,20 @@ fn naive_matmul(a: &Tensor, b: &Tensor) -> Vec<f32> {
     out
 }
 
-fn bench_tensor_ops(c: &mut Criterion) {
+fn bench_tensor_ops(suite: &mut Suite) {
     let mut rng = SmallRng::seed_from_u64(1);
     let a128 = Tensor::randn(&mut rng, &[128, 128], 0.0, 1.0);
     let b128 = Tensor::randn(&mut rng, &[128, 128], 0.0, 1.0);
     let a256 = Tensor::randn(&mut rng, &[256, 256], 0.0, 1.0);
     let b256 = Tensor::randn(&mut rng, &[256, 256], 0.0, 1.0);
-    let mut group = c.benchmark_group("tensor_ops");
-    group.bench_function("matmul_128", |bencher| {
-        bencher.iter(|| black_box(a128.matmul(&b128).expect("shapes match")))
+    suite.bench("tensor_ops/matmul_128", SAMPLES, || {
+        a128.matmul(&b128).expect("shapes match")
     });
-    group.bench_function("matmul_256", |bencher| {
-        bencher.iter(|| black_box(a256.matmul(&b256).expect("shapes match")))
+    suite.bench("tensor_ops/matmul_256", SAMPLES, || {
+        a256.matmul(&b256).expect("shapes match")
     });
-    group.bench_function("matmul_256_naive_baseline", |bencher| {
-        bencher.iter(|| black_box(naive_matmul(&a256, &b256)))
+    suite.bench("tensor_ops/matmul_256_naive_baseline", SAMPLES, || {
+        naive_matmul(&a256, &b256)
     });
     // Explicit SIMD tiers on the 256³ shape (the default env tier is
     // `exact`, so `matmul_256` above already runs the AVX-512 path when
@@ -88,21 +124,19 @@ fn bench_tensor_ops(c: &mut Criterion) {
         ("matmul_256_simd_exact", SimdTier::Exact),
         ("matmul_256_simd_fast", SimdTier::Fast),
     ] {
-        group.bench_function(name, |bencher| {
-            bencher.iter(|| {
-                kernels::matmul_into_tier(
-                    a256.data(),
-                    b256.data(),
-                    256,
-                    256,
-                    256,
-                    &mut out256,
-                    &mut ws,
-                    1,
-                    tier,
-                );
-                black_box(out256[0])
-            })
+        suite.bench(&format!("tensor_ops/{name}"), SAMPLES, || {
+            kernels::matmul_into_tier(
+                a256.data(),
+                b256.data(),
+                256,
+                256,
+                256,
+                &mut out256,
+                &mut ws,
+                1,
+                tier,
+            );
+            out256[0]
         });
     }
     // One `Linear` of the `vision_loop` model at TENT's batch size: the
@@ -113,94 +147,81 @@ fn bench_tensor_ops(c: &mut Criterion) {
     let w = Tensor::randn(&mut rng, &[k, m], 0.0, 1.0);
     let g = Tensor::randn(&mut rng, &[n, m], 0.0, 1.0);
     let mut out = vec![0.0f32; n * m];
-    group.bench_function("matmul_64x96x96", |bencher| {
-        bencher.iter(|| {
-            kernels::matmul_into(x.data(), w.data(), n, k, m, &mut out, &mut ws);
-            black_box(out[0])
-        })
+    suite.bench("tensor_ops/matmul_64x96x96", SAMPLES, || {
+        kernels::matmul_into(x.data(), w.data(), n, k, m, &mut out, &mut ws);
+        out[0]
     });
     let mut dx = vec![0.0f32; n * k];
-    group.bench_function("matmul_a_bt_64x96x96", |bencher| {
-        bencher.iter(|| {
-            kernels::matmul_a_bt_into(g.data(), w.data(), n, m, k, &mut dx, &mut ws);
-            black_box(dx[0])
-        })
+    suite.bench("tensor_ops/matmul_a_bt_64x96x96", SAMPLES, || {
+        kernels::matmul_a_bt_into(g.data(), w.data(), n, m, k, &mut dx, &mut ws);
+        dx[0]
     });
     let mut dw = vec![0.0f32; k * m];
-    group.bench_function("matmul_at_b_64x96x96", |bencher| {
-        bencher.iter(|| {
-            kernels::matmul_at_b_into(x.data(), g.data(), n, k, m, &mut dw);
-            black_box(dw[0])
-        })
+    suite.bench("tensor_ops/matmul_at_b_64x96x96", SAMPLES, || {
+        kernels::matmul_at_b_into(x.data(), g.data(), n, k, m, &mut dw);
+        dw[0]
     });
-    group.bench_function("softmax_rows_128", |bencher| {
-        bencher.iter(|| black_box(a128.softmax_rows().expect("matrix")))
+    suite.bench("tensor_ops/softmax_rows_128", SAMPLES, || {
+        a128.softmax_rows().expect("matrix")
     });
-    group.finish();
 }
 
-fn bench_inference(c: &mut Criterion) {
+fn bench_inference(suite: &mut Suite) {
     let (mut model, x) = trained_world();
-    let mut group = c.benchmark_group("inference_latency");
-    group.bench_function("forward_resnet50_analog_b160", |bencher| {
-        bencher.iter(|| black_box(model.logits(&x, Mode::Eval)))
-    });
+    suite.bench(
+        "inference_latency/forward_resnet50_analog_b160",
+        SAMPLES,
+        || model.logits(&x, Mode::Eval),
+    );
     let row = x.select_rows(&[0]).expect("row");
-    group.bench_function("forward_resnet50_analog_b1", |bencher| {
-        bencher.iter(|| black_box(model.logits(&row, Mode::Eval)))
-    });
-    group.finish();
+    suite.bench(
+        "inference_latency/forward_resnet50_analog_b1",
+        SAMPLES,
+        || model.logits(&row, Mode::Eval),
+    );
 }
 
-fn bench_detectors(c: &mut Criterion) {
+fn bench_detectors(suite: &mut Suite) {
     let (mut model, x) = trained_world();
-    let mut group = c.benchmark_group("detector_overhead");
     let mut msp = MspThreshold::default();
-    group.bench_function("msp_threshold", |b| {
-        b.iter(|| black_box(msp.scores(&mut model, &x)))
+    suite.bench("detector_overhead/msp_threshold", SAMPLES, || {
+        msp.scores(&mut model, &x)
     });
     let mut entropy = EntropyThreshold::default();
-    group.bench_function("entropy", |b| {
-        b.iter(|| black_box(entropy.scores(&mut model, &x)))
+    suite.bench("detector_overhead/entropy", SAMPLES, || {
+        entropy.scores(&mut model, &x)
     });
     let mut energy = EnergyScore::default();
-    group.bench_function("energy", |b| {
-        b.iter(|| black_box(energy.scores(&mut model, &x)))
+    suite.bench("detector_overhead/energy", SAMPLES, || {
+        energy.scores(&mut model, &x)
     });
     let mut odin = Odin::default();
-    group.bench_function("odin_backprop", |b| {
-        b.iter(|| black_box(odin.scores(&mut model, &x)))
+    suite.bench("detector_overhead/odin_backprop", SAMPLES, || {
+        odin.scores(&mut model, &x)
     });
-    group.finish();
 }
 
-fn bench_drift_log(c: &mut Criterion) {
-    c.bench_function("log/ingest_10k", |b| {
-        b.iter(|| {
-            let mut log = DriftLog::new(&["weather", "location", "device_id"]);
-            for i in 0..10_000u64 {
-                log.push(DriftLogEntry::new(
-                    i,
-                    &[
-                        ("weather", if i % 4 == 0 { "snow" } else { "clear-day" }),
-                        ("location", "quebec"),
-                        ("device_id", "d1"),
-                    ],
-                    i % 5 == 0,
-                ))
-                .expect("schema");
-            }
-            black_box(log.num_rows())
-        })
+fn bench_drift_log(suite: &mut Suite) {
+    suite.bench("log/ingest_10k", SAMPLES, || {
+        let mut log = DriftLog::new(&["weather", "location", "device_id"]);
+        for i in 0..10_000u64 {
+            log.push(DriftLogEntry::new(
+                i,
+                &[
+                    ("weather", if i % 4 == 0 { "snow" } else { "clear-day" }),
+                    ("location", "quebec"),
+                    ("device_id", "d1"),
+                ],
+                i % 5 == 0,
+            ))
+            .expect("schema");
+        }
+        log.num_rows()
     });
     let log = synthetic_drift_log(50_000, 3);
-    c.bench_function("log/count_matching_50k", |b| {
-        b.iter(|| {
-            black_box(
-                log.count_matching(&[Attribute::new("weather", "snow")], None)
-                    .expect("schema"),
-            )
-        })
+    suite.bench("log/count_matching_50k", SAMPLES, || {
+        log.count_matching(&[Attribute::new("weather", "snow")], None)
+            .expect("schema")
     });
 }
 
@@ -225,23 +246,20 @@ fn fleet_row(ts: u64, device: usize) -> DriftLogEntry {
 /// One window's ingest as the orchestrator runs it: a fresh log (the
 /// per-window analysis log starts empty, so most rows intern a device id)
 /// over rows borrowed from the delivery.
-fn bench_batch_ingest(c: &mut Criterion) {
+fn bench_batch_ingest(suite: &mut Suite) {
     let entries: Vec<DriftLogEntry> = (0..30_000u64)
         .map(|i| fleet_row(i, i as usize * 2_800 / 30_000))
         .collect();
-    c.bench_function("log/ingest_batch_30k", |b| {
-        b.iter(|| {
-            let mut log = DriftLog::new(&LOG_SCHEMA);
-            black_box(log.ingest_batch_with_threads(&entries, 1))
-        })
+    suite.bench("log/ingest_batch_30k", SAMPLES, || {
+        let mut log = DriftLog::new(&LOG_SCHEMA);
+        log.ingest_batch_with_threads(&entries, 1)
     });
 }
 
 /// Upload-frame encode and decode at the two shapes the benchmark's
 /// workloads send: a fleet device's window (2 rows, no sample) and an
 /// Animals device's (28 rows, 8 sampled 64-d inputs).
-fn bench_wire(c: &mut Criterion) {
-    let mut group = c.benchmark_group("wire");
+fn bench_wire(suite: &mut Suite) {
     for (shape, rows, n_samples) in [("fleet", 2u64, 0usize), ("animals", 28, 8)] {
         let entries: Vec<DriftLogEntry> = (0..rows).map(|t| fleet_row(86_400 + t, 17)).collect();
         let device_id = entries[0]
@@ -257,37 +275,34 @@ fn bench_wire(c: &mut Criterion) {
                 true_cause: (s % 2 == 1).then_some(Corruption::ALL[s % Corruption::ALL.len()]),
             })
             .collect();
-        group.bench_function(format!("upload_frame_encode_{shape}"), |b| {
-            b.iter(|| black_box(wire::encode_upload_batch(&device_id, 3, &entries, &samples)))
-        });
+        suite.bench(
+            &format!("wire/upload_frame_encode_{shape}"),
+            SAMPLES,
+            || wire::encode_upload_batch(&device_id, 3, &entries, &samples),
+        );
         let frame = wire::encode_upload_batch(&device_id, 3, &entries, &samples);
-        group.bench_function(format!("upload_frame_decode_{shape}"), |b| {
-            b.iter(|| black_box(wire::decode_frame(&frame).expect("valid frame")))
-        });
+        suite.bench(
+            &format!("wire/upload_frame_decode_{shape}"),
+            SAMPLES,
+            || wire::decode_frame(&frame).expect("valid frame"),
+        );
     }
-    group.finish();
 }
 
-fn bench_analysis(c: &mut Criterion) {
-    let mut group = c.benchmark_group("analysis_scaling");
-    group.sample_size(10);
+fn bench_analysis(suite: &mut Suite) {
     for rows in [10_000usize, 40_000, 160_000] {
         let log = synthetic_drift_log(rows, 7);
-        group.bench_with_input(BenchmarkId::from_parameter(rows), &log, |b, log| {
-            b.iter(|| black_box(analyze(log, &FimConfig::default())))
+        suite.bench(&format!("analysis_scaling/{rows}"), 10, || {
+            analyze(&log, &FimConfig::default())
         });
     }
-    group.finish();
 }
 
-fn bench_fim_algorithms(c: &mut Criterion) {
+fn bench_fim_algorithms(suite: &mut Suite) {
     // Apriori (the paper's SQL implementation) on the synthetic fleet log.
     let log = synthetic_drift_log(50_000, 9);
     let config = FimConfig::default();
-    let mut group = c.benchmark_group("fim_algorithms");
-    group.sample_size(10);
-    group.bench_function("apriori_50k", |b| b.iter(|| black_box(mine(&log, &config))));
-    group.finish();
+    suite.bench("fim_algorithms/apriori_50k", 10, || mine(&log, &config));
 }
 
 /// One entropy-minimisation step on `x`: Adapt-mode forward, backward,
@@ -304,7 +319,7 @@ fn tent_step(model: &mut MlpResNet, opt: &mut Adam, x: &Tensor, pool: &TapePool)
     model.zero_grads();
 }
 
-fn bench_adaptation(c: &mut Criterion) {
+fn bench_adaptation(suite: &mut Suite) {
     // The two step rows time the same step on the same model and the same
     // batch, from a fresh clone each iteration so the weights never drift;
     // the clone (~0.6 MB) is in both. Only the freeze differs.
@@ -314,29 +329,24 @@ fn bench_adaptation(c: &mut Criterion) {
     let mut bn_only = all_params.clone();
     bn_only.set_all_trainable(false);
     bn_only.set_bn_affine_trainable(true);
-    let mut group = c.benchmark_group("adaptation_step");
-    group.sample_size(10);
     // Ablation: `tent_all_params` is full-parameter entropy minimization
     // (what Nazar avoids — every adaptation would ship the whole model).
     for (name, model) in [("tent_bn_only", &bn_only), ("tent_all_params", &all_params)] {
         let mut opt = Adam::new(1e-2);
         let pool = TapePool::new();
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let mut m = model.clone();
-                tent_step(&mut m, &mut opt, &x, &pool);
-                black_box(m)
-            })
+        suite.bench(&format!("adaptation_step/{name}"), 10, || {
+            let mut m = model.clone();
+            tent_step(&mut m, &mut opt, &x, &pool);
+            m
         });
     }
     let mut model = all_params;
-    group.bench_function("eval_forward", |b| {
-        b.iter(|| black_box(model.logits(&x, Mode::Eval)))
+    suite.bench("adaptation_step/eval_forward", 10, || {
+        model.logits(&x, Mode::Eval)
     });
-    group.finish();
 }
 
-fn bench_registry(c: &mut Criterion) {
+fn bench_registry(suite: &mut Suite) {
     let mut pool: ModelPool<u32> = ModelPool::new(None);
     for i in 0..64 {
         pool.deploy(
@@ -355,52 +365,47 @@ fn bench_registry(c: &mut Criterion) {
         Attribute::new("location", "loc5"),
         Attribute::new("device_id", "d9"),
     ];
-    c.bench_function("registry/select_from_64_versions", |b| {
-        b.iter(|| black_box(pool.select(&input)))
+    suite.bench("registry/select_from_64_versions", SAMPLES, || {
+        pool.select(&input)
     });
 }
 
-criterion_group!(
-    benches,
-    bench_tensor_ops,
-    bench_inference,
-    bench_detectors,
-    bench_drift_log,
-    bench_batch_ingest,
-    bench_wire,
-    bench_analysis,
-    bench_fim_algorithms,
-    bench_adaptation,
-    bench_registry
-);
-/// Runs every group and writes `BENCH_tensor.json` under a header naming
-/// what shaped the numbers: commit, host, thread width and SIMD tier.
+/// Runs every bench the filter keeps, then merges the rows into
+/// `BENCH_tensor.json` under a header naming what shaped the numbers:
+/// commit, host, thread width and SIMD tier.
 fn main() {
-    let mut criterion = Criterion::default();
-    for (key, value) in nazar_bench::report::run_header() {
-        criterion.header(key, value);
-    }
-    benches(&mut criterion);
-    criterion.finalize();
+    let mut suite = Suite {
+        filter: std::env::var("NAZAR_BENCH_FILTER").unwrap_or_default(),
+        rows: Vec::new(),
+    };
+    bench_tensor_ops(&mut suite);
+    bench_inference(&mut suite);
+    bench_detectors(&mut suite);
+    bench_drift_log(&mut suite);
+    bench_batch_ingest(&mut suite);
+    bench_wire(&mut suite);
+    bench_analysis(&mut suite);
+    bench_fim_algorithms(&mut suite);
+    bench_adaptation(&mut suite);
+    bench_registry(&mut suite);
 
-    // The transport rows explain the fleet runs, so a full recording (not
-    // one redirected to a scratch file) also files them in that report.
-    if std::env::var_os("NAZAR_BENCH_OUT").is_none() {
-        let fleet_report = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fleet.json");
-        for prefix in ["wire/", "log/ingest_batch"] {
-            let rows: Vec<_> = criterion
-                .results()
-                .iter()
-                .filter(|r| r.id.starts_with(prefix))
-                .map(|r| {
-                    let fields = [("median_ns", r.median_ns), ("samples", r.samples as f64)];
-                    nazar_bench::bench_row(&r.id, &fields)
-                })
-                .collect();
-            if !rows.is_empty() {
-                nazar_bench::merge_bench_json(fleet_report, prefix, rows)
-                    .expect("BENCH_fleet.json is writable");
-            }
-        }
-    }
+    // Every id that contains the filter was measured, so a stale row is
+    // one that contains it and was not.
+    let filter = suite.filter.as_str();
+    nazar_bench::merge_bench_json(
+        &nazar_bench::bench_out("BENCH_tensor.json"),
+        |id| id.contains(filter),
+        suite.report_rows(|_| true),
+    )
+    .expect("the tensor bench report is writable");
+
+    // The transport rows explain the fleet runs, so they also join that
+    // report (the same file when `NAZAR_BENCH_OUT` redirects the run).
+    let transport = |id: &str| id.starts_with("wire/") || id.starts_with("log/ingest_batch");
+    nazar_bench::merge_bench_json(
+        &nazar_bench::bench_out("BENCH_fleet.json"),
+        |id| transport(id) && id.contains(filter),
+        suite.report_rows(transport),
+    )
+    .expect("the fleet bench report is writable");
 }

@@ -213,12 +213,9 @@ fn main() {
         rss as f64 / (1024.0 * 1024.0)
     );
 
-    let out_path = std::env::var("NAZAR_BENCH_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fleet.json").to_string()
-    });
     nazar_bench::merge_bench_json(
-        &out_path,
-        "fleet_million/",
+        &nazar_bench::bench_out("BENCH_fleet.json"),
+        |id| id.starts_with("fleet_million/"),
         vec![
             nazar_bench::bench_row("fleet_million/devices", &[("value", devices as f64)]),
             nazar_bench::bench_row(
@@ -233,5 +230,4 @@ fn main() {
         ],
     )
     .expect("write bench JSON");
-    eprintln!("merged fleet_million rows into {out_path}");
 }

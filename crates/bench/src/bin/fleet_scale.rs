@@ -6,9 +6,10 @@
 //! query mix — the single/pair counting, counterfactual-masked counting,
 //! `distinct_values`, and `rows_matching` calls that FIM, set reduction,
 //! and counterfactual analysis issue per window. Each size reports the
-//! median wall time; results land in `BENCH_fleet.json` at the workspace
-//! root (override with `NAZAR_BENCH_OUT`), in the same `{"benches": [...]}`
-//! shape as `BENCH_tensor.json`.
+//! median wall time of one mix ([`nazar_bench::median_ns`]); results land
+//! in `BENCH_fleet.json` at the workspace root (override with
+//! `NAZAR_BENCH_OUT`), in the same `{"benches": [...]}` shape as
+//! `BENCH_tensor.json`.
 //!
 //! The log has one query path, so there is one row per size. The ids keep
 //! their historical `_1t` suffix so the committed history stays
@@ -19,7 +20,6 @@
 
 use nazar_cloud::timing::synthetic_drift_log;
 use nazar_log::{Attribute, DriftLog, MatchCounts};
-use std::time::Instant;
 
 /// Everything the query mix produces.
 struct MixResult {
@@ -63,30 +63,12 @@ fn query_mix(log: &DriftLog, mask: &[bool]) -> MixResult {
     }
 }
 
-/// Median wall time of `f` over `samples` runs, in nanoseconds.
-fn median_ns<F: FnMut()>(samples: usize, mut f: F) -> f64 {
-    let mut times: Vec<u128> = (0..samples)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_nanos()
-        })
-        .collect();
-    times.sort_unstable();
-    let mid = times.len() / 2;
-    if times.len().is_multiple_of(2) {
-        (times[mid - 1] + times[mid]) as f64 / 2.0
-    } else {
-        times[mid] as f64
-    }
-}
-
 fn main() {
     let _obs = nazar_bench::ObsRun::start("fleet_scale");
     let row_counts = [5_000usize, 50_000, 500_000];
     let samples = 15;
 
-    let mut benches: Vec<(String, f64)> = Vec::new();
+    let mut benches = Vec::new();
     for rows in row_counts {
         let log = synthetic_drift_log(rows, 7);
         // Counterfactual-style mask: the stored flags with the planted
@@ -99,10 +81,10 @@ fn main() {
             mask[r] = false;
         }
         let out = query_mix(&log, &mask);
-        let ns = median_ns(samples, || {
-            std::hint::black_box(query_mix(std::hint::black_box(&log), &mask));
-        });
-        benches.push((format!("fleet_scale/queries_{rows}r_1t"), ns));
+        let ns = nazar_bench::median_ns(samples, || query_mix(std::hint::black_box(&log), &mask));
+        let fields = [("median_ns", ns), ("samples", samples as f64)];
+        let id = format!("fleet_scale/queries_{rows}r_1t");
+        benches.push(nazar_bench::bench_row(&id, &fields));
         println!(
             "{rows:>7} rows ({} segments): mix {:8.3} ms | snow={} rain&loc-3={} \
              fog-masked={} distinct-devices={} snow&loc-7-rows={}",
@@ -116,19 +98,10 @@ fn main() {
         );
     }
 
-    let out_path = std::env::var("NAZAR_BENCH_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fleet.json").to_string()
-    });
     nazar_bench::merge_bench_json(
-        &out_path,
-        "fleet_scale/",
-        benches
-            .iter()
-            .map(|(id, ns)| {
-                nazar_bench::bench_row(id, &[("median_ns", *ns), ("samples", samples as f64)])
-            })
-            .collect(),
+        &nazar_bench::bench_out("BENCH_fleet.json"),
+        |id| id.starts_with("fleet_scale/"),
+        benches,
     )
     .expect("write bench JSON");
-    println!("merged fleet_scale rows into {out_path}");
 }

@@ -103,24 +103,6 @@ fn mix_out_of_core(store: &DriftStore, mask: &[bool]) -> MixResult {
     }
 }
 
-/// Median wall time of `f` over `samples` runs, in nanoseconds.
-fn median_ns<F: FnMut()>(samples: usize, mut f: F) -> f64 {
-    let mut times: Vec<u128> = (0..samples)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_nanos()
-        })
-        .collect();
-    times.sort_unstable();
-    let mid = times.len() / 2;
-    if times.len().is_multiple_of(2) {
-        (times[mid - 1] + times[mid]) as f64 / 2.0
-    } else {
-        times[mid] as f64
-    }
-}
-
 fn ratio(raw: u64, encoded: u64) -> f64 {
     raw as f64 / encoded.max(1) as f64
 }
@@ -216,7 +198,7 @@ fn main() {
     )
     .expect("cold open");
     let reference = mix_in_memory(&oracle, &mask);
-    let cold_ns = median_ns(samples, || {
+    let cold_ns = nazar_bench::median_ns(samples, || {
         let out = mix_out_of_core(&cold, &mask);
         assert_eq!(out.single.occurrences, reference.single.occurrences);
     });
@@ -232,7 +214,7 @@ fn main() {
         reference,
         "out-of-core mix must be bitwise identical to the in-memory log ({rows} rows)"
     );
-    let warm_ns = median_ns(samples, || {
+    let warm_ns = nazar_bench::median_ns(samples, || {
         let out = mix_out_of_core(&store, &mask);
         assert_eq!(out.single.occurrences, reference.single.occurrences);
     });
@@ -260,12 +242,9 @@ fn main() {
         reference.rows.len()
     );
 
-    let out_path = std::env::var("NAZAR_BENCH_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_store.json").to_string()
-    });
     nazar_bench::merge_bench_json(
-        &out_path,
-        "store_scale/",
+        &nazar_bench::bench_out("BENCH_store.json"),
+        |id| id.starts_with("store_scale/"),
         benches
             .iter()
             .map(|(id, v)| {
@@ -274,6 +253,5 @@ fn main() {
             .collect(),
     )
     .expect("write bench JSON");
-    eprintln!("merged store_scale rows into {out_path}");
     let _ = std::fs::remove_dir_all(&dir);
 }

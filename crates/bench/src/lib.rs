@@ -13,7 +13,7 @@ pub mod report;
 pub mod setup;
 
 pub use partitions::{seventeen_partitions, CausePartition, PartitionConfig};
-pub use report::{bench_row, merge_bench_json, ObsRun, Table};
+pub use report::{bench_out, bench_row, median_ns, merge_bench_json, ObsRun, Table};
 pub use setup::{animals_model, AnimalsSetup};
 
 use nazar_adapt::{AdaptMethod, MemoConfig, TentConfig};

@@ -1,6 +1,9 @@
-//! Plain-text table rendering and run-report emission for experiment output.
+//! Plain-text table rendering, run-report emission, and the bench harness:
+//! one timing loop, one output-path rule and one `BENCH_*.json` writer.
 
 use std::fmt::Write as _;
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 /// RAII guard that wraps one experiment binary in an observability run.
 ///
@@ -198,6 +201,57 @@ fn display_width(s: &str) -> usize {
     s.chars().count()
 }
 
+/// Median wall-clock nanoseconds per call of `routine` over `samples`
+/// timed batches: the bench harness's one timing loop.
+///
+/// Warm-up makes at least 3 calls and runs for at least 20 ms (at most
+/// 1 000 calls), which also estimates one call's cost. Each sample then
+/// times a batch sized to about 2 ms, so a fast routine is measured over
+/// many calls and a slow one over one. With an even `samples` the median
+/// is the upper of the two middle batches.
+///
+/// # Panics
+///
+/// Panics if `samples` is zero.
+pub fn median_ns<O>(samples: usize, mut routine: impl FnMut() -> O) -> f64 {
+    let mut estimate = Duration::ZERO;
+    let mut warmup_calls = 0u32;
+    let warmup_start = Instant::now();
+    while warmup_calls < 1000
+        && (warmup_calls < 3 || warmup_start.elapsed() < Duration::from_millis(20))
+    {
+        let t = Instant::now();
+        black_box(routine());
+        estimate += t.elapsed();
+        warmup_calls += 1;
+    }
+    let per_call = estimate / warmup_calls;
+    let batch = if per_call.is_zero() {
+        1000
+    } else {
+        (Duration::from_millis(2).as_nanos() / per_call.as_nanos()).clamp(1, 1_000_000) as u64
+    };
+    let mut times: Vec<f64> = (0..samples)
+        .map(|_| {
+            let t = Instant::now();
+            for _ in 0..batch {
+                black_box(routine());
+            }
+            t.elapsed().as_nanos() as f64 / batch as f64
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    times[samples / 2]
+}
+
+/// The file a bench run writes its rows to: `NAZAR_BENCH_OUT` if it is
+/// set, otherwise `default_file` (a `BENCH_*.json` name) at the workspace
+/// root. A redirected run writes every section it measured to that path.
+pub fn bench_out(default_file: &str) -> String {
+    std::env::var("NAZAR_BENCH_OUT")
+        .unwrap_or_else(|_| format!("{}/../../{default_file}", env!("CARGO_MANIFEST_DIR")))
+}
+
 /// Builds one `{"id": ..., <field>: <num>, ...}` bench row for
 /// [`merge_bench_json`].
 pub fn bench_row(id: &str, fields: &[(&str, f64)]) -> serde::Value {
@@ -208,10 +262,20 @@ pub fn bench_row(id: &str, fields: &[(&str, f64)]) -> serde::Value {
     serde::Value::Map(entries)
 }
 
+fn row_id(row: &serde::Value) -> Option<&str> {
+    match row {
+        serde::Value::Map(entries) => match serde::value_get(entries, "id") {
+            Some(serde::Value::Str(id)) => Some(id),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
 /// What shaped a bench run's numbers, as `(key, value)` lines for the
 /// report's `header` object: commit, host CPU, core count, thread width,
 /// SIMD tier and compiler. A value that cannot be read is `"unknown"`.
-pub fn run_header() -> Vec<(&'static str, String)> {
+fn run_header() -> Vec<(&'static str, String)> {
     let capture = |program: &str, args: &[&str]| {
         std::process::Command::new(program)
             .args(args)
@@ -243,76 +307,128 @@ pub fn run_header() -> Vec<(&'static str, String)> {
 }
 
 /// Merges bench rows into the `{"header": {...}, "benches": [...]}` JSON
-/// file at `path`: existing rows whose `id` starts with `prefix` are
-/// replaced by `rows`, everything else is preserved. This is how
-/// `fleet_scale` and `fleet_million` share `BENCH_fleet.json` without
-/// clobbering each other's sections. A missing or unparsable file starts
-/// fresh. The header is this run's [`run_header`] — a file has one, so
-/// re-record all of its sections in one session.
+/// file at `path`; every `BENCH_*.json` row is written here. A row of
+/// `rows` whose id the file already holds takes that row's place, and the
+/// others are appended. An existing row whose id is `stale`, and that
+/// `rows` does not re-measure, is dropped. A bin passes its own section's
+/// prefix, so ids it no longer produces go and the other bins' sections
+/// stay; a filtered `microbench` run passes its filter, so it replaces
+/// only what it measured. A missing or unparsable file starts fresh, and
+/// an empty `rows` leaves the file alone. The header is this run's
+/// [`run_header`] — a file has one, so re-record all of its sections in
+/// one session. Each row is written on a line of its own, and the path
+/// goes to stderr.
 ///
 /// # Errors
 ///
 /// Returns the I/O error if the final write fails.
-pub fn merge_bench_json(path: &str, prefix: &str, rows: Vec<serde::Value>) -> std::io::Result<()> {
-    let mut benches: Vec<serde::Value> = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|s| serde_json::from_str::<serde::Value>(&s).ok())
-        .and_then(|v| match v {
-            serde::Value::Map(entries) => entries
-                .into_iter()
-                .find(|(k, _)| k == "benches")
-                .map(|(_, v)| v),
-            _ => None,
-        })
-        .and_then(|v| match v {
-            serde::Value::Seq(items) => Some(items),
-            _ => None,
-        })
-        .unwrap_or_default();
-    benches.retain(|b| match b {
-        serde::Value::Map(entries) => !matches!(
-            serde::value_get(entries, "id"),
-            Some(serde::Value::Str(id)) if id.starts_with(prefix)
-        ),
-        _ => true,
+pub fn merge_bench_json(
+    path: &str,
+    stale: impl Fn(&str) -> bool,
+    rows: Vec<serde::Value>,
+) -> std::io::Result<()> {
+    if rows.is_empty() {
+        return Ok(());
+    }
+    let old = std::fs::read_to_string(path).ok();
+    let mut benches = match old.and_then(|s| serde_json::from_str(&s).ok()) {
+        Some(serde::Value::Map(doc)) => match serde::value_get(&doc, "benches") {
+            Some(serde::Value::Seq(items)) => items.clone(),
+            _ => Vec::new(),
+        },
+        _ => Vec::new(),
+    };
+    benches.retain(|b| {
+        row_id(b).is_none_or(|id| !stale(id) || rows.iter().any(|r| row_id(r) == Some(id)))
     });
-    benches.extend(rows);
+    for row in rows {
+        match benches.iter().position(|b| row_id(b) == row_id(&row)) {
+            Some(i) => benches[i] = row,
+            None => benches.push(row),
+        }
+    }
     let header = run_header()
         .into_iter()
         .map(|(key, value)| (key.to_string(), serde::Value::Str(value)))
         .collect();
-    let doc = serde::Value::Map(vec![
-        ("header".to_string(), serde::Value::Map(header)),
-        ("benches".to_string(), serde::Value::Seq(benches)),
-    ]);
-    let json = serde_json::to_string(&doc).expect("bench JSON serializes");
-    std::fs::write(path, json + "\n")
+    let json = |v: &serde::Value| serde_json::to_string(v).map_err(std::io::Error::other);
+    let lines = benches
+        .iter()
+        .map(json)
+        .collect::<std::io::Result<Vec<_>>>()?;
+    let text = format!(
+        "{{\"header\": {},\n\"benches\": [\n{}\n]}}\n",
+        json(&serde::Value::Map(header))?,
+        lines.join(",\n")
+    );
+    std::fs::write(path, text)?;
+    eprintln!("bench rows merged into {path}");
+    Ok(())
 }
 
 #[cfg(test)]
 mod merge_tests {
     use super::*;
 
+    /// A fresh path for one test's report, under the temp directory.
+    fn scratch_report(test: &str) -> String {
+        let dir = std::env::temp_dir().join(test);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("BENCH.json");
+        let _ = std::fs::remove_file(&path);
+        path.to_str().expect("utf-8 temp path").to_string()
+    }
+
     #[test]
     fn merge_replaces_own_prefix_and_keeps_the_rest() {
-        let dir = std::env::temp_dir().join("nazar_merge_bench_json_test");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("BENCH_fleet.json");
-        let path = path.to_str().expect("utf-8 temp path");
-        let _ = std::fs::remove_file(path);
-
-        merge_bench_json(path, "a/", vec![bench_row("a/x", &[("median_ns", 1.0)])])
+        let path = &scratch_report("nazar_merge_bench_json_test");
+        let a = |id: &str| id.starts_with("a/");
+        let b = |id: &str| id.starts_with("b/");
+        merge_bench_json(path, a, vec![bench_row("a/x", &[("median_ns", 1.0)])])
             .expect("fresh write");
-        merge_bench_json(path, "b/", vec![bench_row("b/y", &[("value", 2.0)])])
-            .expect("merge write");
+        merge_bench_json(path, b, vec![bench_row("b/y", &[("value", 2.0)])]).expect("merge write");
         // Re-running section "a/" replaces its old rows, keeps "b/".
-        merge_bench_json(path, "a/", vec![bench_row("a/z", &[("median_ns", 3.0)])])
+        merge_bench_json(path, a, vec![bench_row("a/z", &[("median_ns", 3.0)])])
             .expect("replace write");
 
         let text = std::fs::read_to_string(path).expect("read back");
         assert!(text.contains("a/z") && text.contains("b/y"));
         assert!(text.contains("\"header\"") && text.contains("\"rustc\""));
         assert!(!text.contains("a/x"), "old section rows must be replaced");
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn a_filtered_write_keeps_the_rows_it_did_not_measure() {
+        let path = &scratch_report("nazar_filtered_bench_json_test");
+        let rows = |path: &str| -> Vec<String> {
+            let text = std::fs::read_to_string(path).expect("read back");
+            assert!(text.starts_with("{\"header\": {\"commit\":"));
+            text.lines()
+                .filter(|l| l.starts_with("{\"id\""))
+                .map(|l| l.trim_end_matches(',').to_string())
+                .collect()
+        };
+        let all = |_: &str| true;
+        let full = ["g/a", "g/b", "h/c"].map(|id| bench_row(id, &[("median_ns", 1.0)]));
+        merge_bench_json(path, all, full.to_vec()).expect("full write");
+        // A run filtered to "b" re-measures g/b alone: the other rows keep
+        // their values, and every row keeps its place.
+        let filter = |id: &str| id.contains('b');
+        merge_bench_json(path, filter, vec![bench_row("g/b", &[("median_ns", 2.5)])])
+            .expect("filtered write");
+        assert_eq!(
+            rows(path),
+            [
+                r#"{"id":"g/a","median_ns":1}"#,
+                r#"{"id":"g/b","median_ns":2.5}"#,
+                r#"{"id":"h/c","median_ns":1}"#,
+            ]
+        );
+        // An unfiltered run replaces the rows wholesale: stale ids go.
+        merge_bench_json(path, all, vec![bench_row("h/c", &[("median_ns", 3.0)])])
+            .expect("unfiltered write");
+        assert_eq!(rows(path), [r#"{"id":"h/c","median_ns":3}"#]);
         let _ = std::fs::remove_file(path);
     }
 }
@@ -347,5 +463,23 @@ mod tests {
     fn pct_and_num_format() {
         assert_eq!(pct(0.615), "61.5%");
         assert_eq!(num(2.46801, 2), "2.47");
+    }
+
+    #[test]
+    fn median_ns_times_a_cheap_closure_and_honours_the_sample_count() {
+        let mut acc = 0u64;
+        let ns = median_ns(5, || {
+            acc = acc.wrapping_add(black_box(1));
+            acc
+        });
+        assert!(ns > 0.0, "median {ns}");
+        // A 7 ms call ends the warm-up after exactly 3 calls (21 ms ≥ 20 ms)
+        // and is over the 2 ms batch target, so each sample is one call.
+        let mut calls = 0;
+        median_ns(3, || {
+            calls += 1;
+            std::thread::sleep(std::time::Duration::from_millis(7));
+        });
+        assert_eq!(calls, 3 + 3);
     }
 }

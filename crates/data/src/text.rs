@@ -162,11 +162,6 @@ impl TopicModel {
         self.vocab
     }
 
-    /// Number of topics (label classes).
-    pub fn num_topics(&self) -> usize {
-        self.topics.len()
-    }
-
     /// The shift distribution for a corruption family.
     fn shift(&self, cause: Corruption) -> &[f64] {
         let idx = Corruption::ALL

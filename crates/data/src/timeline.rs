@@ -18,9 +18,6 @@ impl SimDate {
     /// Total number of days in the simulated range (Jan 1 ..= Apr 21).
     pub const TOTAL_DAYS: u16 = 112;
 
-    /// The first simulated day, 2020-01-01.
-    pub const START: SimDate = SimDate(0);
-
     /// Creates a date from a day offset.
     ///
     /// # Panics

@@ -1,7 +1,7 @@
 //! What a fleet window produces: per-device outputs and their statistics.
 
 use crate::device::UploadedSample;
-use nazar_data::{Corruption, StreamItem};
+use nazar_data::StreamItem;
 use nazar_log::DriftLogEntry;
 use nazar_obs::LazyCounter;
 use serde::{Deserialize, Serialize};
@@ -45,11 +45,6 @@ impl WindowStats {
     /// Fraction of inputs flagged as drift by the on-device detector.
     pub fn detection_rate(&self) -> f32 {
         ratio(self.flagged, self.total)
-    }
-
-    /// Accuracy on one cause, if observed.
-    pub fn cause_accuracy(&self, cause: Corruption) -> Option<f32> {
-        self.per_cause.get(cause.name()).map(|&(c, t)| ratio(c, t))
     }
 
     /// Detector precision: of the flagged requests, the fraction that were

@@ -428,7 +428,7 @@ struct Snapshot {
     timestamps: Vec<u64>,
 }
 
-/// A snapshot is outside input: [`DriftLog::from_parts`] checks its shape
+/// A snapshot is outside input: `DriftLog::from_parts` checks its shape
 /// before the log exists, so a deserialized log is indistinguishable from
 /// one built by `push`.
 impl Deserialize for DriftLog {

@@ -37,11 +37,6 @@ impl VirtualClock {
     pub fn advance_to(&mut self, t_us: u64) {
         self.now_us = self.now_us.max(t_us);
     }
-
-    /// Moves the clock forward by `delta_us` (saturating).
-    pub fn advance_by(&mut self, delta_us: u64) {
-        self.now_us = self.now_us.saturating_add(delta_us);
-    }
 }
 
 #[cfg(test)]
@@ -56,15 +51,5 @@ mod tests {
         assert_eq!(c.now_us(), 100);
         c.advance_to(40);
         assert_eq!(c.now_us(), 100, "advance_to must never rewind");
-        c.advance_by(5);
-        assert_eq!(c.now_us(), 105);
-    }
-
-    #[test]
-    fn advance_by_saturates() {
-        let mut c = VirtualClock::new();
-        c.advance_to(u64::MAX - 1);
-        c.advance_by(10);
-        assert_eq!(c.now_us(), u64::MAX);
     }
 }

@@ -126,11 +126,6 @@ impl IngestServer {
         IngestOutcome { duplicate: !fresh }
     }
 
-    /// Batches currently awaiting a window drain.
-    pub fn pending_batches(&self) -> usize {
-        self.devices.iter().map(|d| d.pending.len()).sum()
-    }
-
     /// Total duplicate deliveries suppressed so far.
     pub fn duplicates(&self) -> u64 {
         self.duplicates

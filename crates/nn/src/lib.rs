@@ -45,15 +45,13 @@ mod model;
 mod optim;
 mod param;
 mod patch;
-mod schedule;
 pub mod train;
 
 pub use error::{NnError, Result};
 pub use init::Init;
 pub use layers::{BatchNorm1d, Layer, Linear, Mode};
-pub use loss::{cross_entropy, cross_entropy_smoothed, entropy_of_logits, mean_entropy};
+pub use loss::{cross_entropy, entropy_of_logits, mean_entropy};
 pub use model::{MlpResNet, ModelArch, ResidualBlock};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use param::Param;
 pub use patch::{BnLayerState, BnPatch};
-pub use schedule::{clip_grad_norm, LrSchedule};

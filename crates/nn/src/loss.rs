@@ -15,26 +15,6 @@ pub fn cross_entropy(logits: &Var, targets: &[usize]) -> Var {
     logits.log_softmax().nll_loss(targets)
 }
 
-/// Cross-entropy with label smoothing: the target distribution places
-/// `1 - epsilon` on the true class and spreads `epsilon` uniformly over all
-/// classes. Smoothing regularizes confidence — useful when a deployment
-/// wants the MSP detector's operating range widened.
-///
-/// # Panics
-///
-/// Panics if `epsilon` is outside `[0, 1)` or targets mismatch the batch.
-pub fn cross_entropy_smoothed(logits: &Var, targets: &[usize], epsilon: f32) -> Var {
-    assert!((0.0..1.0).contains(&epsilon), "epsilon must be in [0, 1)");
-    let lp = logits.log_softmax();
-    let hard = lp.nll_loss(targets);
-    if epsilon == 0.0 {
-        return hard;
-    }
-    // Uniform component: -(1/C) Σ log p, averaged over the batch.
-    let uniform = lp.mean_all().scale(-1.0);
-    hard.scale(1.0 - epsilon).add(&uniform.scale(epsilon))
-}
-
 /// Mean prediction entropy over a batch of logits — the TENT objective
 /// (Eq. 2 of the paper): `H(θ; x) = -Σ_c p_θ(ŷ_c|x) log p_θ(ŷ_c|x)`,
 /// averaged over the batch.
@@ -108,32 +88,6 @@ mod tests {
         let uniform = tape.leaf(Tensor::zeros(&[1, 4]));
         let loss = cross_entropy(&uniform, &[2]).value().item().unwrap();
         assert!((loss - 4.0f32.ln()).abs() < 1e-5);
-    }
-
-    #[test]
-    fn smoothing_zero_equals_plain_cross_entropy() {
-        let tape = Tape::new();
-        let logits = tape.leaf(Tensor::from_vec(vec![2.0, 0.5, -1.0], &[1, 3]).unwrap());
-        let a = cross_entropy(&logits, &[0]).value().item().unwrap();
-        let b = cross_entropy_smoothed(&logits, &[0], 0.0)
-            .value()
-            .item()
-            .unwrap();
-        assert!((a - b).abs() < 1e-6);
-    }
-
-    #[test]
-    fn smoothing_penalizes_overconfidence() {
-        // For a very confident correct prediction, the smoothed loss is
-        // higher than the hard loss (the uniform component bites).
-        let tape = Tape::new();
-        let confident = tape.leaf(Tensor::from_vec(vec![30.0, 0.0, 0.0], &[1, 3]).unwrap());
-        let hard = cross_entropy(&confident, &[0]).value().item().unwrap();
-        let smoothed = cross_entropy_smoothed(&confident, &[0], 0.1)
-            .value()
-            .item()
-            .unwrap();
-        assert!(smoothed > hard + 0.1, "smoothed {smoothed} vs hard {hard}");
     }
 
     #[test]

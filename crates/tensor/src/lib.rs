@@ -63,4 +63,4 @@ pub use kernels::log_sum_exp;
 pub use shape::Shape;
 pub use simd::SimdTier;
 pub use tensor::Tensor;
-pub use workspace::{pooled_bytes_total, Workspace};
+pub use workspace::Workspace;

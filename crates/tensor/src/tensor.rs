@@ -25,7 +25,7 @@ use std::fmt;
 /// use nazar_tensor::Tensor;
 ///
 /// let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2])?;
-/// let b = Tensor::eye(2);
+/// let b = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[2, 2])?;
 /// let c = a.matmul(&b)?;
 /// assert_eq!(c.data(), a.data());
 /// # Ok::<(), nazar_tensor::TensorError>(())
@@ -103,15 +103,6 @@ impl Tensor {
         let shape = Shape::new(dims);
         debug_assert_eq!(data.len(), shape.len(), "from_raw length");
         Tensor { data, shape }
-    }
-
-    /// The `n`-by-`n` identity matrix.
-    pub fn eye(n: usize) -> Self {
-        let mut t = Tensor::zeros(&[n, n]);
-        for i in 0..n {
-            t.data[i * n + i] = 1.0;
-        }
-        t
     }
 
     /// A tensor of i.i.d. samples from `N(mean, std^2)` (Box–Muller).
@@ -424,15 +415,6 @@ impl Tensor {
         self.zip_with(other, |a, b| a * b)
     }
 
-    /// Elementwise quotient.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
-    pub fn div(&self, other: &Tensor) -> Result<Tensor> {
-        self.zip_with(other, |a, b| a / b)
-    }
-
     /// Multiplies every element by `c`.
     pub fn scale(&self, c: f32) -> Tensor {
         self.map(|x| x * c)
@@ -587,18 +569,6 @@ impl Tensor {
         Ok(self.sum_all() / n as f32)
     }
 
-    /// Column sums of an `[n, d]` matrix, as a `[d]` vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] for non-matrices.
-    pub fn sum_axis0(&self) -> Result<Tensor> {
-        let (n, d) = (self.nrows()?, self.ncols()?);
-        let mut out = vec![0.0f32; d];
-        kernels::sum_axis0_into(&self.data, n, d, &mut out);
-        Tensor::from_vec(out, &[d])
-    }
-
     /// Column means of an `[n, d]` matrix, as a `[d]` vector.
     ///
     /// # Errors
@@ -637,20 +607,6 @@ impl Tensor {
         sq.mean_axis0()
     }
 
-    /// Row sums of an `[n, d]` matrix, as an `[n]` vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] for non-matrices.
-    pub fn sum_axis1(&self) -> Result<Tensor> {
-        let (n, d) = (self.nrows()?, self.ncols()?);
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            out.push(self.data[i * d..(i + 1) * d].iter().sum());
-        }
-        Tensor::from_vec(out, &[n])
-    }
-
     /// Maximum of each row of an `[n, d]` matrix.
     ///
     /// # Errors
@@ -685,97 +641,6 @@ impl Tensor {
             return Err(TensorError::Empty { op: "argmax_axis1" });
         }
         Ok(self.data.chunks_exact(d).map(kernels::argmax).collect())
-    }
-
-    /// Vertically concatenates rank-2 tensors with equal column counts.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `parts` is empty or column counts disagree.
-    pub fn concat_rows(parts: &[&Tensor]) -> Result<Tensor> {
-        let first = parts
-            .first()
-            .ok_or(TensorError::Empty { op: "concat_rows" })?;
-        let d = first.ncols()?;
-        let mut data = Vec::new();
-        let mut rows = 0;
-        for p in parts {
-            if p.ncols()? != d {
-                return Err(TensorError::ShapeMismatch {
-                    op: "concat_rows",
-                    lhs: first.dims().to_vec(),
-                    rhs: p.dims().to_vec(),
-                });
-            }
-            rows += p.nrows()?;
-            data.extend_from_slice(p.data());
-        }
-        Tensor::from_vec(data, &[rows, d])
-    }
-
-    /// Splits a rank-2 tensor into chunks of at most `chunk_rows` rows.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for non-matrices; panics if `chunk_rows == 0`.
-    pub fn split_rows(&self, chunk_rows: usize) -> Result<Vec<Tensor>> {
-        assert!(chunk_rows > 0, "chunk_rows must be nonzero");
-        let (n, d) = (self.nrows()?, self.ncols()?);
-        let mut out = Vec::new();
-        let mut start = 0;
-        while start < n {
-            let end = (start + chunk_rows).min(n);
-            let slice = self.data()[start * d..end * d].to_vec();
-            out.push(Tensor::from_vec(slice, &[end - start, d])?);
-            start = end;
-        }
-        Ok(out)
-    }
-
-    /// Row means of an `[n, d]` matrix, as an `[n]` vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for non-matrices or zero-width rows.
-    pub fn mean_axis1(&self) -> Result<Tensor> {
-        let d = self.ncols()?;
-        if d == 0 {
-            return Err(TensorError::Empty { op: "mean_axis1" });
-        }
-        if d > kernels::F32_EXACT_COUNT {
-            // See `mean_all`: f64 accumulation once the row width exceeds
-            // the f32-exact integer range.
-            let n = self.nrows()?;
-            let mut data = Vec::with_capacity(n);
-            for row in self.data.chunks_exact(d) {
-                let sum: f64 = row.iter().map(|&x| f64::from(x)).sum();
-                data.push((sum / d as f64) as f32);
-            }
-            return Tensor::from_vec(data, &[n]);
-        }
-        Ok(self.sum_axis1()?.scale(1.0 / d as f32))
-    }
-
-    /// Copies the given columns of a rank-2 tensor into a new matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for non-matrices or out-of-range column indices.
-    pub fn select_cols(&self, indices: &[usize]) -> Result<Tensor> {
-        let (n, d) = (self.nrows()?, self.ncols()?);
-        for &j in indices {
-            if j >= d {
-                return Err(TensorError::IndexOutOfBounds { index: j, bound: d });
-            }
-        }
-        let mut data = Vec::with_capacity(n * indices.len());
-        for i in 0..n {
-            let row = &self.data()[i * d..(i + 1) * d];
-            for &j in indices {
-                data.push(row[j]);
-            }
-        }
-        Tensor::from_vec(data, &[n, indices.len()])
     }
 
     // ------------------------------------------------------------------
@@ -933,7 +798,8 @@ mod tests {
     #[test]
     fn matmul_identity_and_known_product() {
         let a = m(&[1.0, 2.0, 3.0, 4.0], &[2, 2]);
-        assert_eq!(a.matmul(&Tensor::eye(2)).unwrap(), a);
+        let identity = m(&[1.0, 0.0, 0.0, 1.0], &[2, 2]);
+        assert_eq!(a.matmul(&identity).unwrap(), a);
         let b = m(&[5.0, 6.0, 7.0, 8.0], &[2, 2]);
         let c = a.matmul(&b).unwrap();
         assert_eq!(c.data(), &[19.0, 22.0, 43.0, 50.0]);
@@ -960,9 +826,7 @@ mod tests {
         let a = m(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
         assert_eq!(a.sum_all(), 21.0);
         assert_eq!(a.mean_all().unwrap(), 3.5);
-        assert_eq!(a.sum_axis0().unwrap().data(), &[5.0, 7.0, 9.0]);
         assert_eq!(a.mean_axis0().unwrap().data(), &[2.5, 3.5, 4.5]);
-        assert_eq!(a.sum_axis1().unwrap().data(), &[6.0, 15.0]);
         assert_eq!(a.max_axis1().unwrap().data(), &[3.0, 6.0]);
         assert_eq!(a.argmax_axis1().unwrap(), vec![2, 2]);
     }
@@ -1008,29 +872,6 @@ mod tests {
         assert_eq!(t.dims(), &[2, 2]);
         assert!(Tensor::stack_rows(&[vec![1.0], vec![1.0, 2.0]]).is_err());
         assert!(Tensor::stack_rows(&[]).is_err());
-    }
-
-    #[test]
-    fn concat_and_split_round_trip() {
-        let a = m(&[1.0, 2.0, 3.0, 4.0], &[2, 2]);
-        let b = m(&[5.0, 6.0], &[1, 2]);
-        let c = Tensor::concat_rows(&[&a, &b]).unwrap();
-        assert_eq!(c.dims(), &[3, 2]);
-        let parts = c.split_rows(2).unwrap();
-        assert_eq!(parts.len(), 2);
-        assert_eq!(parts[0], a);
-        assert_eq!(parts[1], b);
-        assert!(Tensor::concat_rows(&[]).is_err());
-        assert!(Tensor::concat_rows(&[&a, &m(&[1.0], &[1, 1])]).is_err());
-    }
-
-    #[test]
-    fn mean_axis1_and_select_cols() {
-        let a = m(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
-        assert_eq!(a.mean_axis1().unwrap().data(), &[2.0, 5.0]);
-        let s = a.select_cols(&[2, 0]).unwrap();
-        assert_eq!(s.data(), &[3.0, 1.0, 6.0, 4.0]);
-        assert!(a.select_cols(&[3]).is_err());
     }
 
     #[test]

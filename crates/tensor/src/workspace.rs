@@ -57,13 +57,6 @@ fn note_pool_bytes(delta: isize) {
     POOL_BYTES.set(now.max(0) as f64);
 }
 
-/// Bytes currently pooled across every live [`Workspace`] (diagnostics
-/// and the shrink-policy regression tests; also exported as the
-/// `nazar_tensor_workspace_pool_bytes` gauge).
-pub fn pooled_bytes_total() -> usize {
-    POOL_BYTES_TOTAL.load(Ordering::Relaxed).max(0) as usize
-}
-
 /// A recycling pool of `Vec<f32>` scratch buffers.
 #[derive(Debug, Default)]
 pub struct Workspace {

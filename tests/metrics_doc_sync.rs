@@ -31,11 +31,10 @@ const CODE_EXCEPTIONS: &[&str] = &["nazar_example_requests_total"];
 
 /// Every file under `crates/*/src` allowed to contain `env::var`: the two
 /// execution switches, the obs sinks, the bench artifact paths, and the
-/// four bins that read a scale or an output path.
+/// three bins that read a scale.
 const ENV_READERS: &[&str] = &[
     "crates/bench/src/bin/fig9d.rs",
     "crates/bench/src/bin/fleet_million.rs",
-    "crates/bench/src/bin/fleet_scale.rs",
     "crates/bench/src/bin/store_scale.rs",
     "crates/bench/src/report.rs",
     "crates/obs/src/lib.rs",
