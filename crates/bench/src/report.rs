@@ -293,11 +293,13 @@ fn run_header() -> Vec<(&'static str, String)> {
         })
         .unwrap_or_else(|| "unknown".to_string());
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    // A bench run's own reports are its output, not the code that produced
+    // it, so they do not make the commit stamp `-dirty`.
+    let reports = ":(top,exclude)BENCH_*.json";
+    let diff = capture("git", &["diff", "--quiet", "HEAD", "--", ":/", reports]);
+    let dirty = if diff.is_empty() { "" } else { "-dirty" };
     vec![
-        (
-            "commit",
-            capture("git", &["describe", "--always", "--dirty"]),
-        ),
+        ("commit", capture("git", &["describe", "--always"]) + dirty),
         ("cpu", cpu),
         ("nproc", nproc.to_string()),
         ("threads", nazar_tensor::parallel::num_threads().to_string()),
@@ -370,11 +372,9 @@ pub fn merge_bench_json(
 mod merge_tests {
     use super::*;
 
-    /// A fresh path for one test's report, under the temp directory.
+    /// A fresh path for one test's report, in the temp directory.
     fn scratch_report(test: &str) -> String {
-        let dir = std::env::temp_dir().join(test);
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("BENCH.json");
+        let path = std::env::temp_dir().join(format!("{test}.json"));
         let _ = std::fs::remove_file(&path);
         path.to_str().expect("utf-8 temp path").to_string()
     }
