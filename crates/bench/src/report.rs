@@ -316,9 +316,9 @@ fn run_header() -> Vec<(&'static str, String)> {
 /// prefix, so ids it no longer produces go and the other bins' sections
 /// stay; a filtered `microbench` run passes its filter, so it replaces
 /// only what it measured. A missing or unparsable file starts fresh, and
-/// an empty `rows` leaves the file alone. The header is this run's
-/// [`run_header`] — a file has one, so re-record all of its sections in
-/// one session. Each row is written on a line of its own, and the path
+/// an empty `rows` leaves the file alone. The header is this run's commit,
+/// host and settings — a file has one, so re-record all of its sections
+/// in one session. Each row is written on a line of its own, and the path
 /// goes to stderr.
 ///
 /// # Errors
