@@ -8,8 +8,9 @@
 //! * `adaptation_step` — §3.4's BN-only adaptation efficiency (one BN-only
 //!   TENT step against one full-parameter step and the tape-free eval
 //!   forward, same model and batch);
-//! * `wire` and `log/ingest_batch_30k` — what one upload frame and one
-//!   window's ingest cost at the shapes the fleet workloads send (these
+//! * `wire` and `log/ingest_batch_30k` — what one upload frame, one
+//!   device's deploy-chunk check and one window's ingest cost at the
+//!   shapes the fleet workloads send (these
 //!   rows also join `BENCH_fleet.json`, beside the runs they explain);
 //! * plus substrate benchmarks (matmul, inference, log ingest, FIM,
 //!   version selection).
@@ -258,7 +259,8 @@ fn bench_batch_ingest(suite: &mut Suite) {
 
 /// Upload-frame encode and decode at the two shapes the benchmark's
 /// workloads send: a fleet device's window (2 rows, no sample) and an
-/// Animals device's (28 rows, 8 sampled 64-d inputs).
+/// Animals device's (28 rows, 8 sampled 64-d inputs); and one device's
+/// check of a deploy chunk at the two chunk sizes they ship.
 fn bench_wire(suite: &mut Suite) {
     for (shape, rows, n_samples) in [("fleet", 2u64, 0usize), ("animals", 28, 8)] {
         let entries: Vec<DriftLogEntry> = (0..rows).map(|t| fleet_row(86_400 + t, 17)).collect();
@@ -286,6 +288,16 @@ fn bench_wire(suite: &mut Suite) {
             SAMPLES,
             || wire::decode_frame(&frame).expect("valid frame"),
         );
+    }
+    // What every target device does first with a deploy chunk: verify its
+    // envelope and CRC. The fleets send their 830-byte patch payload as one
+    // 864-byte frame; `vision_loop`'s ≈ 11 KB patch goes in 4 KiB chunks.
+    let payload: Vec<u8> = (0..11_000u32).map(|i| (i * 31 + 7) as u8).collect();
+    for (shape, chunk, total) in [("fleet", 830, 830), ("animals", 4096, 11_000)] {
+        let frame = wire::encode_deploy_chunk(0, 0, total, &payload[..chunk]);
+        suite.bench(&format!("wire/deploy_chunk_open_{shape}"), SAMPLES, || {
+            wire::open_frame(&frame).expect("valid frame").1.len()
+        });
     }
 }
 

@@ -296,12 +296,35 @@ impl FleetSim {
     /// Installs a model version on one specific device (the transport
     /// layer's per-device delivery path). Returns `false` for unknown ids.
     pub fn install_on(&mut self, device_id: &str, meta: &VersionMeta, patch: &BnPatch) -> bool {
-        let Some(d) = self.state.index_of(device_id) else {
-            return false;
-        };
-        let version = self.intern(meta, patch);
-        self.pools.deploy(&mut self.arena, d, version);
-        true
+        self.install_many([device_id], meta, patch) == 1
+    }
+
+    /// Installs one model version on each of `device_ids`, in order (the
+    /// transport's delivery path for devices that decoded the same copy):
+    /// the version is interned once, then each known device takes one pool
+    /// reference. Unknown ids are skipped. Returns how many devices
+    /// installed it. Leaves the same state as [`FleetSim::install_on`]
+    /// called device by device.
+    pub fn install_many<'a>(
+        &mut self,
+        device_ids: impl IntoIterator<Item = &'a str>,
+        meta: &VersionMeta,
+        patch: &BnPatch,
+    ) -> usize {
+        let mut version = None;
+        let mut installed = 0;
+        for id in device_ids {
+            let Some(d) = self.state.index_of(id) else {
+                continue;
+            };
+            let v = match version {
+                Some(v) => v,
+                None => *version.insert(self.intern(meta, patch)),
+            };
+            self.pools.deploy(&mut self.arena, d, v);
+            installed += 1;
+        }
+        installed
     }
 
     /// The devices a version's cause can ever match, sorted by id: if the
@@ -628,6 +651,37 @@ mod tests {
         assert_ne!(sim.last_install, Some(first));
         assert_eq!(sim.arena.ref_count(first), ids.len() as u64 - 1);
         assert_eq!(sim.max_versions(), 1);
+
+        // `install_many` over the same deliveries leaves the same state as
+        // `install_on` device by device: arena versions, reference counts,
+        // pool contents and the memo. Unknown ids are skipped and counted.
+        let mut many = FleetSim::from_streams(&data.streams, &model, &DeviceConfig::default());
+        let (head, rest) = (ids[0].as_str(), &ids[1..]);
+        let unknown = "no-such-device";
+        let rest_then_unknown = rest.iter().map(String::as_str).chain([unknown]);
+        assert_eq!(
+            many.install_many(rest_then_unknown, &meta, &patch),
+            rest.len()
+        );
+        assert_eq!(many.install_many([head], &meta, &patch), 1);
+        assert_eq!(many.install_many([unknown], &meta, &patch), 0);
+        assert_eq!(many.install_many([head], &meta, &donor_patch(dim, 6, 8)), 1);
+        let mut one = FleetSim::from_streams(&data.streams, &model, &DeviceConfig::default());
+        for id in rest.iter().map(String::as_str).chain([head]) {
+            assert!(one.install_on(id, &meta, &patch));
+        }
+        assert!(!one.install_on(unknown, &meta, &patch));
+        assert!(one.install_on(head, &meta, &donor_patch(dim, 6, 8)));
+        assert_eq!(many.arena_versions(), one.arena_versions());
+        assert_eq!(many.last_install, one.last_install);
+        let live = many.last_install.expect("the memo holds the version");
+        assert_eq!(many.arena.ref_count(live), one.arena.ref_count(live));
+        assert_eq!(many.arena.ref_count(first), one.arena.ref_count(first));
+        for d in 0..ids.len() {
+            assert_eq!(many.pools.slots(d), one.pools.slots(d), "device {d}");
+        }
+        assert_eq!(format!("{:?}", many.arena), format!("{:?}", one.arena));
+        assert_eq!(format!("{:?}", many.pools), format!("{:?}", one.pools));
     }
 
     /// The clock without a queue: a window closes at its last day's

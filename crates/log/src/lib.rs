@@ -31,7 +31,7 @@
 //! # Ok::<(), nazar_log::LogError>(())
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod crc;

@@ -64,17 +64,31 @@ impl LinkConfig {
 }
 
 /// What happened to one transmitted frame.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Transmission {
-    /// Virtual times at which copies of the frame arrive (empty = lost;
-    /// two entries = duplicated).
-    pub deliveries: Vec<u64>,
+    /// Arrival times of the frame's copies; the first `copies` are set and
+    /// the rest stay 0. A frame arrives at most twice, so they live inline.
+    arrivals: [u64; 2],
+    copies: usize,
     /// Whether the frame was dropped by the loss model.
     pub lost: bool,
     /// Whether an extra copy was generated.
     pub duplicated: bool,
     /// Whether the reorder model delayed the frame past its natural slot.
     pub reordered: bool,
+}
+
+impl Transmission {
+    /// Virtual times at which copies of the frame arrive (empty = lost;
+    /// two entries = duplicated).
+    pub fn deliveries(&self) -> &[u64] {
+        &self.arrivals[..self.copies]
+    }
+
+    fn deliver_at(&mut self, at: u64) {
+        self.arrivals[self.copies] = at;
+        self.copies += 1;
+    }
 }
 
 /// One direction of a simulated link: applies bandwidth serialization,
@@ -148,10 +162,10 @@ impl SimLink {
             t.reordered = true;
             arrival += reorder_extra;
         }
-        t.deliveries.push(arrival);
+        t.deliver_at(arrival);
         if duplicated {
             t.duplicated = true;
-            t.deliveries.push(arrival + 1 + reorder_extra / 2);
+            t.deliver_at(arrival + 1 + reorder_extra / 2);
         }
         t
     }
@@ -166,7 +180,7 @@ mod tests {
         let mut link = SimLink::new(LinkConfig::perfect(), 1);
         for now in [0u64, 5, 9] {
             let t = link.transmit(now, 1500);
-            assert_eq!(t.deliveries, vec![now]);
+            assert_eq!(t.deliveries(), [now]);
             assert!(!t.lost && !t.duplicated && !t.reordered);
         }
     }
@@ -180,8 +194,24 @@ mod tests {
         let mut link = SimLink::new(cfg, 1);
         let a = link.transmit(0, 1000);
         let b = link.transmit(0, 1000);
-        assert_eq!(a.deliveries, vec![1000]);
-        assert_eq!(b.deliveries, vec![2000], "second frame queues behind first");
+        assert_eq!(a.deliveries(), [1000]);
+        assert_eq!(b.deliveries(), [2000], "second frame queues behind first");
+    }
+
+    #[test]
+    fn a_duplicated_frame_arrives_twice() {
+        let cfg = LinkConfig {
+            duplicate: 1.0,
+            latency_us: 100,
+            ..LinkConfig::perfect()
+        };
+        let mut link = SimLink::new(cfg, 5);
+        let t = link.transmit(0, 100);
+        assert!(t.duplicated && !t.lost);
+        let &[first, second] = t.deliveries() else {
+            panic!("two copies expected, got {:?}", t.deliveries());
+        };
+        assert!(first >= 100 && second > first);
     }
 
     #[test]
@@ -194,7 +224,7 @@ mod tests {
         for _ in 0..32 {
             let t = link.transmit(0, 100);
             assert!(t.lost);
-            assert!(t.deliveries.is_empty());
+            assert!(t.deliveries().is_empty());
         }
     }
 
