@@ -14,9 +14,7 @@ use std::time::{Duration, Instant};
 /// [`nazar_obs::finish_run_full`], flushes the configured sinks, and writes
 /// the telemetry series (`results/obs/<name>.series.jsonl`, override with
 /// `NAZAR_OBS_SERIES`) and the collapsed-stack flamegraph
-/// (`results/obs/<name>.folded`, override with `NAZAR_OBS_FOLDED`). If SLO
-/// rules are armed (`NAZAR_OBS_SLO`) and any breached during the run, the
-/// breaches are printed and the process exits with status 2 — the CI gate.
+/// (`results/obs/<name>.folded`, override with `NAZAR_OBS_FOLDED`).
 /// Everything is a no-op unless `NAZAR_OBS` selects a sink, so the guard is
 /// unconditionally placed at the top of every bin's `main`.
 pub struct ObsRun {
@@ -96,26 +94,6 @@ impl Drop for ObsRun {
                     s.self_ns as f64 / 1e6,
                     s.total_ns as f64 / 1e6
                 );
-            }
-        }
-
-        if nazar_obs::slo::armed() {
-            let breaches = nazar_obs::slo::breaches();
-            if breaches.is_empty() {
-                eprintln!("obs: slo ok ({})", self.name);
-            } else {
-                for b in &breaches {
-                    eprintln!(
-                        "obs: slo breach: rule '{}' value {:.6} vs threshold {:.6} at t_us={}",
-                        b.rule, b.value, b.threshold, b.t_us
-                    );
-                }
-                eprintln!(
-                    "obs: slo gate FAILED for {}: {} breach(es)",
-                    self.name,
-                    breaches.len()
-                );
-                std::process::exit(2);
             }
         }
     }

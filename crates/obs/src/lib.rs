@@ -14,8 +14,11 @@
 //!   version distribution;
 //! * **structured events** ([`event_fields`] / the [`event!`] macro), the
 //!   replacement for ad-hoc `println!` diagnostics in library crates;
-//! * two **sinks** ([`sink`]): a JSONL event/span writer and a Prometheus
-//!   text-format snapshot, selected by the `NAZAR_OBS` environment variable.
+//! * a **sink** ([`sink`]): a JSONL event/span writer, or in-memory
+//!   retention, selected by the `NAZAR_OBS` environment variable.
+//!
+//! The registry is rendered in two places: the JSON `metrics` block of the
+//! run report ([`finish_run`]) and the virtual-time [`telemetry`] series.
 //!
 //! # The `NAZAR_OBS` environment variable
 //!
@@ -27,14 +30,13 @@
 //! Syntax — one or more comma-separated directives:
 //!
 //! ```text
-//! NAZAR_OBS=jsonl:/tmp/run.jsonl            # stream events/spans as JSON lines
-//! NAZAR_OBS=prom:/tmp/metrics.prom          # write a Prometheus text snapshot on flush
-//! NAZAR_OBS=jsonl:run.jsonl,prom:m.prom     # both
-//! NAZAR_OBS=mem                             # collect in memory only (tests, ad-hoc probes)
+//! NAZAR_OBS=jsonl:/tmp/run.jsonl   # stream events/spans as JSON lines
+//! NAZAR_OBS=mem                    # collect in memory only (tests, ad-hoc probes)
 //! ```
 //!
 //! Unset, empty, `0` or `off` disable everything. So does a directive that
-//! is none of the above, after one stderr line naming it.
+//! is none of the above, or a JSONL file that cannot be created, after one
+//! stderr line naming it.
 //!
 //! # Example
 //!
@@ -49,7 +51,7 @@
 //! }
 //! let report = nazar_obs::finish_run("example");
 //! assert!(report.contains("\"name\":\"window\""));
-//! assert!(nazar_obs::prometheus_snapshot().contains("nazar_example_requests_total 1"));
+//! assert!(report.contains("\"nazar_example_requests_total\",\"kind\":\"counter\",\"value\":1"));
 //! # nazar_obs::testing::disable();
 //! ```
 
@@ -60,15 +62,14 @@ pub mod json;
 pub mod metrics;
 pub mod profile;
 pub mod sink;
-pub mod slo;
 pub mod span;
 pub mod telemetry;
 
 pub use metrics::{
-    duration_buckets, pow2_buckets, quantile_from_buckets, registry, Counter, Gauge, Histogram,
-    LazyCounter, LazyGauge, LazyHistogram, MetricKind, MetricSnapshot, Registry,
+    duration_buckets, pow2_buckets, registry, Counter, Gauge, Histogram, LazyCounter, LazyGauge,
+    LazyHistogram, MetricKind, MetricSnapshot, Registry,
 };
-pub use sink::{flush, prometheus_snapshot};
+pub use sink::flush;
 pub use span::{current_span_id, span, span_child, span_detail, SpanGuard, SpanRecord};
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -84,30 +85,23 @@ struct State {
 static STATE: OnceLock<State> = OnceLock::new();
 
 fn state() -> &'static State {
-    STATE.get_or_init(|| {
-        let spec = std::env::var("NAZAR_OBS").unwrap_or_default();
-        let config = sink::SinkConfig::parse(&spec).unwrap_or_else(|e| {
-            eprintln!("nazar-obs: NAZAR_OBS: {e}; observability stays off");
-            None
-        });
-        let on = config.is_some();
-        if let Some(config) = config {
-            sink::install(config);
-        }
-        let state = State {
-            enabled: AtomicBool::new(on),
-            epoch: Instant::now(),
-        };
-        if on {
-            if let Ok(rules) = std::env::var("NAZAR_OBS_SLO") {
-                match slo::parse_rules(&rules) {
-                    Ok(rules) if !rules.is_empty() => slo::arm(rules),
-                    Ok(_) => {}
-                    Err(e) => eprintln!("nazar-obs: ignoring NAZAR_OBS_SLO: {e}"),
-                }
-            }
-        }
-        state
+    STATE.get_or_init(|| State {
+        enabled: AtomicBool::new(open_sinks(&std::env::var("NAZAR_OBS").unwrap_or_default())),
+        epoch: Instant::now(),
+    })
+}
+
+/// Parses a `NAZAR_OBS` value and installs its sink; returns whether
+/// observability is on. A bad directive, or a sink that cannot be opened,
+/// leaves it off after one stderr line.
+fn open_sinks(spec: &str) -> bool {
+    let opened = sink::SinkConfig::parse(spec).and_then(|config| match config {
+        Some(config) => sink::install(config).map(|()| true),
+        None => Ok(false),
+    });
+    opened.unwrap_or_else(|e| {
+        eprintln!("nazar-obs: NAZAR_OBS: {e}; observability stays off");
+        false
     })
 }
 
@@ -175,10 +169,9 @@ macro_rules! event {
 /// Finishes one pipeline run: drains the collected spans, assembles the span
 /// tree, snapshots the metrics registry, and emits a `run_report` record.
 ///
-/// The report is appended to the JSONL sink (when configured), the
-/// Prometheus snapshot is written to the `prom:` sink (when configured), and
-/// the rendered report JSON is returned for programmatic use. Returns an
-/// empty string when observability is disabled.
+/// The report is appended to the sink and the rendered report JSON is
+/// returned for programmatic use. Returns an empty string when
+/// observability is disabled.
 pub fn finish_run(name: &str) -> String {
     finish_run_full(name).report
 }
@@ -208,7 +201,6 @@ pub fn finish_run_full(name: &str) -> RunOutput {
     let top_self = profile::top_self(&spans, 10);
     let tree = span::render_tree(&spans);
     let metrics = registry().snapshot_json();
-    let prometheus = sink::render_prometheus();
     let mut line = String::with_capacity(256);
     line.push_str("{\"type\":\"run_report\",\"ts_ns\":");
     line.push_str(&now_ns().to_string());
@@ -218,8 +210,6 @@ pub fn finish_run_full(name: &str) -> RunOutput {
     line.push_str(&tree);
     line.push_str(",\"metrics\":");
     line.push_str(&metrics);
-    line.push_str(",\"prometheus\":");
-    json::write_str(&mut line, &prometheus);
     line.push('}');
     sink::write_line(&line);
     sink::flush();
@@ -239,17 +229,21 @@ pub mod testing {
 
     /// Enables observability with in-memory collection only (no files).
     pub fn enable_memory_sink() {
-        sink::install(sink::SinkConfig::default());
-        state().enabled.store(true, Ordering::SeqCst);
+        let opened = sink::install(sink::SinkConfig::default());
+        state().enabled.store(opened.is_ok(), Ordering::SeqCst);
     }
 
     /// Enables observability streaming JSONL records to `path`.
-    pub fn enable_jsonl_sink(path: &std::path::Path) {
-        sink::install(sink::SinkConfig {
+    ///
+    /// # Errors
+    ///
+    /// Names a `path` that cannot be created; observability is off then.
+    pub fn enable_jsonl_sink(path: &std::path::Path) -> Result<(), String> {
+        let opened = sink::install(sink::SinkConfig {
             jsonl: Some(path.to_path_buf()),
-            prom: None,
         });
-        state().enabled.store(true, Ordering::SeqCst);
+        state().enabled.store(opened.is_ok(), Ordering::SeqCst);
+        opened
     }
 
     /// Disables observability and clears collected spans and the telemetry
@@ -297,19 +291,43 @@ mod tests {
     }
 
     #[test]
-    fn finish_run_emits_tree_metrics_and_prometheus() {
+    fn finish_run_emits_tree_and_metrics() {
         let _guard = TEST_LOCK.lock().unwrap();
         testing::enable_memory_sink();
+        static RUNS: LazyCounter = LazyCounter::new("nazar_test_lib_runs_total", "Runs", &[]);
         {
             let _outer = span("window");
             let _inner = span("fim");
+            RUNS.inc();
         }
         let report = finish_run("unit");
         assert!(report.contains("\"type\":\"run_report\""));
         assert!(report.contains("\"name\":\"window\""));
         assert!(report.contains("\"name\":\"fim\""));
-        assert!(report.contains("\"prometheus\":"));
+        assert!(report.contains("\"name\":\"nazar_test_lib_runs_total\""));
+        assert!(!report.contains("\"prometheus\""));
         testing::disable();
+    }
+
+    #[test]
+    fn a_jsonl_sink_that_cannot_open_leaves_observability_off() {
+        let _guard = TEST_LOCK.lock().unwrap();
+        // Under a regular file, neither the directory nor the file can be
+        // created.
+        let blocker =
+            std::env::temp_dir().join(format!("nazar-obs-blocker-{}", std::process::id()));
+        std::fs::write(&blocker, b"").unwrap();
+        let path = blocker.join("x").join("run.jsonl");
+        assert!(!open_sinks(&format!("jsonl:{}", path.display())));
+        testing::enable_memory_sink();
+        assert!(testing::enable_jsonl_sink(&path).is_err());
+        assert!(!enabled());
+        for i in 0..1000 {
+            event!("dropped", i = i);
+        }
+        assert!(sink::memory_lines().is_empty());
+        testing::disable();
+        let _ = std::fs::remove_file(&blocker);
     }
 
     #[test]

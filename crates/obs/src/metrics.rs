@@ -209,7 +209,7 @@ pub enum MetricKind {
 }
 
 impl MetricKind {
-    /// Prometheus `# TYPE` keyword.
+    /// The `kind` field of a run report's or a telemetry record's metric.
     pub fn as_str(self) -> &'static str {
         match self {
             MetricKind::Counter => "counter",
@@ -269,7 +269,7 @@ pub struct MetricSnapshot {
     pub kind: MetricKind,
     /// Whether the family is volatile (wall-clock- or thread-dependent);
     /// volatile series are excluded from the deterministic telemetry
-    /// series but stay in the `prom:` snapshot and run reports.
+    /// series but stay in run reports.
     pub volatile: bool,
     /// The series' label set.
     pub labels: Vec<(String, String)>,

@@ -13,8 +13,7 @@
 //! **volatile** families (wall-clock `_seconds` histograms, thread-dependent
 //! cache/fan-out counts — see [`crate::metrics`]) are excluded, so the
 //! rendered series is bitwise identical across `NAZAR_NUM_THREADS`.
-//! Volatile families still appear in the `prom:` snapshot and the final run
-//! report.
+//! Volatile families still appear in the final run report.
 //!
 //! Record schema (one JSON object per line, see README "Telemetry series"):
 //!
@@ -109,8 +108,6 @@ pub fn begin_run_with_capacity(capacity: usize) {
     rec.prev = base.clone();
     rec.baseline = base;
     rec.volatile_names = volatile_names;
-    drop(rec);
-    crate::slo::reset_breaches();
 }
 
 /// Drops everything recorded so far (ring, counts, baselines), back to the
@@ -121,10 +118,9 @@ pub(crate) fn reset() {
     *recorder().lock().unwrap_or_else(|e| e.into_inner()) = TelemetryRecorder::default();
 }
 
-/// Takes one snapshot of the metrics registry at virtual time `t_us`,
-/// evaluates any armed SLO rules against it, and appends a delta-encoded
-/// record to the ring. `trigger` names the cause (`"window_close"`,
-/// `"window_complete"`, `"run_end"`).
+/// Takes one snapshot of the metrics registry at virtual time `t_us` and
+/// appends a delta-encoded record to the ring. `trigger` names the cause
+/// (`"window_close"`, `"window_complete"`, `"run_end"`).
 ///
 /// No-op while observability is disabled.
 pub fn snapshot(t_us: u64, trigger: &str) {
@@ -139,9 +135,6 @@ pub fn snapshot(t_us: u64, trigger: &str) {
         rec.capacity = DEFAULT_SERIES_CAP;
         rec.started = true;
     }
-    let dt_secs = (t_us.saturating_sub(rec.last_t_us)) as f64 / 1e6;
-    crate::slo::evaluate_at(t_us, dt_secs, &snap, &rec.baseline, &rec.prev);
-
     let mut line = String::with_capacity(256);
     line.push_str("{\"type\":\"telemetry\",\"seq\":");
     line.push_str(&rec.seq.to_string());

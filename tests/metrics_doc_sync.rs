@@ -14,10 +14,11 @@
 //!
 //! The same holds for the README's "Environment" table and the quoted
 //! `"NAZAR_*"` literals anywhere under `crates/`, `tests/`, `examples/` and
-//! `src/` (tests included: two knobs are test-only), and the files under
-//! `crates/*/src` that read the environment at all are exactly
-//! [`ENV_READERS`] — configuration is a value the caller passes, so a new
-//! `env::var` is a change to that list, made on purpose.
+//! `src/` (tests included: two knobs are test-only), of which there are at
+//! most [`MAX_KNOBS`]. The files under `crates/*/src` that read the
+//! environment at all are exactly [`ENV_READERS`] — configuration is a
+//! value the caller passes, so a new `env::var` is a change to that list,
+//! made on purpose.
 //!
 //! Last, every `[dependencies]` edge of a `crates/*/Cargo.toml` is named
 //! by some file under that crate's `src/` or `benches/`: a crate links
@@ -41,6 +42,9 @@ const ENV_READERS: &[&str] = &[
     "crates/tensor/src/parallel.rs",
     "crates/tensor/src/simd.rs",
 ];
+
+/// The most `NAZAR_*` variables the workspace may read.
+const MAX_KNOBS: usize = 12;
 
 fn repo_root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -175,6 +179,11 @@ fn environment_knobs_and_the_readme_table_agree() {
         code, docs,
         "left: quoted NAZAR_* literals in the sources; right: rows of the \
          README's Environment table"
+    );
+    assert!(
+        code.len() <= MAX_KNOBS,
+        "{} NAZAR_* variables are read, the bar is {MAX_KNOBS}: {code:?}",
+        code.len()
     );
 }
 
