@@ -518,7 +518,7 @@ impl Orchestrator {
         self.window += 1;
         let _window_span = nazar_obs::span_detail("window", || format!("w={w}"));
         let (stats, delivery) = self.device_window(streams, w);
-        self.ingest(&delivery.entries);
+        let window_log = self.ingest(&delivery.entries);
         let uploads = quarantine_uploads(delivery.uploads, Some(self.base_model.arch().input_dim));
         let log_rows = self.drift_log.num_rows();
         let (causes, analysis_time, adapt_time) = match self.strategy {
@@ -531,7 +531,7 @@ impl Orchestrator {
             }
             Strategy::Nazar => {
                 let t0 = Instant::now();
-                let causes = self.analyse(&delivery.entries);
+                let causes = self.analyse(&window_log);
                 let (analysis_time, t1) = (t0.elapsed(), Instant::now());
                 let adapted = self.adapt(w, causes, &uploads);
                 (adapted, analysis_time, t1.elapsed())
@@ -578,13 +578,18 @@ impl Orchestrator {
         (stats, delivery)
     }
 
-    fn ingest(&mut self, entries: &[DriftLogEntry]) {
+    /// Ingests one window's delivered entries and returns the window's own
+    /// log, the rows analysis reads. Each entry is encoded once, into the
+    /// cumulative log; the durable mirror and the window log copy its rows
+    /// by code, before retention can trim them.
+    fn ingest(&mut self, entries: &[DriftLogEntry]) -> DriftLog {
         let _span = nazar_obs::span_detail("log_ingest", || format!("rows={}", entries.len()));
         // Batch ingest: entries are encoded against the dictionaries in
         // parallel, then appended in arrival order. Malformed entries
         // (schema drift, a corrupted upload that decoded to the wrong
         // shape) are quarantined, not fatal: one bad device must not take
         // down the fleet's analysis pipeline.
+        let first = self.drift_log.num_rows();
         let report = self
             .drift_log
             .ingest_batch_with_threads(entries, parallel::num_threads());
@@ -592,12 +597,16 @@ impl Orchestrator {
             QUARANTINED_ENTRIES.add(report.quarantined as u64);
             event!("entries_quarantined", count = report.quarantined);
         }
+        let rows = first..self.drift_log.num_rows();
         if let Some(store) = self.store.as_mut() {
-            // The durable mirror applies the same quarantine (same schema,
-            // same ingest path), so it stays row-for-row identical to the
-            // in-memory log for the rows ingested this process lifetime.
-            store.ingest_batch(entries);
+            // The durable mirror gets the rows the log appended, so it stays
+            // row-for-row identical to the in-memory log for the rows
+            // ingested this process lifetime.
+            if let Err(err) = store.append_rows(&self.drift_log, rows.clone()) {
+                event!("store_ingest_failed", error = err.to_string());
+            }
         }
+        let window_log = self.drift_log.slice(rows);
         if let Some(limit) = self.config.log_retention {
             self.drift_log.retain_last(limit);
             if let Some(store) = self.store.as_mut() {
@@ -610,6 +619,7 @@ impl Orchestrator {
                 }
             }
         }
+        window_log
     }
 
     /// Adapts the rolling model on `uploads` and deploys it as the universal
@@ -636,10 +646,10 @@ impl Orchestrator {
         self.deploy(&VersionMeta::clean(), &patch);
     }
 
-    /// Root-cause analysis over one window's entries (the Lambda run).
-    fn analyse(&self, entries: &[DriftLogEntry]) -> Vec<RankedCause> {
+    /// Root-cause analysis over one window's log (the Lambda run).
+    fn analyse(&self, window_log: &DriftLog) -> Vec<RankedCause> {
         let mut causes = analyze_variant_with(
-            &window_log(entries),
+            window_log,
             &self.config.fim,
             self.config.analysis_variant,
             self.config.algorithm,
@@ -840,13 +850,6 @@ fn attrs_label(meta: &VersionMeta) -> String {
     attrs.join(",")
 }
 
-/// The log one window's analysis runs over: exactly this window's rows.
-fn window_log(entries: &[DriftLogEntry]) -> DriftLog {
-    let mut log = DriftLog::new(&LOG_SCHEMA);
-    log.ingest_batch_with_threads(entries, parallel::num_threads());
-    log
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -979,18 +982,11 @@ mod tests {
 
     #[test]
     fn borrowed_ingest_equals_three_cloned_ingests() {
-        // The cumulative log, the durable mirror and the window log all
-        // read one borrowed slice; each must end up where handing it its
-        // own clone of the batch (and where pushing row by row) left it,
-        // including what a quarantined row interned before it failed.
-        let dir = std::env::temp_dir().join(format!("nazar-cloud-borrow-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let config = CloudConfig {
-            persist: Some(StoreConfig::at(dir.to_string_lossy().into_owned())),
-            ..CloudConfig::default()
-        };
-        let mut orch = tiny_orchestrator(config);
-
+        // The cumulative log encodes the borrowed batch once; the durable
+        // mirror and the window log copy its rows by code. Each must end
+        // where a string ingest of its own clone of those rows leaves it,
+        // dictionaries included, and a quarantined row interns nothing —
+        // also under a retention bound smaller than one window's rows.
         let row = |ts: u64, weather: &str, device: &str| {
             DriftLogEntry::new(
                 ts,
@@ -1002,10 +998,10 @@ mod tests {
                 ts.is_multiple_of(2),
             )
         };
-        let entries = vec![
+        let entries = [
             row(1, "snow", "d0"),
             row(2, "snow", "d0"),
-            // Interns "hail" into the weather column, then fails.
+            // Names every column but one, then one the schema lacks.
             DriftLogEntry::new(
                 3,
                 &[("weather", "hail"), ("location", "x"), ("altitude", "y")],
@@ -1015,35 +1011,67 @@ mod tests {
             row(5, "rain", "d1"),
             row(6, "snow", "d1"),
         ];
-        orch.ingest(&entries);
-        orch.ingest(&entries[..2]);
-
-        let mut cloned = DriftLog::new(&LOG_SCHEMA);
-        let mut pushed = DriftLog::new(&LOG_SCHEMA);
-        for (batch, quarantined) in [(&entries[..], 2), (&entries[..2], 0)] {
-            let report = cloned.ingest_batch(batch.to_vec());
-            assert_eq!(report.quarantined, quarantined);
-            for e in batch {
-                let _ = pushed.push(e.clone());
+        for retention in [None, Some(3)] {
+            let dir = std::env::temp_dir().join(format!(
+                "nazar-cloud-borrow-{}-{retention:?}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let config = CloudConfig {
+                persist: Some(StoreConfig::at(dir.to_string_lossy().into_owned())),
+                log_retention: retention,
+                ..CloudConfig::default()
+            };
+            let mut orch = tiny_orchestrator(config);
+            // The cumulative log's oracles, and the mirror's: it trims
+            // only once it overshoots by a chunk, so it keeps every row.
+            let mut cloned = DriftLog::new(&LOG_SCHEMA);
+            let mut pushed = DriftLog::new(&LOG_SCHEMA);
+            let mut mirrored = DriftLog::new(&LOG_SCHEMA);
+            for (batch, quarantined) in [(&entries[..], 2), (&entries[..2], 0)] {
+                let window = orch.ingest(batch);
+                let mut want = DriftLog::new(&LOG_SCHEMA);
+                assert_eq!(want.ingest_batch(batch.to_vec()).quarantined, quarantined);
+                assert_eq!(window, want, "retention {retention:?}");
+                cloned.ingest_batch(batch.to_vec());
+                mirrored.ingest_batch(batch.to_vec());
+                for e in batch {
+                    let _ = pushed.push(e.clone());
+                }
+                if let Some(n) = retention {
+                    cloned.retain_last(n);
+                    pushed.retain_last(n);
+                }
             }
-        }
-        assert_eq!(cloned, pushed);
-        assert_eq!(orch.drift_log(), &cloned);
-        assert_eq!(orch.drift_log().num_rows(), 6);
-        assert!(orch
-            .drift_log()
-            .dict_values(0)
-            .contains(&"hail".to_string()));
+            assert_eq!(cloned, pushed);
+            assert_eq!(orch.drift_log(), &cloned);
+            assert_eq!(orch.drift_log().num_rows(), retention.unwrap_or(6));
+            assert!(!orch
+                .drift_log()
+                .dict_values(0)
+                .contains(&"hail".to_string()));
 
-        let store = orch.drift_store().expect("store open");
-        assert_eq!(store.num_rows(), cloned.num_rows());
-        for r in 0..cloned.num_rows() {
-            assert_eq!(store.entry(r).expect("row"), cloned.entry(r).expect("row"));
+            let store = orch.drift_store().expect("store open");
+            assert_eq!(store.num_rows(), mirrored.num_rows());
+            for r in 0..mirrored.num_rows() {
+                assert_eq!(
+                    store.entry(r).expect("row"),
+                    mirrored.entry(r).expect("row")
+                );
+            }
+            // Its newest rows are the cumulative log's.
+            let trimmed = store.num_rows() - cloned.num_rows();
+            for r in 0..cloned.num_rows() {
+                let got = store.entry(trimmed + r).expect("row");
+                assert_eq!(got, cloned.entry(r).expect("row"));
+            }
+            for key in &LOG_SCHEMA {
+                assert_eq!(
+                    store.distinct_values(key).expect("known key"),
+                    mirrored.distinct_values(key).expect("known key"),
+                );
+            }
+            let _ = std::fs::remove_dir_all(&dir);
         }
-
-        let mut window = DriftLog::new(&LOG_SCHEMA);
-        window.ingest_batch(entries.clone());
-        assert_eq!(window_log(&entries), window);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

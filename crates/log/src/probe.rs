@@ -1,85 +1,65 @@
-//! Low-level probe API over decoded columnar row blocks.
+//! Low-level scan API over decoded columnar row blocks.
 //!
 //! The persistent chunked store (`nazar-store`, DESIGN.md §13) holds drift
 //! logs larger than RAM: rows live in compressed columnar chunks on a
-//! storage backend, and queries stream one decoded chunk at a time. This
-//! module is the bridge that lets those streamed chunks run through
-//! *exactly* the same per-segment probe machinery the in-memory
-//! [`DriftLog`](crate::DriftLog) index uses — posting-list selection,
-//! smallest-list walks, direct column verification, LSB-first drift
-//! bitmaps — so out-of-core results are bitwise identical to in-memory
-//! ones by construction, not by parallel reimplementation.
+//! storage backend, and queries stream one decoded chunk at a time. A
+//! decoded chunk is read about once, so it gets no index: a
+//! [`ColumnarBlock`] answers `count`/`rows`/`value_counts` questions by
+//! scanning its code columns, where the in-memory
+//! [`DriftLog`](crate::DriftLog) walks posting lists it builds on first
+//! read. The store's out-of-core answers and the log's in-memory ones come
+//! from two evaluators; the store's differential suite compares them.
 //!
-//! A [`ColumnarBlock`] is built from a decoded chunk's raw columns and
-//! indexes them once, in bulk (one `Segment` worth of posting lists, each
-//! sized by a counting pass before it is filled); each probe
-//! then answers `count`/`rows`/`value_counts` questions against the block.
-//! All row offsets inside the block are local; callers carry the block's
-//! global start row and pass it to the probes that return rows, which is
+//! All row offsets inside a block are local; callers carry the block's
+//! global start row and pass it to the scans that return rows, which is
 //! what lets the store shift whole chunks during retention without
 //! touching their bytes. The merge rules that combine per-block answers
 //! (`MatchCounts += part`, appended offset rows, accumulated per-code
-//! counts, [`group_counts`]) live in this crate too, so the in-memory log
-//! over its segments and the store over chunks + tail cannot disagree.
+//! counts, [`group_counts`]) live in this crate, so the in-memory log over
+//! its segments and the store over chunks + tail merge alike.
 
-use crate::store::{code_counts, segment_count, segment_rows, MatchCounts, Segment};
+use crate::store::MatchCounts;
 
-/// One decoded block of dictionary-encoded rows plus its probe index.
+/// One decoded block of dictionary-encoded rows.
 ///
-/// Equivalent to one [`DriftLog`](crate::DriftLog) index segment, except
-/// the columnar data is owned by the block (a decoded storage chunk)
-/// instead of borrowed from the log's global columns.
+/// Holds the columnar data of one storage chunk; every query is a scan
+/// over it.
 #[derive(Debug, Clone)]
 pub struct ColumnarBlock {
     /// Per-column dict codes, one `Vec<u32>` per schema column, all of the
     /// same length (the block's row count).
     columns: Vec<Vec<u32>>,
+    /// Per-row drift flags.
+    drift: Vec<bool>,
     /// Per-row timestamps.
     timestamps: Vec<u64>,
-    /// The posting-list index over the block (local rows, `start == 0`).
-    seg: Segment,
 }
 
 impl ColumnarBlock {
-    /// Builds a block (and its probe index) over decoded columnar data.
-    /// `columns` must all have the same length as `drift` and `timestamps`;
-    /// rows beyond the shortest column are ignored. `dict_lens` gives, per
-    /// column, a bound every code lies below (the dictionary length at the
-    /// chunk's seal); it sizes the index build's scratch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a code is not below its column's `dict_lens` entry, or a
-    /// column has no entry: callers check decoded codes first.
+    /// Builds a block over decoded columnar data. `columns` should all have
+    /// the same length as `drift` and `timestamps`; rows beyond the
+    /// shortest of them are dropped.
     pub fn build(
-        columns: Vec<Vec<u32>>,
-        drift: &[bool],
-        timestamps: &[u64],
-        dict_lens: impl IntoIterator<Item = usize>,
+        mut columns: Vec<Vec<u32>>,
+        mut drift: Vec<bool>,
+        mut timestamps: Vec<u64>,
     ) -> ColumnarBlock {
-        let rows = columns
-            .iter()
-            .map(Vec::len)
-            .chain([drift.len(), timestamps.len()])
-            .min()
-            .unwrap_or(0);
-        let mut counts = code_counts(dict_lens);
-        let seg = Segment::build(0..rows, &columns, drift, timestamps, &mut counts);
+        let lens = columns.iter().map(Vec::len);
+        let rows = lens.chain([drift.len(), timestamps.len()]).min();
+        let rows = rows.unwrap_or(0);
+        columns.iter_mut().for_each(|column| column.truncate(rows));
+        drift.truncate(rows);
+        timestamps.truncate(rows);
         ColumnarBlock {
             columns,
-            timestamps: timestamps[..rows].to_vec(),
-            seg,
+            drift,
+            timestamps,
         }
     }
 
     /// Rows in the block.
     pub fn rows(&self) -> usize {
         self.timestamps.len()
-    }
-
-    /// Drift-flagged rows in the block.
-    pub fn drifted(&self) -> usize {
-        self.seg.drifted_count()
     }
 
     /// The block's per-row timestamps (local row order).
@@ -98,7 +78,17 @@ impl ColumnarBlock {
 
     /// Whether local row `row` is drift-flagged (false out of range).
     pub fn drift_flag(&self, row: usize) -> bool {
-        row < self.rows() && self.seg.drifted_bit(row as u32)
+        self.drift.get(row).copied().unwrap_or(false)
+    }
+
+    /// The local rows matching every predicate, ascending. An empty
+    /// predicate set matches every row.
+    fn matching<'a>(&'a self, preds: &'a [(usize, u32)]) -> impl Iterator<Item = usize> + 'a {
+        (0..self.rows()).filter(move |&row| {
+            preds
+                .iter()
+                .all(|&(ci, code)| self.columns[ci][row] == code)
+        })
     }
 
     /// `COUNT(*)` / `COUNT(*) WHERE drift` over the block for resolved
@@ -107,21 +97,32 @@ impl ColumnarBlock {
     /// [`DriftLog::count_matching`](crate::DriftLog::count_matching) treats
     /// its mask; rows beyond the mask's length count as not drifted.
     pub fn count_matching(&self, preds: &[(usize, u32)], mask: Option<&[bool]>) -> MatchCounts {
-        segment_count(&self.columns, &self.seg, preds, mask)
+        let flags = mask.unwrap_or(&self.drift);
+        let mut counts = MatchCounts::default();
+        for row in self.matching(preds) {
+            counts.occurrences += 1;
+            counts.drifted += usize::from(flags.get(row).copied().unwrap_or(false));
+        }
+        counts
     }
 
     /// Appends the rows matching every predicate to `out` as global row
     /// indices (`start` is the block's first global row), in ascending
     /// order. An empty predicate set matches every row.
     pub fn rows_matching(&self, preds: &[(usize, u32)], start: usize, out: &mut Vec<usize>) {
-        segment_rows(&self.columns, &self.seg, preds, start, out);
+        out.extend(self.matching(preds).map(|row| start + row));
     }
 
     /// Adds the block's per-value `(occurrences, drifted)` contributions
     /// for column `ci` into `counts` (indexed by dict code). Codes beyond
     /// `counts.len()` are ignored.
     pub fn accumulate_value_counts(&self, ci: usize, counts: &mut [MatchCounts]) {
-        self.seg.accumulate_value_counts(ci, counts);
+        for (&code, &drifted) in self.columns[ci].iter().zip(&self.drift) {
+            if let Some(c) = counts.get_mut(code as usize) {
+                c.occurrences += 1;
+                c.drifted += usize::from(drifted);
+            }
+        }
     }
 }
 

@@ -1,15 +1,16 @@
 //! Columnar drift-log store with dictionary encoding and a sharded,
-//! posting-list query index.
+//! posting-list query index built where queries read it.
 //!
 //! # Segment layout (DESIGN.md §10)
 //!
 //! The log keeps its columnar source of truth — one dictionary-encoded
-//! `Vec<u32>` per attribute key, plus drift flags and timestamps — exactly
-//! as before, and shards *the query index* over it: fixed-size row-range
-//! `Segment`s, each carrying
+//! `Vec<u32>` per attribute key, plus drift flags and timestamps — and
+//! shards *the query index* over it: fixed-size row-range `Segment`s, each
+//! carrying
 //!
 //! * per-column **posting lists**: for every dict code present in the
-//!   segment, the sorted list of segment-local row offsets holding it;
+//!   segment, the sorted list of segment-local row offsets holding it,
+//!   built in bulk by the first query that reads them;
 //! * a **drifted-row bitmap** (`u64` words, LSB-first) with a cached
 //!   popcount;
 //! * the segment's **timestamp range** (`ts_min`/`ts_max`) for window
@@ -19,16 +20,16 @@
 //! `group_counts`, `window`) is a plain in-order loop over the segments,
 //! each answered by posting-list intersection and merged in segment order
 //! (pinned against a naive row scan by `tests/query_equivalence.rs`).
-//! Maintenance is incremental: `push` appends to the tail segment in place,
-//! `retain_last` drops whole head segments and rebuilds at most one partial
-//! head segment, and `window` prunes segments by timestamp range. Every
-//! rebuild (that boundary segment, a deserialized or reopened log, a new
-//! segment size) indexes its rows in bulk: one counting pass per column
-//! sizes each posting list exactly before it is filled.
+//! Appends never touch a posting list: `push`, `ingest_batch` and
+//! `append_rows` extend the tail segment's row count, drift bitmap and
+//! timestamp range and drop its postings, `retain_last` drops whole head
+//! segments and re-counts at most one partial head segment, and `window` prunes segments by timestamp range. The postings
+//! of a segment are built once per run of appends into it: one counting
+//! pass per column sizes each list exactly before it is filled.
 //!
 //! The segments cover every row at all times: the index is not serialized,
-//! so deserializing a log rebuilds it (and the [`Dict`] interning maps) on
-//! the way in.
+//! so deserializing a log rebuilds the segments (and the [`Dict`] interning
+//! maps) on the way in.
 
 use crate::entry::{Attribute, DriftLogEntry};
 use nazar_obs::{LazyCounter, LazyGauge, LazyHistogram};
@@ -37,6 +38,7 @@ use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 static INGEST_ROWS: LazyCounter = LazyCounter::new(
     "nazar_log_ingest_rows_total",
@@ -209,22 +211,27 @@ const INGEST_ROWS_PER_TASK: usize = 4096;
 /// dictionary reaches this many values.
 const NOT_CODED: u32 = u32::MAX;
 
+/// One column's posting lists: `(dict code, sorted local rows)` pairs,
+/// sorted by code.
+type Postings = Vec<(u32, Vec<u32>)>;
+
 /// One row-range shard of the query index (see the module docs).
 ///
-/// Covers global rows `start..start + rows`; all stored offsets are
-/// segment-local (`global = start + local`), which is what lets
+/// Covers global rows `start..start + rows`; its postings hold
+/// segment-local offsets (`global = start + local`), which is what lets
 /// [`DriftLog::retain_last`] shift surviving segments by adjusting `start`
-/// alone. Crate-visible so [`crate::probe::ColumnarBlock`] can build the
-/// same index over a decoded storage chunk.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct Segment {
+/// alone.
+#[derive(Debug, Clone, Default)]
+struct Segment {
     /// Global row id of local row 0.
     start: usize,
     /// Rows covered.
     rows: usize,
-    /// Per column: `(dict code, sorted local rows)` pairs, sorted by code.
-    postings: Vec<Vec<(u32, Vec<u32>)>>,
-    /// Bitmap of drifted local rows, LSB-first `u64` words.
+    /// Per column, the segment's posting lists: built by the first query
+    /// that reads them, dropped by an append.
+    postings: OnceLock<Vec<Postings>>,
+    /// Bitmap of drifted local rows, LSB-first `u64` words, ending at the
+    /// word of the last drifted row.
     drifted: Vec<u64>,
     /// Popcount of `drifted`.
     drifted_count: usize,
@@ -234,78 +241,37 @@ pub(crate) struct Segment {
     ts_max: u64,
 }
 
+/// Equal rows, drift bitmap and timestamp range. The postings follow from
+/// the log's columns, so whether a query has built them yet does not count.
+impl PartialEq for Segment {
+    fn eq(&self, other: &Self) -> bool {
+        let key = |s: &Segment| (s.start, s.rows, s.drifted_count, s.ts_min, s.ts_max);
+        key(self) == key(other) && self.drifted == other.drifted
+    }
+}
+
 impl Segment {
-    pub(crate) fn new(start: usize, columns: usize) -> Self {
+    fn new(start: usize) -> Self {
         Segment {
             start,
-            postings: vec![Vec::new(); columns],
             ..Segment::default()
         }
     }
 
-    /// Indexes global rows `rows` of `columns`, `drift` and `timestamps` in
-    /// one go: the segment [`Segment::push_row`] would build row by row,
-    /// structurally equal (same posting order, same rows, a bitmap that
-    /// ends at the word of the last drifted row).
-    ///
-    /// Per column, one counting pass sizes every posting list; the lists
-    /// are then allocated at that exact size in code order and filled in
-    /// ascending row order. `counts` holds one zeroed slot per dictionary
-    /// value per column ([`code_counts`]); the build resets the slots it
-    /// touched, so one scratch serves any number of segments.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a code in `rows` has no slot in its column's `counts`:
-    /// callers check codes against their dictionary first.
-    pub(crate) fn build(
-        rows: Range<usize>,
-        columns: &[Vec<u32>],
-        drift: &[bool],
-        timestamps: &[u64],
-        counts: &mut [Vec<u32>],
-    ) -> Segment {
-        let mut seg = Segment {
-            start: rows.start,
-            rows: rows.len(),
-            ..Segment::default()
-        };
-        seg.postings = columns
-            .iter()
-            .zip(counts.iter_mut())
-            .map(|(column, counts)| postings(&column[rows.clone()], counts))
-            .collect();
-        seg.drifted = vec![0; rows.len().div_ceil(64)];
-        let (mut ts_min, mut ts_max) = (u64::MAX, u64::MIN);
-        let flags = drift[rows.clone()].iter().zip(&timestamps[rows]);
-        for (local, (&d, &ts)) in flags.enumerate() {
-            if d {
-                seg.drifted[local / 64] |= 1 << (local % 64);
-                seg.drifted_count += 1;
-            }
-            ts_min = ts_min.min(ts);
-            ts_max = ts_max.max(ts);
-        }
-        while seg.drifted.last() == Some(&0) {
-            seg.drifted.pop();
-        }
-        if seg.rows > 0 {
-            (seg.ts_min, seg.ts_max) = (ts_min, ts_max);
+    /// Counts global rows `rows` of `drift` and `timestamps` in one go: the
+    /// segment [`Segment::push_row`] would build row by row.
+    fn build(rows: Range<usize>, drift: &[bool], timestamps: &[u64]) -> Segment {
+        let mut seg = Segment::new(rows.start);
+        for (&d, &ts) in drift[rows.clone()].iter().zip(&timestamps[rows]) {
+            seg.push_row(d, ts);
         }
         seg
     }
 
-    /// Appends global row `row` (read from the log's columns) as the next
-    /// local row — the one-row append at the log's tail.
-    pub(crate) fn push_row(&mut self, columns: &[Vec<u32>], row: usize, drift: bool, ts: u64) {
-        let local = self.rows as u32;
-        for (posting, column) in self.postings.iter_mut().zip(columns) {
-            let code = column[row];
-            match posting.binary_search_by_key(&code, |(c, _)| *c) {
-                Ok(pos) => posting[pos].1.push(local),
-                Err(pos) => posting.insert(pos, (code, vec![local])),
-            }
-        }
+    /// Appends the next local row and drops the postings, which no longer
+    /// cover the segment.
+    fn push_row(&mut self, drift: bool, ts: u64) {
+        self.postings = OnceLock::new();
         if drift {
             let word = self.rows / 64;
             if word >= self.drifted.len() {
@@ -315,8 +281,7 @@ impl Segment {
             self.drifted_count += 1;
         }
         if self.rows == 0 {
-            self.ts_min = ts;
-            self.ts_max = ts;
+            (self.ts_min, self.ts_max) = (ts, ts);
         } else {
             self.ts_min = self.ts_min.min(ts);
             self.ts_max = self.ts_max.max(ts);
@@ -324,54 +289,49 @@ impl Segment {
         self.rows += 1;
     }
 
+    fn range(&self) -> Range<usize> {
+        self.start..self.start + self.rows
+    }
+
+    /// The segment's posting lists over the log's `columns`, built on the
+    /// first call since the last append.
+    fn postings(&self, columns: &[Vec<u32>]) -> &[Postings] {
+        self.postings.get_or_init(|| {
+            let mut counts = Vec::new();
+            let codes = columns.iter().map(|column| &column[self.range()]);
+            codes.map(|codes| postings(codes, &mut counts)).collect()
+        })
+    }
+
     /// The sorted local rows holding `code` in column `ci`, if any.
-    fn posting(&self, ci: usize, code: u32) -> Option<&[u32]> {
-        let column = &self.postings[ci];
+    fn posting<'s>(&'s self, columns: &[Vec<u32>], ci: usize, code: u32) -> Option<&'s [u32]> {
+        let column = &self.postings(columns)[ci];
         column
             .binary_search_by_key(&code, |(c, _)| *c)
             .ok()
             .map(|pos| column[pos].1.as_slice())
     }
-
-    /// Number of drift-flagged rows in the segment.
-    pub(crate) fn drifted_count(&self) -> usize {
-        self.drifted_count
-    }
-
-    /// Whether local row `local` is drift-flagged.
-    pub(crate) fn drifted_bit(&self, local: u32) -> bool {
-        let i = local as usize;
-        self.drifted
-            .get(i / 64)
-            .is_some_and(|w| (w >> (i % 64)) & 1 == 1)
-    }
-
-    /// Adds this segment's per-value `(occurrences, drifted)` contributions
-    /// for column `ci` into `counts` (indexed by dict code). Codes at or
-    /// beyond `counts.len()` are ignored — callers size `counts` to the
-    /// dictionary they resolve against.
-    pub(crate) fn accumulate_value_counts(&self, ci: usize, counts: &mut [MatchCounts]) {
-        for (code, rows) in &self.postings[ci] {
-            let Some(c) = counts.get_mut(*code as usize) else {
-                continue;
-            };
-            c.occurrences += rows.len();
-            c.drifted += rows.iter().filter(|&&l| self.drifted_bit(l)).count();
-        }
-    }
 }
 
-/// [`Segment::build`]'s scratch: per column, one zeroed count slot per
-/// dictionary value.
-pub(crate) fn code_counts(dict_lens: impl IntoIterator<Item = usize>) -> Vec<Vec<u32>> {
-    dict_lens.into_iter().map(|len| vec![0; len]).collect()
+/// Whether bit `local` of the LSB-first bitmap `bits` is set. Queries read
+/// a segment's bitmap through this, as a slice taken before their loops:
+/// the postings' `OnceLock` makes `Segment` interior-mutable, so a field
+/// read through `&Segment` would be reloaded on every row.
+fn bit(bits: &[u64], local: u32) -> bool {
+    let i = local as usize;
+    bits.get(i / 64).is_some_and(|w| (w >> (i % 64)) & 1 == 1)
 }
 
 /// One column's posting lists over `codes` (local rows), sorted by code,
-/// each allocated at its exact length. `counts` comes in and goes out
-/// zeroed.
-fn postings(codes: &[u32], counts: &mut [u32]) -> Vec<(u32, Vec<u32>)> {
-    let mut lists: Vec<(u32, Vec<u32>)> = Vec::new();
+/// each allocated at its exact length: one counting pass sizes the lists,
+/// a second fills them in ascending row order. `counts` is scratch with a
+/// zero slot per code (grown to fit), and goes out zeroed.
+fn postings(codes: &[u32], counts: &mut Vec<u32>) -> Postings {
+    let len = codes.iter().max().map_or(0, |&c| c as usize + 1);
+    if counts.len() < len {
+        counts.resize(len, 0);
+    }
+    let mut lists: Postings = Vec::new();
     for &code in codes {
         let n = &mut counts[code as usize];
         if *n == 0 {
@@ -400,9 +360,9 @@ fn postings(codes: &[u32], counts: &mut [u32]) -> Vec<(u32, Vec<u32>)> {
 /// paper's Aurora table), sharded into row-range index `Segment`s.
 ///
 /// Queries run as per-segment posting-list intersections merged in segment
-/// order — sublinear in rows for selective predicates. The segments cover
-/// every row at all times (deserialization rebuilds them), so there is no
-/// other query path.
+/// order — sublinear in rows for selective predicates once a segment's
+/// postings are built. The segments cover every row at all times
+/// (deserialization rebuilds them), so there is no other query path.
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct DriftLog {
     schema: Vec<String>,
@@ -485,8 +445,8 @@ impl DriftLog {
     /// manifest records the dictionaries interned so far, the partial tail
     /// chunk's rows come back by their codes, and the tail log must
     /// resolve and intern against *exactly* those codes so persisted
-    /// chunks and fresh rows share one code space. The rows are indexed in
-    /// bulk and count as appended rows.
+    /// chunks and fresh rows share one code space. The rows count as
+    /// appended rows; their postings wait for the first query.
     ///
     /// # Errors
     ///
@@ -516,7 +476,7 @@ impl DriftLog {
 
     /// A log over coded rows, checked first (every column as long as
     /// `drift`, every code inside its dictionary), with its dictionaries'
-    /// lookup maps and its segment index built.
+    /// lookup maps and its segments counted.
     fn from_parts(
         schema: Vec<String>,
         columns: Vec<Vec<u32>>,
@@ -618,42 +578,20 @@ impl DriftLog {
     fn rebuild_index(&mut self) {
         let rows = self.num_rows();
         let step = self.segment_rows();
-        let mut counts = self.code_counts();
         self.segments = (0..rows)
             .step_by(step)
-            .map(|start| self.build_segment(start..rows.min(start + step), &mut counts))
+            .map(|start| self.build_segment(start..rows.min(start + step)))
             .collect();
         SEGMENTS.set(self.segments.len() as f64);
     }
 
-    /// [`Segment::build`]'s scratch, sized by this log's dictionaries.
-    fn code_counts(&self) -> Vec<Vec<u32>> {
-        code_counts(self.dicts.iter().map(|d| d.values.len()))
-    }
-
     /// Builds one segment over global rows `rows` from the columnar store.
-    fn build_segment(&self, rows: Range<usize>, counts: &mut [Vec<u32>]) -> Segment {
-        Segment::build(rows, &self.columns, &self.drift, &self.timestamps, counts)
+    fn build_segment(&self, rows: Range<usize>) -> Segment {
+        Segment::build(rows, &self.drift, &self.timestamps)
     }
 
-    /// Incremental tail maintenance: indexes the row just appended to the
-    /// columnar store, starting a fresh segment when the tail is full.
-    fn index_append_last_row(&mut self) {
-        let row = self.num_rows() - 1;
-        if self
-            .segments
-            .last()
-            .is_none_or(|s| s.rows >= self.segment_rows())
-        {
-            self.segments.push(Segment::new(row, self.schema.len()));
-            SEGMENTS.set(self.segments.len() as f64);
-        }
-        if let Some(seg) = self.segments.last_mut() {
-            seg.push_row(&self.columns, row, self.drift[row], self.timestamps[row]);
-        }
-    }
-
-    /// Appends an already-encoded row and maintains the tail segment.
+    /// Appends an already-encoded row to the columns and the tail segment,
+    /// starting a fresh segment when the tail is full.
     fn append_coded(&mut self, codes: &[u32], drift: bool, timestamp: u64) {
         for (column, &code) in self.columns.iter_mut().zip(codes) {
             column.push(code);
@@ -664,7 +602,14 @@ impl DriftLog {
         if drift {
             INGEST_DRIFTED.inc();
         }
-        self.index_append_last_row();
+        let full = self.segment_rows();
+        if self.segments.last().is_none_or(|s| s.rows >= full) {
+            self.segments.push(Segment::new(self.num_rows() - 1));
+            SEGMENTS.set(self.segments.len() as f64);
+        }
+        if let Some(seg) = self.segments.last_mut() {
+            seg.push_row(drift, timestamp);
+        }
     }
 
     /// Appends one entry.
@@ -692,8 +637,8 @@ impl DriftLog {
 
     /// Resolves `entry`'s values in schema order into `codes` (one slot per
     /// column), interning new ones. Borrows the entry: interning copies the
-    /// one string it keeps. On a mismatch the columns before the failing
-    /// one stay interned.
+    /// one string it keeps. Every key is resolved before anything is
+    /// interned, so an entry that fails interns nothing.
     fn intern_row(&mut self, entry: &DriftLogEntry, codes: &mut [u32]) -> Result<()> {
         if entry.attrs.len() != self.schema.len() {
             let key = entry
@@ -704,11 +649,15 @@ impl DriftLog {
                 .unwrap_or_else(|| "<missing>".to_string());
             return Err(LogError::SchemaMismatch { key });
         }
-        for ((key, dict), code) in self.schema.iter().zip(&mut self.dicts).zip(codes) {
-            let Some(value) = entry.attrs.iter().find(|a| &a.key == key) else {
+        // First pass: each slot holds the position of its column's value.
+        for (key, code) in self.schema.iter().zip(codes.iter_mut()) {
+            let Some(at) = entry.attrs.iter().position(|a| &a.key == key) else {
                 return Err(LogError::SchemaMismatch { key: key.clone() });
             };
-            *code = dict.intern(&value.value);
+            *code = at as u32;
+        }
+        for (dict, code) in self.dicts.iter_mut().zip(codes) {
+            *code = dict.intern(&entry.attrs[*code as usize].value);
         }
         Ok(())
     }
@@ -739,11 +688,10 @@ impl DriftLog {
     /// The rows are only read — pass a slice, or anything that lends one.
     ///
     /// Equivalent to `for e in entries { let _ = self.push(e); }` — entries
-    /// that fail the schema check are quarantined (counted, not appended)
-    /// instead of aborting the batch, and the final log state (rows *and*
-    /// dictionaries, including `push`'s interning of a failing entry's
-    /// leading columns) is byte-identical to that loop at any thread count.
-    /// `tests` pin this differentially.
+    /// that fail the schema check are quarantined (counted, not appended,
+    /// nothing interned) instead of aborting the batch, and the final log
+    /// state (rows *and* dictionaries) is byte-identical to that loop at
+    /// any thread count. `tests` pin this differentially.
     pub fn ingest_batch_with_threads(
         &mut self,
         entries: impl AsRef<[DriftLogEntry]>,
@@ -790,9 +738,8 @@ impl DriftLog {
         }
         // Phase B: sequential append, in arrival order. Pre-coded entries
         // skip straight to the columnar append; the rest replay `push` so
-        // first-use interning order and partial-interning-before-failure
-        // match the naive loop exactly, writing their codes into the row's own
-        // slots.
+        // first-use interning order matches the naive loop exactly, writing
+        // their codes into the row's own slots.
         let mut report = IngestReport::default();
         let columns = self.schema.len();
         for (entry, codes) in entries.iter().zip(coded.chunks_exact_mut(stride)) {
@@ -849,7 +796,13 @@ impl DriftLog {
         let values = &self.dicts[ci].values;
         let mut counts = vec![MatchCounts::default(); values.len()];
         for seg in &self.segments {
-            seg.accumulate_value_counts(ci, &mut counts);
+            let drifted = seg.drifted.as_slice();
+            for (code, rows) in &seg.postings(&self.columns)[ci] {
+                if let Some(c) = counts.get_mut(*code as usize) {
+                    c.occurrences += rows.len();
+                    c.drifted += rows.iter().filter(|&&l| bit(drifted, l)).count();
+                }
+            }
         }
         Ok(values.iter().cloned().zip(counts).collect())
     }
@@ -886,7 +839,7 @@ impl DriftLog {
         let mut rows = Vec::new();
         if let Some(preds) = self.resolve_predicates(set)? {
             for seg in &self.segments {
-                segment_rows(&self.columns, seg, &preds, seg.start, &mut rows);
+                segment_rows(&self.columns, seg, &preds, &mut rows);
             }
         }
         Ok(rows)
@@ -898,43 +851,94 @@ impl DriftLog {
     /// Works at segment granularity: segments whose timestamp range misses
     /// `[t0, t1)` are pruned whole, segments fully inside copy without
     /// per-row comparisons, and only boundary segments scan row by row.
-    /// Rows are copied code-to-code with a per-column remap (values are
-    /// interned into the new log in first-use order, exactly as a naive
-    /// rebuild via `push` would).
+    /// Rows are copied code to code ([`DriftLog::append_rows`]).
     pub fn window(&self, t0: u64, t1: u64) -> DriftLog {
-        let mut out = DriftLog::new(&self.schema.iter().map(|s| s.as_str()).collect::<Vec<_>>());
-        out.segment_rows = self.segment_rows;
+        let mut out = self.empty_like();
         if t0 >= t1 {
             return out;
         }
-        // Per-column memo from our codes to the output log's codes.
-        let mut remaps: Vec<Vec<Option<u32>>> = self
+        let in_window = |row: &usize| (t0..t1).contains(&self.timestamps[*row]);
+        let segments = self.segments.iter().filter(|seg| {
+            let hit = seg.ts_max >= t0 && seg.ts_min < t1;
+            if !hit {
+                SEGMENTS_PRUNED.inc();
+            }
+            hit
+        });
+        out.copy_rows(
+            self,
+            segments.flat_map(|seg| {
+                let take_all = seg.ts_min >= t0 && seg.ts_max < t1;
+                seg.range().filter(move |row| take_all || in_window(row))
+            }),
+        );
+        out
+    }
+
+    /// Rows `rows` of this log as a log of their own (the original is
+    /// untouched), copied code to code ([`DriftLog::append_rows`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` reaches past the last row.
+    pub fn slice(&self, rows: Range<usize>) -> DriftLog {
+        let mut out = self.empty_like();
+        out.copy_rows(self, rows);
+        out
+    }
+
+    /// An empty log with this log's schema and segment size.
+    fn empty_like(&self) -> DriftLog {
+        DriftLog {
+            schema: self.schema.clone(),
+            columns: vec![Vec::new(); self.schema.len()],
+            dicts: vec![Dict::default(); self.schema.len()],
+            segment_rows: self.segment_rows,
+            ..DriftLog::default()
+        }
+    }
+
+    /// Appends rows `rows` of `src`, a log over the same schema, copying
+    /// them code to code: each value is interned here at its first use, so
+    /// this log ends exactly where ingesting those rows' entries would
+    /// leave it, dictionaries included.
+    ///
+    /// # Errors
+    ///
+    /// [`LogError::SchemaMismatch`] (and nothing appended) when `src`'s
+    /// schema is not this log's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row lies past `src`'s last row.
+    pub fn append_rows(&mut self, src: &DriftLog, rows: Range<usize>) -> Result<()> {
+        if src.schema != self.schema {
+            let mut keys = src.schema.iter().chain(&self.schema);
+            let key = keys.find(|k| !(src.schema.contains(k) && self.schema.contains(k)));
+            let key = key.cloned().unwrap_or_else(|| "<column order>".to_string());
+            return Err(LogError::SchemaMismatch { key });
+        }
+        self.copy_rows(src, rows);
+        Ok(())
+    }
+
+    /// [`DriftLog::append_rows`] without the schema check: the one
+    /// code-to-code remap, a per-column memo from `src`'s codes to ours.
+    fn copy_rows(&mut self, src: &DriftLog, rows: impl IntoIterator<Item = usize>) {
+        let mut remaps: Vec<Vec<Option<u32>>> = src
             .dicts
             .iter()
             .map(|d| vec![None; d.values.len()])
             .collect();
-        let mut codes = Vec::with_capacity(self.schema.len());
-        for seg in &self.segments {
-            if seg.ts_max < t0 || seg.ts_min >= t1 {
-                SEGMENTS_PRUNED.inc();
-                continue;
+        let mut codes = vec![0; self.schema.len()];
+        for row in rows {
+            for (ci, (remap, code)) in remaps.iter_mut().zip(&mut codes).enumerate() {
+                let old = src.columns[ci][row] as usize;
+                let dict = &mut self.dicts[ci];
+                *code = *remap[old].get_or_insert_with(|| dict.intern(&src.dicts[ci].values[old]));
             }
-            let take_all = seg.ts_min >= t0 && seg.ts_max < t1;
-            for row in seg.start..seg.start + seg.rows {
-                if !take_all && (self.timestamps[row] < t0 || self.timestamps[row] >= t1) {
-                    continue;
-                }
-                codes.clear();
-                for (ci, remap) in remaps.iter_mut().enumerate() {
-                    let old = self.columns[ci][row] as usize;
-                    let new = *remap[old]
-                        .get_or_insert_with(|| out.dicts[ci].intern(&self.dicts[ci].values[old]));
-                    codes.push(new);
-                }
-                out.append_coded(&codes, self.drift[row], self.timestamps[row]);
-            }
+            self.append_coded(&codes, src.drift[row], src.timestamps[row]);
         }
-        out
     }
 
     /// Per-value `(occurrences, drifted)` counts of `key`, grouped — the
@@ -953,9 +957,9 @@ impl DriftLog {
     /// the retention policy a production drift log needs to bound storage.
     ///
     /// Index maintenance is segment-granular: head segments whose rows are
-    /// all dropped are removed, survivors shift their `start`, and at most
-    /// one partially-dropped boundary segment is rebuilt from the retained
-    /// rows.
+    /// all dropped are removed, survivors shift their `start` (and keep any
+    /// postings built), and at most one partially-dropped boundary segment
+    /// is re-counted from the retained rows.
     pub fn retain_last(&mut self, n: usize) {
         let rows = self.num_rows();
         if rows <= n {
@@ -978,9 +982,9 @@ impl DriftLog {
                 seg.start -= drop;
                 segments.push(seg);
             } else {
-                // The one boundary segment that straddles the cut: rebuild
-                // its postings/bitmap over the retained prefix rows.
-                segments.push(self.build_segment(0..end - drop, &mut self.code_counts()));
+                // The one boundary segment that straddles the cut: re-count
+                // it over the retained prefix rows.
+                segments.push(self.build_segment(0..end - drop));
             }
         }
         self.segments = segments;
@@ -1023,7 +1027,7 @@ impl DriftLog {
 
     /// Resolves a query attribute set against this log's schema and
     /// dictionaries into `(column index, dict code)` predicates — the form
-    /// [`crate::probe::ColumnarBlock`] probes take. `Ok(None)` means some
+    /// [`crate::probe::ColumnarBlock`] scans take. `Ok(None)` means some
     /// value was never interned, so the query trivially matches nothing.
     ///
     /// # Errors
@@ -1051,47 +1055,41 @@ impl DriftLog {
     }
 }
 
-/// Finds the predicate whose posting list in `seg` is smallest, returning
-/// its index in `preds` and the list. `None` when some predicate's code is
-/// absent from the segment entirely (the pruned-segment fast path).
-/// `preds` must be non-empty.
-fn smallest_posting<'s>(seg: &'s Segment, preds: &[(usize, u32)]) -> Option<(usize, &'s [u32])> {
-    let mut best: Option<(usize, &[u32])> = None;
-    for (pi, &(ci, vid)) in preds.iter().enumerate() {
-        let Some(list) = seg.posting(ci, vid) else {
-            SEGMENTS_PRUNED.inc();
-            return None;
-        };
-        if best.is_none_or(|(_, b)| list.len() < b.len()) {
-            best = Some((pi, list));
-        }
-    }
-    best
-}
-
 /// Walks the smallest posting list of `preds` in `seg`, verifying the
 /// remaining predicates by direct lookup in the dictionary-encoded
 /// `columns` — `O(smallest list × preds)` with no merge or allocation —
 /// and calls `emit(local, global)` for each matching row, in ascending
-/// row order.
+/// row order. `preds` must be non-empty.
 fn probe_segment<F: FnMut(u32, usize)>(
     columns: &[Vec<u32>],
     seg: &Segment,
     preds: &[(usize, u32)],
     mut emit: F,
 ) {
-    let Some((pi, list)) = smallest_posting(seg, preds) else {
+    let mut best: Option<(usize, &[u32])> = None;
+    for (pi, &(ci, vid)) in preds.iter().enumerate() {
+        let Some(list) = seg.posting(columns, ci, vid) else {
+            // A code absent from the segment: nothing here matches.
+            SEGMENTS_PRUNED.inc();
+            return;
+        };
+        if best.is_none_or(|(_, b)| list.len() < b.len()) {
+            best = Some((pi, list));
+        }
+    }
+    let Some((pi, list)) = best else {
         return;
     };
+    let start = seg.start;
     if preds.len() == 1 {
         // The posting list alone answers a single-predicate query.
         for &local in list {
-            emit(local, seg.start + local as usize);
+            emit(local, start + local as usize);
         }
         return;
     }
     'locals: for &local in list {
-        let row = seg.start + local as usize;
+        let row = start + local as usize;
         for (k, &(ci, vid)) in preds.iter().enumerate() {
             if k != pi && columns[ci][row] != vid {
                 continue 'locals;
@@ -1102,27 +1100,19 @@ fn probe_segment<F: FnMut(u32, usize)>(
 }
 
 /// One segment's contribution to `rows_matching`: appends its matching rows
-/// to `out` as `offset + local`, ascending. Segments are ascending row
-/// ranges, so appending segment by segment is the ordered merge.
-pub(crate) fn segment_rows(
-    columns: &[Vec<u32>],
-    seg: &Segment,
-    preds: &[(usize, u32)],
-    offset: usize,
-    out: &mut Vec<usize>,
-) {
+/// to `out`, ascending. Segments are ascending row ranges, so appending
+/// segment by segment is the ordered merge.
+fn segment_rows(columns: &[Vec<u32>], seg: &Segment, preds: &[(usize, u32)], out: &mut Vec<usize>) {
     if preds.is_empty() {
         // Every row matches the empty set.
-        out.extend(offset..offset + seg.rows);
+        out.extend(seg.range());
         return;
     }
-    probe_segment(columns, seg, preds, |local, _| {
-        out.push(offset + local as usize)
-    });
+    probe_segment(columns, seg, preds, |_, row| out.push(row));
 }
 
 /// One segment's contribution to `count_matching`.
-pub(crate) fn segment_count(
+fn segment_count(
     columns: &[Vec<u32>],
     seg: &Segment,
     preds: &[(usize, u32)],
@@ -1132,8 +1122,9 @@ pub(crate) fn segment_count(
         // Every row matches the empty set.
         let drifted = match mask {
             None => seg.drifted_count,
-            Some(mask) => (0..seg.rows)
-                .filter(|&l| mask.get(seg.start + l).copied().unwrap_or(false))
+            Some(mask) => seg
+                .range()
+                .filter(|&row| mask.get(row).copied().unwrap_or(false))
                 .count(),
         };
         return MatchCounts {
@@ -1142,10 +1133,11 @@ pub(crate) fn segment_count(
         };
     }
     let mut counts = MatchCounts::default();
+    let bits = seg.drifted.as_slice();
     probe_segment(columns, seg, preds, |local, row| {
         counts.occurrences += 1;
         let drifted = match mask {
-            None => seg.drifted_bit(local),
+            None => bit(bits, local),
             Some(mask) => mask.get(row).copied().unwrap_or(false),
         };
         if drifted {
@@ -1190,9 +1182,8 @@ mod tests {
                 ));
             }
             // A mismatching entry with a valid leading column: push()
-            // interns "fog" into the weather dict before failing, and the
-            // batch path must reproduce that partial interning when it
-            // quarantines the entry.
+            // fails before interning "fog", and so must the batch path
+            // when it quarantines the entry.
             v.insert(
                 250,
                 DriftLogEntry::new(999, &[("weather", "fog"), ("altitude", "high")], true),
@@ -1220,10 +1211,10 @@ mod tests {
                 }
             );
             // Log equality covers rows *and* dictionary contents, so the
-            // quarantined entry's partial interning is part of the check;
+            // quarantined entry interning nothing is part of the check;
             // make it explicit too.
             assert_eq!(by_batch, by_push, "threads={threads}");
-            assert!(by_batch.dict_values(0).iter().any(|v| v == "fog"));
+            assert!(!by_batch.dict_values(0).iter().any(|v| v == "fog"));
             let snow = [Attribute::new("weather", "snow")];
             assert_eq!(
                 by_batch.count_matching(&snow, None).unwrap(),
@@ -1568,34 +1559,44 @@ mod tests {
         assert_eq!(log.num_drifted(), 2);
     }
 
-    /// The oracle for [`Segment::build`]: the segment `push_row` builds one
-    /// row at a time.
-    fn pushed(rows: Range<usize>, columns: &[Vec<u32>], drift: &[bool], ts: &[u64]) -> Segment {
-        let mut seg = Segment::new(rows.start, columns.len());
-        for row in rows {
-            seg.push_row(columns, row, drift[row], ts[row]);
-        }
-        seg
+    /// The oracle for a segment's postings over `rows`: per column, each
+    /// code's local rows, gathered one row at a time into an ordered map.
+    fn naive_postings(rows: Range<usize>, columns: &[Vec<u32>]) -> Vec<Postings> {
+        let lists = |column: &Vec<u32>| {
+            let mut lists = std::collections::BTreeMap::<u32, Vec<u32>>::new();
+            for (local, &code) in column[rows.clone()].iter().enumerate() {
+                lists.entry(code).or_default().push(local as u32);
+            }
+            lists.into_iter().collect()
+        };
+        columns.iter().map(lists).collect()
     }
 
-    /// Builds `rows` twice through one scratch (the second build sees only
-    /// what the first left behind) and checks both against the oracle.
+    /// Counts `rows` in bulk and row by row: the segments must be equal
+    /// whether or not a query has built their postings, the postings a
+    /// query builds must equal the oracle's (twice: the second read reuses
+    /// the first build), and an append must drop them.
     fn assert_build_equals_push(
         rows: Range<usize>,
         columns: &[Vec<u32>],
         drift: &[bool],
         ts: &[u64],
-        dict_len: usize,
     ) {
-        let mut counts = code_counts(vec![dict_len; columns.len()]);
-        let oracle = pushed(rows.clone(), columns, drift, ts);
+        let mut pushed = Segment::new(rows.start);
+        for row in rows.clone() {
+            pushed.push_row(drift[row], ts[row]);
+        }
+        let built = Segment::build(rows.clone(), drift, ts);
+        let oracle = naive_postings(rows.clone(), columns);
         for _ in 0..2 {
-            let built = Segment::build(rows.clone(), columns, drift, ts, &mut counts);
-            assert_eq!(built, oracle, "rows {rows:?}");
-            assert!(
-                counts.iter().flatten().all(|&c| c == 0),
-                "scratch not reset"
-            );
+            assert_eq!(built.postings(columns), oracle, "rows {rows:?}");
+            assert_eq!(built, pushed, "rows {rows:?}");
+        }
+        assert_eq!(pushed.postings(columns), oracle, "rows {rows:?}");
+        if rows.end < drift.len() {
+            pushed.push_row(drift[rows.end], ts[rows.end]);
+            let grown = naive_postings(rows.start..rows.end + 1, columns);
+            assert_eq!(pushed.postings(columns), grown, "rows {rows:?} + 1");
         }
     }
 
@@ -1611,24 +1612,22 @@ mod tests {
             (0..n as u32).map(|r| (r * r) % 11).collect(),
         ];
         // No rows, at 0 and mid-column.
-        assert_build_equals_push(0..0, &mixed, &some_drift, &ts, 11);
-        assert_build_equals_push(120..120, &mixed, &some_drift, &ts, 11);
-        // One code only.
+        assert_build_equals_push(0..0, &mixed, &some_drift, &ts);
+        assert_build_equals_push(120..120, &mixed, &some_drift, &ts);
+        // One code only, a different one per column.
         let single = vec![vec![3; n], vec![0; n]];
-        assert_build_equals_push(0..n, &single, &some_drift, &ts, 4);
+        assert_build_equals_push(0..n, &single, &some_drift, &ts);
         // Sparse codes in a large dictionary.
         let sparse = vec![(0..n as u32)
             .map(|r| [0, 97, 4_999, 1_000][r as usize % 4])
             .collect()];
-        assert_build_equals_push(0..n, &sparse, &some_drift, &ts, 5_000);
-        // No drifted rows: an empty bitmap.
-        assert_build_equals_push(0..n, &mixed, &vec![false; n], &ts, 11);
-        // Drift only in the last word: two leading zero words stay.
-        assert_build_equals_push(0..150, &mixed, &drift_at(&[140, 149]), &ts, 11);
-        // A row range that does not start at 0, and one that starts
-        // mid-word of the drift flags.
-        assert_build_equals_push(64..256, &mixed, &some_drift, &ts, 11);
-        assert_build_equals_push(37..200, &mixed, &some_drift, &ts, 11);
+        assert_build_equals_push(0..n, &sparse, &some_drift, &ts);
+        // No drifted rows; drift only at the end.
+        assert_build_equals_push(0..n, &mixed, &vec![false; n], &ts);
+        assert_build_equals_push(0..150, &mixed, &drift_at(&[140, 149]), &ts);
+        // Row ranges that do not start at 0, each followed by an append.
+        assert_build_equals_push(64..256, &mixed, &some_drift, &ts);
+        assert_build_equals_push(37..200, &mixed, &some_drift, &ts);
     }
 
     proptest::proptest! {
@@ -1655,7 +1654,7 @@ mod tests {
             let drift: Vec<bool> = (0..n).map(|_| next() % 1000 < drift_per_mille).collect();
             let ts: Vec<u64> = (0..n).map(|_| next() % 10_000).collect();
             let (lo, hi) = (cut.0.min(cut.1).min(n), cut.0.max(cut.1).min(n));
-            assert_build_equals_push(lo..hi, &columns, &drift, &ts, dict as usize);
+            assert_build_equals_push(lo..hi, &columns, &drift, &ts);
         }
 
         #[test]

@@ -216,3 +216,27 @@ fn window_then_retain_compose() {
         vec![0, 2]
     );
 }
+
+#[test]
+fn slice_and_append_rows_copy_rows_by_code() {
+    let entries = entries_with(11);
+    let log = log_of(&entries, 4);
+    // A slice is the string ingest of its rows, dictionaries included:
+    // rows 1..6 start at "odd", so "odd" takes code 0.
+    let sliced = log.slice(1..6);
+    assert_eq!(sliced, log_of(&entries[1..6], 4));
+    assert_eq!(sliced.dict_values(0), ["odd", "even"]);
+    assert_matches_reference(&sliced, &entries[1..6]);
+    assert!(log.slice(3..3).is_empty());
+    // Appending onto rows already there continues in their code space.
+    let mut grown = log_of(&entries[..2], 4);
+    grown.append_rows(&log, 2..11).expect("same schema");
+    assert_eq!(grown, log);
+    assert_matches_reference(&grown, &entries);
+    // Another schema appends nothing.
+    let other = DriftLog::new(&["j"]);
+    assert!(grown.append_rows(&other, 0..0).is_err());
+    let mut wider = DriftLog::new(&["k", "j"]);
+    assert!(wider.append_rows(&log, 0..1).is_err());
+    assert!(wider.is_empty());
+}

@@ -1,7 +1,8 @@
 //! Differential query suite: every query must be *exactly* equal — values
 //! and ordering — to the naive row-scan [`reference`], which shares no
 //! code with the log's query engine. The log has one query path (the
-//! segment index, walked in order), so there is no width or mode to sweep;
+//! segment index, walked in order, its postings built by the first query
+//! after an append), so there is no width or mode to sweep;
 //! the CI `test-matrix` job re-runs the whole tier-1 suite under
 //! `NAZAR_NUM_THREADS=1` and `=8` in separate processes and diffs the
 //! output.
@@ -218,5 +219,58 @@ proptest! {
         back.push(extra.clone()).expect("schema matches");
         entries.push(extra);
         assert_queries_match(&w, &back, &entries)?;
+    }
+}
+
+/// What one step of [`postings_never_go_stale`] does with its `n`.
+const PUSH: u8 = 0;
+const INGEST: u8 = 1;
+const APPEND: u8 = 2;
+const RETAIN: u8 = 3;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Queries interleaved with every kind of append into the same tail
+    /// segment — `push`, `ingest_batch`, `append_rows` by code — and with
+    /// `retain_last`: a query after an append must see the appended rows,
+    /// never postings built before them.
+    #[test]
+    fn postings_never_go_stale(w in workload(), ops in proptest::collection::vec((0u8..5, 0usize..9), 1..24)) {
+        let all = entries(&w);
+        // The rows `append_rows` copies from, by code.
+        let source = build_from(&w, &all);
+        let keys: Vec<&str> = w.schema.iter().map(|s| s.as_str()).collect();
+        let mut log = DriftLog::new(&keys).with_segment_rows(w.segment_rows);
+        let mut want: Vec<DriftLogEntry> = Vec::new();
+        let mut next = 0;
+        for (op, n) in ops {
+            // The next `n` workload rows (fewer at the end), cycling.
+            let rows = next..all.len().min(next + n);
+            next = if rows.end == all.len() { 0 } else { rows.end };
+            match op {
+                PUSH => {
+                    for e in &all[rows.clone()] {
+                        log.push(e.clone()).expect("schema matches");
+                    }
+                }
+                INGEST => {
+                    let report = log.ingest_batch(all[rows.clone()].to_vec());
+                    prop_assert_eq!(report.appended, rows.len());
+                }
+                APPEND => log.append_rows(&source, rows.clone()).expect("same schema"),
+                RETAIN => {
+                    log.retain_last(n);
+                    want = reference::last(&want, n).to_vec();
+                    continue;
+                }
+                _ => {
+                    assert_queries_match(&w, &log, &want)?;
+                    continue;
+                }
+            }
+            want.extend_from_slice(&all[rows]);
+        }
+        assert_queries_match(&w, &log, &want)?;
     }
 }

@@ -22,13 +22,14 @@
 //! # Equivalence contract
 //!
 //! Chunks store *global* dictionary codes, and every query reads "each
-//! full chunk's block, then the tail, merged in row order": the per-block
-//! probes and the merge rules are the in-memory log's own
-//! ([`nazar_log::probe`]), and the chunk map is the order-preserving
+//! full chunk's block, then the tail, merged in row order": each decoded
+//! block is scanned ([`nazar_log::probe`]), the tail answers through its
+//! own posting lists, the merge rules are the in-memory log's, and the
+//! chunk map is the order-preserving
 //! [`par_map_with`](nazar_tensor::parallel::par_map_with) — so every query
-//! result is bitwise identical to an in-memory [`DriftLog`] holding the
-//! same rows, at any `NAZAR_NUM_THREADS`. The differential tests in
-//! `tests/` pin this on both sides of the fan-out threshold.
+//! result equals an in-memory [`DriftLog`] holding the same rows, at any
+//! `NAZAR_NUM_THREADS`. The differential tests in `tests/` compare the two
+//! evaluators on both sides of the fan-out threshold.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -522,6 +523,17 @@ impl DriftStore {
             .ingest_batch_with_threads(entries, parallel::num_threads())
     }
 
+    /// Appends rows `rows` of `src` by their codes — delegates to
+    /// [`DriftLog::append_rows`] on the tail, so the store ends where
+    /// ingesting those rows' entries would leave it.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Log`] when `src`'s schema is not the store's.
+    pub fn append_rows(&mut self, src: &DriftLog, rows: std::ops::Range<usize>) -> Result<()> {
+        Ok(self.tail.append_rows(src, rows)?)
+    }
+
     // -- flush --------------------------------------------------------------
 
     /// Seals the tail into chunks and rewrites the manifest.
@@ -620,8 +632,8 @@ impl DriftStore {
                 self.storage.delete(&old.key)?;
             }
         } else {
-            // Dictionary growth without new rows (quarantined entries can
-            // intern values before failing): manifest rewrite only.
+            // Dictionary growth without new rows: manifest rewrite only,
+            // so the manifest never lags the dictionaries.
             self.write_manifest()?;
         }
         FLUSH_SECONDS.observe_since(start);
@@ -817,9 +829,9 @@ impl DriftStore {
             });
         }
         // Every code a chunk's rows use lies below its `dict_lens` (the
-        // dictionaries after those rows), which the block's index build
-        // sizes its scratch by. Manifest validation pins `dict_lens` to
-        // the schema width.
+        // dictionaries after those rows), so each resolves through the
+        // global dictionaries. Manifest validation pins `dict_lens` to the
+        // schema width.
         for ((ci, column), &len) in data.columns.iter().enumerate().zip(&meta.dict_lens) {
             if let Some(code) = column.iter().find(|&&c| u64::from(c) >= len) {
                 return Err(StoreError::Corrupt {
@@ -831,7 +843,7 @@ impl DriftStore {
         Ok(data)
     }
 
-    /// Fetches a chunk as a probe-ready block, through the chunk cache.
+    /// Fetches a chunk as a block to scan, through the chunk cache.
     fn load_block(&self, meta: &ChunkMeta) -> Result<Arc<ColumnarBlock>> {
         if self.config.cache_chunks > 0 {
             if let Some(block) = self.lock_cache().get(&meta.key) {
@@ -843,9 +855,8 @@ impl DriftStore {
         let data = self.read_chunk_data(meta)?;
         let block = Arc::new(ColumnarBlock::build(
             data.columns,
-            &data.drift,
-            &data.timestamps,
-            meta.dict_lens.iter().map(|&len| len as usize),
+            data.drift,
+            data.timestamps,
         ));
         self.lock_cache()
             .put(self.config.cache_chunks, &meta.key, block.clone());
@@ -1067,7 +1078,7 @@ mod tests {
             if cache.get(key).is_some() {
                 hits += 1;
             } else {
-                let block = ColumnarBlock::build(Vec::new(), &[], &[], []);
+                let block = ColumnarBlock::build(Vec::new(), Vec::new(), Vec::new());
                 cache.put(cap, key, Arc::new(block));
             }
         }

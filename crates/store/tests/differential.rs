@@ -5,15 +5,19 @@
 //! rows. (These workloads are a few hundred rows, far below the store's
 //! chunk fan-out threshold; `parallel_scan.rs` covers the parallel branch.)
 //!
-//! The oracle shares the probe machinery with the store by design (that
-//! is the whole point of `nazar_log::probe`), so these tests pin the
-//! store's chunking/codec/manifest plumbing: any row lost, duplicated,
-//! reordered or mis-decoded by persistence shows up as a query mismatch.
+//! The two sides evaluate queries differently: the oracle walks posting
+//! lists it builds on first read, the store scans each decoded chunk
+//! (`nazar_log::probe::ColumnarBlock`) and asks its tail log for the rest.
+//! So these tests pin both evaluators and the store's
+//! chunking/codec/manifest plumbing: any row lost, duplicated, reordered,
+//! mis-decoded or mis-scanned shows up as a query mismatch. Every workload
+//! runs with the chunk cache off, at one block and at eight, so the scans
+//! read cold blocks, reused blocks and cached ones.
 
 use std::sync::Arc;
 
 use nazar_log::{Attribute, DriftLog, DriftLogEntry, MatchCounts};
-use nazar_store::{CodecChoice, DriftStore, MemoryBackend, StoreConfig};
+use nazar_store::{CodecChoice, DriftStore, MemoryBackend, Storage, StoreConfig, MANIFEST_KEY};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 
@@ -46,9 +50,11 @@ struct Workload {
     ops: Vec<Op>,
     mask: Vec<bool>,
     chunk_rows: usize,
-    cache_chunks: usize,
     codec: CodecChoice,
 }
+
+/// The chunk-cache sizes every workload runs at.
+const CACHE_CHUNKS: [usize; 3] = [0, 1, 8];
 
 #[derive(Debug, Clone, Copy)]
 struct WorkloadStrategy;
@@ -101,7 +107,6 @@ impl Strategy for WorkloadStrategy {
             ops,
             mask: (0..mask_len).map(|_| rng.next_u64() & 1 == 1).collect(),
             chunk_rows: 1 + rng.below(16) as usize,
-            cache_chunks: rng.below(4) as usize,
             codec: match rng.below(4) {
                 0 => CodecChoice::Raw,
                 1 => CodecChoice::Bitpack,
@@ -116,21 +121,22 @@ fn workload() -> WorkloadStrategy {
     WorkloadStrategy
 }
 
-fn config(w: &Workload) -> StoreConfig {
+fn config(w: &Workload, cache_chunks: usize) -> StoreConfig {
     StoreConfig {
         dir: None,
         chunk_rows: w.chunk_rows,
-        cache_chunks: w.cache_chunks,
+        cache_chunks,
         codec: w.codec,
     }
 }
 
 /// Replays the op stream into a persistent store (on `backend`) and the
 /// in-memory oracle, returning both in their final states.
-fn replay(w: &Workload) -> (DriftStore, DriftLog) {
+fn replay(w: &Workload, cache_chunks: usize) -> (DriftStore, DriftLog) {
     let refs = schema_refs(&w.schema);
     let backend = Arc::new(MemoryBackend::new());
-    let mut store = DriftStore::open(backend.clone(), &refs, config(w)).expect("open fresh store");
+    let config = || config(w, cache_chunks);
+    let mut store = DriftStore::open(backend.clone(), &refs, config()).expect("open fresh store");
     let mut oracle = DriftLog::new(&refs);
     for op in &w.ops {
         match op {
@@ -149,7 +155,7 @@ fn replay(w: &Workload) -> (DriftStore, DriftLog) {
             Op::Reopen => {
                 store.flush().expect("flush before reopen");
                 drop(store);
-                store = DriftStore::open(backend.clone(), &refs, config(w))
+                store = DriftStore::open(backend.clone(), &refs, config())
                     .expect("reopen from backend");
                 assert!(
                     store.recovery().is_clean(),
@@ -265,26 +271,30 @@ proptest! {
 
     #[test]
     fn persisted_queries_equal_in_memory(w in workload()) {
-        let (store, oracle) = replay(&w);
-        assert_store_equals_oracle(&store, &oracle, &w.mask);
+        for cache_chunks in CACHE_CHUNKS {
+            let (store, oracle) = replay(&w, cache_chunks);
+            assert_store_equals_oracle(&store, &oracle, &w.mask);
+        }
     }
 
     #[test]
     fn reopen_after_final_flush_preserves_everything(w in workload()) {
-        let (mut store, oracle) = replay(&w);
-        store.flush().expect("final flush");
-        let backend_store = store; // keep backend alive through reopen
-        let refs = schema_refs(&w.schema);
-        // Reopening *twice* must also be stable (open is idempotent).
-        for _ in 0..2 {
-            let reopened = DriftStore::open(
-                backend_store.storage_handle(),
-                &refs,
-                config(&w),
-            )
-            .expect("reopen");
-            prop_assert!(reopened.recovery().is_clean());
-            assert_store_equals_oracle(&reopened, &oracle, &w.mask);
+        for cache_chunks in CACHE_CHUNKS {
+            let (mut store, oracle) = replay(&w, cache_chunks);
+            store.flush().expect("final flush");
+            let backend_store = store; // keep backend alive through reopen
+            let refs = schema_refs(&w.schema);
+            // Reopening *twice* must also be stable (open is idempotent).
+            for _ in 0..2 {
+                let reopened = DriftStore::open(
+                    backend_store.storage_handle(),
+                    &refs,
+                    config(&w, cache_chunks),
+                )
+                .expect("reopen");
+                prop_assert!(reopened.recovery().is_clean());
+                assert_store_equals_oracle(&reopened, &oracle, &w.mask);
+            }
         }
     }
 }
@@ -368,4 +378,49 @@ fn filesystem_backend_differential_smoke() {
     let mask: Vec<bool> = (0..3000).map(|i| i % 7 == 0).collect();
     assert_store_equals_oracle(&store, &oracle, &mask);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A quarantined entry interns nothing: 1 000 entries, each with a fresh
+/// leading value and a second key the schema lacks, leave every dictionary at its
+/// length — in the log and in the store, by batch and by `push` — and the
+/// store's next flush has no dictionary growth to write, so the manifest
+/// stays byte for byte what the last flush wrote.
+#[test]
+fn quarantined_entries_intern_nothing() {
+    let schema = ["weather", "location"];
+    let good = DriftLogEntry::new(0, &[("weather", "snow"), ("location", "nyc")], true);
+    let bad: Vec<DriftLogEntry> = (0..1_000)
+        .map(|i| {
+            let weather = format!("w{i}");
+            DriftLogEntry::new(i, &[("weather", &weather), ("altitude", "high")], false)
+        })
+        .collect();
+    let backend = Arc::new(MemoryBackend::new());
+    let mut store =
+        DriftStore::open(backend.clone(), &schema, StoreConfig::memory()).expect("open");
+    let mut log = DriftLog::new(&schema);
+    store.push(good.clone()).expect("push");
+    log.push(good).expect("push");
+    store.flush().expect("flush");
+    let manifest = backend.get(MANIFEST_KEY).expect("read").expect("manifest");
+
+    assert_eq!(store.ingest_batch(&bad).quarantined, bad.len());
+    assert_eq!(log.ingest_batch(bad.clone()).quarantined, bad.len());
+    for e in bad {
+        assert!(store.push(e.clone()).is_err());
+        assert!(log.push(e).is_err());
+    }
+    for (ci, key) in schema.iter().enumerate() {
+        assert_eq!(log.dict_values(ci).len(), 1, "log dict {key}");
+        assert_eq!(
+            store.distinct_values(key).expect("known key").len(),
+            1,
+            "store dict {key}"
+        );
+    }
+    assert_eq!(store.flush().expect("flush"), Default::default());
+    assert_eq!(
+        backend.get(MANIFEST_KEY).expect("read").expect("manifest"),
+        manifest
+    );
 }
