@@ -82,13 +82,26 @@ impl ColumnarBlock {
     }
 
     /// The local rows matching every predicate, ascending. An empty
-    /// predicate set matches every row.
+    /// predicate set matches every row. The general filter, for three or
+    /// more predicates; [`ColumnarBlock::pair`] serves one or two.
     fn matching<'a>(&'a self, preds: &'a [(usize, u32)]) -> impl Iterator<Item = usize> + 'a {
         (0..self.rows()).filter(move |&row| {
             preds
                 .iter()
                 .all(|&(ci, code)| self.columns[ci][row] == code)
         })
+    }
+
+    /// One or two predicates as a pair of `(column, code)` — one predicate
+    /// stands twice — for the kernels that zip two column slices and
+    /// compare with no branch per row. `None` for none or three or more.
+    fn pair(&self, preds: &[(usize, u32)]) -> Option<[(&[u32], u32); 2]> {
+        let [(a, x), (b, y)] = match *preds {
+            [p] => [p, p],
+            [p, q] => [p, q],
+            _ => return None,
+        };
+        Some([(&self.columns[a], x), (&self.columns[b], y)])
     }
 
     /// `COUNT(*)` / `COUNT(*) WHERE drift` over the block for resolved
@@ -98,10 +111,26 @@ impl ColumnarBlock {
     /// its mask; rows beyond the mask's length count as not drifted.
     pub fn count_matching(&self, preds: &[(usize, u32)], mask: Option<&[bool]>) -> MatchCounts {
         let flags = mask.unwrap_or(&self.drift);
+        // Rows past the flags' end count as not drifted: split there once.
+        let flags = &flags[..flags.len().min(self.rows())];
+        let Some([(a, x), (b, y)]) = self.pair(preds) else {
+            let mut counts = MatchCounts::default();
+            for row in self.matching(preds) {
+                counts.occurrences += 1;
+                counts.drifted += usize::from(flags.get(row).copied().unwrap_or(false));
+            }
+            return counts;
+        };
+        let (a, a_rest) = a.split_at(flags.len());
+        let (b, b_rest) = b.split_at(flags.len());
         let mut counts = MatchCounts::default();
-        for row in self.matching(preds) {
-            counts.occurrences += 1;
-            counts.drifted += usize::from(flags.get(row).copied().unwrap_or(false));
+        for ((&u, &v), &flag) in a.iter().zip(b).zip(flags) {
+            let hit = (u == x) & (v == y);
+            counts.occurrences += usize::from(hit);
+            counts.drifted += usize::from(hit & flag);
+        }
+        for (&u, &v) in a_rest.iter().zip(b_rest) {
+            counts.occurrences += usize::from((u == x) & (v == y));
         }
         counts
     }
@@ -110,7 +139,23 @@ impl ColumnarBlock {
     /// indices (`start` is the block's first global row), in ascending
     /// order. An empty predicate set matches every row.
     pub fn rows_matching(&self, preds: &[(usize, u32)], start: usize, out: &mut Vec<usize>) {
-        out.extend(self.matching(preds).map(|row| start + row));
+        let Some([(a, x), (b, y)]) = self.pair(preds) else {
+            out.extend(self.matching(preds).map(|row| start + row));
+            return;
+        };
+        // Each 64-row stretch becomes a word of hit bits, compared with no
+        // branch per row; only the hits are walked.
+        for (i, (a, b)) in a.chunks(64).zip(b.chunks(64)).enumerate() {
+            let mut hits = 0u64;
+            for (j, (&u, &v)) in a.iter().zip(b).enumerate() {
+                hits |= u64::from((u == x) & (v == y)) << j;
+            }
+            let base = start + 64 * i;
+            while hits != 0 {
+                out.push(base + hits.trailing_zeros() as usize);
+                hits &= hits - 1;
+            }
+        }
     }
 
     /// Adds the block's per-value `(occurrences, drifted)` contributions
@@ -134,4 +179,85 @@ pub fn group_counts(mut values: Vec<(String, MatchCounts)>) -> Vec<(String, Matc
     values.retain(|(_, c)| c.occurrences > 0);
     values.sort_by(|a, b| b.1.occurrences.cmp(&a.1.occurrences).then(a.0.cmp(&b.0)));
     values
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// [`ColumnarBlock::count_matching`] through the general filter alone.
+    fn filtered_counts(
+        block: &ColumnarBlock,
+        preds: &[(usize, u32)],
+        mask: Option<&[bool]>,
+    ) -> MatchCounts {
+        let flags = mask.unwrap_or(&block.drift);
+        let mut counts = MatchCounts::default();
+        for row in block.matching(preds) {
+            counts.occurrences += 1;
+            counts.drifted += usize::from(flags.get(row).copied().unwrap_or(false));
+        }
+        counts
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn block_scans_equal_the_general_filter(
+            seed in 0u64..u64::MAX,
+            rows in 0usize..300,
+            dict in 1u32..12,
+            preds in proptest::collection::vec((0usize..3, 0u32..14), 0..4),
+            mask_len in 0usize..320,
+            counts_len in 0usize..14,
+            start in 0usize..1000,
+        ) {
+            // A xorshift stream stands in for random columns.
+            let mut state = seed | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            // Codes below `dict`; predicates may name codes up to 13, which
+            // the block then lacks, and may name one column twice.
+            let columns: Vec<Vec<u32>> = (0..3)
+                .map(|_| (0..rows).map(|_| (next() % u64::from(dict)) as u32).collect())
+                .collect();
+            let drift: Vec<bool> = (0..rows).map(|_| next() % 3 == 0).collect();
+            let timestamps: Vec<u64> = (0..rows as u64).collect();
+            let block = ColumnarBlock::build(columns.clone(), drift.clone(), timestamps);
+            // Masks shorter than, equal to and longer than the block.
+            let mask: Vec<bool> = (0..mask_len).map(|_| next() % 2 == 0).collect();
+            let masks = [None, Some(&mask[..]), Some(&mask[..mask_len.min(rows)])];
+            for mask in masks {
+                proptest::prop_assert_eq!(
+                    block.count_matching(&preds, mask),
+                    filtered_counts(&block, &preds, mask)
+                );
+            }
+            let mut rows_out = vec![usize::MAX];
+            block.rows_matching(&preds, start, &mut rows_out);
+            let expected: Vec<usize> = std::iter::once(usize::MAX)
+                .chain(block.matching(&preds).map(|row| start + row))
+                .collect();
+            proptest::prop_assert_eq!(rows_out, expected);
+            // `counts` may be shorter than the largest code: those codes
+            // are ignored.
+            for (ci, column) in columns.iter().enumerate() {
+                let mut counts = vec![MatchCounts { occurrences: 1, drifted: 1 }; counts_len];
+                block.accumulate_value_counts(ci, &mut counts);
+                let mut expected = vec![MatchCounts { occurrences: 1, drifted: 1 }; counts_len];
+                for (&code, &drifted) in column.iter().zip(&drift) {
+                    if let Some(c) = expected.get_mut(code as usize) {
+                        c.occurrences += 1;
+                        c.drifted += usize::from(drifted);
+                    }
+                }
+                proptest::prop_assert_eq!(counts, expected);
+            }
+        }
+    }
 }

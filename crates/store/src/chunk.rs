@@ -60,10 +60,16 @@ impl ChunkData {
 
     /// Min/max timestamp (`(0, 0)` for an empty chunk).
     pub fn ts_range(&self) -> (u64, u64) {
-        match (self.timestamps.iter().min(), self.timestamps.iter().max()) {
-            (Some(&min), Some(&max)) => (min, max),
-            _ => (0, 0),
+        if self.timestamps.is_empty() {
+            return (0, 0);
         }
+        // One branch-free pass, which vectorises where `Iterator::min`
+        // and `max` do not.
+        self.timestamps
+            .iter()
+            .fold((u64::MAX, u64::MIN), |(min, max), &t| {
+                (min.min(t), max.max(t))
+            })
     }
 }
 
@@ -268,6 +274,9 @@ pub fn decode_chunk(key: &str, bytes: &[u8]) -> Result<ChunkData> {
     let (codec, section) = get_section(key, bytes, &mut pos)?;
     let drift = decode_bools(codec, section, header.rows)
         .map_err(|e| corrupt(key, format!("drift: {e}")))?;
+    // `decode_bools` has checked the padding bits zero, so the section's
+    // set bits are exactly the drifted rows.
+    let drifted: usize = section.iter().map(|byte| byte.count_ones() as usize).sum();
     let (codec, section) = get_section(key, bytes, &mut pos)?;
     let timestamps = decode_timestamps(codec, section, header.rows)
         .map_err(|e| corrupt(key, format!("timestamps: {e}")))?;
@@ -279,7 +288,7 @@ pub fn decode_chunk(key: &str, bytes: &[u8]) -> Result<ChunkData> {
         drift,
         timestamps,
     };
-    if data.drifted() != header.drifted {
+    if drifted != header.drifted {
         return Err(corrupt(key, "drifted count disagrees with header"));
     }
     if header.rows > 0 && data.ts_range() != (header.ts_min, header.ts_max) {

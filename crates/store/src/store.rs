@@ -199,6 +199,41 @@ impl ChunkCache {
     }
 }
 
+/// Checks a decoded chunk against its manifest entry: its row count, its
+/// column count against the schema width `columns`, and every code below
+/// its column's `dict_lens`. `dict_lens` records the dictionaries after
+/// the chunk's rows, so a code under it resolves through the global
+/// dictionaries; manifest validation pins its arity to the schema width.
+/// Block loads and the partial tail chunk at reopen both go through here.
+fn check_against_meta(meta: &ChunkMeta, data: &ChunkData, columns: usize) -> Result<()> {
+    let corrupt = |reason: String| StoreError::Corrupt {
+        key: meta.key.clone(),
+        reason,
+    };
+    if data.rows() as u64 != meta.rows {
+        return Err(corrupt("row count disagrees with manifest".to_string()));
+    }
+    if data.columns.len() != columns {
+        return Err(corrupt(format!(
+            "chunk has {} columns, schema has {columns}",
+            data.columns.len()
+        )));
+    }
+    for ((ci, column), &len) in data.columns.iter().enumerate().zip(&meta.dict_lens) {
+        if let Some(code) = column
+            .iter()
+            .copied()
+            .max()
+            .filter(|&c| u64::from(c) >= len)
+        {
+            return Err(corrupt(format!(
+                "column {ci} code {code} at or past its dict_lens {len}"
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// A tail log over the dictionaries `dicts`, holding no rows yet.
 fn empty_tail(schema: &[String], dicts: Vec<Vec<String>>) -> Result<DriftLog> {
     let columns = vec![Vec::new(); schema.len()];
@@ -358,7 +393,9 @@ impl DriftStore {
         let total_rows: usize = survivors.iter().map(|m| m.rows as usize).sum();
         let partial = match (survivors.last(), &last_bytes) {
             (Some(meta), Some(bytes)) if (meta.rows as usize) < config.chunk_rows_clamped() => {
-                Some((meta, decode_chunk(&meta.key, bytes)?))
+                let data = decode_chunk(&meta.key, bytes)?;
+                check_against_meta(meta, &data, schema.len())?;
+                Some((meta, data))
             }
             _ => None,
         };
@@ -801,8 +838,8 @@ impl DriftStore {
         self.cache.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Fetches and decodes a chunk's raw columnar data (uncached), every
-    /// code checked against the chunk's dictionary high-water marks.
+    /// Fetches and decodes a chunk's raw columnar data (uncached), checked
+    /// against its manifest entry ([`check_against_meta`]).
     fn read_chunk_data(&self, meta: &ChunkMeta) -> Result<ChunkData> {
         let bytes = self
             .storage
@@ -812,34 +849,7 @@ impl DriftStore {
             })?;
         CHUNKS_READ.inc();
         let data = decode_chunk(&meta.key, &bytes)?;
-        if data.rows() as u64 != meta.rows {
-            return Err(StoreError::Corrupt {
-                key: meta.key.clone(),
-                reason: "row count disagrees with manifest".to_string(),
-            });
-        }
-        if data.columns.len() != self.schema().len() {
-            return Err(StoreError::Corrupt {
-                key: meta.key.clone(),
-                reason: format!(
-                    "chunk has {} columns, schema has {}",
-                    data.columns.len(),
-                    self.schema().len()
-                ),
-            });
-        }
-        // Every code a chunk's rows use lies below its `dict_lens` (the
-        // dictionaries after those rows), so each resolves through the
-        // global dictionaries. Manifest validation pins `dict_lens` to the
-        // schema width.
-        for ((ci, column), &len) in data.columns.iter().enumerate().zip(&meta.dict_lens) {
-            if let Some(code) = column.iter().find(|&&c| u64::from(c) >= len) {
-                return Err(StoreError::Corrupt {
-                    key: meta.key.clone(),
-                    reason: format!("column {ci} code {code} at or past its dict_lens {len}"),
-                });
-            }
-        }
+        check_against_meta(meta, &data, self.schema().len())?;
         Ok(data)
     }
 

@@ -97,3 +97,21 @@ fn a_partial_tail_chunk_code_outside_the_dictionary_fails_reopen() {
     let store = open(backend, 4).expect("open");
     assert!(is_corrupt(store.distinct_values("weather")));
 }
+
+#[test]
+fn a_partial_tail_chunk_code_past_its_dict_lens_fails_reopen() {
+    // Code 2 is inside the four-value dictionary but at the chunk's
+    // recorded high-water mark of 2. At 8 rows per chunk the 4-row chunk
+    // is the partial tail chunk; its bytes are as corrupt there as they
+    // are read as a full chunk, whatever the configured chunk size.
+    let backend = backend_with_chunk([0, 1, 2, 1], [2, 1]);
+    assert!(is_corrupt(open(backend, 8)));
+    // Under bounds that hold, the same partial chunk reopens into the tail.
+    let store = open(backend_with_chunk([0, 1, 2, 1], [3, 1]), 8).expect("open");
+    assert!(store.recovery().is_clean());
+    assert_eq!(store.tail_rows(), 4);
+    let fog = store
+        .count_matching(&[Attribute::new("weather", "fog")], None)
+        .expect("count");
+    assert_eq!((fog.occurrences, fog.drifted), (1, 1));
+}
