@@ -48,7 +48,7 @@ pub use memo::{memo_adapt, MemoConfig};
 pub use tent::{tent_adapt, TentConfig};
 
 use nazar_nn::{entropy_of_logits, BnPatch, MlpResNet, Mode};
-use nazar_tensor::{TapePool, Tensor};
+use nazar_tensor::Tensor;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -70,40 +70,38 @@ pub fn sanitize_rows(data: &Tensor) -> Option<Tensor> {
     finite_rows(data).map(Cow::into_owned)
 }
 
-/// [`sanitize_rows`] without the copy when every row is finite.
+/// [`sanitize_rows`] without the copy when every row is finite: rows are
+/// copied only once a row is dropped.
 fn finite_rows(data: &Tensor) -> Option<Cow<'_, Tensor>> {
     let n = data.nrows().expect("adaptation data is [n, d]");
     let d = data.ncols().expect("adaptation data is [n, d]");
     let raw = data.data();
-    let mut kept = Vec::with_capacity(raw.len());
-    let mut rows = 0;
-    for i in 0..n {
-        let row = &raw[i * d..(i + 1) * d];
-        if row.iter().all(|v| v.is_finite()) {
-            kept.extend_from_slice(row);
-            rows += 1;
-        }
-    }
-    if rows == 0 {
+    let finite = |row: &[f32]| row.iter().all(|v| v.is_finite());
+    let rows = || (0..n).map(|i| &raw[i * d..(i + 1) * d]);
+    let kept = rows().filter(|row| finite(row)).count();
+    if kept == 0 {
         return None;
     }
-    if rows == n {
+    if kept == n {
         return Some(Cow::Borrowed(data));
     }
+    let mut out = Vec::with_capacity(kept * d);
+    for row in rows().filter(|row| finite(row)) {
+        out.extend_from_slice(row);
+    }
     Some(Cow::Owned(
-        Tensor::from_vec(kept, &[rows, d]).expect("kept rows form a matrix"),
+        Tensor::from_vec(out, &[kept, d]).expect("kept rows form a matrix"),
     ))
 }
 
 /// The frame of every adaptation routine: drop non-finite rows, run
-/// `steps` on the rest with only the BN affine parameters trainable and a
-/// tape pool for their tapes, and roll back a result that left the BN
-/// state non-finite. Returns the step count; `0` leaves the model's BN
-/// state as it was.
+/// `steps` on the rest with only the BN affine parameters trainable, and
+/// roll back a result that left the BN state non-finite. Returns the step
+/// count; `0` leaves the model's BN state as it was.
 fn adapt_bn(
     model: &mut MlpResNet,
     data: &Tensor,
-    steps: impl FnOnce(&mut MlpResNet, &Tensor, &TapePool) -> usize,
+    steps: impl FnOnce(&mut MlpResNet, &Tensor) -> usize,
 ) -> usize {
     let Some(data) = finite_rows(data) else {
         return 0;
@@ -111,9 +109,7 @@ fn adapt_bn(
     let snapshot = BnPatch::extract(model);
     model.set_all_trainable(false);
     model.set_bn_affine_trainable(true);
-    let pool = lock_idle_pools().pop().unwrap_or_default();
-    let steps = steps(model, &data, &pool);
-    lock_idle_pools().push(pool);
+    let steps = steps(model, &data);
     model.set_all_trainable(true);
     // Finite-but-extreme inputs can overflow the batch statistics and leave
     // NaN/Inf in the BN state even though every input row was finite. A
@@ -154,20 +150,35 @@ fn reported(
     }
 }
 
-/// The tape pools of the adaptation jobs not running. A job takes one,
-/// or starts an empty one, and puts it back when it ends, so there are
-/// as many pools as jobs ever ran at once, each holding one step's
-/// buffers. A pool per job would hand a step's buffers back to the
-/// allocator at each job's end, and glibc, in some processes, trims them
-/// off the heap for the next job to fault back in. A pool per thread
-/// would do the same wherever jobs run on threads spawned for one fan-out
-/// and joined after it, as the orchestrator's are.
-static IDLE_POOLS: Mutex<Vec<TapePool>> = Mutex::new(Vec::new());
+/// The scratch of the adaptation jobs not running: TENT's step states,
+/// MEMO's tape pools. A job takes one, or starts an empty one, and puts it
+/// back when it ends, so there are as many as jobs ever ran at once, each
+/// holding one job's buffers. Scratch per job would hand a step's buffers
+/// back to the allocator at each job's end, and glibc, in some processes,
+/// trims them off the heap for the next job to fault back in. Scratch per
+/// thread would do the same wherever jobs run on threads spawned for one
+/// fan-out and joined after it, as the orchestrator's are.
+struct Idle<T>(Mutex<Vec<T>>);
 
-/// [`IDLE_POOLS`]. A job holds the lock only to pop or push one pool, so
-/// the list is whole even if the lock was poisoned.
-fn lock_idle_pools() -> MutexGuard<'static, Vec<TapePool>> {
-    IDLE_POOLS.lock().unwrap_or_else(PoisonError::into_inner)
+impl<T: Default> Idle<T> {
+    const fn new() -> Self {
+        Idle(Mutex::new(Vec::new()))
+    }
+
+    /// An idle one, or a new one. A job holds the lock only to pop or
+    /// push one, so the list is whole even if the lock was poisoned.
+    fn take(&self) -> T {
+        self.lock().pop().unwrap_or_default()
+    }
+
+    /// Hands `scratch` back for the next job.
+    fn put(&self, scratch: T) {
+        self.lock().push(scratch);
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Vec<T>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// Mean prediction entropy of `model` on `data` (eval mode, no adaptation).

@@ -1,9 +1,9 @@
 //! MEMO: test-time robustness via adaptation over augmentations.
 
 use crate::augment::Augmentation;
-use crate::AdaptReport;
+use crate::{AdaptReport, Idle};
 use nazar_nn::{Adam, Layer, MlpResNet, Mode, Optimizer};
-use nazar_tensor::{Tape, Tensor, Var};
+use nazar_tensor::{Tape, TapePool, Tensor, Var};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -45,8 +45,9 @@ impl Default for MemoConfig {
 ///
 /// # Panics
 ///
-/// Panics if `data` is not an `[n, d]` matrix or `augmentations` is zero
-/// (configuration contracts, not data conditions).
+/// Panics if `data` is not an `[n, d]` matrix, the batch size is smaller
+/// than 2 or `augmentations` is zero (configuration contracts, not data
+/// conditions).
 pub fn memo_adapt<R: Rng + ?Sized>(
     model: &mut MlpResNet,
     data: &Tensor,
@@ -65,10 +66,15 @@ pub(crate) fn adapt<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> usize {
     assert!(
+        config.batch_size >= 2,
+        "memo requires batches of at least 2 inputs"
+    );
+    assert!(
         config.augmentations > 0,
         "memo requires at least one augmentation"
     );
-    crate::adapt_bn(model, data, |model, data, pool| {
+    crate::adapt_bn(model, data, |model, data| {
+        let pool = IDLE_POOLS.take();
         let n = data.nrows().expect("adaptation data is [n, d]");
         let mut opt = Adam::new(config.lr);
         let mut steps = 0;
@@ -86,7 +92,7 @@ pub(crate) fn adapt<R: Rng + ?Sized>(
                 let batch = data.slice_rows(start, end).expect("rows in range");
                 let rows = end - start;
 
-                let tape = Tape::with_pool(pool);
+                let tape = Tape::with_pool(&pool);
                 // Marginal probability: p̄ = (1/B) Σ_b softmax(f(aug_b(x))).
                 let mut marginal: Option<Var> = None;
                 for _ in 0..config.augmentations {
@@ -115,9 +121,13 @@ pub(crate) fn adapt<R: Rng + ?Sized>(
                 steps += 1;
             }
         }
+        IDLE_POOLS.put(pool);
         steps
     })
 }
+
+/// The tape pools of the MEMO jobs not running (see [`Idle`]).
+static IDLE_POOLS: Idle<TapePool> = Idle::new();
 
 #[cfg(test)]
 mod tests {
@@ -215,5 +225,33 @@ mod tests {
         memo_adapt(&mut model, &drifted, &MemoConfig::default(), &mut rng);
         let probe = model.logits(&drifted, Mode::Eval);
         assert!(probe.data().iter().all(|v| v.is_finite()));
+    }
+
+    /// `memo_adapt` with the given batch size on a trained model.
+    fn memo_with_batch(batch_size: usize) {
+        let bed = trained_bed();
+        let mut model = bed.model.clone();
+        let config = MemoConfig {
+            batch_size,
+            ..MemoConfig::default()
+        };
+        let _ = memo_adapt(
+            &mut model,
+            &bed.clean_x,
+            &config,
+            &mut SmallRng::seed_from_u64(5),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 2")]
+    fn a_zero_batch_size_is_rejected() {
+        memo_with_batch(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 2")]
+    fn a_one_row_batch_size_is_rejected() {
+        memo_with_batch(1);
     }
 }

@@ -1,8 +1,8 @@
 //! TENT: fully test-time adaptation by entropy minimization.
 
-use crate::AdaptReport;
-use nazar_nn::{mean_entropy, Adam, Layer, MlpResNet, Mode, Optimizer};
-use nazar_tensor::{Tape, Tensor};
+use crate::{AdaptReport, Idle};
+use nazar_nn::{Adam, Layer, MlpResNet, Optimizer, TentStep};
+use nazar_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
 /// Configuration for [`tent_adapt`].
@@ -30,7 +30,7 @@ impl Default for TentConfig {
 
 /// Adapts `model` to unlabeled `data` by entropy minimization on its BN
 /// layers (affine parameters via gradient; running statistics via exposure
-/// to the adaptation batches in [`Mode::Adapt`]), and reports the mean
+/// to the adaptation batches in [`Mode::Adapt`](nazar_nn::Mode::Adapt)), and reports the mean
 /// prediction entropy before and after.
 ///
 /// All non-BN parameters are frozen for the duration and their trainability
@@ -52,14 +52,19 @@ pub fn tent_adapt(model: &mut MlpResNet, data: &Tensor, config: &TentConfig) -> 
 
 /// The adaptation [`tent_adapt`] reports on and [`crate::adapt_to_patch`]
 /// ships: one Adam step per batch of `data`'s finite rows, every epoch.
-/// Returns the step count (0 after a rollback).
+/// Each step is [`TentStep::step`] on the job's frozen weights, packed
+/// once when the job starts, into a state kept from job to job. Returns
+/// the step count (0 after a rollback).
 pub(crate) fn adapt(model: &mut MlpResNet, data: &Tensor, config: &TentConfig) -> usize {
     assert!(
         config.batch_size >= 2,
         "tent requires batches of at least 2 inputs"
     );
-    crate::adapt_bn(model, data, |model, data, pool| {
+    crate::adapt_bn(model, data, |model, data| {
         let n = data.nrows().expect("adaptation data is [n, d]");
+        let d = data.len() / n.max(1);
+        let mut state = IDLE_STEPS.take();
+        state.prepare(model);
         let mut opt = Adam::new(config.lr);
         let mut steps = 0;
         for _ in 0..config.epochs {
@@ -68,26 +73,27 @@ pub(crate) fn adapt(model: &mut MlpResNet, data: &Tensor, config: &TentConfig) -
                 if end - start < 2 {
                     break; // a trailing singleton batch has the trivial optimum
                 }
-                let tape = Tape::with_pool(pool);
-                let xv = tape.constant_rows(data, start..end);
-                let logits = model.forward(&tape, &xv, Mode::Adapt);
-                let grads = mean_entropy(&logits).backward();
-                model.collect_grads(&grads);
+                state.step(model, &data.data()[start * d..end * d], end - start);
                 opt.step(model);
                 model.zero_grads();
                 steps += 1;
             }
         }
+        IDLE_STEPS.put(state);
         steps
     })
 }
+
+/// The step states of the TENT jobs not running (see [`Idle`]).
+static IDLE_STEPS: Idle<TentStep> = Idle::new();
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::test_support::{corrupt, trained_bed};
     use nazar_data::Corruption;
-    use nazar_nn::train;
+    use nazar_nn::{mean_entropy, train, Mode};
+    use nazar_tensor::Tape;
 
     #[test]
     fn tent_reduces_entropy_on_drifted_data() {

@@ -1,11 +1,15 @@
 //! A TENT job allocates its step buffers once: after the first step, a
-//! step allocates no block of 4 KiB or more.
+//! step allocates no block of 4 KiB or more; and after the first job, a
+//! job allocates no block as large as its data.
 //!
 //! This test binary installs a counting global allocator that counts, on
 //! the thread that asked for it only, every allocation or reallocation of
-//! at least 4 KiB. After a first job, one job of one step and one job of
-//! four steps on the same 64-row batch differ only in the three extra
-//! steps, so their counts must be equal.
+//! at least 4 KiB, and of at least a given size. After a first job, one
+//! job of one step and one job of four steps on the same 64-row batch
+//! differ only in the three extra steps, so their counts must be equal.
+//! Neither copies its all-finite data nor allocates step state: the
+//! finite-row filter borrows data it drops nothing from, and the step
+//! state, weight panels and all, waits on an idle list between jobs.
 
 use nazar_adapt::{tent_adapt, TentConfig};
 use nazar_nn::{MlpResNet, ModelArch};
@@ -17,18 +21,29 @@ use std::cell::Cell;
 
 const LARGE: usize = 4096;
 
+/// Allocations counted on one thread: of at least [`LARGE`] bytes, and of
+/// at least `huge` bytes.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Counts {
+    large: usize,
+    huge: usize,
+}
+
 thread_local! {
-    /// Large allocations on this thread since counting began, if it has.
-    static LARGE_ALLOCS: Cell<Option<usize>> = const { Cell::new(None) };
+    /// The size counted as huge and the counts on this thread since
+    /// counting began, if it has.
+    static ALLOCS: Cell<Option<(usize, Counts)>> = const { Cell::new(None) };
 }
 
 fn note(size: usize) {
     if size >= LARGE {
         // `try_with`: the allocator also runs while thread-locals are torn
         // down, when there is nothing left to count into.
-        let _ = LARGE_ALLOCS.try_with(|count| {
-            if let Some(n) = count.get() {
-                count.set(Some(n + 1));
+        let _ = ALLOCS.try_with(|cell| {
+            if let Some((huge, mut counts)) = cell.get() {
+                counts.large += 1;
+                counts.huge += usize::from(size >= huge);
+                cell.set(Some((huge, counts)));
             }
         });
     }
@@ -63,13 +78,16 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// The number of allocations of at least 4 KiB `f` makes on this thread.
-fn large_allocations(f: impl FnOnce()) -> usize {
-    LARGE_ALLOCS.with(|count| count.set(Some(0)));
+/// The allocations of at least 4 KiB, and of at least `huge` bytes, `f`
+/// makes on this thread.
+fn allocations(huge: usize, f: impl FnOnce()) -> Counts {
+    let zero = Counts { large: 0, huge: 0 };
+    ALLOCS.with(|cell| cell.set(Some((huge, zero))));
     f();
-    LARGE_ALLOCS
-        .with(|count| count.replace(None))
+    ALLOCS
+        .with(|cell| cell.replace(None))
         .expect("counting was on")
+        .1
 }
 
 #[test]
@@ -77,6 +95,7 @@ fn tent_steps_after_the_first_allocate_no_large_block() {
     let mut rng = SmallRng::seed_from_u64(11);
     let model = MlpResNet::new(ModelArch::resnet34_analog(64, 40), &mut rng);
     let batch = Tensor::randn(&mut rng, &[64, 64], 0.0, 1.0);
+    let data_bytes = batch.len() * std::mem::size_of::<f32>();
     let job = |epochs: usize| {
         let mut model = model.clone();
         let config = TentConfig {
@@ -84,19 +103,29 @@ fn tent_steps_after_the_first_allocate_no_large_block() {
             ..TentConfig::default()
         };
         let mut steps = 0;
-        let large = large_allocations(|| steps = tent_adapt(&mut model, &batch, &config).steps);
+        let counts = allocations(data_bytes, || {
+            steps = tent_adapt(&mut model, &batch, &config).steps
+        });
         assert_eq!(steps, epochs, "one step per epoch on one batch");
-        large
+        counts
     };
-    // The first job fills this thread's tape pool and matmul scratch.
+    // The first job fills the idle step state, this thread's matmul
+    // scratch and its eval workspace.
     let first = job(1);
-    assert!(first > 0, "the first step allocates its buffers");
+    assert!(first.huge > 0, "the first job allocates its step state");
     let one_step = job(1);
     let four_steps = job(4);
     assert_eq!(
-        four_steps,
-        one_step,
+        four_steps.large,
+        one_step.large,
         "steps 2-4 allocated {} blocks of 4 KiB or more",
-        four_steps.saturating_sub(one_step)
+        four_steps.large.saturating_sub(one_step.large)
     );
+    for (what, counts) in [("one-step", one_step), ("four-step", four_steps)] {
+        assert_eq!(
+            counts.huge, 0,
+            "a {what} job after the first allocated {} blocks of {data_bytes} B or more",
+            counts.huge
+        );
+    }
 }

@@ -20,6 +20,7 @@
 //! `NAZAR_BENCH_FILTER` runs only the ids that contain it, and such a run
 //! replaces only the rows it measured.
 
+use nazar_adapt::{adapt_to_patch, AdaptMethod, TentConfig};
 use nazar_analysis::{analyze, mine, FimConfig};
 use nazar_cloud::timing::synthetic_drift_log;
 use nazar_data::{ClassSpace, Corruption, SimDate};
@@ -151,6 +152,15 @@ fn bench_tensor_ops(suite: &mut Suite) {
     suite.bench("tensor_ops/matmul_64x96x96", SAMPLES, || {
         kernels::matmul_into(x.data(), w.data(), n, k, m, &mut out, &mut ws);
         out[0]
+    });
+    // The `vision_loop` head at the same batch size: 40 columns, one full
+    // 32-column panel and an 8-column tail.
+    let classes = 40;
+    let head = Tensor::randn(&mut rng, &[k, classes], 0.0, 1.0);
+    let mut logits = vec![0.0f32; n * classes];
+    suite.bench("tensor_ops/matmul_64x96x40", SAMPLES, || {
+        kernels::matmul_into(x.data(), head.data(), n, k, classes, &mut logits, &mut ws);
+        logits[0]
     });
     let mut dx = vec![0.0f32; n * k];
     suite.bench("tensor_ops/matmul_a_bt_64x96x96", SAMPLES, || {
@@ -317,11 +327,10 @@ fn bench_fim_algorithms(suite: &mut Suite) {
     suite.bench("fim_algorithms/apriori_50k", 10, || mine(&log, &config));
 }
 
-/// One entropy-minimisation step on `x`: Adapt-mode forward, backward,
-/// collect, Adam. What `tent_adapt` runs per batch, on the tape pool its
-/// earlier steps filled; which parameters it trains is the model's
-/// trainability flags.
-fn tent_step(model: &mut MlpResNet, opt: &mut Adam, x: &Tensor, pool: &TapePool) {
+/// One full-parameter entropy-minimisation step on `x` on the tape:
+/// Adapt-mode forward, backward, collect, Adam, on the tape pool the
+/// earlier steps filled.
+fn tent_all_params_step(model: &mut MlpResNet, opt: &mut Adam, x: &Tensor, pool: &TapePool) {
     let tape = Tape::with_pool(pool);
     let xv = tape.constant(x);
     let logits = model.forward(&tape, &xv, Mode::Adapt);
@@ -332,27 +341,36 @@ fn tent_step(model: &mut MlpResNet, opt: &mut Adam, x: &Tensor, pool: &TapePool)
 }
 
 fn bench_adaptation(suite: &mut Suite) {
-    // The two step rows time the same step on the same model and the same
-    // batch, from a fresh clone each iteration so the weights never drift;
-    // the clone (~0.6 MB) is in both. Only the freeze differs.
-    // `eval_forward` is the tape-free eval forward of that model and batch,
-    // the floor a BN-only step is measured against.
-    let (all_params, x) = trained_world();
-    let mut bn_only = all_params.clone();
-    bn_only.set_all_trainable(false);
-    bn_only.set_bn_affine_trainable(true);
-    // Ablation: `tent_all_params` is full-parameter entropy minimization
-    // (what Nazar avoids — every adaptation would ship the whole model).
-    for (name, model) in [("tent_bn_only", &bn_only), ("tent_all_params", &all_params)] {
-        let mut opt = Adam::new(1e-2);
-        let pool = TapePool::new();
-        suite.bench(&format!("adaptation_step/{name}"), 10, || {
-            let mut m = model.clone();
-            tent_step(&mut m, &mut opt, &x, &pool);
-            m
-        });
-    }
-    let mut model = all_params;
+    // The two step rows time one step on the same model and the same
+    // 160-row batch, from a fresh clone each iteration so the weights
+    // never drift; the clone (~0.6 MB) is in both. `tent_bn_only` is
+    // production TENT: `adapt_to_patch` with one epoch of one
+    // 160-row batch is one tape-free step, with its job's frame (the
+    // finite-row scan, packing the frozen weights, the BN snapshot and the
+    // patch extract). Ablation: `tent_all_params` is full-parameter entropy
+    // minimization on the tape (what Nazar avoids — every adaptation would
+    // ship the whole model). `eval_forward` is the tape-free eval forward
+    // of that model and batch, the floor a BN-only step is measured
+    // against.
+    let (model, x) = trained_world();
+    assert_eq!(x.nrows().expect("a batch"), 160, "one 160-row batch");
+    let tent = AdaptMethod::Tent(TentConfig {
+        batch_size: 160,
+        epochs: 1,
+        ..TentConfig::default()
+    });
+    let mut rng = SmallRng::seed_from_u64(3);
+    suite.bench("adaptation_step/tent_bn_only", 10, || {
+        adapt_to_patch(&model, &x, &tent, &mut rng)
+    });
+    let mut opt = Adam::new(1e-2);
+    let pool = TapePool::new();
+    suite.bench("adaptation_step/tent_all_params", 10, || {
+        let mut m = model.clone();
+        tent_all_params_step(&mut m, &mut opt, &x, &pool);
+        m
+    });
+    let mut model = model;
     suite.bench("adaptation_step/eval_forward", 10, || {
         model.logits(&x, Mode::Eval)
     });

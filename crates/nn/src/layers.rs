@@ -202,6 +202,63 @@ impl BatchNorm1d {
         self.beta.set_trainable(trainable);
     }
 
+    /// Tape-free batch-statistic forward of row-major `x: [n, width]`
+    /// into `y`, the [`Mode::Adapt`] / [`Mode::Train`] arithmetic of
+    /// [`Layer::forward`] without a tape: the same kernel, then the same
+    /// fold of the batch statistics into the running ones. `stats` is
+    /// `2 * width` floats: the batch mean, then `sqrt(var + eps)`, which
+    /// the backward reads; `var` is `width` floats of scratch.
+    pub(crate) fn batch_forward_into(
+        &mut self,
+        x: &[f32],
+        n: usize,
+        y: &mut [f32],
+        stats: &mut [f32],
+        var: &mut [f32],
+    ) {
+        let d = self.width();
+        let (mean, std) = stats.split_at_mut(d);
+        kernels::batch_norm_into(
+            x,
+            n,
+            d,
+            self.gamma.value().data(),
+            self.beta.value().data(),
+            self.eps,
+            kernels::BnStats {
+                mean: &mut *mean,
+                std,
+                var: &mut *var,
+            },
+            y,
+        );
+        self.fold_batch_stats(mean, var);
+    }
+
+    /// Folds observed batch statistics into the running estimates, in
+    /// place: `r = r * (1 - m) + batch * m` per feature. A channel whose
+    /// batch statistic is non-finite (a poisoned batch) keeps its previous
+    /// running value — one bad batch must not poison the layer's state
+    /// permanently (DESIGN.md §9). A zero-variance channel is fine: eps
+    /// keeps the normalization bounded.
+    fn fold_batch_stats(&mut self, mean: &[f32], var: &[f32]) {
+        let m = self.momentum;
+        let fold = |r: f32, b: f32| {
+            if b.is_finite() {
+                r * (1.0 - m) + b * m
+            } else {
+                r
+            }
+        };
+        let d = self.width();
+        assert!(
+            mean.len() == d && var.len() == d && self.running_mean.len() == d,
+            "bn running statistics width drifted"
+        );
+        kernels::zip_assign(self.running_mean.data_mut(), mean, fold);
+        kernels::zip_assign(self.running_var.data_mut(), var, fold);
+    }
+
     /// Tape-free eval-mode transform of row-major `x: [n, width]` into
     /// `out`: `(x - mean) / sqrt(var + eps) * γ + β` on the running
     /// statistics, in the order [`Layer::forward`] records it. `std` is
@@ -234,26 +291,7 @@ impl Layer for BatchNorm1d {
             return x_hat.mul_row(&gamma).add_row(&beta);
         }
         let (y, mean, var) = x.batch_norm(&gamma, &beta, self.eps);
-        // Fold the observed batch statistics into the running estimates,
-        // in place: r = r * (1 - m) + batch * m per feature. A channel
-        // whose batch statistic is non-finite (a poisoned batch) keeps
-        // its previous running value — one bad batch must not poison
-        // the layer's state permanently (DESIGN.md §9). A zero-variance
-        // channel is fine: eps keeps the normalization bounded.
-        let m = self.momentum;
-        let fold = |r: f32, b: f32| {
-            if b.is_finite() {
-                r * (1.0 - m) + b * m
-            } else {
-                r
-            }
-        };
-        self.running_mean
-            .zip_inplace(&mean, fold)
-            .expect("bn running mean width drifted");
-        self.running_var
-            .zip_inplace(&var, fold)
-            .expect("bn running var width drifted");
+        self.fold_batch_stats(mean.data(), var.data());
         y
     }
 

@@ -10,6 +10,8 @@
 //!   the capacity ordering of the three architectures.
 //! * [`Sgd`] and [`Adam`] optimizers, cross-entropy / entropy losses, and a
 //!   batched [`train`] harness.
+//! * [`TentStep`] — TENT's BN-only adaptation step without a tape, on the
+//!   frozen weights packed once per job; bitwise the tape's step.
 //! * [`BnPatch`] — the serializable batch-normalization-only model delta that
 //!   Nazar ships to devices instead of full model weights (§3.4 of the
 //!   paper: the BN layer is two orders of magnitude smaller than the model).
@@ -45,6 +47,7 @@ mod model;
 mod optim;
 mod param;
 mod patch;
+mod tent_step;
 pub mod train;
 
 pub use error::{NnError, Result};
@@ -55,3 +58,4 @@ pub use model::{MlpResNet, ModelArch, ResidualBlock};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use param::Param;
 pub use patch::{BnLayerState, BnPatch};
+pub use tent_step::TentStep;

@@ -98,10 +98,10 @@ impl ModelArch {
 /// connection, mirroring the basic block of a ResNet.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ResidualBlock {
-    lin1: Linear,
-    bn1: BatchNorm1d,
-    lin2: Linear,
-    bn2: BatchNorm1d,
+    pub(crate) lin1: Linear,
+    pub(crate) bn1: BatchNorm1d,
+    pub(crate) lin2: Linear,
+    pub(crate) bn2: BatchNorm1d,
 }
 
 impl ResidualBlock {
@@ -179,10 +179,10 @@ struct EvalActs<'a> {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MlpResNet {
     arch: ModelArch,
-    stem: Linear,
-    stem_bn: BatchNorm1d,
-    blocks: Vec<ResidualBlock>,
-    head: Linear,
+    pub(crate) stem: Linear,
+    pub(crate) stem_bn: BatchNorm1d,
+    pub(crate) blocks: Vec<ResidualBlock>,
+    pub(crate) head: Linear,
 }
 
 impl MlpResNet {

@@ -648,32 +648,13 @@ impl Var {
             let mut y = inner.pool.take(n * d);
             let mut var = vec![0.0; d];
             let (mean, std) = stats.split_at_mut(d);
-            kernels::mean_axis0_into(x.value.data(), n, d, mean);
-            // The squared centered values borrow `y` until the output
-            // overwrites them.
-            for (yrow, xrow) in y.chunks_exact_mut(d).zip(x.value.data().chunks_exact(d)) {
-                for ((o, &v), &m) in yrow.iter_mut().zip(xrow).zip(&*mean) {
-                    let c = v - m;
-                    *o = c * c;
-                }
-            }
-            kernels::mean_axis0_into(&y, n, d, &mut var);
-            for (s, &v) in std.iter_mut().zip(&var) {
-                *s = (v + eps).sqrt();
-            }
+            let batch = kernels::BnStats {
+                mean: &mut *mean,
+                std,
+                var: &mut var,
+            };
             let (gamma_v, beta_v) = (g.value.data(), b.value.data());
-            for (yrow, xrow) in y.chunks_exact_mut(d).zip(x.value.data().chunks_exact(d)) {
-                for (((((o, &v), &m), &s), &ga), &be) in yrow
-                    .iter_mut()
-                    .zip(xrow)
-                    .zip(&*mean)
-                    .zip(&*std)
-                    .zip(gamma_v)
-                    .zip(beta_v)
-                {
-                    *o = (v - m) / s * ga + be;
-                }
-            }
+            kernels::batch_norm_into(x.value.data(), n, d, gamma_v, beta_v, eps, batch, &mut y);
             let mean = Tensor::from_raw(mean.to_vec(), &[d]);
             let op = Op::BatchNorm {
                 x: self.id,
@@ -952,7 +933,6 @@ impl Var {
                     let (xv, gamma_v) = (&nodes[*x].value, nodes[*gamma].value.data());
                     let (n, d) = row_dims(xv);
                     let (mean, std) = stats.split_at(d);
-                    let rows = || g.data().chunks_exact(d).zip(xv.data().chunks_exact(d));
                     if needs(*beta) {
                         kernels::sum_axis0_assign(
                             g.data(),
@@ -962,18 +942,29 @@ impl Var {
                         );
                     }
                     if needs(*gamma) {
-                        // ∂/∂γ = Σᵢ g · x̂, x̂ recomputed as the forward did.
                         let gg = slot(parents, *gamma, nodes, pool).data_mut();
-                        for (grow, xrow) in rows() {
-                            for ((((o, &gv), &v), &m), &s) in
-                                gg.iter_mut().zip(grow).zip(xrow).zip(mean).zip(std)
-                            {
-                                *o += gv * ((v - m) / s);
-                            }
-                        }
+                        kernels::batch_norm_gamma_grad(g.data(), xv.data(), d, mean, std, gg);
                     }
                     if needs(*x) {
-                        batch_norm_input_grad(parents, *x, g, xv, gamma_v, stats, pool);
+                        // An empty slot takes `∂c` as it is: its stale
+                        // contents are never read.
+                        let fresh = parents[*x].is_none();
+                        let gx = parents[*x].get_or_insert_with(|| {
+                            Tensor::from_raw(pool.take(xv.len()), xv.dims())
+                        });
+                        let mut scratch = pool.take(2 * d);
+                        kernels::batch_norm_input_grad(
+                            g.data(),
+                            xv.data(),
+                            d,
+                            mean,
+                            std,
+                            gamma_v,
+                            gx.data_mut(),
+                            fresh,
+                            &mut scratch,
+                        );
+                        pool.recycle(scratch);
                     }
                 }
             }
@@ -988,83 +979,6 @@ impl Var {
             pool: pool.clone(),
         }
     }
-}
-
-/// `grads[x] += ∂/∂x` for [`Var::batch_norm`], performing the float
-/// operations of the composition's backward in its order. With the
-/// centered values `c = x − mean` recomputed and `s = sqrt(var + eps)`,
-/// every gradient the composition starts in a zeroed slot keeps its `0 +`:
-///
-/// * `∂x̂ = 0 + g·γ`, then `∂c = 0 + ∂x̂/s`;
-/// * `∂s = Σᵢ −(∂x̂·c)/(s·s)` from zero, in row order;
-/// * `∂(var + eps) = 0 + ∂s·(0.5/s)`, `∂var` a copy of it, and
-///   `k = ∂(c·c) = 0 + (1/n)·∂var`, one value per column;
-/// * `∂c += k·c` twice, once per operand of the `c·c` product;
-/// * `∂mean = Σᵢ −∂c` from zero, in row order;
-/// * `∂x` takes `∂c` (a copy into an empty slot, else `+=`), then
-///   `+= (1/n)·∂mean`.
-fn batch_norm_input_grad(
-    grads: &mut [Option<Tensor>],
-    x: usize,
-    g: &Tensor,
-    xv: &Tensor,
-    gamma: &[f32],
-    stats: &[f32],
-    pool: &TapePool,
-) {
-    let (n, d) = row_dims(xv);
-    let (mean, std) = stats.split_at(d);
-    let inv_n = 1.0 / n as f32;
-    let rows = || g.data().chunks_exact(d).zip(xv.data().chunks_exact(d));
-    // `k` is ∂/∂std until the second loop makes it ∂/∂(c·c).
-    let mut k = pool.take(d);
-    k.fill(0.0);
-    for (grow, xrow) in rows() {
-        for (((((o, &gv), &v), &m), &s), &ga) in k
-            .iter_mut()
-            .zip(grow)
-            .zip(xrow)
-            .zip(mean)
-            .zip(std)
-            .zip(gamma)
-        {
-            let g_xhat = 0.0 + gv * ga;
-            *o -= g_xhat * (v - m) / (s * s);
-        }
-    }
-    for (o, &s) in k.iter_mut().zip(std) {
-        let g_var = 0.0 + *o * (0.5 / s);
-        *o = 0.0 + inv_n * g_var;
-    }
-    let mut g_mean = pool.take(d);
-    g_mean.fill(0.0);
-    let empty = grads[x].is_none();
-    // An empty slot takes `c` as it is: its stale contents are never read.
-    let gx = grads[x].get_or_insert_with(|| Tensor::from_raw(pool.take(xv.len()), xv.dims()));
-    for (orow, (grow, xrow)) in gx.data_mut().chunks_exact_mut(d).zip(rows()) {
-        for (((((((o, &gv), &v), &m), &s), &ga), &kj), gm) in orow
-            .iter_mut()
-            .zip(grow)
-            .zip(xrow)
-            .zip(mean)
-            .zip(std)
-            .zip(gamma)
-            .zip(&k)
-            .zip(g_mean.iter_mut())
-        {
-            let c = v - m;
-            let mut g_c = 0.0 + (0.0 + gv * ga) / s;
-            g_c += kj * c;
-            g_c += kj * c;
-            *gm -= g_c;
-            *o = if empty { g_c } else { *o + g_c };
-        }
-    }
-    for orow in gx.data_mut().chunks_exact_mut(d) {
-        kernels::axpy_into(inv_n, &g_mean, orow);
-    }
-    pool.recycle(k);
-    pool.recycle(g_mean);
 }
 
 /// Rows and columns of a rank-2 node value (backward-pass internal).

@@ -17,14 +17,16 @@
 //! products of a tape matmul keep the same contract in the `off` and
 //! `exact` tiers: [`matmul_a_bt_into`] (dX) runs [`matmul_into`]'s
 //! packed-panel kernel on `bᵀ`, its panels packed straight from the rows
-//! of `b`, and equals the dot-product loop; [`matmul_at_b_into`] (dW)
+//! of `b`, and equals the dot-product loop; a [`PackedB`] holds either
+//! operand's panels across calls, and a product on it is bitwise the
+//! per-call one; [`matmul_at_b_into`] (dW)
 //! accumulates 4-row × 32-column register tiles of `out` over the rows of
 //! `a` and `g` in order, and equals the row loop
 //! `out[p, :] += a[i, p] · g[i, :]`. [`sum_axis0_into`] and
 //! [`mean_axis0_into`] equal a row-ordered accumulation.
 
 use crate::parallel::{num_threads, par_row_bands};
-use crate::simd::{self, BSource, SimdTier};
+use crate::simd::{self, BandB, SimdTier};
 use crate::workspace::Workspace;
 use std::ops::Range;
 
@@ -56,9 +58,9 @@ const PAR_MIN_MULADDS: usize = 1 << 24;
 
 /// `out = a · b` for row-major `a: [n, k]`, `b: [k, m]`, `out: [n, m]`.
 ///
-/// Packs `b` into `TILE_COLS`-wide column panels (scratch from `ws`) and
-/// row-blocks the output across up to [`num_threads`] scoped threads.
-/// See the module docs for the determinism guarantee.
+/// Packs `b` into column panels (scratch from `ws`, as [`PackedB`] packs
+/// them) and row-blocks the output across up to [`num_threads`] scoped
+/// threads. See the module docs for the determinism guarantee.
 ///
 /// # Panics
 ///
@@ -138,9 +140,23 @@ pub fn matmul_into_tier(
     matmul_from(a, BSource::Rows(b), n, k, m, out, ws, threads, tier);
 }
 
+/// Where a product reads its right-hand operand `B: [k, m]` from when it
+/// packs it.
+#[derive(Debug, Clone, Copy)]
+enum BSource<'a> {
+    /// `B` row-major: element `(p, j)` at `p * m + j` — the forward `x · w`.
+    Rows(&'a [f32]),
+    /// `Bᵀ` row-major (`[m, k]`): element `(p, j)` at `j * k + p` — the
+    /// weight of the backward `g · wᵀ`, read in place.
+    Transposed(&'a [f32]),
+}
+
 /// The packed-panel product `out = a · B` behind [`matmul_into_tier`] and
 /// [`matmul_a_bt_into_tier`], reading `B: [k, m]` from either its rows or
-/// its transpose (lengths checked by the callers).
+/// its transpose (lengths checked by the callers). It packs `B` into
+/// scratch from `ws` as [`PackedB`] does and runs [`PackedB`]'s product,
+/// except that a vector-tier product of fewer than 4 rows (the batch-1
+/// forward) reads `B`'s rows in place and packs nothing.
 #[allow(clippy::too_many_arguments)]
 fn matmul_from(
     a: &[f32],
@@ -153,138 +169,208 @@ fn matmul_from(
     threads: usize,
     tier: SimdTier,
 ) {
-    if n == 0 || m == 0 {
-        return;
-    }
-    if k == 0 {
-        out.fill(0.0);
-        return;
-    }
-
     let tier = simd::effective(tier);
-    if tier.is_vector() {
-        // SIMD path: pack the full 32-wide column panels (p-major at
-        // offset j0 * k). From `B`'s rows, only the register-blocked rows
-        // read the panels — the `n % MICRO_ROWS` row tail and the
-        // `m % 32` column tail read `b` directly — so a product with no
-        // full block (the batch-1 forward) packs nothing. From `Bᵀ` every
-        // row reads the panels, and the column tail is packed too, into one
-        // more panel as wide as the tail, so the in-band scalar loop reads
-        // it down its columns (vectorised across them) as it reads `b`.
-        let full_cols = match b {
-            BSource::Rows(_) if n < MICRO_ROWS => 0,
-            _ => m - m % SIMD_PANEL,
-        };
-        let packed_cols = match b {
-            BSource::Rows(_) => full_cols,
-            BSource::Transposed(_) => m,
-        };
-        let mut packed = match packed_cols {
-            0 => Vec::new(),
-            _ => ws.take_filled_later(k * packed_cols),
-        };
-        for (j0, panel) in (0..full_cols)
-            .step_by(SIMD_PANEL)
-            .zip(packed.chunks_exact_mut(SIMD_PANEL * k))
-        {
-            pack_panel(b, k, m, j0, SIMD_PANEL, panel, tier);
+    if let BSource::Rows(b) = b {
+        if tier.is_vector() && n < MICRO_ROWS && m > 0 && k > 0 {
+            par_row_bands(out, n, m, threads, |first_row, band| {
+                let handled = simd::matmul_band(tier, a, BandB::Rows(b), k, m, first_row, band);
+                debug_assert!(handled, "vector tier was verified available");
+            });
+            return;
         }
-        if packed_cols > full_cols {
-            let w = packed_cols - full_cols;
-            pack_panel(b, k, m, full_cols, w, &mut packed[full_cols * k..], tier);
+    }
+    let mut packed = PackedB {
+        panels: ws.take_filled_later(k * m),
+        ..PackedB::default()
+    };
+    packed.fill(b, k, m, tier);
+    packed.product(a, n, out, threads);
+    ws.recycle(packed.panels);
+}
+
+/// A right-hand matmul operand `B: [k, m]` packed once into the column
+/// panels the matmul kernels read, for products that reuse it: the frozen
+/// weights of an adaptation job, whose every step multiplies by the same
+/// `W` (forward) and `Wᵀ` (the input gradient).
+///
+/// The panels are the ones [`matmul_into`] and [`matmul_a_bt_into`] pack
+/// per call, by the same code, for the tier given at packing (clamped to
+/// the CPU): p-major, panel `[j0, j0 + w)` at offset `j0 * k`, 32 columns
+/// wide under a vector tier and 16 under `off`, the last one as wide as
+/// what is left. A product on them runs the same kernels in that tier, so
+/// it is bitwise the unpacked product of the same tier at any thread
+/// count. Packing again reuses the buffer.
+#[derive(Debug, Clone, Default)]
+pub struct PackedB {
+    panels: Vec<f32>,
+    k: usize,
+    m: usize,
+    tier: SimdTier,
+}
+
+impl PackedB {
+    /// An empty operand; pack it before use.
+    pub fn new() -> Self {
+        PackedB::default()
+    }
+
+    /// Packs row-major `b: [k, m]` — the `w` of a forward `x · w` — for
+    /// `tier`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` is not `k * m` long.
+    pub fn pack(&mut self, b: &[f32], k: usize, m: usize, tier: SimdTier) {
+        assert_eq!(b.len(), k * m, "packed operand length");
+        self.fill(BSource::Rows(b), k, m, tier);
+    }
+
+    /// Packs `B = bᵀ: [k, m]` from row-major `b: [m, k]` — the `w` of a
+    /// backward `g · wᵀ`, as [`matmul_a_bt_into`] reads it — for `tier`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` is not `k * m` long.
+    pub fn pack_transposed(&mut self, b: &[f32], k: usize, m: usize, tier: SimdTier) {
+        assert_eq!(b.len(), k * m, "packed operand length");
+        self.fill(BSource::Transposed(b), k, m, tier);
+    }
+
+    /// `(k, m)`: the inner and output widths of a product with it.
+    pub fn dims(&self) -> (usize, usize) {
+        (self.k, self.m)
+    }
+
+    /// `out = a · B` for row-major `a: [n, k]`, `out: [n, m]`, over up to
+    /// `threads` row bands.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slice length disagrees with `n` and the packed shape.
+    pub fn matmul_into(&self, a: &[f32], n: usize, out: &mut [f32], threads: usize) {
+        assert_eq!(a.len(), n * self.k, "packed matmul lhs length");
+        assert_eq!(out.len(), n * self.m, "packed matmul out length");
+        self.product(a, n, out, threads);
+    }
+
+    /// `out += a · B`: the product into scratch from `ws`, then one add
+    /// into `out` — [`matmul_a_bt_into`]'s operations, in its order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slice length disagrees with `n` and the packed shape.
+    pub fn matmul_add_into(
+        &self,
+        a: &[f32],
+        n: usize,
+        out: &mut [f32],
+        ws: &mut Workspace,
+        threads: usize,
+    ) {
+        let mut product = ws.take_filled_later(out.len());
+        self.matmul_into(a, n, &mut product, threads);
+        add_assign(out, &product);
+        ws.recycle(product);
+    }
+
+    /// Packs `b` into this operand's panels, sized `k * m`.
+    fn fill(&mut self, b: BSource<'_>, k: usize, m: usize, tier: SimdTier) {
+        let tier = simd::effective(tier);
+        (self.k, self.m, self.tier) = (k, m, tier);
+        self.panels.resize(k * m, 0.0);
+        if k == 0 {
+            return;
         }
-        let packed_ref: &[f32] = &packed;
+        let panels = &mut self.panels[..];
+        // Full panels at a constant width, so `pack_panel` sizes its
+        // copies at compile time; then the narrower last one.
+        let full = if tier.is_vector() {
+            let full = m - m % SIMD_PANEL;
+            for (j0, panel) in (0..full)
+                .step_by(SIMD_PANEL)
+                .zip(panels.chunks_exact_mut(SIMD_PANEL * k))
+            {
+                pack_panel(b, k, m, j0, SIMD_PANEL, panel, tier);
+            }
+            full
+        } else {
+            let full = m - m % TILE_COLS;
+            for (j0, panel) in (0..full)
+                .step_by(TILE_COLS)
+                .zip(panels.chunks_exact_mut(TILE_COLS * k))
+            {
+                pack_panel(b, k, m, j0, TILE_COLS, panel, tier);
+            }
+            full
+        };
+        if full < m {
+            pack_panel(b, k, m, full, m - full, &mut panels[full * k..], tier);
+        }
+    }
+
+    /// `out = a · B`, lengths checked by the callers.
+    fn product(&self, a: &[f32], n: usize, out: &mut [f32], threads: usize) {
+        let (k, m, tier) = (self.k, self.m, self.tier);
+        if n == 0 || m == 0 {
+            return;
+        }
+        if k == 0 {
+            out.fill(0.0);
+            return;
+        }
+        let panels: &[f32] = &self.panels;
         par_row_bands(out, n, m, threads, |first_row, band| {
-            let handled = simd::matmul_band(tier, a, b, packed_ref, k, m, first_row, band);
-            debug_assert!(handled, "vector tier was verified available");
+            if !simd::matmul_band(tier, a, BandB::Packed(panels), k, m, first_row, band) {
+                scalar_band(a, panels, k, m, first_row, band);
+            }
         });
-        ws.recycle(packed);
-        return;
     }
+}
 
-    // Pack B into column panels: panel for columns [j0, j0+w) is stored
-    // p-major at offset j0 * k, so the micro-kernel reads it sequentially.
-    let mut packed = ws.take_filled_later(k * m);
-    let mut j0 = 0;
-    while j0 < m {
-        let w = (m - j0).min(TILE_COLS);
-        pack_panel(b, k, m, j0, w, &mut packed[j0 * k..j0 * k + w * k], tier);
-        j0 += w;
-    }
-
-    let packed_ref: &[f32] = &packed;
-    par_row_bands(out, n, m, threads, |first_row, band| {
-        let band_rows = band.len() / m;
-        let mut r = 0;
-        // Register-blocked main loop: MICRO_ROWS rows per iteration.
-        while r + MICRO_ROWS <= band_rows {
-            let i = first_row + r;
-            let out_block = &mut band[r * m..(r + MICRO_ROWS) * m];
-            let a0 = &a[i * k..(i + 1) * k];
-            let a1 = &a[(i + 1) * k..(i + 2) * k];
-            let a2 = &a[(i + 2) * k..(i + 3) * k];
-            let a3 = &a[(i + 3) * k..(i + 4) * k];
-            let mut j0 = 0;
-            while j0 < m {
-                let w = (m - j0).min(TILE_COLS);
-                let panel = &packed_ref[j0 * k..j0 * k + w * k];
-                if w == TILE_COLS {
-                    let mut acc = [[0.0f32; TILE_COLS]; MICRO_ROWS];
-                    for ((((bb, &p0), &p1), &p2), &p3) in panel
-                        .chunks_exact(TILE_COLS)
-                        .zip(a0)
-                        .zip(a1)
-                        .zip(a2)
-                        .zip(a3)
-                    {
-                        let bb: &[f32; TILE_COLS] = bb.try_into().expect("exact chunk");
-                        for t in 0..TILE_COLS {
-                            let bv = bb[t];
-                            acc[0][t] += p0 * bv;
-                            acc[1][t] += p1 * bv;
-                            acc[2][t] += p2 * bv;
-                            acc[3][t] += p3 * bv;
-                        }
-                    }
-                    for (q, accq) in acc.iter().enumerate() {
-                        out_block[q * m + j0..q * m + j0 + TILE_COLS].copy_from_slice(accq);
-                    }
-                } else {
-                    for q in 0..MICRO_ROWS {
-                        let a_row = &a[(i + q) * k..(i + q + 1) * k];
-                        let tile = &mut out_block[q * m + j0..q * m + j0 + w];
-                        tile.fill(0.0);
-                        for (p, &ap) in a_row.iter().enumerate() {
-                            let brow = &panel[p * w..(p + 1) * w];
-                            for (ac, &bv) in tile.iter_mut().zip(brow) {
-                                *ac += ap * bv;
-                            }
-                        }
+/// The scalar packed-panel kernel over one band of output rows: register
+/// blocks of [`MICRO_ROWS`] rows × [`TILE_COLS`] columns, then the rows
+/// left over one at a time; a narrower last panel accumulates in place.
+/// Every output element is a sum from zero over `p = 0..k` in order.
+fn scalar_band(a: &[f32], packed: &[f32], k: usize, m: usize, first_row: usize, band: &mut [f32]) {
+    let band_rows = band.len() / m;
+    let mut r = 0;
+    // Register-blocked main loop: MICRO_ROWS rows per iteration.
+    while r + MICRO_ROWS <= band_rows {
+        let i = first_row + r;
+        let out_block = &mut band[r * m..(r + MICRO_ROWS) * m];
+        let a0 = &a[i * k..(i + 1) * k];
+        let a1 = &a[(i + 1) * k..(i + 2) * k];
+        let a2 = &a[(i + 2) * k..(i + 3) * k];
+        let a3 = &a[(i + 3) * k..(i + 4) * k];
+        let mut j0 = 0;
+        while j0 < m {
+            let w = (m - j0).min(TILE_COLS);
+            let panel = &packed[j0 * k..j0 * k + w * k];
+            if w == TILE_COLS {
+                let mut acc = [[0.0f32; TILE_COLS]; MICRO_ROWS];
+                for ((((bb, &p0), &p1), &p2), &p3) in panel
+                    .chunks_exact(TILE_COLS)
+                    .zip(a0)
+                    .zip(a1)
+                    .zip(a2)
+                    .zip(a3)
+                {
+                    let bb: &[f32; TILE_COLS] = bb.try_into().expect("exact chunk");
+                    for t in 0..TILE_COLS {
+                        let bv = bb[t];
+                        acc[0][t] += p0 * bv;
+                        acc[1][t] += p1 * bv;
+                        acc[2][t] += p2 * bv;
+                        acc[3][t] += p3 * bv;
                     }
                 }
-                j0 += w;
-            }
-            r += MICRO_ROWS;
-        }
-        // Remaining 1..MICRO_ROWS rows, one at a time.
-        for (rr, out_row) in band[r * m..].chunks_mut(m).enumerate() {
-            let row = first_row + r + rr;
-            let a_row = &a[row * k..(row + 1) * k];
-            let mut j0 = 0;
-            while j0 < m {
-                let w = (m - j0).min(TILE_COLS);
-                let panel = &packed_ref[j0 * k..j0 * k + w * k];
-                if w == TILE_COLS {
-                    let mut acc = [0.0f32; TILE_COLS];
-                    for (bb, &ap) in panel.chunks_exact(TILE_COLS).zip(a_row) {
-                        let bb: &[f32; TILE_COLS] = bb.try_into().expect("exact chunk");
-                        for (ac, &bv) in acc.iter_mut().zip(bb) {
-                            *ac += ap * bv;
-                        }
-                    }
-                    out_row[j0..j0 + TILE_COLS].copy_from_slice(&acc);
-                } else {
-                    let tile = &mut out_row[j0..j0 + w];
+                for (q, accq) in acc.iter().enumerate() {
+                    out_block[q * m + j0..q * m + j0 + TILE_COLS].copy_from_slice(accq);
+                }
+            } else {
+                for q in 0..MICRO_ROWS {
+                    let a_row = &a[(i + q) * k..(i + q + 1) * k];
+                    let tile = &mut out_block[q * m + j0..q * m + j0 + w];
                     tile.fill(0.0);
                     for (p, &ap) in a_row.iter().enumerate() {
                         let brow = &panel[p * w..(p + 1) * w];
@@ -293,18 +379,48 @@ fn matmul_from(
                         }
                     }
                 }
-                j0 += w;
             }
+            j0 += w;
         }
-    });
-    ws.recycle(packed);
+        r += MICRO_ROWS;
+    }
+    // Remaining 1..MICRO_ROWS rows, one at a time.
+    for (rr, out_row) in band[r * m..].chunks_mut(m).enumerate() {
+        let row = first_row + r + rr;
+        let a_row = &a[row * k..(row + 1) * k];
+        let mut j0 = 0;
+        while j0 < m {
+            let w = (m - j0).min(TILE_COLS);
+            let panel = &packed[j0 * k..j0 * k + w * k];
+            if w == TILE_COLS {
+                let mut acc = [0.0f32; TILE_COLS];
+                for (bb, &ap) in panel.chunks_exact(TILE_COLS).zip(a_row) {
+                    let bb: &[f32; TILE_COLS] = bb.try_into().expect("exact chunk");
+                    for (ac, &bv) in acc.iter_mut().zip(bb) {
+                        *ac += ap * bv;
+                    }
+                }
+                out_row[j0..j0 + TILE_COLS].copy_from_slice(&acc);
+            } else {
+                let tile = &mut out_row[j0..j0 + w];
+                tile.fill(0.0);
+                for (p, &ap) in a_row.iter().enumerate() {
+                    let brow = &panel[p * w..(p + 1) * w];
+                    for (ac, &bv) in tile.iter_mut().zip(brow) {
+                        *ac += ap * bv;
+                    }
+                }
+            }
+            j0 += w;
+        }
+    }
 }
 
 /// Copies columns `[j0, j0 + w)` of `B: [k, m]` into `panel`, p-major
 /// (`panel[p * w + c] = B[p, j0 + c]`) — the layout both matmul kernels
 /// read. From `B`'s rows that is one slice copy per `p`; from `Bᵀ` it is a
 /// transpose of `w` contiguous rows, in registers under a vector tier.
-/// Inlined so that the SIMD path's constant `w` sizes the copies.
+/// Inlined so that a constant `w` sizes the copies.
 #[inline(always)]
 fn pack_panel(
     b: BSource<'_>,
@@ -417,9 +533,9 @@ fn at_b_rows(
 /// operand, packing `bᵀ`'s column panels straight from the rows of `b`,
 /// into scratch from `ws`, then adds the product into `out` (zero it first
 /// for a plain product). Every output element is therefore a sum from zero
-/// of the products over `j = 0..m` in order — in the panels' lanes, and
-/// in the scalar loop over one more packed panel for the `k % 32` column
-/// tail — followed by one add into `out`: the operations of the textbook
+/// of the products over `j = 0..m` in order — in the panels' lanes, the
+/// `k % 32` column tail's masked ones included — followed by one add into
+/// `out`: the operations of the textbook
 /// dot-product loop, in its order. So the result is bitwise that loop's in
 /// the `off` and `exact` tiers, at any thread count.
 ///
@@ -726,6 +842,194 @@ pub fn bn_eval_into(
         for j in 0..d {
             orow[j] = (row[j] - mean[j]) / std[j] * gamma[j] + beta[j];
         }
+    }
+}
+
+/// Batch-statistic batch normalization of row-major `x: [n, d]` into
+/// `y`: `y = (x - mean) / std * γ + β` over the batch's column `mean` and
+/// population `var`, with `std = sqrt(var + eps)`; `mean`, `std` and `var`
+/// (`d` each) are written too. The forward of
+/// [`Var::batch_norm`](crate::Var::batch_norm), and of the tape-free
+/// adaptation step, which must agree with it bitwise: `mean` and `var` are
+/// [`mean_axis0_into`]'s, over `x` and over the squared centered values,
+/// and each output is subtract, divide, scale, shift, in that order.
+///
+/// # Panics
+///
+/// Panics if a slice length disagrees with `n` and `d`.
+#[allow(clippy::too_many_arguments)]
+pub fn batch_norm_into(
+    x: &[f32],
+    n: usize,
+    d: usize,
+    gamma: &[f32],
+    beta: &[f32],
+    eps: f32,
+    stats: BnStats<'_>,
+    y: &mut [f32],
+) {
+    let BnStats { mean, std, var } = stats;
+    assert_eq!(y.len(), n * d, "batch_norm out length");
+    assert!(
+        gamma.len() == d && beta.len() == d && std.len() == d && var.len() == d,
+        "batch_norm widths"
+    );
+    mean_axis0_into(x, n, d, mean);
+    // The squared centered values borrow `y` until the output overwrites
+    // them.
+    for (yrow, xrow) in y.chunks_exact_mut(d).zip(x.chunks_exact(d)) {
+        for ((o, &v), &m) in yrow.iter_mut().zip(xrow).zip(&*mean) {
+            let c = v - m;
+            *o = c * c;
+        }
+    }
+    mean_axis0_into(y, n, d, var);
+    for (s, &v) in std.iter_mut().zip(&*var) {
+        *s = (v + eps).sqrt();
+    }
+    for (yrow, xrow) in y.chunks_exact_mut(d).zip(x.chunks_exact(d)) {
+        for (((((o, &v), &m), &s), &ga), &be) in yrow
+            .iter_mut()
+            .zip(xrow)
+            .zip(&*mean)
+            .zip(&*std)
+            .zip(gamma)
+            .zip(beta)
+        {
+            *o = (v - m) / s * ga + be;
+        }
+    }
+}
+
+/// The per-column batch statistics [`batch_norm_into`] writes: `mean`,
+/// `std = sqrt(var + eps)` and `var`, `d` floats each.
+#[derive(Debug)]
+pub struct BnStats<'a> {
+    /// Column means.
+    pub mean: &'a mut [f32],
+    /// Column `sqrt(var + eps)`.
+    pub std: &'a mut [f32],
+    /// Column population variances.
+    pub var: &'a mut [f32],
+}
+
+/// `out += ∂/∂γ` of [`batch_norm_into`] for the output gradient `g`:
+/// `Σᵢ g · x̂` over the rows in order, `x̂ = (x - mean) / std` recomputed
+/// as the forward computed it. `g` and `x` are row-major `[n, d]`.
+///
+/// # Panics
+///
+/// Panics if `out`, `mean` or `std` is not `d` long.
+pub fn batch_norm_gamma_grad(
+    g: &[f32],
+    x: &[f32],
+    d: usize,
+    mean: &[f32],
+    std: &[f32],
+    out: &mut [f32],
+) {
+    assert!(
+        out.len() == d && mean.len() == d && std.len() == d,
+        "batch_norm_gamma_grad widths"
+    );
+    for (grow, xrow) in g.chunks_exact(d).zip(x.chunks_exact(d)) {
+        for ((((o, &gv), &v), &m), &s) in out.iter_mut().zip(grow).zip(xrow).zip(mean).zip(std) {
+            *o += gv * ((v - m) / s);
+        }
+    }
+}
+
+/// `∂/∂x` of [`batch_norm_into`] for the output gradient `g` into `out`,
+/// performing the float operations of the nine-node composition's
+/// backward (`mean_axis0` → `sub_row` → `mul` → `mean_axis0` →
+/// `add_scalar(eps)` → `sqrt` → `div_row` → `mul_row(γ)` → `add_row(β)`)
+/// in its order. With the centered values `c = x − mean` recomputed and
+/// `s = std`, every gradient the composition starts in a zeroed slot keeps
+/// its `0 +`:
+///
+/// * `∂x̂ = 0 + g·γ`, then `∂c = 0 + ∂x̂/s`;
+/// * `∂s = Σᵢ −(∂x̂·c)/(s·s)` from zero, in row order;
+/// * `∂(var + eps) = 0 + ∂s·(0.5/s)`, `∂var` a copy of it, and
+///   `k = ∂(c·c) = 0 + (1/n)·∂var`, one value per column;
+/// * `∂c += k·c` twice, once per operand of the `c·c` product;
+/// * `∂mean = Σᵢ −∂c` from zero, in row order;
+/// * `∂x` takes `∂c` (written over `out` when `fresh`, else added to it),
+///   then `+= (1/n)·∂mean`.
+///
+/// `scratch` is `2 d` floats.
+///
+/// # Panics
+///
+/// Panics if a slice length disagrees with `d` and the row count of `x`.
+#[allow(clippy::too_many_arguments)]
+pub fn batch_norm_input_grad(
+    g: &[f32],
+    x: &[f32],
+    d: usize,
+    mean: &[f32],
+    std: &[f32],
+    gamma: &[f32],
+    out: &mut [f32],
+    fresh: bool,
+    scratch: &mut [f32],
+) {
+    assert!(
+        d > 0 && x.len().is_multiple_of(d),
+        "batch_norm_input_grad x length"
+    );
+    assert!(
+        g.len() == x.len() && out.len() == x.len(),
+        "batch_norm_input_grad lengths"
+    );
+    assert!(
+        mean.len() == d && std.len() == d && gamma.len() == d && scratch.len() == 2 * d,
+        "batch_norm_input_grad widths"
+    );
+    let n = x.len() / d;
+    let inv_n = 1.0 / n as f32;
+    let rows = || g.chunks_exact(d).zip(x.chunks_exact(d));
+    // `k` is ∂/∂std until the second loop makes it ∂/∂(c·c).
+    let (k, g_mean) = scratch.split_at_mut(d);
+    k.fill(0.0);
+    for (grow, xrow) in rows() {
+        for (((((o, &gv), &v), &m), &s), &ga) in k
+            .iter_mut()
+            .zip(grow)
+            .zip(xrow)
+            .zip(mean)
+            .zip(std)
+            .zip(gamma)
+        {
+            let g_xhat = 0.0 + gv * ga;
+            *o -= g_xhat * (v - m) / (s * s);
+        }
+    }
+    for (o, &s) in k.iter_mut().zip(std) {
+        let g_var = 0.0 + *o * (0.5 / s);
+        *o = 0.0 + inv_n * g_var;
+    }
+    g_mean.fill(0.0);
+    for (orow, (grow, xrow)) in out.chunks_exact_mut(d).zip(rows()) {
+        for (((((((o, &gv), &v), &m), &s), &ga), &kj), gm) in orow
+            .iter_mut()
+            .zip(grow)
+            .zip(xrow)
+            .zip(mean)
+            .zip(std)
+            .zip(gamma)
+            .zip(&*k)
+            .zip(g_mean.iter_mut())
+        {
+            let c = v - m;
+            let mut g_c = 0.0 + (0.0 + gv * ga) / s;
+            g_c += kj * c;
+            g_c += kj * c;
+            *gm -= g_c;
+            *o = if fresh { g_c } else { *o + g_c };
+        }
+    }
+    for orow in out.chunks_exact_mut(d) {
+        axpy_into(inv_n, g_mean, orow);
     }
 }
 

@@ -19,14 +19,17 @@
 //!   multiply + add intrinsics (never FMA, which contracts the rounding
 //!   step) and accumulate each output lane in the scalar loop's order, so
 //!   the workspace-wide bitwise-determinism contract (golden traces,
-//!   1-vs-N-thread diffs) holds unchanged.
+//!   1-vs-N-thread diffs) holds unchanged. The matmul's `m % 32` column
+//!   tail runs the same register blocks on masked lanes: a lane past the
+//!   last column loads zero and is never stored.
 //! * **`fast`** (opt-in) — FMA-contracted; the forward's register blocks
 //!   grow to 8 rows. Not bitwise: each fused multiply-add skips one
 //!   rounding, so results drift from the oracle by an
 //!   accumulation-length-scaled ULP bound.
 //!   Golden-trace byte-diff jobs must not enable this tier. Within the
 //!   tier a row's result still does not depend on the row count or the
-//!   thread band it lands in (the row tail runs the same fused chain).
+//!   thread band it lands in (the row tail runs the same fused chain, and
+//!   the matmul's column tail the unfused one in every row).
 //!
 //! Elementwise lane-independent kernels (the batch-norm eval fuse, the
 //! softmax subtract/divide stages) are bitwise in *both* vector tiers —
@@ -131,35 +134,33 @@ pub fn env_tier() -> SimdTier {
     })
 }
 
-/// Where a matmul reads its right-hand operand `B: [k, m]` from.
+/// Where a matmul band reads its right-hand operand `B: [k, m]` from.
 #[derive(Debug, Clone, Copy)]
-pub enum BSource<'a> {
-    /// `B` row-major: element `(p, j)` at `p * m + j` — the forward `x · w`.
+pub(crate) enum BandB<'a> {
+    /// All of `B` in column panels, each p-major at offset `j0 * k`: the
+    /// full 32-column panels, then one panel as wide as the `m % 32`
+    /// column tail (`crate::kernels::PackedB`'s vector layout).
+    Packed(&'a [f32]),
+    /// `B` row-major, read in place: element `(p, j)` at `p * m + j`. For
+    /// a product with no register block (the batch-1 forward), which then
+    /// packs nothing.
     Rows(&'a [f32]),
-    /// `Bᵀ` row-major (`[m, k]`): element `(p, j)` at `j * k + p` — the
-    /// weight of the backward `g · wᵀ`, read in place.
-    Transposed(&'a [f32]),
 }
 
-/// Vectorized `out = a · B` over 32-column panels; returns `false` when the
-/// tier/CPU cannot handle the shape, in which case the caller must run the
+/// Vectorized `out = a · B` over one band of output rows; returns `false`
+/// when the tier/CPU cannot run it, in which case the caller must run the
 /// scalar kernel instead.
 ///
-/// `packed` must hold the full-width column panels of `B` (panel for
-/// columns `[j0, j0+32)` stored p-major at offset `j0 * k`, exactly the
-/// packing `crate::kernels` produces with a 32-wide tile). The rows left
-/// after the register blocks read `B` from `b` when it is
-/// [`BSource::Rows`] and from the panels when it is
-/// [`BSource::Transposed`]. The trailing columns (`m % 32`) are a scalar
-/// loop in the same `p = 0..k` order as the oracle, over `b` — or, from
-/// `Bᵀ`, over one more panel as wide as the tail, packed after the full
-/// ones.
-#[allow(clippy::too_many_arguments, unused_variables)]
-pub fn matmul_band(
+/// The full 32-column panels run register blocks of 4 rows (`exact`) or 8
+/// (`fast`) when `b` is [`BandB::Packed`]; the rows left over run one at a
+/// time. The `m % 32` column tail runs register blocks for every row, on
+/// masked lanes, mul then add in both tiers. Every output lane
+/// accumulates from zero in the oracle's `p = 0..k` order.
+#[allow(unused_variables)]
+pub(crate) fn matmul_band(
     tier: SimdTier,
     a: &[f32],
-    b: BSource<'_>,
-    packed: &[f32],
+    b: BandB<'_>,
     k: usize,
     m: usize,
     first_row: usize,
@@ -173,8 +174,8 @@ pub fn matmul_band(
         // Safety: `effective` verified avx512f above.
         unsafe {
             match tier {
-                SimdTier::Fast => x86::matmul_band_fast(a, b, packed, k, m, first_row, band),
-                _ => x86::matmul_band_exact(a, b, packed, k, m, first_row, band),
+                SimdTier::Fast => x86::matmul_band::<true>(a, b, k, m, first_row, band),
+                _ => x86::matmul_band::<false>(a, b, k, m, first_row, band),
             }
         }
         true
@@ -340,145 +341,139 @@ pub fn div_scalar(tier: SimdTier, row: &mut [f32], div: f32) -> bool {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{BSource, LANES, PANEL};
+    use super::{BandB, LANES, PANEL};
     use std::arch::x86_64::*;
 
-    /// Exact-tier matmul over one row band: mul + add (no contraction),
-    /// per-lane accumulation in `p = 0..k` order — bitwise identical to
-    /// the scalar oracle. 4-row register blocks over 32-column panels.
+    /// One `a · B` step of an accumulator lane: mul then add in the exact
+    /// tier (bitwise the scalar `acc += a * b`), one fused multiply-add in
+    /// the fast tier.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn mul_add<const FMA: bool>(acc: __m512, av: __m512, bv: __m512) -> __m512 {
+        if FMA {
+            _mm512_fmadd_ps(av, bv, acc)
+        } else {
+            _mm512_add_ps(acc, _mm512_mul_ps(av, bv))
+        }
+    }
+
+    /// The matmul over one row band; see [`super::matmul_band`]. Register
+    /// blocks are 4 rows in the exact tier and 8 in the fast one. Exact is
+    /// bitwise the scalar oracle. Fast is not — each fused multiply-add
+    /// skips a rounding — but every output lane of the full panels is the
+    /// same fused `p = 0..k` chain in a block and in the row tail, and
+    /// every lane of the column tail the same unfused one, so a row's
+    /// result does not depend on the row count or the band split, as in
+    /// the other tiers.
     ///
     /// # Safety
     ///
-    /// Caller must ensure AVX-512F is available and that `a`/`b`/`packed`
-    /// cover the dimensions implied by `k`, `m`, `first_row`, and `band`.
+    /// Caller must ensure AVX-512F is available and that `a` and `b` cover
+    /// the dimensions implied by `k`, `m`, `first_row`, and `band`.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn matmul_band_exact(
+    pub unsafe fn matmul_band<const FMA: bool>(
         a: &[f32],
-        b: BSource<'_>,
-        packed: &[f32],
+        b: BandB<'_>,
         k: usize,
         m: usize,
         first_row: usize,
         band: &mut [f32],
     ) {
+        let rows = if FMA { 8 } else { 4 };
         let band_rows = band.len() / m;
         let full = m - m % PANEL;
         let mut r = 0;
-        while r + 4 <= band_rows {
-            let i = first_row + r;
-            let mut j0 = 0;
-            while j0 < full {
-                let panel = &packed[j0 * k..j0 * k + PANEL * k];
-                let mut acc = [_mm512_setzero_ps(); 8];
-                for p in 0..k {
-                    let b0 = _mm512_loadu_ps(panel.as_ptr().add(p * PANEL));
-                    let b1 = _mm512_loadu_ps(panel.as_ptr().add(p * PANEL + LANES));
-                    for q in 0..4 {
-                        let av = _mm512_set1_ps(*a.get_unchecked((i + q) * k + p));
-                        acc[2 * q] = _mm512_add_ps(acc[2 * q], _mm512_mul_ps(av, b0));
-                        acc[2 * q + 1] = _mm512_add_ps(acc[2 * q + 1], _mm512_mul_ps(av, b1));
+        if let BandB::Packed(packed) = b {
+            while r + rows <= band_rows {
+                let i = first_row + r;
+                for j0 in (0..full).step_by(PANEL) {
+                    let panel = &packed[j0 * k..(j0 + PANEL) * k];
+                    let block = &mut band[r * m + j0..];
+                    if FMA {
+                        panel_block::<true, 8>(a, i, k, panel, m, block);
+                    } else {
+                        panel_block::<false, 4>(a, i, k, panel, m, block);
                     }
                 }
-                for q in 0..4 {
-                    let dst = band.as_mut_ptr().add((r + q) * m + j0);
-                    _mm512_storeu_ps(dst, acc[2 * q]);
-                    _mm512_storeu_ps(dst.add(LANES), acc[2 * q + 1]);
-                }
-                j0 += PANEL;
+                r += rows;
             }
-            if full < m {
-                let (tail, stride) = tail_cols(b, packed, k, m);
-                scalar_cols(a, tail, stride, k, m, i, &mut band[r * m..(r + 4) * m]);
-            }
-            r += 4;
         }
-        row_tail::<false>(a, b, packed, k, m, first_row + r, &mut band[r * m..]);
+        row_tail::<FMA>(a, b, k, m, first_row + r, &mut band[r * m..]);
+        if full < m {
+            let (tail, stride) = match b {
+                BandB::Packed(packed) => (&packed[full * k..], m - full),
+                BandB::Rows(b) => (&b[full..], m),
+            };
+            col_tail(a, tail, stride, k, m, first_row, band);
+        }
     }
 
-    /// Fast-tier matmul over one row band: FMA contraction, 8-row blocks.
-    /// Not bitwise vs scalar — each fused multiply-add skips a rounding —
-    /// but every output lane is the same fused `p = 0..k` chain in a block
-    /// and in the row tail, so the result is independent of the row count
-    /// and of the band split, as in the other tiers.
+    /// `R` rows × one full 32-column panel: `out[q * m + c] = Σₚ a[i + q,
+    /// p] · panel[p * 32 + c]`, every lane in `p = 0..k` order.
     ///
     /// # Safety
     ///
-    /// Same contract as [`matmul_band_exact`].
+    /// AVX-512F must be available; `a` holds rows `i..i + R` of length
+    /// `k`, `panel` is `32 k` long, and `out` holds `R` rows of stride `m`
+    /// from its first column.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn matmul_band_fast(
+    unsafe fn panel_block<const FMA: bool, const R: usize>(
         a: &[f32],
-        b: BSource<'_>,
-        packed: &[f32],
+        i: usize,
         k: usize,
+        panel: &[f32],
         m: usize,
-        first_row: usize,
-        band: &mut [f32],
+        out: &mut [f32],
     ) {
-        let band_rows = band.len() / m;
-        let full = m - m % PANEL;
-        let mut r = 0;
-        while r + 8 <= band_rows {
-            let i = first_row + r;
-            let mut j0 = 0;
-            while j0 < full {
-                let panel = &packed[j0 * k..j0 * k + PANEL * k];
-                let mut acc = [_mm512_setzero_ps(); 16];
-                for p in 0..k {
-                    let b0 = _mm512_loadu_ps(panel.as_ptr().add(p * PANEL));
-                    let b1 = _mm512_loadu_ps(panel.as_ptr().add(p * PANEL + LANES));
-                    for q in 0..8 {
-                        let av = _mm512_set1_ps(*a.get_unchecked((i + q) * k + p));
-                        acc[2 * q] = _mm512_fmadd_ps(av, b0, acc[2 * q]);
-                        acc[2 * q + 1] = _mm512_fmadd_ps(av, b1, acc[2 * q + 1]);
-                    }
-                }
-                for q in 0..8 {
-                    let dst = band.as_mut_ptr().add((r + q) * m + j0);
-                    _mm512_storeu_ps(dst, acc[2 * q]);
-                    _mm512_storeu_ps(dst.add(LANES), acc[2 * q + 1]);
-                }
-                j0 += PANEL;
+        let mut acc = [[_mm512_setzero_ps(); 2]; R];
+        for p in 0..k {
+            // SAFETY: `panel` is `32 k` long and `p < k`; `a` holds rows
+            // `i..i + R` (the caller's contract, from `matmul_band`'s
+            // block loop, which stops at the band's last whole block).
+            let b0 = _mm512_loadu_ps(panel.as_ptr().add(p * PANEL));
+            let b1 = _mm512_loadu_ps(panel.as_ptr().add(p * PANEL + LANES));
+            for (q, lanes) in acc.iter_mut().enumerate() {
+                let av = _mm512_set1_ps(*a.get_unchecked((i + q) * k + p));
+                lanes[0] = mul_add::<FMA>(lanes[0], av, b0);
+                lanes[1] = mul_add::<FMA>(lanes[1], av, b1);
             }
-            if full < m {
-                let (tail, stride) = tail_cols(b, packed, k, m);
-                scalar_cols(a, tail, stride, k, m, i, &mut band[r * m..(r + 8) * m]);
-            }
-            r += 8;
         }
-        row_tail::<true>(a, b, packed, k, m, first_row + r, &mut band[r * m..]);
+        for (q, lanes) in acc.iter().enumerate() {
+            // SAFETY: `out` holds `R` rows of stride `m`, each with the
+            // panel's 32 columns.
+            let dst = out.as_mut_ptr().add(q * m);
+            _mm512_storeu_ps(dst, lanes[0]);
+            _mm512_storeu_ps(dst.add(LANES), lanes[1]);
+        }
     }
 
-    /// The rows left over after a band's register blocks, one at a time:
-    /// the full 32-column panels accumulate in registers — straight from
-    /// `b` (no packing) when it holds `B`'s rows, from the packed panels
-    /// when it holds `Bᵀ` — and the `m % 32` column tail is
-    /// [`scalar_cols`]. Each output lane runs the chain its block kernel
-    /// runs over `p = 0..k` — fused when `FMA`, mul then add otherwise —
-    /// because an element's value must not depend on which rows share its
-    /// block: a row's result would otherwise change with the batch it
-    /// rides in and with the band split. The batch-1 forward is all row
-    /// tail.
+    /// The rows left over after a band's register blocks, one at a time,
+    /// over the full 32-column panels: straight from `b` (no packing) when
+    /// it holds `B`'s rows, from the packed panels otherwise. Each output
+    /// lane runs the chain its block kernel runs over `p = 0..k` — fused
+    /// when `FMA`, mul then add otherwise — because an element's value
+    /// must not depend on which rows share its block: a row's result would
+    /// otherwise change with the batch it rides in and with the band
+    /// split. The batch-1 forward is all row tail.
     ///
     /// # Safety
     ///
-    /// Same contract as [`matmul_band_exact`]; `rows` holds whole rows
-    /// starting at row `i` of `a`.
+    /// Same contract as [`matmul_band`]; `rows` holds whole rows starting
+    /// at row `i` of `a`.
     #[target_feature(enable = "avx512f")]
     unsafe fn row_tail<const FMA: bool>(
         a: &[f32],
-        b: BSource<'_>,
-        packed: &[f32],
+        b: BandB<'_>,
         k: usize,
         m: usize,
         i: usize,
         rows: &mut [f32],
     ) {
         let full = m - m % PANEL;
-        let (tail, stride) = tail_cols(b, packed, k, m);
         for (q, out_row) in rows.chunks_mut(m).enumerate() {
             let a_row = &a[(i + q) * k..(i + q + 1) * k];
             match b {
-                BSource::Rows(b) => {
+                BandB::Rows(b) => {
                     // Widest groups first: more independent chains hide
                     // the add latency of each.
                     let mut j0 = 0;
@@ -494,15 +489,12 @@ mod x86 {
                         row_lanes::<FMA, 2>(a_row, &b[j0..], m, &mut out_row[j0..]);
                     }
                 }
-                BSource::Transposed(_) => {
+                BandB::Packed(packed) => {
                     for j0 in (0..full).step_by(PANEL) {
                         let panel = &packed[j0 * k..(j0 + PANEL) * k];
                         row_lanes::<FMA, 2>(a_row, panel, PANEL, &mut out_row[j0..]);
                     }
                 }
-            }
-            if full < m {
-                scalar_cols(a, tail, stride, k, m, i + q, out_row);
             }
         }
     }
@@ -528,11 +520,7 @@ mod x86 {
             for (q, lane) in acc.iter_mut().enumerate() {
                 // SAFETY: in bounds, `b_row` was sliced to `N * LANES` floats.
                 let bv = _mm512_loadu_ps(b_row.as_ptr().add(q * LANES));
-                *lane = if FMA {
-                    _mm512_fmadd_ps(av, bv, *lane)
-                } else {
-                    _mm512_add_ps(*lane, _mm512_mul_ps(av, bv))
-                };
+                *lane = mul_add::<FMA>(*lane, av, bv);
             }
         }
         for (q, lane) in acc.iter().enumerate() {
@@ -542,42 +530,108 @@ mod x86 {
         }
     }
 
-    /// Where the `m % 32` column tail of `B` is read from, and its row
-    /// stride: `b` itself when it holds `B`'s rows; the tail panel packed
-    /// after the full ones (p-major, as wide as the tail) when it holds
-    /// `Bᵀ`.
-    fn tail_cols<'a>(b: BSource<'a>, packed: &'a [f32], k: usize, m: usize) -> (&'a [f32], usize) {
-        let full = m - m % PANEL;
-        match b {
-            BSource::Rows(b) => (&b[full..], m),
-            BSource::Transposed(_) => (&packed[full * k..], m - full),
-        }
-    }
-
-    /// Scalar column tail for rows `[i, i + rows)`: the last `m % 32`
-    /// columns, read down `tail` (element `(p, c)` at `p * stride + c`)
-    /// and accumulated from zero in oracle `p = 0..k` order.
-    fn scalar_cols(
+    /// The `w = m % 32` column tail of every row of a band, read down
+    /// `tail` (element `(p, c)` at `p * stride + c`): blocks of 8 rows,
+    /// then of 4, then single rows, one register per 16 columns, the lanes
+    /// past `w` masked off — loaded as zero, never stored. Each lane
+    /// accumulates from zero in `p = 0..k` order, mul then add in both
+    /// vector tiers: the scalar oracle's column loop, bitwise, as the
+    /// column tail was before it ran in registers.
+    ///
+    /// # Safety
+    ///
+    /// AVX-512F must be available; `a` holds the band's rows from row
+    /// `first_row`, and `band` whole rows of `m`.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn col_tail(
         a: &[f32],
         tail: &[f32],
         stride: usize,
         k: usize,
         m: usize,
-        i: usize,
-        out_rows: &mut [f32],
+        first_row: usize,
+        band: &mut [f32],
     ) {
         let w = m % PANEL;
-        for (q, out_row) in out_rows.chunks_mut(m).enumerate() {
-            let a_row = &a[(i + q) * k..(i + q + 1) * k];
-            let tile = &mut out_row[m - w..];
-            tile.fill(0.0);
-            for (p, &ap) in a_row.iter().enumerate() {
-                let brow = &tail[p * stride..p * stride + w];
-                for (o, &bv) in tile.iter_mut().zip(brow) {
-                    *o += ap * bv;
+        assert!(
+            w > 0 && tail.len() >= (k - 1) * stride + w,
+            "col_tail operand length"
+        );
+        let band_rows = band.len() / m;
+        assert!(
+            a.len() >= (first_row + band_rows) * k,
+            "col_tail lhs length"
+        );
+        let mut r = 0;
+        while r < band_rows {
+            let out = &mut band[r * m + m - w..];
+            let i = first_row + r;
+            r += match (band_rows - r, w > LANES) {
+                (8.., true) => tail_block::<8, 2>(a, i, k, tail, stride, w, m, out),
+                (8.., false) => tail_block::<8, 1>(a, i, k, tail, stride, w, m, out),
+                (4.., true) => tail_block::<4, 2>(a, i, k, tail, stride, w, m, out),
+                (4.., false) => tail_block::<4, 1>(a, i, k, tail, stride, w, m, out),
+                (_, true) => tail_block::<1, 2>(a, i, k, tail, stride, w, m, out),
+                (_, false) => tail_block::<1, 1>(a, i, k, tail, stride, w, m, out),
+            };
+        }
+    }
+
+    /// `R` rows × the `w ≤ 16 N` tail columns, in `N` masked registers a
+    /// row; returns `R`.
+    ///
+    /// # Safety
+    ///
+    /// AVX-512F must be available; `a` holds rows `i..i + R` of length
+    /// `k`, `tail` holds `k` rows of stride `stride` and `w` valid
+    /// columns, and `out` holds `R` rows of stride `m` from the tail's
+    /// first column.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn tail_block<const R: usize, const N: usize>(
+        a: &[f32],
+        i: usize,
+        k: usize,
+        tail: &[f32],
+        stride: usize,
+        w: usize,
+        m: usize,
+        out: &mut [f32],
+    ) -> usize {
+        let mut masks: [__mmask16; N] = [0; N];
+        for (q, mask) in masks.iter_mut().enumerate() {
+            let lanes = w.saturating_sub(q * LANES).min(LANES);
+            *mask = ((1u32 << lanes) - 1) as __mmask16;
+        }
+        let mut acc = [[_mm512_setzero_ps(); N]; R];
+        for p in 0..k {
+            // SAFETY: `col_tail` asserted `tail` holds `(k - 1) * stride +
+            // w` floats, so row `p < k` starts in it and its `w` unmasked
+            // lanes end in it; masked-off lanes are not read, so the
+            // register may run past `tail`'s end. It asserted `a` holds
+            // the band's rows, `i + rr` among them.
+            let src = tail.as_ptr().add(p * stride);
+            let mut bv = [_mm512_setzero_ps(); N];
+            for (q, v) in bv.iter_mut().enumerate() {
+                *v = _mm512_maskz_loadu_ps(masks[q], src.wrapping_add(q * LANES));
+            }
+            for (rr, lanes) in acc.iter_mut().enumerate() {
+                let av = _mm512_set1_ps(*a.get_unchecked((i + rr) * k + p));
+                for (lane, &b) in lanes.iter_mut().zip(&bv) {
+                    *lane = mul_add::<false>(*lane, av, b);
                 }
             }
         }
+        for (rr, lanes) in acc.iter().enumerate() {
+            // SAFETY: `out` starts at the tail of row `i` and holds `R`
+            // rows of stride `m`, the last ending at its tail's `w`
+            // columns; only the `w` unmasked lanes are written.
+            let dst = out.as_mut_ptr().add(rr * m);
+            for (q, lane) in lanes.iter().enumerate() {
+                _mm512_mask_storeu_ps(dst.wrapping_add(q * LANES), masks[q], *lane);
+            }
+        }
+        R
     }
 
     /// Exact (`FMA = false`) or fast dW over `out`'s full 4-row ×

@@ -11,7 +11,8 @@
 //! performance knob. The fused batch-statistic BN node is checked
 //! against the tape composition it replaced, bit for bit.
 
-use nazar_tensor::{kernels, simd, SimdTier, Tape, Tensor, Workspace};
+use nazar_tensor::kernels::{self, PackedB};
+use nazar_tensor::{simd, SimdTier, Tape, Tensor, Workspace};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -503,6 +504,142 @@ fn simd_tier_reporting_is_consistent() {
         assert_eq!(simd::effective(SimdTier::Exact), SimdTier::Exact);
     } else {
         assert_eq!(simd::effective(SimdTier::Fast), SimdTier::Off);
+    }
+}
+
+// --------------------------------------------------------------------
+// Column tails and the packed operand
+// --------------------------------------------------------------------
+
+/// Batch sizes around the register blocks and past the proptests' `n < 48`.
+const TAIL_ROWS: [usize; 5] = [4, 63, 64, 65, 160];
+
+/// Output widths with every kind of `m % 32` column tail: one or two
+/// masked registers, with and without full panels before them.
+const TAIL_COLS: [usize; 7] = [1, 8, 16, 31, 33, 40, 72];
+
+const TIERS: [SimdTier; 3] = [SimdTier::Off, SimdTier::Exact, SimdTier::Fast];
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn column_tails_are_bitwise_the_oracle_and_batch_free_in_every_tier() {
+    let k = 37;
+    let mut ws = Workspace::new();
+    for n in TAIL_ROWS {
+        for m in TAIL_COLS {
+            let what = format!("{n}x{k}x{m}");
+            let a = data(n as u64 * 100 + m as u64, n * k);
+            let b = data(m as u64 * 7 + 1, k * m);
+            let oracle = naive_matmul(&a, &b, n, k, m);
+            for tier in TIERS {
+                let mut batched = vec![f32::NAN; n * m];
+                kernels::matmul_into_tier(&a, &b, n, k, m, &mut batched, &mut ws, 3, tier);
+                if tier != SimdTier::Fast {
+                    assert_eq!(
+                        bits(&batched),
+                        bits(&oracle),
+                        "forward {what}, tier {tier:?}"
+                    );
+                }
+                let mut row = vec![f32::NAN; m];
+                for i in 0..n {
+                    let a_row = &a[i * k..(i + 1) * k];
+                    kernels::matmul_into_tier(a_row, &b, 1, k, m, &mut row, &mut ws, 1, tier);
+                    assert!(
+                        bits(&batched[i * m..(i + 1) * m]) == bits(&row),
+                        "forward {what}, tier {tier:?}: row {i} depends on its batch"
+                    );
+                }
+            }
+
+            // dX = g · bᵀ with `m` as its output width: `g: [n, k]`,
+            // `b: [m, k]`, against the dot-product loop.
+            let g = data(n as u64 * 31 + m as u64, n * k);
+            let bt = data(m as u64 * 13 + 5, m * k);
+            let entry = data(n as u64 + 3, n * m);
+            let mut oracle = entry.clone();
+            dot_loop_a_bt(&g, &bt, n, k, m, &mut oracle);
+            for tier in TIERS {
+                let mut batched = entry.clone();
+                kernels::matmul_a_bt_into_tier(&g, &bt, n, k, m, &mut batched, &mut ws, 3, tier);
+                if tier != SimdTier::Fast {
+                    assert_eq!(bits(&batched), bits(&oracle), "a_bt {what}, tier {tier:?}");
+                }
+                for i in 0..n {
+                    let mut row = entry[i * m..(i + 1) * m].to_vec();
+                    let g_row = &g[i * k..(i + 1) * k];
+                    kernels::matmul_a_bt_into_tier(g_row, &bt, 1, k, m, &mut row, &mut ws, 1, tier);
+                    assert!(
+                        bits(&batched[i * m..(i + 1) * m]) == bits(&row),
+                        "a_bt {what}, tier {tier:?}: row {i} depends on its batch"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_packed_operand_multiplies_as_the_unpacked_one_in_every_tier() {
+    let mut ws = Workspace::new();
+    let mut packed = PackedB::new();
+    // Shapes with and without a column tail, in an order that makes one
+    // operand repack over larger and smaller ones.
+    for (n, k, m) in [
+        (64, 96, 40),
+        (2, 5, 1),
+        (65, 33, 72),
+        (160, 96, 96),
+        (3, 16, 31),
+        (1, 7, 64),
+    ] {
+        let what = format!("{n}x{k}x{m}");
+        let a = data(n as u64 + k as u64, n * k);
+        let b = data(m as u64 + 17, k * m);
+        let entry = data(n as u64 + 29, n * m);
+        for tier in TIERS {
+            for threads in [1, 3] {
+                // The forward, from `b`'s rows.
+                let mut unpacked = vec![f32::NAN; n * m];
+                kernels::matmul_into_tier(&a, &b, n, k, m, &mut unpacked, &mut ws, threads, tier);
+                packed.pack(&b, k, m, tier);
+                assert_eq!(packed.dims(), (k, m));
+                let mut out = vec![f32::NAN; n * m];
+                packed.matmul_into(&a, n, &mut out, threads);
+                assert_eq!(
+                    bits(&out),
+                    bits(&unpacked),
+                    "pack {what}, {tier:?}, {threads} threads"
+                );
+
+                // dX, from the transpose: `b` read as `bᵀ: [m, k]` of
+                // `B: [k, m]`, accumulated into `entry`.
+                let bt = &b;
+                let mut unpacked = entry.clone();
+                kernels::matmul_a_bt_into_tier(
+                    &a,
+                    bt,
+                    n,
+                    k,
+                    m,
+                    &mut unpacked,
+                    &mut ws,
+                    threads,
+                    tier,
+                );
+                packed.pack_transposed(bt, k, m, tier);
+                let mut out = entry.clone();
+                packed.matmul_add_into(&a, n, &mut out, &mut ws, threads);
+                assert_eq!(
+                    bits(&out),
+                    bits(&unpacked),
+                    "pack_transposed {what}, {tier:?}, {threads} threads"
+                );
+            }
+        }
     }
 }
 
