@@ -318,14 +318,14 @@ fn segment_index_survives_degenerate_schemas_and_drift_extremes() {
     }
 
     // A schema-less log: no columns to index, but counting the empty set
-    // and windowing must still hold up.
+    // and slicing must still hold up.
     let mut empty_schema = DriftLog::new(&[]);
     for t in 0..5u64 {
         empty_schema.push(DriftLogEntry::new(t, &[], true)).unwrap();
     }
     let counts = empty_schema.count_matching(&[], None).unwrap();
     assert_eq!((counts.occurrences, counts.drifted), (5, 5));
-    assert_eq!(empty_schema.window(1, 3).num_rows(), 2);
+    assert_eq!(empty_schema.slice(1..3).num_rows(), 2);
 }
 
 #[test]

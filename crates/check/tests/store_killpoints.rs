@@ -396,7 +396,8 @@ fn degenerate_store_shapes_hold_up() {
     assert_eq!(store.num_drifted(), 3);
     let counts = store.count_matching(&[], None).expect("count");
     assert_eq!((counts.occurrences, counts.drifted), (5, 3));
-    assert_eq!(store.window(1, 4).expect("window").num_rows(), 3);
+    let last = store.entry(4).expect("entry");
+    assert_eq!(last, DriftLogEntry::new(4, &[], true));
 
     // Retention down through every count to empty, reopening each time.
     let backend = Arc::new(MemoryBackend::new());

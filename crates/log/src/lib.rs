@@ -12,7 +12,9 @@
 //! * [`DriftLog`] — a columnar, dictionary-encoded store over a fixed
 //!   attribute schema, supporting the counting queries frequent-itemset
 //!   mining needs (`COUNT(*) WHERE attr1 = v1 AND attr2 = v2 [AND drift]`),
-//!   windowed scans, and drift-mask overrides for counterfactual analysis.
+//!   row-range slices (a window's log), and drift-mask overrides for
+//!   counterfactual analysis. Its durable form is the chunk store
+//!   `nazar-store`; the log itself has no serde form.
 //! * [`varint`] and [`crc`] — the workspace's LEB128 and CRC-32, here
 //!   because both crates that serialise rows (`nazar-store` to disk,
 //!   `nazar-net` to the wire) already depend on this one.

@@ -12,29 +12,26 @@
 //!   segment, the sorted list of segment-local row offsets holding it,
 //!   built in bulk by the first query that reads them;
 //! * a **drifted-row bitmap** (`u64` words, LSB-first) with a cached
-//!   popcount;
-//! * the segment's **timestamp range** (`ts_min`/`ts_max`) for window
-//!   pruning.
+//!   popcount.
 //!
 //! Every query (`count_matching`, `rows_matching`, `distinct_values`,
-//! `group_counts`, `window`) is a plain in-order loop over the segments,
+//! `group_counts`) is a plain in-order loop over the segments,
 //! each answered by posting-list intersection and merged in segment order
 //! (pinned against a naive row scan by `tests/query_equivalence.rs`).
 //! Appends never touch a posting list: `push`, `ingest_batch` and
-//! `append_rows` extend the tail segment's row count, drift bitmap and
-//! timestamp range and drop its postings, `retain_last` drops whole head
-//! segments and re-counts at most one partial head segment, and `window` prunes segments by timestamp range. The postings
+//! `append_rows` extend the tail segment's row count and drift bitmap and
+//! drop its postings, and `retain_last` drops whole head segments and
+//! re-counts at most one partial head segment. The postings
 //! of a segment are built once per run of appends into it: one counting
 //! pass per column sizes each list exactly before it is filled.
 //!
-//! The segments cover every row at all times: the index is not serialized,
-//! so deserializing a log rebuilds the segments (and the [`Dict`] interning
-//! maps) on the way in.
+//! The segments cover every row at all times: a log built from coded
+//! rows ([`DriftLog::with_dict_values`], the store's reopen path) counts
+//! its segments (and the [`Dict`] interning maps) on the way in.
 
 use crate::entry::{Attribute, DriftLogEntry};
 use nazar_obs::{LazyCounter, LazyGauge, LazyHistogram};
 use nazar_tensor::parallel;
-use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
@@ -72,7 +69,7 @@ static SEGMENTS: LazyGauge = LazyGauge::new(
 );
 static SEGMENTS_PRUNED: LazyCounter = LazyCounter::new(
     "nazar_log_segments_pruned_total",
-    "Segments skipped whole by a posting-list miss or timestamp range",
+    "Segments skipped whole by a posting-list miss",
     &[],
 );
 static INGEST_QUARANTINED: LazyCounter = LazyCounter::new(
@@ -165,10 +162,9 @@ pub struct IngestReport {
 }
 
 /// Per-column dictionary of attribute values.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct Dict {
     values: Vec<String>,
-    #[serde(skip)]
     index: HashMap<String, u32>,
 }
 
@@ -235,17 +231,13 @@ struct Segment {
     drifted: Vec<u64>,
     /// Popcount of `drifted`.
     drifted_count: usize,
-    /// Minimum timestamp in the segment (meaningless when `rows == 0`).
-    ts_min: u64,
-    /// Maximum timestamp in the segment (meaningless when `rows == 0`).
-    ts_max: u64,
 }
 
-/// Equal rows, drift bitmap and timestamp range. The postings follow from
-/// the log's columns, so whether a query has built them yet does not count.
+/// Equal rows and drift bitmap. The postings follow from the log's
+/// columns, so whether a query has built them yet does not count.
 impl PartialEq for Segment {
     fn eq(&self, other: &Self) -> bool {
-        let key = |s: &Segment| (s.start, s.rows, s.drifted_count, s.ts_min, s.ts_max);
+        let key = |s: &Segment| (s.start, s.rows, s.drifted_count);
         key(self) == key(other) && self.drifted == other.drifted
     }
 }
@@ -258,19 +250,19 @@ impl Segment {
         }
     }
 
-    /// Counts global rows `rows` of `drift` and `timestamps` in one go: the
-    /// segment [`Segment::push_row`] would build row by row.
-    fn build(rows: Range<usize>, drift: &[bool], timestamps: &[u64]) -> Segment {
+    /// Counts global rows `rows` of `drift` in one go: the segment
+    /// [`Segment::push_row`] would build row by row.
+    fn build(rows: Range<usize>, drift: &[bool]) -> Segment {
         let mut seg = Segment::new(rows.start);
-        for (&d, &ts) in drift[rows.clone()].iter().zip(&timestamps[rows]) {
-            seg.push_row(d, ts);
+        for &d in &drift[rows] {
+            seg.push_row(d);
         }
         seg
     }
 
     /// Appends the next local row and drops the postings, which no longer
     /// cover the segment.
-    fn push_row(&mut self, drift: bool, ts: u64) {
+    fn push_row(&mut self, drift: bool) {
         self.postings = OnceLock::new();
         if drift {
             let word = self.rows / 64;
@@ -279,12 +271,6 @@ impl Segment {
             }
             self.drifted[word] |= 1 << (self.rows % 64);
             self.drifted_count += 1;
-        }
-        if self.rows == 0 {
-            (self.ts_min, self.ts_max) = (ts, ts);
-        } else {
-            self.ts_min = self.ts_min.min(ts);
-            self.ts_max = self.ts_max.max(ts);
         }
         self.rows += 1;
     }
@@ -361,48 +347,18 @@ fn postings(codes: &[u32], counts: &mut Vec<u32>) -> Postings {
 ///
 /// Queries run as per-segment posting-list intersections merged in segment
 /// order — sublinear in rows for selective predicates once a segment's
-/// postings are built. The segments cover every row at all times
-/// (deserialization rebuilds them), so there is no other query path.
-#[derive(Debug, Clone, Default, Serialize)]
+/// postings are built. The segments cover every row at all times, so
+/// there is no other query path.
+#[derive(Debug, Clone, Default)]
 pub struct DriftLog {
     schema: Vec<String>,
     columns: Vec<Vec<u32>>,
     dicts: Vec<Dict>,
     drift: Vec<bool>,
     timestamps: Vec<u64>,
-    #[serde(skip)]
     segments: Vec<Segment>,
     /// Configured rows per segment; 0 means [`DEFAULT_SEGMENT_ROWS`].
-    #[serde(skip)]
     segment_rows: usize,
-}
-
-/// The serialized form of a [`DriftLog`]: the columnar source of truth
-/// without the (derived) index.
-#[derive(Deserialize)]
-struct Snapshot {
-    schema: Vec<String>,
-    columns: Vec<Vec<u32>>,
-    dicts: Vec<Dict>,
-    drift: Vec<bool>,
-    timestamps: Vec<u64>,
-}
-
-/// A snapshot is outside input: `DriftLog::from_parts` checks its shape
-/// before the log exists, so a deserialized log is indistinguishable from
-/// one built by `push`.
-impl Deserialize for DriftLog {
-    fn from_value(v: &Value) -> std::result::Result<Self, DeError> {
-        let Snapshot {
-            schema,
-            columns,
-            dicts,
-            drift,
-            timestamps,
-        } = Snapshot::from_value(v)?;
-        DriftLog::from_parts(schema, columns, dicts, drift, timestamps)
-            .map_err(|e| DeError::custom(format!("DriftLog: {e}")))
-    }
 }
 
 /// Logical equality: two logs are equal when they hold the same schema and
@@ -587,7 +543,7 @@ impl DriftLog {
 
     /// Builds one segment over global rows `rows` from the columnar store.
     fn build_segment(&self, rows: Range<usize>) -> Segment {
-        Segment::build(rows, &self.drift, &self.timestamps)
+        Segment::build(rows, &self.drift)
     }
 
     /// Appends an already-encoded row to the columns and the tail segment,
@@ -608,7 +564,7 @@ impl DriftLog {
             SEGMENTS.set(self.segments.len() as f64);
         }
         if let Some(seg) = self.segments.last_mut() {
-            seg.push_row(drift, timestamp);
+            seg.push_row(drift);
         }
     }
 
@@ -845,36 +801,6 @@ impl DriftLog {
         Ok(rows)
     }
 
-    /// Retains only the rows with `timestamp` in `[t0, t1)`; returns the new
-    /// log (the original is untouched). Used for windowed analysis.
-    ///
-    /// Works at segment granularity: segments whose timestamp range misses
-    /// `[t0, t1)` are pruned whole, segments fully inside copy without
-    /// per-row comparisons, and only boundary segments scan row by row.
-    /// Rows are copied code to code ([`DriftLog::append_rows`]).
-    pub fn window(&self, t0: u64, t1: u64) -> DriftLog {
-        let mut out = self.empty_like();
-        if t0 >= t1 {
-            return out;
-        }
-        let in_window = |row: &usize| (t0..t1).contains(&self.timestamps[*row]);
-        let segments = self.segments.iter().filter(|seg| {
-            let hit = seg.ts_max >= t0 && seg.ts_min < t1;
-            if !hit {
-                SEGMENTS_PRUNED.inc();
-            }
-            hit
-        });
-        out.copy_rows(
-            self,
-            segments.flat_map(|seg| {
-                let take_all = seg.ts_min >= t0 && seg.ts_max < t1;
-                seg.range().filter(move |row| take_all || in_window(row))
-            }),
-        );
-        out
-    }
-
     /// Rows `rows` of this log as a log of their own (the original is
     /// untouched), copied code to code ([`DriftLog::append_rows`]).
     ///
@@ -882,20 +808,15 @@ impl DriftLog {
     ///
     /// Panics if `rows` reaches past the last row.
     pub fn slice(&self, rows: Range<usize>) -> DriftLog {
-        let mut out = self.empty_like();
-        out.copy_rows(self, rows);
-        out
-    }
-
-    /// An empty log with this log's schema and segment size.
-    fn empty_like(&self) -> DriftLog {
-        DriftLog {
+        let mut out = DriftLog {
             schema: self.schema.clone(),
             columns: vec![Vec::new(); self.schema.len()],
             dicts: vec![Dict::default(); self.schema.len()],
             segment_rows: self.segment_rows,
             ..DriftLog::default()
-        }
+        };
+        out.copy_rows(self, rows);
+        out
     }
 
     /// Appends rows `rows` of `src`, a log over the same schema, copying
@@ -924,7 +845,7 @@ impl DriftLog {
 
     /// [`DriftLog::append_rows`] without the schema check: the one
     /// code-to-code remap, a per-column memo from `src`'s codes to ours.
-    fn copy_rows(&mut self, src: &DriftLog, rows: impl IntoIterator<Item = usize>) {
+    fn copy_rows(&mut self, src: &DriftLog, rows: Range<usize>) {
         let mut remaps: Vec<Vec<Option<u32>>> = src
             .dicts
             .iter()
@@ -1342,52 +1263,6 @@ mod tests {
     }
 
     #[test]
-    fn window_filters_by_timestamp() {
-        let log = sample_log();
-        let morning = log.window(0, 7 * 3600);
-        assert_eq!(morning.num_rows(), 3);
-        assert_eq!(morning.num_drifted(), 1);
-    }
-
-    #[test]
-    fn serde_round_trip_preserves_queries() {
-        let log = sample_log();
-        let json = serde_json::to_string(&log).unwrap();
-        let back: DriftLog = serde_json::from_str(&json).unwrap();
-        // The index is not serialized; deserialization rebuilds it.
-        assert_eq!(back.num_segments(), log.num_segments());
-        let c = back
-            .count_matching(&[Attribute::new("weather", "snow")], None)
-            .unwrap();
-        assert_eq!((c.occurrences, c.drifted), (2, 2));
-        assert_eq!(back.num_rows(), 5);
-        assert_eq!(back, log);
-    }
-
-    #[test]
-    fn deserialized_log_accepts_new_rows() {
-        let log = sample_log();
-        let json = serde_json::to_string(&log).unwrap();
-        let mut back: DriftLog = serde_json::from_str(&json).unwrap();
-        back.push(DriftLogEntry::new(
-            99,
-            &[
-                ("weather", "snow"),
-                ("location", "tibet"),
-                ("device_id", "android_1"),
-            ],
-            true,
-        ))
-        .unwrap();
-        // Interning must still unify with pre-existing dictionary entries.
-        assert_eq!(back.dict_values(0), ["clear-day", "snow"]);
-        let c = back
-            .count_matching(&[Attribute::new("weather", "snow")], None)
-            .unwrap();
-        assert_eq!(c.occurrences, 3);
-    }
-
-    #[test]
     fn group_counts_sorts_by_occurrence() {
         let log = sample_log();
         let groups = log.group_counts("weather").unwrap();
@@ -1412,25 +1287,6 @@ mod tests {
         // Retaining more than present is a no-op.
         log.retain_last(10);
         assert_eq!(log.num_rows(), 2);
-    }
-
-    #[test]
-    fn deserialize_rejects_malformed_snapshots() {
-        let good = serde_json::to_string(&sample_log()).unwrap();
-        assert!(serde_json::from_str::<DriftLog>(&good).is_ok());
-        // A code outside its dictionary, a short column, an extra column, a
-        // short timestamp list: typed errors on the way in, not panics at
-        // query time.
-        for (from, to) in [
-            ("\"columns\":[[0,", "\"columns\":[[9,"),
-            ("\"columns\":[[0,", "\"columns\":[["),
-            ("\"columns\":[[", "\"columns\":[[0],["),
-            ("\"timestamps\":[", "\"timestamps\":[7,"),
-        ] {
-            let bad = good.replacen(from, to, 1);
-            assert_ne!(bad, good, "pattern {from} must occur");
-            assert!(serde_json::from_str::<DriftLog>(&bad).is_err(), "{to}");
-        }
     }
 
     #[test]
@@ -1576,17 +1432,12 @@ mod tests {
     /// whether or not a query has built their postings, the postings a
     /// query builds must equal the oracle's (twice: the second read reuses
     /// the first build), and an append must drop them.
-    fn assert_build_equals_push(
-        rows: Range<usize>,
-        columns: &[Vec<u32>],
-        drift: &[bool],
-        ts: &[u64],
-    ) {
+    fn assert_build_equals_push(rows: Range<usize>, columns: &[Vec<u32>], drift: &[bool]) {
         let mut pushed = Segment::new(rows.start);
         for row in rows.clone() {
-            pushed.push_row(drift[row], ts[row]);
+            pushed.push_row(drift[row]);
         }
-        let built = Segment::build(rows.clone(), drift, ts);
+        let built = Segment::build(rows.clone(), drift);
         let oracle = naive_postings(rows.clone(), columns);
         for _ in 0..2 {
             assert_eq!(built.postings(columns), oracle, "rows {rows:?}");
@@ -1594,7 +1445,7 @@ mod tests {
         }
         assert_eq!(pushed.postings(columns), oracle, "rows {rows:?}");
         if rows.end < drift.len() {
-            pushed.push_row(drift[rows.end], ts[rows.end]);
+            pushed.push_row(drift[rows.end]);
             let grown = naive_postings(rows.start..rows.end + 1, columns);
             assert_eq!(pushed.postings(columns), grown, "rows {rows:?} + 1");
         }
@@ -1603,7 +1454,6 @@ mod tests {
     #[test]
     fn segment_build_equals_push_row_loop_on_edge_cases() {
         let n = 300;
-        let ts: Vec<u64> = (0..n as u64).map(|i| 1_000 + (i * 7919) % 613).collect();
         let drift_at =
             |rows: &[usize]| -> Vec<bool> { (0..n).map(|r| rows.contains(&r)).collect() };
         let some_drift = drift_at(&[0, 5, 64, 65, 199, 250]);
@@ -1612,22 +1462,22 @@ mod tests {
             (0..n as u32).map(|r| (r * r) % 11).collect(),
         ];
         // No rows, at 0 and mid-column.
-        assert_build_equals_push(0..0, &mixed, &some_drift, &ts);
-        assert_build_equals_push(120..120, &mixed, &some_drift, &ts);
+        assert_build_equals_push(0..0, &mixed, &some_drift);
+        assert_build_equals_push(120..120, &mixed, &some_drift);
         // One code only, a different one per column.
         let single = vec![vec![3; n], vec![0; n]];
-        assert_build_equals_push(0..n, &single, &some_drift, &ts);
+        assert_build_equals_push(0..n, &single, &some_drift);
         // Sparse codes in a large dictionary.
         let sparse = vec![(0..n as u32)
             .map(|r| [0, 97, 4_999, 1_000][r as usize % 4])
             .collect()];
-        assert_build_equals_push(0..n, &sparse, &some_drift, &ts);
+        assert_build_equals_push(0..n, &sparse, &some_drift);
         // No drifted rows; drift only at the end.
-        assert_build_equals_push(0..n, &mixed, &vec![false; n], &ts);
-        assert_build_equals_push(0..150, &mixed, &drift_at(&[140, 149]), &ts);
+        assert_build_equals_push(0..n, &mixed, &vec![false; n]);
+        assert_build_equals_push(0..150, &mixed, &drift_at(&[140, 149]));
         // Row ranges that do not start at 0, each followed by an append.
-        assert_build_equals_push(64..256, &mixed, &some_drift, &ts);
-        assert_build_equals_push(37..200, &mixed, &some_drift, &ts);
+        assert_build_equals_push(64..256, &mixed, &some_drift);
+        assert_build_equals_push(37..200, &mixed, &some_drift);
     }
 
     proptest::proptest! {
@@ -1652,9 +1502,8 @@ mod tests {
                 .map(|_| (0..n).map(|_| (next() % u64::from(dict)) as u32).collect())
                 .collect();
             let drift: Vec<bool> = (0..n).map(|_| next() % 1000 < drift_per_mille).collect();
-            let ts: Vec<u64> = (0..n).map(|_| next() % 10_000).collect();
             let (lo, hi) = (cut.0.min(cut.1).min(n), cut.0.max(cut.1).min(n));
-            assert_build_equals_push(lo..hi, &columns, &drift, &ts);
+            assert_build_equals_push(lo..hi, &columns, &drift);
         }
 
         #[test]

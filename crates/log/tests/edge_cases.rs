@@ -1,6 +1,8 @@
 //! Edge cases for windowing and retention — the incremental-maintenance
-//! paths that shift or rebuild index segments (ISSUE 5 satellite). Where a
-//! case needs an oracle it is the naive [`reference`] over the raw entries.
+//! paths that shift or rebuild index segments. A window here is a run of
+//! rows cut out by [`DriftLog::slice`], as the orchestrator cuts its
+//! window log. Where a case needs an oracle it is the naive [`reference`]
+//! over the raw entries.
 
 mod reference;
 
@@ -59,34 +61,17 @@ fn count(log: &DriftLog, value: &str) -> MatchCounts {
 #[test]
 fn window_of_empty_log_is_empty() {
     let log = DriftLog::new(&["k"]);
-    let w = log.window(0, 100);
+    let w = log.slice(0..0);
     assert!(w.is_empty());
     assert_eq!(w.schema(), log.schema());
     assert_eq!(w.num_segments(), 0);
 }
 
 #[test]
-fn window_with_inverted_range_is_empty() {
-    let log = log_with(10, 4);
-    let w = log.window(8, 3);
-    assert!(w.is_empty());
-    // Degenerate equal bounds too: [t, t) is empty by construction.
-    assert!(log.window(5, 5).is_empty());
-}
-
-#[test]
-fn window_beyond_max_timestamp_is_empty() {
-    let log = log_with(10, 4);
-    let w = log.window(1_000, 2_000);
-    assert!(w.is_empty());
-    assert_eq!(w.num_segments(), 0);
-}
-
-#[test]
 fn window_covering_everything_copies_everything() {
     let log = log_with(10, 4);
-    let w = log.window(0, u64::MAX);
-    assert_eq!(w.num_rows(), 10);
+    let w = log.slice(0..10);
+    assert_eq!(w, log);
     assert_eq!(w.num_drifted(), log.num_drifted());
     assert_eq!(count(&w, "even"), count(&log, "even"));
     assert!(w.num_segments() > 0);
@@ -95,8 +80,8 @@ fn window_covering_everything_copies_everything() {
 #[test]
 fn window_boundaries_are_half_open() {
     let log = log_with(10, 4);
-    // [3, 7) keeps timestamps 3..=6.
-    let w = log.window(3, 7);
+    // 3..7 keeps rows 3..=6.
+    let w = log.slice(3..7);
     assert_eq!(w.num_rows(), 4);
     let rows = w
         .rows_matching(&[Attribute::new("k", "odd")])
@@ -109,14 +94,13 @@ fn window_boundaries_are_half_open() {
 fn window_agrees_with_naive_reference() {
     let entries = entries_with(30);
     let log = log_of(&entries, 4);
-    for (t0, t1) in [(0, 30), (5, 25), (29, 30), (30, 31), (7, 7), (25, 5)] {
-        let want = reference::window(&entries, t0, t1);
-        let got = log.window(t0, t1);
-        assert_eq!(got.num_rows(), want.len(), "range [{t0},{t1})");
+    for rows in [0..30, 5..25, 29..30, 30..30, 7..7, 3..9] {
+        let want = &entries[rows.clone()];
+        let got = log.slice(rows.clone());
         // Equal to a log pushed from the reference's rows: same rows and
         // the same first-use dictionary order.
-        assert_eq!(got, log_of(&want, 4), "range [{t0},{t1})");
-        assert_matches_reference(&got, &want);
+        assert_eq!(got, log_of(want, 4), "rows {rows:?}");
+        assert_matches_reference(&got, want);
     }
 }
 
@@ -190,11 +174,18 @@ fn repeated_retention_and_pushes_stay_consistent() {
 }
 
 #[test]
-fn retain_last_on_deserialized_log_rebuilds_cleanly() {
+fn retain_last_on_a_reopened_log_rebuilds_cleanly() {
     let log = log_with(10, 4);
-    let json = serde_json::to_string(&log).expect("serialize");
-    let mut back: DriftLog = serde_json::from_str(&json).expect("deserialize");
-    assert_eq!(back.num_segments(), 1); // not serialized: rebuilt on the way in
+    // The store's reopen path: the log handed over by its codes.
+    let mut back = DriftLog::with_dict_values(
+        log.schema(),
+        vec![log.dict_values(0).to_vec()],
+        vec![log.column_codes(0).to_vec()],
+        log.drift_flags().to_vec(),
+        log.timestamps().to_vec(),
+    )
+    .expect("well-formed parts");
+    assert_eq!(back.num_segments(), 1); // counted on the way in
     back.retain_last(6);
     assert_eq!(back.num_rows(), 6);
     let mut expect = log.clone();
@@ -206,7 +197,7 @@ fn retain_last_on_deserialized_log_rebuilds_cleanly() {
 #[test]
 fn window_then_retain_compose() {
     let log = log_with(20, 4);
-    let mut w = log.window(5, 15); // rows 5..15, 10 rows
+    let mut w = log.slice(5..15);
     assert_eq!(w.num_rows(), 10);
     w.retain_last(4); // original rows 11..15
     assert_eq!(w.num_rows(), 4);

@@ -178,16 +178,18 @@ proptest! {
     }
 
     #[test]
-    fn window_and_retention_equal_naive_scan(w in workload(), t0 in 0u64..55, len in 0u64..55, keep in 0usize..45) {
+    fn window_and_retention_equal_naive_scan(w in workload(), cut in (0usize..45, 0usize..45), keep in 0usize..45) {
         let entries = entries(&w);
         let log = build_from(&w, &entries);
-        // Window: same rows, same first-use interning order as a log
-        // pushed from the reference's rows, and a live index over them.
-        let want = reference::window(&entries, t0, t0 + len);
-        let windowed = log.window(t0, t0 + len);
-        prop_assert_eq!(&windowed, &build_from(&w, &want));
-        assert_queries_match(&w, &windowed, &want)?;
-        prop_assert!(log.window(t0 + len, t0).is_empty());
+        // Window (a random `slice`): same rows, same first-use interning
+        // order as a log pushed from the reference's rows, and a live
+        // index over them.
+        let n = entries.len();
+        let rows = cut.0.min(cut.1).min(n)..cut.0.max(cut.1).min(n);
+        let want = &entries[rows.clone()];
+        let windowed = log.slice(rows);
+        prop_assert_eq!(&windowed, &build_from(&w, want));
+        assert_queries_match(&w, &windowed, want)?;
         // Retention: the last `keep` rows, re-based to row 0.
         let mut retained = log.clone();
         retained.retain_last(keep);
@@ -197,28 +199,6 @@ proptest! {
             prop_assert_eq!(&retained.entry(row).expect("row in range"), e);
         }
         assert_queries_match(&w, &retained, want)?;
-    }
-
-    #[test]
-    fn serde_round_trip_then_mutation_matches_reference(w in workload()) {
-        let mut entries = entries(&w);
-        let log = build_from(&w, &entries);
-        let json = serde_json::to_string(&log).expect("serialize");
-        let mut back: DriftLog = serde_json::from_str(&json).expect("deserialize");
-        // The index is not serialized; deserialization rebuilds it (at the
-        // default segment size), so the round-tripped log answers through
-        // the same path and keeps doing so once mutated.
-        prop_assert_eq!(&back, &log);
-        prop_assert_eq!(back.num_segments(), usize::from(!entries.is_empty()));
-        assert_queries_match(&w, &back, &entries)?;
-        let extra = DriftLogEntry {
-            timestamp: 99,
-            attrs: w.schema.iter().map(|k| Attribute::new(k.clone(), value_name(0))).collect(),
-            drift: true,
-        };
-        back.push(extra.clone()).expect("schema matches");
-        entries.push(extra);
-        assert_queries_match(&w, &back, &entries)?;
     }
 }
 

@@ -61,15 +61,6 @@ pub fn group_counts(entries: &[DriftLogEntry], key: &str) -> Vec<(String, MatchC
     values
 }
 
-/// The entries with `t0 <= timestamp < t1`, in row order.
-pub fn window(entries: &[DriftLogEntry], t0: u64, t1: u64) -> Vec<DriftLogEntry> {
-    entries
-        .iter()
-        .filter(|e| e.timestamp >= t0 && e.timestamp < t1)
-        .cloned()
-        .collect()
-}
-
 /// The last `n` entries — what `retain_last(n)` keeps.
 pub fn last(entries: &[DriftLogEntry], n: usize) -> &[DriftLogEntry] {
     &entries[entries.len().saturating_sub(n)..]

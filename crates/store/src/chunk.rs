@@ -27,7 +27,6 @@ use crate::codec::{
     crc32, decode_bools, decode_timestamps, decode_u32s, encode_bools, encode_timestamps,
     encode_u32s, CODEC_BITMAP,
 };
-use crate::config::CodecChoice;
 use crate::{Result, StoreError};
 
 /// Chunk magic bytes.
@@ -119,11 +118,12 @@ fn put_section(out: &mut Vec<u8>, codec: u8, bytes: &[u8]) {
     out.extend_from_slice(bytes);
 }
 
-/// Encodes `data` into chunk bytes under `choice`.
+/// Encodes `data` into chunk bytes, each dict-code column in the smaller
+/// of bitpack and RLE ([`encode_u32s`]).
 ///
-/// Deterministic: the same rows and choice always produce the same bytes,
-/// at any thread count — chunk bytes participate in golden traces.
-pub fn encode_chunk(data: &ChunkData, choice: CodecChoice) -> (Vec<u8>, EncodeStats) {
+/// Deterministic: the same rows always produce the same bytes, at any
+/// thread count — chunk bytes participate in golden traces.
+pub fn encode_chunk(data: &ChunkData) -> (Vec<u8>, EncodeStats) {
     let rows = data.rows();
     let (ts_min, ts_max) = data.ts_range();
     let mut out = Vec::with_capacity(32 + rows * (data.columns.len() + 2));
@@ -137,7 +137,7 @@ pub fn encode_chunk(data: &ChunkData, choice: CodecChoice) -> (Vec<u8>, EncodeSt
 
     let mut stats = EncodeStats::default();
     for column in &data.columns {
-        let (codec, bytes) = encode_u32s(column, choice);
+        let (codec, bytes) = encode_u32s(column);
         stats.dict_raw += column.len() as u64 * 4;
         stats.dict_encoded += bytes.len() as u64;
         put_section(&mut out, codec, &bytes);
@@ -300,6 +300,7 @@ pub fn decode_chunk(key: &str, bytes: &[u8]) -> Result<ChunkData> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{CODEC_BITPACK, CODEC_RLE, CODEC_TS_DELTA};
 
     fn sample() -> ChunkData {
         ChunkData {
@@ -312,23 +313,26 @@ mod tests {
         }
     }
 
+    /// The sample's first column bitpacks smaller, its second (runs of
+    /// nine) run-length encodes smaller: one chunk carries both codecs.
     #[test]
     fn chunk_round_trip_all_codecs() {
-        for choice in [
-            CodecChoice::Auto,
-            CodecChoice::Raw,
-            CodecChoice::Bitpack,
-            CodecChoice::Rle,
-        ] {
-            let data = sample();
-            let (bytes, stats) = encode_chunk(&data, choice);
-            assert_eq!(stats.raw_total(), 64 * (2 * 4 + 1 + 8));
-            assert_eq!(decode_chunk("k", &bytes).as_ref(), Ok(&data));
-            let header = verify_chunk("k", &bytes).expect("verify");
-            assert_eq!(header.rows, 64);
-            assert_eq!(header.drifted, data.drifted());
-            assert_eq!((header.ts_min, header.ts_max), data.ts_range());
-        }
+        let data = sample();
+        let (bytes, stats) = encode_chunk(&data);
+        assert_eq!(stats.raw_total(), 64 * (2 * 4 + 1 + 8));
+        assert_eq!(decode_chunk("k", &bytes).as_ref(), Ok(&data));
+        let header = verify_chunk("k", &bytes).expect("verify");
+        assert_eq!(header.rows, 64);
+        assert_eq!(header.drifted, data.drifted());
+        assert_eq!((header.ts_min, header.ts_max), data.ts_range());
+        let mut pos = HEADER_LEN;
+        let codecs: Vec<u8> = (0..4)
+            .map(|_| get_section("k", &bytes, &mut pos).expect("section").0)
+            .collect();
+        assert_eq!(
+            codecs,
+            [CODEC_BITPACK, CODEC_RLE, CODEC_BITMAP, CODEC_TS_DELTA]
+        );
     }
 
     #[test]
@@ -338,13 +342,13 @@ mod tests {
             drift: vec![],
             timestamps: vec![],
         };
-        let (bytes, _) = encode_chunk(&data, CodecChoice::Auto);
+        let (bytes, _) = encode_chunk(&data);
         assert_eq!(decode_chunk("k", &bytes), Ok(data));
     }
 
     #[test]
     fn every_single_byte_flip_is_detected() {
-        let (bytes, _) = encode_chunk(&sample(), CodecChoice::Auto);
+        let (bytes, _) = encode_chunk(&sample());
         for i in 0..bytes.len() {
             let mut mutated = bytes.clone();
             mutated[i] ^= 0x40;
@@ -357,7 +361,7 @@ mod tests {
 
     #[test]
     fn every_truncation_is_detected() {
-        let (bytes, _) = encode_chunk(&sample(), CodecChoice::Auto);
+        let (bytes, _) = encode_chunk(&sample());
         for len in 0..bytes.len() {
             assert!(
                 decode_chunk("k", &bytes[..len]).is_err(),
@@ -368,7 +372,7 @@ mod tests {
 
     #[test]
     fn future_version_gets_typed_error() {
-        let (mut bytes, _) = encode_chunk(&sample(), CodecChoice::Auto);
+        let (mut bytes, _) = encode_chunk(&sample());
         bytes[4] = 99; // version low byte
                        // (checksum is now stale too, but version is checked first)
         assert!(matches!(

@@ -6,14 +6,14 @@
 //! readable when new codecs are added. Dict codes are small integers by
 //! construction (dictionary encoding caps them at the column's distinct
 //! count), so bitpacking and run-length encoding both routinely beat raw
-//! little-endian storage; the adaptive mode picks whichever is smaller,
-//! deterministically, with ties going to bitpack.
+//! little-endian storage; the writer keeps whichever is smaller,
+//! deterministically, with ties going to bitpack. Raw columns are only
+//! read: older builds could write them.
 //!
 //! Decoding never panics: every malformed input maps to
 //! [`StoreError`](crate::StoreError) through [`CodecError`], per the
 //! workspace's typed-error policy (DESIGN.md §9).
 
-use crate::config::CodecChoice;
 /// CRC-32 (IEEE) of `bytes` — the chunk-footer checksum.
 pub use nazar_log::crc::crc32;
 use nazar_log::varint::{get_varint, put_varint, VarintError};
@@ -78,6 +78,9 @@ fn unzigzag(v: u64) -> i64 {
 // u32 column codecs (dict codes)
 // ---------------------------------------------------------------------------
 
+/// Test-only: the writer no longer emits raw columns, but their decoder
+/// stays for stores written by builds that did.
+#[cfg(test)]
 fn encode_raw(values: &[u32]) -> Vec<u8> {
     let mut out = Vec::with_capacity(values.len() * 4);
     for &v in values {
@@ -239,25 +242,17 @@ fn decode_rle(bytes: &[u8], rows: usize) -> Result<Vec<u32>, CodecError> {
     Ok(out)
 }
 
-/// Encodes a `u32` column under `choice`, returning `(codec id, bytes)`.
-///
-/// `CodecChoice::Auto` computes both bitpack and RLE and keeps the smaller
-/// (ties to bitpack) — a deterministic, data-only decision, so the same
-/// rows always produce the same chunk bytes at any thread count.
-pub fn encode_u32s(values: &[u32], choice: CodecChoice) -> (u8, Vec<u8>) {
-    match choice {
-        CodecChoice::Raw => (CODEC_RAW, encode_raw(values)),
-        CodecChoice::Bitpack => (CODEC_BITPACK, encode_bitpack(values)),
-        CodecChoice::Rle => (CODEC_RLE, encode_rle(values)),
-        CodecChoice::Auto => {
-            let bp = encode_bitpack(values);
-            let rle = encode_rle(values);
-            if rle.len() < bp.len() {
-                (CODEC_RLE, rle)
-            } else {
-                (CODEC_BITPACK, bp)
-            }
-        }
+/// Encodes a `u32` column, returning `(codec id, bytes)`: both bitpack
+/// and RLE, keeping the smaller (ties to bitpack) — a deterministic,
+/// data-only decision, so the same rows always produce the same chunk
+/// bytes at any thread count.
+pub fn encode_u32s(values: &[u32]) -> (u8, Vec<u8>) {
+    let bp = encode_bitpack(values);
+    let rle = encode_rle(values);
+    if rle.len() < bp.len() {
+        (CODEC_RLE, rle)
+    } else {
+        (CODEC_BITPACK, bp)
     }
 }
 
@@ -456,20 +451,25 @@ mod tests {
         ]
     }
 
+    /// `values` under every `u32` column codec as `(codec id, bytes)`:
+    /// the writer's pick, then each codec a chunk section can carry.
+    fn encoded_every_way(values: &[u32]) -> [(u8, Vec<u8>); 4] {
+        [
+            encode_u32s(values),
+            (CODEC_RAW, encode_raw(values)),
+            (CODEC_BITPACK, encode_bitpack(values)),
+            (CODEC_RLE, encode_rle(values)),
+        ]
+    }
+
     #[test]
     fn u32_codecs_round_trip() {
         for values in column_cases() {
-            for choice in [
-                CodecChoice::Auto,
-                CodecChoice::Raw,
-                CodecChoice::Bitpack,
-                CodecChoice::Rle,
-            ] {
-                let (codec, bytes) = encode_u32s(&values, choice);
+            for (codec, bytes) in encoded_every_way(&values) {
                 assert_eq!(
                     decode_u32s(codec, &bytes, values.len()).as_deref(),
                     Ok(&values[..]),
-                    "{choice:?} failed on {values:?}"
+                    "codec {codec} failed on {values:?}"
                 );
             }
         }
@@ -478,9 +478,9 @@ mod tests {
     #[test]
     fn auto_never_larger_than_bitpack() {
         for values in column_cases() {
-            let (_, auto) = encode_u32s(&values, CodecChoice::Auto);
-            let (_, bp) = encode_u32s(&values, CodecChoice::Bitpack);
-            assert!(auto.len() <= bp.len());
+            let (_, auto) = encode_u32s(&values);
+            let (rle, bp) = (encode_rle(&values), encode_bitpack(&values));
+            assert_eq!(auto.len(), rle.len().min(bp.len()));
         }
     }
 
@@ -719,6 +719,20 @@ mod tests {
                 proptest::prop_assert_eq!(
                     decode_bitpack(&section, rows),
                     oracle_bitpack(&section, rows)
+                );
+            }
+            // Random `u32` columns, in runs of a random length so RLE is
+            // kept now and then, through every column codec.
+            let max = u32::MAX.checked_shr(32 - u32::from(width.min(32))).unwrap_or(0);
+            let run = 1 + (next() % 8) as usize;
+            let mut values = Vec::with_capacity(rows);
+            while values.len() < rows {
+                values.resize((values.len() + run).min(rows), next() as u32 & max);
+            }
+            for (codec, section) in encoded_every_way(&values) {
+                proptest::prop_assert_eq!(
+                    (codec, decode_u32s(codec, &section, rows)),
+                    (codec, Ok(values.clone()))
                 );
             }
             // Bitmaps.

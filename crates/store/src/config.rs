@@ -7,21 +7,6 @@ pub const DEFAULT_CHUNK_ROWS: usize = 8192;
 /// Default decoded-chunk cache capacity.
 pub const DEFAULT_CACHE_CHUNKS: usize = 8;
 
-/// Which codec encodes `u32` dict-code columns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum CodecChoice {
-    /// Encode with both bitpack and RLE, keep the smaller (ties to
-    /// bitpack). Deterministic: depends only on the rows being sealed.
-    #[default]
-    Auto,
-    /// Raw little-endian `u32`s — the no-compression baseline.
-    Raw,
-    /// Fixed-width bitpacking only.
-    Bitpack,
-    /// Run-length encoding only.
-    Rle,
-}
-
 /// Configuration for one [`DriftStore`](crate::DriftStore).
 ///
 /// Embedded in `CloudConfig::persist`, so it round-trips through the same
@@ -45,9 +30,6 @@ pub struct StoreConfig {
     /// them.
     #[serde(default)]
     pub cache_chunks: usize,
-    /// Codec for dict-code columns.
-    #[serde(default)]
-    pub codec: CodecChoice,
 }
 
 impl Default for StoreConfig {
@@ -56,7 +38,6 @@ impl Default for StoreConfig {
             dir: None,
             chunk_rows: DEFAULT_CHUNK_ROWS,
             cache_chunks: DEFAULT_CACHE_CHUNKS,
-            codec: CodecChoice::Auto,
         }
     }
 }
@@ -95,7 +76,6 @@ mod tests {
             dir: Some("/tmp/nazar".into()),
             chunk_rows: 1024,
             cache_chunks: 2,
-            codec: CodecChoice::Rle,
         };
         let json = serde_json::to_string(&config).expect("serializable");
         let back: StoreConfig = serde_json::from_str(&json).expect("deserializable");
@@ -106,7 +86,6 @@ mod tests {
     fn config_deserializes_with_all_fields_defaulted() {
         let back: StoreConfig = serde_json::from_str("{}").expect("defaults fill in");
         assert_eq!(back.dir, None);
-        assert_eq!(back.codec, CodecChoice::Auto);
         // Omitted numeric fields land on 0; 0 chunk rows means "default".
         assert_eq!(back.chunk_rows_clamped(), DEFAULT_CHUNK_ROWS);
     }

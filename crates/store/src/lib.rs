@@ -51,7 +51,7 @@ pub mod manifest;
 mod storage;
 mod store;
 
-pub use config::{CodecChoice, StoreConfig, DEFAULT_CACHE_CHUNKS, DEFAULT_CHUNK_ROWS};
+pub use config::{StoreConfig, DEFAULT_CACHE_CHUNKS, DEFAULT_CHUNK_ROWS};
 pub use manifest::{ChunkMeta, Manifest, MANIFEST_KEY};
 pub use storage::{FsBackend, MemoryBackend, Storage};
 pub use store::{DriftStore, FlushReport, RecoveryReport};

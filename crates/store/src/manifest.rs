@@ -13,8 +13,8 @@
 //! produces. Timestamps are the exception: the log accepts arbitrary
 //! `u64` timestamps (nanosecond epochs live above 2^53), and a perturbed
 //! `ts_min`/`ts_max` would fail recovery's exact cross-check against the
-//! chunk header and silently mis-prune window queries — so those two
-//! fields serialize as decimal *strings*, exact at full `u64` range.
+//! chunk header — so those two fields serialize as decimal *strings*,
+//! exact at full `u64` range.
 
 use serde::{DeError, Deserialize, Serialize, Value};
 

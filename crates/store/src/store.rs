@@ -52,12 +52,6 @@ static CHUNKS_WRITTEN: LazyCounter = LazyCounter::new(
     &[],
 );
 
-static CHUNKS_PRUNED: LazyCounter = LazyCounter::new(
-    "nazar_store_chunks_pruned_total",
-    "Chunks skipped by manifest timestamp-range pruning",
-    &[],
-);
-
 static BYTES_RAW: LazyCounter = LazyCounter::new(
     "nazar_store_bytes_raw_total",
     "Raw (pre-codec) bytes of sealed chunk columns",
@@ -685,7 +679,7 @@ impl DriftStore {
         start_row: u64,
         dict_lens: Vec<u64>,
     ) -> Result<(ChunkMeta, EncodeStats)> {
-        let (bytes, stats) = encode_chunk(data, self.config.codec);
+        let (bytes, stats) = encode_chunk(data);
         let key = format!("chunk-{:08}.nzc", self.next_chunk_id);
         self.next_chunk_id += 1;
         self.storage.put(&key, &bytes)?;
@@ -983,41 +977,6 @@ impl DriftStore {
     /// [`StoreError::Log`] for unknown keys; backend/decode failures.
     pub fn group_counts(&self, key: &str) -> Result<Vec<(String, MatchCounts)>> {
         Ok(probe::group_counts(self.distinct_values(key)?))
-    }
-
-    /// Copies rows with `t0 <= timestamp < t1` into a fresh in-memory
-    /// [`DriftLog`] (chunks outside the range pruned via the manifest) —
-    /// equal to [`DriftLog::window`] on the same rows.
-    ///
-    /// # Errors
-    ///
-    /// Backend/decode failures.
-    pub fn window(&self, t0: u64, t1: u64) -> Result<DriftLog> {
-        let schema_refs: Vec<&str> = self.schema().iter().map(|s| s.as_str()).collect();
-        let mut out = DriftLog::new(&schema_refs);
-        if t0 >= t1 {
-            return Ok(out);
-        }
-        for meta in self.full_chunks() {
-            if meta.rows > 0 && (meta.ts_max < t0 || meta.ts_min >= t1) {
-                CHUNKS_PRUNED.inc();
-                continue;
-            }
-            let block = self.load_block(meta)?;
-            for row in 0..block.rows() {
-                let ts = block.timestamps()[row];
-                if ts >= t0 && ts < t1 {
-                    out.push(self.block_entry(meta, &block, row)?)?;
-                }
-            }
-        }
-        for row in 0..self.tail.num_rows() {
-            let ts = self.tail.timestamps()[row];
-            if ts >= t0 && ts < t1 {
-                out.push(self.tail.entry(row)?)?;
-            }
-        }
-        Ok(out)
     }
 
     /// Reconstructs global row `row` as an entry.

@@ -187,7 +187,7 @@ fn every_single_byte_flip_recovers_without_panicking() {
 fn narrower_chunk_with_valid_crc_is_dropped_at_open_not_a_panic() {
     use nazar_store::chunk::{decode_chunk, encode_chunk};
     use nazar_store::codec::crc32;
-    use nazar_store::{CodecChoice, Manifest};
+    use nazar_store::Manifest;
 
     let (backend, config, _) = seeded(10, 4);
     let keys = chunk_keys(&backend);
@@ -200,7 +200,7 @@ fn narrower_chunk_with_valid_crc_is_dropped_at_open_not_a_panic() {
     let bytes = backend.get(&keys[1]).expect("get").expect("exists");
     let mut data = decode_chunk(&keys[1], &bytes).expect("decode");
     data.columns.pop();
-    let (narrow, _) = encode_chunk(&data, CodecChoice::Auto);
+    let (narrow, _) = encode_chunk(&data);
     backend.put(&keys[1], &narrow).expect("put");
     let mut manifest = Manifest::read_from(&*backend)
         .expect("read manifest")
@@ -223,7 +223,6 @@ fn narrower_chunk_with_valid_crc_is_dropped_at_open_not_a_panic() {
 #[test]
 fn narrower_chunk_swapped_under_a_live_store_is_a_typed_error() {
     use nazar_store::chunk::{decode_chunk, encode_chunk};
-    use nazar_store::CodecChoice;
 
     let (backend, config, _) = seeded(10, 4);
     let store = DriftStore::open(backend.clone(), &["weather", "location"], config).expect("open");
@@ -234,7 +233,7 @@ fn narrower_chunk_swapped_under_a_live_store_is_a_typed_error() {
     let bytes = backend.get(&keys[0]).expect("get").expect("exists");
     let mut data = decode_chunk(&keys[0], &bytes).expect("decode");
     data.columns.pop();
-    let (narrow, _) = encode_chunk(&data, CodecChoice::Auto);
+    let (narrow, _) = encode_chunk(&data);
     backend.put(&keys[0], &narrow).expect("put");
 
     let err = store

@@ -143,22 +143,30 @@ proptest! {
             }
         }
         // From zero, the row loop is the transpose-then-multiply product.
-        let mut zeroed = vec![0.0f32; k * m];
-        kernels::matmul_at_b_into(&a, &g, n, k, m, &mut zeroed);
-        prop_assert_eq!(zeroed, naive_matmul(&naive_transpose(&a, n, k), &g, k, n, m));
-        // The fast tier contracts each multiply-add: the suite's envelope
-        // over the accumulation length n.
+        let product = naive_matmul(&naive_transpose(&a, n, k), &g, k, n, m);
+        for tier in [SimdTier::Off, SimdTier::Exact] {
+            let mut zeroed = vec![0.0f32; k * m];
+            kernels::matmul_at_b_into_tier(&a, &g, n, k, m, &mut zeroed, tier);
+            prop_assert!(zeroed == product, "tier {tier:?} from zero");
+        }
+        // The fast tier contracts each multiply-add, and the environment's
+        // tier may be fast: both are held to the suite's envelope over the
+        // accumulation length n.
         let mut fast = entry.clone();
         kernels::matmul_at_b_into_tier(&a, &g, n, k, m, &mut fast, SimdTier::Fast);
+        let mut env = entry.clone();
+        kernels::matmul_at_b_into(&a, &g, n, k, m, &mut env);
         let abs_at: Vec<f32> = naive_transpose(&a, n, k).iter().map(|x| x.abs()).collect();
         let abs_g: Vec<f32> = g.iter().map(|x| x.abs()).collect();
         let abs_ref = naive_matmul(&abs_at, &abs_g, k, n, m);
         for i in 0..k * m {
             let tol = 1e-6 + abs_ref[i] * (n as f32) * 1e-6;
-            prop_assert!(
-                (fast[i] - reference[i]).abs() <= tol,
-                "fast {} vs oracle {} (tol {tol})", fast[i], reference[i],
-            );
+            for (name, got) in [("fast", fast[i]), ("env", env[i])] {
+                prop_assert!(
+                    (got - reference[i]).abs() <= tol,
+                    "{name} {got} vs oracle {} (tol {tol})", reference[i],
+                );
+            }
         }
     }
 

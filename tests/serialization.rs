@@ -1,8 +1,10 @@
 //! Serialization round trips across crate boundaries — the artifacts Nazar
-//! ships between cloud and devices (models, BN patches, drift-log
-//! snapshots, configurations) must survive serde.
+//! ships between cloud and devices (models, BN patches, model pools,
+//! configurations) must survive serde. The drift log has no serde form:
+//! its durable form is the chunk store (`nazar-store`).
 
 use nazar::prelude::*;
+use nazar_store::StoreConfig;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -30,17 +32,6 @@ fn bn_patch_round_trip() {
 }
 
 #[test]
-fn drift_log_snapshot_round_trip_preserves_analysis() {
-    let log = nazar::log::paper_example_log();
-    let json = serde_json::to_string(&log).expect("serialize log");
-    let back: DriftLog = serde_json::from_str(&json).expect("deserialize log");
-    let a = analyze(&log, &FimConfig::default());
-    let b = analyze(&back, &FimConfig::default());
-    assert_eq!(a.len(), b.len());
-    assert_eq!(a[0].attrs, b[0].attrs);
-}
-
-#[test]
 fn configs_round_trip() {
     let cloud = CloudConfig::default();
     let json = serde_json::to_string(&cloud).expect("serialize config");
@@ -51,6 +42,40 @@ fn configs_round_trip() {
     let json = serde_json::to_string(&animals).expect("serialize config");
     let back: AnimalsConfig = serde_json::from_str(&json).expect("deserialize config");
     assert_eq!(back, animals);
+}
+
+/// Config files written while `StoreConfig` had a `codec` field (each
+/// value picked the dict-code codec) still load, the key ignored: the
+/// store writes the smaller of bitpack and RLE, as `"Auto"` did. Both a
+/// bare `StoreConfig` and a `CloudConfig` whose `persist` carries one.
+#[test]
+fn configs_with_the_removed_codec_key_still_load() {
+    for (json, want) in [
+        (
+            r#"{"dir":null,"chunk_rows":8192,"cache_chunks":8,"codec":"Auto"}"#,
+            StoreConfig::default(),
+        ),
+        (
+            r#"{"dir":"/tmp/x","chunk_rows":8192,"cache_chunks":8,"codec":"Rle"}"#,
+            StoreConfig::at("/tmp/x"),
+        ),
+    ] {
+        let back: StoreConfig = serde_json::from_str(json).expect("unknown keys ignored");
+        assert_eq!(back, want, "{json}");
+    }
+    let cloud = CloudConfig {
+        persist: Some(StoreConfig::at("/tmp/x")),
+        ..CloudConfig::default()
+    };
+    let json = serde_json::to_string(&cloud).expect("serialize config");
+    let old = json.replacen(
+        r#""cache_chunks":8}"#,
+        r#""cache_chunks":8,"codec":"Rle"}"#,
+        1,
+    );
+    assert_ne!(old, json, "persist serializes with cache_chunks last");
+    let back: CloudConfig = serde_json::from_str(&old).expect("unknown keys ignored");
+    assert_eq!(back, cloud);
 }
 
 #[test]
