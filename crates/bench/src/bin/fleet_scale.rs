@@ -1,5 +1,5 @@
 //! Fleet-scale drift-log benchmark: the per-window analysis query mix over
-//! the segment index.
+//! the log's column scans.
 //!
 //! Sweeps log sizes (5k → 500k rows, the "millions of devices, one row per
 //! upload" regime the ROADMAP targets) over a representative analysis
@@ -11,11 +11,12 @@
 //! `NAZAR_BENCH_OUT`), in the same `{"benches": [...]}` shape as
 //! `BENCH_tensor.json`.
 //!
-//! The log has one query path, so there is one row per size. The ids keep
-//! their historical `_1t` suffix so the committed history stays
-//! comparable: the deleted cost-aware fan-out ran every recorded size at
-//! width 1, and the deleted full-scan rows (`_scan`, 9.2x slower at 500k
-//! rows) are in DESIGN.md §10. Correctness is pinned by
+//! The answers go to stdout and the timings to stderr, so stdout is
+//! deterministic: CI diffs it against `results/fleet_scale.txt` at
+//! `NAZAR_NUM_THREADS=1` and `=4`. The log has one query path, so there
+//! is one row per size. The ids keep their historical `_1t` suffix so the
+//! committed history stays comparable; DESIGN.md §10 has the history of
+//! the query paths these rows timed. Correctness is pinned by
 //! `crates/log/tests/query_equivalence.rs`, not here.
 
 use nazar_cloud::timing::synthetic_drift_log;
@@ -86,16 +87,15 @@ fn main() {
         let id = format!("fleet_scale/queries_{rows}r_1t");
         benches.push(nazar_bench::bench_row(&id, &fields));
         println!(
-            "{rows:>7} rows ({} segments): mix {:8.3} ms | snow={} rain&loc-3={} \
-             fog-masked={} distinct-devices={} snow&loc-7-rows={}",
-            log.num_segments(),
-            ns / 1e6,
+            "{rows:>7} rows: snow={} rain&loc-3={} fog-masked={} distinct-devices={} \
+             snow&loc-7-rows={}",
             out.single.occurrences,
             out.pair.occurrences,
             out.masked.drifted,
             out.distinct.len(),
             out.rows.len()
         );
+        eprintln!("{rows:>7} rows: mix {:8.3} ms", ns / 1e6);
     }
 
     nazar_bench::merge_bench_json(

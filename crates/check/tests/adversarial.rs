@@ -263,11 +263,10 @@ fn analysis_of_empty_and_driftless_logs_is_empty() {
 }
 
 #[test]
-fn segment_index_survives_degenerate_schemas_and_drift_extremes() {
-    // The sharded index (DESIGN.md §10) on hostile shapes: a one-column
+fn log_queries_survive_degenerate_schemas_and_drift_extremes() {
+    // The log's scans (DESIGN.md §10) on hostile shapes: a one-column
     // one-value schema, a wide schema where every column holds the same
-    // interned string, all-drifted and zero-drifted logs — with segment
-    // boundaries forced every other row so every query crosses shards.
+    // interned string, all-drifted and zero-drifted logs.
     let wide: Vec<String> = (0..12).map(|c| format!("col{c}")).collect();
     let wide_keys: Vec<&str> = wide.iter().map(|s| s.as_str()).collect();
     for (schema, drift_every) in [
@@ -275,7 +274,7 @@ fn segment_index_survives_degenerate_schemas_and_drift_extremes() {
         (vec!["only"], usize::MAX), // none drifted
         (wide_keys.as_slice().to_vec(), 2),
     ] {
-        let mut log = DriftLog::new(&schema).with_segment_rows(2);
+        let mut log = DriftLog::new(&schema);
         for t in 0..9u64 {
             let attrs: Vec<(&str, &str)> = schema.iter().map(|k| (*k, "same")).collect();
             log.push(DriftLogEntry::new(
@@ -285,10 +284,9 @@ fn segment_index_survives_degenerate_schemas_and_drift_extremes() {
             ))
             .unwrap();
         }
-        assert_eq!(log.num_segments(), 5);
         // Every row holds "same" in every column, so every predicate set
-        // matches all 9 rows; the every-column set degenerates to one
-        // posting list per column, all identical.
+        // matches all 9 rows; the every-column set compares twelve equal
+        // columns.
         let drifted = (0..9usize)
             .filter(|t| t.is_multiple_of(drift_every))
             .count();
@@ -305,7 +303,7 @@ fn segment_index_survives_degenerate_schemas_and_drift_extremes() {
             );
         }
         assert_eq!(log.num_drifted(), drifted);
-        // Retention through every segment count down to empty.
+        // Retention through every row count down to empty.
         for keep in (0..=9).rev() {
             let mut l = log.clone();
             l.retain_last(keep);
@@ -317,7 +315,7 @@ fn segment_index_survives_degenerate_schemas_and_drift_extremes() {
         }
     }
 
-    // A schema-less log: no columns to index, but counting the empty set
+    // A schema-less log: no columns to scan, but counting the empty set
     // and slicing must still hold up.
     let mut empty_schema = DriftLog::new(&[]);
     for t in 0..5u64 {
@@ -331,21 +329,20 @@ fn segment_index_survives_degenerate_schemas_and_drift_extremes() {
 #[test]
 fn counterfactual_masks_of_wrong_length_never_panic() {
     // Mask-override semantics: shorter masks treat missing rows as
-    // non-drifted, longer masks ignore the excess, even across segment
-    // boundaries.
-    let mut log = DriftLog::new(&["k"]).with_segment_rows(3);
-    for t in 0..10u64 {
+    // non-drifted, longer masks ignore the excess.
+    let mut log = DriftLog::new(&["k"]);
+    for t in 0..100u64 {
         log.push(DriftLogEntry::new(t, &[("k", "v")], true))
             .unwrap();
     }
     let set = [nazar_log::Attribute::new("k", "v")];
-    for mask_len in [0, 1, 5, 10, 64, 1000] {
+    for mask_len in [0, 1, 5, 64, 70, 100, 1000] {
         let mask = vec![true; mask_len];
         for set in [&set[..], &[]] {
             let counts = log.count_matching(set, Some(&mask)).unwrap();
             assert_eq!(
                 (counts.occurrences, counts.drifted),
-                (10, mask_len.min(10)),
+                (100, mask_len.min(100)),
                 "mask_len {mask_len}"
             );
         }

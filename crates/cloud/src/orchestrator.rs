@@ -143,7 +143,7 @@ pub struct CloudConfig {
     /// keep only the most recent `n` rows (`None` keeps everything — the
     /// paper-faithful default for the short benchmark streams; a production
     /// fleet sets this to bound storage). Enforced with
-    /// [`DriftLog::retain_last`], which drops whole head index segments.
+    /// [`DriftLog::retain_last`], which drops the log's oldest rows.
     #[serde(default)]
     pub log_retention: Option<usize>,
     /// The fleet engine; [`SchedulerMode`] has one value. Read by nothing

@@ -43,7 +43,7 @@ mod store;
 pub mod varint;
 
 pub use entry::{Attribute, DriftLogEntry};
-pub use store::{DriftLog, IngestReport, LogError, MatchCounts, Result, DEFAULT_SEGMENT_ROWS};
+pub use store::{DriftLog, IngestReport, LogError, MatchCounts, Result};
 
 /// Builds the example drift log of Table 2 in the paper (two devices, New
 /// York and Helsinki, five entries, snow as the true root cause and one

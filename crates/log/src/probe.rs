@@ -1,30 +1,29 @@
-//! Low-level scan API over decoded columnar row blocks.
+//! The one evaluator of drift-log queries: scans over columnar row blocks.
 //!
-//! The persistent chunked store (`nazar-store`, DESIGN.md §13) holds drift
-//! logs larger than RAM: rows live in compressed columnar chunks on a
-//! storage backend, and queries stream one decoded chunk at a time. A
-//! decoded chunk is read about once, so it gets no index: a
-//! [`ColumnarBlock`] answers `count`/`rows`/`value_counts` questions by
-//! scanning its code columns, where the in-memory
-//! [`DriftLog`](crate::DriftLog) walks posting lists it builds on first
-//! read. The store's out-of-core answers and the log's in-memory ones come
-//! from two evaluators; the store's differential suite compares them.
+//! Every counting query in the workspace is answered here. The in-memory
+//! [`DriftLog`](crate::DriftLog) keeps its coded rows in one
+//! [`ColumnarBlock`]; the persistent chunked store (`nazar-store`,
+//! DESIGN.md §13) keeps its unsealed tail as such a log and decodes each
+//! compressed chunk into another block. No block carries an index: a query
+//! scans its code columns, comparing the first two predicates a 64-row
+//! word at a time with no branch per row and checking any further
+//! predicate only on those hits (DESIGN.md §10).
 //!
 //! All row offsets inside a block are local; callers carry the block's
 //! global start row and pass it to the scans that return rows, which is
 //! what lets the store shift whole chunks during retention without
 //! touching their bytes. The merge rules that combine per-block answers
 //! (`MatchCounts += part`, appended offset rows, accumulated per-code
-//! counts, [`group_counts`]) live in this crate, so the in-memory log over
-//! its segments and the store over chunks + tail merge alike.
+//! counts, [`group_counts`]) live in this crate, so the store over chunks
+//! + tail merges exactly as one block would answer.
 
 use crate::store::MatchCounts;
 
-/// One decoded block of dictionary-encoded rows.
+/// One block of dictionary-encoded rows: a decoded storage chunk, or the
+/// rows of a [`DriftLog`](crate::DriftLog).
 ///
-/// Holds the columnar data of one storage chunk; every query is a scan
-/// over it.
-#[derive(Debug, Clone)]
+/// Holds the columnar data; every query is a scan over it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ColumnarBlock {
     /// Per-column dict codes, one `Vec<u32>` per schema column, all of the
     /// same length (the block's row count).
@@ -57,6 +56,33 @@ impl ColumnarBlock {
         }
     }
 
+    /// An empty block of `width` columns.
+    pub(crate) fn empty(width: usize) -> ColumnarBlock {
+        ColumnarBlock {
+            columns: vec![Vec::new(); width],
+            ..ColumnarBlock::default()
+        }
+    }
+
+    /// Appends one row: a code per column, its drift flag and timestamp.
+    pub(crate) fn push_row(&mut self, codes: &[u32], drift: bool, timestamp: u64) {
+        for (column, &code) in self.columns.iter_mut().zip(codes) {
+            column.push(code);
+        }
+        self.drift.push(drift);
+        self.timestamps.push(timestamp);
+    }
+
+    /// Drops the first `n` rows (at most all of them).
+    pub(crate) fn drop_head(&mut self, n: usize) {
+        let n = n.min(self.rows());
+        for column in &mut self.columns {
+            column.drain(..n);
+        }
+        self.drift.drain(..n);
+        self.timestamps.drain(..n);
+    }
+
     /// Rows in the block.
     pub fn rows(&self) -> usize {
         self.timestamps.len()
@@ -65,6 +91,11 @@ impl ColumnarBlock {
     /// The block's per-row timestamps (local row order).
     pub fn timestamps(&self) -> &[u64] {
         &self.timestamps
+    }
+
+    /// The block's per-row drift flags (local row order).
+    pub fn drift_flags(&self) -> &[bool] {
+        &self.drift
     }
 
     /// The dict codes of column `ci`, one per local row.
@@ -76,32 +107,42 @@ impl ColumnarBlock {
         &self.columns[ci]
     }
 
-    /// Whether local row `row` is drift-flagged (false out of range).
-    pub fn drift_flag(&self, row: usize) -> bool {
-        self.drift.get(row).copied().unwrap_or(false)
-    }
-
-    /// The local rows matching every predicate, ascending. An empty
-    /// predicate set matches every row. The general filter, for three or
-    /// more predicates; [`ColumnarBlock::pair`] serves one or two.
-    fn matching<'a>(&'a self, preds: &'a [(usize, u32)]) -> impl Iterator<Item = usize> + 'a {
-        (0..self.rows()).filter(move |&row| {
-            preds
-                .iter()
-                .all(|&(ci, code)| self.columns[ci][row] == code)
-        })
-    }
-
-    /// One or two predicates as a pair of `(column, code)` — one predicate
+    /// The first two predicates as `(column, code)` slices — one predicate
     /// stands twice — for the kernels that zip two column slices and
-    /// compare with no branch per row. `None` for none or three or more.
+    /// compare with no branch per row. `None` for the empty set.
     fn pair(&self, preds: &[(usize, u32)]) -> Option<[(&[u32], u32); 2]> {
         let [(a, x), (b, y)] = match *preds {
+            [] => return None,
             [p] => [p, p],
-            [p, q] => [p, q],
-            _ => return None,
+            [p, q, ..] => [p, q],
         };
         Some([(&self.columns[a], x), (&self.columns[b], y)])
+    }
+
+    /// Calls `hit` with each local row matching every predicate, in
+    /// ascending order; the empty set matches every row. Each 64-row
+    /// stretch of the first two predicates becomes a word of hit bits,
+    /// compared with no branch per row; only the hits are walked, and any
+    /// further predicate is checked on them alone.
+    fn for_each_match(&self, preds: &[(usize, u32)], mut hit: impl FnMut(usize)) {
+        let Some([(a, x), (b, y)]) = self.pair(preds) else {
+            (0..self.rows()).for_each(hit);
+            return;
+        };
+        let rest = &preds[preds.len().min(2)..];
+        for (i, (a, b)) in a.chunks(64).zip(b.chunks(64)).enumerate() {
+            let mut hits = 0u64;
+            for (j, (&u, &v)) in a.iter().zip(b).enumerate() {
+                hits |= u64::from((u == x) & (v == y)) << j;
+            }
+            while hits != 0 {
+                let row = 64 * i + hits.trailing_zeros() as usize;
+                hits &= hits - 1;
+                if rest.iter().all(|&(ci, code)| self.columns[ci][row] == code) {
+                    hit(row);
+                }
+            }
+        }
     }
 
     /// `COUNT(*)` / `COUNT(*) WHERE drift` over the block for resolved
@@ -113,17 +154,21 @@ impl ColumnarBlock {
         let flags = mask.unwrap_or(&self.drift);
         // Rows past the flags' end count as not drifted: split there once.
         let flags = &flags[..flags.len().min(self.rows())];
-        let Some([(a, x), (b, y)]) = self.pair(preds) else {
-            let mut counts = MatchCounts::default();
-            for row in self.matching(preds) {
-                counts.occurrences += 1;
-                counts.drifted += usize::from(flags.get(row).copied().unwrap_or(false));
+        let mut counts = MatchCounts::default();
+        let pair = match self.pair(preds) {
+            Some(pair) if preds.len() <= 2 => pair,
+            // The empty set, or three or more predicates.
+            _ => {
+                self.for_each_match(preds, |row| {
+                    counts.occurrences += 1;
+                    counts.drifted += usize::from(flags.get(row).copied().unwrap_or(false));
+                });
+                return counts;
             }
-            return counts;
         };
+        let [(a, x), (b, y)] = pair;
         let (a, a_rest) = a.split_at(flags.len());
         let (b, b_rest) = b.split_at(flags.len());
-        let mut counts = MatchCounts::default();
         for ((&u, &v), &flag) in a.iter().zip(b).zip(flags) {
             let hit = (u == x) & (v == y);
             counts.occurrences += usize::from(hit);
@@ -139,23 +184,7 @@ impl ColumnarBlock {
     /// indices (`start` is the block's first global row), in ascending
     /// order. An empty predicate set matches every row.
     pub fn rows_matching(&self, preds: &[(usize, u32)], start: usize, out: &mut Vec<usize>) {
-        let Some([(a, x), (b, y)]) = self.pair(preds) else {
-            out.extend(self.matching(preds).map(|row| start + row));
-            return;
-        };
-        // Each 64-row stretch becomes a word of hit bits, compared with no
-        // branch per row; only the hits are walked.
-        for (i, (a, b)) in a.chunks(64).zip(b.chunks(64)).enumerate() {
-            let mut hits = 0u64;
-            for (j, (&u, &v)) in a.iter().zip(b).enumerate() {
-                hits |= u64::from((u == x) & (v == y)) << j;
-            }
-            let base = start + 64 * i;
-            while hits != 0 {
-                out.push(base + hits.trailing_zeros() as usize);
-                hits &= hits - 1;
-            }
-        }
+        self.for_each_match(preds, |row| out.push(start + row));
     }
 
     /// Adds the block's per-value `(occurrences, drifted)` contributions
@@ -185,7 +214,19 @@ pub fn group_counts(mut values: Vec<(String, MatchCounts)>) -> Vec<(String, Matc
 mod tests {
     use super::*;
 
-    /// [`ColumnarBlock::count_matching`] through the general filter alone.
+    /// The general filter: the local rows matching every predicate,
+    /// tested row by row.
+    fn matching(block: &ColumnarBlock, preds: &[(usize, u32)]) -> Vec<usize> {
+        (0..block.rows())
+            .filter(|&row| {
+                preds
+                    .iter()
+                    .all(|&(ci, code)| block.columns[ci][row] == code)
+            })
+            .collect()
+    }
+
+    /// [`ColumnarBlock::count_matching`] through the general filter.
     fn filtered_counts(
         block: &ColumnarBlock,
         preds: &[(usize, u32)],
@@ -193,7 +234,7 @@ mod tests {
     ) -> MatchCounts {
         let flags = mask.unwrap_or(&block.drift);
         let mut counts = MatchCounts::default();
-        for row in block.matching(preds) {
+        for row in matching(block, preds) {
             counts.occurrences += 1;
             counts.drifted += usize::from(flags.get(row).copied().unwrap_or(false));
         }
@@ -208,7 +249,7 @@ mod tests {
             seed in 0u64..u64::MAX,
             rows in 0usize..300,
             dict in 1u32..12,
-            preds in proptest::collection::vec((0usize..3, 0u32..14), 0..4),
+            preds in proptest::collection::vec((0usize..3, 0u32..14), 0..5),
             mask_len in 0usize..320,
             counts_len in 0usize..14,
             start in 0usize..1000,
@@ -241,7 +282,7 @@ mod tests {
             let mut rows_out = vec![usize::MAX];
             block.rows_matching(&preds, start, &mut rows_out);
             let expected: Vec<usize> = std::iter::once(usize::MAX)
-                .chain(block.matching(&preds).map(|row| start + row))
+                .chain(matching(&block, &preds).into_iter().map(|row| start + row))
                 .collect();
             proptest::prop_assert_eq!(rows_out, expected);
             // `counts` may be shorter than the largest code: those codes

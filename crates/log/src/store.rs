@@ -1,41 +1,21 @@
-//! Columnar drift-log store with dictionary encoding and a sharded,
-//! posting-list query index built where queries read it.
+//! The in-memory drift log: dictionary-encoded columns scanned by every
+//! query (DESIGN.md §10).
 //!
-//! # Segment layout (DESIGN.md §10)
-//!
-//! The log keeps its columnar source of truth — one dictionary-encoded
-//! `Vec<u32>` per attribute key, plus drift flags and timestamps — and
-//! shards *the query index* over it: fixed-size row-range `Segment`s, each
-//! carrying
-//!
-//! * per-column **posting lists**: for every dict code present in the
-//!   segment, the sorted list of segment-local row offsets holding it,
-//!   built in bulk by the first query that reads them;
-//! * a **drifted-row bitmap** (`u64` words, LSB-first) with a cached
-//!   popcount.
-//!
-//! Every query (`count_matching`, `rows_matching`, `distinct_values`,
-//! `group_counts`) is a plain in-order loop over the segments,
-//! each answered by posting-list intersection and merged in segment order
-//! (pinned against a naive row scan by `tests/query_equivalence.rs`).
-//! Appends never touch a posting list: `push`, `ingest_batch` and
-//! `append_rows` extend the tail segment's row count and drift bitmap and
-//! drop its postings, and `retain_last` drops whole head segments and
-//! re-counts at most one partial head segment. The postings
-//! of a segment are built once per run of appends into it: one counting
-//! pass per column sizes each list exactly before it is filled.
-//!
-//! The segments cover every row at all times: a log built from coded
-//! rows ([`DriftLog::with_dict_values`], the store's reopen path) counts
-//! its segments (and the [`Dict`] interning maps) on the way in.
+//! The log keeps one dictionary-encoded `Vec<u32>` per attribute key, plus
+//! drift flags and timestamps, in one [`ColumnarBlock`]; `count_matching`,
+//! `rows_matching`, `distinct_values` and `group_counts` scan it with the
+//! block's kernels, the same ones the persistent store (`nazar-store`)
+//! runs over its decoded chunks (pinned against a naive row scan by
+//! `tests/query_equivalence.rs`). Appends push onto the columns and
+//! `retain_last` drains their heads; there is no index to maintain.
 
 use crate::entry::{Attribute, DriftLogEntry};
-use nazar_obs::{LazyCounter, LazyGauge, LazyHistogram};
+use crate::probe::ColumnarBlock;
+use nazar_obs::{LazyCounter, LazyHistogram};
 use nazar_tensor::parallel;
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
-use std::sync::OnceLock;
 
 static INGEST_ROWS: LazyCounter = LazyCounter::new(
     "nazar_log_ingest_rows_total",
@@ -61,16 +41,6 @@ static QUERY_DISTINCT: LazyCounter = LazyCounter::new(
     "nazar_log_queries_total",
     "Counting/scan queries served by the drift log",
     &[("op", "distinct_values")],
-);
-static SEGMENTS: LazyGauge = LazyGauge::new(
-    "nazar_log_segments",
-    "Row-range segments currently indexing the drift log",
-    &[],
-);
-static SEGMENTS_PRUNED: LazyCounter = LazyCounter::new(
-    "nazar_log_segments_pruned_total",
-    "Segments skipped whole by a posting-list miss",
-    &[],
 );
 static INGEST_QUARANTINED: LazyCounter = LazyCounter::new(
     "nazar_log_ingest_quarantined_total",
@@ -144,7 +114,7 @@ pub struct MatchCounts {
 }
 
 /// The merge rule of every counting query: partial counts over disjoint row
-/// ranges (index segments, storage chunks, the store's tail) add up.
+/// ranges (storage chunks, the store's tail) add up.
 impl std::ops::AddAssign for MatchCounts {
     fn add_assign(&mut self, part: MatchCounts) {
         self.occurrences += part.occurrences;
@@ -182,22 +152,7 @@ impl Dict {
     fn lookup(&self, value: &str) -> Option<u32> {
         self.index.get(value).copied()
     }
-
-    fn rebuild_index(&mut self) {
-        self.index = self
-            .values
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (v.clone(), i as u32))
-            .collect();
-    }
 }
-
-/// Default rows per index segment. Small enough that tail maintenance and
-/// partial-head rebuilds stay cheap, large enough that posting lists
-/// amortize their per-code overhead; the `fleet_scale` bench sweeps sizes
-/// around this choice.
-pub const DEFAULT_SEGMENT_ROWS: usize = 4096;
 
 /// Entries per parallel encode task in [`DriftLog::ingest_batch`]; batches
 /// below one task's worth encode serially.
@@ -207,174 +162,32 @@ const INGEST_ROWS_PER_TASK: usize = 4096;
 /// dictionary reaches this many values.
 const NOT_CODED: u32 = u32::MAX;
 
-/// One column's posting lists: `(dict code, sorted local rows)` pairs,
-/// sorted by code.
-type Postings = Vec<(u32, Vec<u32>)>;
-
-/// One row-range shard of the query index (see the module docs).
-///
-/// Covers global rows `start..start + rows`; its postings hold
-/// segment-local offsets (`global = start + local`), which is what lets
-/// [`DriftLog::retain_last`] shift surviving segments by adjusting `start`
-/// alone.
-#[derive(Debug, Clone, Default)]
-struct Segment {
-    /// Global row id of local row 0.
-    start: usize,
-    /// Rows covered.
-    rows: usize,
-    /// Per column, the segment's posting lists: built by the first query
-    /// that reads them, dropped by an append.
-    postings: OnceLock<Vec<Postings>>,
-    /// Bitmap of drifted local rows, LSB-first `u64` words, ending at the
-    /// word of the last drifted row.
-    drifted: Vec<u64>,
-    /// Popcount of `drifted`.
-    drifted_count: usize,
-}
-
-/// Equal rows and drift bitmap. The postings follow from the log's
-/// columns, so whether a query has built them yet does not count.
-impl PartialEq for Segment {
-    fn eq(&self, other: &Self) -> bool {
-        let key = |s: &Segment| (s.start, s.rows, s.drifted_count);
-        key(self) == key(other) && self.drifted == other.drifted
-    }
-}
-
-impl Segment {
-    fn new(start: usize) -> Self {
-        Segment {
-            start,
-            ..Segment::default()
-        }
-    }
-
-    /// Counts global rows `rows` of `drift` in one go: the segment
-    /// [`Segment::push_row`] would build row by row.
-    fn build(rows: Range<usize>, drift: &[bool]) -> Segment {
-        let mut seg = Segment::new(rows.start);
-        for &d in &drift[rows] {
-            seg.push_row(d);
-        }
-        seg
-    }
-
-    /// Appends the next local row and drops the postings, which no longer
-    /// cover the segment.
-    fn push_row(&mut self, drift: bool) {
-        self.postings = OnceLock::new();
-        if drift {
-            let word = self.rows / 64;
-            if word >= self.drifted.len() {
-                self.drifted.resize(word + 1, 0);
-            }
-            self.drifted[word] |= 1 << (self.rows % 64);
-            self.drifted_count += 1;
-        }
-        self.rows += 1;
-    }
-
-    fn range(&self) -> Range<usize> {
-        self.start..self.start + self.rows
-    }
-
-    /// The segment's posting lists over the log's `columns`, built on the
-    /// first call since the last append.
-    fn postings(&self, columns: &[Vec<u32>]) -> &[Postings] {
-        self.postings.get_or_init(|| {
-            let mut counts = Vec::new();
-            let codes = columns.iter().map(|column| &column[self.range()]);
-            codes.map(|codes| postings(codes, &mut counts)).collect()
-        })
-    }
-
-    /// The sorted local rows holding `code` in column `ci`, if any.
-    fn posting<'s>(&'s self, columns: &[Vec<u32>], ci: usize, code: u32) -> Option<&'s [u32]> {
-        let column = &self.postings(columns)[ci];
-        column
-            .binary_search_by_key(&code, |(c, _)| *c)
-            .ok()
-            .map(|pos| column[pos].1.as_slice())
-    }
-}
-
-/// Whether bit `local` of the LSB-first bitmap `bits` is set. Queries read
-/// a segment's bitmap through this, as a slice taken before their loops:
-/// the postings' `OnceLock` makes `Segment` interior-mutable, so a field
-/// read through `&Segment` would be reloaded on every row.
-fn bit(bits: &[u64], local: u32) -> bool {
-    let i = local as usize;
-    bits.get(i / 64).is_some_and(|w| (w >> (i % 64)) & 1 == 1)
-}
-
-/// One column's posting lists over `codes` (local rows), sorted by code,
-/// each allocated at its exact length: one counting pass sizes the lists,
-/// a second fills them in ascending row order. `counts` is scratch with a
-/// zero slot per code (grown to fit), and goes out zeroed.
-fn postings(codes: &[u32], counts: &mut Vec<u32>) -> Postings {
-    let len = codes.iter().max().map_or(0, |&c| c as usize + 1);
-    if counts.len() < len {
-        counts.resize(len, 0);
-    }
-    let mut lists: Postings = Vec::new();
-    for &code in codes {
-        let n = &mut counts[code as usize];
-        if *n == 0 {
-            lists.push((code, Vec::new()));
-        }
-        *n += 1;
-    }
-    lists.sort_unstable_by_key(|&(code, _)| code);
-    // Each touched slot now holds its list's position instead of its count.
-    for (pos, (code, list)) in lists.iter_mut().enumerate() {
-        let slot = &mut counts[*code as usize];
-        *list = Vec::with_capacity(*slot as usize);
-        *slot = pos as u32;
-    }
-    for (local, &code) in codes.iter().enumerate() {
-        lists[counts[code as usize] as usize].1.push(local as u32);
-    }
-    for &(code, _) in &lists {
-        counts[code as usize] = 0;
-    }
-    lists
-}
-
 /// The global drift log: one dictionary-encoded column per attribute key,
 /// plus the drift flags and timestamps (DESIGN.md substitution S7 for the
-/// paper's Aurora table), sharded into row-range index `Segment`s.
+/// paper's Aurora table), held as one [`ColumnarBlock`].
 ///
-/// Queries run as per-segment posting-list intersections merged in segment
-/// order — sublinear in rows for selective predicates once a segment's
-/// postings are built. The segments cover every row at all times, so
-/// there is no other query path.
-#[derive(Debug, Clone, Default)]
+/// Every query scans the block (see the module docs); there is no index
+/// and no other query path.
+#[derive(Debug, Clone)]
 pub struct DriftLog {
     schema: Vec<String>,
-    columns: Vec<Vec<u32>>,
     dicts: Vec<Dict>,
-    drift: Vec<bool>,
-    timestamps: Vec<u64>,
-    segments: Vec<Segment>,
-    /// Configured rows per segment; 0 means [`DEFAULT_SEGMENT_ROWS`].
-    segment_rows: usize,
+    /// The coded rows.
+    rows: ColumnarBlock,
 }
 
-/// Logical equality: two logs are equal when they hold the same schema and
-/// rows, regardless of segment size or dictionary-map internals.
+/// Logical equality: two logs are equal when they hold the same schema,
+/// rows and dictionary values, regardless of dictionary-map internals.
 impl PartialEq for DriftLog {
     fn eq(&self, other: &Self) -> bool {
         self.schema == other.schema
-            && self.columns == other.columns
+            && self.rows == other.rows
             && self.dicts.len() == other.dicts.len()
             && self
                 .dicts
                 .iter()
                 .zip(&other.dicts)
                 .all(|(a, b)| a.values == b.values)
-            && self.drift == other.drift
-            && self.timestamps == other.timestamps
     }
 }
 
@@ -383,12 +196,8 @@ impl DriftLog {
     pub fn new(schema: &[&str]) -> Self {
         DriftLog {
             schema: schema.iter().map(|s| s.to_string()).collect(),
-            columns: vec![Vec::new(); schema.len()],
             dicts: vec![Dict::default(); schema.len()],
-            drift: Vec::new(),
-            timestamps: Vec::new(),
-            segments: Vec::new(),
-            segment_rows: 0,
+            rows: ColumnarBlock::empty(schema.len()),
         }
     }
 
@@ -402,7 +211,7 @@ impl DriftLog {
     /// chunk's rows come back by their codes, and the tail log must
     /// resolve and intern against *exactly* those codes so persisted
     /// chunks and fresh rows share one code space. The rows count as
-    /// appended rows; their postings wait for the first query.
+    /// appended rows.
     ///
     /// # Errors
     ///
@@ -417,32 +226,9 @@ impl DriftLog {
         drift: Vec<bool>,
         timestamps: Vec<u64>,
     ) -> Result<Self> {
-        let dicts = dict_values
-            .into_iter()
-            .map(|values| Dict {
-                values,
-                index: HashMap::new(),
-            })
-            .collect();
-        let log = DriftLog::from_parts(schema.to_vec(), columns, dicts, drift, timestamps)?;
-        INGEST_ROWS.add(log.num_rows() as u64);
-        INGEST_DRIFTED.add(log.num_drifted() as u64);
-        Ok(log)
-    }
-
-    /// A log over coded rows, checked first (every column as long as
-    /// `drift`, every code inside its dictionary), with its dictionaries'
-    /// lookup maps and its segments counted.
-    fn from_parts(
-        schema: Vec<String>,
-        columns: Vec<Vec<u32>>,
-        mut dicts: Vec<Dict>,
-        drift: Vec<bool>,
-        timestamps: Vec<u64>,
-    ) -> Result<Self> {
-        if columns.len() != schema.len() || dicts.len() != schema.len() {
+        if columns.len() != schema.len() || dict_values.len() != schema.len() {
             let key = schema
-                .get(columns.len().min(dicts.len()))
+                .get(columns.len().min(dict_values.len()))
                 .cloned()
                 .unwrap_or_else(|| "<extra column>".to_string());
             return Err(LogError::SchemaMismatch { key });
@@ -455,53 +241,32 @@ impl DriftLog {
             let reason = format!("{} timestamps for {} rows", timestamps.len(), drift.len());
             return Err(corrupt("timestamps", reason));
         }
-        for ((key, column), dict) in schema.iter().zip(&columns).zip(&dicts) {
+        for ((key, column), values) in schema.iter().zip(&columns).zip(&dict_values) {
             if column.len() != drift.len() {
                 let reason = format!("{} codes for {} rows", column.len(), drift.len());
                 return Err(corrupt(key, reason));
             }
-            let len = dict.values.len();
+            let len = values.len();
             if let Some(code) = column.iter().find(|&&c| c as usize >= len) {
                 let reason = format!("code {code} outside its {len}-value dictionary");
                 return Err(corrupt(key, reason));
             }
         }
-        dicts.iter_mut().for_each(Dict::rebuild_index);
-        let mut log = DriftLog {
-            schema,
-            columns,
+        let dicts = dict_values
+            .into_iter()
+            .map(|values| Dict {
+                index: (0..).zip(&values).map(|(i, v)| (v.clone(), i)).collect(),
+                values,
+            })
+            .collect();
+        let log = DriftLog {
+            schema: schema.to_vec(),
             dicts,
-            drift,
-            timestamps,
-            segments: Vec::new(),
-            segment_rows: 0,
+            rows: ColumnarBlock::build(columns, drift, timestamps),
         };
-        log.rebuild_index();
+        INGEST_ROWS.add(log.num_rows() as u64);
+        INGEST_DRIFTED.add(log.num_drifted() as u64);
         Ok(log)
-    }
-
-    /// Sets the index segment size (rows per segment, clamped to at
-    /// least one) and rebuilds the index. Exists for tests and benches
-    /// that need segment boundaries at small row counts; production code
-    /// keeps [`DEFAULT_SEGMENT_ROWS`].
-    pub fn with_segment_rows(mut self, rows: usize) -> Self {
-        self.segment_rows = rows.max(1);
-        self.rebuild_index();
-        self
-    }
-
-    /// Number of row-range segments indexing the log.
-    pub fn num_segments(&self) -> usize {
-        self.segments.len()
-    }
-
-    /// The effective rows-per-segment setting.
-    pub fn segment_rows(&self) -> usize {
-        if self.segment_rows == 0 {
-            DEFAULT_SEGMENT_ROWS
-        } else {
-            self.segment_rows
-        }
     }
 
     /// The attribute keys (column names).
@@ -511,60 +276,32 @@ impl DriftLog {
 
     /// Number of rows.
     pub fn num_rows(&self) -> usize {
-        self.drift.len()
+        self.rows.rows()
     }
 
     /// Whether the log is empty.
     pub fn is_empty(&self) -> bool {
-        self.drift.is_empty()
+        self.num_rows() == 0
     }
 
     /// Number of rows flagged as drift.
     pub fn num_drifted(&self) -> usize {
-        self.segments.iter().map(|s| s.drifted_count).sum()
+        self.drift_flags().iter().filter(|&&d| d).count()
     }
 
     /// The drift flags as a mask (row-indexed). Counterfactual analysis
     /// clones this, clears the bits covered by an accepted cause, and
     /// re-runs counting queries with the modified mask.
     pub fn drift_mask(&self) -> Vec<bool> {
-        self.drift.clone()
+        self.drift_flags().to_vec()
     }
 
-    fn rebuild_index(&mut self) {
-        let rows = self.num_rows();
-        let step = self.segment_rows();
-        self.segments = (0..rows)
-            .step_by(step)
-            .map(|start| self.build_segment(start..rows.min(start + step)))
-            .collect();
-        SEGMENTS.set(self.segments.len() as f64);
-    }
-
-    /// Builds one segment over global rows `rows` from the columnar store.
-    fn build_segment(&self, rows: Range<usize>) -> Segment {
-        Segment::build(rows, &self.drift)
-    }
-
-    /// Appends an already-encoded row to the columns and the tail segment,
-    /// starting a fresh segment when the tail is full.
+    /// Appends an already-encoded row.
     fn append_coded(&mut self, codes: &[u32], drift: bool, timestamp: u64) {
-        for (column, &code) in self.columns.iter_mut().zip(codes) {
-            column.push(code);
-        }
-        self.drift.push(drift);
-        self.timestamps.push(timestamp);
+        self.rows.push_row(codes, drift, timestamp);
         INGEST_ROWS.inc();
         if drift {
             INGEST_DRIFTED.inc();
-        }
-        let full = self.segment_rows();
-        if self.segments.last().is_none_or(|s| s.rows >= full) {
-            self.segments.push(Segment::new(self.num_rows() - 1));
-            SEGMENTS.set(self.segments.len() as f64);
-        }
-        if let Some(seg) = self.segments.last_mut() {
-            seg.push_row(drift);
         }
     }
 
@@ -729,14 +466,14 @@ impl DriftLog {
             .map(|(ci, key)| {
                 Attribute::new(
                     key.clone(),
-                    self.dicts[ci].values[self.columns[ci][row] as usize].clone(),
+                    self.dicts[ci].values[self.column_codes(ci)[row] as usize].clone(),
                 )
             })
             .collect();
         Ok(DriftLogEntry {
-            timestamp: self.timestamps[row],
+            timestamp: self.timestamps()[row],
             attrs,
-            drift: self.drift[row],
+            drift: self.drift_flags()[row],
         })
     }
 
@@ -751,15 +488,7 @@ impl DriftLog {
         let ci = self.column_index(key)?;
         let values = &self.dicts[ci].values;
         let mut counts = vec![MatchCounts::default(); values.len()];
-        for seg in &self.segments {
-            let drifted = seg.drifted.as_slice();
-            for (code, rows) in &seg.postings(&self.columns)[ci] {
-                if let Some(c) = counts.get_mut(*code as usize) {
-                    c.occurrences += rows.len();
-                    c.drifted += rows.iter().filter(|&&l| bit(drifted, l)).count();
-                }
-            }
-        }
+        self.rows.accumulate_value_counts(ci, &mut counts);
         Ok(values.iter().cloned().zip(counts).collect())
     }
 
@@ -775,13 +504,10 @@ impl DriftLog {
     /// schema.
     pub fn count_matching(&self, set: &[Attribute], mask: Option<&[bool]>) -> Result<MatchCounts> {
         QUERY_COUNT.inc();
-        let mut counts = MatchCounts::default();
-        if let Some(preds) = self.resolve_predicates(set)? {
-            for seg in &self.segments {
-                counts += segment_count(&self.columns, seg, &preds, mask);
-            }
-        }
-        Ok(counts)
+        let Some(preds) = self.resolve_predicates(set)? else {
+            return Ok(MatchCounts::default());
+        };
+        Ok(self.rows.count_matching(&preds, mask))
     }
 
     /// Row indices of entries containing every attribute in `set`,
@@ -794,9 +520,7 @@ impl DriftLog {
         QUERY_ROWS.inc();
         let mut rows = Vec::new();
         if let Some(preds) = self.resolve_predicates(set)? {
-            for seg in &self.segments {
-                segment_rows(&self.columns, seg, &preds, &mut rows);
-            }
+            self.rows.rows_matching(&preds, 0, &mut rows);
         }
         Ok(rows)
     }
@@ -810,10 +534,8 @@ impl DriftLog {
     pub fn slice(&self, rows: Range<usize>) -> DriftLog {
         let mut out = DriftLog {
             schema: self.schema.clone(),
-            columns: vec![Vec::new(); self.schema.len()],
             dicts: vec![Dict::default(); self.schema.len()],
-            segment_rows: self.segment_rows,
-            ..DriftLog::default()
+            rows: ColumnarBlock::empty(self.schema.len()),
         };
         out.copy_rows(self, rows);
         out
@@ -854,11 +576,11 @@ impl DriftLog {
         let mut codes = vec![0; self.schema.len()];
         for row in rows {
             for (ci, (remap, code)) in remaps.iter_mut().zip(&mut codes).enumerate() {
-                let old = src.columns[ci][row] as usize;
+                let old = src.column_codes(ci)[row] as usize;
                 let dict = &mut self.dicts[ci];
                 *code = *remap[old].get_or_insert_with(|| dict.intern(&src.dicts[ci].values[old]));
             }
-            self.append_coded(&codes, src.drift[row], src.timestamps[row]);
+            self.append_coded(&codes, src.drift_flags()[row], src.timestamps()[row]);
         }
     }
 
@@ -876,40 +598,9 @@ impl DriftLog {
 
     /// Drops all rows except the most recent `n` (by insertion order) —
     /// the retention policy a production drift log needs to bound storage.
-    ///
-    /// Index maintenance is segment-granular: head segments whose rows are
-    /// all dropped are removed, survivors shift their `start` (and keep any
-    /// postings built), and at most one partially-dropped boundary segment
-    /// is re-counted from the retained rows.
+    /// The dictionaries keep every value interned so far.
     pub fn retain_last(&mut self, n: usize) {
-        let rows = self.num_rows();
-        if rows <= n {
-            return;
-        }
-        let drop = rows - n;
-        for column in &mut self.columns {
-            column.drain(0..drop);
-        }
-        self.drift.drain(0..drop);
-        self.timestamps.drain(0..drop);
-        let old_segments = std::mem::take(&mut self.segments);
-        let mut segments = Vec::with_capacity(old_segments.len());
-        for mut seg in old_segments {
-            let end = seg.start + seg.rows;
-            if end <= drop {
-                continue; // fully dropped head segment
-            }
-            if seg.start >= drop {
-                seg.start -= drop;
-                segments.push(seg);
-            } else {
-                // The one boundary segment that straddles the cut: re-count
-                // it over the retained prefix rows.
-                segments.push(self.build_segment(0..end - drop));
-            }
-        }
-        self.segments = segments;
-        SEGMENTS.set(self.segments.len() as f64);
+        self.rows.drop_head(self.num_rows().saturating_sub(n));
     }
 
     /// The dictionary codes of column `ci` (schema order), one per row.
@@ -921,7 +612,7 @@ impl DriftLog {
     ///
     /// Panics if `ci` is out of range for the schema.
     pub fn column_codes(&self, ci: usize) -> &[u32] {
-        &self.columns[ci]
+        self.rows.column_codes(ci)
     }
 
     /// The dictionary (distinct value strings) of column `ci`, indexed by
@@ -937,13 +628,13 @@ impl DriftLog {
     /// The stored per-row drift flags, row-indexed (a borrowed view; see
     /// [`DriftLog::drift_mask`] for an owned copy).
     pub fn drift_flags(&self) -> &[bool] {
-        &self.drift
+        self.rows.drift_flags()
     }
 
     /// The per-row timestamps, row-indexed. The persistent store reads
     /// these when sealing rows into chunks.
     pub fn timestamps(&self) -> &[u64] {
-        &self.timestamps
+        self.rows.timestamps()
     }
 
     /// Resolves a query attribute set against this log's schema and
@@ -974,98 +665,6 @@ impl DriftLog {
                 key: key.to_string(),
             })
     }
-}
-
-/// Walks the smallest posting list of `preds` in `seg`, verifying the
-/// remaining predicates by direct lookup in the dictionary-encoded
-/// `columns` — `O(smallest list × preds)` with no merge or allocation —
-/// and calls `emit(local, global)` for each matching row, in ascending
-/// row order. `preds` must be non-empty.
-fn probe_segment<F: FnMut(u32, usize)>(
-    columns: &[Vec<u32>],
-    seg: &Segment,
-    preds: &[(usize, u32)],
-    mut emit: F,
-) {
-    let mut best: Option<(usize, &[u32])> = None;
-    for (pi, &(ci, vid)) in preds.iter().enumerate() {
-        let Some(list) = seg.posting(columns, ci, vid) else {
-            // A code absent from the segment: nothing here matches.
-            SEGMENTS_PRUNED.inc();
-            return;
-        };
-        if best.is_none_or(|(_, b)| list.len() < b.len()) {
-            best = Some((pi, list));
-        }
-    }
-    let Some((pi, list)) = best else {
-        return;
-    };
-    let start = seg.start;
-    if preds.len() == 1 {
-        // The posting list alone answers a single-predicate query.
-        for &local in list {
-            emit(local, start + local as usize);
-        }
-        return;
-    }
-    'locals: for &local in list {
-        let row = start + local as usize;
-        for (k, &(ci, vid)) in preds.iter().enumerate() {
-            if k != pi && columns[ci][row] != vid {
-                continue 'locals;
-            }
-        }
-        emit(local, row);
-    }
-}
-
-/// One segment's contribution to `rows_matching`: appends its matching rows
-/// to `out`, ascending. Segments are ascending row ranges, so appending
-/// segment by segment is the ordered merge.
-fn segment_rows(columns: &[Vec<u32>], seg: &Segment, preds: &[(usize, u32)], out: &mut Vec<usize>) {
-    if preds.is_empty() {
-        // Every row matches the empty set.
-        out.extend(seg.range());
-        return;
-    }
-    probe_segment(columns, seg, preds, |_, row| out.push(row));
-}
-
-/// One segment's contribution to `count_matching`.
-fn segment_count(
-    columns: &[Vec<u32>],
-    seg: &Segment,
-    preds: &[(usize, u32)],
-    mask: Option<&[bool]>,
-) -> MatchCounts {
-    if preds.is_empty() {
-        // Every row matches the empty set.
-        let drifted = match mask {
-            None => seg.drifted_count,
-            Some(mask) => seg
-                .range()
-                .filter(|&row| mask.get(row).copied().unwrap_or(false))
-                .count(),
-        };
-        return MatchCounts {
-            occurrences: seg.rows,
-            drifted,
-        };
-    }
-    let mut counts = MatchCounts::default();
-    let bits = seg.drifted.as_slice();
-    probe_segment(columns, seg, preds, |local, row| {
-        counts.occurrences += 1;
-        let drifted = match mask {
-            None => bit(bits, local),
-            Some(mask) => mask.get(row).copied().unwrap_or(false),
-        };
-        if drifted {
-            counts.drifted += 1;
-        }
-    });
-    counts
 }
 
 #[cfg(test)]
@@ -1113,7 +712,7 @@ mod tests {
             v.insert(100, DriftLogEntry::new(998, &[("weather", "clear")], false));
             v
         };
-        let mut by_push = DriftLog::new(&["weather", "location"]).with_segment_rows(64);
+        let mut by_push = DriftLog::new(&["weather", "location"]);
         let mut failures = 0;
         for e in make_entries() {
             if by_push.push(e).is_err() {
@@ -1122,7 +721,7 @@ mod tests {
         }
         let entries = make_entries();
         for threads in [1, 2, 8] {
-            let mut by_batch = DriftLog::new(&["weather", "location"]).with_segment_rows(64);
+            let mut by_batch = DriftLog::new(&["weather", "location"]);
             let report = by_batch.ingest_batch_with_threads(&entries, threads);
             assert_eq!(
                 report,
@@ -1345,167 +944,7 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn queries_cross_segment_boundaries() {
-        // 10 rows at 3 rows/segment: segments of 3, 3, 3, 1.
-        let mut log = DriftLog::new(&["k", "j"]).with_segment_rows(3);
-        for i in 0..10u64 {
-            log.push(DriftLogEntry::new(
-                i,
-                &[
-                    ("k", if i % 2 == 0 { "even" } else { "odd" }),
-                    ("j", if i % 3 == 0 { "fizz" } else { "buzz" }),
-                ],
-                i % 4 == 0,
-            ))
-            .unwrap();
-        }
-        assert_eq!(log.num_segments(), 4);
-        let counts = |occurrences, drifted| MatchCounts {
-            occurrences,
-            drifted,
-        };
-        // (set, matching rows, of which drifted — rows 0, 4, 8 are).
-        let odd_fizz = vec![Attribute::new("k", "odd"), Attribute::new("j", "fizz")];
-        for (set, rows, drifted) in [
-            (vec![], (0..10).collect::<Vec<usize>>(), 3),
-            (vec![Attribute::new("k", "even")], vec![0, 2, 4, 6, 8], 3),
-            (odd_fizz, vec![3, 9], 0),
-            (vec![Attribute::new("k", "nope")], vec![], 0),
-        ] {
-            assert_eq!(
-                log.count_matching(&set, None).unwrap(),
-                counts(rows.len(), drifted),
-                "set {set:?}"
-            );
-            assert_eq!(log.rows_matching(&set).unwrap(), rows, "set {set:?}");
-        }
-        assert_eq!(
-            log.distinct_values("j").unwrap(),
-            vec![
-                ("fizz".to_string(), counts(4, 1)),
-                ("buzz".to_string(), counts(6, 2)),
-            ]
-        );
-        assert_eq!(log.num_drifted(), 3);
-    }
-
-    #[test]
-    fn retain_last_rebuilds_boundary_segment() {
-        let mut log = DriftLog::new(&["k"]).with_segment_rows(4);
-        for i in 0..10u64 {
-            log.push(DriftLogEntry::new(
-                i,
-                &[("k", if i < 5 { "a" } else { "b" })],
-                i >= 8,
-            ))
-            .unwrap();
-        }
-        // Drop 3 rows: head segment [0,4) straddles the cut and rebuilds.
-        log.retain_last(7);
-        assert_eq!(log.num_rows(), 7);
-        let c = log
-            .count_matching(&[Attribute::new("k", "a")], None)
-            .unwrap();
-        assert_eq!(c.occurrences, 2); // rows 3, 4 survive
-        assert_eq!(
-            log.rows_matching(&[Attribute::new("k", "b")]).unwrap(),
-            vec![2, 3, 4, 5, 6]
-        );
-        assert_eq!(log.num_drifted(), 2);
-    }
-
-    /// The oracle for a segment's postings over `rows`: per column, each
-    /// code's local rows, gathered one row at a time into an ordered map.
-    fn naive_postings(rows: Range<usize>, columns: &[Vec<u32>]) -> Vec<Postings> {
-        let lists = |column: &Vec<u32>| {
-            let mut lists = std::collections::BTreeMap::<u32, Vec<u32>>::new();
-            for (local, &code) in column[rows.clone()].iter().enumerate() {
-                lists.entry(code).or_default().push(local as u32);
-            }
-            lists.into_iter().collect()
-        };
-        columns.iter().map(lists).collect()
-    }
-
-    /// Counts `rows` in bulk and row by row: the segments must be equal
-    /// whether or not a query has built their postings, the postings a
-    /// query builds must equal the oracle's (twice: the second read reuses
-    /// the first build), and an append must drop them.
-    fn assert_build_equals_push(rows: Range<usize>, columns: &[Vec<u32>], drift: &[bool]) {
-        let mut pushed = Segment::new(rows.start);
-        for row in rows.clone() {
-            pushed.push_row(drift[row]);
-        }
-        let built = Segment::build(rows.clone(), drift);
-        let oracle = naive_postings(rows.clone(), columns);
-        for _ in 0..2 {
-            assert_eq!(built.postings(columns), oracle, "rows {rows:?}");
-            assert_eq!(built, pushed, "rows {rows:?}");
-        }
-        assert_eq!(pushed.postings(columns), oracle, "rows {rows:?}");
-        if rows.end < drift.len() {
-            pushed.push_row(drift[rows.end]);
-            let grown = naive_postings(rows.start..rows.end + 1, columns);
-            assert_eq!(pushed.postings(columns), grown, "rows {rows:?} + 1");
-        }
-    }
-
-    #[test]
-    fn segment_build_equals_push_row_loop_on_edge_cases() {
-        let n = 300;
-        let drift_at =
-            |rows: &[usize]| -> Vec<bool> { (0..n).map(|r| rows.contains(&r)).collect() };
-        let some_drift = drift_at(&[0, 5, 64, 65, 199, 250]);
-        let mixed: Vec<Vec<u32>> = vec![
-            (0..n as u32).map(|r| r % 7).collect(),
-            (0..n as u32).map(|r| (r * r) % 11).collect(),
-        ];
-        // No rows, at 0 and mid-column.
-        assert_build_equals_push(0..0, &mixed, &some_drift);
-        assert_build_equals_push(120..120, &mixed, &some_drift);
-        // One code only, a different one per column.
-        let single = vec![vec![3; n], vec![0; n]];
-        assert_build_equals_push(0..n, &single, &some_drift);
-        // Sparse codes in a large dictionary.
-        let sparse = vec![(0..n as u32)
-            .map(|r| [0, 97, 4_999, 1_000][r as usize % 4])
-            .collect()];
-        assert_build_equals_push(0..n, &sparse, &some_drift);
-        // No drifted rows; drift only at the end.
-        assert_build_equals_push(0..n, &mixed, &vec![false; n]);
-        assert_build_equals_push(0..150, &mixed, &drift_at(&[140, 149]));
-        // Row ranges that do not start at 0, each followed by an append.
-        assert_build_equals_push(64..256, &mixed, &some_drift);
-        assert_build_equals_push(37..200, &mixed, &some_drift);
-    }
-
     proptest::proptest! {
-        #[test]
-        fn segment_build_equals_push_row_loop(
-            seed in 0u64..u64::MAX,
-            n in 0usize..400,
-            dict in 1u32..60,
-            width in 1usize..4,
-            drift_per_mille in 0u64..=1000,
-            cut in (0usize..400, 0usize..400),
-        ) {
-            // A xorshift stream stands in for random columns.
-            let mut state = seed | 1;
-            let mut next = move || {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                state
-            };
-            let columns: Vec<Vec<u32>> = (0..width)
-                .map(|_| (0..n).map(|_| (next() % u64::from(dict)) as u32).collect())
-                .collect();
-            let drift: Vec<bool> = (0..n).map(|_| next() % 1000 < drift_per_mille).collect();
-            let (lo, hi) = (cut.0.min(cut.1).min(n), cut.0.max(cut.1).min(n));
-            assert_build_equals_push(lo..hi, &columns, &drift);
-        }
-
         #[test]
         fn counts_never_exceed_rows(drifts in proptest::collection::vec(proptest::bool::ANY, 1..60)) {
             let mut log = DriftLog::new(&["k"]);

@@ -1,7 +1,6 @@
-//! Edge cases for windowing and retention — the incremental-maintenance
-//! paths that shift or rebuild index segments. A window here is a run of
-//! rows cut out by [`DriftLog::slice`], as the orchestrator cuts its
-//! window log. Where a case needs an oracle it is the naive [`reference`]
+//! Edge cases for windowing and retention — the paths that cut rows out
+//! of a log or drop its head. A window here is a run of rows cut out by
+//! [`DriftLog::slice`], as the orchestrator cuts its window log. Where a case needs an oracle it is the naive [`reference`]
 //! over the raw entries.
 
 mod reference;
@@ -20,14 +19,14 @@ fn entries_with(rows: usize) -> Vec<DriftLogEntry> {
         .collect()
 }
 
-fn log_of(entries: &[DriftLogEntry], segment_rows: usize) -> DriftLog {
-    let mut log = DriftLog::new(&["k"]).with_segment_rows(segment_rows);
+fn log_of(entries: &[DriftLogEntry]) -> DriftLog {
+    let mut log = DriftLog::new(&["k"]);
     log.extend(entries.iter().cloned()).expect("schema matches");
     log
 }
 
-fn log_with(rows: usize, segment_rows: usize) -> DriftLog {
-    log_of(&entries_with(rows), segment_rows)
+fn log_with(rows: usize) -> DriftLog {
+    log_of(&entries_with(rows))
 }
 
 /// Counts, rows and per-value counts of both values, against the reference.
@@ -64,22 +63,20 @@ fn window_of_empty_log_is_empty() {
     let w = log.slice(0..0);
     assert!(w.is_empty());
     assert_eq!(w.schema(), log.schema());
-    assert_eq!(w.num_segments(), 0);
 }
 
 #[test]
 fn window_covering_everything_copies_everything() {
-    let log = log_with(10, 4);
+    let log = log_with(10);
     let w = log.slice(0..10);
     assert_eq!(w, log);
     assert_eq!(w.num_drifted(), log.num_drifted());
     assert_eq!(count(&w, "even"), count(&log, "even"));
-    assert!(w.num_segments() > 0);
 }
 
 #[test]
 fn window_boundaries_are_half_open() {
-    let log = log_with(10, 4);
+    let log = log_with(10);
     // 3..7 keeps rows 3..=6.
     let w = log.slice(3..7);
     assert_eq!(w.num_rows(), 4);
@@ -93,20 +90,20 @@ fn window_boundaries_are_half_open() {
 #[test]
 fn window_agrees_with_naive_reference() {
     let entries = entries_with(30);
-    let log = log_of(&entries, 4);
+    let log = log_of(&entries);
     for rows in [0..30, 5..25, 29..30, 30..30, 7..7, 3..9] {
         let want = &entries[rows.clone()];
         let got = log.slice(rows.clone());
         // Equal to a log pushed from the reference's rows: same rows and
         // the same first-use dictionary order.
-        assert_eq!(got, log_of(want, 4), "rows {rows:?}");
+        assert_eq!(got, log_of(want), "rows {rows:?}");
         assert_matches_reference(&got, want);
     }
 }
 
 #[test]
 fn retain_last_zero_clears_the_log() {
-    let mut log = log_with(10, 4);
+    let mut log = log_with(10);
     log.retain_last(0);
     assert!(log.is_empty());
     assert_eq!(log.num_drifted(), 0);
@@ -119,43 +116,17 @@ fn retain_last_zero_clears_the_log() {
 
 #[test]
 fn retain_last_at_least_num_rows_is_a_noop() {
-    let mut log = log_with(10, 4);
+    let mut log = log_with(10);
     let before = log.clone();
     log.retain_last(10);
     assert_eq!(log, before);
     log.retain_last(11);
     assert_eq!(log, before);
-    assert_eq!(log.num_segments(), 3); // 4 + 4 + 2
-}
-
-#[test]
-fn retention_exactly_on_a_segment_boundary_drops_whole_segments() {
-    let mut log = log_with(12, 4); // segments [0,4) [4,8) [8,12)
-    log.retain_last(8); // cut lands exactly on the first boundary
-    assert_eq!(log.num_rows(), 8);
-    assert_eq!(log.num_segments(), 2);
-    // Surviving rows are the original 4..12, re-based to 0..8.
-    assert_eq!(
-        log.rows_matching(&[Attribute::new("k", "even")])
-            .expect("known key"),
-        vec![0, 2, 4, 6]
-    );
-    // Of the drifted rows 0, 3, 6, 9 only 6 and 9 survive the cut.
-    assert_eq!(log.num_drifted(), 2);
-}
-
-#[test]
-fn retention_mid_segment_rebuilds_the_boundary_segment() {
-    let entries = entries_with(10);
-    let mut log = log_of(&entries, 4);
-    log.retain_last(7);
-    assert_eq!(log.num_segments(), 3); // rebuilt head [3,4), then [4,8) and [8,10) shifted
-    assert_matches_reference(&log, reference::last(&entries, 7));
 }
 
 #[test]
 fn repeated_retention_and_pushes_stay_consistent() {
-    let mut log = DriftLog::new(&["k"]).with_segment_rows(3);
+    let mut log = DriftLog::new(&["k"]);
     let mut entries = Vec::new();
     for round in 0..5u64 {
         for i in 0..7u64 {
@@ -175,7 +146,7 @@ fn repeated_retention_and_pushes_stay_consistent() {
 
 #[test]
 fn retain_last_on_a_reopened_log_rebuilds_cleanly() {
-    let log = log_with(10, 4);
+    let log = log_with(10);
     // The store's reopen path: the log handed over by its codes.
     let mut back = DriftLog::with_dict_values(
         log.schema(),
@@ -185,7 +156,6 @@ fn retain_last_on_a_reopened_log_rebuilds_cleanly() {
         log.timestamps().to_vec(),
     )
     .expect("well-formed parts");
-    assert_eq!(back.num_segments(), 1); // counted on the way in
     back.retain_last(6);
     assert_eq!(back.num_rows(), 6);
     let mut expect = log.clone();
@@ -196,7 +166,7 @@ fn retain_last_on_a_reopened_log_rebuilds_cleanly() {
 
 #[test]
 fn window_then_retain_compose() {
-    let log = log_with(20, 4);
+    let log = log_with(20);
     let mut w = log.slice(5..15);
     assert_eq!(w.num_rows(), 10);
     w.retain_last(4); // original rows 11..15
@@ -211,16 +181,16 @@ fn window_then_retain_compose() {
 #[test]
 fn slice_and_append_rows_copy_rows_by_code() {
     let entries = entries_with(11);
-    let log = log_of(&entries, 4);
+    let log = log_of(&entries);
     // A slice is the string ingest of its rows, dictionaries included:
     // rows 1..6 start at "odd", so "odd" takes code 0.
     let sliced = log.slice(1..6);
-    assert_eq!(sliced, log_of(&entries[1..6], 4));
+    assert_eq!(sliced, log_of(&entries[1..6]));
     assert_eq!(sliced.dict_values(0), ["odd", "even"]);
     assert_matches_reference(&sliced, &entries[1..6]);
     assert!(log.slice(3..3).is_empty());
     // Appending onto rows already there continues in their code space.
-    let mut grown = log_of(&entries[..2], 4);
+    let mut grown = log_of(&entries[..2]);
     grown.append_rows(&log, 2..11).expect("same schema");
     assert_eq!(grown, log);
     assert_matches_reference(&grown, &entries);

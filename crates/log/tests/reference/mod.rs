@@ -1,6 +1,7 @@
 //! The naive reference the query suites compare against: straight row
 //! scans over the raw entries a log was built from, sharing no code with
-//! the log's query engine (no dictionaries, no segments, no posting lists).
+//! the log's query engine (no dictionaries, no code columns, no scan
+//! kernels). The store's differential suite shares it by `#[path]`.
 
 use nazar_log::{Attribute, DriftLogEntry, MatchCounts};
 

@@ -272,7 +272,7 @@ pub fn decode_u32s(codec: u8, bytes: &[u8], rows: usize) -> Result<Vec<u32>, Cod
 }
 
 // ---------------------------------------------------------------------------
-// Drift-flag bitmap (LSB-first, same layout as the in-memory index bitmap)
+// Drift-flag bitmap (LSB-first)
 // ---------------------------------------------------------------------------
 
 /// Encodes bools as an LSB-first bitmap (bit `i % 8` of byte `i / 8`).

@@ -11,8 +11,8 @@
 //!   [`FsBackend`] (atomic write-temp-then-rename, fsync before rename).
 //! * A codec pipeline ([`codec`]) persisting sealed row blocks as
 //!   compressed columnar chunks: dict codes bitpacked or run-length
-//!   encoded (whichever is smaller), drift flags as the LSB-first bitmap
-//!   the in-memory index already uses, timestamps delta-encoded — behind
+//!   encoded (whichever is smaller), drift flags as an LSB-first bitmap,
+//!   timestamps delta-encoded — behind
 //!   a versioned, CRC-32-checksummed chunk format ([`chunk`]) whose
 //!   decoder returns typed errors and never panics.
 //! * A JSON [`Manifest`] recording per-chunk row ranges, timestamp
@@ -21,8 +21,8 @@
 //! * [`DriftStore`] — the log itself: ingest into an in-memory tail,
 //!   [`DriftStore::flush`] seals chunks (replacing the partial tail
 //!   chunk append-only), and the query API streams the chunks through
-//!   the *same* per-segment probe machinery and merge rules as the
-//!   in-memory log ([`nazar_log::probe`]), fanned out with the
+//!   the *same* block scans and merge rules as the in-memory log
+//!   ([`nazar_log::probe`]), fanned out with the
 //!   order-preserving [`nazar_tensor::parallel::par_map_with`] once they
 //!   hold enough rows — so out-of-core results are bitwise identical to
 //!   in-memory ones at any `NAZAR_NUM_THREADS`.

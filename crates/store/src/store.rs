@@ -23,13 +23,14 @@
 //!
 //! Chunks store *global* dictionary codes, and every query reads "each
 //! full chunk's block, then the tail, merged in row order": each decoded
-//! block is scanned ([`nazar_log::probe`]), the tail answers through its
-//! own posting lists, the merge rules are the in-memory log's, and the
-//! chunk map is the order-preserving
+//! block and the tail's own block are scanned by the same kernels
+//! ([`nazar_log::probe`]), the merge rules are the in-memory log's, and
+//! the chunk map is the order-preserving
 //! [`par_map_with`](nazar_tensor::parallel::par_map_with) — so every query
 //! result equals an in-memory [`DriftLog`] holding the same rows, at any
-//! `NAZAR_NUM_THREADS`. The differential tests in `tests/` compare the two
-//! evaluators on both sides of the fan-out threshold.
+//! `NAZAR_NUM_THREADS`. The differential tests in `tests/` compare the
+//! store with such a log and with a naive row scan, on both sides of the
+//! fan-out threshold.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -1030,7 +1031,7 @@ impl DriftStore {
         Ok(DriftLogEntry {
             timestamp: block.timestamps()[local_row],
             attrs,
-            drift: block.drift_flag(local_row),
+            drift: block.drift_flags()[local_row],
         })
     }
 }

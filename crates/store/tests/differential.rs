@@ -2,17 +2,24 @@
 //! pushes, batch ingests with quarantined entries, flushes, retention
 //! and mid-stream reopens — must answer every query *bitwise
 //! identically* to an in-memory [`DriftLog`] that received the same
-//! rows. (These workloads are a few hundred rows, far below the store's
-//! chunk fan-out threshold; `parallel_scan.rs` covers the parallel branch.)
+//! rows, and to the naive row-scan [`reference`] over the rows it
+//! accepted. (These workloads are a few hundred rows, far below the
+//! store's chunk fan-out threshold; `parallel_scan.rs` covers the parallel
+//! branch.)
 //!
-//! The two sides evaluate queries differently: the oracle walks posting
-//! lists it builds on first read, the store scans each decoded chunk
-//! (`nazar_log::probe::ColumnarBlock`) and asks its tail log for the rest.
-//! So these tests pin both evaluators and the store's
-//! chunking/codec/manifest plumbing: any row lost, duplicated, reordered,
-//! mis-decoded or mis-scanned shows up as a query mismatch. Every workload
-//! runs with the chunk cache off, at one block and at eight, so the scans
-//! read cold blocks, reused blocks and cached ones.
+//! The store and the log share one evaluator: the store scans each
+//! decoded chunk (`nazar_log::probe::ColumnarBlock`) and asks its tail —
+//! itself a `DriftLog` — for the rest, and the log scans its own block
+//! with the same kernels. So the log pins the store's exact answer shape
+//! (dictionary order, zero-count values), and the reference, which shares
+//! no code with either, pins the answers themselves. Any row lost,
+//! duplicated, reordered, mis-decoded or mis-scanned shows up as a
+//! mismatch. Every workload runs with the chunk cache off, at one block
+//! and at eight, so the scans read cold blocks, reused blocks and cached
+//! ones.
+
+#[path = "../../log/tests/reference/mod.rs"]
+mod reference;
 
 use std::sync::Arc;
 
@@ -122,27 +129,42 @@ fn config(w: &Workload, cache_chunks: usize) -> StoreConfig {
     }
 }
 
+/// The in-memory oracle and the rows the reference scans: every entry
+/// the schema accepted, minus those retention dropped.
+struct Oracle {
+    log: DriftLog,
+    entries: Vec<DriftLogEntry>,
+}
+
 /// Replays the op stream into a persistent store (on `backend`) and the
-/// in-memory oracle, returning both in their final states.
-fn replay(w: &Workload, cache_chunks: usize) -> (DriftStore, DriftLog) {
+/// oracle, returning both in their final states.
+fn replay(w: &Workload, cache_chunks: usize) -> (DriftStore, Oracle) {
     let refs = schema_refs(&w.schema);
     let backend = Arc::new(MemoryBackend::new());
     let config = || config(w, cache_chunks);
     let mut store = DriftStore::open(backend.clone(), &refs, config()).expect("open fresh store");
-    let mut oracle = DriftLog::new(&refs);
+    let mut oracle = Oracle {
+        log: DriftLog::new(&refs),
+        entries: Vec::new(),
+    };
     for op in &w.ops {
         match op {
             Op::Ingest(entries) => {
                 let got = store.ingest_batch(entries.clone());
-                let want = oracle.ingest_batch(entries.clone());
+                let want = oracle.log.ingest_batch(entries.clone());
                 assert_eq!(got, want, "ingest reports diverged");
+                let fits = |e: &&DriftLogEntry| {
+                    e.attrs.len() == w.schema.len() && w.schema.iter().all(|k| e.attr(k).is_some())
+                };
+                oracle.entries.extend(entries.iter().filter(fits).cloned());
             }
             Op::Flush => {
                 store.flush().expect("flush");
             }
             Op::Retain(n) => {
                 store.retain_last(*n).expect("retain_last");
-                oracle.retain_last(*n);
+                oracle.log.retain_last(*n);
+                oracle.entries = reference::last(&oracle.entries, *n).to_vec();
             }
             Op::Reopen => {
                 store.flush().expect("flush before reopen");
@@ -160,8 +182,9 @@ fn replay(w: &Workload, cache_chunks: usize) -> (DriftStore, DriftLog) {
     (store, oracle)
 }
 
-/// Query sets exercising empty sets, hits, misses, intersections, and
-/// never-interned values, built from the oracle's actual dictionaries.
+/// Query sets exercising empty sets, hits, misses, intersections of two
+/// and three predicates, and never-interned values, built from the
+/// oracle's actual dictionaries.
 fn query_sets(oracle: &DriftLog) -> Vec<Vec<Attribute>> {
     let schema = oracle.schema();
     let val = |ci: usize, i: usize| oracle.dict_values(ci).get(i).cloned();
@@ -179,53 +202,74 @@ fn query_sets(oracle: &DriftLog) -> Vec<Vec<Attribute>> {
                 Attribute::new(schema[1].clone(), b.clone()),
             ]);
             sets.push(vec![
-                Attribute::new(schema[1].clone(), b),
-                Attribute::new(schema[0].clone(), a),
+                Attribute::new(schema[1].clone(), b.clone()),
+                Attribute::new(schema[0].clone(), a.clone()),
             ]);
+            if let Some(c) = (schema.len() >= 3).then(|| val(2, 0)).flatten() {
+                sets.push(vec![
+                    Attribute::new(schema[2].clone(), c),
+                    Attribute::new(schema[0].clone(), a),
+                    Attribute::new(schema[1].clone(), b),
+                ]);
+            }
         }
     }
     sets
 }
 
-fn assert_store_equals_oracle(store: &DriftStore, oracle: &DriftLog, mask: &[bool]) {
-    assert_eq!(store.num_rows(), oracle.num_rows());
-    assert_eq!(store.num_drifted(), oracle.num_drifted());
-    for set in query_sets(oracle) {
+fn assert_store_equals_oracle(store: &DriftStore, oracle: &Oracle, mask: &[bool]) {
+    let (log, entries) = (&oracle.log, &oracle.entries[..]);
+    assert_eq!(store.num_rows(), log.num_rows());
+    assert_eq!(store.num_rows(), entries.len());
+    assert_eq!(store.num_drifted(), log.num_drifted());
+    for set in query_sets(log) {
+        let count = store.count_matching(&set, None).expect("count");
+        assert_eq!(count, log.count_matching(&set, None).expect("count"));
         assert_eq!(
-            store.count_matching(&set, None).expect("count"),
-            oracle.count_matching(&set, None).expect("count"),
+            count,
+            reference::count_matching(entries, &set, None),
             "count_matching({set:?})"
         );
+        let masked = store.count_matching(&set, Some(mask)).expect("count");
+        assert_eq!(masked, log.count_matching(&set, Some(mask)).expect("count"));
         assert_eq!(
-            store.count_matching(&set, Some(mask)).expect("count"),
-            oracle.count_matching(&set, Some(mask)).expect("count"),
+            masked,
+            reference::count_matching(entries, &set, Some(mask)),
             "masked count_matching({set:?})"
         );
+        let rows = store.rows_matching(&set).expect("rows");
+        assert_eq!(rows, log.rows_matching(&set).expect("rows"));
         assert_eq!(
-            store.rows_matching(&set).expect("rows"),
-            oracle.rows_matching(&set).expect("rows"),
+            rows,
+            reference::rows_matching(entries, &set),
             "rows_matching({set:?})"
         );
     }
-    for key in oracle.schema() {
+    for key in log.schema() {
+        let distinct = store.distinct_values(key).expect("distinct");
+        assert_eq!(distinct, log.distinct_values(key).expect("distinct"));
+        // The store keeps interned values whose rows retention dropped (at
+        // zero counts, in interning order); the reference only sees live
+        // rows, in first-use order.
+        let mut live = distinct;
+        live.retain(|(_, c)| c.occurrences > 0);
+        live.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut want = reference::distinct_values(entries, key);
+        want.sort_by(|a, b| a.0.cmp(&b.0));
+        assert_eq!(live, want, "distinct_values({key})");
+        let groups = store.group_counts(key).expect("group");
+        assert_eq!(groups, log.group_counts(key).expect("group"));
         assert_eq!(
-            store.distinct_values(key).expect("distinct"),
-            oracle.distinct_values(key).expect("distinct"),
-            "distinct_values({key})"
-        );
-        assert_eq!(
-            store.group_counts(key).expect("group"),
-            oracle.group_counts(key).expect("group"),
+            groups,
+            reference::group_counts(entries, key),
             "group_counts({key})"
         );
     }
     // Row reconstruction must agree everywhere.
-    for row in 0..oracle.num_rows() {
-        assert_eq!(
-            store.entry(row).expect("entry"),
-            oracle.entry(row).expect("entry"),
-            "entry({row})"
-        );
+    for (row, want) in entries.iter().enumerate() {
+        let got = store.entry(row).expect("entry");
+        assert_eq!(got, log.entry(row).expect("entry"));
+        assert_eq!(&got, want, "entry({row})");
     }
 }
 
@@ -314,7 +358,10 @@ fn filesystem_backend_differential_smoke() {
     };
     let schema = ["weather", "location"];
     let mut store = DriftStore::open_config(&schema, config.clone()).expect("open");
-    let mut oracle = DriftLog::new(&schema);
+    let mut oracle = Oracle {
+        log: DriftLog::new(&schema),
+        entries: Vec::new(),
+    };
     let mk = |i: u64| {
         DriftLogEntry::new(
             i * 7 % 5000,
@@ -328,7 +375,8 @@ fn filesystem_backend_differential_smoke() {
     for i in 0..3000 {
         let e = mk(i);
         store.push(e.clone()).expect("push");
-        oracle.push(e).expect("push");
+        oracle.log.push(e.clone()).expect("push");
+        oracle.entries.push(e);
         if i % 700 == 0 {
             store.flush().expect("flush");
         }
