@@ -21,8 +21,8 @@
 //! merge in candidate order, so the mined table is bitwise identical at
 //! any `NAZAR_NUM_THREADS`.
 //!
-//! Runtime note: at the `fim_algorithms` benchmark scale (50k rows, 3 low-
-//! cardinality attribute keys) apriori's cost is ~40 counting scans. The
+//! Runtime note: at 50k rows over 3 low-cardinality attribute keys,
+//! apriori's cost is ~40 counting scans. The
 //! `nazar_analysis_fim_phase_seconds{method,phase}` histograms break a mine
 //! down so a regression in one phase is visible in any run report.
 

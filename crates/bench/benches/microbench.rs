@@ -8,12 +8,14 @@
 //! * `adaptation_step` — §3.4's BN-only adaptation efficiency (one BN-only
 //!   TENT step against one full-parameter step and the tape-free eval
 //!   forward, same model and batch);
+//! * `train_step` — one batch of the base-model training that most of
+//!   `vision_loop`'s set-up time is;
 //! * `wire` and `log/ingest_batch_30k` — what one upload frame, one
 //!   device's deploy-chunk check and one window's ingest cost at the
 //!   shapes the fleet workloads send (these
 //!   rows also join `BENCH_fleet.json`, beside the runs they explain);
-//! * plus substrate benchmarks (matmul, inference, log ingest, FIM,
-//!   version selection).
+//! * plus substrate benchmarks (matmul, inference, log ingest, version
+//!   selection).
 //!
 //! Every row is timed by [`nazar_bench::median_ns`] and written to
 //! `BENCH_tensor.json` by [`nazar_bench::merge_bench_json`].
@@ -21,14 +23,14 @@
 //! replaces only the rows it measured.
 
 use nazar_adapt::{adapt_to_patch, AdaptMethod, TentConfig};
-use nazar_analysis::{analyze, mine, FimConfig};
+use nazar_analysis::{analyze, FimConfig};
 use nazar_cloud::timing::synthetic_drift_log;
 use nazar_data::{ClassSpace, Corruption, SimDate};
 use nazar_detect::{DriftDetector, EnergyScore, EntropyThreshold, MspThreshold, Odin};
 use nazar_device::{UploadedSample, LOG_SCHEMA};
 use nazar_log::{Attribute, DriftLog, DriftLogEntry};
 use nazar_net::wire;
-use nazar_nn::{Adam, Layer, MlpResNet, Mode, ModelArch, Optimizer};
+use nazar_nn::{train, Adam, Layer, MlpResNet, Mode, ModelArch, Optimizer, Sgd};
 use nazar_registry::{ModelPool, VersionMeta};
 use nazar_tensor::{kernels, SimdTier, Tape, TapePool, Tensor, Workspace};
 use rand::rngs::SmallRng;
@@ -171,6 +173,13 @@ fn bench_tensor_ops(suite: &mut Suite) {
     suite.bench("tensor_ops/matmul_at_b_64x96x96", SAMPLES, || {
         kernels::matmul_at_b_into(x.data(), g.data(), n, k, m, &mut dw);
         dw[0]
+    });
+    // The head's dW: one full 32-column tile panel and an 8-column tail.
+    let g_head = Tensor::randn(&mut rng, &[n, classes], 0.0, 1.0);
+    let mut dw_head = vec![0.0f32; k * classes];
+    suite.bench("tensor_ops/matmul_at_b_64x96x40", SAMPLES, || {
+        kernels::matmul_at_b_into(x.data(), g_head.data(), n, k, classes, &mut dw_head);
+        dw_head[0]
     });
     suite.bench("tensor_ops/softmax_rows_128", SAMPLES, || {
         a128.softmax_rows().expect("matrix")
@@ -320,13 +329,6 @@ fn bench_analysis(suite: &mut Suite) {
     }
 }
 
-fn bench_fim_algorithms(suite: &mut Suite) {
-    // Apriori (the paper's SQL implementation) on the synthetic fleet log.
-    let log = synthetic_drift_log(50_000, 9);
-    let config = FimConfig::default();
-    suite.bench("fim_algorithms/apriori_50k", 10, || mine(&log, &config));
-}
-
 /// One full-parameter entropy-minimisation step on `x` on the tape:
 /// Adapt-mode forward, backward, collect, Adam, on the tape pool the
 /// earlier steps filled.
@@ -376,6 +378,21 @@ fn bench_adaptation(suite: &mut Suite) {
     });
 }
 
+fn bench_training(suite: &mut Suite) {
+    // One batch of the base-model training `vision_loop` sets up: a
+    // `train_epoch` over 64 rows in one 64-row batch (the shuffle, the
+    // row gather, the tape-free cross-entropy step and SGD with momentum
+    // and weight decay) on its resnet34 analog, 64-d and 40 classes.
+    let mut rng = SmallRng::seed_from_u64(5);
+    let x = Tensor::randn(&mut rng, &[64, 64], 0.0, 1.0);
+    let y: Vec<usize> = (0..64).map(|i| i % 40).collect();
+    let mut model = MlpResNet::new(ModelArch::resnet34_analog(64, 40), &mut rng);
+    let mut opt = Sgd::with_momentum(0.05, 0.9).with_weight_decay(4e-4);
+    suite.bench("train_step/resnet34_analog_b64", SAMPLES, || {
+        train::train_epoch(&mut model, &mut opt, &x, &y, 64, &mut rng)
+    });
+}
+
 fn bench_registry(suite: &mut Suite) {
     let mut pool: ModelPool<u32> = ModelPool::new(None);
     for i in 0..64 {
@@ -415,8 +432,8 @@ fn main() {
     bench_batch_ingest(&mut suite);
     bench_wire(&mut suite);
     bench_analysis(&mut suite);
-    bench_fim_algorithms(&mut suite);
     bench_adaptation(&mut suite);
+    bench_training(&mut suite);
     bench_registry(&mut suite);
 
     // Every id that contains the filter was measured, so a stale row is

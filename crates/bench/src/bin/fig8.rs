@@ -15,7 +15,7 @@
 
 use nazar_analysis::AnalysisVariant;
 use nazar_bench::report::{pct, Table};
-use nazar_bench::setup::{arch_by_name, load_cached_model, store_cached_model};
+use nazar_bench::setup::{arch_by_name, data_digest, load_cached_model, store_cached_model};
 use nazar_bench::tent_method;
 use nazar_cloud::experiment::{run_strategy, train_base_model};
 use nazar_cloud::{CloudConfig, Strategy};
@@ -63,9 +63,12 @@ fn main() {
         &["model", "nazar", "adapt-all", "no-adapt"],
     );
 
+    // The training split's digest keys the cache: a model trained on
+    // other data cannot load.
+    let data = data_digest(&dataset.train);
     let mut nazar_r50 = None;
     for arch_name in ["resnet18", "resnet34", "resnet50"] {
-        let tag = format!("cityscapes-{arch_name}-s{}", data_config.seed);
+        let tag = format!("cityscapes-{arch_name}-s{}-{data:016x}", data_config.seed);
         let (model, val_acc) = match load_cached_model(&tag) {
             Some(m) => m,
             None => {
@@ -99,7 +102,7 @@ fn main() {
     t8b.print();
 
     // 8c: BN version growth, FIM-only vs full pipeline, no version cap.
-    let tag = format!("cityscapes-resnet18-s{}", data_config.seed);
+    let tag = format!("cityscapes-resnet18-s{}-{data:016x}", data_config.seed);
     let (r18, _) = load_cached_model(&tag).expect("cached above");
     let uncapped = CloudConfig {
         device: DeviceConfig {

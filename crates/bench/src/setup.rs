@@ -2,11 +2,13 @@
 //!
 //! Several experiment binaries need the same trained base model (e.g. the
 //! ResNet50-analog on the Animals workload). Training takes tens of seconds,
-//! so trained models are cached as JSON under `results/.cache/`, keyed by
-//! the dataset configuration and architecture.
+//! so trained models are cached as JSON under `results/.cache/` (not
+//! tracked), keyed by the dataset configuration, the architecture and a
+//! digest of the training split: a model trained on other data — the
+//! generator's output changed, say — cannot load under the key.
 
 use nazar_cloud::experiment::train_base_model;
-use nazar_data::{AnimalsConfig, AnimalsDataset};
+use nazar_data::{AnimalsConfig, AnimalsDataset, LabeledSet};
 use nazar_nn::{MlpResNet, ModelArch};
 use std::fs;
 use std::path::PathBuf;
@@ -38,6 +40,22 @@ pub fn arch_by_name(name: &str, input_dim: usize, classes: usize) -> ModelArch {
     }
 }
 
+/// FNV-1a over a training split's feature bits and labels, the part of a
+/// cache tag that names the data a model was trained on.
+pub fn data_digest(set: &LabeledSet) -> u64 {
+    let words = set
+        .features
+        .iter()
+        .flatten()
+        .map(|v| u64::from(v.to_bits()))
+        .chain(set.labels.iter().map(|&l| l as u64));
+    words.fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        w.to_le_bytes()
+            .iter()
+            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    })
+}
+
 fn cache_path(tag: &str) -> PathBuf {
     PathBuf::from("results/.cache").join(format!("{tag}.json"))
 }
@@ -64,8 +82,12 @@ pub fn store_cached_model(tag: &str, model: &MlpResNet, val_accuracy: f32) {
 pub fn animals_model(arch_name: &str, config: &AnimalsConfig) -> AnimalsSetup {
     let dataset = AnimalsDataset::generate(config);
     let tag = format!(
-        "animals-{arch_name}-d{}c{}t{}s{}",
-        config.dim, config.classes, config.train_per_class, config.seed
+        "animals-{arch_name}-d{}c{}t{}s{}-{:016x}",
+        config.dim,
+        config.classes,
+        config.train_per_class,
+        config.seed,
+        data_digest(&dataset.train)
     );
     if let Some((model, val_accuracy)) = load_cached_model(&tag) {
         if model.arch().input_dim == config.dim && model.arch().num_classes == config.classes {
@@ -97,6 +119,22 @@ mod tests {
             assert_eq!(arch.input_dim, 16);
             assert_eq!(arch.num_classes, 4);
         }
+    }
+
+    #[test]
+    fn the_data_digest_sees_every_feature_and_label() {
+        let set = LabeledSet {
+            features: vec![vec![0.5, -1.0], vec![2.0, 0.0]],
+            labels: vec![0, 1],
+        };
+        let base = data_digest(&set);
+        let mut feature = set.clone();
+        feature.features[1][1] = -0.0;
+        let mut label = set.clone();
+        label.labels[0] = 2;
+        assert_ne!(data_digest(&feature), base);
+        assert_ne!(data_digest(&label), base);
+        assert_eq!(data_digest(&set.clone()), base);
     }
 
     #[test]

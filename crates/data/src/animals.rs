@@ -182,11 +182,14 @@ fn generate_location(
         location,
         "stream",
     ]));
+    // Each id once, not once per device-day: the loop draws nothing for it.
+    let device_ids: Vec<String> = (0..config.devices_per_location)
+        .map(|device| format!("{location}-dev{device:02}"))
+        .collect();
     let mut items = Vec::new();
     for date in SimDate::all() {
         let w = weather.weather(location, date);
-        for device in 0..config.devices_per_location {
-            let device_id = format!("{location}-dev{device:02}");
+        for device_id in &device_ids {
             let arrivals = poisson(&mut rng, config.arrivals_per_day);
             for _ in 0..arrivals {
                 let class = crate::sampling::categorical(&mut rng, &weights);

@@ -88,6 +88,12 @@ impl Linear {
         self.weight.value().dims()[1]
     }
 
+    /// The weight and the bias, mutably (the tape-free step sets their
+    /// gradients).
+    pub(crate) fn params_mut(&mut self) -> (&mut Param, &mut Param) {
+        (&mut self.weight, &mut self.bias)
+    }
+
     /// Tape-free `out = x W + b` for row-major `x: [n, fan_in]`, the same
     /// matmul kernel and the same `+ b` as [`Layer::forward`] records.
     /// `threads == 0` leaves the worker count to the kernel's own policy.

@@ -543,6 +543,55 @@ mod tests {
         assert!(before.approx_eq(&after, 1e-6));
     }
 
+    /// `json` with every number rewritten as the shortest decimal of the
+    /// `f32` it holds (`-0.12232813`, not the exact `f64` expansion), as
+    /// a writer that formats `f32`s emits it.
+    fn shortest_f32_form(json: &str) -> String {
+        let (mut out, mut num, mut in_str) = (String::new(), String::new(), false);
+        for c in json.chars().chain([' ']) {
+            let starts = c.is_ascii_digit() || c == '-';
+            if !in_str && (starts || !num.is_empty() && "+.eE".contains(c)) {
+                num.push(c);
+                continue;
+            }
+            if !num.is_empty() {
+                let v: f64 = num.parse().unwrap();
+                out += &(v as f32).to_string();
+                num.clear();
+            }
+            in_str ^= c == '"';
+            out.push(c);
+        }
+        out.pop();
+        out
+    }
+
+    #[test]
+    fn a_model_survives_a_json_round_trip_bitwise_in_either_float_form() {
+        let mut m = model();
+        // Move the running statistics off their initial values.
+        let mut rng = SmallRng::seed_from_u64(8);
+        let _ = m.logits(&Tensor::randn(&mut rng, &[6, 8], 0.0, 1.0), Mode::Train);
+        let bits = |m: &mut MlpResNet| {
+            let mut out = Vec::new();
+            m.visit_params(&mut |p| out.extend(p.value().data().iter().map(|v| v.to_bits())));
+            m.visit_bn(&mut |bn| {
+                for t in [bn.running_mean(), bn.running_var()] {
+                    out.extend(t.data().iter().map(|v| v.to_bits()));
+                }
+            });
+            out
+        };
+        let json = serde_json::to_string(&m).unwrap();
+        let short = shortest_f32_form(&json);
+        assert!(short.len() < json.len(), "the rewrite shortened nothing");
+        for text in [&json, &short] {
+            let mut back: MlpResNet = serde_json::from_str(text).unwrap();
+            assert_eq!(bits(&mut back), bits(&mut m));
+            assert_eq!(back.arch(), m.arch());
+        }
+    }
+
     #[test]
     fn features_have_hidden_width() {
         let mut m = model();

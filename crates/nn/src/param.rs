@@ -106,6 +106,12 @@ impl Param {
         self.grad = None;
     }
 
+    /// Takes the accumulated gradient out, leaving none, as
+    /// [`Param::zero_grad`] does.
+    pub(crate) fn take_grad(&mut self) -> Option<Tensor> {
+        self.grad.take()
+    }
+
     /// Replaces the accumulated gradient (used by gradient clipping).
     pub fn set_grad(&mut self, grad: Tensor) {
         self.grad = Some(grad);

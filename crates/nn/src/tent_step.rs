@@ -1,34 +1,43 @@
-//! The BN-only TENT step without a tape.
+//! TENT's BN-only step and the training step, without a tape.
 //!
-//! TENT adapts only the batch-norm layers, so each step of a job runs the
-//! same frozen `Linear` weights. [`TentStep`] packs them once per job —
-//! each weight's forward panels and, above the stem, the panels of its
-//! transpose for the input gradient — and runs the
-//! [`Mode::Adapt`](crate::Mode::Adapt) forward and the mean-entropy
-//! backward over the out-parameter kernels, the way
-//! [`MlpResNet::infer_into`] runs the eval forward.
+//! [`TentStep`] runs one step of either objective over the out-parameter
+//! kernels, the way [`MlpResNet::infer_into`] runs the eval forward:
 //!
-//! The step is bitwise the tape's: `forward(Mode::Adapt)` →
-//! [`mean_entropy`](crate::mean_entropy) → `backward` → `collect_grads`
-//! with only the BN affine parameters trainable. It runs the same kernels
-//! in the same order. The batch-norm forward, its backward and the fold
-//! into the running statistics are the functions the tape node and
-//! [`BatchNorm1d`] call. Every gradient the tape starts in a zeroed slot
-//! keeps its `0 +`, so a `-0.0` reads as the tape's `+0.0`.
+//! * **BN-only mean entropy** ([`TentStep::step`]), TENT. Each step of a
+//!   job runs the same frozen `Linear` weights, so [`TentStep::prepare`]
+//!   packs them once per job — each weight's forward panels and, above the
+//!   stem, the panels of its transpose for the input gradient. The step is
+//!   bitwise the tape's `forward(Mode::Adapt)` →
+//!   [`mean_entropy`](crate::mean_entropy) → `backward` → `collect_grads`
+//!   with only the BN affine parameters trainable.
+//! * **Full-parameter cross-entropy** ([`TentStep::train_step`]), one
+//!   batch of [`train_epoch`](crate::train::train_epoch). The weights change
+//!   every step, so it packs them every step, as the tape's products do.
+//!   It is bitwise the tape's `forward(Mode::Train)` →
+//!   [`cross_entropy`](crate::cross_entropy) → `backward` →
+//!   `collect_grads`.
+//!
+//! Both run the same kernels as the tape, in the same order. The
+//! batch-norm forward, its backward and the fold into the running
+//! statistics are the functions the tape node and [`BatchNorm1d`] call.
+//! Every gradient the tape starts in a zeroed slot keeps its `0 +`, so a
+//! `-0.0` reads as the tape's `+0.0`.
 
-use crate::layers::{BatchNorm1d, Linear};
+use crate::layers::{BatchNorm1d, Layer, Linear};
 use crate::model::{MlpResNet, ResidualBlock};
+use crate::param::Param;
 use nazar_tensor::kernels::{self, PackedB};
 use nazar_tensor::{simd, SimdTier, Tensor, Workspace};
 
 /// Scratch, batch statistics and packed weights for the tape-free
-/// BN-only TENT step.
+/// BN-only TENT step and training step.
 ///
 /// [`TentStep::prepare`] packs a model's frozen `Linear` weights;
-/// [`TentStep::step`] then runs one step on a batch. The buffers grow to
-/// the largest batch stepped and are reused, so a state kept across jobs
-/// allocates nothing after its first, and packing again reuses the
-/// panels.
+/// [`TentStep::step`] then runs one TENT step on a batch.
+/// [`TentStep::train_step`] packs the weights itself and runs one
+/// cross-entropy step. The buffers grow to the largest batch stepped and
+/// are reused, so a state kept across jobs allocates nothing after its
+/// first, and packing again reuses the panels.
 #[derive(Debug, Default)]
 pub struct TentStep {
     /// The forward panels of each `Linear`: the stem, each block's two,
@@ -54,7 +63,22 @@ pub struct TentStep {
     grads: [Vec<f32>; 3],
     /// The BN input gradient's `2 * hidden` floats of scratch.
     bn_scratch: Vec<f32>,
+    /// The tier the last packing ran for; the weight gradients run it.
+    tier: SimdTier,
+    /// Gradient tensors [`TentStep::reclaim_grads`] took back from a
+    /// model, for the next step to zero and set again.
+    spare_grads: Vec<Tensor>,
     ws: Workspace,
+}
+
+/// What a step differentiates.
+#[derive(Clone, Copy)]
+enum Loss<'a> {
+    /// TENT's mean prediction entropy, for the BN affine parameters only.
+    Entropy,
+    /// Cross-entropy against these targets, one per row, for every
+    /// parameter.
+    CrossEntropy(&'a [usize]),
 }
 
 impl TentStep {
@@ -73,6 +97,7 @@ impl TentStep {
     /// equivalence tests sweep within one process. The steps run in that
     /// tier.
     pub fn prepare_with(&mut self, model: &MlpResNet, tier: SimdTier) {
+        self.tier = tier;
         let linears = linears(model);
         self.forward.resize_with(linears.len(), PackedB::new);
         for (packed, lin) in self.forward.iter_mut().zip(&linears) {
@@ -99,10 +124,60 @@ impl TentStep {
     /// Panics if `n` is zero, `x` is not `n * input_dim` long, or `model`
     /// does not have the shape of the prepared one.
     pub fn step(&mut self, model: &mut MlpResNet, x: &[f32], n: usize) {
+        assert!(n > 0, "a TENT step needs a non-empty batch");
+        self.size_for(model, x, n);
+        self.forward_pass(model, x, n);
+        self.backward_pass(model, x, n, Loss::Entropy);
+    }
+
+    /// One step of [`train_epoch`](crate::train::train_epoch) on the batch
+    /// `x: [n, input_dim]` with one target class per row: packs the
+    /// model's current weights, runs the
+    /// [`Mode::Train`](crate::Mode::Train) forward, which folds each BN
+    /// layer's batch statistics into its running ones, then the gradient
+    /// of the mean cross-entropy with respect to every parameter, set as
+    /// the gradient of each trainable one. Returns the mean loss. An
+    /// optimizer step applies the gradients.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `targets` is empty, `x` is not `targets.len() *
+    /// input_dim` long, or a target is not a class of `model`.
+    pub fn train_step(&mut self, model: &mut MlpResNet, x: &[f32], targets: &[usize]) -> f32 {
+        let n = targets.len();
+        let classes = model.arch().num_classes;
+        assert!(n > 0, "a training step needs a non-empty batch");
+        assert!(
+            targets.iter().all(|&t| t < classes),
+            "a training target is out of range for {classes} classes"
+        );
+        self.prepare_with(model, simd::env_tier());
+        self.size_for(model, x, n);
+        self.forward_pass(model, x, n);
+        // The `nll_loss` node's value, from the log-softmax.
+        let mut loss = 0.0;
+        for (lp_row, &t) in self.lp.chunks_exact(classes).zip(targets) {
+            loss -= lp_row[t];
+        }
+        self.backward_pass(model, x, n, Loss::CrossEntropy(targets));
+        loss / n as f32
+    }
+
+    /// Takes every gradient out of `model`, as
+    /// [`Layer::zero_grads`](crate::Layer::zero_grads) clears them, and
+    /// keeps the tensors for the next step's gradients, so a training loop
+    /// allocates none after its first step.
+    pub(crate) fn reclaim_grads(&mut self, model: &mut MlpResNet) {
+        let spare = &mut self.spare_grads;
+        model.visit_params(&mut |p| spare.extend(p.take_grad()));
+    }
+
+    /// Checks `x` and the packed shapes against `model`, and sizes the
+    /// buffers for `n` rows.
+    fn size_for(&mut self, model: &MlpResNet, x: &[f32], n: usize) {
         let arch = model.arch();
         let (width, classes, blocks) = (arch.hidden, arch.num_classes, arch.blocks);
-        assert!(n > 0, "a TENT step needs a non-empty batch");
-        assert_eq!(x.len(), n * arch.input_dim, "TENT step input length");
+        assert_eq!(x.len(), n * arch.input_dim, "step input length");
         let linears = linears(model);
         assert!(
             self.forward.len() == linears.len()
@@ -132,12 +207,11 @@ impl TentStep {
         self.bn_scratch.resize(2 * width, 0.0);
         self.lp.resize(n * classes, 0.0);
         self.p.resize(n * classes, 0.0);
-        self.forward_pass(model, x, n);
-        self.backward_pass(model, n);
     }
 
-    /// The [`Mode::Adapt`](crate::Mode::Adapt) forward through the
-    /// logits' `exp(log_softmax)`.
+    /// The batch-statistic forward ([`Mode::Adapt`](crate::Mode::Adapt)
+    /// and [`Mode::Train`](crate::Mode::Train) are one arithmetic) through
+    /// the logits' `exp(log_softmax)`.
     fn forward_pass(&mut self, model: &mut MlpResNet, x: &[f32], n: usize) {
         let (linears, mut bns) = layers(model);
         let blocks = (linears.len() - 2) / 2;
@@ -169,7 +243,7 @@ impl TentStep {
             kernels::zip_assign(out, input, |y, skip| relu(y + skip));
         }
         let features = &self.relu_out[2 * blocks];
-        let head = linears[linears.len() - 1];
+        let head = &*linears[linears.len() - 1];
         linear(
             &self.forward[2 * blocks + 1],
             head,
@@ -192,39 +266,69 @@ impl TentStep {
         }
     }
 
-    /// The backward of `mean_entropy` down to the stem's BN: the entropy
-    /// gradient at the logits, then `dX` through every frozen `Linear`
-    /// above the stem, the ReLUs, the skip adds and the BN layers. Sets
-    /// each BN γ and β gradient.
-    fn backward_pass(&mut self, model: &mut MlpResNet, n: usize) {
+    /// The backward of `loss` from the logits: `dX` through every
+    /// `Linear` above the stem, the ReLUs, the skip adds and the BN
+    /// layers. Sets each BN γ and β gradient, and for cross-entropy each
+    /// `Linear`'s weight and bias gradients too, which need the stem BN's
+    /// input gradient. The stem gets no `dX`: its input `x` is a constant.
+    fn backward_pass(&mut self, model: &mut MlpResNet, x: &[f32], n: usize, loss: Loss<'_>) {
         let classes = model.arch().num_classes;
         let width = model.arch().hidden;
         let blocks = model.arch().blocks;
-        let (_, mut bns) = layers(model);
+        let tier = self.tier;
+        let spare = &mut self.spare_grads;
+        let (mut lins, mut bns) = layers(model);
+        let full = matches!(loss, Loss::CrossEntropy(_));
         let [ga, gb, gc] = &mut self.grads;
         let (ga, gb, gc) = (&mut ga[..n * width], &mut gb[..n * width], gc);
 
-        // `scale(-1/n)` ← `sum_all` ← `mul(p, lp)` ← `exp` ←
-        // `log_softmax`, each into the slot the tape zeroes: `p` is the
-        // forward's `exp(lp)`, which the tape's log-softmax rule
-        // recomputes.
-        let c = -1.0 / n as f32;
-        let g_sum = 0.0 + c * 1.0;
-        let g_pm = 0.0 + g_sum;
         let g_logits = &mut gc[..n * classes];
-        for ((grow, lp_row), p_row) in g_logits
-            .chunks_exact_mut(classes)
-            .zip(self.lp.chunks_exact(classes))
-            .zip(self.p.chunks_exact(classes))
-        {
-            for ((g, &lp), &p) in grow.iter_mut().zip(lp_row).zip(p_row) {
-                let g_p = 0.0 + g_pm * lp;
-                *g = (0.0 + g_pm * p) + g_p * p;
+        match loss {
+            // `scale(-1/n)` ← `sum_all` ← `mul(p, lp)` ← `exp` ←
+            // `log_softmax`, each into the slot the tape zeroes: `p` is
+            // the forward's `exp(lp)`, which the tape's log-softmax rule
+            // recomputes.
+            Loss::Entropy => {
+                let c = -1.0 / n as f32;
+                let g_sum = 0.0 + c * 1.0;
+                let g_pm = 0.0 + g_sum;
+                for ((grow, lp_row), p_row) in g_logits
+                    .chunks_exact_mut(classes)
+                    .zip(self.lp.chunks_exact(classes))
+                    .zip(self.p.chunks_exact(classes))
+                {
+                    for ((g, &lp), &p) in grow.iter_mut().zip(lp_row).zip(p_row) {
+                        let g_p = 0.0 + g_pm * lp;
+                        *g = (0.0 + g_pm * p) + g_p * p;
+                    }
+                    log_softmax_backward(grow, p_row);
+                }
             }
-            let s: f32 = grow.iter().sum();
-            for (g, &p) in grow.iter_mut().zip(p_row) {
-                *g = 0.0 + (*g - p * s);
+            // `nll_loss` ← `log_softmax`: the loss rule adds `-1/n` at
+            // each row's target into a zeroed slot.
+            Loss::CrossEntropy(targets) => {
+                let coef = -1.0 / n as f32;
+                for ((grow, p_row), &t) in g_logits
+                    .chunks_exact_mut(classes)
+                    .zip(self.p.chunks_exact(classes))
+                    .zip(targets)
+                {
+                    grow.fill(0.0);
+                    grow[t] += coef;
+                    log_softmax_backward(grow, p_row);
+                }
             }
+        }
+        let head = 2 * blocks + 1;
+        if full {
+            linear_backward(
+                lins[head],
+                &self.relu_out[2 * blocks],
+                g_logits,
+                n,
+                tier,
+                spare,
+            );
         }
         // The head's `add_row` passes the gradient on as it is; its
         // matmul's dX enters a zeroed slot, and the ReLU below adds it to
@@ -249,7 +353,11 @@ impl TentStep {
                 &self.stats[l2],
                 Some(gb),
                 &mut self.bn_scratch,
+                spare,
             );
+            if full {
+                linear_backward(lins[l2], &self.relu_out[l1], gb, n, tier, spare);
+            }
             self.backward[l2 - 1].matmul_into(gb, n, gc, kernels::auto_threads(n, width, width));
             relu_backward(gc, &self.relu_out[l1]);
             bn_backward(
@@ -259,7 +367,11 @@ impl TentStep {
                 &self.stats[l1],
                 Some(gb),
                 &mut self.bn_scratch,
+                spare,
             );
+            if full {
+                linear_backward(lins[l1], &self.relu_out[2 * j], gb, n, tier, spare);
+            }
             let threads = kernels::auto_threads(n, width, width);
             self.backward[l1 - 1].matmul_add_into(gb, n, ga, &mut self.ws, threads);
             relu_backward(ga, &self.relu_out[2 * j]);
@@ -269,9 +381,64 @@ impl TentStep {
             ga,
             &self.bn_in[0],
             &self.stats[0],
-            None,
+            full.then_some(&mut *gb),
             &mut self.bn_scratch,
+            spare,
         );
+        if full {
+            linear_backward(lins[0], x, gb, n, tier, spare);
+        }
+    }
+}
+
+/// The log-softmax rule in place, into a zeroed slot: `g` holds one row's
+/// gradient at the log-probabilities and gets the row's at the logits,
+/// `0 + (g - p · Σ g)` with `p = exp(lp)`.
+fn log_softmax_backward(g: &mut [f32], p: &[f32]) {
+    let s: f32 = g.iter().sum();
+    for (gv, &pv) in g.iter_mut().zip(p) {
+        *gv = 0.0 + (*gv - pv * s);
+    }
+}
+
+/// A `Linear`'s weight and bias gradients for the gradient `g: [n,
+/// fan_out]` at its output and its input `x: [n, fan_in]`, as the tape's
+/// matmul and `add_row` rules compute them: `xᵀ · g` and the column sums
+/// of `g`, each into a zeroed tensor. Set only on a trainable parameter.
+fn linear_backward(
+    lin: &mut Linear,
+    x: &[f32],
+    g: &[f32],
+    n: usize,
+    tier: SimdTier,
+    spare: &mut Vec<Tensor>,
+) {
+    let (k, m) = (lin.fan_in(), lin.fan_out());
+    let mut g_weight = zeros(spare, &[k, m]);
+    kernels::matmul_at_b_into_tier(x, g, n, k, m, g_weight.data_mut(), tier);
+    let mut g_bias = zeros(spare, &[m]);
+    kernels::sum_axis0_assign(g, n, m, g_bias.data_mut());
+    let (weight, bias) = lin.params_mut();
+    set_grad(weight, g_weight);
+    set_grad(bias, g_bias);
+}
+
+/// A zeroed tensor of `dims`: a spare one of that shape, or a new one.
+fn zeros(spare: &mut Vec<Tensor>, dims: &[usize]) -> Tensor {
+    match spare.iter().rposition(|t| t.dims() == dims) {
+        Some(at) => {
+            let mut t = spare.swap_remove(at);
+            t.data_mut().fill(0.0);
+            t
+        }
+        None => Tensor::zeros(dims),
+    }
+}
+
+/// Sets `grad` on `param` if it is trainable, as `collect_grads` would.
+fn set_grad(param: &mut Param, grad: Tensor) {
+    if param.trainable() {
+        param.set_grad(grad);
     }
 }
 
@@ -296,6 +463,7 @@ fn relu_backward(g: &mut [f32], out: &[f32]) {
 /// The batch-statistic BN node's backward for the output gradient `g`:
 /// β's and γ's gradients, each summed into a zeroed tensor and set on the
 /// parameter, and, when asked, `∂/∂x` written into `gx`.
+#[allow(clippy::too_many_arguments)]
 fn bn_backward(
     bn: &mut BatchNorm1d,
     g: &[f32],
@@ -303,19 +471,20 @@ fn bn_backward(
     stats: &[f32],
     gx: Option<&mut [f32]>,
     scratch: &mut [f32],
+    spare: &mut Vec<Tensor>,
 ) {
     let d = bn.width();
     let (mean, std) = stats.split_at(d);
-    let mut g_beta = Tensor::zeros(&[d]);
+    let mut g_beta = zeros(spare, &[d]);
     kernels::sum_axis0_assign(g, x.len() / d, d, g_beta.data_mut());
-    let mut g_gamma = Tensor::zeros(&[d]);
+    let mut g_gamma = zeros(spare, &[d]);
     kernels::batch_norm_gamma_grad(g, x, d, mean, std, g_gamma.data_mut());
     if let Some(gx) = gx {
         let gamma = bn.gamma().value().data();
         kernels::batch_norm_input_grad(g, x, d, mean, std, gamma, gx, true, scratch);
     }
-    bn.beta_mut().set_grad(g_beta);
-    bn.gamma_mut().set_grad(g_gamma);
+    set_grad(bn.beta_mut(), g_beta);
+    set_grad(bn.gamma_mut(), g_gamma);
 }
 
 fn relu(x: f32) -> f32 {
@@ -338,10 +507,10 @@ fn linears(model: &MlpResNet) -> Vec<&Linear> {
     out
 }
 
-/// [`linears`], and the BN layers in forward order, as
+/// [`linears`], mutably, and the BN layers in forward order, as
 /// [`MlpResNet::visit_bn`] visits them.
-fn layers(model: &mut MlpResNet) -> (Vec<&Linear>, Vec<&mut BatchNorm1d>) {
-    let mut lins = vec![&model.stem];
+fn layers(model: &mut MlpResNet) -> (Vec<&mut Linear>, Vec<&mut BatchNorm1d>) {
+    let mut lins = vec![&mut model.stem];
     let mut bns = vec![&mut model.stem_bn];
     for ResidualBlock {
         lin1,
@@ -350,9 +519,9 @@ fn layers(model: &mut MlpResNet) -> (Vec<&Linear>, Vec<&mut BatchNorm1d>) {
         bn2,
     } in &mut model.blocks
     {
-        lins.extend([&*lin1, &*lin2]);
+        lins.extend([lin1, lin2]);
         bns.extend([bn1, bn2]);
     }
-    lins.push(&model.head);
+    lins.push(&mut model.head);
     (lins, bns)
 }

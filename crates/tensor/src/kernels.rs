@@ -468,9 +468,9 @@ pub fn matmul_at_b_into(a: &[f32], g: &[f32], n: usize, k: usize, m: usize, out:
 /// [`matmul_at_b_into`] with an explicit [`SimdTier`] — the hook the
 /// equivalence suite sweeps within one process.
 ///
-/// A vector tier covers `out`'s full 4-row × 32-column tiles in registers
-/// (`simd::matmul_at_b_tiles`); the `k % 4` tail rows and the `m % 32`
-/// tail columns — all of `out` in the `off` tier — run the row loop
+/// A vector tier covers `out`'s rows in 4-row register tiles, the `m %
+/// 32` tail columns on masked lanes (`simd::matmul_at_b_tiles`); the `k %
+/// 4` tail rows — all of `out` in the `off` tier — run the row loop
 /// `out[p, j] += a[i, p] · g[i, j]`, the oracle. Either way every element
 /// gets its `i = 0..n` terms in order, so `exact` is bitwise `off`.
 ///
@@ -489,18 +489,15 @@ pub fn matmul_at_b_into_tier(
     assert_eq!(a.len(), n * k, "matmul_at_b lhs length");
     assert_eq!(g.len(), n * m, "matmul_at_b rhs length");
     assert_eq!(out.len(), k * m, "matmul_at_b out length");
-    let (rows, cols) = if simd::matmul_at_b_tiles(tier, a, g, n, k, m, out) {
-        (k - k % MICRO_ROWS, m - m % SIMD_PANEL)
+    let rows = if simd::matmul_at_b_tiles(tier, a, g, n, k, m, out) {
+        k - k % MICRO_ROWS
     } else {
-        (0, 0)
+        0
     };
-    at_b_rows(a, g, n, k, m, out, 0..rows, cols..m);
-    at_b_rows(a, g, n, k, m, out, rows..k, 0..m);
+    at_b_rows(a, g, n, k, m, out, rows..k);
 }
 
-/// The row loop of [`matmul_at_b_into_tier`] over rows `ps` and columns
-/// `js` of `out`.
-#[allow(clippy::too_many_arguments)]
+/// The row loop of [`matmul_at_b_into_tier`] over rows `ps` of `out`.
 fn at_b_rows(
     a: &[f32],
     g: &[f32],
@@ -509,18 +506,14 @@ fn at_b_rows(
     m: usize,
     out: &mut [f32],
     ps: Range<usize>,
-    js: Range<usize>,
 ) {
-    if ps.is_empty() || js.is_empty() {
+    if ps.is_empty() || m == 0 {
         return;
     }
-    for i in 0..n {
-        let a_row = &a[i * k..(i + 1) * k];
-        let g_row = &g[i * m + js.start..i * m + js.end];
+    for (a_row, g_row) in a.chunks_exact(k).zip(g.chunks_exact(m)).take(n) {
         for p in ps.clone() {
             let ap = a_row[p];
-            let out_row = &mut out[p * m + js.start..p * m + js.end];
-            for (o, &gv) in out_row.iter_mut().zip(g_row) {
+            for (o, &gv) in out[p * m..(p + 1) * m].iter_mut().zip(g_row) {
                 *o += ap * gv;
             }
         }

@@ -187,12 +187,14 @@ pub(crate) fn matmul_band(
 }
 
 /// Vectorized `out += aᵀ · g` (`a: [n, k]`, `g: [n, m]`, `out: [k, m]`)
-/// over `out`'s full tiles of 4 rows × 32 columns — rows
-/// `0..k - k % 4`, columns `0..m - m % 32` — leaving the rest of `out`
-/// untouched. Each tile is loaded from `out`, gets `a[i, p] · g[i, ..]`
-/// added for `i = 0..n` in order, and is stored back, so the exact tier
-/// is bitwise the scalar row loop; the fast tier contracts each step to
-/// an FMA. `g`'s rows are read in place. Returns `false` when vector
+/// over `out`'s rows `0..k - k % 4` in tiles of 4 rows, leaving the
+/// `k % 4` tail rows untouched. A tile is 32 columns, or the `m % 32`
+/// tail columns on masked lanes (loaded as zero, never stored). Each tile
+/// is loaded from `out`, gets `a[i, p] · g[i, ..]` added for `i = 0..n` in
+/// order, and is stored back, so the exact tier is bitwise the scalar row
+/// loop. The fast tier contracts each step of a 32-column tile to an FMA;
+/// the tail runs mul then add in both tiers, as the forward's column tail
+/// does. `g`'s rows are read in place. Returns `false` when vector
 /// kernels are unavailable.
 ///
 /// # Panics
@@ -634,10 +636,10 @@ mod x86 {
         R
     }
 
-    /// Exact (`FMA = false`) or fast dW over `out`'s full 4-row ×
-    /// 32-column tiles; see [`super::matmul_at_b_tiles`]. Column panels
-    /// outermost, so one panel of `g` stays in cache across the tiles
-    /// that read it.
+    /// Exact (`FMA = false`) or fast dW over `out`'s 4-row tiles; see
+    /// [`super::matmul_at_b_tiles`]. Column panels outermost, so one panel
+    /// of `g` stays in cache across the tiles that read it; the tail
+    /// columns last.
     ///
     /// # Safety
     ///
@@ -681,6 +683,75 @@ mod x86 {
                 for q in 0..4 {
                     _mm512_storeu_ps(tile.add(q * m), acc[2 * q]);
                     _mm512_storeu_ps(tile.add(q * m + LANES), acc[2 * q + 1]);
+                }
+            }
+        }
+        if cols < m {
+            if m - cols > LANES {
+                at_b_tail::<2>(a, g, n, k, m, cols, out);
+            } else {
+                at_b_tail::<1>(a, g, n, k, m, cols, out);
+            }
+        }
+    }
+
+    /// dW over the `w = m - j0 ≤ 16 N` tail columns of `out`'s rows
+    /// `0..k - k % 4`: tiles of 4 rows × `N` registers, the lanes past `w`
+    /// masked off — loaded as zero, never stored. Each lane adds
+    /// `a[i, p] · g[i, j]` for `i = 0..n` in order, mul then add: the
+    /// scalar row loop, bitwise, in both vector tiers.
+    ///
+    /// # Safety
+    ///
+    /// AVX-512F must be available; `a: [n, k]`, `g: [n, m]` and
+    /// `out: [k, m]` must have exactly those lengths, and `j0 < m`.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn at_b_tail<const N: usize>(
+        a: &[f32],
+        g: &[f32],
+        n: usize,
+        k: usize,
+        m: usize,
+        j0: usize,
+        out: &mut [f32],
+    ) {
+        let w = m - j0;
+        let mut masks: [__mmask16; N] = [0; N];
+        for (r, mask) in masks.iter_mut().enumerate() {
+            let lanes = w.saturating_sub(r * LANES).min(LANES);
+            *mask = ((1u32 << lanes) - 1) as __mmask16;
+        }
+        for p0 in (0..k - k % 4).step_by(4) {
+            // SAFETY: row `p0 + q < k` of `out` holds the `w` tail columns
+            // from `j0`, and row `i < n` of `g` the same; a masked-off lane
+            // is neither read nor written, so a register may run past a
+            // row's (or the slice's) end.
+            let tile = out.as_mut_ptr().add(p0 * m + j0);
+            let mut acc = [[_mm512_setzero_ps(); N]; 4];
+            for (q, lanes) in acc.iter_mut().enumerate() {
+                for (r, lane) in lanes.iter_mut().enumerate() {
+                    let src = tile.add(q * m).wrapping_add(r * LANES);
+                    *lane = _mm512_maskz_loadu_ps(masks[r], src);
+                }
+            }
+            for i in 0..n {
+                let g_row = g.as_ptr().add(i * m + j0);
+                let mut gv = [_mm512_setzero_ps(); N];
+                for (r, v) in gv.iter_mut().enumerate() {
+                    *v = _mm512_maskz_loadu_ps(masks[r], g_row.wrapping_add(r * LANES));
+                }
+                let a_ip = a.as_ptr().add(i * k + p0);
+                for (q, lanes) in acc.iter_mut().enumerate() {
+                    let av = _mm512_set1_ps(*a_ip.add(q));
+                    for (lane, &gr) in lanes.iter_mut().zip(&gv) {
+                        *lane = mul_add::<false>(*lane, av, gr);
+                    }
+                }
+            }
+            for (q, lanes) in acc.iter().enumerate() {
+                for (r, lane) in lanes.iter().enumerate() {
+                    let dst = tile.add(q * m).wrapping_add(r * LANES);
+                    _mm512_mask_storeu_ps(dst, masks[r], *lane);
                 }
             }
         }
