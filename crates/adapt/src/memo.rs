@@ -1,7 +1,8 @@
 //! MEMO: test-time robustness via adaptation over augmentations.
 
 use crate::augment::Augmentation;
-use crate::{AdaptReport, Idle};
+use crate::AdaptReport;
+use nazar_nn::Idle;
 use nazar_nn::{Adam, Layer, MlpResNet, Mode, Optimizer};
 use nazar_tensor::{Tape, TapePool, Tensor, Var};
 use rand::Rng;

@@ -1,6 +1,7 @@
 //! TENT: fully test-time adaptation by entropy minimization.
 
-use crate::{AdaptReport, Idle};
+use crate::AdaptReport;
+use nazar_nn::Idle;
 use nazar_nn::{Adam, Layer, MlpResNet, Optimizer, TentStep};
 use nazar_tensor::Tensor;
 use serde::{Deserialize, Serialize};

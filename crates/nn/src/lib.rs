@@ -40,6 +40,7 @@
 #![warn(missing_docs)]
 
 mod error;
+mod idle;
 mod init;
 mod layers;
 mod loss;
@@ -51,6 +52,7 @@ mod tent_step;
 pub mod train;
 
 pub use error::{NnError, Result};
+pub use idle::Idle;
 pub use init::Init;
 pub use layers::{BatchNorm1d, Layer, Linear, Mode};
 pub use loss::{cross_entropy, entropy_of_logits, mean_entropy};
