@@ -10,10 +10,11 @@
 //!   forward, same model and batch);
 //! * `train_step` — one batch of the base-model training that most of
 //!   `vision_loop`'s set-up time is;
-//! * `wire` and `log/ingest_batch_30k` — what one upload frame, one
-//!   device's deploy-chunk check and one window's ingest cost at the
-//!   shapes the fleet workloads send (these
-//!   rows also join `BENCH_fleet.json`, beside the runs they explain);
+//! * `wire`, `net/deploy_broadcast_2800` and `log/ingest_batch_30k` —
+//!   what one upload frame, one device's deploy-chunk check, one
+//!   fleet-wide push and one window's ingest cost at the shapes the fleet
+//!   workloads send (these rows also join `BENCH_fleet.json`, beside the
+//!   runs they explain);
 //! * plus substrate benchmarks (matmul, inference, log ingest, version
 //!   selection).
 //!
@@ -30,7 +31,7 @@ use nazar_detect::{DriftDetector, EnergyScore, EntropyThreshold, MspThreshold, O
 use nazar_device::{UploadedSample, LOG_SCHEMA};
 use nazar_log::{Attribute, DriftLog, DriftLogEntry};
 use nazar_net::wire;
-use nazar_nn::{train, Adam, Layer, MlpResNet, Mode, ModelArch, Optimizer, Sgd};
+use nazar_nn::{train, Adam, BnPatch, Layer, MlpResNet, Mode, ModelArch, Optimizer, Sgd};
 use nazar_registry::{ModelPool, VersionMeta};
 use nazar_tensor::{kernels, SimdTier, Tape, TapePool, Tensor, Workspace};
 use rand::rngs::SmallRng;
@@ -320,6 +321,24 @@ fn bench_wire(suite: &mut Suite) {
     }
 }
 
+/// One broadcast push as the fleets run it: the 830-byte deploy payload
+/// of their model to 2 800 devices over a perfect link, each transfer one
+/// chunk down and one acknowledgement up, every delivery decoded off the
+/// wire. The devices are named by index, as the orchestrator names them.
+fn bench_net(suite: &mut Suite) {
+    const DEVICES: u32 = 2_800;
+    let ids = (0..DEVICES).map(|d| format!("dev{d:04}"));
+    let mut ex = nazar_net::Exchange::new(ids, nazar_net::NetConfig::default());
+    let mut rng = SmallRng::seed_from_u64(5);
+    let patch = BnPatch::extract(&mut MlpResNet::new(ModelArch::tiny(64, 40), &mut rng));
+    let meta = VersionMeta::clean();
+    assert_eq!(wire::encode_deploy_payload(&meta, &patch).len(), 830);
+    let targets: Vec<u32> = (0..DEVICES).collect();
+    suite.bench("net/deploy_broadcast_2800", SAMPLES, || {
+        ex.deploy_to(&targets, &meta, &patch).delivered.len()
+    });
+}
+
 fn bench_analysis(suite: &mut Suite) {
     for rows in [10_000usize, 40_000, 160_000] {
         let log = synthetic_drift_log(rows, 7);
@@ -431,6 +450,7 @@ fn main() {
     bench_drift_log(&mut suite);
     bench_batch_ingest(&mut suite);
     bench_wire(&mut suite);
+    bench_net(&mut suite);
     bench_analysis(&mut suite);
     bench_adaptation(&mut suite);
     bench_training(&mut suite);
@@ -448,7 +468,11 @@ fn main() {
 
     // The transport rows explain the fleet runs, so they also join that
     // report (the same file when `NAZAR_BENCH_OUT` redirects the run).
-    let transport = |id: &str| id.starts_with("wire/") || id.starts_with("log/ingest_batch");
+    let transport = |id: &str| {
+        ["wire/", "net/", "log/ingest_batch"]
+            .iter()
+            .any(|prefix| id.starts_with(prefix))
+    };
     nazar_bench::merge_bench_json(
         &nazar_bench::bench_out("BENCH_fleet.json"),
         |id| transport(id) && id.contains(filter),

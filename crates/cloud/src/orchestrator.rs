@@ -15,7 +15,6 @@ use nazar_tensor::{parallel, Tensor};
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Which system variant drives the fleet.
@@ -360,12 +359,20 @@ impl Orchestrator {
         config: CloudConfig,
     ) -> Self {
         let fleet = FleetSim::from_streams(streams, &base_model, &config.device);
+        let ids = fleet.device_ids();
+        let exchange = Exchange::new(ids.clone(), config.net.clone().unwrap_or_default());
+        // Deploys name devices by index, so both sides must number them alike.
+        assert_eq!(
+            exchange.device_ids(),
+            ids,
+            "the exchange orders devices as the fleet does"
+        );
         Orchestrator {
             strategy,
             model_scalars: base_model.clone().num_params() as u64,
             rolling_model: base_model.clone(),
             base_model,
-            exchange: Exchange::new(fleet.device_ids(), config.net.clone().unwrap_or_default()),
+            exchange,
             fleet,
             drift_log: DriftLog::new(&LOG_SCHEMA),
             rng: SmallRng::seed_from_u64(config.seed),
@@ -429,8 +436,9 @@ impl Orchestrator {
     ///
     /// The patch crosses the simulated network as a chunked, resumable
     /// download and only the devices whose transfer completed install it —
-    /// each installing the copy it decoded off the wire. The ledger charges
-    /// the devices that actually received it.
+    /// each installing the copy it decoded off the wire. Fleet and exchange
+    /// name devices by the same index, so no id is looked up on the way.
+    /// The ledger charges the devices that actually received it.
     fn deploy(&mut self, meta: &VersionMeta, patch: &BnPatch) {
         let _span = nazar_obs::span("deploy");
         // Last line of defense (DESIGN.md §9): a patch with NaN/Inf BN state
@@ -441,16 +449,20 @@ impl Orchestrator {
             event!("patch_rejected", cause = attrs_label(meta));
             return;
         }
-        let targets = if self.config.targeted_deployment {
-            self.fleet.target_ids(meta)
+        let targets: Vec<u32> = if self.config.targeted_deployment {
+            self.fleet.target_indices(meta)
         } else {
-            self.fleet.device_ids()
+            (0..self.fleet.len() as u32).collect()
         };
-        let delivery = self.exchange.deploy(&targets, meta, patch);
+        let delivery = self.exchange.deploy_to(&targets, meta, patch);
         let devices = delivery.delivered.len() as u64;
         {
             let _install_span = nazar_obs::span("install");
-            install_delivered(&mut self.fleet, &delivery.delivered);
+            // Devices that decoded one shared copy borrow the same `meta`
+            // and `patch`, so the fleet interns that copy once.
+            let copies = delivery.delivered.iter();
+            self.fleet
+                .install_at(copies.map(|(device, meta, patch)| (*device, &**meta, &**patch)));
         }
         self.fleet.advance_clock_to(self.exchange.clock_us());
         self.ledger.0 += devices * patch.encoded_len() as u64;
@@ -798,22 +810,6 @@ fn open_store(config: StoreConfig) -> Option<DriftStore> {
     Some(store)
 }
 
-/// Installs each delivered copy on its device. Consecutive devices that
-/// decoded the same `Arc` pair install it with one
-/// [`FleetSim::install_many`] call, so a broadcast interns its version once;
-/// a different decoded copy starts a new call. The fleet ends as if each
-/// device had installed its copy in delivery order.
-fn install_delivered(fleet: &mut FleetSim, delivered: &[(String, Arc<VersionMeta>, Arc<BnPatch>)]) {
-    for run in delivered.chunk_by(|a, b| Arc::ptr_eq(&a.1, &b.1) && Arc::ptr_eq(&a.2, &b.2)) {
-        let (_, meta, patch) = &run[0];
-        fleet.install_many(
-            run.iter().map(|(device, _, _)| device.as_str()),
-            meta,
-            patch,
-        );
-    }
-}
-
 /// Drops uploaded samples that carry any non-finite feature, counting the
 /// quarantined ones in `nazar_cloud_quarantined_uploads_total`.
 ///
@@ -854,6 +850,7 @@ fn attrs_label(meta: &VersionMeta) -> String {
 mod tests {
     use super::*;
     use nazar_data::SimDate;
+    use std::sync::Arc;
 
     fn upload(features: Vec<f32>) -> UploadedSample {
         UploadedSample {
@@ -899,21 +896,61 @@ mod tests {
             (Arc::new(meta), Arc::new(BnPatch::extract(&mut donor)))
         };
         let (a, b) = (copy(1), copy(2));
-        let delivered: Vec<_> = [("d0", &a), ("d1", &a), ("d2", &b), ("d3", &a)]
+        let delivered: Vec<_> = [(0, &a), (1, &a), (2, &b), (3, &a)]
             .into_iter()
-            .map(|(id, (meta, patch))| (id.to_string(), Arc::clone(meta), Arc::clone(patch)))
+            .map(|(d, (meta, patch))| (d, Arc::clone(meta), Arc::clone(patch)))
             .collect();
 
         let devices = || (0..4).map(|d| (format!("d{d}"), "loc".to_string()));
         let fleet = || FleetSim::new(devices(), &model, &DeviceConfig::default());
         let (mut grouped, mut one_by_one) = (fleet(), fleet());
-        install_delivered(&mut grouped, &delivered);
+        let copies = delivered.iter();
+        let installed =
+            grouped.install_at(copies.map(|(device, meta, patch)| (*device, &**meta, &**patch)));
+        assert_eq!(installed, delivered.len());
         for (device, meta, patch) in &delivered {
-            assert!(one_by_one.install_on(device, meta, patch));
+            assert!(one_by_one.install_on(&format!("d{device}"), meta, patch));
         }
         // `a` again after `b` is interned anew: three arena versions.
         assert_eq!(grouped.arena_versions(), 3);
         assert_eq!(format!("{grouped:?}"), format!("{one_by_one:?}"));
+    }
+
+    /// Deploys name devices by index, which is only sound if the exchange
+    /// numbers them as the fleet does — also when the streams list devices
+    /// out of order and more than once.
+    #[test]
+    fn exchange_and_fleet_number_devices_alike() {
+        let item = |device: &str, location: &str| nazar_data::StreamItem {
+            features: vec![0.0; 4],
+            label: 0,
+            date: SimDate::new(1),
+            location: location.to_string(),
+            device_id: device.to_string(),
+            weather: nazar_data::Weather::Clear,
+            true_cause: None,
+            severity: nazar_data::Severity::NONE,
+        };
+        let stream = |location: &str, devices: &[&str]| LocationStream {
+            location: location.to_string(),
+            items: devices.iter().map(|d| item(d, location)).collect(),
+        };
+        let streams = [
+            stream("oslo", &["oslo-7", "oslo-10", "oslo-7", "oslo-2"]),
+            stream("lima", &["lima-1", "a-lima", "oslo-10", "lima-1"]),
+        ];
+        let model = MlpResNet::new(
+            nazar_nn::ModelArch::tiny(4, 3),
+            &mut SmallRng::seed_from_u64(0),
+        );
+        let orch = Orchestrator::new(model, &streams, Strategy::NoAdapt, CloudConfig::default());
+        let ids = orch.fleet.device_ids();
+        assert_eq!(
+            ids,
+            ["a-lima", "lima-1", "oslo-10", "oslo-2", "oslo-7"],
+            "sorted, each id once"
+        );
+        assert_eq!(orch.exchange.device_ids(), ids);
     }
 
     #[test]

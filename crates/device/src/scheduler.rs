@@ -296,55 +296,60 @@ impl FleetSim {
     /// Installs a model version on one specific device (the transport
     /// layer's per-device delivery path). Returns `false` for unknown ids.
     pub fn install_on(&mut self, device_id: &str, meta: &VersionMeta, patch: &BnPatch) -> bool {
-        self.install_many([device_id], meta, patch) == 1
+        self.state
+            .index_of(device_id)
+            .is_some_and(|d| self.install_at([(d as u32, meta, patch)]) == 1)
     }
 
-    /// Installs one model version on each of `device_ids`, in order (the
-    /// transport's delivery path for devices that decoded the same copy):
-    /// the version is interned once, then each known device takes one pool
-    /// reference. Unknown ids are skipped. Returns how many devices
-    /// installed it. Leaves the same state as [`FleetSim::install_on`]
-    /// called device by device.
-    pub fn install_many<'a>(
+    /// Installs each `(device index, meta, patch)` in order (the
+    /// transport's delivery path, indices as [`FleetSim::device_ids`]
+    /// orders them). A run of deliveries that borrow the same `meta` and
+    /// `patch` — devices that decoded one shared copy — interns the version
+    /// once; each device then takes one pool reference. Indices past the
+    /// fleet are skipped. Returns how many devices installed a version.
+    /// Leaves the same state as [`FleetSim::install_on`] called delivery by
+    /// delivery.
+    pub fn install_at<'a>(
         &mut self,
-        device_ids: impl IntoIterator<Item = &'a str>,
-        meta: &VersionMeta,
-        patch: &BnPatch,
+        deliveries: impl IntoIterator<Item = (u32, &'a VersionMeta, &'a BnPatch)>,
     ) -> usize {
-        let mut version = None;
+        let mut last: Option<(&VersionMeta, &BnPatch, u32)> = None;
         let mut installed = 0;
-        for id in device_ids {
-            let Some(d) = self.state.index_of(id) else {
+        for (d, meta, patch) in deliveries {
+            let d = d as usize;
+            if d >= self.state.len() {
                 continue;
+            }
+            let version = match last {
+                Some((m, p, v)) if std::ptr::eq(m, meta) && std::ptr::eq(p, patch) => v,
+                _ => {
+                    let v = self.intern(meta, patch);
+                    last = Some((meta, patch, v));
+                    v
+                }
             };
-            let v = match version {
-                Some(v) => v,
-                None => *version.insert(self.intern(meta, patch)),
-            };
-            self.pools.deploy(&mut self.arena, d, v);
+            self.pools.deploy(&mut self.arena, d, version);
             installed += 1;
         }
         installed
     }
 
-    /// The devices a version's cause can ever match, sorted by id: if the
-    /// cause names a `location` or `device_id`, other devices never select
-    /// the version, so shipping it to them wastes network and pool slots.
-    pub fn target_ids(&self, meta: &VersionMeta) -> Vec<String> {
-        self.state
-            .target_indices(meta)
-            .into_iter()
-            .map(|d| self.state.id(d).to_string())
-            .collect()
+    /// The indices of the devices a version's cause can ever match,
+    /// ascending (which is id order): if the cause names a `location` or
+    /// `device_id`, other devices never select the version, so shipping it
+    /// to them wastes network and pool slots.
+    pub fn target_indices(&self, meta: &VersionMeta) -> Vec<u32> {
+        self.state.target_indices(meta)
     }
 
-    /// Pushes a model version only to the devices [`FleetSim::target_ids`]
-    /// selects. Returns how many devices received the version.
+    /// Pushes a model version only to the devices
+    /// [`FleetSim::target_indices`] selects. Returns how many devices
+    /// received the version.
     pub fn deploy_targeted(&mut self, meta: &VersionMeta, patch: &BnPatch) -> usize {
         let targets = self.state.target_indices(meta);
         let version = self.intern(meta, patch);
         for &d in &targets {
-            self.pools.deploy(&mut self.arena, d, version);
+            self.pools.deploy(&mut self.arena, d as usize, version);
         }
         targets.len()
     }
@@ -652,26 +657,24 @@ mod tests {
         assert_eq!(sim.arena.ref_count(first), ids.len() as u64 - 1);
         assert_eq!(sim.max_versions(), 1);
 
-        // `install_many` over the same deliveries leaves the same state as
+        // `install_at` over the same deliveries leaves the same state as
         // `install_on` device by device: arena versions, reference counts,
-        // pool contents and the memo. Unknown ids are skipped and counted.
+        // pool contents and the memo. Indices past the fleet are skipped
+        // and not counted.
         let mut many = FleetSim::from_streams(&data.streams, &model, &DeviceConfig::default());
-        let (head, rest) = (ids[0].as_str(), &ids[1..]);
-        let unknown = "no-such-device";
-        let rest_then_unknown = rest.iter().map(String::as_str).chain([unknown]);
-        assert_eq!(
-            many.install_many(rest_then_unknown, &meta, &patch),
-            rest.len()
-        );
-        assert_eq!(many.install_many([head], &meta, &patch), 1);
-        assert_eq!(many.install_many([unknown], &meta, &patch), 0);
-        assert_eq!(many.install_many([head], &meta, &donor_patch(dim, 6, 8)), 1);
+        let n = ids.len() as u32;
+        let (unknown, other) = (n, donor_patch(dim, 6, 8));
+        let rest_then_unknown = (1..=n).map(|d| (d, &meta, &patch));
+        assert_eq!(many.install_at(rest_then_unknown), ids.len() - 1);
+        assert_eq!(many.install_at([(0, &meta, &patch)]), 1);
+        assert_eq!(many.install_at([(unknown, &meta, &patch)]), 0);
+        assert_eq!(many.install_at([(0, &meta, &other)]), 1);
         let mut one = FleetSim::from_streams(&data.streams, &model, &DeviceConfig::default());
-        for id in rest.iter().map(String::as_str).chain([head]) {
+        for id in ids[1..].iter().chain([&ids[0]]) {
             assert!(one.install_on(id, &meta, &patch));
         }
-        assert!(!one.install_on(unknown, &meta, &patch));
-        assert!(one.install_on(head, &meta, &donor_patch(dim, 6, 8)));
+        assert!(!one.install_on("no-such-device", &meta, &patch));
+        assert!(one.install_on(&ids[0], &meta, &other));
         assert_eq!(many.arena_versions(), one.arena_versions());
         assert_eq!(many.last_install, one.last_install);
         let live = many.last_install.expect("the memo holds the version");

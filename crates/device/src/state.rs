@@ -119,7 +119,7 @@ impl FleetState {
 
     /// Device indices a version's cause can ever match (ascending): a cause
     /// naming a `location` or `device_id` only matches those devices.
-    pub(crate) fn target_indices(&self, meta: &VersionMeta) -> Vec<usize> {
+    pub(crate) fn target_indices(&self, meta: &VersionMeta) -> Vec<u32> {
         let location = meta.attrs.iter().find(|a| a.key == "location");
         let device_id = meta.attrs.iter().find(|a| a.key == "device_id");
         (0..self.len())
@@ -128,6 +128,7 @@ impl FleetState {
                 let device_ok = device_id.is_none_or(|a| self.id(d) == a.value);
                 location_ok && device_ok
             })
+            .map(|d| d as u32)
             .collect()
     }
 }

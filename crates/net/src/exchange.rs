@@ -13,14 +13,17 @@
 //!    retransmits with bounded exponential backoff until acknowledged,
 //!    abandoned (retry budget), or cut off (round deadline / straggler
 //!    policy);
-//! 2. [`Exchange::deploy`] — the cloud pushes one encoded `VersionMeta` +
+//! 2. [`Exchange::deploy_to`] — the cloud pushes one encoded `VersionMeta` +
 //!    `BnPatch` payload to each target device as chunked, resumable
 //!    transfers with cumulative acknowledgements (go-back-N resume from the
 //!    device's contiguous prefix). One transfer id names the pushed
 //!    version, each chunk is framed and checksummed once, and every target
 //!    and every resend gets those same frames; each device still verifies
 //!    and acknowledges its own download, and reassembles it unless one
-//!    chunk carries the whole payload.
+//!    chunk carries the whole payload. Equal acknowledgements share one
+//!    frame too, and the cloud decodes each copy that arrives. Targets are
+//!    device indices; [`Exchange::deploy`] is the same push addressed by
+//!    id.
 //!
 //! Determinism: events are processed in `(virtual time, insertion id)`
 //! order from a binary heap, all randomness comes from `SmallRng`s seeded
@@ -43,7 +46,7 @@ use nazar_registry::VersionMeta;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 
 static FRAMES_SENT_UP: LazyCounter = LazyCounter::new(
@@ -176,17 +179,19 @@ pub struct WindowDelivery {
     pub straggler_devices: usize,
 }
 
-/// The result of pushing one version to a set of target devices.
+/// The result of pushing one version to a set of target devices, each
+/// named by `D`: its id ([`Exchange::deploy`]) or its index
+/// ([`Exchange::deploy_to`]).
 #[derive(Debug, Clone, Default)]
-pub struct DeployDelivery {
+pub struct DeployDelivery<D = String> {
     /// Devices whose transfer completed, with the payload each decoded —
     /// installing the *device-decoded* copy keeps the simulation honest
     /// (it is bit-identical to the sent patch; the wire codec is exact).
     /// Devices whose reassembled bytes are equal share one decoded copy.
-    pub delivered: Vec<(String, Arc<VersionMeta>, Arc<BnPatch>)>,
+    pub delivered: Vec<(D, Arc<VersionMeta>, Arc<BnPatch>)>,
     /// Targets whose transfer was abandoned or that this exchange does not
-    /// know, in id order.
-    pub failed: Vec<String>,
+    /// know, in id order (which is index order).
+    pub failed: Vec<D>,
     /// Encoded deploy payload length (meta + patch), bytes.
     pub payload_len: usize,
 }
@@ -230,8 +235,8 @@ impl Ord for Event {
 
 /// Cloud-side progress of one target's transfer.
 #[derive(Debug)]
-struct DeployXfer<'a> {
-    target: &'a String,
+struct DeployXfer {
+    target: u32,
     /// Contiguous bytes acknowledged by the device.
     acked: u32,
     attempts: u32,
@@ -240,23 +245,39 @@ struct DeployXfer<'a> {
 }
 
 /// One pushed version on the wire: what every target's transfer shares.
-struct Push<'a> {
+struct Push {
     transfer_id: u64,
     chunk: u32,
     /// The payload's chunks, each framed once; chunk `i` starts at byte
     /// `i * chunk`.
     frames: Vec<Arc<[u8]>>,
-    /// In target id order.
-    xfers: Vec<DeployXfer<'a>>,
+    /// The acknowledgements devices have sent, each framed once, by
+    /// `(transfer_id, received)`.
+    acks: BTreeMap<(u64, u32), Arc<[u8]>>,
+    /// In target index order.
+    xfers: Vec<DeployXfer>,
     /// Per device: its index in `xfers` (`NO_XFER` for a non-target).
     xfer_of: Vec<u32>,
 }
 
 const NO_XFER: u32 = u32::MAX;
 
-impl<'a> Push<'a> {
-    fn xfer_mut(&mut self, device: u32) -> Option<&mut DeployXfer<'a>> {
+impl Push {
+    fn xfer_mut(&mut self, device: u32) -> Option<&mut DeployXfer> {
         self.xfers.get_mut(self.xfer_of[device as usize] as usize)
+    }
+
+    /// The frame acknowledging `received` bytes of `transfer_id`, framed
+    /// once per push and shared by every device that sends it.
+    fn ack_frame(&mut self, transfer_id: u64, received: u32) -> Arc<[u8]> {
+        let frame = self.acks.entry((transfer_id, received)).or_insert_with(|| {
+            let ack = Message::ChunkAck {
+                transfer_id,
+                received,
+            };
+            wire::encode_frame(&ack).into()
+        });
+        Arc::clone(frame)
     }
 }
 
@@ -306,6 +327,12 @@ impl Exchange {
             cfg,
             report: NetReport::default(),
         }
+    }
+
+    /// The device ids, sorted and deduplicated: device `d` of
+    /// [`Exchange::deploy_to`] is `device_ids()[d]`.
+    pub fn device_ids(&self) -> &[String] {
+        &self.ids
     }
 
     /// The configuration in force.
@@ -439,10 +466,17 @@ impl Exchange {
         let mut by_device: Vec<_> = batches;
         by_device.sort_by(|a, b| a.0.cmp(&b.0));
         let mut max_depth = 0usize;
+        // The batches are in id order, as `ids` is: one forward walk over
+        // `ids` resolves them all.
+        let mut next = 0usize;
         for (id, entries, samples) in by_device {
-            let device = self
-                .index_of(&id)
-                .unwrap_or_else(|| panic!("unknown device {id}"));
+            while self.ids.get(next).is_some_and(|probe| *probe < id) {
+                next += 1;
+            }
+            if self.ids.get(next) != Some(&id) {
+                panic!("unknown device {id}");
+            }
+            let device = next as u32;
             let client = &mut self.clients[device as usize];
             let before = client.dropped;
             let seqs = client.queue_upload(&entries, &samples, &self.cfg);
@@ -461,6 +495,8 @@ impl Exchange {
             }
         }
 
+        // Acknowledgements by seq, each framed once this window.
+        let mut acks: BTreeMap<u64, Arc<[u8]>> = BTreeMap::new();
         // Drain the event heap.
         while let Some(ev) = heap.pop() {
             if let Some(d) = deadline {
@@ -500,8 +536,10 @@ impl Exchange {
                             INGEST_DUPLICATES.inc();
                         }
                         // Always (re-)ack so the client stops retrying.
-                        let ack = wire::encode_frame(&Message::UploadAck { seq });
-                        self.send_down(&mut heap, device, ack.into());
+                        let ack = acks.entry(seq).or_insert_with(|| {
+                            Arc::from(wire::encode_frame(&Message::UploadAck { seq }))
+                        });
+                        self.send_down(&mut heap, device, Arc::clone(ack));
                     }
                     Ok(_) => {} // not an upload-phase message; ignore
                     Err(_) => self.count_decode_error(),
@@ -548,24 +586,66 @@ impl Exchange {
         }
     }
 
-    /// Pushes one version (meta + patch) to `targets` as chunked resumable
-    /// transfers; returns which devices completed the download (with the
-    /// payload each decoded) and which were abandoned. A device named twice
-    /// gets one transfer; a target this exchange was not built with fails
-    /// without a frame being sent.
+    /// Pushes one version (meta + patch) to the devices named by
+    /// `targets` as chunked resumable transfers; returns which devices
+    /// completed the download (with the payload each decoded) and which
+    /// were abandoned, by id. A device named twice gets one transfer; a
+    /// target this exchange was not built with fails without a frame being
+    /// sent. The ids are resolved once, then [`Exchange::deploy_to`] runs
+    /// the push.
     pub fn deploy(
         &mut self,
         targets: &[String],
         meta: &VersionMeta,
         patch: &BnPatch,
     ) -> DeployDelivery {
+        let mut known = Vec::with_capacity(targets.len());
+        let mut unknown: Vec<&String> = Vec::new();
+        for target in targets {
+            match self.index_of(target) {
+                Some(device) => known.push(device),
+                None => unknown.push(target),
+            }
+        }
+        unknown.sort_unstable();
+        unknown.dedup();
+        for _ in &unknown {
+            self.count_deploy_failure();
+        }
+        let by_index = self.deploy_to(&known, meta, patch);
+
+        let id = |device: u32| self.ids[device as usize].clone();
+        let mut failed: Vec<String> = by_index.failed.into_iter().map(id).collect();
+        failed.extend(unknown.into_iter().cloned());
+        failed.sort_unstable();
+        DeployDelivery {
+            delivered: (by_index.delivered.into_iter())
+                .map(|(device, meta, patch)| (id(device), meta, patch))
+                .collect(),
+            failed,
+            payload_len: by_index.payload_len,
+        }
+    }
+
+    /// Pushes one version (meta + patch) to the devices at `targets` (their
+    /// positions in [`Exchange::device_ids`]) as chunked resumable
+    /// transfers; returns which devices completed the download (with the
+    /// payload each decoded) and which were abandoned, by index. A device
+    /// named twice gets one transfer; an index past the fleet fails
+    /// without a frame being sent.
+    pub fn deploy_to(
+        &mut self,
+        targets: &[u32],
+        meta: &VersionMeta,
+        patch: &BnPatch,
+    ) -> DeployDelivery<u32> {
         let payload = wire::encode_deploy_payload(meta, patch);
         let total = payload.len() as u32;
         let chunk = self.cfg.chunk_bytes.max(1) as u32;
         let transfer_id = self.next_transfer_id;
         self.next_transfer_id += 1;
 
-        let mut sorted_targets: Vec<&String> = targets.iter().collect();
+        let mut sorted_targets = targets.to_vec();
         sorted_targets.sort_unstable();
         sorted_targets.dedup();
         let mut push = Push {
@@ -578,6 +658,7 @@ impl Exchange {
                     wire::encode_deploy_chunk(transfer_id, i as u32 * chunk, total, data).into()
                 })
                 .collect(),
+            acks: BTreeMap::new(),
             xfers: Vec::with_capacity(sorted_targets.len()),
             xfer_of: vec![NO_XFER; self.ids.len()],
         };
@@ -585,20 +666,19 @@ impl Exchange {
         let mut heap = BinaryHeap::new();
         let mut delivered = Vec::new();
         for target in sorted_targets {
-            let device = self.index_of(target);
+            let known = (target as usize) < self.ids.len();
             push.xfers.push(DeployXfer {
                 target,
                 acked: 0,
                 attempts: 0,
                 done: false,
-                failed: device.is_none(),
+                failed: !known,
             });
-            match device {
-                Some(device) => {
-                    push.xfer_of[device as usize] = (push.xfers.len() - 1) as u32;
-                    self.start_deploy_attempt(&mut heap, &mut push, device);
-                }
-                None => self.count_deploy_failure(),
+            if known {
+                push.xfer_of[target as usize] = (push.xfers.len() - 1) as u32;
+                self.start_deploy_attempt(&mut heap, &mut push, target);
+            } else {
+                self.count_deploy_failure();
             }
         }
 
@@ -611,23 +691,17 @@ impl Exchange {
                         Ok(ClientAction::SendChunkAck {
                             transfer_id,
                             received,
-                        }) => Message::ChunkAck {
-                            transfer_id,
-                            received,
-                        },
+                        }) => push.ack_frame(transfer_id, received),
                         Ok(ClientAction::InstallPatch {
                             transfer_id,
                             meta,
                             patch,
                         }) => {
-                            delivered.push((self.ids[device as usize].clone(), meta, patch));
+                            delivered.push((device, meta, patch));
                             if let Some(x) = push.xfer_mut(device) {
                                 x.done = true;
                             }
-                            Message::ChunkAck {
-                                transfer_id,
-                                received: total,
-                            }
+                            push.ack_frame(transfer_id, total)
                         }
                         Ok(_) => continue,
                         Err(_) => {
@@ -635,7 +709,7 @@ impl Exchange {
                             continue;
                         }
                     };
-                    self.send_up(&mut heap, device, wire::encode_frame(&ack).into());
+                    self.send_up(&mut heap, device, ack);
                 }
                 EventKind::DeliverUp { device, frame } => match wire::decode_frame(&frame) {
                     Ok(Message::ChunkAck {
@@ -676,7 +750,7 @@ impl Exchange {
             .xfers
             .iter()
             .filter(|x| !x.done)
-            .map(|x| x.target.clone())
+            .map(|x| x.target)
             .collect();
         DeployDelivery {
             delivered,
@@ -692,12 +766,7 @@ impl Exchange {
 
     /// Sends `device` every chunk frame from its acknowledged prefix on
     /// and arms the transfer's retry timer.
-    fn start_deploy_attempt(
-        &mut self,
-        heap: &mut BinaryHeap<Event>,
-        push: &mut Push<'_>,
-        device: u32,
-    ) {
+    fn start_deploy_attempt(&mut self, heap: &mut BinaryHeap<Event>, push: &mut Push, device: u32) {
         let Some(x) = push.xfer_mut(device) else {
             return;
         };

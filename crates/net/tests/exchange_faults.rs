@@ -180,3 +180,36 @@ fn a_target_named_twice_gets_one_transfer() {
     assert_eq!(twice.report(), once.report());
     assert_eq!(twice.clock_us(), once.clock_us());
 }
+
+#[test]
+fn deploy_to_sorts_and_dedups_indices_and_fails_one_past_the_fleet() {
+    let ids: Vec<String> = (0..3).map(|i| format!("dev{i}")).collect();
+    let (meta, patch) = test_patch();
+    let mut by_id = Exchange::new(ids.iter().cloned(), lossy(0.2));
+    let want = by_id.deploy(
+        &["dev2".into(), "dev0".into(), "dev2".into()],
+        &meta,
+        &patch,
+    );
+
+    let mut by_index = Exchange::new(ids.iter().cloned(), lossy(0.2));
+    let got = by_index.deploy_to(&[2, 0, 2], &meta, &patch);
+    let named: Vec<&str> = got
+        .delivered
+        .iter()
+        .map(|(d, _, _)| by_index.device_ids()[*d as usize].as_str())
+        .collect();
+    let want_named: Vec<&str> = want.delivered.iter().map(|(d, _, _)| d.as_str()).collect();
+    assert_eq!(named, want_named);
+    assert_eq!(by_index.report(), by_id.report());
+    assert_eq!(by_index.clock_us(), by_id.clock_us());
+
+    // An index past the fleet is a failed target that costs no frame.
+    let mut ex = Exchange::new(ids.iter().cloned(), NetConfig::default());
+    let delivery = ex.deploy_to(&[1, 3], &meta, &patch);
+    let delivered: Vec<u32> = delivery.delivered.iter().map(|(d, _, _)| *d).collect();
+    assert_eq!(delivered, [1]);
+    assert_eq!(delivery.failed, [3]);
+    assert_eq!(ex.report().deploy_failures, 1);
+    assert_eq!(ex.report().frames_sent, 2);
+}

@@ -9,6 +9,10 @@
 //! values alone were re-recorded on the commit after c57c940, where wire
 //! protocol v2 shortened the upload frames; nothing else moved.
 //!
+//! Each script runs twice: once through [`Exchange::deploy`], by id, and
+//! once through [`Exchange::deploy_to`], by device index; both must give
+//! the recorded outcome.
+//!
 //! Beside them: the pieces the shared-frame deploy is built from are equal,
 //! byte for byte and rejection for rejection, to the general codec they
 //! replace on the hot path.
@@ -18,7 +22,8 @@ use nazar_device::UploadedSample;
 use nazar_log::{Attribute, DriftLogEntry};
 use nazar_net::wire::{self, Message};
 use nazar_net::{
-    ClientAction, DeviceClient, Exchange, LinkConfig, NetConfig, NetReport, RetryPolicy,
+    ClientAction, DeployDelivery, DeviceClient, Exchange, LinkConfig, NetConfig, NetReport,
+    RetryPolicy,
 };
 use nazar_nn::{BnPatch, MlpResNet, ModelArch};
 use nazar_registry::VersionMeta;
@@ -85,9 +90,26 @@ struct Observed {
     failed: [Vec<usize>; 2],
 }
 
+/// How a script addresses its deploy targets.
+#[derive(Debug, Clone, Copy)]
+enum Targets {
+    /// By id, through [`Exchange::deploy`].
+    Ids,
+    /// By index in [`Exchange::device_ids`], through
+    /// [`Exchange::deploy_to`].
+    Indices,
+}
+
+/// Runs the script both ways and checks each against `want`.
+fn assert_script(cfg: NetConfig, want: &Observed) {
+    for targets in [Targets::Ids, Targets::Indices] {
+        assert_eq!(&run_script(cfg.clone(), targets), want, "{targets:?}");
+    }
+}
+
 /// One upload window, then two deploys (a cause version, then the clean
 /// one) to the whole fleet, built in reverse id order.
-fn run_script(cfg: NetConfig) -> Observed {
+fn run_script(cfg: NetConfig, targets: Targets) -> Observed {
     let ids = ids();
     let number = |id: &str| ids.iter().position(|x| x == id).expect("known id");
     let mut ex = Exchange::new(ids.iter().rev().cloned(), cfg);
@@ -103,7 +125,25 @@ fn run_script(cfg: NetConfig) -> Observed {
     let mut delivered = [Vec::new(), Vec::new()];
     let mut failed = [Vec::new(), Vec::new()];
     for (i, (meta, patch)) in versions.iter().enumerate() {
-        let delivery = ex.deploy(&ids, meta, patch);
+        let delivery = match targets {
+            Targets::Ids => ex.deploy(&ids, meta, patch),
+            Targets::Indices => {
+                let index = |id: &String| {
+                    let d = ex.device_ids().iter().position(|x| x == id);
+                    d.expect("known id") as u32
+                };
+                let indices: Vec<u32> = ids.iter().map(index).collect();
+                let delivery = ex.deploy_to(&indices, meta, patch);
+                let id = |d: u32| ex.device_ids()[d as usize].clone();
+                DeployDelivery {
+                    delivered: (delivery.delivered.into_iter())
+                        .map(|(d, meta, patch)| (id(d), meta, patch))
+                        .collect(),
+                    failed: delivery.failed.into_iter().map(id).collect(),
+                    payload_len: delivery.payload_len,
+                }
+            }
+        };
         assert_eq!(
             delivery.payload_len,
             wire::encode_deploy_payload(meta, patch).len()
@@ -200,7 +240,7 @@ fn perfect_link_script_is_unchanged() {
         delivered: [all_devices(), all_devices()],
         failed: [vec![], vec![]],
     };
-    assert_eq!(run_script(perfect_cfg()), want);
+    assert_script(perfect_cfg(), &want);
 }
 
 #[test]
@@ -237,7 +277,7 @@ fn lossy_link_script_is_unchanged() {
         ],
         failed: [vec![], vec![]],
     };
-    assert_eq!(run_script(lossy_cfg()), want);
+    assert_script(lossy_cfg(), &want);
 }
 
 #[test]
@@ -261,7 +301,7 @@ fn blackout_script_is_unchanged() {
         delivered: [vec![], vec![]],
         failed: [all_devices(), all_devices()],
     };
-    assert_eq!(run_script(blackout_cfg()), want);
+    assert_script(blackout_cfg(), &want);
 }
 
 #[test]
@@ -308,7 +348,7 @@ fn starved_retry_script_is_unchanged() {
             ],
         ],
     };
-    assert_eq!(run_script(starved_cfg()), want);
+    assert_script(starved_cfg(), &want);
 }
 
 // -- the pieces of the shared-frame deploy ----------------------------------

@@ -20,8 +20,6 @@
 //! Both run the same kernels as the tape, in the same order. The
 //! batch-norm forward, its backward and the fold into the running
 //! statistics are the functions the tape node and [`BatchNorm1d`] call.
-//! Every gradient the tape starts in a zeroed slot keeps its `0 +`, so a
-//! `-0.0` reads as the tape's `+0.0`.
 
 use crate::layers::{BatchNorm1d, Layer, Linear};
 use crate::model::{MlpResNet, ResidualBlock};
@@ -391,13 +389,15 @@ impl TentStep {
     }
 }
 
-/// The log-softmax rule in place, into a zeroed slot: `g` holds one row's
-/// gradient at the log-probabilities and gets the row's at the logits,
-/// `0 + (g - p · Σ g)` with `p = exp(lp)`.
+/// The log-softmax rule in place: `g` holds one row's gradient at the
+/// log-probabilities and gets the row's at the logits, `g - p · Σ g` with
+/// `p = exp(lp)`. The tape adds that into a zeroed slot, which changes no
+/// bit: `g` is never `-0.0` (both losses start it from `+0`), so neither
+/// is the difference.
 fn log_softmax_backward(g: &mut [f32], p: &[f32]) {
     let s: f32 = g.iter().sum();
     for (gv, &pv) in g.iter_mut().zip(p) {
-        *gv = 0.0 + (*gv - pv * s);
+        *gv -= pv * s;
     }
 }
 
@@ -451,12 +451,14 @@ fn linear(packed: &PackedB, lin: &Linear, x: &[f32], n: usize, out: &mut [f32]) 
     }
 }
 
-/// The ReLU's backward into a zeroed slot, in place: `0 + g` where the
-/// ReLU passed its input (`out > 0` exactly when the input was), `0`
-/// elsewhere.
+/// The ReLU's backward in place: `g` where the ReLU passed its input
+/// (`out > 0` exactly when the input was), `0` elsewhere. The tape adds
+/// `g` into a zeroed slot, which changes no bit: every gradient reaching
+/// a ReLU is a matrix product summed from `+0`, or such a sum added to
+/// another, so never `-0.0`.
 fn relu_backward(g: &mut [f32], out: &[f32]) {
     for (gv, &y) in g.iter_mut().zip(out) {
-        *gv = if y > 0.0 { 0.0 + *gv } else { 0.0 };
+        *gv = if y > 0.0 { *gv } else { 0.0 };
     }
 }
 

@@ -72,6 +72,14 @@ fn donor_patch(base: &MlpResNet, seed: u64) -> BnPatch {
     BnPatch::extract(&mut donor)
 }
 
+/// A fleet's whole state as its `Debug` text, less the virtual clock.
+fn state(fleet: &FleetSim) -> String {
+    let clock = format!("clock_us: {},", fleet.clock_us());
+    let text = format!("{fleet:?}");
+    assert_eq!(text.matches(&clock).count(), 1, "one clock field");
+    text.replacen(&clock, "", 1)
+}
+
 /// The transport checked at its own layer: one fleet driven by direct
 /// `FleetSim` calls, its twin through a perfect-link `Exchange` (the
 /// orchestrator's path), with a cause-scoped and a clean deploy between
@@ -114,24 +122,32 @@ fn perfect_link_transport_is_bitwise_identical_to_direct_path() {
                 (VersionMeta::clean(), donor_patch(&base, 100 + w as u64)),
             ];
             for (meta, patch) in &deploys {
-                let (installed, targets) = if targeted {
-                    (direct.deploy_targeted(meta, patch), wired.target_ids(meta))
+                if targeted {
+                    // The orchestrator's path: device indices end to end.
+                    let installed = direct.deploy_targeted(meta, patch);
+                    let targets = wired.target_indices(meta);
+                    let delivery = exchange.deploy_to(&targets, meta, patch);
+                    let named: Vec<u32> = delivery.delivered.iter().map(|d| d.0).collect();
+                    assert_eq!(named, targets, "window {w}: delivered to every target");
+                    let copies = delivery.delivered.iter();
+                    let wired_installed =
+                        wired.install_at(copies.map(|(d, meta, patch)| (*d, &**meta, &**patch)));
+                    assert_eq!(wired_installed, installed, "window {w}: installs");
                 } else {
+                    // The public edge: ids in, ids out.
                     direct.deploy(meta, patch);
-                    (direct.len(), wired.device_ids())
-                };
-                let delivery = exchange.deploy(&targets, meta, patch);
-                assert_eq!(
-                    delivery.delivered.len(),
-                    installed,
-                    "window {w}: deliveries"
-                );
-                for (id, meta, patch) in &delivery.delivered {
-                    wired.install_on(id, meta, patch);
+                    let delivery = exchange.deploy(&wired.device_ids(), meta, patch);
+                    assert_eq!(delivery.delivered.len(), direct.len(), "window {w}");
+                    for (id, meta, patch) in &delivery.delivered {
+                        assert!(wired.install_on(id, meta, patch));
+                    }
                 }
                 wired.advance_clock_to(exchange.clock_us());
             }
             assert_eq!(wired.max_versions(), direct.max_versions(), "window {w}");
+            // Exactly the devices the deliveries named hold each version:
+            // but for the link's clock, the two fleets are the same state.
+            assert_eq!(state(&wired), state(&direct), "window {w}");
         }
         assert!(direct.max_versions() >= 2, "both deploys landed");
         assert_eq!(exchange.report().frames_lost, 0);
