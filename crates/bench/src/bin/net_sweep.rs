@@ -92,8 +92,7 @@ fn main() {
                 r.log_rows.to_string(),
                 r.net.frames_lost.to_string(),
                 r.net.retries.to_string(),
-                (r.net.outbox_dropped + r.net.stragglers_dropped + r.net.upload_failures)
-                    .to_string(),
+                (r.net.outbox_dropped + r.net.upload_failures).to_string(),
                 num(r.net.wire_bytes() as f64 / 1024.0, 1),
             ]);
         }

@@ -25,7 +25,7 @@ use nazar_detect::{
 use nazar_device::{DeviceConfig, FleetSim, UploadedSample, WindowStats, LOG_SCHEMA};
 use nazar_log::{DriftLog, DriftLogEntry};
 use nazar_net::wire::{self, Message, Writer};
-use nazar_net::NetError;
+use nazar_net::{ClientAction, DecodeMemo, DeviceClient, NetError};
 use nazar_nn::{entropy_of_logits, BnPatch, MlpResNet, ModelArch, NnError};
 use nazar_registry::{ModelPool, VersionMeta};
 use nazar_tensor::Tensor;
@@ -745,6 +745,44 @@ fn upload_frames_fail_closed_with_typed_errors() {
     bad_utf8.put_varint(2);
     bad_utf8.put_bytes(&[0xC3, 0x28]);
     assert_eq!(decode(bad_utf8.into_bytes()), NetError::Utf8);
+}
+
+/// A CRC-valid deploy chunk whose `total_len` is past the protocol bound
+/// is refused before the device sizes a reassembly buffer from it: the
+/// client returns the typed error and holds no download. The bound itself
+/// is accepted.
+#[test]
+fn forged_deploy_chunk_length_is_refused_with_a_typed_error() {
+    let chunk = |total_len: u32| {
+        wire::encode_frame(&Message::DeployChunk {
+            transfer_id: 1,
+            offset: 0,
+            total_len,
+            data: vec![0xAB; 16],
+        })
+    };
+    let mut memo = DecodeMemo::default();
+    for declared in [wire::MAX_DEPLOY_PAYLOAD + 1, u32::MAX] {
+        let frame = chunk(declared);
+        let want = NetError::PayloadTooLarge {
+            declared,
+            max: wire::MAX_DEPLOY_PAYLOAD,
+        };
+        assert_eq!(wire::decode_frame(&frame), Err(want.clone()));
+        let mut client = DeviceClient::new("quebec-dev00");
+        assert_eq!(client.on_frame(&frame, &mut memo), Err(want));
+    }
+    // At the bound the chunk parses and opens a download.
+    let frame = chunk(wire::MAX_DEPLOY_PAYLOAD);
+    assert!(wire::decode_frame(&frame).is_ok());
+    let mut client = DeviceClient::new("quebec-dev00");
+    assert_eq!(
+        client.on_frame(&frame, &mut memo),
+        Ok(ClientAction::SendChunkAck {
+            transfer_id: 1,
+            received: 16
+        })
+    );
 }
 
 proptest::proptest! {

@@ -7,14 +7,14 @@
 //! to retry) lives in [`crate::exchange::Exchange`]; the client is pure
 //! state, which keeps it trivially deterministic.
 
-use crate::config::NetConfig;
+use crate::config::{MAX_BATCH_ENTRIES, MAX_BATCH_SAMPLES, OUTBOX_FRAMES};
 use crate::error::Result;
 use crate::wire::{self, ChunkRef, Message};
 use nazar_device::UploadedSample;
 use nazar_log::DriftLogEntry;
 use nazar_nn::BnPatch;
 use nazar_registry::VersionMeta;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// One frame awaiting acknowledgement.
@@ -132,10 +132,14 @@ pub struct DeviceClient {
     device_id: String,
     next_seq: u64,
     outbox: VecDeque<OutFrame>,
-    downloads: BTreeMap<u64, Download>,
-    /// Completed transfers and their lengths, so duplicate chunks after
-    /// completion still elicit a final ack instead of a fresh download.
-    completed: BTreeMap<u64, u32>,
+    /// The transfer being reassembled, by id. A chunk of another transfer
+    /// replaces it: the exchange drains every frame of a push before the
+    /// next push starts, so an earlier transfer never resumes.
+    download: Option<(u64, Download)>,
+    /// The last completed transfer and its length, so duplicate chunks
+    /// after completion still elicit a final ack instead of a fresh
+    /// download.
+    completed: Option<(u64, u32)>,
     /// Batches dropped by outbox backpressure.
     pub(crate) dropped: u64,
 }
@@ -147,8 +151,8 @@ impl DeviceClient {
             device_id: device_id.into(),
             next_seq: 0,
             outbox: VecDeque::new(),
-            downloads: BTreeMap::new(),
-            completed: BTreeMap::new(),
+            download: None,
+            completed: None,
             dropped: 0,
         }
     }
@@ -163,23 +167,29 @@ impl DeviceClient {
         self.outbox.len()
     }
 
+    /// The id of the transfer being reassembled, and the last completed
+    /// transfer with its length.
+    #[cfg(test)]
+    pub(crate) fn transfers(&self) -> (Option<u64>, Option<(u64, u32)>) {
+        (self.download.as_ref().map(|d| d.0), self.completed)
+    }
+
     /// Batches and coalesces `entries` + `samples` into sequence-numbered
-    /// upload frames on the outbox, respecting the configured batch limits.
-    /// When the bounded outbox would overflow, the *oldest* queued frame is
-    /// dropped (fresh telemetry beats stale telemetry on a congested
-    /// uplink). Returns the seqs of the newly queued frames.
+    /// upload frames on the outbox, at most 64 entries and 32 samples a
+    /// frame. When the outbox would grow past 256 frames, the *oldest*
+    /// queued frame is dropped (fresh telemetry beats stale telemetry on a
+    /// congested uplink). Returns the seqs of the newly queued frames.
     pub fn queue_upload(
         &mut self,
         entries: &[DriftLogEntry],
         samples: &[UploadedSample],
-        cfg: &NetConfig,
     ) -> Vec<u64> {
         let mut new_seqs = Vec::new();
         let mut e = 0usize;
         let mut s = 0usize;
         while e < entries.len() || s < samples.len() {
-            let e_end = (e + cfg.max_batch_entries.max(1)).min(entries.len());
-            let s_end = (s + cfg.max_batch_samples.max(1)).min(samples.len());
+            let e_end = (e + MAX_BATCH_ENTRIES).min(entries.len());
+            let s_end = (s + MAX_BATCH_SAMPLES).min(samples.len());
             let seq = self.next_seq;
             self.next_seq += 1;
             let frame = wire::encode_upload_batch(
@@ -196,8 +206,8 @@ impl DeviceClient {
                 attempts: 0,
             });
             new_seqs.push(seq);
-            while self.outbox.len() > cfg.outbox_frames.max(1) {
-                let dropped = self.outbox.pop_front().expect("outbox non-empty");
+            let excess = self.outbox.len().saturating_sub(OUTBOX_FRAMES);
+            for dropped in self.outbox.drain(..excess) {
                 new_seqs.retain(|&q| q != dropped.seq);
                 self.dropped += 1;
             }
@@ -232,13 +242,6 @@ impl DeviceClient {
         self.outbox.retain(|f| f.seq != seq);
     }
 
-    /// Drops every queued frame (round cutoff); returns how many were lost.
-    pub fn abandon_round(&mut self) -> u64 {
-        let n = self.outbox.len() as u64;
-        self.outbox.clear();
-        n
-    }
-
     /// Handles one frame arriving from the cloud. A transfer this frame
     /// completes is decoded through `memo`, which the caller shares among
     /// the clients of one broadcast.
@@ -265,7 +268,7 @@ impl DeviceClient {
 
     fn on_chunk(&mut self, chunk: ChunkRef<'_>, memo: &mut DecodeMemo) -> Result<ClientAction> {
         let transfer_id = chunk.transfer_id;
-        if let Some(&len) = self.completed.get(&transfer_id) {
+        if let Some((_, len)) = self.completed.filter(|c| c.0 == transfer_id) {
             // Late duplicate after completion: re-ack so the cloud stops
             // resending.
             return Ok(ClientAction::SendChunkAck {
@@ -273,28 +276,30 @@ impl DeviceClient {
                 received: len,
             });
         }
+        let open = self.download.take().filter(|d| d.0 == transfer_id);
         let whole = chunk.offset == 0 && chunk.data.len() == chunk.total_len as usize;
-        let (meta, patch) = if whole && !self.downloads.contains_key(&transfer_id) {
+        let (meta, patch) = match open {
             // The chunk is the whole payload: it completes the transfer
             // straight from the frame, with no reassembly buffer.
-            self.completed.insert(transfer_id, chunk.total_len);
-            memo.decode(chunk.data)?
-        } else {
-            let dl = self
-                .downloads
-                .entry(transfer_id)
-                .or_insert_with(|| Download::new(chunk.total_len));
-            dl.insert(chunk.offset, chunk.data);
-            let received = dl.contiguous();
-            if received < dl.total_len {
-                return Ok(ClientAction::SendChunkAck {
-                    transfer_id,
-                    received,
-                });
+            None if whole => {
+                self.completed = Some((transfer_id, chunk.total_len));
+                memo.decode(chunk.data)?
             }
-            let dl = self.downloads.remove(&transfer_id).expect("present");
-            self.completed.insert(transfer_id, dl.total_len);
-            memo.decode(&dl.buf)?
+            open => {
+                let (_, mut dl) =
+                    open.unwrap_or_else(|| (transfer_id, Download::new(chunk.total_len)));
+                dl.insert(chunk.offset, chunk.data);
+                let received = dl.contiguous();
+                if received < dl.total_len {
+                    self.download = Some((transfer_id, dl));
+                    return Ok(ClientAction::SendChunkAck {
+                        transfer_id,
+                        received,
+                    });
+                }
+                self.completed = Some((transfer_id, dl.total_len));
+                memo.decode(&dl.buf)?
+            }
         };
         Ok(ClientAction::InstallPatch {
             transfer_id,
@@ -313,41 +318,60 @@ mod tests {
         DriftLogEntry::new(i, &[("weather", "snow")], i.is_multiple_of(2))
     }
 
+    fn sample(label: usize) -> UploadedSample {
+        UploadedSample {
+            features: vec![label as f32; 4],
+            attrs: vec![],
+            date: nazar_data::SimDate::new(0),
+            label,
+            true_cause: None,
+        }
+    }
+
+    /// The entry and sample counts of queued frame `seq`.
+    fn frame_rows(c: &mut DeviceClient, seq: u64) -> (usize, usize) {
+        let (_, bytes) = c.transmit(seq).expect("queued");
+        match wire::decode_frame(&bytes).unwrap() {
+            Message::UploadBatch {
+                entries, samples, ..
+            } => (entries.len(), samples.len()),
+            other => panic!("unexpected message {other:?}"),
+        }
+    }
+
     #[test]
     fn batching_splits_large_windows() {
         let mut c = DeviceClient::new("d0");
-        let cfg = NetConfig {
-            max_batch_entries: 10,
-            ..NetConfig::default()
-        };
-        let entries: Vec<_> = (0..25).map(entry).collect();
-        let seqs = c.queue_upload(&entries, &[], &cfg);
+        let entries: Vec<_> = (0..2 * MAX_BATCH_ENTRIES as u64 + 1).map(entry).collect();
+        let samples: Vec<_> = (0..MAX_BATCH_SAMPLES + 8).map(sample).collect();
+        let seqs = c.queue_upload(&entries, &samples);
         assert_eq!(seqs, vec![0, 1, 2]);
         assert_eq!(c.outbox_depth(), 3);
+        assert_eq!(
+            frame_rows(&mut c, 0),
+            (MAX_BATCH_ENTRIES, MAX_BATCH_SAMPLES)
+        );
+        assert_eq!(frame_rows(&mut c, 1), (MAX_BATCH_ENTRIES, 8));
+        assert_eq!(frame_rows(&mut c, 2), (1, 0));
     }
 
     #[test]
     fn outbox_backpressure_drops_oldest() {
         let mut c = DeviceClient::new("d0");
-        let cfg = NetConfig {
-            max_batch_entries: 1,
-            outbox_frames: 3,
-            ..NetConfig::default()
-        };
-        let entries: Vec<_> = (0..5).map(entry).collect();
-        let seqs = c.queue_upload(&entries, &[], &cfg);
-        // Seqs 0 and 1 were dropped to make room for 2, 3, 4.
-        assert_eq!(seqs, vec![2, 3, 4]);
-        assert_eq!(c.outbox_depth(), 3);
+        let frames = OUTBOX_FRAMES as u64 + 2;
+        let entries: Vec<_> = (0..frames * MAX_BATCH_ENTRIES as u64).map(entry).collect();
+        let seqs = c.queue_upload(&entries, &[]);
+        // Seqs 0 and 1 were dropped to make room for the last two.
+        assert_eq!(seqs, (2..frames).collect::<Vec<_>>());
+        assert_eq!(c.outbox_depth(), OUTBOX_FRAMES);
         assert_eq!(c.dropped, 2);
-        assert!(!c.is_pending(0) && c.is_pending(4));
+        assert!(!c.is_pending(1) && c.is_pending(2) && c.is_pending(frames - 1));
     }
 
     #[test]
     fn ack_clears_pending_frame_once() {
         let mut c = DeviceClient::new("d0");
-        let cfg = NetConfig::default();
-        let seqs = c.queue_upload(&[entry(0)], &[], &cfg);
+        let seqs = c.queue_upload(&[entry(0)], &[]);
         let ack = wire::encode_frame(&Message::UploadAck { seq: seqs[0] });
         let mut memo = DecodeMemo::default();
         assert_eq!(
@@ -404,7 +428,7 @@ mod tests {
             }
             other => panic!("unexpected action {other:?}"),
         };
-        assert!(c.downloads.is_empty());
+        assert!(c.download.is_none());
         assert_eq!(
             c.on_frame(&frame, &mut memo).unwrap(),
             ClientAction::SendChunkAck {
@@ -412,7 +436,7 @@ mod tests {
                 received: total
             }
         );
-        assert!(c.downloads.is_empty());
+        assert!(c.download.is_none());
 
         // Another client of the broadcast shares the first one's decode.
         match DeviceClient::new("d1").on_frame(&frame, &mut memo).unwrap() {
@@ -438,7 +462,7 @@ mod tests {
                 received: half as u32
             }
         );
-        assert_eq!(c.downloads.len(), 1);
+        assert!(c.download.is_some());
         match c
             .on_frame(&chunk_frame(5, &payload, 0..payload.len()), &mut memo)
             .unwrap()
@@ -446,8 +470,8 @@ mod tests {
             ClientAction::InstallPatch { patch: p, .. } => assert_eq!(*p, patch),
             other => panic!("unexpected action {other:?}"),
         }
-        assert!(c.downloads.is_empty());
-        assert_eq!(c.completed.get(&5), Some(&(payload.len() as u32)));
+        assert!(c.download.is_none());
+        assert_eq!(c.completed, Some((5, payload.len() as u32)));
     }
 
     #[test]

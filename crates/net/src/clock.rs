@@ -12,29 +12,27 @@
 //! each other their `now_us` and calling [`VirtualClock::advance_to`],
 //! which makes "clock skew" between subsystems impossible by construction.
 
-use serde::{Deserialize, Serialize};
-
 /// A monotone virtual clock, in microseconds since simulation start.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct VirtualClock {
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct VirtualClock {
     now_us: u64,
 }
 
 impl VirtualClock {
     /// A clock at virtual time zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         VirtualClock { now_us: 0 }
     }
 
     /// Current virtual time, µs.
-    pub fn now_us(self) -> u64 {
+    pub(crate) fn now_us(self) -> u64 {
         self.now_us
     }
 
     /// Moves the clock forward to `t_us`. Earlier times are ignored — the
     /// clock is monotone, so syncing against another component's clock can
     /// never rewind local time.
-    pub fn advance_to(&mut self, t_us: u64) {
+    pub(crate) fn advance_to(&mut self, t_us: u64) {
         self.now_us = self.now_us.max(t_us);
     }
 }

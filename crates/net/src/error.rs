@@ -33,6 +33,14 @@ pub enum NetError {
     Malformed(&'static str),
     /// A string field was not valid UTF-8.
     Utf8,
+    /// A deploy chunk declared a payload longer than
+    /// [`crate::wire::MAX_DEPLOY_PAYLOAD`].
+    PayloadTooLarge {
+        /// The total length the chunk declared.
+        declared: u32,
+        /// The largest total length a device accepts.
+        max: u32,
+    },
 }
 
 impl fmt::Display for NetError {
@@ -52,6 +60,12 @@ impl fmt::Display for NetError {
             NetError::UnknownMessageType(t) => write!(f, "unknown message type {t:#04x}"),
             NetError::Malformed(what) => write!(f, "malformed field: {what}"),
             NetError::Utf8 => write!(f, "string field is not valid UTF-8"),
+            NetError::PayloadTooLarge { declared, max } => {
+                write!(
+                    f,
+                    "deploy payload of {declared} bytes exceeds the {max}-byte limit"
+                )
+            }
         }
     }
 }

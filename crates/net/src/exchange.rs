@@ -2,7 +2,7 @@
 //! simulation on a virtual clock.
 //!
 //! [`Exchange`] owns one [`DeviceClient`] and one uplink/downlink
-//! [`SimLink`] pair per device — plain columns indexed by a device's
+//! `SimLink` pair per device — plain columns indexed by a device's
 //! position in the sorted id list — plus the cloud's [`IngestServer`].
 //! Frames in flight are shared immutable bytes: a delivery, a link-level
 //! duplicate and a retransmission are reference-count bumps. The
@@ -10,9 +10,8 @@
 //!
 //! 1. [`Exchange::upload_window`] — every device batches its drift-log
 //!    entries and sampled inputs into sequence-numbered frames and
-//!    retransmits with bounded exponential backoff until acknowledged,
-//!    abandoned (retry budget), or cut off (round deadline / straggler
-//!    policy);
+//!    retransmits with bounded exponential backoff until acknowledged or
+//!    abandoned (retry budget);
 //! 2. [`Exchange::deploy_to`] — the cloud pushes one encoded `VersionMeta` +
 //!    `BnPatch` payload to each target device as chunked, resumable
 //!    transfers with cumulative acknowledgements (go-back-N resume from the
@@ -34,7 +33,7 @@
 
 use crate::client::{ClientAction, DecodeMemo, DeviceClient};
 use crate::clock::VirtualClock;
-use crate::config::NetConfig;
+use crate::config::{backoff_us, NetConfig};
 use crate::link::{stable_hash, SimLink, Transmission};
 use crate::server::IngestServer;
 use crate::wire::{self, Message};
@@ -104,11 +103,6 @@ static DECODE_ERRORS: LazyCounter = LazyCounter::new(
     "Frames rejected by the wire decoder",
     &[],
 );
-static STRAGGLERS: LazyCounter = LazyCounter::new(
-    "nazar_net_stragglers_dropped_total",
-    "Upload batches abandoned at the round's straggler cutoff",
-    &[],
-);
 static CHUNK_RESENDS: LazyCounter = LazyCounter::new(
     "nazar_net_chunk_resends_total",
     "Deploy chunks retransmitted on download stalls",
@@ -152,8 +146,6 @@ pub struct NetReport {
     pub ingest_duplicates: u64,
     /// Frames rejected by the wire decoder.
     pub decode_errors: u64,
-    /// Upload batches abandoned at a straggler cutoff.
-    pub stragglers_dropped: u64,
     /// Deploy chunks retransmitted on stalls.
     pub chunk_resends: u64,
     /// Per-device deploy transfers abandoned after the retry budget, plus
@@ -175,8 +167,6 @@ pub struct WindowDelivery {
     pub entries: Vec<DriftLogEntry>,
     /// Sampled inputs that made it through, same order.
     pub uploads: Vec<UploadedSample>,
-    /// Devices that still had undelivered batches at the cutoff.
-    pub straggler_devices: usize,
 }
 
 /// The result of pushing one version to a set of target devices, each
@@ -319,7 +309,7 @@ impl Exchange {
             next_event_id: 0,
             next_transfer_id: 0,
             clients: ids.iter().map(DeviceClient::new).collect(),
-            server: IngestServer::for_devices(&ids),
+            server: IngestServer::for_devices(ids.len()),
             up: ids.iter().map(|id| link(id, 0x5550)).collect(),
             down: ids.iter().map(|id| link(id, 0x444E)).collect(),
             decoded: DecodeMemo::default(),
@@ -436,7 +426,7 @@ impl Exchange {
             RETRIES.inc();
         }
         self.send_up(heap, device, frame);
-        let backoff = self.cfg.retry.backoff_us(attempt, &mut self.rng);
+        let backoff = backoff_us(attempt, &mut self.rng);
         self.push(
             heap,
             self.clock.now_us() + backoff,
@@ -456,10 +446,6 @@ impl Exchange {
         batches: Vec<(String, Vec<DriftLogEntry>, Vec<UploadedSample>)>,
     ) -> WindowDelivery {
         let mut heap = BinaryHeap::new();
-        let deadline = self
-            .cfg
-            .straggler_cutoff_us
-            .map(|c| self.clock.now_us() + c);
 
         // Queue and first-transmit in sorted device order (determinism).
         let mut queued: Vec<(u32, Vec<u64>)> = Vec::with_capacity(batches.len());
@@ -479,7 +465,7 @@ impl Exchange {
             let device = next as u32;
             let client = &mut self.clients[device as usize];
             let before = client.dropped;
-            let seqs = client.queue_upload(&entries, &samples, &self.cfg);
+            let seqs = client.queue_upload(&entries, &samples);
             let newly_dropped = client.dropped - before;
             max_depth = max_depth.max(client.outbox_depth());
             if newly_dropped > 0 {
@@ -497,14 +483,10 @@ impl Exchange {
 
         // Acknowledgements by seq, each framed once this window.
         let mut acks: BTreeMap<u64, Arc<[u8]>> = BTreeMap::new();
-        // Drain the event heap.
+        // Drain the event heap: every queued seq keeps a retry timer until
+        // it is acknowledged or given up, so an empty heap leaves every
+        // outbox empty.
         while let Some(ev) = heap.pop() {
-            if let Some(d) = deadline {
-                if ev.at > d {
-                    self.clock.advance_to(d);
-                    break;
-                }
-            }
             self.clock.advance_to(ev.at);
             match ev.kind {
                 EventKind::DeliverUp { device, frame } => match wire::decode_frame(&frame) {
@@ -528,9 +510,9 @@ impl Exchange {
                             self.count_decode_error();
                             continue;
                         };
-                        let outcome =
-                            self.server
-                                .on_upload_from(sender as usize, seq, entries, samples);
+                        let outcome = self
+                            .server
+                            .on_upload(sender as usize, seq, entries, samples);
                         if outcome.duplicate {
                             self.report.ingest_duplicates += 1;
                             INGEST_DUPLICATES.inc();
@@ -555,7 +537,7 @@ impl Exchange {
                     let Some(attempts) = client.attempts_of(seq) else {
                         continue; // acked or dropped in the meantime
                     };
-                    if attempts >= self.cfg.retry.max_attempts {
+                    if attempts >= self.cfg.max_attempts {
                         client.give_up(seq);
                         self.report.upload_failures += 1;
                         UPLOAD_FAILURES.inc();
@@ -567,23 +549,8 @@ impl Exchange {
             }
         }
 
-        // Straggler cleanup: anything still unacked missed this round.
-        let mut straggler_devices = 0usize;
-        for client in &mut self.clients {
-            let abandoned = client.abandon_round();
-            if abandoned > 0 {
-                straggler_devices += 1;
-                self.report.stragglers_dropped += abandoned;
-                STRAGGLERS.add(abandoned);
-            }
-        }
-
         let (entries, uploads) = self.server.take_window();
-        WindowDelivery {
-            entries,
-            uploads,
-            straggler_devices,
-        }
+        WindowDelivery { entries, uploads }
     }
 
     /// Pushes one version (meta + patch) to the devices named by
@@ -727,7 +694,7 @@ impl Exchange {
                     Err(_) => self.count_decode_error(),
                 },
                 EventKind::DeployRetry { device } => {
-                    let max_attempts = self.cfg.retry.max_attempts;
+                    let max_attempts = self.cfg.max_attempts;
                     match push.xfer_mut(device) {
                         Some(x) if !x.done && !x.failed => {
                             if x.attempts >= max_attempts {
@@ -778,11 +745,91 @@ impl Exchange {
         for frame in &push.frames[first..] {
             self.send_down(heap, device, Arc::clone(frame));
         }
-        let backoff = self.cfg.retry.backoff_us(attempt, &mut self.rng);
+        let backoff = backoff_us(attempt, &mut self.rng);
         self.push(
             heap,
             self.clock.now_us() + backoff,
             EventKind::DeployRetry { device },
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::link::LinkConfig;
+    use nazar_log::Attribute;
+    use nazar_nn::{MlpResNet, ModelArch};
+
+    fn version(risk: f64) -> (VersionMeta, BnPatch) {
+        let mut rng = SmallRng::seed_from_u64(0);
+        let mut model = MlpResNet::new(ModelArch::tiny(32, 8), &mut rng);
+        let meta = VersionMeta::new(vec![Attribute::new("weather", "fog")], risk);
+        (meta, BnPatch::extract(&mut model))
+    }
+
+    fn set_links(ex: &mut Exchange, up: LinkConfig, down: LinkConfig) {
+        for d in 0..ex.ids.len() {
+            ex.up[d] = SimLink::new(up, d as u64);
+            ex.down[d] = SimLink::new(down, 0x1000 + d as u64);
+        }
+    }
+
+    /// Pushes version `risk` to every device; checks that each delivered
+    /// payload is the one sent and returns the transfer id and length.
+    fn push_all(ex: &mut Exchange, risk: f64) -> (u64, u32, usize) {
+        let (meta, patch) = version(risk);
+        let all: Vec<u32> = (0..ex.ids.len() as u32).collect();
+        let transfer_id = ex.next_transfer_id;
+        let delivery = ex.deploy_to(&all, &meta, &patch);
+        for (_, got_meta, got_patch) in &delivery.delivered {
+            assert_eq!((&**got_meta, &**got_patch), (&meta, &patch));
+        }
+        (
+            transfer_id,
+            delivery.payload_len as u32,
+            delivery.delivered.len(),
+        )
+    }
+
+    /// A clean push, a push whose acknowledgements are all lost while most
+    /// chunks are too (every device is left holding part of it, or all),
+    /// then a clean push, through one exchange: each client keeps only
+    /// the transfer in progress and the last completed one, so the second
+    /// push's partial downloads are gone once the third completes, and
+    /// every delivered payload is the one sent.
+    #[test]
+    fn clients_keep_one_download_and_the_last_completed_transfer() {
+        let ids: Vec<String> = (0..16).map(|i| format!("dev{i:02}")).collect();
+        let cfg = NetConfig {
+            chunk_bytes: 64,
+            seed: 11,
+            ..NetConfig::default()
+        };
+        let mut ex = Exchange::new(ids, cfg);
+
+        let (first, len, delivered) = push_all(&mut ex, 1.5);
+        assert_eq!(delivered, 16);
+        assert!(len > 4 * 64, "the payload spans many chunks");
+        for c in &ex.clients {
+            assert_eq!(c.transfers(), (None, Some((first, len))));
+        }
+
+        let lossy = |loss| LinkConfig {
+            loss,
+            ..LinkConfig::perfect()
+        };
+        set_links(&mut ex, lossy(1.0), lossy(0.8));
+        let (second, _, _) = push_all(&mut ex, 2.5);
+        let open: Vec<Option<u64>> = ex.clients.iter().map(|c| c.transfers().0).collect();
+        assert!(open.contains(&Some(second)), "some transfers are abandoned");
+        assert!(open.iter().all(|&d| d.is_none() || d == Some(second)));
+
+        set_links(&mut ex, LinkConfig::perfect(), LinkConfig::perfect());
+        let (third, len, delivered) = push_all(&mut ex, 3.5);
+        assert_eq!(delivered, 16);
+        for c in &ex.clients {
+            assert_eq!(c.transfers(), (None, Some((third, len))));
+        }
     }
 }

@@ -16,8 +16,8 @@
 //! |--------------|-------------------------------------------------------|
 //! | [`wire`]     | framing, checksums, message codecs (no I/O)           |
 //! | [`error`]    | typed decode/transport errors — corrupt bytes never panic |
-//! | [`link`]     | per-device fault/delay models ([`SimLink`])           |
-//! | [`config`]   | [`RetryPolicy`], [`NetConfig`], fault-injection fields    |
+//! | [`link`]     | per-device fault/delay models ([`LinkConfig`])        |
+//! | [`config`]   | [`NetConfig`]: the link, retry budget, chunk size, seed |
 //! | [`client`]   | device endpoint: outbox, batching, download reassembly |
 //! | [`server`]   | cloud endpoint: idempotent, reorder-tolerant ingest   |
 //! | [`exchange`] | the event loop tying it together ([`Exchange`])       |
@@ -30,7 +30,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod clock;
+mod clock;
 pub mod config;
 pub mod error;
 pub mod exchange;
@@ -39,10 +39,9 @@ pub mod server;
 pub mod wire;
 
 pub use client::{ClientAction, DecodeMemo, DeviceClient};
-pub use clock::VirtualClock;
-pub use config::{NetConfig, RetryPolicy};
+pub use config::NetConfig;
 pub use error::{NetError, Result};
 pub use exchange::{DeployDelivery, Exchange, NetReport, WindowDelivery};
-pub use link::{stable_hash, LinkConfig, SimLink, Transmission};
+pub use link::LinkConfig;
 pub use server::{IngestOutcome, IngestServer};
 pub use wire::{Message, FRAME_OVERHEAD, MAGIC, VERSION};

@@ -2,7 +2,7 @@
 //!
 //! All time in this crate is **virtual microseconds**: the simulator never
 //! sleeps, so a 20%-loss, 200ms-latency fleet round costs the same wall
-//! clock as a perfect one. Each device owns one [`SimLink`] per direction,
+//! clock as a perfect one. Each device owns one `SimLink` per direction,
 //! seeded from the master seed and a stable hash of the device id, so a
 //! run is bit-reproducible for a given seed regardless of device insertion
 //! order or host thread count.
@@ -65,23 +65,23 @@ impl LinkConfig {
 
 /// What happened to one transmitted frame.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Transmission {
+pub(crate) struct Transmission {
     /// Arrival times of the frame's copies; the first `copies` are set and
     /// the rest stay 0. A frame arrives at most twice, so they live inline.
     arrivals: [u64; 2],
     copies: usize,
     /// Whether the frame was dropped by the loss model.
-    pub lost: bool,
+    pub(crate) lost: bool,
     /// Whether an extra copy was generated.
-    pub duplicated: bool,
+    pub(crate) duplicated: bool,
     /// Whether the reorder model delayed the frame past its natural slot.
-    pub reordered: bool,
+    pub(crate) reordered: bool,
 }
 
 impl Transmission {
     /// Virtual times at which copies of the frame arrive (empty = lost;
     /// two entries = duplicated).
-    pub fn deliveries(&self) -> &[u64] {
+    pub(crate) fn deliveries(&self) -> &[u64] {
         &self.arrivals[..self.copies]
     }
 
@@ -94,7 +94,7 @@ impl Transmission {
 /// One direction of a simulated link: applies bandwidth serialization,
 /// latency/jitter, loss, duplication and reordering to frames.
 #[derive(Debug, Clone)]
-pub struct SimLink {
+pub(crate) struct SimLink {
     config: LinkConfig,
     rng: SmallRng,
     /// Virtual time at which the link's serializer frees up.
@@ -102,7 +102,7 @@ pub struct SimLink {
 }
 
 /// FNV-1a over a byte string; used to derive stable per-device seeds.
-pub fn stable_hash(bytes: &[u8]) -> u64 {
+pub(crate) fn stable_hash(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         h ^= b as u64;
@@ -113,7 +113,7 @@ pub fn stable_hash(bytes: &[u8]) -> u64 {
 
 impl SimLink {
     /// A link with the given fault model, seeded deterministically.
-    pub fn new(config: LinkConfig, seed: u64) -> Self {
+    pub(crate) fn new(config: LinkConfig, seed: u64) -> Self {
         SimLink {
             config,
             rng: SmallRng::seed_from_u64(seed),
@@ -121,17 +121,12 @@ impl SimLink {
         }
     }
 
-    /// The link's fault model.
-    pub fn config(&self) -> &LinkConfig {
-        &self.config
-    }
-
     /// Transmits a frame of `len` bytes at virtual time `now`, returning
     /// when (and whether) copies arrive at the far end.
     ///
     /// Even lost frames consume serialization time and wire bytes — the
     /// radio transmitted them; the far end just never saw them.
-    pub fn transmit(&mut self, now: u64, len: usize) -> Transmission {
+    pub(crate) fn transmit(&mut self, now: u64, len: usize) -> Transmission {
         let mut t = Transmission::default();
         let start = now.max(self.busy_until);
         let tx_us = match self.config.bandwidth_bps {

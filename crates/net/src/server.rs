@@ -8,7 +8,7 @@
 //! whose first copy *did* arrive, or a link-level duplicate) is
 //! acknowledged but not re-ingested, which makes ingest **idempotent** —
 //! the property the round-trip proptests pin down — in state that does not
-//! grow with the run. Batches are drained in `(device id, seq)` order, so
+//! grow with the run. Batches are drained in `(device, seq)` order, so
 //! frame reordering on the wire cannot change the drift log's row order.
 
 use nazar_device::UploadedSample;
@@ -64,55 +64,33 @@ impl DeviceIngest {
 }
 
 /// Cloud-side ingest state.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct IngestServer {
-    /// Device ids, sorted; `devices[i]` belongs to `ids[i]`. Iterating
-    /// devices, then each one's pending batches by seq, drains in
-    /// `(device id, seq)` order whatever the arrival order was.
-    ids: Vec<String>,
+    /// Per device, by index. Iterating devices, then each one's pending
+    /// batches by seq, drains in `(device, seq)` order whatever the arrival
+    /// order was.
     devices: Vec<DeviceIngest>,
     duplicates: u64,
 }
 
 impl IngestServer {
-    /// A fresh ingest endpoint; devices register on their first upload.
-    pub fn new() -> Self {
-        IngestServer::default()
-    }
-
-    /// An endpoint for the devices of `ids`, which must be sorted and free
-    /// of duplicates: device `i` of [`IngestServer::on_upload_from`] is
-    /// `ids[i]`.
-    pub(crate) fn for_devices(ids: &[String]) -> Self {
-        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]));
+    /// An endpoint for `devices` devices, named by index `0..devices`; the
+    /// exchange numbers them in sorted id order, so a drain is in
+    /// `(device id, seq)` order.
+    pub fn for_devices(devices: usize) -> Self {
         IngestServer {
-            ids: ids.to_vec(),
-            devices: vec![DeviceIngest::default(); ids.len()],
+            devices: vec![DeviceIngest::default(); devices],
             duplicates: 0,
         }
     }
 
-    /// Accepts one upload batch; duplicates are detected by `(device, seq)`
-    /// and ignored.
+    /// Accepts one upload batch from the device at index `device`;
+    /// duplicates are detected by `(device, seq)` and ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `device` is not below the count the server was built for.
     pub fn on_upload(
-        &mut self,
-        device_id: &str,
-        seq: u64,
-        entries: Vec<DriftLogEntry>,
-        samples: Vec<UploadedSample>,
-    ) -> IngestOutcome {
-        let probe = self.ids.binary_search_by(|id| id.as_str().cmp(device_id));
-        let device = probe.unwrap_or_else(|at| {
-            self.ids.insert(at, device_id.to_string());
-            self.devices.insert(at, DeviceIngest::default());
-            at
-        });
-        self.on_upload_from(device, seq, entries, samples)
-    }
-
-    /// [`IngestServer::on_upload`] for the device at position `device` of
-    /// the sorted id list.
-    pub(crate) fn on_upload_from(
         &mut self,
         device: usize,
         seq: u64,
@@ -132,7 +110,7 @@ impl IngestServer {
     }
 
     /// Drains everything accepted this window, concatenated in
-    /// `(device id, seq)` order — independent of arrival order.
+    /// `(device, seq)` order — independent of arrival order.
     pub fn take_window(&mut self) -> (Vec<DriftLogEntry>, Vec<UploadedSample>) {
         let mut entries = Vec::new();
         let mut samples = Vec::new();
@@ -157,10 +135,10 @@ mod tests {
 
     #[test]
     fn redelivery_is_idempotent() {
-        let mut s = IngestServer::new();
-        let first = s.on_upload("d0", 0, vec![entry(1)], vec![]);
+        let mut s = IngestServer::for_devices(1);
+        let first = s.on_upload(0, 0, vec![entry(1)], vec![]);
         assert!(!first.duplicate);
-        let again = s.on_upload("d0", 0, vec![entry(1)], vec![]);
+        let again = s.on_upload(0, 0, vec![entry(1)], vec![]);
         assert!(again.duplicate);
         assert_eq!(s.duplicates(), 1);
         let (entries, _) = s.take_window();
@@ -169,11 +147,11 @@ mod tests {
 
     #[test]
     fn drain_order_is_device_then_seq_regardless_of_arrival() {
-        let mut s = IngestServer::new();
-        s.on_upload("b", 1, vec![entry(31)], vec![]);
-        s.on_upload("a", 1, vec![entry(21)], vec![]);
-        s.on_upload("b", 0, vec![entry(30)], vec![]);
-        s.on_upload("a", 0, vec![entry(20)], vec![]);
+        let mut s = IngestServer::for_devices(2);
+        s.on_upload(1, 1, vec![entry(31)], vec![]);
+        s.on_upload(0, 1, vec![entry(21)], vec![]);
+        s.on_upload(1, 0, vec![entry(30)], vec![]);
+        s.on_upload(0, 0, vec![entry(20)], vec![]);
         let (entries, _) = s.take_window();
         let ts: Vec<u64> = entries.iter().map(|e| e.timestamp).collect();
         assert_eq!(ts, vec![20, 21, 30, 31]);
@@ -181,20 +159,20 @@ mod tests {
 
     #[test]
     fn seen_set_survives_window_drains() {
-        let mut s = IngestServer::new();
-        s.on_upload("d0", 0, vec![entry(1)], vec![]);
+        let mut s = IngestServer::for_devices(1);
+        s.on_upload(0, 0, vec![entry(1)], vec![]);
         let _ = s.take_window();
         // A late duplicate from a previous window is still suppressed.
-        assert!(s.on_upload("d0", 0, vec![entry(1)], vec![]).duplicate);
+        assert!(s.on_upload(0, 0, vec![entry(1)], vec![]).duplicate);
         let (entries, _) = s.take_window();
         assert!(entries.is_empty());
     }
 
     #[test]
     fn in_order_uploads_keep_no_per_batch_state() {
-        let mut s = IngestServer::new();
+        let mut s = IngestServer::for_devices(1);
         for seq in 0..10_000u64 {
-            assert!(!s.on_upload("d0", seq, vec![entry(seq)], vec![]).duplicate);
+            assert!(!s.on_upload(0, seq, vec![entry(seq)], vec![]).duplicate);
             if seq % 100 == 99 {
                 assert_eq!(s.take_window().0.len(), 100);
             }
@@ -203,18 +181,15 @@ mod tests {
         assert!(s.devices[0].above.is_empty());
         assert!(s.devices[0].pending.is_empty());
         // Duplicates far below and just below the mark are suppressed.
-        assert!(s.on_upload("d0", 3, vec![entry(3)], vec![]).duplicate);
-        assert!(
-            s.on_upload("d0", 9_999, vec![entry(9_999)], vec![])
-                .duplicate
-        );
+        assert!(s.on_upload(0, 3, vec![entry(3)], vec![]).duplicate);
+        assert!(s.on_upload(0, 9_999, vec![entry(9_999)], vec![]).duplicate);
 
         // A gap parks later seqs above the mark until it closes.
-        assert!(!s.on_upload("d0", 10_002, vec![entry(2)], vec![]).duplicate);
-        assert!(!s.on_upload("d0", 10_001, vec![entry(1)], vec![]).duplicate);
-        assert!(s.on_upload("d0", 10_002, vec![entry(2)], vec![]).duplicate);
+        assert!(!s.on_upload(0, 10_002, vec![entry(2)], vec![]).duplicate);
+        assert!(!s.on_upload(0, 10_001, vec![entry(1)], vec![]).duplicate);
+        assert!(s.on_upload(0, 10_002, vec![entry(2)], vec![]).duplicate);
         assert_eq!(s.devices[0].above.len(), 2);
-        assert!(!s.on_upload("d0", 10_000, vec![entry(0)], vec![]).duplicate);
+        assert!(!s.on_upload(0, 10_000, vec![entry(0)], vec![]).duplicate);
         assert_eq!(s.devices[0].low_water, 10_003);
         assert!(s.devices[0].above.is_empty());
         let ts: Vec<u64> = s.take_window().0.iter().map(|e| e.timestamp).collect();

@@ -786,13 +786,35 @@ pub struct ChunkRef<'a> {
     pub data: &'a [u8],
 }
 
+/// The largest deploy payload a chunk may declare, bytes (1 MiB).
+///
+/// A device sizes its reassembly buffer from the first chunk's
+/// `total_len`, so the bound is what one CRC-valid frame can make it
+/// allocate. The largest `ModelArch` preset, `resnet50_analog`, encodes
+/// 9 BN layers of 4 × 128 `f32`s: an 18 578-byte patch plus a few dozen
+/// bytes of version metadata, whatever the input width or class count.
+/// 1 MiB is 56 times that: at four blocks, a hidden width of 7 282 would
+/// be needed to reach it.
+pub const MAX_DEPLOY_PAYLOAD: u32 = 1 << 20;
+
 /// Parses the payload of a [`TYPE_DEPLOY_CHUNK`] frame (as returned by
 /// [`open_frame`]) without copying the chunk data.
+///
+/// # Errors
+///
+/// [`NetError::PayloadTooLarge`] when the chunk declares a total length
+/// above [`MAX_DEPLOY_PAYLOAD`]; the usual decode errors otherwise.
 pub fn parse_deploy_chunk(payload: &[u8]) -> Result<ChunkRef<'_>> {
     let mut r = Reader::new(payload);
     let transfer_id = r.get_u64()?;
     let offset = r.get_u32()?;
     let total_len = r.get_u32()?;
+    if total_len > MAX_DEPLOY_PAYLOAD {
+        return Err(NetError::PayloadTooLarge {
+            declared: total_len,
+            max: MAX_DEPLOY_PAYLOAD,
+        });
+    }
     let n = r.get_count("chunk length")?;
     let data = r.get_bytes(n)?;
     r.finish()?;

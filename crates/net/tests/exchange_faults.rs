@@ -1,6 +1,6 @@
 //! Deterministic end-to-end tests of the exchange under injected faults:
 //! retries recover lossy uploads, chunked deploys resume through loss, and
-//! straggler cutoffs bound a round.
+//! failed or unknown targets are reported.
 
 use nazar_log::DriftLogEntry;
 use nazar_net::exchange::Exchange;
@@ -86,35 +86,6 @@ fn chunked_deploy_resumes_through_loss_and_installs_exact_payload() {
         "test must exercise multiple chunks"
     );
     assert!(ex.report().chunk_resends > 0, "loss must force resends");
-}
-
-#[test]
-fn straggler_cutoff_bounds_the_round_and_counts_abandoned_frames() {
-    let ids: Vec<String> = (0..2).map(|i| format!("dev{i}")).collect();
-    let cfg = NetConfig {
-        link: LinkConfig {
-            latency_us: 200_000, // first retransmit can't land before cutoff
-            loss: 1.0,
-            ..LinkConfig::perfect()
-        },
-        straggler_cutoff_us: Some(250_000),
-        seed: 7,
-        ..NetConfig::default()
-    };
-    let mut ex = Exchange::new(ids.iter().cloned(), cfg);
-    let batches: Vec<(String, Vec<DriftLogEntry>, Vec<_>)> = ids
-        .iter()
-        .map(|id| (id.clone(), (0..10).map(entry).collect(), vec![]))
-        .collect();
-    let start = ex.clock_us();
-    let delivery = ex.upload_window(batches);
-    assert!(delivery.entries.is_empty(), "total loss delivers nothing");
-    assert_eq!(delivery.straggler_devices, 2);
-    assert!(ex.report().stragglers_dropped > 0);
-    assert!(
-        ex.clock_us() - start <= 250_000,
-        "the round must stop at the cutoff, not wait out the retry budget"
-    );
 }
 
 #[test]

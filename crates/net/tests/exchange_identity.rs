@@ -23,7 +23,6 @@ use nazar_log::{Attribute, DriftLogEntry};
 use nazar_net::wire::{self, Message};
 use nazar_net::{
     ClientAction, DeployDelivery, DeviceClient, Exchange, LinkConfig, NetConfig, NetReport,
-    RetryPolicy,
 };
 use nazar_nn::{BnPatch, MlpResNet, ModelArch};
 use nazar_registry::VersionMeta;
@@ -83,7 +82,6 @@ struct Observed {
     clock_us: u64,
     rows_delivered: usize,
     samples_delivered: usize,
-    straggler_devices: usize,
     /// Per deploy: device numbers in `DeployDelivery::delivered` order.
     delivered: [Vec<usize>; 2],
     /// Per deploy: device numbers in `DeployDelivery::failed` order.
@@ -161,7 +159,6 @@ fn run_script(cfg: NetConfig, targets: Targets) -> Observed {
         clock_us: ex.clock_us(),
         rows_delivered: up.entries.len(),
         samples_delivered: up.uploads.len(),
-        straggler_devices: up.straggler_devices,
         delivered,
         failed,
     }
@@ -198,10 +195,7 @@ fn blackout_cfg() -> NetConfig {
             loss: 1.0,
             ..LinkConfig::perfect()
         },
-        retry: RetryPolicy {
-            max_attempts: 3,
-            ..RetryPolicy::default()
-        },
+        max_attempts: 3,
         seed: 2020,
         ..NetConfig::default()
     }
@@ -211,10 +205,7 @@ fn blackout_cfg() -> NetConfig {
 /// and a few of those still complete from frames already in flight.
 fn starved_cfg() -> NetConfig {
     NetConfig {
-        retry: RetryPolicy {
-            max_attempts: 2,
-            ..RetryPolicy::default()
-        },
+        max_attempts: 2,
         ..lossy_cfg()
     }
 }
@@ -236,7 +227,6 @@ fn perfect_link_script_is_unchanged() {
         clock_us: 359_441,
         rows_delivered: 4480,
         samples_delivered: 192,
-        straggler_devices: 0,
         delivered: [all_devices(), all_devices()],
         failed: [vec![], vec![]],
     };
@@ -262,7 +252,6 @@ fn lossy_link_script_is_unchanged() {
         clock_us: 8_792_278,
         rows_delivered: 4480,
         samples_delivered: 192,
-        straggler_devices: 0,
         delivered: [
             vec![
                 11, 9, 63, 27, 7, 52, 37, 53, 39, 57, 5, 4, 58, 47, 61, 25, 40, 62, 14, 13, 15, 45,
@@ -297,7 +286,6 @@ fn blackout_script_is_unchanged() {
         clock_us: 2_449_346,
         rows_delivered: 0,
         samples_delivered: 0,
-        straggler_devices: 0,
         delivered: [vec![], vec![]],
         failed: [all_devices(), all_devices()],
     };
@@ -327,7 +315,6 @@ fn starved_retry_script_is_unchanged() {
         clock_us: 1_459_598,
         rows_delivered: 4090,
         samples_delivered: 174,
-        straggler_devices: 0,
         delivered: [
             vec![
                 11, 53, 37, 20, 23, 44, 43, 61, 49, 47, 58, 39, 50, 40, 7, 0, 17, 15, 25, 5, 42,

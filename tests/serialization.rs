@@ -4,6 +4,7 @@
 //! its durable form is the chunk store (`nazar-store`).
 
 use nazar::prelude::*;
+use nazar_net::NetConfig;
 use nazar_store::StoreConfig;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -76,6 +77,38 @@ fn configs_with_the_removed_codec_key_still_load() {
     assert_ne!(old, json, "persist serializes with cache_chunks last");
     let back: CloudConfig = serde_json::from_str(&old).expect("unknown keys ignored");
     assert_eq!(back, cloud);
+}
+
+/// Config files written while `NetConfig` had a `retry` policy, outbox
+/// and batch bounds and a straggler cutoff still load, those keys ignored:
+/// the backoff, outbox and batch values are constants at their old
+/// defaults, and the cutoff is gone. An old `retry.max_attempts` is ignored
+/// as well: such a file has no top-level `max_attempts`, so the default of
+/// 6 applies.
+#[test]
+fn configs_with_the_removed_net_keys_still_load() {
+    let cloud = CloudConfig {
+        net: Some(NetConfig {
+            chunk_bytes: 64,
+            seed: 7,
+            ..NetConfig::default()
+        }),
+        ..CloudConfig::default()
+    };
+    let json = serde_json::to_string(&cloud).expect("serialize config");
+    let old = json.replacen(
+        r#""max_attempts":6,"chunk_bytes":64,"#,
+        concat!(
+            r#""retry":{"max_attempts":3,"base_us":50000,"max_us":800000,"jitter_frac":0.0},"#,
+            r#""outbox_frames":8,"max_batch_entries":10,"max_batch_samples":4,"#,
+            r#""chunk_bytes":64,"straggler_cutoff_us":250000,"#,
+        ),
+        1,
+    );
+    assert_ne!(old, json, "net serializes max_attempts before chunk_bytes");
+    let back: CloudConfig = serde_json::from_str(&old).expect("unknown keys ignored");
+    assert_eq!(back, cloud);
+    assert_eq!(back.net.map(|net| net.max_attempts), Some(6));
 }
 
 #[test]
