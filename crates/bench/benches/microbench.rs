@@ -10,8 +10,8 @@
 //!   forward, same model and batch);
 //! * `train_step` — one batch of the base-model training that most of
 //!   `vision_loop`'s set-up time is;
-//! * `wire`, `net/deploy_broadcast_2800` and `log/ingest_batch_30k` —
-//!   what one upload frame, one device's deploy-chunk check, one
+//! * `wire`, `net/deploy_broadcast_2800` and `log/ingest_{batch,rows}_30k`
+//!   — what one upload frame, one device's deploy-chunk check, one
 //!   fleet-wide push and one window's ingest cost at the shapes the fleet
 //!   workloads send (these rows also join `BENCH_fleet.json`, beside the
 //!   runs they explain);
@@ -29,7 +29,7 @@ use nazar_cloud::timing::synthetic_drift_log;
 use nazar_data::{ClassSpace, Corruption, SimDate};
 use nazar_detect::{DriftDetector, EnergyScore, EntropyThreshold, MspThreshold, Odin};
 use nazar_device::{UploadedSample, LOG_SCHEMA};
-use nazar_log::{Attribute, DriftLog, DriftLogEntry};
+use nazar_log::{Attribute, DriftLog, DriftLogEntry, RowBatch};
 use nazar_net::wire;
 use nazar_nn::{train, Adam, BnPatch, Layer, MlpResNet, Mode, ModelArch, Optimizer, Sgd};
 use nazar_registry::{ModelPool, VersionMeta};
@@ -264,23 +264,54 @@ fn fleet_row(ts: u64, device: usize) -> DriftLogEntry {
     )
 }
 
+/// Entries as one coded batch a device, the device id first on each page,
+/// as devices emit them: a run of equal device ids is one device's rows.
+fn device_batches(entries: &[DriftLogEntry]) -> Vec<RowBatch> {
+    let device_of = |e: &DriftLogEntry| e.attr("device_id").map(str::to_string);
+    let runs = entries.chunk_by(|a, b| device_of(a) == device_of(b));
+    runs.map(|run| {
+        let mut rows = RowBatch::with_capacity(&LOG_SCHEMA, run.len(), 3);
+        rows.intern(run[0].attr("device_id").expect("schema row"));
+        for e in run {
+            let values: Vec<&str> = e.attrs.iter().map(|a| a.value.as_str()).collect();
+            rows.push_values(e.timestamp, e.drift, &values);
+        }
+        rows
+    })
+    .collect()
+}
+
 /// One window's ingest as the orchestrator runs it: a fresh log (the
-/// per-window analysis log starts empty, so most rows intern a device id)
-/// over rows borrowed from the delivery.
+/// per-window analysis log starts empty, so most rows intern a device id).
+/// `log/ingest_batch_30k` ingests the rows as borrowed entries (the string
+/// adapter), `log/ingest_rows_30k` as the coded batches devices emit, one
+/// `ingest_rows` call a device (the upload path).
 fn bench_batch_ingest(suite: &mut Suite) {
     let entries: Vec<DriftLogEntry> = (0..30_000u64)
         .map(|i| fleet_row(i, i as usize * 2_800 / 30_000))
         .collect();
     suite.bench("log/ingest_batch_30k", SAMPLES, || {
         let mut log = DriftLog::new(&LOG_SCHEMA);
-        log.ingest_batch_with_threads(&entries, 1)
+        log.ingest_entries(&entries)
+    });
+    let batches = device_batches(&entries);
+    suite.bench("log/ingest_rows_30k", SAMPLES, || {
+        let mut log = DriftLog::new(&LOG_SCHEMA);
+        for rows in &batches {
+            log.ingest_rows(rows);
+        }
+        log.num_rows()
     });
 }
 
-/// Upload-frame encode and decode at the two shapes the benchmark's
-/// workloads send: a fleet device's window (2 rows, no sample) and an
-/// Animals device's (28 rows, 8 sampled 64-d inputs); and one device's
-/// check of a deploy chunk at the two chunk sizes they ship.
+/// Upload-frame encode, decode and in-place parse at the two shapes the
+/// benchmark's workloads send: a fleet device's window (2 rows, no
+/// sample) and an Animals device's (28 rows, 8 sampled 64-d inputs); and
+/// one device's check of a deploy chunk at the two chunk sizes they ship.
+/// Encoding starts from the device's coded batch; decoding builds the
+/// strings the frame names (the string adapter); parsing is what the
+/// cloud does with an arriving frame — envelope, page, rows into a reused
+/// batch, samples.
 fn bench_wire(suite: &mut Suite) {
     for (shape, rows, n_samples) in [("fleet", 2u64, 0usize), ("animals", 28, 8)] {
         let entries: Vec<DriftLogEntry> = (0..rows).map(|t| fleet_row(86_400 + t, 17)).collect();
@@ -297,17 +328,25 @@ fn bench_wire(suite: &mut Suite) {
                 true_cause: (s % 2 == 1).then_some(Corruption::ALL[s % Corruption::ALL.len()]),
             })
             .collect();
+        let batch = &device_batches(&entries)[0];
+        let range = 0..batch.len();
         suite.bench(
             &format!("wire/upload_frame_encode_{shape}"),
             SAMPLES,
-            || wire::encode_upload_batch(&device_id, 3, &entries, &samples),
+            || wire::encode_upload_rows(&device_id, 3, batch, range.clone(), &samples),
         );
-        let frame = wire::encode_upload_batch(&device_id, 3, &entries, &samples);
+        let frame = wire::encode_upload_rows(&device_id, 3, batch, range.clone(), &samples);
         suite.bench(
             &format!("wire/upload_frame_decode_{shape}"),
             SAMPLES,
             || wire::decode_frame(&frame).expect("valid frame"),
         );
+        let mut parsed = RowBatch::default();
+        suite.bench(&format!("wire/upload_frame_parse_{shape}"), SAMPLES, || {
+            let (_, payload) = wire::open_frame(&frame).expect("valid frame");
+            let upload = wire::parse_upload(payload, &mut parsed).expect("valid upload");
+            upload.samples(parsed.page()).expect("valid samples").len()
+        });
     }
     // What every target device does first with a deploy chunk: verify its
     // envelope and CRC. The fleets send their 830-byte patch payload as one
@@ -469,7 +508,7 @@ fn main() {
     // The transport rows explain the fleet runs, so they also join that
     // report (the same file when `NAZAR_BENCH_OUT` redirects the run).
     let transport = |id: &str| {
-        ["wire/", "net/", "log/ingest_batch"]
+        ["wire/", "net/", "log/ingest_batch", "log/ingest_rows"]
             .iter()
             .any(|prefix| id.starts_with(prefix))
     };

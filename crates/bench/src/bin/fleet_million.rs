@@ -4,7 +4,8 @@
 //! locations), replays two windows of one inference each — one batched
 //! pass per window — broadcasts one BN-patch deployment between
 //! them (exercising the shared version arena: one payload, a million pool
-//! references), and batch-ingests every emitted drift-log entry. This is
+//! references), and ingests every device's emitted rows, one coded batch
+//! a device, as the cloud ingests upload frames. This is
 //! the scale the struct-of-arrays `FleetState` exists for — a fleet of
 //! whole `Device` structs at this count would hold a million model clones.
 //!
@@ -14,20 +15,23 @@
 //! * `fleet_million/devices` — fleet size held in memory;
 //! * `fleet_million/devices_per_sec` — window-pass throughput over the
 //!   replayed windows;
-//! * `fleet_million/ingest_rows_per_sec` — drift-log batch-ingest rate;
+//! * `fleet_million/ingest_rows_per_sec` — drift-log ingest rate
+//!   (`DriftLog::ingest_rows` per device batch);
 //! * `fleet_million/peak_rss_bytes` — `VmHWM` from `/proc/self/status`
 //!   (0 where unavailable).
 //!
 //! Everything printed to **stdout** is deterministic — device counts,
-//! per-window stats, and an FNV-1a checksum over every entry — so CI runs
-//! the binary at `NAZAR_NUM_THREADS=1` and `=4` and diffs the output
-//! byte-for-byte (the determinism contract at the million scale). Timings
+//! per-window stats, and an FNV-1a checksum over every row, its three
+//! attribute values included — so CI runs the binary at
+//! `NAZAR_NUM_THREADS=1` and `=4` and diffs both outputs against
+//! `results/fleet_million_50k.txt` (recorded at 50 000 devices) byte for
+//! byte (the determinism contract at the million scale). Timings
 //! go to stderr. `NAZAR_FLEET_DEVICES` shrinks the fleet for smoke runs;
 //! the determinism contract still applies but the 1M floor does not.
 
 use nazar_data::{LocationStream, Severity, SimDate, StreamItem, Weather};
 use nazar_device::{DeviceConfig, FleetSim, WindowOutput};
-use nazar_log::{Attribute, DriftLog, DriftLogEntry};
+use nazar_log::{Attribute, DriftLog, IngestReport};
 use nazar_nn::{BnPatch, MlpResNet, ModelArch};
 use nazar_registry::VersionMeta;
 use rand::rngs::SmallRng;
@@ -95,17 +99,23 @@ fn fnv(hash: &mut u64, bytes: &[u8]) {
     }
 }
 
-/// Order-sensitive checksum over every part a window produced.
-fn checksum(parts: &[(String, WindowOutput)]) -> u64 {
+/// Order-sensitive checksum over every part a window produced: each
+/// device's id, counts, and every row's timestamp, flag and values.
+fn checksum(fleet: &FleetSim, parts: &[(u32, WindowOutput)]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for (id, part) in parts {
-        fnv(&mut h, id.as_bytes());
-        fnv(&mut h, &(part.entries.len() as u64).to_le_bytes());
+    for (d, part) in parts {
+        let rows = &part.entries;
+        fnv(&mut h, fleet.device_id(*d as usize).as_bytes());
+        fnv(&mut h, &(rows.len() as u64).to_le_bytes());
         fnv(&mut h, &(part.stats.correct as u64).to_le_bytes());
         fnv(&mut h, &(part.stats.flagged as u64).to_le_bytes());
-        for e in &part.entries {
-            fnv(&mut h, &e.timestamp.to_le_bytes());
-            fnv(&mut h, &[u8::from(e.drift)]);
+        for row in 0..rows.len() {
+            fnv(&mut h, &rows.timestamps()[row].to_le_bytes());
+            fnv(&mut h, &[u8::from(rows.drift_flags()[row])]);
+            for col in 0..rows.keys().len() {
+                fnv(&mut h, rows.value(row, col).as_bytes());
+                fnv(&mut h, &[0]);
+            }
         }
     }
     h
@@ -156,7 +166,7 @@ fn main() {
         let streams = window_streams(devices, w);
         let mut wrng = SmallRng::seed_from_u64(w as u64);
         let t = Instant::now();
-        let parts = fleet.process_window_parts(&streams, w, WINDOWS, &mut wrng);
+        let parts = fleet.process_window_at(&streams, w, WINDOWS, &mut wrng);
         process_secs += t.elapsed().as_secs_f64();
         drop(streams);
 
@@ -169,17 +179,18 @@ fn main() {
             stats.total,
             stats.flagged,
             stats.correct,
-            checksum(&parts)
+            checksum(&fleet, &parts)
         );
 
-        let entries: Vec<DriftLogEntry> = parts
-            .into_iter()
-            .flat_map(|(_, part)| part.entries)
-            .collect();
-        rows += entries.len();
+        // Each device's rows as it emitted them: one coded batch a device.
         let t = Instant::now();
-        let report = log.ingest_batch(entries);
+        let mut report = IngestReport::default();
+        for (_, part) in &parts {
+            report += log.ingest_rows(&part.entries);
+        }
         ingest_secs += t.elapsed().as_secs_f64();
+        rows += report.appended + report.quarantined;
+        drop(parts);
         assert_eq!(report.quarantined, 0, "well-formed entries only");
 
         if w == 0 {

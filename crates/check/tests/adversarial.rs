@@ -542,6 +542,14 @@ fn upload_payload(layout: u8, page: &[&str], tail: impl FnOnce(&mut Writer)) -> 
     w.into_bytes()
 }
 
+/// An upload payload read by the cloud's in-place parser: its page and
+/// rows into a batch borrowing the payload, then its samples.
+fn parse_in_place(payload: &[u8]) -> Result<(), NetError> {
+    let mut rows = nazar_log::RowBatch::default();
+    let upload = wire::parse_upload(payload, &mut rows)?;
+    upload.samples(rows.page()).map(drop)
+}
+
 #[test]
 fn upload_frames_fail_closed_with_typed_errors() {
     let valid = Message::UploadBatch {
@@ -584,8 +592,10 @@ fn upload_frames_fail_closed_with_typed_errors() {
             "frame prefix {cut}"
         );
     }
+    assert_eq!(parse_in_place(payload), Ok(()));
     for cut in 0..payload.len() {
         let err = wire::decode_frame(&framed(wire::VERSION, UPLOAD_BATCH, &payload[..cut]));
+        assert_eq!(parse_in_place(&payload[..cut]), err.clone().map(drop));
         assert!(
             matches!(
                 err,
@@ -606,6 +616,10 @@ fn upload_frames_fail_closed_with_typed_errors() {
     let mut slack = payload.to_vec();
     slack.push(0);
     assert_eq!(
+        parse_in_place(&slack),
+        Err(NetError::Malformed("trailing bytes after message"))
+    );
+    assert_eq!(
         wire::decode_frame(&framed(wire::VERSION, UPLOAD_BATCH, &slack)),
         Err(NetError::Malformed("trailing bytes after message"))
     );
@@ -615,8 +629,12 @@ fn upload_frames_fail_closed_with_typed_errors() {
         Err(NetError::UnsupportedVersion(1))
     );
 
+    // Every forged payload below is refused alike by the string decoder
+    // and by the in-place parser the cloud runs on arrival.
     let decode = |payload: Vec<u8>| {
-        wire::decode_frame(&framed(wire::VERSION, UPLOAD_BATCH, &payload)).unwrap_err()
+        let err = wire::decode_frame(&framed(wire::VERSION, UPLOAD_BATCH, &payload)).unwrap_err();
+        assert_eq!(parse_in_place(&payload), Err(err.clone()), "{payload:?}");
+        err
     };
     let no_rows = |w: &mut Writer| {
         w.put_varint(0);

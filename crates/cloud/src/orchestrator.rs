@@ -5,8 +5,8 @@ use nazar_adapt::{adapt_to_patch, AdaptMethod};
 use nazar_analysis::{analyze_variant_with, AnalysisVariant, FimAlgorithm, FimConfig, RankedCause};
 use nazar_data::LocationStream;
 use nazar_device::{DeviceConfig, FleetSim, UploadedSample, WindowStats, LOG_SCHEMA};
-use nazar_log::{DriftLog, DriftLogEntry};
-use nazar_net::{Exchange, NetConfig, NetReport, WindowDelivery};
+use nazar_log::{DriftLog, IngestReport};
+use nazar_net::{Exchange, FrameDelivery, NetConfig, NetReport};
 use nazar_nn::{BnPatch, Layer, MlpResNet};
 use nazar_obs::{event, LazyCounter, LazyHistogram};
 use nazar_registry::VersionMeta;
@@ -530,7 +530,7 @@ impl Orchestrator {
         self.window += 1;
         let _window_span = nazar_obs::span_detail("window", || format!("w={w}"));
         let (stats, delivery) = self.device_window(streams, w);
-        let window_log = self.ingest(&delivery.entries);
+        let window_log = self.ingest_with(|log| delivery.ingest_into(log));
         let uploads = quarantine_uploads(delivery.uploads, Some(self.base_model.arch().input_dim));
         let log_rows = self.drift_log.num_rows();
         let (causes, analysis_time, adapt_time) = match self.strategy {
@@ -563,21 +563,23 @@ impl Orchestrator {
     }
 
     /// Replays window `w` on-device and carries its rows and samples over
-    /// the link: the entries and uploads the cloud sees are only what
+    /// the link: the rows and uploads the cloud sees are only what
     /// survived it (stats stay ground truth — they are measured on-device).
+    /// Devices are named by index end to end, and rows travel as page
+    /// codes: no id or row string is built on the way.
     fn device_window(
         &mut self,
         streams: &[LocationStream],
         w: usize,
-    ) -> (WindowStats, WindowDelivery) {
+    ) -> (WindowStats, FrameDelivery) {
         let parts = self
             .fleet
-            .process_window_parts(streams, w, self.config.windows, &mut self.rng);
+            .process_window_at(streams, w, self.config.windows, &mut self.rng);
         let mut stats = WindowStats::default();
         let mut batches = Vec::with_capacity(parts.len());
-        for (id, part) in parts {
+        for (device, part) in parts {
             stats.merge(&part.stats);
-            batches.push((id, part.entries, part.uploads));
+            batches.push((device, part.entries, part.uploads));
         }
         let _net_span = nazar_obs::span_detail("net_upload", || format!("w={w}"));
         // Fleet and transport share one virtual timeline: the window's
@@ -585,26 +587,27 @@ impl Orchestrator {
         // the uploads' link events start there, and the fleet resumes no
         // earlier than the last delivery.
         self.exchange.advance_clock_to(self.fleet.clock_us());
-        let delivery = self.exchange.upload_window(batches);
+        let delivery = self.exchange.upload_window_at(batches);
         self.fleet.advance_clock_to(self.exchange.clock_us());
         (stats, delivery)
     }
 
-    /// Ingests one window's delivered entries and returns the window's own
-    /// log, the rows analysis reads. Each entry is encoded once, into the
-    /// cumulative log; the durable mirror and the window log copy its rows
-    /// by code, before retention can trim them.
-    fn ingest(&mut self, entries: &[DriftLogEntry]) -> DriftLog {
-        let _span = nazar_obs::span_detail("log_ingest", || format!("rows={}", entries.len()));
-        // Batch ingest: entries are encoded against the dictionaries in
-        // parallel, then appended in arrival order. Malformed entries
-        // (schema drift, a corrupted upload that decoded to the wrong
-        // shape) are quarantined, not fatal: one bad device must not take
-        // down the fleet's analysis pipeline.
+    /// Ingests one window's delivered rows — `append` moves them into the
+    /// cumulative log — and returns the window's own log, the rows
+    /// analysis reads. Each row is coded once, into the cumulative log;
+    /// the durable mirror and the window log copy its rows by code, before
+    /// retention can trim them.
+    fn ingest_with(&mut self, append: impl FnOnce(&mut DriftLog) -> IngestReport) -> DriftLog {
         let first = self.drift_log.num_rows();
-        let report = self
-            .drift_log
-            .ingest_batch_with_threads(entries, parallel::num_threads());
+        let mut span = nazar_obs::span("log_ingest");
+        // Frame by frame, each frame's page mapped onto the dictionaries
+        // once, in arrival order. Malformed rows (schema drift, a forged
+        // keyed upload) are quarantined, not fatal: one bad device must
+        // not take down the fleet's analysis pipeline.
+        let report = append(&mut self.drift_log);
+        if nazar_obs::enabled() {
+            span.set_detail(format!("rows={}", report.appended + report.quarantined));
+        }
         if report.quarantined > 0 {
             QUARANTINED_ENTRIES.add(report.quarantined as u64);
             event!("entries_quarantined", count = report.quarantined);
@@ -850,7 +853,15 @@ fn attrs_label(meta: &VersionMeta) -> String {
 mod tests {
     use super::*;
     use nazar_data::SimDate;
+    use nazar_log::DriftLogEntry;
     use std::sync::Arc;
+
+    impl Orchestrator {
+        /// [`Orchestrator::ingest_with`] over keyed entries.
+        fn ingest(&mut self, entries: &[DriftLogEntry]) -> DriftLog {
+            self.ingest_with(|log| log.ingest_entries(entries))
+        }
+    }
 
     fn upload(features: Vec<f32>) -> UploadedSample {
         UploadedSample {

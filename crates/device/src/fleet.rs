@@ -1,8 +1,9 @@
 //! What a fleet window produces: per-device outputs and their statistics.
 
 use crate::device::UploadedSample;
+use crate::LOG_SCHEMA;
 use nazar_data::StreamItem;
-use nazar_log::DriftLogEntry;
+use nazar_log::RowBatch;
 use nazar_obs::LazyCounter;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -85,14 +86,25 @@ fn ratio(num: usize, den: usize) -> f32 {
 }
 
 /// The result of replaying one window through the fleet.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindowOutput {
-    /// Drift-log entries emitted by all devices.
-    pub entries: Vec<DriftLogEntry>,
+    /// Drift-log rows emitted by all devices, over [`LOG_SCHEMA`].
+    pub entries: RowBatch,
     /// Inputs sampled for upload.
     pub uploads: Vec<UploadedSample>,
     /// Aggregated accuracy statistics.
     pub stats: WindowStats,
+}
+
+/// No rows yet, over [`LOG_SCHEMA`].
+impl Default for WindowOutput {
+    fn default() -> Self {
+        WindowOutput {
+            entries: RowBatch::new(&LOG_SCHEMA),
+            uploads: Vec::new(),
+            stats: WindowStats::default(),
+        }
+    }
 }
 
 static INFERENCES: LazyCounter = LazyCounter::new(
@@ -145,46 +157,36 @@ pub(crate) fn record_stats(out: &WindowOutput) {
     UPLOADS.add(out.uploads.len() as u64);
 }
 
-/// Folds one processed item — its prediction and what the device emitted
-/// for it — into a window output.
-pub(crate) fn tally(
-    out: &mut WindowOutput,
-    item: &StreamItem,
-    prediction: usize,
-    entry: DriftLogEntry,
-    sample: Option<UploadedSample>,
-) {
+/// Folds one processed item — its prediction and its drift verdict — into
+/// a window's statistics.
+pub(crate) fn tally(stats: &mut WindowStats, item: &StreamItem, prediction: usize, drift: bool) {
     let correct = prediction == item.label;
-    out.stats.total += 1;
+    stats.total += 1;
     if correct {
-        out.stats.correct += 1;
+        stats.correct += 1;
     }
-    if entry.drift {
-        out.stats.flagged += 1;
+    if drift {
+        stats.flagged += 1;
         if item.true_cause.is_none() {
-            out.stats.false_positives += 1;
+            stats.false_positives += 1;
         }
     } else if item.true_cause.is_some() {
-        out.stats.misses += 1;
+        stats.misses += 1;
     }
     if let Some(cause) = item.true_cause {
-        out.stats.drifted_total += 1;
+        stats.drifted_total += 1;
         if correct {
-            out.stats.drifted_correct += 1;
+            stats.drifted_correct += 1;
         }
         // Look up before inserting: the key is allocated once per cause,
         // not once per drifted item.
         let hit = (usize::from(correct), 1);
-        if let Some(e) = out.stats.per_cause.get_mut(cause.name()) {
+        if let Some(e) = stats.per_cause.get_mut(cause.name()) {
             e.0 += hit.0;
             e.1 += hit.1;
         } else {
-            out.stats.per_cause.insert(cause.name().to_string(), hit);
+            stats.per_cause.insert(cause.name().to_string(), hit);
         }
-    }
-    out.entries.push(entry);
-    if let Some(sample) = sample {
-        out.uploads.push(sample);
     }
 }
 

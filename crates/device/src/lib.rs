@@ -9,8 +9,9 @@
 //! 2. **infer** with the selected model;
 //! 3. **detect** drift with the lightweight MSP threshold on the inference
 //!    output;
-//! 4. **emit** a [`nazar_log::DriftLogEntry`] with the detection verdict and
-//!    metadata (weather, location, device id), and
+//! 4. **emit** a drift-log row with the detection verdict and metadata
+//!    (weather, location, device id) onto the device's window
+//!    [`nazar_log::RowBatch`], as codes into its string page, and
 //! 5. **sample** a configurable fraction of raw inputs for upload to the
 //!    cloud (the data by-cause adaptation trains on).
 //!

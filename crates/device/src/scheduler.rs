@@ -39,9 +39,10 @@
 use crate::device::{emit_outputs, forward_rows, DeviceConfig};
 use crate::fleet::{record_stats, tally, WindowOutput};
 use crate::state::{DevicePools, FleetState};
-use crate::{item_attributes, item_matches};
+use crate::{item_matches, LOG_SCHEMA};
 use nazar_data::{LocationStream, SimDate, StreamItem};
 use nazar_detect::StreamDetector;
+use nazar_log::RowBatch;
 use nazar_nn::{BnPatch, MlpResNet};
 use nazar_obs::{LazyGauge, LazyHistogram};
 use nazar_registry::{VersionArena, VersionMeta};
@@ -246,6 +247,15 @@ impl FleetSim {
         self.state.ids().to_vec()
     }
 
+    /// The id of the device at index `d` of [`FleetSim::device_ids`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d` is not below [`FleetSim::len`].
+    pub fn device_id(&self, d: usize) -> &str {
+        self.state.id(d)
+    }
+
     /// Maximum number of model versions stored on any device.
     pub fn max_versions(&self) -> usize {
         self.pools.max_len()
@@ -362,11 +372,11 @@ impl FleetSim {
         windows: usize,
         rng: &mut R,
     ) -> WindowOutput {
-        let parts = self.process_window_parts(streams, w, windows, rng);
+        let parts = self.process_window_at(streams, w, windows, rng);
         let mut out = WindowOutput::default();
         for (_, part) in parts {
             out.stats.merge(&part.stats);
-            out.entries.extend(part.entries);
+            out.entries.append(part.entries);
             out.uploads.extend(part.uploads);
         }
         out
@@ -376,6 +386,7 @@ impl FleetSim {
     /// device's output separately, sorted by device id — the shape the
     /// transport needs, since every device uploads its own batch.
     /// Concatenating the parts reproduces [`FleetSim::process_window`].
+    /// [`FleetSim::process_window_at`] with each device named by its id.
     pub fn process_window_parts<R: Rng + ?Sized>(
         &mut self,
         streams: &[LocationStream],
@@ -383,7 +394,8 @@ impl FleetSim {
         windows: usize,
         rng: &mut R,
     ) -> Vec<(String, WindowOutput)> {
-        self.process_window_parts_with_threads(streams, w, windows, rng, parallel::num_threads())
+        let parts = self.process_window_at(streams, w, windows, rng);
+        self.named(parts)
     }
 
     /// [`FleetSim::process_window_parts`] with an explicit worker count.
@@ -395,6 +407,40 @@ impl FleetSim {
         rng: &mut R,
         threads: usize,
     ) -> Vec<(String, WindowOutput)> {
+        let parts = self.process_window_at_with_threads(streams, w, windows, rng, threads);
+        self.named(parts)
+    }
+
+    /// Each part under its device's id.
+    fn named(&self, parts: Vec<(u32, WindowOutput)>) -> Vec<(String, WindowOutput)> {
+        let id = |d: u32| self.state.id(d as usize).to_string();
+        parts.into_iter().map(|(d, part)| (id(d), part)).collect()
+    }
+
+    /// Replays window `w` of `windows`, returning each participating
+    /// device's output separately under its index in
+    /// [`FleetSim::device_ids`], ascending — the shape the transport
+    /// needs, since every device uploads its own batch, and the one the
+    /// orchestrator hands the exchange without naming a device.
+    pub fn process_window_at<R: Rng + ?Sized>(
+        &mut self,
+        streams: &[LocationStream],
+        w: usize,
+        windows: usize,
+        rng: &mut R,
+    ) -> Vec<(u32, WindowOutput)> {
+        self.process_window_at_with_threads(streams, w, windows, rng, parallel::num_threads())
+    }
+
+    /// [`FleetSim::process_window_at`] with an explicit worker count.
+    pub fn process_window_at_with_threads<R: Rng + ?Sized>(
+        &mut self,
+        streams: &[LocationStream],
+        w: usize,
+        windows: usize,
+        rng: &mut R,
+        threads: usize,
+    ) -> Vec<(u32, WindowOutput)> {
         let span = nazar_obs::span_detail("detect", || format!("w={w} scheduler=event"));
         let started = std::time::Instant::now();
         let schedule_span = nazar_obs::span("detect.schedule");
@@ -484,10 +530,10 @@ impl FleetSim {
         // Chunks are contiguous and ascending, so the parts arrive — and
         // their counters are recorded — in ascending device order.
         let merge_span = nazar_obs::span("detect.merge");
-        let mut parts: Vec<(String, WindowOutput)> = Vec::with_capacity(participants);
-        for (d, part) in results.into_iter().flatten() {
-            record_stats(&part);
-            parts.push((self.state.id(d as usize).to_string(), part));
+        let mut parts: Vec<(u32, WindowOutput)> = Vec::with_capacity(participants);
+        for part in results.into_iter().flatten() {
+            record_stats(&part.1);
+            parts.push(part);
         }
         drop(merge_span);
 
@@ -561,21 +607,31 @@ fn run_chunk(chunk: Chunk<'_, '_>, ctx: &WindowCtx<'_>) -> Vec<(u32, WindowOutpu
     let mut parts = Vec::with_capacity(chunk.jobs.len());
     let mut first = 0; // chunk position of the job's first item
     for job in chunk.jobs {
-        let mut part = WindowOutput::default();
+        // Sized for the device's items and its page's usual three strings
+        // (id, location, one weather), the id first; a job has an item.
+        let mut rows = RowBatch::with_capacity(&LOG_SCHEMA, job.items.len(), 3);
+        if let Some((_, item)) = job.items.first() {
+            rows.intern(&item.device_id);
+        }
+        let mut part = WindowOutput {
+            entries: rows,
+            ..WindowOutput::default()
+        };
         let results = &passes[first..];
         first += job.items.len();
         for (&(_, item), &(prediction, msp)) in job.items.iter().zip(results) {
             *job.seq += 1;
             let drift = detector.observe(msp);
-            let (entry, sample) = emit_outputs(
+            let sample = emit_outputs(
                 item,
-                item_attributes(item),
                 drift,
                 ctx.config.sample_rate,
                 *job.seq,
                 &mut job.rng,
+                &mut part.entries,
             );
-            tally(&mut part, item, prediction, entry, sample);
+            tally(&mut part.stats, item, prediction, drift);
+            part.uploads.extend(sample);
         }
         parts.push((job.device, part));
     }

@@ -9,7 +9,6 @@
 use nazar_data::{LocationStream, SimDate, StreamItem};
 use nazar_detect::{msp_of_row, DetectorKind, StreamDetector};
 use nazar_device::{item_attributes, DeviceConfig, UploadedSample, WindowOutput, DAY_US};
-use nazar_log::DriftLogEntry;
 use nazar_nn::{BnPatch, MlpResNet};
 use nazar_registry::{ModelPool, VersionMeta};
 use nazar_tensor::{kernels, simd, Workspace};
@@ -132,6 +131,7 @@ impl Oracle {
             };
             let mut device_rng = SmallRng::seed_from_u64(rng.next_u64());
             let mut part = WindowOutput::default();
+            part.entries.intern(id);
             let mut next_free = start_us;
             for (k, item) in items.into_iter().enumerate() {
                 let nominal =
@@ -170,11 +170,9 @@ impl Oracle {
                         true_cause: item.true_cause,
                     }
                 });
-                part.entries.push(DriftLogEntry {
-                    timestamp: u64::from(item.date.day_index()) * 86_400 + device.seq % 86_400,
-                    attrs,
-                    drift,
-                });
+                let values: Vec<&str> = attrs.iter().map(|a| a.value.as_str()).collect();
+                let timestamp = u64::from(item.date.day_index()) * 86_400 + device.seq % 86_400;
+                part.entries.push_values(timestamp, drift, &values);
                 part.uploads.extend(sample);
 
                 let stats = &mut part.stats;

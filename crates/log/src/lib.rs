@@ -9,6 +9,9 @@
 //! This crate reproduces exactly that interface:
 //!
 //! * [`DriftLogEntry`] — one row: timestamp, attribute values, drift flag.
+//! * [`RowBatch`] — rows as codes into a batch-local string page: what a
+//!   device emits, an upload frame carries and [`DriftLog::ingest_rows`]
+//!   appends without a string per row.
 //! * [`DriftLog`] — a columnar, dictionary-encoded store over a fixed
 //!   attribute schema, supporting the counting queries frequent-itemset
 //!   mining needs (`COUNT(*) WHERE attr1 = v1 AND attr2 = v2 [AND drift]`),
@@ -39,10 +42,12 @@
 pub mod crc;
 mod entry;
 pub mod probe;
+mod rows;
 mod store;
 pub mod varint;
 
 pub use entry::{Attribute, DriftLogEntry};
+pub use rows::RowBatch;
 pub use store::{DriftLog, IngestReport, LogError, MatchCounts, Result};
 
 /// Builds the example drift log of Table 2 in the paper (two devices, New

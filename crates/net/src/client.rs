@@ -11,10 +11,11 @@ use crate::config::{MAX_BATCH_ENTRIES, MAX_BATCH_SAMPLES, OUTBOX_FRAMES};
 use crate::error::Result;
 use crate::wire::{self, ChunkRef, Message};
 use nazar_device::UploadedSample;
-use nazar_log::DriftLogEntry;
+use nazar_log::RowBatch;
 use nazar_nn::BnPatch;
 use nazar_registry::VersionMeta;
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// One frame awaiting acknowledgement.
@@ -163,7 +164,7 @@ impl DeviceClient {
     }
 
     /// Frames queued and not yet acknowledged.
-    pub fn outbox_depth(&self) -> usize {
+    pub(crate) fn outbox_depth(&self) -> usize {
         self.outbox.len()
     }
 
@@ -174,30 +175,27 @@ impl DeviceClient {
         (self.download.as_ref().map(|d| d.0), self.completed)
     }
 
-    /// Batches and coalesces `entries` + `samples` into sequence-numbered
-    /// upload frames on the outbox, at most 64 entries and 32 samples a
+    /// Batches and coalesces `rows` + `samples` into sequence-numbered
+    /// upload frames on the outbox, at most 64 rows and 32 samples a
     /// frame. When the outbox would grow past 256 frames, the *oldest*
     /// queued frame is dropped (fresh telemetry beats stale telemetry on a
-    /// congested uplink). Returns the seqs of the newly queued frames.
-    pub fn queue_upload(
+    /// congested uplink). Returns the seqs of the newly queued frames
+    /// still on the outbox.
+    pub(crate) fn queue_upload<S: AsRef<str>>(
         &mut self,
-        entries: &[DriftLogEntry],
+        rows: &RowBatch<S>,
         samples: &[UploadedSample],
-    ) -> Vec<u64> {
-        let mut new_seqs = Vec::new();
+    ) -> Range<u64> {
+        let first = self.next_seq;
         let mut e = 0usize;
         let mut s = 0usize;
-        while e < entries.len() || s < samples.len() {
-            let e_end = (e + MAX_BATCH_ENTRIES).min(entries.len());
+        while e < rows.len() || s < samples.len() {
+            let e_end = (e + MAX_BATCH_ENTRIES).min(rows.len());
             let s_end = (s + MAX_BATCH_SAMPLES).min(samples.len());
             let seq = self.next_seq;
             self.next_seq += 1;
-            let frame = wire::encode_upload_batch(
-                &self.device_id,
-                seq,
-                &entries[e..e_end],
-                &samples[s..s_end],
-            );
+            let frame =
+                wire::encode_upload_rows(&self.device_id, seq, rows, e..e_end, &samples[s..s_end]);
             e = e_end;
             s = s_end;
             self.outbox.push_back(OutFrame {
@@ -205,32 +203,31 @@ impl DeviceClient {
                 bytes: frame.into(),
                 attempts: 0,
             });
-            new_seqs.push(seq);
             let excess = self.outbox.len().saturating_sub(OUTBOX_FRAMES);
-            for dropped in self.outbox.drain(..excess) {
-                new_seqs.retain(|&q| q != dropped.seq);
-                self.dropped += 1;
-            }
+            self.dropped += self.outbox.drain(..excess).len() as u64;
         }
-        new_seqs
+        // Drop-oldest leaves the outbox a run of seqs ending in this call's
+        // last: its new frames are the ones from `first` on.
+        let kept = self.outbox.front().map_or(self.next_seq, |f| f.seq);
+        kept.max(first)..self.next_seq
     }
 
     /// Records a transmission attempt for `seq`; returns the attempt number
     /// (1-based) and the frame to put on the wire, or `None` if the frame
     /// is no longer queued.
-    pub fn transmit(&mut self, seq: u64) -> Option<(u32, Arc<[u8]>)> {
+    pub(crate) fn transmit(&mut self, seq: u64) -> Option<(u32, Arc<[u8]>)> {
         let f = self.outbox.iter_mut().find(|f| f.seq == seq)?;
         f.attempts += 1;
         Some((f.attempts, Arc::clone(&f.bytes)))
     }
 
     /// Whether `seq` is still awaiting acknowledgement.
-    pub fn is_pending(&self, seq: u64) -> bool {
+    pub(crate) fn is_pending(&self, seq: u64) -> bool {
         self.outbox.iter().any(|f| f.seq == seq)
     }
 
     /// Transmission attempts recorded for `seq`, if still queued.
-    pub fn attempts_of(&self, seq: u64) -> Option<u32> {
+    pub(crate) fn attempts_of(&self, seq: u64) -> Option<u32> {
         self.outbox
             .iter()
             .find(|f| f.seq == seq)
@@ -238,7 +235,7 @@ impl DeviceClient {
     }
 
     /// Abandons `seq` after exhausting its retry budget.
-    pub fn give_up(&mut self, seq: u64) {
+    pub(crate) fn give_up(&mut self, seq: u64) {
         self.outbox.retain(|f| f.seq != seq);
     }
 
@@ -314,8 +311,13 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn entry(i: u64) -> DriftLogEntry {
-        DriftLogEntry::new(i, &[("weather", "snow")], i.is_multiple_of(2))
+    /// `n` one-key rows.
+    fn rows(n: u64) -> RowBatch {
+        let mut rows = RowBatch::new(&["weather"]);
+        for i in 0..n {
+            rows.push_values(i, i.is_multiple_of(2), &["snow"]);
+        }
+        rows
     }
 
     fn sample(label: usize) -> UploadedSample {
@@ -342,10 +344,10 @@ mod tests {
     #[test]
     fn batching_splits_large_windows() {
         let mut c = DeviceClient::new("d0");
-        let entries: Vec<_> = (0..2 * MAX_BATCH_ENTRIES as u64 + 1).map(entry).collect();
+        let entries = rows(2 * MAX_BATCH_ENTRIES as u64 + 1);
         let samples: Vec<_> = (0..MAX_BATCH_SAMPLES + 8).map(sample).collect();
         let seqs = c.queue_upload(&entries, &samples);
-        assert_eq!(seqs, vec![0, 1, 2]);
+        assert_eq!(seqs, 0..3);
         assert_eq!(c.outbox_depth(), 3);
         assert_eq!(
             frame_rows(&mut c, 0),
@@ -359,10 +361,10 @@ mod tests {
     fn outbox_backpressure_drops_oldest() {
         let mut c = DeviceClient::new("d0");
         let frames = OUTBOX_FRAMES as u64 + 2;
-        let entries: Vec<_> = (0..frames * MAX_BATCH_ENTRIES as u64).map(entry).collect();
+        let entries = rows(frames * MAX_BATCH_ENTRIES as u64);
         let seqs = c.queue_upload(&entries, &[]);
         // Seqs 0 and 1 were dropped to make room for the last two.
-        assert_eq!(seqs, (2..frames).collect::<Vec<_>>());
+        assert_eq!(seqs, 2..frames);
         assert_eq!(c.outbox_depth(), OUTBOX_FRAMES);
         assert_eq!(c.dropped, 2);
         assert!(!c.is_pending(1) && c.is_pending(2) && c.is_pending(frames - 1));
@@ -371,12 +373,12 @@ mod tests {
     #[test]
     fn ack_clears_pending_frame_once() {
         let mut c = DeviceClient::new("d0");
-        let seqs = c.queue_upload(&[entry(0)], &[]);
-        let ack = wire::encode_frame(&Message::UploadAck { seq: seqs[0] });
+        let seqs = c.queue_upload(&rows(1), &[]);
+        let ack = wire::encode_frame(&Message::UploadAck { seq: seqs.start });
         let mut memo = DecodeMemo::default();
         assert_eq!(
             c.on_frame(&ack, &mut memo).unwrap(),
-            ClientAction::UploadAcked { seq: seqs[0] }
+            ClientAction::UploadAcked { seq: seqs.start }
         );
         assert_eq!(c.on_frame(&ack, &mut memo).unwrap(), ClientAction::None);
         assert_eq!(c.outbox_depth(), 0);

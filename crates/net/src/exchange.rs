@@ -8,10 +8,14 @@
 //! duplicate and a retransmission are reference-count bumps. The
 //! orchestrator drives it in two synchronous phases per window:
 //!
-//! 1. [`Exchange::upload_window`] — every device batches its drift-log
-//!    entries and sampled inputs into sequence-numbered frames and
+//! 1. [`Exchange::upload_window_at`] — every device batches its coded
+//!    drift-log rows and sampled inputs into sequence-numbered frames and
 //!    retransmits with bounded exponential backoff until acknowledged or
-//!    abandoned (retry budget);
+//!    abandoned (retry budget); the cloud parses each arriving frame in
+//!    place and keeps it, and [`FrameDelivery::ingest_into`] parses the
+//!    kept frames again into the drift log. [`Exchange::upload_window`]
+//!    is the same phase for batches named by id, its rows returned as
+//!    entries;
 //! 2. [`Exchange::deploy_to`] — the cloud pushes one encoded `VersionMeta` +
 //!    `BnPatch` payload to each target device as chunked, resumable
 //!    transfers with cumulative acknowledgements (go-back-N resume from the
@@ -36,9 +40,9 @@ use crate::clock::VirtualClock;
 use crate::config::{backoff_us, NetConfig};
 use crate::link::{stable_hash, SimLink, Transmission};
 use crate::server::IngestServer;
-use crate::wire::{self, Message};
+use crate::wire::{self, Message, UploadRef};
 use nazar_device::UploadedSample;
-use nazar_log::DriftLogEntry;
+use nazar_log::{DriftLog, DriftLogEntry, IngestReport, RowBatch};
 use nazar_nn::BnPatch;
 use nazar_obs::{LazyCounter, LazyGauge};
 use nazar_registry::VersionMeta;
@@ -46,6 +50,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BinaryHeap};
+use std::ops::Range;
 use std::sync::Arc;
 
 static FRAMES_SENT_UP: LazyCounter = LazyCounter::new(
@@ -160,13 +165,90 @@ impl NetReport {
     }
 }
 
-/// What one window's upload phase delivered to the cloud.
+/// What one window's upload phase delivered to the cloud, as strings:
+/// [`FrameDelivery`]'s rows materialised by [`Exchange::upload_window`].
 #[derive(Debug, Clone, Default)]
 pub struct WindowDelivery {
     /// Drift-log rows that made it through, in `(device, seq)` order.
     pub entries: Vec<DriftLogEntry>,
     /// Sampled inputs that made it through, same order.
     pub uploads: Vec<UploadedSample>,
+}
+
+/// The rows of one accepted upload frame.
+#[derive(Debug, Clone)]
+enum AcceptedRows {
+    /// A layout-1 frame, kept whole: its rows are parsed in place again
+    /// when ingested.
+    Coded(Arc<[u8]>),
+    /// A layout-0 frame's rows, materialised when it arrived.
+    Keyed(Vec<DriftLogEntry>),
+}
+
+/// One accepted upload frame, as the ingest server queues it.
+#[derive(Debug, Clone)]
+struct Accepted {
+    rows: AcceptedRows,
+    samples: Vec<UploadedSample>,
+}
+
+/// What one window's upload phase delivered to the cloud: the accepted
+/// upload frames in `(device, seq)` order and their sampled inputs. Each
+/// frame was parsed whole on arrival; its rows are parsed in place again
+/// — page strings borrowed from the frame, one reused batch — only when
+/// they are ingested.
+#[derive(Debug, Clone, Default)]
+pub struct FrameDelivery {
+    frames: Vec<AcceptedRows>,
+    /// Sampled inputs that made it through, in `(device, seq)` order.
+    pub uploads: Vec<UploadedSample>,
+}
+
+impl FrameDelivery {
+    /// Hands each frame's rows to `f`, in order: a layout-1 frame's as a
+    /// coded batch borrowing the frame, a layout-0 frame's as entries.
+    fn for_each_rows(&self, mut f: impl FnMut(Result<&RowBatch<&str>, &[DriftLogEntry]>)) {
+        let mut batch = RowBatch::default();
+        for frame in &self.frames {
+            match frame {
+                AcceptedRows::Keyed(entries) => f(Err(entries)),
+                AcceptedRows::Coded(bytes) => {
+                    // Accepted frames parsed whole on arrival, so their
+                    // rows parse again.
+                    let parsed = wire::open_frame(bytes)
+                        .and_then(|(_, payload)| wire::parse_upload(payload, &mut batch));
+                    if parsed.is_ok() {
+                        f(Ok(&batch));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Appends every delivered row to `log`, frame by frame: coded rows
+    /// through [`DriftLog::ingest_rows`], keyed rows through
+    /// [`DriftLog::ingest_entries`] (which quarantines those the schema
+    /// does not fit). Equals `log.ingest_batch(self.to_entries())`.
+    pub fn ingest_into(&self, log: &mut DriftLog) -> IngestReport {
+        let mut report = IngestReport::default();
+        self.for_each_rows(|rows| {
+            report += match rows {
+                Ok(batch) => log.ingest_rows(batch),
+                Err(entries) => log.ingest_entries(entries),
+            };
+        });
+        report
+    }
+
+    /// Every delivered row as a drift-log entry, in order.
+    pub fn to_entries(&self) -> Vec<DriftLogEntry> {
+        let mut entries = Vec::new();
+        self.for_each_rows(|rows| match rows {
+            Ok(batch) => entries.extend(batch.to_entries()),
+            Err(keyed) => entries.extend_from_slice(keyed),
+        });
+        entries
+    }
 }
 
 /// The result of pushing one version to a set of target devices, each
@@ -282,7 +364,10 @@ pub struct Exchange {
     /// `up` and `down` and names it in every event.
     ids: Vec<String>,
     clients: Vec<DeviceClient>,
-    server: IngestServer,
+    server: IngestServer<Accepted>,
+    /// The batch arriving upload frames are parsed into, its buffers kept
+    /// from frame to frame.
+    scratch: RowBatch<&'static str>,
     up: Vec<SimLink>,
     down: Vec<SimLink>,
     /// Decoded deploy payloads, shared by the clients of a broadcast.
@@ -310,6 +395,7 @@ impl Exchange {
             next_transfer_id: 0,
             clients: ids.iter().map(DeviceClient::new).collect(),
             server: IngestServer::for_devices(ids.len()),
+            scratch: RowBatch::default(),
             up: ids.iter().map(|id| link(id, 0x5550)).collect(),
             down: ids.iter().map(|id| link(id, 0x444E)).collect(),
             decoded: DecodeMemo::default(),
@@ -323,11 +409,6 @@ impl Exchange {
     /// [`Exchange::deploy_to`] is `device_ids()[d]`.
     pub fn device_ids(&self) -> &[String] {
         &self.ids
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &NetConfig {
-        &self.cfg
     }
 
     /// Cumulative wire statistics so far.
@@ -434,46 +515,61 @@ impl Exchange {
         );
     }
 
-    /// Runs one window's upload phase: `batches` is the per-device window
-    /// output `(device_id, entries, samples)`. Returns what the cloud
-    /// actually received.
+    /// Runs one window's upload phase for batches named by device id: the
+    /// string adapter over [`Exchange::upload_window_at`], returning the
+    /// delivered rows as entries.
     ///
     /// # Panics
     ///
     /// Panics if a batch names a device this exchange was not built with.
     pub fn upload_window(
         &mut self,
-        batches: Vec<(String, Vec<DriftLogEntry>, Vec<UploadedSample>)>,
+        batches: Vec<(String, RowBatch, Vec<UploadedSample>)>,
     ) -> WindowDelivery {
+        let mut by_index = Vec::with_capacity(batches.len());
+        for (id, rows, samples) in batches {
+            let Some(device) = self.index_of(&id) else {
+                panic!("unknown device {id}");
+            };
+            by_index.push((device, rows, samples));
+        }
+        let delivery = self.upload_window_at(by_index);
+        WindowDelivery {
+            entries: delivery.to_entries(),
+            uploads: delivery.uploads,
+        }
+    }
+
+    /// Runs one window's upload phase: `batches` is the per-device window
+    /// output `(device index, rows, samples)`, the device at its position
+    /// in [`Exchange::device_ids`]. Returns the frames the cloud accepted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is past the fleet.
+    pub fn upload_window_at<S: AsRef<str>>(
+        &mut self,
+        mut batches: Vec<(u32, RowBatch<S>, Vec<UploadedSample>)>,
+    ) -> FrameDelivery {
         let mut heap = BinaryHeap::new();
 
-        // Queue and first-transmit in sorted device order (determinism).
-        let mut queued: Vec<(u32, Vec<u64>)> = Vec::with_capacity(batches.len());
-        let mut by_device: Vec<_> = batches;
-        by_device.sort_by(|a, b| a.0.cmp(&b.0));
+        // Queue and first-transmit in device order (determinism).
+        batches.sort_by_key(|batch| batch.0);
+        let mut queued: Vec<(u32, Range<u64>)> = Vec::with_capacity(batches.len());
         let mut max_depth = 0usize;
-        // The batches are in id order, as `ids` is: one forward walk over
-        // `ids` resolves them all.
-        let mut next = 0usize;
-        for (id, entries, samples) in by_device {
-            while self.ids.get(next).is_some_and(|probe| *probe < id) {
-                next += 1;
-            }
-            if self.ids.get(next) != Some(&id) {
-                panic!("unknown device {id}");
-            }
-            let device = next as u32;
-            let client = &mut self.clients[device as usize];
+        for (device, rows, samples) in &batches {
+            let client = &mut self.clients[*device as usize];
             let before = client.dropped;
-            let seqs = client.queue_upload(&entries, &samples);
+            let seqs = client.queue_upload(rows, samples);
             let newly_dropped = client.dropped - before;
             max_depth = max_depth.max(client.outbox_depth());
             if newly_dropped > 0 {
                 self.report.outbox_dropped += newly_dropped;
                 OUTBOX_DROPPED.add(newly_dropped);
             }
-            queued.push((device, seqs));
+            queued.push((*device, seqs));
         }
+        drop(batches);
         OUTBOX_DEPTH.set(max_depth as f64);
         for (device, seqs) in queued {
             for seq in seqs {
@@ -489,43 +585,20 @@ impl Exchange {
         while let Some(ev) = heap.pop() {
             self.clock.advance_to(ev.at);
             match ev.kind {
-                EventKind::DeliverUp { device, frame } => match wire::decode_frame(&frame) {
-                    Ok(Message::UploadBatch {
-                        device_id,
-                        seq,
-                        entries,
-                        samples,
-                    }) => {
-                        // The frame names its sender: the device whose
-                        // uplink carried it, unless something forged the
-                        // id. A name this fabric was not built with has no
-                        // ingest slot; that frame is dropped and counted
-                        // with the rejected ones.
-                        let sender = if self.ids[device as usize] == device_id {
-                            Some(device)
-                        } else {
-                            self.index_of(&device_id)
-                        };
-                        let Some(sender) = sender else {
-                            self.count_decode_error();
-                            continue;
-                        };
-                        let outcome = self
-                            .server
-                            .on_upload(sender as usize, seq, entries, samples);
-                        if outcome.duplicate {
-                            self.report.ingest_duplicates += 1;
-                            INGEST_DUPLICATES.inc();
-                        }
-                        // Always (re-)ack so the client stops retrying.
-                        let ack = acks.entry(seq).or_insert_with(|| {
-                            Arc::from(wire::encode_frame(&Message::UploadAck { seq }))
-                        });
-                        self.send_down(&mut heap, device, Arc::clone(ack));
+                EventKind::DeliverUp { device, frame } => {
+                    let Some((seq, duplicate)) = self.accept_upload(device, frame) else {
+                        continue;
+                    };
+                    if duplicate {
+                        self.report.ingest_duplicates += 1;
+                        INGEST_DUPLICATES.inc();
                     }
-                    Ok(_) => {} // not an upload-phase message; ignore
-                    Err(_) => self.count_decode_error(),
-                },
+                    // Always (re-)ack so the client stops retrying.
+                    let ack = acks.entry(seq).or_insert_with(|| {
+                        Arc::from(wire::encode_frame(&Message::UploadAck { seq }))
+                    });
+                    self.send_down(&mut heap, device, Arc::clone(ack));
+                }
                 EventKind::DeliverDown { device, frame } => {
                     let client = &mut self.clients[device as usize];
                     if client.on_frame(&frame, &mut self.decoded).is_err() {
@@ -549,8 +622,50 @@ impl Exchange {
             }
         }
 
-        let (entries, uploads) = self.server.take_window();
-        WindowDelivery { entries, uploads }
+        let mut delivery = FrameDelivery::default();
+        for accepted in self.server.take_window() {
+            delivery.frames.push(accepted.rows);
+            delivery.uploads.extend(accepted.samples);
+        }
+        delivery
+    }
+
+    /// Parses an upload-phase frame that reached the cloud over `device`'s
+    /// uplink, whole, and hands an upload batch to the ingest server.
+    /// Returns its seq, and whether the server had accepted it before, when
+    /// it was an upload batch the cloud acks; a frame that does not parse,
+    /// or names a sender this fabric was not built with, is counted as a
+    /// decode error.
+    fn accept_upload(&mut self, device: u32, frame: Arc<[u8]>) -> Option<(u64, bool)> {
+        let mut rows: RowBatch<&str> = std::mem::take(&mut self.scratch);
+        let arrival = match parse_arrival(&frame, &mut rows) {
+            // Not an upload-phase message; ignored.
+            Ok(None) => None,
+            Ok(Some((upload, samples))) => {
+                // The frame names its sender: the device whose uplink
+                // carried it, unless something forged the id. A name this
+                // fabric was not built with has no ingest slot.
+                let sender = if self.ids[device as usize] == upload.device_id {
+                    Some(device)
+                } else {
+                    self.index_of(upload.device_id)
+                };
+                Some(sender.map(|sender| (sender, upload.seq, upload.keyed, samples)))
+            }
+            Err(_) => Some(None),
+        };
+        self.scratch = rows.recycle();
+        let Some((sender, seq, keyed, samples)) = arrival? else {
+            self.count_decode_error();
+            return None;
+        };
+        let rows = match keyed {
+            Some(entries) => AcceptedRows::Keyed(entries),
+            None => AcceptedRows::Coded(frame),
+        };
+        let accepted = Accepted { rows, samples };
+        let outcome = self.server.on_upload(sender as usize, seq, accepted);
+        Some((seq, outcome.duplicate))
     }
 
     /// Pushes one version (meta + patch) to the devices named by
@@ -752,6 +867,22 @@ impl Exchange {
             EventKind::DeployRetry { device },
         );
     }
+}
+
+/// Parses an upload-phase frame whole — envelope, page, rows and samples
+/// — with `rows` taking its page and coded rows: `Ok(None)` for a valid
+/// frame of another message type.
+fn parse_arrival<'a>(
+    frame: &'a [u8],
+    rows: &mut RowBatch<&'a str>,
+) -> crate::error::Result<Option<(UploadRef<'a>, Vec<UploadedSample>)>> {
+    let (msg_type, payload) = wire::open_frame(frame)?;
+    if msg_type != wire::TYPE_UPLOAD_BATCH {
+        return wire::decode_message(msg_type, payload).map(|_| None);
+    }
+    let upload = wire::parse_upload(payload, rows)?;
+    let samples = upload.samples(rows.page())?;
+    Ok(Some((upload, samples)))
 }
 
 #[cfg(test)]

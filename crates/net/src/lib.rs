@@ -41,7 +41,7 @@ pub mod wire;
 pub use client::{ClientAction, DecodeMemo, DeviceClient};
 pub use config::NetConfig;
 pub use error::{NetError, Result};
-pub use exchange::{DeployDelivery, Exchange, NetReport, WindowDelivery};
+pub use exchange::{DeployDelivery, Exchange, FrameDelivery, NetReport, WindowDelivery};
 pub use link::LinkConfig;
 pub use server::{IngestOutcome, IngestServer};
 pub use wire::{Message, FRAME_OVERHEAD, MAGIC, VERSION};

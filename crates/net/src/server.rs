@@ -11,8 +11,6 @@
 //! grow with the run. Batches are drained in `(device, seq)` order, so
 //! frame reordering on the wire cannot change the drift log's row order.
 
-use nazar_device::UploadedSample;
-use nazar_log::DriftLogEntry;
 use std::collections::BTreeSet;
 
 /// Outcome of one batch arrival.
@@ -23,26 +21,29 @@ pub struct IngestOutcome {
 }
 
 /// What the cloud remembers about one device's uploads.
-#[derive(Debug, Clone, Default)]
-struct DeviceIngest {
+#[derive(Debug, Clone)]
+struct DeviceIngest<T> {
     /// Every seq below this one was accepted.
     low_water: u64,
     /// Seqs accepted at or above `low_water`, i.e. past a gap.
     above: BTreeSet<u64>,
     /// Batches accepted since the last [`IngestServer::take_window`] drain,
     /// in arrival order.
-    pending: Vec<(u64, Vec<DriftLogEntry>, Vec<UploadedSample>)>,
+    pending: Vec<(u64, T)>,
 }
 
-impl DeviceIngest {
+impl<T> DeviceIngest<T> {
+    fn new() -> Self {
+        DeviceIngest {
+            low_water: 0,
+            above: BTreeSet::new(),
+            pending: Vec::new(),
+        }
+    }
+
     /// Queues batch `seq` unless it was accepted before; returns whether it
     /// was new.
-    fn accept(
-        &mut self,
-        seq: u64,
-        entries: Vec<DriftLogEntry>,
-        samples: Vec<UploadedSample>,
-    ) -> bool {
+    fn accept(&mut self, seq: u64, batch: T) -> bool {
         if seq < self.low_water {
             return false;
         }
@@ -58,28 +59,29 @@ impl DeviceIngest {
                 self.low_water += 1;
             }
         }
-        self.pending.push((seq, entries, samples));
+        self.pending.push((seq, batch));
         true
     }
 }
 
-/// Cloud-side ingest state.
+/// Cloud-side ingest state over batches of type `T` — what the exchange
+/// keeps of an accepted frame; the server only orders and deduplicates.
 #[derive(Debug, Clone)]
-pub struct IngestServer {
+pub struct IngestServer<T> {
     /// Per device, by index. Iterating devices, then each one's pending
     /// batches by seq, drains in `(device, seq)` order whatever the arrival
     /// order was.
-    devices: Vec<DeviceIngest>,
+    devices: Vec<DeviceIngest<T>>,
     duplicates: u64,
 }
 
-impl IngestServer {
+impl<T> IngestServer<T> {
     /// An endpoint for `devices` devices, named by index `0..devices`; the
     /// exchange numbers them in sorted id order, so a drain is in
     /// `(device id, seq)` order.
     pub fn for_devices(devices: usize) -> Self {
         IngestServer {
-            devices: vec![DeviceIngest::default(); devices],
+            devices: (0..devices).map(|_| DeviceIngest::new()).collect(),
             duplicates: 0,
         }
     }
@@ -90,14 +92,8 @@ impl IngestServer {
     /// # Panics
     ///
     /// Panics if `device` is not below the count the server was built for.
-    pub fn on_upload(
-        &mut self,
-        device: usize,
-        seq: u64,
-        entries: Vec<DriftLogEntry>,
-        samples: Vec<UploadedSample>,
-    ) -> IngestOutcome {
-        let fresh = self.devices[device].accept(seq, entries, samples);
+    pub fn on_upload(&mut self, device: usize, seq: u64, batch: T) -> IngestOutcome {
+        let fresh = self.devices[device].accept(seq, batch);
         if !fresh {
             self.duplicates += 1;
         }
@@ -109,25 +105,27 @@ impl IngestServer {
         self.duplicates
     }
 
-    /// Drains everything accepted this window, concatenated in
-    /// `(device, seq)` order — independent of arrival order.
-    pub fn take_window(&mut self) -> (Vec<DriftLogEntry>, Vec<UploadedSample>) {
-        let mut entries = Vec::new();
-        let mut samples = Vec::new();
+    /// Drains everything accepted this window in `(device, seq)` order —
+    /// independent of arrival order.
+    pub fn take_window(&mut self) -> Vec<T> {
+        let mut batches = Vec::new();
         for device in &mut self.devices {
             device.pending.sort_unstable_by_key(|batch| batch.0);
-            for (_, e, s) in device.pending.drain(..) {
-                entries.extend(e);
-                samples.extend(s);
-            }
+            batches.extend(device.pending.drain(..).map(|(_, batch)| batch));
         }
-        (entries, samples)
+        batches
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nazar_log::DriftLogEntry;
+
+    /// Drains a window of entry batches, concatenated.
+    fn drain(s: &mut IngestServer<Vec<DriftLogEntry>>) -> Vec<DriftLogEntry> {
+        s.take_window().concat()
+    }
 
     fn entry(i: u64) -> DriftLogEntry {
         DriftLogEntry::new(i, &[("weather", "fog")], true)
@@ -136,23 +134,23 @@ mod tests {
     #[test]
     fn redelivery_is_idempotent() {
         let mut s = IngestServer::for_devices(1);
-        let first = s.on_upload(0, 0, vec![entry(1)], vec![]);
+        let first = s.on_upload(0, 0, vec![entry(1)]);
         assert!(!first.duplicate);
-        let again = s.on_upload(0, 0, vec![entry(1)], vec![]);
+        let again = s.on_upload(0, 0, vec![entry(1)]);
         assert!(again.duplicate);
         assert_eq!(s.duplicates(), 1);
-        let (entries, _) = s.take_window();
+        let entries = drain(&mut s);
         assert_eq!(entries.len(), 1, "duplicate must not double-ingest");
     }
 
     #[test]
     fn drain_order_is_device_then_seq_regardless_of_arrival() {
         let mut s = IngestServer::for_devices(2);
-        s.on_upload(1, 1, vec![entry(31)], vec![]);
-        s.on_upload(0, 1, vec![entry(21)], vec![]);
-        s.on_upload(1, 0, vec![entry(30)], vec![]);
-        s.on_upload(0, 0, vec![entry(20)], vec![]);
-        let (entries, _) = s.take_window();
+        s.on_upload(1, 1, vec![entry(31)]);
+        s.on_upload(0, 1, vec![entry(21)]);
+        s.on_upload(1, 0, vec![entry(30)]);
+        s.on_upload(0, 0, vec![entry(20)]);
+        let entries = drain(&mut s);
         let ts: Vec<u64> = entries.iter().map(|e| e.timestamp).collect();
         assert_eq!(ts, vec![20, 21, 30, 31]);
     }
@@ -160,11 +158,11 @@ mod tests {
     #[test]
     fn seen_set_survives_window_drains() {
         let mut s = IngestServer::for_devices(1);
-        s.on_upload(0, 0, vec![entry(1)], vec![]);
-        let _ = s.take_window();
+        s.on_upload(0, 0, vec![entry(1)]);
+        let _ = drain(&mut s);
         // A late duplicate from a previous window is still suppressed.
-        assert!(s.on_upload(0, 0, vec![entry(1)], vec![]).duplicate);
-        let (entries, _) = s.take_window();
+        assert!(s.on_upload(0, 0, vec![entry(1)]).duplicate);
+        let entries = drain(&mut s);
         assert!(entries.is_empty());
     }
 
@@ -172,27 +170,27 @@ mod tests {
     fn in_order_uploads_keep_no_per_batch_state() {
         let mut s = IngestServer::for_devices(1);
         for seq in 0..10_000u64 {
-            assert!(!s.on_upload(0, seq, vec![entry(seq)], vec![]).duplicate);
+            assert!(!s.on_upload(0, seq, vec![entry(seq)]).duplicate);
             if seq % 100 == 99 {
-                assert_eq!(s.take_window().0.len(), 100);
+                assert_eq!(drain(&mut s).len(), 100);
             }
         }
         assert_eq!(s.devices[0].low_water, 10_000);
         assert!(s.devices[0].above.is_empty());
         assert!(s.devices[0].pending.is_empty());
         // Duplicates far below and just below the mark are suppressed.
-        assert!(s.on_upload(0, 3, vec![entry(3)], vec![]).duplicate);
-        assert!(s.on_upload(0, 9_999, vec![entry(9_999)], vec![]).duplicate);
+        assert!(s.on_upload(0, 3, vec![entry(3)]).duplicate);
+        assert!(s.on_upload(0, 9_999, vec![entry(9_999)]).duplicate);
 
         // A gap parks later seqs above the mark until it closes.
-        assert!(!s.on_upload(0, 10_002, vec![entry(2)], vec![]).duplicate);
-        assert!(!s.on_upload(0, 10_001, vec![entry(1)], vec![]).duplicate);
-        assert!(s.on_upload(0, 10_002, vec![entry(2)], vec![]).duplicate);
+        assert!(!s.on_upload(0, 10_002, vec![entry(2)]).duplicate);
+        assert!(!s.on_upload(0, 10_001, vec![entry(1)]).duplicate);
+        assert!(s.on_upload(0, 10_002, vec![entry(2)]).duplicate);
         assert_eq!(s.devices[0].above.len(), 2);
-        assert!(!s.on_upload(0, 10_000, vec![entry(0)], vec![]).duplicate);
+        assert!(!s.on_upload(0, 10_000, vec![entry(0)]).duplicate);
         assert_eq!(s.devices[0].low_water, 10_003);
         assert!(s.devices[0].above.is_empty());
-        let ts: Vec<u64> = s.take_window().0.iter().map(|e| e.timestamp).collect();
+        let ts: Vec<u64> = drain(&mut s).iter().map(|e| e.timestamp).collect();
         assert_eq!(ts, vec![0, 1, 2]);
         assert_eq!(s.duplicates(), 3);
     }

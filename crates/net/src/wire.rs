@@ -52,17 +52,27 @@
 //! duplicate key or an empty string has to reach the cloud's quarantine,
 //! not die on the wire. The encoder picks the layout from the rows it is
 //! handed.
+//!
+//! One encoder, one parser. A device's rows reach the encoder as a coded
+//! [`RowBatch`] ([`encode_upload_rows`]), the string path's as entries
+//! ([`encode_upload_batch`]); both run the same encoder and write the same
+//! bytes. The cloud reads an upload payload in place with
+//! [`parse_upload`]: the page and layout-1 rows go into a
+//! `RowBatch<&str>` that borrows the frame's strings. [`decode_frame`] is
+//! that parser plus string materialisation, so both refuse a frame with
+//! the same [`NetError`].
 
 use crate::error::{NetError, Result};
 use nazar_data::{Corruption, SimDate};
 use nazar_device::{UploadedSample, LOG_SCHEMA};
 pub use nazar_log::crc::crc32;
 use nazar_log::varint::{self, VarintError};
-use nazar_log::{Attribute, DriftLogEntry};
+use nazar_log::{Attribute, DriftLogEntry, RowBatch};
 use nazar_nn::{BnLayerState, BnPatch};
 use nazar_registry::VersionMeta;
 use nazar_tensor::Tensor;
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// The frame magic.
 pub const MAGIC: [u8; 4] = *b"NZRF";
@@ -440,7 +450,8 @@ pub fn decode_deploy_payload(bytes: &[u8]) -> Result<(VersionMeta, BnPatch)> {
 
 // -- frame codec ------------------------------------------------------------
 
-const TYPE_UPLOAD_BATCH: u8 = 1;
+/// The message-type byte of a [`Message::UploadBatch`] frame.
+pub const TYPE_UPLOAD_BATCH: u8 = 1;
 const TYPE_UPLOAD_ACK: u8 = 2;
 /// The message-type byte of a [`Message::DeployChunk`] frame.
 pub const TYPE_DEPLOY_CHUNK: u8 = 3;
@@ -543,20 +554,25 @@ fn is_schema_row(attrs: &[Attribute]) -> bool {
     attrs.len() == LOG_SCHEMA.len() && attrs.iter().zip(LOG_SCHEMA).all(|(a, key)| a.key == key)
 }
 
+/// An attribute list as the encoder reads it: `(key, value)` in order.
+fn pairs(attrs: &[Attribute]) -> impl ExactSizeIterator<Item = (&str, &str)> {
+    attrs.iter().map(|a| (a.key.as_str(), a.value.as_str()))
+}
+
 fn put_paged_attrs<'a>(
     w: &mut Writer,
     page: &mut PageBuilder<'a>,
-    attrs: &'a [Attribute],
+    attrs: impl ExactSizeIterator<Item = (&'a str, &'a str)>,
     schema_rows: bool,
 ) {
     if !schema_rows {
         w.put_varint(attrs.len() as u64);
     }
-    for (i, a) in attrs.iter().enumerate() {
+    for (i, (key, value)) in attrs.enumerate() {
         if !schema_rows {
-            w.put_varint(u64::from(page.code_at(2 * i + 1, &a.key)));
+            w.put_varint(u64::from(page.code_at(2 * i + 1, key)));
         }
-        w.put_varint(u64::from(page.code_at(2 * i, &a.value)));
+        w.put_varint(u64::from(page.code_at(2 * i, value)));
     }
 }
 
@@ -576,27 +592,88 @@ fn get_paged_attrs(r: &mut Reader<'_>, page: &[&str], schema_rows: bool) -> Resu
     Ok(attrs)
 }
 
-/// Encodes a [`Message::UploadBatch`] frame from borrowed rows (payload
-/// layout in the module docs).
-pub fn encode_upload_batch(
-    device_id: &str,
+/// The rows of one upload frame as the one encoder reads them: keyed
+/// entries, or a range of a coded batch.
+trait FrameRows {
+    /// Number of rows.
+    fn count(&self) -> usize;
+    /// Row `i`'s timestamp and drift flag.
+    fn head(&self, i: usize) -> (u64, bool);
+    /// Row `i`'s attributes, `(key, value)` in order.
+    fn attrs(&self, i: usize) -> impl ExactSizeIterator<Item = (&str, &str)>;
+    /// Whether every row carries exactly the [`LOG_SCHEMA`] keys, in order.
+    fn schema_rows(&self) -> bool;
+}
+
+impl FrameRows for [DriftLogEntry] {
+    fn count(&self) -> usize {
+        self.len()
+    }
+
+    fn head(&self, i: usize) -> (u64, bool) {
+        (self[i].timestamp, self[i].drift)
+    }
+
+    fn attrs(&self, i: usize) -> impl ExactSizeIterator<Item = (&str, &str)> {
+        pairs(&self[i].attrs)
+    }
+
+    fn schema_rows(&self) -> bool {
+        self.iter().all(|e| is_schema_row(&e.attrs))
+    }
+}
+
+/// Rows `range` of a coded batch.
+struct BatchRows<'r, S> {
+    rows: &'r RowBatch<S>,
+    range: Range<usize>,
+}
+
+impl<S: AsRef<str>> FrameRows for BatchRows<'_, S> {
+    fn count(&self) -> usize {
+        self.range.len()
+    }
+
+    fn head(&self, i: usize) -> (u64, bool) {
+        let row = self.range.start + i;
+        (self.rows.timestamps()[row], self.rows.drift_flags()[row])
+    }
+
+    fn attrs(&self, i: usize) -> impl ExactSizeIterator<Item = (&str, &str)> {
+        let (page, codes) = (self.rows.page(), self.rows.row_codes(self.range.start + i));
+        let keys = self.rows.keys().iter().zip(codes);
+        keys.map(move |(key, &code)| (*key, page[code as usize].as_ref()))
+    }
+
+    fn schema_rows(&self) -> bool {
+        // A frame of samples alone carries none of the batch's keys.
+        self.range.is_empty() || self.rows.keys() == LOG_SCHEMA
+    }
+}
+
+/// The one upload-frame encoder (payload layout in the module docs). The
+/// page is numbered per frame in first-use order — the device id, then
+/// rows' and samples' strings as the body meets them — whatever page the
+/// rows came from.
+fn encode_upload<'a, R: FrameRows + ?Sized>(
+    device_id: &'a str,
     seq: u64,
-    entries: &[DriftLogEntry],
-    samples: &[UploadedSample],
+    rows: &'a R,
+    samples: &'a [UploadedSample],
 ) -> Vec<u8> {
-    let schema_rows = entries.iter().all(|e| is_schema_row(&e.attrs))
-        && samples.iter().all(|s| is_schema_row(&s.attrs));
+    let schema_rows = rows.schema_rows() && samples.iter().all(|s| is_schema_row(&s.attrs));
     // Rows and samples first, into a side buffer: the page they fill goes
     // on the wire ahead of them.
     let mut page = PageBuilder::new(device_id);
     let mut body = Writer::with_capacity(64);
-    body.put_varint(entries.len() as u64);
+    body.put_varint(rows.count() as u64);
     let mut previous = 0u64;
-    for e in entries {
-        body.put_varint(e.timestamp.wrapping_sub(previous));
-        previous = e.timestamp;
-        body.put_u8(e.drift as u8);
-        put_paged_attrs(&mut body, &mut page, &e.attrs, schema_rows);
+    for i in 0..rows.count() {
+        let (timestamp, drift) = rows.head(i);
+        body.put_varint(timestamp.wrapping_sub(previous));
+        previous = timestamp;
+        body.put_u8(drift as u8);
+        put_paged_attrs(&mut body, &mut page, rows.attrs(i), schema_rows);
     }
     body.put_varint(samples.len() as u64);
     for s in samples {
@@ -604,7 +681,7 @@ pub fn encode_upload_batch(
         for &f in &s.features {
             body.put_f32(f);
         }
-        put_paged_attrs(&mut body, &mut page, &s.attrs, schema_rows);
+        put_paged_attrs(&mut body, &mut page, pairs(&s.attrs), schema_rows);
         body.put_u16(s.date.day_index());
         body.put_varint(s.label as u64);
         body.put_varint(match s.true_cause {
@@ -626,25 +703,129 @@ pub fn encode_upload_batch(
     seal_frame(w)
 }
 
-/// Decodes the payload [`encode_upload_batch`] writes.
-fn decode_upload_batch(r: &mut Reader<'_>) -> Result<Message> {
+/// Encodes a [`Message::UploadBatch`] frame from borrowed entries: the
+/// string adapter over the one encoder.
+pub fn encode_upload_batch(
+    device_id: &str,
+    seq: u64,
+    entries: &[DriftLogEntry],
+    samples: &[UploadedSample],
+) -> Vec<u8> {
+    encode_upload(device_id, seq, entries, samples)
+}
+
+/// Encodes an upload frame from rows `range` of a coded batch: the bytes
+/// [`encode_upload_batch`] writes for those rows' entries. A batch over
+/// [`LOG_SCHEMA`] with schema-keyed samples travels as layout 1; any other
+/// keys as layout 0, each row naming them.
+///
+/// # Panics
+///
+/// Panics if `range` reaches past the batch's rows.
+pub fn encode_upload_rows<S: AsRef<str>>(
+    device_id: &str,
+    seq: u64,
+    rows: &RowBatch<S>,
+    range: Range<usize>,
+    samples: &[UploadedSample],
+) -> Vec<u8> {
+    assert!(range.end <= rows.len(), "rows within the batch");
+    encode_upload(device_id, seq, &BatchRows { rows, range }, samples)
+}
+
+/// An upload-batch payload parsed in place by [`parse_upload`]: its page
+/// and its schema rows went into the batch handed to the parser, borrowing
+/// the frame's strings; its samples are read on demand.
+#[derive(Debug, Clone)]
+pub struct UploadRef<'a> {
+    /// Per-device batch number.
+    pub seq: u64,
+    /// The sender's id: page entry 0.
+    pub device_id: &'a str,
+    /// The rows of a layout-0 frame, materialised: keyed rows carry keys of
+    /// their own, so they reach the cloud's quarantine as entries. `None`
+    /// for layout 1, whose rows are in the batch.
+    pub keyed: Option<Vec<DriftLogEntry>>,
+    schema_rows: bool,
+    /// The payload from its samples section on.
+    samples: Reader<'a>,
+}
+
+impl<'a> UploadRef<'a> {
+    /// The frame's sampled inputs, materialised against `page` — the page
+    /// of the batch [`parse_upload`] filled.
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`decode_frame`] on a malformed sample, and trailing
+    /// bytes after the last one.
+    pub fn samples(&self, page: &[&'a str]) -> Result<Vec<UploadedSample>> {
+        let r = &mut self.samples.clone();
+        let n_samples = r.get_varint_count("sample count")?;
+        let mut samples = Vec::with_capacity(n_samples.min(1024));
+        for _ in 0..n_samples {
+            let n = r.get_varint_count("feature count")?;
+            let features = r
+                .take(n * 4)?
+                .chunks_exact(4)
+                .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+                .collect();
+            let attrs = get_paged_attrs(r, page, self.schema_rows)?;
+            let day = r.get_u16()?;
+            if day >= SimDate::TOTAL_DAYS {
+                return Err(NetError::Malformed("sample date outside simulated range"));
+            }
+            let label = usize::try_from(r.get_varint()?)
+                .map_err(|_| NetError::Malformed("sample label overflows usize"))?;
+            let true_cause = match r.get_varint()? {
+                0 => None,
+                code => Some(
+                    Corruption::from_name(paged(page, code - 1)?)
+                        .ok_or(NetError::Malformed("unknown corruption name"))?,
+                ),
+            };
+            samples.push(UploadedSample {
+                features,
+                attrs,
+                date: SimDate::new(day),
+                label,
+                true_cause,
+            });
+        }
+        r.finish()?;
+        Ok(samples)
+    }
+}
+
+/// The one upload parser: reads an upload-batch payload (as returned by
+/// [`open_frame`]) in place. `rows` is emptied and given the frame's page
+/// verbatim — entry 0 the sender's id — and, for a layout-1 frame, its
+/// rows as the frame's own page codes over [`LOG_SCHEMA`]; no string is
+/// copied. The samples stay unread until [`UploadRef::samples`].
+///
+/// # Errors
+///
+/// The errors of [`decode_frame`] up to the samples section.
+pub fn parse_upload<'a>(payload: &'a [u8], rows: &mut RowBatch<&'a str>) -> Result<UploadRef<'a>> {
+    let mut r = Reader::new(payload);
     let seq = r.get_varint()?;
     let schema_rows = match r.get_u8()? {
         0 => false,
         1 => true,
         _ => return Err(NetError::Malformed("upload layout must be 0 or 1")),
     };
+    rows.reset(&LOG_SCHEMA);
     let n_page = r.get_varint_count("page length")?;
-    let mut page = Vec::with_capacity(n_page.min(1024));
     for _ in 0..n_page {
-        page.push(r.get_page_str()?);
+        rows.push_page(r.get_page_str()?);
     }
-    let Some(device_id) = page.first() else {
+    let Some(&device_id) = rows.page().first() else {
         return Err(NetError::Malformed("empty string page"));
     };
 
     let n_entries = r.get_varint_count("entry count")?;
-    let mut entries = Vec::with_capacity(n_entries.min(1024));
+    let mut keyed = (!schema_rows).then(|| Vec::with_capacity(n_entries.min(1024)));
+    let mut codes = [0u32; LOG_SCHEMA.len()];
     let mut timestamp = 0u64;
     for _ in 0..n_entries {
         timestamp = timestamp.wrapping_add(r.get_varint()?);
@@ -653,48 +834,40 @@ fn decode_upload_batch(r: &mut Reader<'_>) -> Result<Message> {
             1 => true,
             _ => return Err(NetError::Malformed("drift flag must be 0 or 1")),
         };
+        let Some(entries) = keyed.as_mut() else {
+            for code in &mut codes {
+                let at = r.get_varint()?;
+                paged(rows.page(), at)?;
+                *code = at as u32;
+            }
+            rows.push_coded(timestamp, drift, &codes);
+            continue;
+        };
         entries.push(DriftLogEntry {
             timestamp,
-            attrs: get_paged_attrs(r, &page, schema_rows)?,
+            attrs: get_paged_attrs(&mut r, rows.page(), false)?,
             drift,
         });
     }
-
-    let n_samples = r.get_varint_count("sample count")?;
-    let mut samples = Vec::with_capacity(n_samples.min(1024));
-    for _ in 0..n_samples {
-        let n = r.get_varint_count("feature count")?;
-        let features = r
-            .take(n * 4)?
-            .chunks_exact(4)
-            .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-            .collect();
-        let attrs = get_paged_attrs(r, &page, schema_rows)?;
-        let day = r.get_u16()?;
-        if day >= SimDate::TOTAL_DAYS {
-            return Err(NetError::Malformed("sample date outside simulated range"));
-        }
-        let label = usize::try_from(r.get_varint()?)
-            .map_err(|_| NetError::Malformed("sample label overflows usize"))?;
-        let true_cause = match r.get_varint()? {
-            0 => None,
-            code => Some(
-                Corruption::from_name(paged(&page, code - 1)?)
-                    .ok_or(NetError::Malformed("unknown corruption name"))?,
-            ),
-        };
-        samples.push(UploadedSample {
-            features,
-            attrs,
-            date: SimDate::new(day),
-            label,
-            true_cause,
-        });
-    }
-    Ok(Message::UploadBatch {
-        device_id: device_id.to_string(),
+    Ok(UploadRef {
         seq,
-        entries,
+        device_id,
+        keyed,
+        schema_rows,
+        samples: r,
+    })
+}
+
+/// Decodes an upload-batch payload into an owned message: the string
+/// adapter over [`parse_upload`].
+fn decode_upload_batch(payload: &[u8]) -> Result<Message> {
+    let mut rows = RowBatch::default();
+    let upload = parse_upload(payload, &mut rows)?;
+    let samples = upload.samples(rows.page())?;
+    Ok(Message::UploadBatch {
+        device_id: upload.device_id.to_string(),
+        seq: upload.seq,
+        entries: upload.keyed.unwrap_or_else(|| rows.to_entries()),
         samples,
     })
 }
@@ -831,7 +1004,7 @@ pub fn parse_deploy_chunk(payload: &[u8]) -> Result<ChunkRef<'_>> {
 pub fn decode_message(msg_type: u8, payload: &[u8]) -> Result<Message> {
     let mut r = Reader::new(payload);
     let msg = match msg_type {
-        TYPE_UPLOAD_BATCH => decode_upload_batch(&mut r)?,
+        TYPE_UPLOAD_BATCH => return decode_upload_batch(payload),
         TYPE_UPLOAD_ACK => Message::UploadAck { seq: r.get_u64()? },
         TYPE_DEPLOY_CHUNK => {
             let chunk = parse_deploy_chunk(payload)?;

@@ -2,7 +2,7 @@
 //! retries recover lossy uploads, chunked deploys resume through loss, and
 //! failed or unknown targets are reported.
 
-use nazar_log::DriftLogEntry;
+use nazar_log::RowBatch;
 use nazar_net::exchange::Exchange;
 use nazar_net::{LinkConfig, NetConfig};
 use nazar_nn::{BnPatch, MlpResNet, ModelArch};
@@ -10,8 +10,13 @@ use nazar_registry::VersionMeta;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-fn entry(ts: u64) -> DriftLogEntry {
-    DriftLogEntry::new(ts, &[("weather", "fog")], ts.is_multiple_of(2))
+/// `n` one-key rows, timestamps `0..n`.
+fn rows(n: u64) -> RowBatch {
+    let mut rows = RowBatch::new(&["weather"]);
+    for ts in 0..n {
+        rows.push_values(ts, ts.is_multiple_of(2), &["fog"]);
+    }
+    rows
 }
 
 fn lossy(loss: f64) -> NetConfig {
@@ -41,9 +46,9 @@ fn test_patch() -> (VersionMeta, BnPatch) {
 fn retries_recover_uploads_through_twenty_percent_loss() {
     let ids: Vec<String> = (0..4).map(|i| format!("dev{i}")).collect();
     let mut ex = Exchange::new(ids.iter().cloned(), lossy(0.2));
-    let batches: Vec<(String, Vec<DriftLogEntry>, Vec<_>)> = ids
+    let batches: Vec<(String, RowBatch, Vec<_>)> = ids
         .iter()
-        .map(|id| (id.clone(), (0..100).map(entry).collect(), vec![]))
+        .map(|id| (id.clone(), rows(100), vec![]))
         .collect();
     let sent: usize = batches.iter().map(|(_, e, _)| e.len()).sum();
     let delivery = ex.upload_window(batches);

@@ -19,7 +19,7 @@
 
 use nazar_data::SimDate;
 use nazar_device::UploadedSample;
-use nazar_log::{Attribute, DriftLogEntry};
+use nazar_log::{Attribute, RowBatch};
 use nazar_net::wire::{self, Message};
 use nazar_net::{
     ClientAction, DeployDelivery, DeviceClient, Exchange, LinkConfig, NetConfig, NetReport,
@@ -47,20 +47,16 @@ fn patch(mean: f32) -> BnPatch {
     BnPatch::from_layers(layers)
 }
 
-fn window(ids: &[String]) -> Vec<(String, Vec<DriftLogEntry>, Vec<UploadedSample>)> {
+fn window(ids: &[String]) -> Vec<(String, RowBatch, Vec<UploadedSample>)> {
     ids.iter()
         .enumerate()
         .map(|(d, id)| {
-            // 70 entries: two frames at the default 64-entry batch cap.
-            let entries = (0..70u64)
-                .map(|t| {
-                    DriftLogEntry::new(
-                        t + d as u64,
-                        &[("weather", "fog"), ("device_id", id)],
-                        t % 3 == 0,
-                    )
-                })
-                .collect();
+            // 70 rows: two frames at the default 64-entry batch cap. Their
+            // keys are not the device schema's, so each frame is keyed.
+            let mut entries = RowBatch::new(&["weather", "device_id"]);
+            for t in 0..70u64 {
+                entries.push_values(t + d as u64, t % 3 == 0, &["fog", id]);
+            }
             let samples = (0..3)
                 .map(|s| UploadedSample {
                     features: (0..8).map(|f| (d * 8 + f + s) as f32 * 0.25).collect(),

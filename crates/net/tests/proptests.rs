@@ -4,16 +4,27 @@
 
 use nazar_data::{Corruption, SimDate};
 use nazar_device::UploadedSample;
-use nazar_log::{Attribute, DriftLogEntry};
+use nazar_log::{Attribute, DriftLogEntry, RowBatch};
 use nazar_net::exchange::Exchange;
 use nazar_net::{IngestServer, LinkConfig, Message, NetConfig};
 use proptest::prelude::*;
 
-const KEYS: [&str; 3] = ["weather", "location", "device_id"];
+static KEYS: [&str; 3] = ["weather", "location", "device_id"];
 const VALUES: [&str; 4] = ["snow", "rain", "quebec", "dev03"];
 
 fn entry_from(ts: u64, k: usize, v: usize, drift: bool) -> DriftLogEntry {
     DriftLogEntry::new(ts, &[(KEYS[k % 3], VALUES[v % 4])], drift)
+}
+
+/// The rows `entry_from(t, i, i, drift(t))` builds for `t` in `0..n`, as
+/// one coded batch.
+fn rows_from(i: usize, n: u64, drift: impl Fn(u64) -> bool) -> RowBatch {
+    let k = i % 3;
+    let mut rows = RowBatch::new(&KEYS[k..=k]);
+    for t in 0..n {
+        rows.push_values(t, drift(t), &[VALUES[i % 4]]);
+    }
+    rows
 }
 
 fn sample_from(feats: Vec<f32>, day: u16, label: usize, cause: usize) -> UploadedSample {
@@ -197,8 +208,8 @@ proptest! {
 
         // Ingest passes the payload through unmodified as well.
         let mut server = IngestServer::for_devices(1);
-        server.on_upload(0, seq, vec![], samples);
-        let (_, uploads) = server.take_window();
+        server.on_upload(0, seq, samples);
+        let uploads = server.take_window().concat();
         prop_assert_eq!(uploads.len(), 1);
         let ingested_bits: Vec<u32> = uploads[0].features.iter().map(|f| f.to_bits()).collect();
         prop_assert_eq!(ingested_bits, bits);
@@ -237,12 +248,12 @@ proptest! {
         let mut server = IngestServer::for_devices(4);
         let mut dups = 0u64;
         for (device, seq, e) in &schedule {
-            if server.on_upload(*device, *seq, vec![e.clone()], vec![]).duplicate {
+            if server.on_upload(*device, *seq, vec![e.clone()]).duplicate {
                 dups += 1;
             }
         }
         prop_assert_eq!(dups, (schedule.len() - unique.len()) as u64);
-        prop_assert_eq!(server.take_window(), (expected, vec![]));
+        prop_assert_eq!(server.take_window().concat(), expected);
     }
 
     /// The exchange is a pure function of (config, inputs): the same seed
@@ -268,11 +279,11 @@ proptest! {
             ..NetConfig::default()
         };
         let ids = ["a-0".to_string(), "b-1".to_string(), "c-2".to_string()];
-        let batches: Vec<(String, Vec<DriftLogEntry>, Vec<UploadedSample>)> = ids
+        let batches: Vec<(String, RowBatch, Vec<UploadedSample>)> = ids
             .iter()
             .enumerate()
             .map(|(i, id)| {
-                let entries = (0..10u64).map(|t| entry_from(t, i, i, t.is_multiple_of(2))).collect();
+                let entries = rows_from(i, 10, |t| t.is_multiple_of(2));
                 (id.clone(), entries, vec![])
             })
             .collect();
@@ -307,19 +318,17 @@ proptest! {
             ..NetConfig::default()
         };
         let ids = ["a-0".to_string(), "b-1".to_string()];
-        let batches: Vec<(String, Vec<DriftLogEntry>, Vec<UploadedSample>)> = ids
+        let batches: Vec<(String, RowBatch, Vec<UploadedSample>)> = ids
             .iter()
             .enumerate()
             .map(|(i, id)| {
                 // Enough entries to split into several frames (batch cap 64).
-                let entries: Vec<DriftLogEntry> =
-                    (0..150u64).map(|t| entry_from(t, i, i, t % 3 == 0)).collect();
-                (id.clone(), entries, vec![])
+                (id.clone(), rows_from(i, 150, |t| t % 3 == 0), vec![])
             })
             .collect();
         let expected: Vec<DriftLogEntry> = batches
             .iter()
-            .flat_map(|(_, e, _)| e.iter().cloned())
+            .flat_map(|(_, e, _)| e.to_entries())
             .collect();
 
         let mut ex = Exchange::new(ids.iter().cloned(), cfg);

@@ -548,11 +548,10 @@ impl DriftStore {
     }
 
     /// Appends a batch, quarantining invalid entries — delegates to
-    /// [`DriftLog::ingest_batch_with_threads`] on the tail. The rows are
-    /// only read: pass a slice, or anything that lends one.
+    /// [`DriftLog::ingest_entries`] on the tail. The rows are only read:
+    /// pass a slice, or anything that lends one.
     pub fn ingest_batch(&mut self, entries: impl AsRef<[DriftLogEntry]>) -> IngestReport {
-        self.tail
-            .ingest_batch_with_threads(entries, parallel::num_threads())
+        self.tail.ingest_entries(entries.as_ref())
     }
 
     /// Appends rows `rows` of `src` by their codes — delegates to

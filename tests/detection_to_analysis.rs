@@ -104,7 +104,7 @@ fn detector_trait_and_device_loop_agree() {
     let mut device = FleetSim::from_streams(&streams, &model, &DeviceConfig::default());
     let out = device.process_window(&streams, 0, 1, &mut rng);
     assert_eq!(out.entries.len(), expected.len());
-    for (i, (entry, expected)) in out.entries.iter().zip(&expected).enumerate() {
+    for (i, (entry, expected)) in out.entries.to_entries().iter().zip(&expected).enumerate() {
         assert_eq!(entry.drift, *expected, "item {i}");
     }
 }

@@ -109,7 +109,11 @@ fn perfect_link_transport_is_bitwise_identical_to_direct_path() {
             exchange.advance_clock_to(wired.clock_us());
             let delivery = exchange.upload_window(batches);
             wired.advance_clock_to(exchange.clock_us());
-            assert_eq!(delivery.entries, out.entries, "window {w}: entries");
+            assert_eq!(
+                delivery.entries,
+                out.entries.to_entries(),
+                "window {w}: entries"
+            );
             assert_eq!(delivery.uploads, out.uploads, "window {w}: uploads");
             assert_eq!(stats, out.stats, "window {w}: stats");
 
