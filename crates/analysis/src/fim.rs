@@ -28,29 +28,26 @@
 
 use crate::metrics::{CauseStats, FimConfig};
 use nazar_log::{Attribute, DriftLog, MatchCounts};
-use nazar_obs::LazyHistogram;
+use nazar_obs::Histogram;
 use nazar_tensor::parallel;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::time::Instant;
 
-static PHASE_LEVEL1: LazyHistogram = LazyHistogram::new(
+static PHASE_LEVEL1: Histogram = Histogram::new(
     "nazar_analysis_fim_phase_seconds",
-    "Time spent per FIM phase",
     &[("method", "apriori"), ("phase", "level1")],
-    nazar_obs::duration_buckets,
+    nazar_obs::DURATION_BUCKETS,
 );
-static PHASE_EXTEND: LazyHistogram = LazyHistogram::new(
+static PHASE_EXTEND: Histogram = Histogram::new(
     "nazar_analysis_fim_phase_seconds",
-    "Time spent per FIM phase",
     &[("method", "apriori"), ("phase", "extend")],
-    nazar_obs::duration_buckets,
+    nazar_obs::DURATION_BUCKETS,
 );
-static PHASE_RANK: LazyHistogram = LazyHistogram::new(
+static PHASE_RANK: Histogram = Histogram::new(
     "nazar_analysis_fim_phase_seconds",
-    "Time spent per FIM phase",
     &[("method", "apriori"), ("phase", "rank")],
-    nazar_obs::duration_buckets,
+    nazar_obs::DURATION_BUCKETS,
 );
 
 /// A candidate or accepted root cause: an attribute set plus its metrics.

@@ -8,7 +8,7 @@ use nazar_device::{DeviceConfig, FleetSim, UploadedSample, WindowStats, LOG_SCHE
 use nazar_log::{DriftLog, IngestReport};
 use nazar_net::{Exchange, FrameDelivery, NetConfig, NetReport};
 use nazar_nn::{BnPatch, Layer, MlpResNet};
-use nazar_obs::{event, LazyCounter, LazyHistogram};
+use nazar_obs::{event, Counter, Histogram};
 use nazar_registry::VersionMeta;
 use nazar_store::{DriftStore, StoreConfig};
 use nazar_tensor::{parallel, Tensor};
@@ -294,30 +294,17 @@ pub struct WindowReport {
     pub adapt_time: Duration,
 }
 
-static ADAPT_JOB_SECONDS: LazyHistogram = LazyHistogram::new(
+static ADAPT_JOB_SECONDS: Histogram = Histogram::new(
     "nazar_cloud_adapt_job_seconds",
-    "Wall-clock duration of one per-cause adaptation job",
     &[],
-    nazar_obs::duration_buckets,
+    nazar_obs::DURATION_BUCKETS,
 );
 
-static QUARANTINED_UPLOADS: LazyCounter = LazyCounter::new(
-    "nazar_cloud_quarantined_uploads_total",
-    "Uploaded samples dropped for carrying non-finite features or the wrong feature width",
-    &[],
-);
+static QUARANTINED_UPLOADS: Counter = Counter::new("nazar_cloud_quarantined_uploads_total", &[]);
 
-static QUARANTINED_ENTRIES: LazyCounter = LazyCounter::new(
-    "nazar_cloud_quarantined_entries_total",
-    "Drift-log entries dropped at ingest for violating the schema",
-    &[],
-);
+static QUARANTINED_ENTRIES: Counter = Counter::new("nazar_cloud_quarantined_entries_total", &[]);
 
-static REJECTED_PATCHES: LazyCounter = LazyCounter::new(
-    "nazar_cloud_rejected_patches_total",
-    "Adapted patches refused deployment for non-finite BN state",
-    &[],
-);
+static REJECTED_PATCHES: Counter = Counter::new("nazar_cloud_rejected_patches_total", &[]);
 
 /// The cloud orchestrator: owns the fleet, the drift log, and the adaptation
 /// state for one strategy.

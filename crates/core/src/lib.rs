@@ -50,9 +50,7 @@ pub use nazar_tensor as tensor;
 pub mod prelude {
     pub use crate::NazarSystem;
     pub use nazar_adapt::{adapt_to_patch, AdaptMethod, MemoConfig, TentConfig};
-    pub use nazar_analysis::{
-        analyze, AnalysisVariant, FimAlgorithm, FimConfig, RankedCause, RankingMetric,
-    };
+    pub use nazar_analysis::{analyze, AnalysisVariant, FimConfig, RankedCause, RankingMetric};
     pub use nazar_cloud::experiment::{run_strategy, train_base_model};
     pub use nazar_cloud::{
         CloudConfig, DriftAlert, OperationMode, Orchestrator, RunResult, Strategy,
@@ -61,7 +59,7 @@ pub mod prelude {
         AnimalsConfig, AnimalsDataset, CityscapesConfig, CityscapesDataset, Corruption, LabeledSet,
         Severity, SimDate, StreamItem, TextConfig, TextDataset, Weather, WeatherModel,
     };
-    pub use nazar_detect::{DriftDetector, KsTestDetector, MspThreshold};
+    pub use nazar_detect::{DriftDetector, MspThreshold};
     pub use nazar_device::{DeviceConfig, WindowStats};
     pub use nazar_log::{Attribute, DriftLog, DriftLogEntry};
     pub use nazar_nn::{BnPatch, MlpResNet, ModelArch};

@@ -16,7 +16,7 @@
 //! Activity is observable through the self-gated `nazar_detect_*` counters
 //! (observations, alarms).
 
-use nazar_obs::LazyCounter;
+use nazar_obs::Counter;
 use serde::{Deserialize, Serialize};
 
 /// Which drift detector a device runs over its MSP stream.
@@ -40,14 +40,12 @@ impl DetectorKind {
     }
 }
 
-static OBSERVED: LazyCounter = LazyCounter::new(
+static OBSERVED: Counter = Counter::new(
     "nazar_detect_observations_total",
-    "MSP observations fed to per-device drift detectors",
     &[("detector", DetectorKind::Msp.name())],
 );
-static ALARMS: LazyCounter = LazyCounter::new(
+static ALARMS: Counter = Counter::new(
     "nazar_detect_alarms_total",
-    "Per-item drift alarms raised by per-device detectors",
     &[("detector", DetectorKind::Msp.name())],
 );
 

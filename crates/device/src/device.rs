@@ -6,7 +6,7 @@ use nazar_data::{Corruption, SimDate, StreamItem};
 use nazar_detect::{msp_of_row, DetectorKind, StreamDetector};
 use nazar_log::{Attribute, RowBatch};
 use nazar_nn::MlpResNet;
-use nazar_obs::LazyCounter;
+use nazar_obs::Counter;
 use nazar_tensor::{kernels, simd, Workspace};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -59,16 +59,8 @@ pub struct UploadedSample {
     pub true_cause: Option<Corruption>,
 }
 
-static FORWARD_CALLS: LazyCounter = LazyCounter::new_volatile(
-    "nazar_device_forward_calls_total",
-    "Eval forward passes issued by the fleet (one per batched group, so it varies with the worker count)",
-    &[],
-);
-static FORWARD_ROWS: LazyCounter = LazyCounter::new(
-    "nazar_device_forward_rows_total",
-    "Feature rows carried by the fleet's eval forward passes",
-    &[],
-);
+static FORWARD_CALLS: Counter = Counter::new_volatile("nazar_device_forward_calls_total", &[]);
+static FORWARD_ROWS: Counter = Counter::new("nazar_device_forward_rows_total", &[]);
 
 /// One eval forward over `n` stacked feature rows (`x: [n, input_dim]`,
 /// row-major), handing `each` every row's `(row index, prediction, MSP)`.

@@ -4,7 +4,7 @@ use crate::device::UploadedSample;
 use crate::LOG_SCHEMA;
 use nazar_data::StreamItem;
 use nazar_log::RowBatch;
-use nazar_obs::LazyCounter;
+use nazar_obs::Counter;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -107,41 +107,13 @@ impl Default for WindowOutput {
     }
 }
 
-static INFERENCES: LazyCounter = LazyCounter::new(
-    "nazar_device_inferences_total",
-    "Inference requests processed by the fleet",
-    &[],
-);
-static CORRECT: LazyCounter = LazyCounter::new(
-    "nazar_device_correct_total",
-    "Correct predictions across the fleet",
-    &[],
-);
-static DRIFTED: LazyCounter = LazyCounter::new(
-    "nazar_device_drifted_total",
-    "Requests whose input was drifted in the ground truth",
-    &[],
-);
-static FLAGGED: LazyCounter = LazyCounter::new(
-    "nazar_device_flagged_total",
-    "Requests the on-device detector flagged as drift",
-    &[],
-);
-static FALSE_POSITIVES: LazyCounter = LazyCounter::new(
-    "nazar_device_false_positives_total",
-    "Flagged requests that were not drifted (detector false positives)",
-    &[],
-);
-static MISSES: LazyCounter = LazyCounter::new(
-    "nazar_device_misses_total",
-    "Drifted requests the detector did not flag (detector misses)",
-    &[],
-);
-static UPLOADS: LazyCounter = LazyCounter::new(
-    "nazar_device_uploads_total",
-    "Inputs sampled for upload to the cloud",
-    &[],
-);
+static INFERENCES: Counter = Counter::new("nazar_device_inferences_total", &[]);
+static CORRECT: Counter = Counter::new("nazar_device_correct_total", &[]);
+static DRIFTED: Counter = Counter::new("nazar_device_drifted_total", &[]);
+static FLAGGED: Counter = Counter::new("nazar_device_flagged_total", &[]);
+static FALSE_POSITIVES: Counter = Counter::new("nazar_device_false_positives_total", &[]);
+static MISSES: Counter = Counter::new("nazar_device_misses_total", &[]);
+static UPLOADS: Counter = Counter::new("nazar_device_uploads_total", &[]);
 
 /// Exports one window's aggregated statistics as fleet-wide counters.
 pub(crate) fn record_stats(out: &WindowOutput) {

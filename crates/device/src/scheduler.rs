@@ -44,7 +44,7 @@ use nazar_data::{LocationStream, SimDate, StreamItem};
 use nazar_detect::StreamDetector;
 use nazar_log::RowBatch;
 use nazar_nn::{BnPatch, MlpResNet};
-use nazar_obs::{LazyGauge, LazyHistogram};
+use nazar_obs::{Gauge, Histogram};
 use nazar_registry::{VersionArena, VersionMeta};
 use nazar_tensor::{parallel, Workspace};
 use rand::rngs::SmallRng;
@@ -62,22 +62,13 @@ const ITEM_SPACING_US: u64 = 2;
 /// leaving the per-call overhead a 256th of a batch-1 pass's.
 pub const FORWARD_ROWS_CAP: usize = 256;
 
-static FLEET_DEVICES: LazyGauge = LazyGauge::new(
-    "nazar_fleet_devices",
-    "Simulated devices in the columnar fleet",
-    &[],
-);
-static BATCH_SECONDS: LazyHistogram = LazyHistogram::new(
+static FLEET_DEVICES: Gauge = Gauge::new("nazar_fleet_devices", &[]);
+static BATCH_SECONDS: Histogram = Histogram::new(
     "nazar_fleet_batch_seconds",
-    "Wall-clock seconds of one window's batched pass over the fleet (observed once per window)",
     &[],
-    nazar_obs::duration_buckets,
+    nazar_obs::DURATION_BUCKETS,
 );
-static PEAK_RSS: LazyGauge = LazyGauge::new_volatile(
-    "nazar_fleet_peak_rss_bytes",
-    "Peak resident set size of the host process (VmHWM), sampled at window close",
-    &[],
-);
+static PEAK_RSS: Gauge = Gauge::new_volatile("nazar_fleet_peak_rss_bytes", &[]);
 
 /// Peak resident set size of this process in bytes (`VmHWM` from
 /// `/proc/self/status`); `None` where the proc filesystem is unavailable.
@@ -395,24 +386,6 @@ impl FleetSim {
         rng: &mut R,
     ) -> Vec<(String, WindowOutput)> {
         let parts = self.process_window_at(streams, w, windows, rng);
-        self.named(parts)
-    }
-
-    /// [`FleetSim::process_window_parts`] with an explicit worker count.
-    pub fn process_window_parts_with_threads<R: Rng + ?Sized>(
-        &mut self,
-        streams: &[LocationStream],
-        w: usize,
-        windows: usize,
-        rng: &mut R,
-        threads: usize,
-    ) -> Vec<(String, WindowOutput)> {
-        let parts = self.process_window_at_with_threads(streams, w, windows, rng, threads);
-        self.named(parts)
-    }
-
-    /// Each part under its device's id.
-    fn named(&self, parts: Vec<(u32, WindowOutput)>) -> Vec<(String, WindowOutput)> {
         let id = |d: u32| self.state.id(d as usize).to_string();
         parts.into_iter().map(|(d, part)| (id(d), part)).collect()
     }
@@ -772,7 +745,7 @@ mod tests {
                 if w == 2 {
                     sim.advance_clock_to(pushed);
                 }
-                let parts = sim.process_window_parts_with_threads(
+                let parts = sim.process_window_at_with_threads(
                     &data.streams,
                     w,
                     windows,

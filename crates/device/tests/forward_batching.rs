@@ -47,7 +47,7 @@ fn a_window_pass_issues_one_forward_per_version_and_piece() {
     }
     let (calls_0, rows_0) = forwards();
     let parts =
-        sim.process_window_parts_with_threads(&streams, 0, 1, &mut SmallRng::seed_from_u64(5), 1);
+        sim.process_window_at_with_threads(&streams, 0, 1, &mut SmallRng::seed_from_u64(5), 1);
     let (calls_1, rows_1) = forwards();
     let items: usize = parts.iter().map(|(_, p)| p.entries.len()).sum();
     assert_eq!(items, 60);
@@ -68,7 +68,7 @@ fn a_window_pass_issues_one_forward_per_version_and_piece() {
     let streams = streams_from(&busy);
     let mut sim = FleetSim::from_streams(&streams, &model, &config);
     let (calls_0, rows_0) = forwards();
-    sim.process_window_parts_with_threads(&streams, 0, 1, &mut SmallRng::seed_from_u64(5), 1);
+    sim.process_window_at_with_threads(&streams, 0, 1, &mut SmallRng::seed_from_u64(5), 1);
     let (calls_1, rows_1) = forwards();
     assert_eq!(rows_1 - rows_0, 600);
     assert_eq!(calls_1 - calls_0, 600u64.div_ceil(FORWARD_ROWS_CAP as u64));
@@ -77,7 +77,7 @@ fn a_window_pass_issues_one_forward_per_version_and_piece() {
     // devices, 150 rows, one piece — and still far from one per item.
     let mut sim = FleetSim::from_streams(&streams, &model, &config);
     let (calls_0, _) = forwards();
-    sim.process_window_parts_with_threads(&streams, 0, 1, &mut SmallRng::seed_from_u64(5), 4);
+    sim.process_window_at_with_threads(&streams, 0, 1, &mut SmallRng::seed_from_u64(5), 4);
     let (calls_1, _) = forwards();
     assert_eq!(calls_1 - calls_0, 4);
 

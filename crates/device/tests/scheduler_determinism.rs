@@ -100,13 +100,11 @@ fn mixed_versions_in_one_day_match_lockstep_at_every_chunk_count() {
             event.deploy_targeted(meta, &donor_patch(*seed));
         }
         assert_eq!(event.arena_versions(), deployments.len());
-        let got = event.process_window_parts_with_threads(
-            &streams,
-            0,
-            1,
-            &mut SmallRng::seed_from_u64(5),
-            chunks,
-        );
+        let got: Vec<_> = event
+            .process_window_at_with_threads(&streams, 0, 1, &mut SmallRng::seed_from_u64(5), chunks)
+            .into_iter()
+            .map(|(d, part)| (event.device_id(d as usize).to_string(), part))
+            .collect();
         assert_eq!(got, expected, "{chunks} chunk(s)");
         assert_eq!(
             format!("{got:?}"),
@@ -141,7 +139,7 @@ proptest! {
             let mut rng = SmallRng::seed_from_u64(seed);
             let mut all = Vec::new();
             for w in 0..WINDOWS {
-                all.push(sim.process_window_parts_with_threads(
+                all.push(sim.process_window_at_with_threads(
                     &streams, w, WINDOWS, &mut rng, workers,
                 ));
                 if do_deploy && w == 0 {

@@ -12,47 +12,20 @@
 use crate::entry::{Attribute, DriftLogEntry};
 use crate::probe::ColumnarBlock;
 use crate::rows::RowBatch;
-use nazar_obs::{LazyCounter, LazyHistogram};
+use nazar_obs::{Counter, Histogram};
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
 
-static INGEST_ROWS: LazyCounter = LazyCounter::new(
-    "nazar_log_ingest_rows_total",
-    "Rows appended to the drift log",
-    &[],
-);
-static INGEST_DRIFTED: LazyCounter = LazyCounter::new(
-    "nazar_log_ingest_drifted_total",
-    "Drift-flagged rows appended to the drift log",
-    &[],
-);
-static QUERY_COUNT: LazyCounter = LazyCounter::new(
-    "nazar_log_queries_total",
-    "Counting/scan queries served by the drift log",
-    &[("op", "count_matching")],
-);
-static QUERY_ROWS: LazyCounter = LazyCounter::new(
-    "nazar_log_queries_total",
-    "Counting/scan queries served by the drift log",
-    &[("op", "rows_matching")],
-);
-static QUERY_DISTINCT: LazyCounter = LazyCounter::new(
-    "nazar_log_queries_total",
-    "Counting/scan queries served by the drift log",
-    &[("op", "distinct_values")],
-);
-static INGEST_QUARANTINED: LazyCounter = LazyCounter::new(
-    "nazar_log_ingest_quarantined_total",
-    "Batch-ingested entries rejected for schema mismatch",
-    &[],
-);
-static INGEST_BATCH_ROWS: LazyHistogram = LazyHistogram::new(
-    "nazar_log_ingest_batch_rows",
-    "Rows per batch ingest call (ingest_rows, ingest_batch)",
-    &[],
-    nazar_obs::pow2_buckets,
-);
+static INGEST_ROWS: Counter = Counter::new("nazar_log_ingest_rows_total", &[]);
+static INGEST_DRIFTED: Counter = Counter::new("nazar_log_ingest_drifted_total", &[]);
+static QUERY_COUNT: Counter = Counter::new("nazar_log_queries_total", &[("op", "count_matching")]);
+static QUERY_ROWS: Counter = Counter::new("nazar_log_queries_total", &[("op", "rows_matching")]);
+static QUERY_DISTINCT: Counter =
+    Counter::new("nazar_log_queries_total", &[("op", "distinct_values")]);
+static INGEST_QUARANTINED: Counter = Counter::new("nazar_log_ingest_quarantined_total", &[]);
+static INGEST_BATCH_ROWS: Histogram =
+    Histogram::new("nazar_log_ingest_batch_rows", &[], nazar_obs::POW2_BUCKETS);
 
 /// Convenience alias for results produced by this crate.
 pub type Result<T> = std::result::Result<T, LogError>;

@@ -4,10 +4,12 @@
 //! models in production — so the reproduction carries its own measurement
 //! substrate. This crate provides, with no dependencies beyond `std`:
 //!
-//! * a process-wide **metrics registry** ([`metrics`]) of labeled counters,
-//!   gauges and fixed-bucket histograms, all backed by atomics so hot paths
-//!   (kernel workspaces, log ingest, version selection) can record without
-//!   locks;
+//! * **metrics** ([`metrics`]): labeled counters, gauges and fixed-bucket
+//!   histograms, each a `static` at its call site holding its own atomics,
+//!   so hot paths (kernel workspaces, log ingest, version selection)
+//!   record without locks; a static joins the process-wide [`registry`]
+//!   on its first enabled use, and README's "Metrics reference" table
+//!   describes it;
 //! * **scoped span timers** ([`span()`]) that assemble a hierarchical span tree
 //!   per pipeline run — device inference → detection → log ingest → FIM →
 //!   set reduction → counterfactual analysis → per-cause adaptation →
@@ -25,7 +27,7 @@
 //! Observability is **off by default**: every instrumentation call first
 //! checks [`enabled`], which is a single relaxed atomic load, so the
 //! instrumented hot paths cost nothing measurable when monitoring is not
-//! requested (asserted by `crates/obs/tests` and the PR's bench gates).
+//! requested (asserted by `tests/observability.rs`).
 //!
 //! Syntax — one or more comma-separated directives:
 //!
@@ -42,8 +44,7 @@
 //!
 //! ```
 //! nazar_obs::testing::enable_memory_sink();
-//! static REQS: nazar_obs::LazyCounter =
-//!     nazar_obs::LazyCounter::new("nazar_example_requests_total", "Requests served", &[]);
+//! static REQS: nazar_obs::Counter = nazar_obs::Counter::new("nazar_example_requests_total", &[]);
 //! {
 //!     let _span = nazar_obs::span("window");
 //!     let _inner = nazar_obs::span("fim");
@@ -66,8 +67,8 @@ pub mod span;
 pub mod telemetry;
 
 pub use metrics::{
-    duration_buckets, pow2_buckets, registry, Counter, Gauge, Histogram, LazyCounter, LazyGauge,
-    LazyHistogram, MetricKind, MetricSnapshot, Registry,
+    registry, Counter, Gauge, Histogram, MetricKind, MetricSnapshot, Registry, DURATION_BUCKETS,
+    POW2_BUCKETS,
 };
 pub use sink::flush;
 pub use span::{current_span_id, span, span_child, span_detail, SpanGuard, SpanRecord};
@@ -223,7 +224,7 @@ pub fn finish_run_full(name: &str) -> RunOutput {
 /// Test and embedding hooks: enable/disable observability programmatically.
 ///
 /// Global observability state is shared across the process; tests that use
-/// these helpers must serialize themselves (see `crates/obs/tests`).
+/// these helpers must serialize themselves (see `tests/observability.rs`).
 pub mod testing {
     use super::*;
 
@@ -294,7 +295,7 @@ mod tests {
     fn finish_run_emits_tree_and_metrics() {
         let _guard = TEST_LOCK.lock().unwrap();
         testing::enable_memory_sink();
-        static RUNS: LazyCounter = LazyCounter::new("nazar_test_lib_runs_total", "Runs", &[]);
+        static RUNS: Counter = Counter::new("nazar_test_lib_runs_total", &[]);
         {
             let _outer = span("window");
             let _inner = span("fim");

@@ -1,11 +1,13 @@
 //! Thread-safe metrics: labeled counters, gauges and fixed-bucket
 //! histograms, all backed by atomics.
 //!
-//! Metric *families* are keyed by name; each family holds one series per
-//! distinct label set. Hot paths hold an `Arc` to their series (cached in a
-//! [`LazyCounter`]/[`LazyGauge`]/[`LazyHistogram`] static at the call site),
-//! so recording is lock-free: the registry mutex is only taken on first use
-//! of a series and when snapshotting.
+//! A metric is a `static` declared once at its call site by name and
+//! labels (a histogram also names its bucket bounds). The static holds its
+//! own atomics and adds itself to the [`registry`] on its first enabled
+//! use, so recording is lock-free: the registry mutex is only taken then
+//! and when snapshotting. Statics sharing a name form one *family*, one
+//! series per label set. README's "Metrics reference" table describes each
+//! metric; a declaration carries no description of its own.
 //!
 //! Naming scheme (see DESIGN.md §7): `nazar_<crate>_<noun>[_<unit>|_total]`,
 //! snake case, with Prometheus conventions — `_total` for counters, base
@@ -14,26 +16,79 @@
 //! cardinality bounded.
 
 use crate::json;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, Once};
+
+/// A series' label set: `(key, value)` pairs, fixed at the declaration.
+pub type Labels = &'static [(&'static str, &'static str)];
+
+/// What every metric static carries besides its atomics.
+#[derive(Debug)]
+struct Meta {
+    name: &'static str,
+    labels: Labels,
+    /// Wall-clock- or thread-count-dependent: excluded from the
+    /// deterministic telemetry series (see [`crate::telemetry`]).
+    volatile: bool,
+    registered: Once,
+}
+
+impl Meta {
+    const fn new(name: &'static str, labels: Labels, volatile: bool) -> Self {
+        Meta {
+            name,
+            labels,
+            volatile,
+            registered: Once::new(),
+        }
+    }
+
+    /// Adds `series` (whose meta this is) to the registry on first use.
+    #[inline]
+    fn register(&self, series: Series) {
+        self.registered.call_once(|| registry().add(series));
+    }
+}
 
 /// A monotonically increasing counter.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Counter {
+    meta: Meta,
     value: AtomicU64,
 }
 
 impl Counter {
-    /// Adds `n` to the counter.
+    /// Declares a counter series.
+    pub const fn new(name: &'static str, labels: Labels) -> Self {
+        Counter {
+            meta: Meta::new(name, labels, false),
+            value: AtomicU64::new(0),
+        }
+    }
+
+    /// Declares a volatile counter series — one whose value depends on
+    /// thread scheduling (cache hit/miss splits, fan-out widths), excluded
+    /// from the deterministic telemetry series.
+    pub const fn new_volatile(name: &'static str, labels: Labels) -> Self {
+        Counter {
+            meta: Meta::new(name, labels, true),
+            value: AtomicU64::new(0),
+        }
+    }
+
+    /// Adds `n` when observability is enabled.
     #[inline]
-    pub fn add(&self, n: u64) {
+    pub fn add(&'static self, n: u64) {
+        if !crate::enabled() {
+            return;
+        }
+        self.meta.register(Series::Counter(self));
         self.value.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Adds one.
+    /// Adds one when observability is enabled.
     #[inline]
-    pub fn inc(&self) {
+    pub fn inc(&'static self) {
         self.add(1);
     }
 
@@ -44,25 +99,38 @@ impl Counter {
 }
 
 /// A gauge holding one `f64` value (stored as bits in an atomic).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Gauge {
+    meta: Meta,
     bits: AtomicU64,
 }
 
 impl Gauge {
-    /// Sets the gauge.
-    #[inline]
-    pub fn set(&self, v: f64) {
-        self.bits.store(v.to_bits(), Ordering::Relaxed);
+    /// Declares a gauge series.
+    pub const fn new(name: &'static str, labels: Labels) -> Self {
+        Gauge {
+            meta: Meta::new(name, labels, false),
+            bits: AtomicU64::new(0),
+        }
     }
 
-    /// Adds `v` to the gauge (compare-and-swap loop).
-    pub fn add(&self, v: f64) {
-        let _ = self
-            .bits
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
-                Some((f64::from_bits(bits) + v).to_bits())
-            });
+    /// Declares a volatile gauge series (host- or wall-clock-dependent,
+    /// e.g. peak RSS), excluded from the deterministic telemetry series.
+    pub const fn new_volatile(name: &'static str, labels: Labels) -> Self {
+        Gauge {
+            meta: Meta::new(name, labels, true),
+            bits: AtomicU64::new(0),
+        }
+    }
+
+    /// Sets the gauge when observability is enabled.
+    #[inline]
+    pub fn set(&'static self, v: f64) {
+        if !crate::enabled() {
+            return;
+        }
+        self.meta.register(Series::Gauge(self));
+        self.bits.store(v.to_bits(), Ordering::Relaxed);
     }
 
     /// Current value.
@@ -71,6 +139,9 @@ impl Gauge {
     }
 }
 
+/// The most bounds a histogram may declare (its `+Inf` bucket is one more).
+const MAX_BOUNDS: usize = 15;
+
 /// A histogram over fixed, ascending bucket bounds.
 ///
 /// Observations count into the first bucket whose upper bound is `>=` the
@@ -78,29 +149,72 @@ impl Gauge {
 /// running sum and a count.
 #[derive(Debug)]
 pub struct Histogram {
-    bounds: Vec<f64>,
-    /// One per bound, plus the trailing `+Inf` bucket.
-    buckets: Vec<AtomicU64>,
+    meta: Meta,
+    bounds: &'static [f64],
+    /// One per bound, then the `+Inf` bucket; the slots after it stay 0.
+    buckets: [AtomicU64; MAX_BOUNDS + 1],
     count: AtomicU64,
     sum_bits: AtomicU64,
 }
 
 impl Histogram {
-    fn new(bounds: &[f64]) -> Self {
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly ascending"
-        );
+    /// Declares a histogram series over `bounds`.
+    ///
+    /// # Panics
+    ///
+    /// Panics (at compile time, for a `static`) if `bounds` is not strictly
+    /// ascending or holds more than 15 bounds.
+    pub const fn new(name: &'static str, labels: Labels, bounds: &'static [f64]) -> Self {
+        Self::declare(Meta::new(name, labels, false), bounds)
+    }
+
+    /// Declares a volatile histogram series (thread-count-dependent, e.g.
+    /// fan-out widths), excluded from the deterministic telemetry series.
+    /// `_seconds` histograms are volatile without it.
+    pub const fn new_volatile(name: &'static str, labels: Labels, bounds: &'static [f64]) -> Self {
+        Self::declare(Meta::new(name, labels, true), bounds)
+    }
+
+    const fn declare(meta: Meta, bounds: &'static [f64]) -> Self {
+        assert!(bounds.len() <= MAX_BOUNDS, "histogram has too many bounds");
+        let mut i = 1;
+        while i < bounds.len() {
+            assert!(
+                bounds[i - 1] < bounds[i],
+                "histogram bounds must be strictly ascending"
+            );
+            i += 1;
+        }
         Histogram {
-            bounds: bounds.to_vec(),
-            buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
+            meta,
+            bounds,
+            buckets: [const { AtomicU64::new(0) }; MAX_BOUNDS + 1],
             count: AtomicU64::new(0),
             sum_bits: AtomicU64::new(0),
         }
     }
 
-    /// Records one observation.
-    pub fn observe(&self, v: f64) {
+    /// Records `v` when observability is enabled.
+    #[inline]
+    pub fn observe(&'static self, v: f64) {
+        if !crate::enabled() {
+            return;
+        }
+        self.meta.register(Series::Histogram(self));
+        self.record(v);
+    }
+
+    /// Records the seconds elapsed since `start` when observability is
+    /// enabled.
+    #[inline]
+    pub fn observe_since(&'static self, start: std::time::Instant) {
+        if !crate::enabled() {
+            return;
+        }
+        self.observe(start.elapsed().as_secs_f64());
+    }
+
+    fn record(&self, v: f64) {
         let idx = self
             .bounds
             .iter()
@@ -115,11 +229,6 @@ impl Histogram {
             });
     }
 
-    /// Records a duration in seconds since `start`.
-    pub fn observe_since(&self, start: std::time::Instant) {
-        self.observe(start.elapsed().as_secs_f64());
-    }
-
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
@@ -130,23 +239,12 @@ impl Histogram {
         f64::from_bits(self.sum_bits.load(Ordering::Relaxed))
     }
 
-    /// The bucket upper bounds (without the implicit `+Inf`).
-    pub fn bounds(&self) -> &[f64] {
-        &self.bounds
-    }
-
     /// Per-bucket observation counts (non-cumulative), `+Inf` last.
     pub fn bucket_counts(&self) -> Vec<u64> {
-        self.buckets
+        self.buckets[..=self.bounds.len()]
             .iter()
             .map(|b| b.load(Ordering::Relaxed))
             .collect()
-    }
-
-    /// Estimates the `q`-quantile (`0.0..=1.0`) from the fixed buckets —
-    /// see [`quantile_from_buckets`] for the interpolation contract.
-    pub fn quantile(&self, q: f64) -> f64 {
-        quantile_from_buckets(&self.bounds, &self.bucket_counts(), q)
     }
 }
 
@@ -183,19 +281,15 @@ pub fn quantile_from_buckets(bounds: &[f64], counts: &[u64], q: f64) -> f64 {
 }
 
 /// Default duration buckets in seconds: 1µs to 60s, roughly geometric.
-pub fn duration_buckets() -> &'static [f64] {
-    &[
-        1e-6, 1e-5, 1e-4, 2.5e-4, 1e-3, 2.5e-3, 1e-2, 2.5e-2, 0.1, 0.25, 1.0, 2.5, 10.0, 60.0,
-    ]
-}
+pub const DURATION_BUCKETS: &[f64] = &[
+    1e-6, 1e-5, 1e-4, 2.5e-4, 1e-3, 2.5e-3, 1e-2, 2.5e-2, 0.1, 0.25, 1.0, 2.5, 10.0, 60.0,
+];
 
 /// Power-of-two buckets for small cardinalities (fan-out widths, level
 /// sizes): 1 to 1024.
-pub fn pow2_buckets() -> &'static [f64] {
-    &[
-        1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0,
-    ]
-}
+pub const POW2_BUCKETS: &[f64] = &[
+    1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0,
+];
 
 /// What a metric family measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -219,23 +313,43 @@ impl MetricKind {
     }
 }
 
-#[derive(Debug)]
+/// One registered metric static.
+#[derive(Debug, Clone, Copy)]
 enum Series {
-    Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
-    Histogram(Arc<Histogram>),
+    Counter(&'static Counter),
+    Gauge(&'static Gauge),
+    Histogram(&'static Histogram),
 }
 
-#[derive(Debug)]
-struct Family {
-    name: String,
-    help: String,
-    kind: MetricKind,
-    /// Wall-clock- or thread-count-dependent: excluded from the
-    /// deterministic telemetry series (see [`crate::telemetry`]).
-    volatile: bool,
-    /// Label sets in first-seen order, each with its series.
-    series: Vec<(Vec<(String, String)>, Series)>,
+impl Series {
+    fn meta(self) -> &'static Meta {
+        match self {
+            Series::Counter(c) => &c.meta,
+            Series::Gauge(g) => &g.meta,
+            Series::Histogram(h) => &h.meta,
+        }
+    }
+
+    fn kind(self) -> MetricKind {
+        match self {
+            Series::Counter(_) => MetricKind::Counter,
+            Series::Gauge(_) => MetricKind::Gauge,
+            Series::Histogram(_) => MetricKind::Histogram,
+        }
+    }
+
+    fn value(self) -> SnapshotValue {
+        match self {
+            Series::Counter(c) => SnapshotValue::Counter(c.get()),
+            Series::Gauge(g) => SnapshotValue::Gauge(g.get()),
+            Series::Histogram(h) => SnapshotValue::Histogram {
+                bounds: h.bounds.to_vec(),
+                counts: h.bucket_counts(),
+                sum: h.sum(),
+                count: h.count(),
+            },
+        }
+    }
 }
 
 /// The value of one series at snapshot time.
@@ -263,8 +377,6 @@ pub enum SnapshotValue {
 pub struct MetricSnapshot {
     /// Family name.
     pub name: String,
-    /// Family help text.
-    pub help: String,
     /// Family kind.
     pub kind: MetricKind,
     /// Whether the family is volatile (wall-clock- or thread-dependent);
@@ -277,205 +389,68 @@ pub struct MetricSnapshot {
     pub value: SnapshotValue,
 }
 
-/// The process-wide metric registry.
+/// The process-wide metric registry: every series that has recorded,
+/// grouped by family.
 #[derive(Debug, Default)]
 pub struct Registry {
-    inner: Mutex<RegistryInner>,
-}
-
-#[derive(Debug, Default)]
-struct RegistryInner {
-    families: Vec<Family>,
-    index: HashMap<String, usize>,
-}
-
-fn labels_key(labels: &[(&str, &str)]) -> Vec<(String, String)> {
-    labels
-        .iter()
-        .map(|&(k, v)| (k.to_string(), v.to_string()))
-        .collect()
+    /// Families in first-registration order, each family's series in
+    /// first-use order.
+    series: Mutex<Vec<Series>>,
 }
 
 impl Registry {
-    #[allow(clippy::too_many_arguments)]
-    fn family_series<T, F, G>(
-        &self,
-        name: &str,
-        help: &str,
-        kind: MetricKind,
-        volatile: bool,
-        labels: &[(&str, &str)],
-        make: F,
-        as_t: G,
-    ) -> Arc<T>
-    where
-        F: FnOnce() -> Series,
-        G: Fn(&Series) -> Option<Arc<T>>,
-    {
-        // Wall-clock timings are volatile by construction: the `_seconds`
-        // suffix (DESIGN.md §7 naming) marks every duration histogram.
-        let volatile = volatile || name.ends_with("_seconds");
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        let idx = match inner.index.get(name) {
-            Some(&i) => i,
-            None => {
-                let i = inner.families.len();
-                inner.families.push(Family {
-                    name: name.to_string(),
-                    help: help.to_string(),
-                    kind,
-                    volatile,
-                    series: Vec::new(),
-                });
-                inner.index.insert(name.to_string(), i);
-                i
-            }
-        };
-        let family = &mut inner.families[idx];
-        family.volatile |= volatile;
+    /// Adds `series` after the last of its family (a new family goes last).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the family is already registered with another kind, or
+    /// another static already declares the same name and labels.
+    fn add(&self, series: Series) {
+        let Meta { name, labels, .. } = *series.meta();
+        let mut list = self.series.lock().expect("metrics registry poisoned");
         assert!(
-            family.kind == kind,
-            "metric `{name}` registered as {:?}, requested as {kind:?}",
-            family.kind
+            !list
+                .iter()
+                .any(|s| s.meta().name == name && s.meta().labels == labels),
+            "metric `{name}` {labels:?} declared twice"
         );
-        let key = labels_key(labels);
-        if let Some((_, s)) = family.series.iter().find(|(k, _)| *k == key) {
-            return as_t(s).expect("kind checked above");
-        }
-        let series = make();
-        let out = as_t(&series).expect("just constructed with matching kind");
-        family.series.push((key, series));
-        out
-    }
-
-    /// The counter series for `(name, labels)`, created on first use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is already registered with a different kind.
-    pub fn counter(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
-        self.counter_with(name, help, false, labels)
-    }
-
-    /// [`Registry::counter`] with an explicit volatility flag; mark series
-    /// whose values depend on thread count or the wall clock so the
-    /// deterministic telemetry series can skip them.
-    pub fn counter_with(
-        &self,
-        name: &str,
-        help: &str,
-        volatile: bool,
-        labels: &[(&str, &str)],
-    ) -> Arc<Counter> {
-        self.family_series(
-            name,
-            help,
-            MetricKind::Counter,
-            volatile,
-            labels,
-            || Series::Counter(Arc::new(Counter::default())),
-            |s| match s {
-                Series::Counter(c) => Some(Arc::clone(c)),
-                _ => None,
-            },
-        )
-    }
-
-    /// The gauge series for `(name, labels)`, created on first use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is already registered with a different kind.
-    pub fn gauge(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-        self.gauge_with(name, help, false, labels)
-    }
-
-    /// [`Registry::gauge`] with an explicit volatility flag.
-    pub fn gauge_with(
-        &self,
-        name: &str,
-        help: &str,
-        volatile: bool,
-        labels: &[(&str, &str)],
-    ) -> Arc<Gauge> {
-        self.family_series(
-            name,
-            help,
-            MetricKind::Gauge,
-            volatile,
-            labels,
-            || Series::Gauge(Arc::new(Gauge::default())),
-            |s| match s {
-                Series::Gauge(g) => Some(Arc::clone(g)),
-                _ => None,
-            },
-        )
-    }
-
-    /// The histogram series for `(name, labels)`, created on first use with
-    /// the given bucket bounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is already registered with a different kind, or if
-    /// `bounds` is not strictly ascending.
-    pub fn histogram(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        bounds: &[f64],
-    ) -> Arc<Histogram> {
-        self.histogram_with(name, help, false, labels, bounds)
-    }
-
-    /// [`Registry::histogram`] with an explicit volatility flag (`_seconds`
-    /// names are volatile regardless).
-    pub fn histogram_with(
-        &self,
-        name: &str,
-        help: &str,
-        volatile: bool,
-        labels: &[(&str, &str)],
-        bounds: &[f64],
-    ) -> Arc<Histogram> {
-        self.family_series(
-            name,
-            help,
-            MetricKind::Histogram,
-            volatile,
-            labels,
-            || Series::Histogram(Arc::new(Histogram::new(bounds))),
-            |s| match s {
-                Series::Histogram(h) => Some(Arc::clone(h)),
-                _ => None,
-            },
-        )
+        let at = match list.iter().rposition(|s| s.meta().name == name) {
+            Some(last) => {
+                let kind = list[last].kind();
+                assert!(
+                    kind == series.kind(),
+                    "metric `{name}` registered as {kind:?}, requested as {:?}",
+                    series.kind()
+                );
+                last + 1
+            }
+            None => list.len(),
+        };
+        list.insert(at, series);
     }
 
     /// Freezes every series of every family.
     pub fn snapshot(&self) -> Vec<MetricSnapshot> {
-        let inner = self.inner.lock().expect("metrics registry poisoned");
-        let mut out = Vec::new();
-        for family in &inner.families {
-            for (labels, series) in &family.series {
-                let value = match series {
-                    Series::Counter(c) => SnapshotValue::Counter(c.get()),
-                    Series::Gauge(g) => SnapshotValue::Gauge(g.get()),
-                    Series::Histogram(h) => SnapshotValue::Histogram {
-                        bounds: h.bounds().to_vec(),
-                        counts: h.bucket_counts(),
-                        sum: h.sum(),
-                        count: h.count(),
-                    },
-                };
+        let list = self.series.lock().expect("metrics registry poisoned");
+        let mut out = Vec::with_capacity(list.len());
+        for family in list.chunk_by(|a, b| a.meta().name == b.meta().name) {
+            // Wall-clock timings are volatile by construction: the
+            // `_seconds` suffix (DESIGN.md §7 naming) marks every duration
+            // histogram. One volatile series makes its whole family so.
+            let name = family[0].meta().name;
+            let volatile = name.ends_with("_seconds") || family.iter().any(|s| s.meta().volatile);
+            for &series in family {
                 out.push(MetricSnapshot {
-                    name: family.name.clone(),
-                    help: family.help.clone(),
-                    kind: family.kind,
-                    volatile: family.volatile,
-                    labels: labels.clone(),
-                    value,
+                    name: name.to_string(),
+                    kind: series.kind(),
+                    volatile,
+                    labels: series
+                        .meta()
+                        .labels
+                        .iter()
+                        .map(|&(k, v)| (k.to_string(), v.to_string()))
+                        .collect(),
+                    value: series.value(),
                 });
             }
         }
@@ -555,297 +530,138 @@ impl Registry {
 
 /// The process-wide registry.
 pub fn registry() -> &'static Registry {
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(Registry::default)
-}
-
-/// A call-site static caching one counter series.
-///
-/// `inc`/`add` are no-ops while observability is disabled; the series is
-/// registered on first enabled use.
-#[derive(Debug)]
-pub struct LazyCounter {
-    name: &'static str,
-    help: &'static str,
-    labels: &'static [(&'static str, &'static str)],
-    volatile: bool,
-    cell: OnceLock<Arc<Counter>>,
-}
-
-impl LazyCounter {
-    /// Declares a counter series (registered lazily).
-    pub const fn new(
-        name: &'static str,
-        help: &'static str,
-        labels: &'static [(&'static str, &'static str)],
-    ) -> Self {
-        LazyCounter {
-            name,
-            help,
-            labels,
-            volatile: false,
-            cell: OnceLock::new(),
-        }
-    }
-
-    /// Declares a volatile counter series — one whose value depends on
-    /// thread scheduling (cache hit/miss splits, fan-out widths), excluded
-    /// from the deterministic telemetry series.
-    pub const fn new_volatile(
-        name: &'static str,
-        help: &'static str,
-        labels: &'static [(&'static str, &'static str)],
-    ) -> Self {
-        LazyCounter {
-            name,
-            help,
-            labels,
-            volatile: true,
-            cell: OnceLock::new(),
-        }
-    }
-
-    fn series(&self) -> &Arc<Counter> {
-        self.cell.get_or_init(|| {
-            registry().counter_with(self.name, self.help, self.volatile, self.labels)
-        })
-    }
-
-    /// Adds `n` when observability is enabled.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        if !crate::enabled() {
-            return;
-        }
-        self.series().add(n);
-    }
-
-    /// Adds one when observability is enabled.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-}
-
-/// A call-site static caching one gauge series.
-#[derive(Debug)]
-pub struct LazyGauge {
-    name: &'static str,
-    help: &'static str,
-    labels: &'static [(&'static str, &'static str)],
-    volatile: bool,
-    cell: OnceLock<Arc<Gauge>>,
-}
-
-impl LazyGauge {
-    /// Declares a gauge series (registered lazily).
-    pub const fn new(
-        name: &'static str,
-        help: &'static str,
-        labels: &'static [(&'static str, &'static str)],
-    ) -> Self {
-        LazyGauge {
-            name,
-            help,
-            labels,
-            volatile: false,
-            cell: OnceLock::new(),
-        }
-    }
-
-    /// Declares a volatile gauge series (host- or wall-clock-dependent,
-    /// e.g. peak RSS), excluded from the deterministic telemetry series.
-    pub const fn new_volatile(
-        name: &'static str,
-        help: &'static str,
-        labels: &'static [(&'static str, &'static str)],
-    ) -> Self {
-        LazyGauge {
-            name,
-            help,
-            labels,
-            volatile: true,
-            cell: OnceLock::new(),
-        }
-    }
-
-    /// Sets the gauge when observability is enabled.
-    #[inline]
-    pub fn set(&self, v: f64) {
-        if !crate::enabled() {
-            return;
-        }
-        self.cell
-            .get_or_init(|| registry().gauge_with(self.name, self.help, self.volatile, self.labels))
-            .set(v);
-    }
-}
-
-/// A call-site static caching one histogram series.
-#[derive(Debug)]
-pub struct LazyHistogram {
-    name: &'static str,
-    help: &'static str,
-    labels: &'static [(&'static str, &'static str)],
-    volatile: bool,
-    bounds: fn() -> &'static [f64],
-    cell: OnceLock<Arc<Histogram>>,
-}
-
-impl LazyHistogram {
-    /// Declares a histogram series (registered lazily) over `bounds`.
-    pub const fn new(
-        name: &'static str,
-        help: &'static str,
-        labels: &'static [(&'static str, &'static str)],
-        bounds: fn() -> &'static [f64],
-    ) -> Self {
-        LazyHistogram {
-            name,
-            help,
-            labels,
-            volatile: false,
-            bounds,
-            cell: OnceLock::new(),
-        }
-    }
-
-    /// Declares a volatile histogram series (thread-count-dependent, e.g.
-    /// fan-out widths), excluded from the deterministic telemetry series.
-    pub const fn new_volatile(
-        name: &'static str,
-        help: &'static str,
-        labels: &'static [(&'static str, &'static str)],
-        bounds: fn() -> &'static [f64],
-    ) -> Self {
-        LazyHistogram {
-            name,
-            help,
-            labels,
-            volatile: true,
-            bounds,
-            cell: OnceLock::new(),
-        }
-    }
-
-    /// Records `v` when observability is enabled.
-    #[inline]
-    pub fn observe(&self, v: f64) {
-        if !crate::enabled() {
-            return;
-        }
-        self.cell
-            .get_or_init(|| {
-                registry().histogram_with(
-                    self.name,
-                    self.help,
-                    self.volatile,
-                    self.labels,
-                    (self.bounds)(),
-                )
-            })
-            .observe(v);
-    }
-
-    /// Records the seconds elapsed since `start` when observability is
-    /// enabled.
-    #[inline]
-    pub fn observe_since(&self, start: std::time::Instant) {
-        if !crate::enabled() {
-            return;
-        }
-        self.observe(start.elapsed().as_secs_f64());
-    }
+    static REGISTRY: Registry = Registry {
+        series: Mutex::new(Vec::new()),
+    };
+    &REGISTRY
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::TEST_LOCK;
 
     #[test]
     fn counter_and_gauge_basics() {
-        let c = Counter::default();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        let g = Gauge::default();
-        g.set(2.5);
-        g.add(0.5);
-        assert!((g.get() - 3.0).abs() < 1e-12);
+        static C: Counter = Counter::new("nazar_test_basics_total", &[]);
+        static G: Gauge = Gauge::new("nazar_test_basics_level", &[]);
+        let _guard = TEST_LOCK.lock().unwrap();
+        crate::testing::enable_memory_sink();
+        C.inc();
+        C.add(4);
+        G.set(2.5);
+        crate::testing::disable();
+        // Disabled calls stop at the gate.
+        C.inc();
+        G.set(1.0);
+        assert_eq!(C.get(), 5);
+        assert_eq!(G.get(), 2.5);
     }
 
     #[test]
     fn histogram_buckets_and_sum() {
-        let h = Histogram::new(&[1.0, 10.0]);
-        h.observe(0.5); // bucket 0
-        h.observe(1.0); // bucket 0 (le semantics)
-        h.observe(5.0); // bucket 1
-        h.observe(100.0); // +Inf
-        assert_eq!(h.bucket_counts(), vec![2, 1, 1]);
-        assert_eq!(h.count(), 4);
-        assert!((h.sum() - 106.5).abs() < 1e-9);
+        static H: Histogram = Histogram::new("h", &[], &[1.0, 10.0]);
+        H.record(0.5); // bucket 0
+        H.record(1.0); // bucket 0 (le semantics)
+        H.record(5.0); // bucket 1
+        H.record(100.0); // +Inf
+        assert_eq!(H.bucket_counts(), vec![2, 1, 1]);
+        assert_eq!(H.count(), 4);
+        assert!((H.sum() - 106.5).abs() < 1e-9);
     }
 
     #[test]
     #[should_panic(expected = "strictly ascending")]
     fn histogram_rejects_unsorted_bounds() {
-        let _ = Histogram::new(&[2.0, 1.0]);
+        let _ = Histogram::new("h", &[], &[2.0, 1.0]);
     }
 
     #[test]
     fn registry_reuses_series_and_checks_kinds() {
-        let r = Registry::default();
-        let a = r.counter("x_total", "help", &[("op", "a")]);
-        let b = r.counter("x_total", "help", &[("op", "a")]);
-        a.inc();
-        b.inc();
-        assert_eq!(a.get(), 2);
-        let other = r.counter("x_total", "help", &[("op", "b")]);
-        assert_eq!(other.get(), 0);
-        let snap = r.snapshot();
+        static A: Counter = Counter::new("nazar_test_reuse_total", &[("op", "a")]);
+        static B: Counter = Counter::new("nazar_test_reuse_total", &[("op", "b")]);
+        let _guard = TEST_LOCK.lock().unwrap();
+        crate::testing::enable_memory_sink();
+        A.inc();
+        A.inc();
+        B.add(0);
+        crate::testing::disable();
+        assert_eq!(A.get(), 2);
+        assert_eq!(B.get(), 0);
+        // Each static registered once, on its first use.
+        let snap: Vec<MetricSnapshot> = registry()
+            .snapshot()
+            .into_iter()
+            .filter(|m| m.name == "nazar_test_reuse_total")
+            .collect();
         assert_eq!(snap.len(), 2);
         assert_eq!(snap[0].labels, vec![("op".to_string(), "a".to_string())]);
+        assert_eq!(snap[0].value, SnapshotValue::Counter(2));
     }
 
     #[test]
     #[should_panic(expected = "registered as")]
     fn registry_panics_on_kind_mismatch() {
+        static C: Counter = Counter::new("y_total", &[]);
+        static G: Gauge = Gauge::new("y_total", &[("op", "a")]);
         let r = Registry::default();
-        let _ = r.counter("y_total", "help", &[]);
-        let _ = r.gauge("y_total", "help", &[]);
+        r.add(Series::Counter(&C));
+        r.add(Series::Gauge(&G));
+    }
+
+    #[test]
+    #[should_panic(expected = "declared twice")]
+    fn registry_panics_on_a_second_static_with_the_same_labels() {
+        static A: Counter = Counter::new("z_total", &[("op", "a")]);
+        static B: Counter = Counter::new("z_total", &[("op", "a")]);
+        let r = Registry::default();
+        r.add(Series::Counter(&A));
+        r.add(Series::Counter(&B));
     }
 
     #[test]
     fn quantiles_interpolate_within_buckets() {
-        let h = Histogram::new(&[1.0, 2.0, 4.0]);
+        static H: Histogram = Histogram::new("h", &[], &[1.0, 2.0, 4.0]);
+        static LOW: Histogram = Histogram::new("low", &[], &[10.0]);
+        let quantile = |h: &Histogram, q| quantile_from_buckets(h.bounds, &h.bucket_counts(), q);
         // Empty histogram: all quantiles are 0.
-        assert_eq!(h.quantile(0.5), 0.0);
+        assert_eq!(quantile(&H, 0.5), 0.0);
         for _ in 0..10 {
-            h.observe(1.5); // bucket (1, 2]
+            H.record(1.5); // bucket (1, 2]
         }
         // All mass in one bucket: the median sits mid-bucket.
-        assert!((h.quantile(0.5) - 1.5).abs() < 1e-9);
-        assert!((h.quantile(1.0) - 2.0).abs() < 1e-9);
+        assert!((quantile(&H, 0.5) - 1.5).abs() < 1e-9);
+        assert!((quantile(&H, 1.0) - 2.0).abs() < 1e-9);
         // Mass in +Inf clamps to the last finite bound.
         for _ in 0..90 {
-            h.observe(100.0);
+            H.record(100.0);
         }
-        assert!((h.quantile(0.99) - 4.0).abs() < 1e-9);
+        assert!((quantile(&H, 0.99) - 4.0).abs() < 1e-9);
         // First bucket interpolates down from lower edge 0.
-        let low = Histogram::new(&[10.0]);
-        low.observe(3.0);
-        low.observe(3.0);
-        assert!((low.quantile(0.5) - 5.0).abs() < 1e-9);
+        LOW.record(3.0);
+        LOW.record(3.0);
+        assert!((quantile(&LOW, 0.5) - 5.0).abs() < 1e-9);
     }
 
     #[test]
     fn volatile_flags_propagate_to_snapshots() {
+        static STABLE: Counter = Counter::new("stable_total", &[]);
+        static SHAKY: Counter = Counter::new_volatile("shaky_total", &[]);
+        static AUTO: Histogram = Histogram::new("auto_seconds", &[], &[1.0]);
+        static MIXED_A: Counter = Counter::new("mixed_total", &[("op", "a")]);
+        static MIXED_B: Counter = Counter::new_volatile("mixed_total", &[("op", "b")]);
         let r = Registry::default();
-        r.counter("stable_total", "help", &[]).inc();
-        r.counter_with("shaky_total", "help", true, &[]).inc();
-        // `_seconds` histograms are volatile regardless of the flag.
-        r.histogram("auto_seconds", "help", &[], &[1.0])
-            .observe(0.5);
+        for series in [
+            Series::Counter(&STABLE),
+            Series::Counter(&SHAKY),
+            // `_seconds` histograms are volatile regardless of the flag.
+            Series::Histogram(&AUTO),
+            // One volatile series makes its whole family volatile.
+            Series::Counter(&MIXED_A),
+            Series::Counter(&MIXED_B),
+        ] {
+            r.add(series);
+        }
         let volatile: Vec<(String, bool)> = r
             .snapshot()
             .into_iter()
@@ -857,16 +673,21 @@ mod tests {
                 ("stable_total".to_string(), false),
                 ("shaky_total".to_string(), true),
                 ("auto_seconds".to_string(), true),
+                ("mixed_total".to_string(), true),
+                ("mixed_total".to_string(), true),
             ]
         );
     }
 
     #[test]
     fn snapshot_json_is_valid_shape() {
+        static C: Counter = Counter::new("c_total", &[]);
+        static H: Histogram = Histogram::new("h_seconds", &[("stage", "fim")], &[0.1, 1.0]);
         let r = Registry::default();
-        r.counter("c_total", "counts", &[]).add(3);
-        r.histogram("h_seconds", "times", &[("stage", "fim")], &[0.1, 1.0])
-            .observe(0.5);
+        r.add(Series::Counter(&C));
+        r.add(Series::Histogram(&H));
+        C.value.fetch_add(3, Ordering::Relaxed);
+        H.record(0.5);
         let json = r.snapshot_json();
         assert!(json.starts_with('['));
         assert!(json.contains("\"name\":\"c_total\""));

@@ -427,10 +427,8 @@ mod tests {
     use super::*;
     use crate::tests::TEST_LOCK;
 
-    static C: crate::LazyCounter =
-        crate::LazyCounter::new("nazar_test_telemetry_total", "telemetry unit counter", &[]);
-    static G: crate::LazyGauge =
-        crate::LazyGauge::new("nazar_test_telemetry_level", "telemetry unit gauge", &[]);
+    static C: crate::Counter = crate::Counter::new("nazar_test_telemetry_total", &[]);
+    static G: crate::Gauge = crate::Gauge::new("nazar_test_telemetry_level", &[]);
 
     #[test]
     fn disabled_recorder_is_inert() {

@@ -15,13 +15,9 @@
 //! stay byte-equivalent to per-device [`crate::ModelPool`]s.
 
 use crate::VersionMeta;
-use nazar_obs::LazyGauge;
+use nazar_obs::Gauge;
 
-static ARENA_VERSIONS: LazyGauge = LazyGauge::new(
-    "nazar_registry_arena_versions",
-    "Live shared model versions in the fleet arena",
-    &[],
-);
+static ARENA_VERSIONS: Gauge = Gauge::new("nazar_registry_arena_versions", &[]);
 
 /// One interned version: metadata, payload, and the number of device pools
 /// referencing it.

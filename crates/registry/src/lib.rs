@@ -41,39 +41,17 @@ mod arena;
 pub use arena::VersionArena;
 
 use nazar_log::Attribute;
-use nazar_obs::LazyCounter;
+use nazar_obs::Counter;
 use serde::{Deserialize, Serialize};
 
-static DEPLOYS: LazyCounter = LazyCounter::new(
-    "nazar_registry_deploys_total",
-    "Model versions deployed into a pool",
-    &[],
-);
-static EVICT_REPLACED: LazyCounter = LazyCounter::new(
-    "nazar_registry_evictions_total",
-    "Pool evictions by consolidation rule",
-    &[("reason", "replaced")],
-);
-static EVICT_SUBSUMED: LazyCounter = LazyCounter::new(
-    "nazar_registry_evictions_total",
-    "Pool evictions by consolidation rule",
-    &[("reason", "subsumed")],
-);
-static EVICT_LRU: LazyCounter = LazyCounter::new(
-    "nazar_registry_evictions_total",
-    "Pool evictions by consolidation rule",
-    &[("reason", "lru")],
-);
-static SELECT_HITS: LazyCounter = LazyCounter::new(
-    "nazar_registry_selects_total",
-    "Version selections by outcome",
-    &[("result", "hit")],
-);
-static SELECT_MISSES: LazyCounter = LazyCounter::new(
-    "nazar_registry_selects_total",
-    "Version selections by outcome",
-    &[("result", "miss")],
-);
+static DEPLOYS: Counter = Counter::new("nazar_registry_deploys_total", &[]);
+static EVICT_REPLACED: Counter =
+    Counter::new("nazar_registry_evictions_total", &[("reason", "replaced")]);
+static EVICT_SUBSUMED: Counter =
+    Counter::new("nazar_registry_evictions_total", &[("reason", "subsumed")]);
+static EVICT_LRU: Counter = Counter::new("nazar_registry_evictions_total", &[("reason", "lru")]);
+static SELECT_HITS: Counter = Counter::new("nazar_registry_selects_total", &[("result", "hit")]);
+static SELECT_MISSES: Counter = Counter::new("nazar_registry_selects_total", &[("result", "miss")]);
 
 /// Metadata of a model version: the root cause it was adapted to and the
 /// cause's risk-ratio rank.

@@ -37,7 +37,7 @@ use std::sync::{Arc, Mutex};
 
 use nazar_log::probe::{self, ColumnarBlock};
 use nazar_log::{Attribute, DriftLog, DriftLogEntry, IngestReport, LogError, MatchCounts};
-use nazar_obs::{LazyCounter, LazyHistogram};
+use nazar_obs::{Counter, Histogram};
 use nazar_tensor::parallel;
 
 use crate::chunk::{decode_chunk, encode_chunk, verify_chunk, ChunkData, EncodeStats};
@@ -47,68 +47,37 @@ use crate::manifest::{ChunkMeta, Manifest, MANIFEST_KEY};
 use crate::storage::{FsBackend, MemoryBackend, Storage};
 use crate::{Result, StoreError};
 
-static CHUNKS_WRITTEN: LazyCounter = LazyCounter::new(
-    "nazar_store_chunks_written_total",
-    "Chunks sealed and written to the storage backend",
-    &[],
-);
+static CHUNKS_WRITTEN: Counter = Counter::new("nazar_store_chunks_written_total", &[]);
 
-static BYTES_RAW: LazyCounter = LazyCounter::new(
-    "nazar_store_bytes_raw_total",
-    "Raw (pre-codec) bytes of sealed chunk columns",
-    &[],
-);
+static BYTES_RAW: Counter = Counter::new("nazar_store_bytes_raw_total", &[]);
 
-static BYTES_ENCODED: LazyCounter = LazyCounter::new(
-    "nazar_store_bytes_encoded_total",
-    "Encoded (post-codec) bytes of sealed chunk columns",
-    &[],
-);
+static BYTES_ENCODED: Counter = Counter::new("nazar_store_bytes_encoded_total", &[]);
 
-static MANIFEST_REWRITES: LazyCounter = LazyCounter::new(
-    "nazar_store_manifest_rewrites_total",
-    "Atomic manifest rewrites (flush, retention, recovery)",
-    &[],
-);
+static MANIFEST_REWRITES: Counter = Counter::new("nazar_store_manifest_rewrites_total", &[]);
 
-static RECOVERY_DROPPED_TORN: LazyCounter = LazyCounter::new(
+static RECOVERY_DROPPED_TORN: Counter =
+    Counter::new("nazar_store_recovery_dropped_total", &[("reason", "torn")]);
+
+static RECOVERY_DROPPED_ORPHAN: Counter = Counter::new(
     "nazar_store_recovery_dropped_total",
-    "Chunks dropped at open: torn/corrupt (plus their successors)",
-    &[("reason", "torn")],
-);
-
-static RECOVERY_DROPPED_ORPHAN: LazyCounter = LazyCounter::new(
-    "nazar_store_recovery_dropped_total",
-    "Chunks dropped at open: orphans no manifest references",
     &[("reason", "orphan")],
 );
 
 // Which chunks are decoded from the backend (vs served from cache)
 // depends on eviction order, hence on thread scheduling — volatile, like
 // every cache hit/miss split (PR 7 telemetry rules).
-static CHUNKS_READ: LazyCounter = LazyCounter::new_volatile(
-    "nazar_store_chunks_read_total",
-    "Chunks read and decoded from the storage backend",
-    &[],
-);
+static CHUNKS_READ: Counter = Counter::new_volatile("nazar_store_chunks_read_total", &[]);
 
-static CACHE_HITS: LazyCounter = LazyCounter::new_volatile(
-    "nazar_store_chunk_cache_total",
-    "Decoded-chunk cache lookups that hit",
-    &[("result", "hit")],
-);
+static CACHE_HITS: Counter =
+    Counter::new_volatile("nazar_store_chunk_cache_total", &[("result", "hit")]);
 
-static CACHE_MISSES: LazyCounter = LazyCounter::new_volatile(
-    "nazar_store_chunk_cache_total",
-    "Decoded-chunk cache lookups that missed",
-    &[("result", "miss")],
-);
+static CACHE_MISSES: Counter =
+    Counter::new_volatile("nazar_store_chunk_cache_total", &[("result", "miss")]);
 
-static FLUSH_SECONDS: LazyHistogram = LazyHistogram::new_volatile(
+static FLUSH_SECONDS: Histogram = Histogram::new(
     "nazar_store_flush_seconds",
-    "Wall-clock duration of one flush (seal + manifest rewrite)",
     &[],
-    nazar_obs::duration_buckets,
+    nazar_obs::DURATION_BUCKETS,
 );
 
 /// Rows of chunk work per parallel task: decoding + probing a chunk costs

@@ -84,6 +84,16 @@ fn queries_above_the_fanout_threshold_equal_in_memory() {
         store.flush().expect("flush");
     }
     assert!(store.num_chunks() > 2 * WIDTH, "several chunks per worker");
+    // The flush timing is volatile by its `_seconds` suffix alone.
+    let flush = nazar_obs::registry()
+        .snapshot()
+        .into_iter()
+        .find(|m| m.name == "nazar_store_flush_seconds")
+        .expect("the flushes were timed");
+    assert!(
+        flush.volatile,
+        "a wall-clock timing must stay out of series.jsonl"
+    );
     let mask: Vec<bool> = (0..ROWS - 777).map(|i| i % 5 == 0).collect();
 
     let (sum_before, count_before) = par_map_widths();

@@ -10,20 +10,18 @@
 //!
 //! Everything is built on [`std::thread::scope`]; no external crates.
 
-use nazar_obs::LazyHistogram;
+use nazar_obs::Histogram;
 use std::sync::OnceLock;
 
-static FANOUT: LazyHistogram = LazyHistogram::new_volatile(
+static FANOUT: Histogram = Histogram::new_volatile(
     "nazar_tensor_parallel_fanout_width",
-    "Worker threads actually used per parallel fan-out",
     &[("op", "par_map")],
-    nazar_obs::pow2_buckets,
+    nazar_obs::POW2_BUCKETS,
 );
-static BAND_FANOUT: LazyHistogram = LazyHistogram::new_volatile(
+static BAND_FANOUT: Histogram = Histogram::new_volatile(
     "nazar_tensor_parallel_fanout_width",
-    "Worker threads actually used per parallel fan-out",
     &[("op", "par_row_bands")],
-    nazar_obs::pow2_buckets,
+    nazar_obs::POW2_BUCKETS,
 );
 
 /// Parses a `NAZAR_NUM_THREADS` value: a positive integer. The error names

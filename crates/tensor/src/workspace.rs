@@ -7,7 +7,7 @@
 //! methods route through a thread-local workspace, which keeps the public
 //! API unchanged while still amortizing allocations.
 
-use nazar_obs::{LazyCounter, LazyGauge};
+use nazar_obs::{Counter, Gauge};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicIsize, Ordering};
 
@@ -29,21 +29,11 @@ const PEAK_DECAY_DIVISOR: usize = 16;
 /// small scratch is cheap to keep and reallocation-churn-prone.
 const SHRINK_FLOOR: usize = 1024;
 
-static POOL_HITS: LazyCounter = LazyCounter::new_volatile(
-    "nazar_tensor_workspace_pool_total",
-    "Workspace buffer requests by outcome",
-    &[("result", "hit")],
-);
-static POOL_MISSES: LazyCounter = LazyCounter::new_volatile(
-    "nazar_tensor_workspace_pool_total",
-    "Workspace buffer requests by outcome",
-    &[("result", "miss")],
-);
-static POOL_BYTES: LazyGauge = LazyGauge::new_volatile(
-    "nazar_tensor_workspace_pool_bytes",
-    "Bytes currently held by workspace buffer pools (all threads)",
-    &[],
-);
+static POOL_HITS: Counter =
+    Counter::new_volatile("nazar_tensor_workspace_pool_total", &[("result", "hit")]);
+static POOL_MISSES: Counter =
+    Counter::new_volatile("nazar_tensor_workspace_pool_total", &[("result", "miss")]);
+static POOL_BYTES: Gauge = Gauge::new_volatile("nazar_tensor_workspace_pool_bytes", &[]);
 
 /// Process-wide pooled-bytes total backing the gauge (workspaces are
 /// per-thread, the gauge is global, so each pool publishes deltas).

@@ -4,8 +4,11 @@
 //! actually registers must agree **bidirectionally**:
 //!
 //! * every `nazar_*` metric name declared in non-test library code appears
-//!   in the README table, and
-//! * every name the README documents still exists in the code.
+//!   in the README table,
+//! * every name the README documents still exists in the code, and
+//! * each row's Kind and label keys are those of every `Counter`, `Gauge`
+//!   or `Histogram` static that declares the name — the table is the
+//!   only description a metric has.
 //!
 //! Scanned source is cut at the first `#[cfg(test)]` line per file and
 //! `//` comment lines are skipped, so test-only probe metrics
@@ -24,7 +27,7 @@
 //! by some file under that crate's `src/` or `benches/`: a crate links
 //! only what it uses.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 /// Metric names allowed in code without a README row: doc examples.
@@ -69,10 +72,10 @@ fn rust_sources(top: &str) -> Vec<(String, String)> {
     found
 }
 
-/// Collects `"nazar_..."` string literals from every non-test line of the
-/// workspace's library sources.
-fn metric_names_in_code() -> BTreeSet<String> {
-    let mut names = BTreeSet::new();
+/// The workspace's library sources, one string per file, cut at the
+/// first `#[cfg(test)]` and without `//` comment lines.
+fn library_code() -> Vec<String> {
+    let mut found = Vec::new();
     for (path, text) in rust_sources("crates") {
         // Unit tests live in `#[cfg(test)]` modules inside src;
         // integration tests live in per-crate `tests/` dirs.
@@ -83,12 +86,20 @@ fn metric_names_in_code() -> BTreeSet<String> {
             .split("#[cfg(test)]")
             .next()
             .expect("split returns at least one part");
-        for line in body.lines() {
-            if line.trim_start().starts_with("//") {
-                continue;
-            }
-            collect_quoted_names(line, "nazar_", &mut names);
-        }
+        let code: Vec<&str> = body
+            .lines()
+            .filter(|line| !line.trim_start().starts_with("//"))
+            .collect();
+        found.push(code.join("\n"));
+    }
+    found
+}
+
+/// Collects `"nazar_..."` string literals from the library code.
+fn metric_names_in_code() -> BTreeSet<String> {
+    let mut names = BTreeSet::new();
+    for code in library_code() {
+        collect_quoted_names(&code, "nazar_", &mut names);
     }
     names.retain(|n| !n.starts_with("nazar_test_"));
     for e in CODE_EXCEPTIONS {
@@ -157,6 +168,84 @@ fn every_documented_metric_still_exists() {
         stale.is_empty(),
         "metrics documented in the README table but no longer registered \
          in code (drop the row or restore the metric): {stale:?}"
+    );
+}
+
+/// Every metric static in non-test library code, as `(name, kind, label
+/// keys)`: the `Counter`/`Gauge`/`Histogram` constructor call, its quoted
+/// name and the keys of its `&[("key", value), ..]` label slice.
+fn metric_declarations() -> Vec<(String, String, Vec<String>)> {
+    let mut found = Vec::new();
+    for body in library_code() {
+        for kind in ["Counter", "Gauge", "Histogram"] {
+            for (at, _) in body.match_indices(&format!("{kind}::new")) {
+                let call = &body[at..];
+                let Some(open) = call.find('(') else { continue };
+                let args = call[open + 1..].trim_start();
+                let Some(rest) = args.strip_prefix("\"nazar_") else {
+                    continue;
+                };
+                let name_end = rest.find('"').expect("closed name literal");
+                let name = format!("nazar_{}", &rest[..name_end]);
+                let labels = rest[name_end..]
+                    .split_once("&[")
+                    .and_then(|(_, tail)| tail.split_once(']'))
+                    .expect("a label slice follows the name")
+                    .0;
+                // `("key", value)` pairs: the key is the first literal.
+                let keys = labels
+                    .split('(')
+                    .filter_map(|pair| pair.split('"').nth(1))
+                    .map(str::to_string)
+                    .collect::<BTreeSet<_>>();
+                found.push((name, kind.to_lowercase(), keys.into_iter().collect()));
+            }
+        }
+    }
+    found
+}
+
+/// Each README "Metrics reference" row as `name → (kind, label keys)`.
+fn readme_metric_rows() -> BTreeMap<String, (String, Vec<String>)> {
+    let text = std::fs::read_to_string(repo_root().join("README.md")).expect("read README");
+    let mut rows = BTreeMap::new();
+    for line in text.lines().filter(|l| l.starts_with("| `nazar_")) {
+        let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+        let name = cells[1].trim_matches('`').to_string();
+        let keys = cells[3]
+            .split('`')
+            .skip(1)
+            .step_by(2)
+            .map(str::to_string)
+            .collect();
+        rows.insert(name, (cells[2].to_string(), keys));
+    }
+    rows
+}
+
+#[test]
+fn readme_kinds_and_label_keys_match_the_declarations() {
+    let rows = readme_metric_rows();
+    let declared = metric_declarations();
+    let names: BTreeSet<String> = declared.iter().map(|(n, _, _)| n.clone()).collect();
+    assert_eq!(
+        names,
+        metric_names_in_code(),
+        "the declaration scanner must see every metric name in the code"
+    );
+    let mut drift = Vec::new();
+    for (name, kind, keys) in &declared {
+        let documented = rows.get(name).map(|(k, l)| (k.as_str(), l));
+        if documented != Some((kind.as_str(), keys)) {
+            drift.push(format!(
+                "{name}: code {kind} {keys:?}, README {documented:?}"
+            ));
+        }
+    }
+    assert!(
+        drift.is_empty(),
+        "README 'Metrics reference' rows whose Kind or label keys differ \
+         from the declaring statics: {drift:?}"
     );
 }
 

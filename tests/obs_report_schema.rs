@@ -216,10 +216,12 @@ fn validate_report_lines(lines: &[String]) -> Json {
     reports.pop().expect("one report")
 }
 
-/// Checks every entry of the run report's `metrics` block: a counter or
-/// gauge carries its `value`; a histogram carries `bounds`, one more
-/// `counts` entry than bounds (the `+Inf` bucket) summing to `count`, a
-/// `sum`, and finite `p50`/`p95`/`p99` estimates.
+/// Checks every entry of the run report's `metrics` block: it carries
+/// exactly its kind's documented keys, in order (`name`, `kind`, optional
+/// `labels`, then the value keys); a counter or gauge carries its `value`;
+/// a histogram carries `bounds`, one more `counts` entry than bounds (the
+/// `+Inf` bucket) summing to `count`, a `sum`, and finite
+/// `p50`/`p95`/`p99` estimates.
 fn assert_metrics_block(report: &Json) {
     let metrics = report
         .arr("metrics")
@@ -227,6 +229,20 @@ fn assert_metrics_block(report: &Json) {
     assert!(!metrics.is_empty(), "run_report metrics block is empty");
     for m in metrics {
         let name = m.str("name").expect("metric has a name");
+        let Json::Obj(fields) = m else {
+            panic!("{name}: metric is not an object")
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        let value_keys: &[&str] = match m.str("kind") {
+            Some("histogram") => &["bounds", "counts", "sum", "count", "p50", "p95", "p99"],
+            _ => &["value"],
+        };
+        let mut expected = vec!["name", "kind"];
+        if m.get("labels").is_some() {
+            expected.push("labels");
+        }
+        expected.extend_from_slice(value_keys);
+        assert_eq!(keys, expected, "{name}: keys");
         match m.str("kind").expect("metric has a kind") {
             "counter" | "gauge" => {
                 assert!(m.get("value").is_some(), "{name}: no value");

@@ -48,14 +48,9 @@ fn small_world() -> &'static (AnimalsDataset, MlpResNet) {
     })
 }
 
-static PROBE_COUNTER: nazar_obs::LazyCounter =
-    nazar_obs::LazyCounter::new("nazar_test_probe_total", "Disabled-path probe", &[]);
-static PROBE_HIST: nazar_obs::LazyHistogram = nazar_obs::LazyHistogram::new(
-    "nazar_test_probe_width",
-    "Disabled-path probe",
-    &[],
-    nazar_obs::pow2_buckets,
-);
+static PROBE_COUNTER: nazar_obs::Counter = nazar_obs::Counter::new("nazar_test_probe_total", &[]);
+static PROBE_HIST: nazar_obs::Histogram =
+    nazar_obs::Histogram::new("nazar_test_probe_width", &[], nazar_obs::POW2_BUCKETS);
 
 #[test]
 fn disabled_instrumentation_costs_nanoseconds_per_call() {
@@ -192,55 +187,58 @@ fn experiment_outputs_are_bitwise_identical_with_obs_on_and_off() {
     );
 }
 
+static BAND_UPDATES: nazar_obs::Counter =
+    nazar_obs::Counter::new("nazar_test_band_updates_total", &[]);
+static BAND_WIDTH: nazar_obs::Histogram =
+    nazar_obs::Histogram::new("nazar_test_band_width", &[], &[1.0, 8.0, 64.0]);
+static MAP_UPDATES: nazar_obs::Counter =
+    nazar_obs::Counter::new("nazar_test_map_updates_total", &[]);
+
 #[test]
 fn concurrent_counter_and_histogram_updates_are_exact() {
     let _guard = OBS_LOCK.lock().unwrap();
     nazar_obs::testing::enable_memory_sink();
-    let registry = nazar_obs::registry();
 
-    // par_row_bands pins the fan-out width explicitly: exercise 1–8 threads.
+    // par_row_bands pins the fan-out width explicitly: exercise 1–8 threads,
+    // each width checked on what it added to the shared statics.
     for threads in 1..=8usize {
-        let label = threads.to_string();
-        let labels = [("threads", label.as_str())];
-        let counter =
-            registry.counter("nazar_test_band_updates_total", "Concurrency test", &labels);
-        let hist = registry.histogram(
-            "nazar_test_band_width",
-            "Concurrency test",
-            &labels,
-            &[1.0, 8.0, 64.0],
-        );
+        let (updates, count, sum) = (BAND_UPDATES.get(), BAND_WIDTH.count(), BAND_WIDTH.sum());
+        let buckets: u64 = BAND_WIDTH.bucket_counts().iter().sum();
         let rows = 64usize;
         let mut buf = vec![0.0f32; rows * 4];
         par_row_bands(&mut buf, rows, 4, threads, |first_row, band| {
             for r in 0..band.len() / 4 {
-                counter.inc();
-                hist.observe((first_row + r) as f64);
+                BAND_UPDATES.inc();
+                BAND_WIDTH.observe((first_row + r) as f64);
             }
         });
-        assert_eq!(counter.get(), rows as u64, "threads={threads}");
-        assert_eq!(hist.count(), rows as u64, "threads={threads}");
+        assert_eq!(
+            BAND_UPDATES.get() - updates,
+            rows as u64,
+            "threads={threads}"
+        );
+        assert_eq!(BAND_WIDTH.count() - count, rows as u64, "threads={threads}");
         let expected_sum = (rows * (rows - 1) / 2) as f64;
         assert!(
-            (hist.sum() - expected_sum).abs() < 1e-9,
+            (BAND_WIDTH.sum() - sum - expected_sum).abs() < 1e-9,
             "threads={threads}: sum {} != {expected_sum}",
-            hist.sum()
+            BAND_WIDTH.sum() - sum
         );
         assert_eq!(
-            hist.bucket_counts().iter().sum::<u64>(),
+            BAND_WIDTH.bucket_counts().iter().sum::<u64>() - buckets,
             rows as u64,
             "threads={threads}"
         );
     }
 
     // par_map picks its own width; the totals must still be exact.
-    let counter = registry.counter("nazar_test_map_updates_total", "Concurrency test", &[]);
+    let before = MAP_UPDATES.get();
     let n = 10_000usize;
     let out = par_map((0..n).collect::<Vec<usize>>(), |i| {
-        counter.add(2);
+        MAP_UPDATES.add(2);
         i
     });
     assert_eq!(out.len(), n);
-    assert_eq!(counter.get(), 2 * n as u64);
+    assert_eq!(MAP_UPDATES.get() - before, 2 * n as u64);
     nazar_obs::testing::disable();
 }

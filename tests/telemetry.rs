@@ -53,7 +53,7 @@ fn run_series(threads: usize, windows: usize) -> String {
     let mut sim = FleetSim::from_streams(&data.streams, model, &DeviceConfig::default());
     let mut rng = SmallRng::seed_from_u64(5);
     for w in 0..windows {
-        sim.process_window_parts_with_threads(&data.streams, w, windows, &mut rng, threads);
+        sim.process_window_at_with_threads(&data.streams, w, windows, &mut rng, threads);
     }
     nazar_obs::telemetry::snapshot_final();
     nazar_obs::telemetry::series_jsonl()
@@ -203,7 +203,7 @@ fn disabled_recorder_takes_no_snapshots_and_changes_nothing() {
     nazar_obs::telemetry::begin_run();
     let mut sim = FleetSim::from_streams(&data.streams, model, &DeviceConfig::default());
     let mut rng = SmallRng::seed_from_u64(5);
-    let parts_off = sim.process_window_parts_with_threads(&data.streams, 0, 2, &mut rng, 2);
+    let parts_off = sim.process_window_at_with_threads(&data.streams, 0, 2, &mut rng, 2);
     nazar_obs::telemetry::snapshot_final();
 
     assert_eq!(nazar_obs::telemetry::series_jsonl(), "");
@@ -216,7 +216,7 @@ fn disabled_recorder_takes_no_snapshots_and_changes_nothing() {
     nazar_obs::telemetry::begin_run();
     let mut sim = FleetSim::from_streams(&data.streams, model, &DeviceConfig::default());
     let mut rng = SmallRng::seed_from_u64(5);
-    let parts_on = sim.process_window_parts_with_threads(&data.streams, 0, 2, &mut rng, 2);
+    let parts_on = sim.process_window_at_with_threads(&data.streams, 0, 2, &mut rng, 2);
     assert!(nazar_obs::telemetry::snapshot_count() > 0);
     nazar_obs::testing::disable();
     // Enabled-then-disabled in one body (the order other tests impose on
