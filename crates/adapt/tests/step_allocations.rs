@@ -2,9 +2,10 @@
 //! step allocates no block of 4 KiB or more; and after the first job, a
 //! job allocates no block as large as its data.
 //!
-//! This test binary installs a counting global allocator that counts, on
-//! the thread that asked for it only, every allocation or reallocation of
-//! at least 4 KiB, and of at least a given size. After a first job, one
+//! This test binary installs the counting global allocator of
+//! `tests/support/counting_alloc.rs`, which counts, on the thread that
+//! asked for it only, every allocation or reallocation of at least 4 KiB,
+//! and of at least a given size. After a first job, one
 //! job of one step and one job of four steps on the same 64-row batch
 //! differ only in the three extra steps, so their counts must be equal.
 //! Neither copies its all-finite data nor allocates step state: the
@@ -16,8 +17,9 @@ use nazar_nn::{MlpResNet, ModelArch};
 use nazar_tensor::Tensor;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 const LARGE: usize = 4096;
 
@@ -29,65 +31,11 @@ struct Counts {
     huge: usize,
 }
 
-thread_local! {
-    /// The size counted as huge and the counts on this thread since
-    /// counting began, if it has.
-    static ALLOCS: Cell<Option<(usize, Counts)>> = const { Cell::new(None) };
-}
-
-fn note(size: usize) {
-    if size >= LARGE {
-        // `try_with`: the allocator also runs while thread-locals are torn
-        // down, when there is nothing left to count into.
-        let _ = ALLOCS.try_with(|cell| {
-            if let Some((huge, mut counts)) = cell.get() {
-                counts.large += 1;
-                counts.huge += usize::from(size >= huge);
-                cell.set(Some((huge, counts)));
-            }
-        });
-    }
-}
-
-struct Counting;
-
-// SAFETY: every call forwards to `System` with the caller's arguments; the
-// counting touches only a `Cell` in a const-initialised thread-local,
-// which allocates nothing.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
 /// The allocations of at least 4 KiB, and of at least `huge` bytes, `f`
 /// makes on this thread.
 fn allocations(huge: usize, f: impl FnOnce()) -> Counts {
-    let zero = Counts { large: 0, huge: 0 };
-    ALLOCS.with(|cell| cell.set(Some((huge, zero))));
-    f();
-    ALLOCS
-        .with(|cell| cell.replace(None))
-        .expect("counting was on")
-        .1
+    let [large, huge] = counting_alloc::count([LARGE, huge], f).at_least;
+    Counts { large, huge }
 }
 
 #[test]

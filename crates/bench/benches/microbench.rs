@@ -15,20 +15,24 @@
 //!   fleet-wide push and one window's ingest cost at the shapes the fleet
 //!   workloads send (these rows also join `BENCH_fleet.json`, beside the
 //!   runs they explain);
+//! * `device/window_fleet_2800` and `net/upload_window_fleet_2800` — one
+//!   `fleet_wide` window's device stage, and its upload phase plus ingest
+//!   (written to `BENCH_fleet.json` only);
 //! * plus substrate benchmarks (matmul, inference, log ingest, version
 //!   selection).
 //!
 //! Every row is timed by [`nazar_bench::median_ns`] and written to
-//! `BENCH_tensor.json` by [`nazar_bench::merge_bench_json`].
+//! `BENCH_tensor.json` (the two fleet-window rows to `BENCH_fleet.json`)
+//! by [`nazar_bench::merge_bench_json`].
 //! `NAZAR_BENCH_FILTER` runs only the ids that contain it, and such a run
 //! replaces only the rows it measured.
 
 use nazar_adapt::{adapt_to_patch, AdaptMethod, TentConfig};
 use nazar_analysis::{analyze, FimConfig};
 use nazar_cloud::timing::synthetic_drift_log;
-use nazar_data::{ClassSpace, Corruption, SimDate};
+use nazar_data::{AnimalsConfig, AnimalsDataset, ClassSpace, Corruption, SimDate};
 use nazar_detect::{DriftDetector, EnergyScore, EntropyThreshold, MspThreshold, Odin};
-use nazar_device::{UploadedSample, LOG_SCHEMA};
+use nazar_device::{DeviceConfig, FleetSim, UploadedSample, LOG_SCHEMA};
 use nazar_log::{Attribute, DriftLog, DriftLogEntry, RowBatch};
 use nazar_net::wire;
 use nazar_nn::{train, Adam, BnPatch, Layer, MlpResNet, Mode, ModelArch, Optimizer, Sgd};
@@ -308,10 +312,11 @@ fn bench_batch_ingest(suite: &mut Suite) {
 /// benchmark's workloads send: a fleet device's window (2 rows, no
 /// sample) and an Animals device's (28 rows, 8 sampled 64-d inputs); and
 /// one device's check of a deploy chunk at the two chunk sizes they ship.
-/// Encoding starts from the device's coded batch; decoding builds the
-/// strings the frame names (the string adapter); parsing is what the
-/// cloud does with an arriving frame — envelope, page, rows into a reused
-/// batch, samples.
+/// Encoding starts from the device's coded batch and writes into reused
+/// buffers, as the exchange does (the copy the exchange then shares the
+/// frame as is not timed); decoding builds the strings the frame names
+/// (the string adapter); parsing is what the cloud does with an arriving
+/// frame — envelope, page, rows into a reused batch, samples.
 fn bench_wire(suite: &mut Suite) {
     for (shape, rows, n_samples) in [("fleet", 2u64, 0usize), ("animals", 28, 8)] {
         let entries: Vec<DriftLogEntry> = (0..rows).map(|t| fleet_row(86_400 + t, 17)).collect();
@@ -330,10 +335,21 @@ fn bench_wire(suite: &mut Suite) {
             .collect();
         let batch = &device_batches(&entries)[0];
         let range = 0..batch.len();
+        let mut bufs = wire::FrameBuffers::default();
         suite.bench(
             &format!("wire/upload_frame_encode_{shape}"),
             SAMPLES,
-            || wire::encode_upload_rows(&device_id, 3, batch, range.clone(), &samples),
+            || {
+                wire::encode_upload_rows_with(
+                    &mut bufs,
+                    &device_id,
+                    3,
+                    batch,
+                    range.clone(),
+                    &samples,
+                )
+                .len()
+            },
         );
         let frame = wire::encode_upload_rows(&device_id, 3, batch, range.clone(), &samples);
         suite.bench(
@@ -358,6 +374,50 @@ fn bench_wire(suite: &mut Suite) {
             wire::open_frame(&frame).expect("valid frame").1.len()
         });
     }
+}
+
+/// One warm window at the `fleet_wide` workload's shape, on one thread:
+/// 2 800 devices (400 a location; at seed 2020, the benchmark's default,
+/// 2 799 of them get an item), 0.1 arrivals a day, the tiny model,
+/// eight windows, 2 % of inputs sampled. `device/window_fleet_2800` is the
+/// orchestrator's device stage — `FleetSim::run_window` into the last
+/// window's buffers, then handing them back; `net/upload_window_fleet_2800`
+/// is that window's upload phase over a perfect link into a reused
+/// delivery, then `FrameDelivery::ingest_into` the run's cumulative log.
+/// Both rows go to `BENCH_fleet.json` only.
+fn bench_fleet_window(suite: &mut Suite) {
+    const WINDOWS: usize = 8;
+    const WINDOW: usize = 3;
+    let cfg = AnimalsConfig {
+        devices_per_location: 400,
+        arrivals_per_day: 0.1,
+        seed: 2020,
+        ..AnimalsConfig::small()
+    };
+    let data = AnimalsDataset::generate(&cfg);
+    let mut rng = SmallRng::seed_from_u64(7);
+    let model = MlpResNet::new(ModelArch::tiny(cfg.dim, cfg.classes), &mut rng);
+    let config = DeviceConfig {
+        sample_rate: 0.02,
+        ..DeviceConfig::default()
+    };
+    let mut fleet = FleetSim::from_streams(&data.streams, &model, &config);
+    suite.bench("device/window_fleet_2800", SAMPLES, || {
+        let parts = fleet.run_window_with_threads(&data.streams, WINDOW, WINDOWS, &mut rng, 1);
+        let devices = parts.iter().len();
+        fleet.recycle(parts);
+        devices
+    });
+    let parts = fleet.run_window_with_threads(&data.streams, WINDOW, WINDOWS, &mut rng, 1);
+    let mut exchange =
+        nazar_net::Exchange::new(fleet.device_ids(), nazar_net::NetConfig::default());
+    let mut delivery = nazar_net::FrameDelivery::default();
+    let mut log = DriftLog::new(&LOG_SCHEMA);
+    suite.bench("net/upload_window_fleet_2800", SAMPLES, || {
+        let batches = (parts.iter()).map(|p| (p.device(), p.batch(), p.rows(), p.uploads()));
+        exchange.upload_window_into(batches, &mut delivery);
+        delivery.ingest_into(&mut log).appended
+    });
 }
 
 /// One broadcast push as the fleets run it: the 830-byte deploy payload
@@ -490,18 +550,21 @@ fn main() {
     bench_batch_ingest(&mut suite);
     bench_wire(&mut suite);
     bench_net(&mut suite);
+    bench_fleet_window(&mut suite);
     bench_analysis(&mut suite);
     bench_adaptation(&mut suite);
     bench_training(&mut suite);
     bench_registry(&mut suite);
 
     // Every id that contains the filter was measured, so a stale row is
-    // one that contains it and was not.
+    // one that contains it and was not. The fleet-window rows live in the
+    // fleet report alone.
     let filter = suite.filter.as_str();
+    let fleet_only = |id: &str| id.ends_with("_window_fleet_2800");
     nazar_bench::merge_bench_json(
         &nazar_bench::bench_out("BENCH_tensor.json"),
         |id| id.contains(filter),
-        suite.report_rows(|_| true),
+        suite.report_rows(|id| !fleet_only(id)),
     )
     .expect("the tensor bench report is writable");
 
@@ -511,6 +574,7 @@ fn main() {
         ["wire/", "net/", "log/ingest_batch", "log/ingest_rows"]
             .iter()
             .any(|prefix| id.starts_with(prefix))
+            || fleet_only(id)
     };
     nazar_bench::merge_bench_json(
         &nazar_bench::bench_out("BENCH_fleet.json"),

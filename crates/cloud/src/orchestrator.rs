@@ -335,6 +335,8 @@ pub struct Orchestrator {
     store: Option<DriftStore>,
     /// The next window [`Orchestrator::step`] runs.
     window: usize,
+    /// The upload phase's delivery, its buffers kept from window to window.
+    delivery: FrameDelivery,
 }
 
 impl Orchestrator {
@@ -369,6 +371,7 @@ impl Orchestrator {
             ledger: (0, 0),
             scalar_ledger: 0,
             window: 0,
+            delivery: FrameDelivery::default(),
         }
     }
 
@@ -516,9 +519,11 @@ impl Orchestrator {
         }
         self.window += 1;
         let _window_span = nazar_obs::span_detail("window", || format!("w={w}"));
-        let (stats, delivery) = self.device_window(streams, w);
+        let (stats, mut delivery) = self.device_window(streams, w);
         let window_log = self.ingest_with(|log| delivery.ingest_into(log));
-        let uploads = quarantine_uploads(delivery.uploads, Some(self.base_model.arch().input_dim));
+        let uploads = std::mem::take(&mut delivery.uploads);
+        self.delivery = delivery;
+        let uploads = quarantine_uploads(uploads, Some(self.base_model.arch().input_dim));
         let log_rows = self.drift_log.num_rows();
         let (causes, analysis_time, adapt_time) = match self.strategy {
             Strategy::NoAdapt => (Vec::new(), Duration::ZERO, Duration::ZERO),
@@ -538,6 +543,11 @@ impl Orchestrator {
         };
         self.flush(w);
         self.close(w, &stats, causes.len());
+        if self.window == self.config.windows {
+            // A finished run keeps no buffer that only a next window uses.
+            self.fleet.release_window_buffers();
+            self.delivery = FrameDelivery::default();
+        }
         Some(WindowReport {
             window: w,
             stats,
@@ -553,7 +563,8 @@ impl Orchestrator {
     /// the link: the rows and uploads the cloud sees are only what
     /// survived it (stats stay ground truth — they are measured on-device).
     /// Devices are named by index end to end, and rows travel as page
-    /// codes: no id or row string is built on the way.
+    /// codes: no id or row string is built on the way, and the window's
+    /// per-device batches and the delivery reuse the last window's buffers.
     fn device_window(
         &mut self,
         streams: &[LocationStream],
@@ -561,20 +572,18 @@ impl Orchestrator {
     ) -> (WindowStats, FrameDelivery) {
         let parts = self
             .fleet
-            .process_window_at(streams, w, self.config.windows, &mut self.rng);
-        let mut stats = WindowStats::default();
-        let mut batches = Vec::with_capacity(parts.len());
-        for (device, part) in parts {
-            stats.merge(&part.stats);
-            batches.push((device, part.entries, part.uploads));
-        }
+            .run_window(streams, w, self.config.windows, &mut self.rng);
+        let stats = parts.stats();
         let _net_span = nazar_obs::span_detail("net_upload", || format!("w={w}"));
         // Fleet and transport share one virtual timeline: the window's
         // events have moved the fleet clock past the window boundary, so
         // the uploads' link events start there, and the fleet resumes no
         // earlier than the last delivery.
         self.exchange.advance_clock_to(self.fleet.clock_us());
-        let delivery = self.exchange.upload_window_at(batches);
+        let mut delivery = std::mem::take(&mut self.delivery);
+        let batches = (parts.iter()).map(|p| (p.device(), p.batch(), p.rows(), p.uploads()));
+        self.exchange.upload_window_into(batches, &mut delivery);
+        self.fleet.recycle(parts);
         self.fleet.advance_clock_to(self.exchange.clock_us());
         (stats, delivery)
     }

@@ -90,18 +90,20 @@ pub(crate) fn forward_rows(
 }
 
 /// The emission half of the on-device loop: the item's drift-log row,
-/// pushed onto the device's window batch as page codes (no allocation
-/// once its values are on the page), and the sampled upload (one RNG draw
-/// per item), which alone builds attribute strings. The drift verdict is
-/// the caller's [`StreamDetector`]'s. `seq` is the device's entry sequence
-/// number *after* incrementing for this item.
-pub(crate) fn emit_outputs<R: Rng + ?Sized>(
-    item: &StreamItem,
+/// pushed as page codes onto `rows` under the device's page segment,
+/// which starts at `segment` (the page borrows the item's strings, so a
+/// row allocates nothing), and the sampled upload (one RNG draw per item),
+/// which alone builds attribute strings. The drift verdict is the caller's
+/// [`StreamDetector`]'s. `seq` is the device's entry sequence number
+/// *after* incrementing for this item.
+pub(crate) fn emit_outputs<'s, R: Rng + ?Sized>(
+    item: &'s StreamItem,
     drift: bool,
     sample_rate: f64,
     seq: u64,
     rng: &mut R,
-    rows: &mut RowBatch,
+    rows: &mut RowBatch<&'s str>,
+    segment: usize,
 ) -> Option<UploadedSample> {
     let sample = (rng.gen_range(0.0f64..1.0) < sample_rate).then(|| UploadedSample {
         features: item.features.clone(),
@@ -112,7 +114,7 @@ pub(crate) fn emit_outputs<R: Rng + ?Sized>(
     });
     let timestamp = u64::from(item.date.day_index()) * 86_400 + seq % 86_400;
     let values = [item.weather.name(), &item.location, &item.device_id];
-    rows.push_values(timestamp, drift, &values);
+    rows.push_values_from(segment, timestamp, drift, &values);
     sample
 }
 

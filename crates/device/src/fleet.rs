@@ -2,11 +2,12 @@
 
 use crate::device::UploadedSample;
 use crate::LOG_SCHEMA;
-use nazar_data::StreamItem;
+use nazar_data::{Corruption, StreamItem};
 use nazar_log::RowBatch;
 use nazar_obs::Counter;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Accuracy and volume statistics of one processed window.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -115,49 +116,246 @@ static FALSE_POSITIVES: Counter = Counter::new("nazar_device_false_positives_tot
 static MISSES: Counter = Counter::new("nazar_device_misses_total", &[]);
 static UPLOADS: Counter = Counter::new("nazar_device_uploads_total", &[]);
 
-/// Exports one window's aggregated statistics as fleet-wide counters.
-pub(crate) fn record_stats(out: &WindowOutput) {
+/// Exports one window's statistics and upload count as fleet-wide
+/// counters.
+pub(crate) fn record_stats(stats: &Tally, uploads: usize) {
     if !nazar_obs::enabled() {
         return;
     }
-    INFERENCES.add(out.stats.total as u64);
-    CORRECT.add(out.stats.correct as u64);
-    DRIFTED.add(out.stats.drifted_total as u64);
-    FLAGGED.add(out.stats.flagged as u64);
-    FALSE_POSITIVES.add(out.stats.false_positives as u64);
-    MISSES.add(out.stats.misses as u64);
-    UPLOADS.add(out.uploads.len() as u64);
+    INFERENCES.add(stats.total as u64);
+    CORRECT.add(stats.correct as u64);
+    DRIFTED.add(stats.drifted_total as u64);
+    FLAGGED.add(stats.flagged as u64);
+    FALSE_POSITIVES.add(stats.false_positives as u64);
+    MISSES.add(stats.misses as u64);
+    UPLOADS.add(uploads as u64);
 }
 
-/// Folds one processed item — its prediction and its drift verdict — into
-/// a window's statistics.
-pub(crate) fn tally(stats: &mut WindowStats, item: &StreamItem, prediction: usize, drift: bool) {
-    let correct = prediction == item.label;
-    stats.total += 1;
-    if correct {
-        stats.correct += 1;
-    }
-    if drift {
-        stats.flagged += 1;
-        if item.true_cause.is_none() {
-            stats.false_positives += 1;
+/// What a pass keeps of one processed item for the statistics, which are
+/// counted when they are read rather than item by item.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct Outcome {
+    correct: bool,
+    drift: bool,
+    cause: Option<Corruption>,
+}
+
+impl Outcome {
+    /// An item's outcome: its prediction against its label, its drift
+    /// verdict and its ground-truth cause.
+    pub(crate) fn of(item: &StreamItem, prediction: usize, drift: bool) -> Self {
+        Outcome {
+            correct: prediction == item.label,
+            drift,
+            cause: item.true_cause,
         }
-    } else if item.true_cause.is_some() {
-        stats.misses += 1;
     }
-    if let Some(cause) = item.true_cause {
-        stats.drifted_total += 1;
-        if correct {
-            stats.drifted_correct += 1;
+}
+
+/// [`WindowStats`] as fixed counters — per-cause tallies by
+/// [`Corruption::ALL`] position — so that counting allocates nothing until
+/// the tally is read out.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Tally {
+    total: usize,
+    correct: usize,
+    drifted_total: usize,
+    drifted_correct: usize,
+    flagged: usize,
+    false_positives: usize,
+    misses: usize,
+    /// `(correct, total)` per corruption, by `Corruption::ALL` position.
+    per_cause: [(usize, usize); Corruption::ALL.len()],
+}
+
+impl Tally {
+    /// The tally of `outcomes`.
+    pub(crate) fn of(outcomes: &[Outcome]) -> Self {
+        let mut tally = Tally::default();
+        for o in outcomes {
+            tally.total += 1;
+            tally.correct += usize::from(o.correct);
+            if o.drift {
+                tally.flagged += 1;
+                tally.false_positives += usize::from(o.cause.is_none());
+            } else if o.cause.is_some() {
+                tally.misses += 1;
+            }
+            if let Some(cause) = o.cause {
+                tally.drifted_total += 1;
+                tally.drifted_correct += usize::from(o.correct);
+                let e = &mut tally.per_cause[cause as usize];
+                e.0 += usize::from(o.correct);
+                e.1 += 1;
+            }
         }
-        // Look up before inserting: the key is allocated once per cause,
-        // not once per drifted item.
-        let hit = (usize::from(correct), 1);
-        if let Some(e) = stats.per_cause.get_mut(cause.name()) {
-            e.0 += hit.0;
-            e.1 += hit.1;
-        } else {
-            stats.per_cause.insert(cause.name().to_string(), hit);
+        tally
+    }
+
+    /// The counts as [`WindowStats`]: a cause is keyed once one of its
+    /// items was counted.
+    pub(crate) fn stats(&self) -> WindowStats {
+        let per_cause = (Corruption::ALL.iter().zip(&self.per_cause))
+            .filter(|(_, &(_, total))| total > 0)
+            .map(|(cause, &counts)| (cause.name().to_string(), counts))
+            .collect();
+        WindowStats {
+            total: self.total,
+            correct: self.correct,
+            drifted_total: self.drifted_total,
+            drifted_correct: self.drifted_correct,
+            flagged: self.flagged,
+            false_positives: self.false_positives,
+            misses: self.misses,
+            per_cause,
+        }
+    }
+}
+
+/// One participating device's place in a window: ranges into the
+/// window's buffers, and what its pass needs.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Slot {
+    pub(crate) device: u32,
+    /// The worker chunk whose batch and uploads hold its rows and samples.
+    pub(crate) chunk: usize,
+    /// Its arrivals and their outcomes: a range of the window's.
+    pub(crate) arrivals: Range<usize>,
+    /// Where its segment of the chunk's page starts: its id.
+    pub(crate) page: usize,
+    /// Its samples in the chunk's uploads.
+    pub(crate) uploads: Range<usize>,
+    /// The seed of the device's RNG for this window.
+    pub(crate) seed: u64,
+    /// The device's drift-log sequence number, advanced item by item.
+    pub(crate) seq: u64,
+}
+
+/// The rows and samples of one worker chunk's devices, device after
+/// device.
+#[derive(Debug, Clone)]
+pub(crate) struct ChunkOut<'s> {
+    /// Every device's rows over [`LOG_SCHEMA`]; each device's page strings
+    /// are a segment of the page, its id first, borrowed from the items.
+    pub(crate) rows: RowBatch<&'s str>,
+    pub(crate) uploads: Vec<UploadedSample>,
+    /// The window position of the chunk's first arrival, which is its
+    /// first row.
+    pub(crate) first: usize,
+}
+
+impl Default for ChunkOut<'_> {
+    fn default() -> Self {
+        ChunkOut {
+            rows: RowBatch::new(&LOG_SCHEMA),
+            uploads: Vec::new(),
+            first: 0,
+        }
+    }
+}
+
+/// One window's output, device by device, in ascending device order: what
+/// [`crate::FleetSim::run_window`] fills. Its buffers — one row batch per
+/// worker chunk, the devices' places, the items' outcomes — are kept from
+/// window to window ([`crate::FleetSim::recycle`] takes them back), so a
+/// warm window allocates nothing per device. Row pages borrow the stream
+/// items' strings, for the lifetime `'s` of the streams.
+#[derive(Debug, Clone, Default)]
+pub struct WindowParts<'s> {
+    pub(crate) slots: Vec<Slot>,
+    pub(crate) chunks: Vec<ChunkOut<'s>>,
+    /// Per arrival of the window, in window order.
+    pub(crate) outcomes: Vec<Outcome>,
+}
+
+impl<'s> WindowParts<'s> {
+    /// The participating devices' shares, ascending by device.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = DevicePart<'_, 's>> {
+        self.slots.iter().map(|slot| DevicePart {
+            slot,
+            chunk: &self.chunks[slot.chunk],
+            outcomes: &self.outcomes[slot.arrivals.clone()],
+        })
+    }
+
+    /// The window's statistics, over all its devices.
+    pub fn stats(&self) -> WindowStats {
+        Tally::of(&self.outcomes).stats()
+    }
+
+    /// Empties every buffer and ends the borrow of the streams, keeping
+    /// every allocation.
+    pub(crate) fn recycle<'b>(mut self) -> WindowParts<'b> {
+        self.slots.clear();
+        self.outcomes.clear();
+        // Same layout on both sides, so the vector is reused in place.
+        let chunks = (self.chunks.into_iter())
+            .map(|mut chunk| {
+                chunk.uploads.clear();
+                ChunkOut {
+                    rows: chunk.rows.recycle(),
+                    uploads: chunk.uploads,
+                    first: 0,
+                }
+            })
+            .collect();
+        WindowParts {
+            slots: self.slots,
+            chunks,
+            outcomes: self.outcomes,
+        }
+    }
+}
+
+/// One participating device's share of a window, borrowed from its
+/// [`WindowParts`].
+#[derive(Debug, Clone, Copy)]
+pub struct DevicePart<'p, 's> {
+    slot: &'p Slot,
+    chunk: &'p ChunkOut<'s>,
+    outcomes: &'p [Outcome],
+}
+
+impl<'p, 's> DevicePart<'p, 's> {
+    /// The device's index in [`crate::FleetSim::device_ids`].
+    pub fn device(&self) -> u32 {
+        self.slot.device
+    }
+
+    /// The batch holding the device's rows — among its chunk's other
+    /// devices' — at [`DevicePart::rows`].
+    pub fn batch(&self) -> &'p RowBatch<&'s str> {
+        &self.chunk.rows
+    }
+
+    /// The device's rows in [`DevicePart::batch`], in stream order.
+    pub fn rows(&self) -> Range<usize> {
+        let first = self.chunk.first;
+        self.slot.arrivals.start - first..self.slot.arrivals.end - first
+    }
+
+    /// The inputs the device sampled for upload.
+    pub fn uploads(&self) -> &'p [UploadedSample] {
+        &self.chunk.uploads[self.slot.uploads.clone()]
+    }
+
+    /// The share as an owned [`WindowOutput`]: its rows on a page of their
+    /// own, the device id first, as a device alone would have emitted
+    /// them, and its statistics.
+    pub(crate) fn to_output(self) -> WindowOutput {
+        let batch = self.batch();
+        let rows = self.rows();
+        let mut entries = RowBatch::with_capacity(&LOG_SCHEMA, rows.len(), 3);
+        entries.intern(batch.page()[self.slot.page]);
+        for row in rows {
+            let values: [&str; LOG_SCHEMA.len()] = std::array::from_fn(|col| batch.value(row, col));
+            let (timestamp, drift) = (batch.timestamps()[row], batch.drift_flags()[row]);
+            entries.push_values(timestamp, drift, &values);
+        }
+        WindowOutput {
+            entries,
+            uploads: self.uploads().to_vec(),
+            stats: Tally::of(self.outcomes).stats(),
         }
     }
 }

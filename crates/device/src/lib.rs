@@ -10,8 +10,9 @@
 //! 3. **detect** drift with the lightweight MSP threshold on the inference
 //!    output;
 //! 4. **emit** a drift-log row with the detection verdict and metadata
-//!    (weather, location, device id) onto the device's window
-//!    [`nazar_log::RowBatch`], as codes into its string page, and
+//!    (weather, location, device id) onto its worker's window
+//!    [`nazar_log::RowBatch`], as codes into the device's segment of its
+//!    string page, and
 //! 5. **sample** a configurable fraction of raw inputs for upload to the
 //!    cloud (the data by-cause adaptation trains on).
 //!
@@ -30,7 +31,7 @@ mod scheduler;
 mod state;
 
 pub use device::{DeviceConfig, UploadedSample};
-pub use fleet::{WindowOutput, WindowStats};
+pub use fleet::{DevicePart, WindowOutput, WindowParts, WindowStats};
 pub use scheduler::{peak_rss_bytes, FleetSim, DAY_US, FORWARD_ROWS_CAP};
 
 use nazar_data::StreamItem;

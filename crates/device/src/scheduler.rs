@@ -10,15 +10,19 @@
 //!   model payloads are interned once in a
 //!   [`nazar_registry::VersionArena`], so a million devices fit in memory
 //!   (see [`crate::state`] for the bytes per device);
-//! * a window is **one pass**: its items are grouped per device in stream
-//!   order, the participating devices are cut into contiguous chunks that
-//!   fan out over [`nazar_tensor::parallel`] with one scratch model per
-//!   chunk, and a chunk groups *all* of its window's items by the model
-//!   version each device selected and runs **one** stacked forward per
-//!   group (a row's logits do not depend on its batch-mates, see
+//! * a window is **one pass**: its items, grouped per device in stream
+//!   order, are one slice of an arrival index built once per run (each
+//!   item's device is found while the fleet is built from the streams, so
+//!   no window scans the streams or looks an id up); the participating
+//!   devices are cut into contiguous chunks that fan out over
+//!   [`nazar_tensor::parallel`] with one scratch model per chunk, and a
+//!   chunk groups *all* of its window's items by the model version each
+//!   device selected and runs **one** stacked forward per group (a row's
+//!   logits do not depend on its batch-mates, see
 //!   [`nazar_nn::MlpResNet::infer_into`]) before walking every device's
-//!   items in order through the detector and emission; per-device outcomes
-//!   are merged back in ascending device order, which keeps results
+//!   items in order through the detector and emission, into a
+//!   [`WindowParts`] whose buffers are reused from window to window;
+//!   parts stay in ascending device order, which keeps results
 //!   independent of thread count and scheduling;
 //! * the fleet keeps a clock on the `nazar-net` virtual-microsecond
 //!   timeline so the orchestrator can hand the exchange one shared time:
@@ -37,18 +41,18 @@
 //! this one, and pins output and clock determinism across thread counts.
 
 use crate::device::{emit_outputs, forward_rows, DeviceConfig};
-use crate::fleet::{record_stats, tally, WindowOutput};
+use crate::fleet::{record_stats, ChunkOut, Outcome, Slot, Tally, WindowOutput, WindowParts};
 use crate::state::{DevicePools, FleetState};
 use crate::{item_matches, LOG_SCHEMA};
 use nazar_data::{LocationStream, SimDate, StreamItem};
 use nazar_detect::StreamDetector;
-use nazar_log::RowBatch;
 use nazar_nn::{BnPatch, MlpResNet};
 use nazar_obs::{Gauge, Histogram};
 use nazar_registry::{VersionArena, VersionMeta};
 use nazar_tensor::{parallel, Workspace};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 
 /// One virtual day in virtual microseconds (the `nazar-net` clock unit).
 pub const DAY_US: u64 = 86_400_000_000;
@@ -93,8 +97,137 @@ fn record_peak_rss() {
     }
 }
 
-/// A window item tagged with the index of the device it arrives on.
-type Arrival<'a> = (u32, &'a StreamItem);
+/// One stream item as an arrival: where it is among the streams, and the
+/// index of the device it lands on.
+#[derive(Debug, Clone, Copy, Default)]
+struct Arrival {
+    device: u32,
+    stream: u32,
+    item: u32,
+}
+
+/// Marks an item whose device the fleet does not know.
+const NO_DEVICE: u32 = u32::MAX;
+
+/// The streams' items as arrivals, grouped by window and, inside a window,
+/// by ascending device, stream order kept inside a device — the order a
+/// pass walks them in. Built once per run and cut once per window count,
+/// so a window finds its arrivals as one slice without scanning the
+/// streams or looking an id up.
+///
+/// It is reused while the same item buffers come back (each stream's items
+/// at the same address, with the same count); every arrival a window takes
+/// from it is checked against its item (device id and window), and a
+/// mismatch rebuilds it from the items. An edit in place that moves an
+/// item into a window, leaving every arrival already there intact, is the
+/// one change the checks do not see.
+#[derive(Debug, Default)]
+struct ArrivalIndex {
+    /// Per stream: its items' address and count.
+    streams: Vec<(usize, usize)>,
+    /// Per item, streams concatenated: its device, or [`NO_DEVICE`];
+    /// emptied by the cut, which is all that reads it.
+    device_of: Vec<u32>,
+    /// The window count `arrivals` is cut for; `0` before the first cut.
+    windows: usize,
+    /// Window `w`'s arrivals are `arrivals[starts[w]..starts[w + 1]]`.
+    starts: Vec<usize>,
+    arrivals: Vec<Arrival>,
+}
+
+impl ArrivalIndex {
+    /// An index over `streams` whose items land on `device_of`.
+    fn new(streams: &[LocationStream], device_of: Vec<u32>) -> Self {
+        ArrivalIndex {
+            streams: streams
+                .iter()
+                .map(|s| (s.items.as_ptr() as usize, s.items.len()))
+                .collect(),
+            device_of,
+            ..ArrivalIndex::default()
+        }
+    }
+
+    /// Whether the index was built over these item buffers.
+    fn covers(&self, streams: &[LocationStream]) -> bool {
+        self.streams.len() == streams.len()
+            && (self.streams.iter().zip(streams))
+                .all(|(&key, s)| key == (s.items.as_ptr() as usize, s.items.len()))
+    }
+
+    /// Groups the items by window of `windows`, then by device: two stable
+    /// counting sorts, the second over the first's output.
+    fn cut(&mut self, streams: &[LocationStream], devices: usize, windows: usize) {
+        let device_of = std::mem::take(&mut self.device_of);
+        let mut by_device = Vec::with_capacity(device_of.len());
+        let mut devices_of = device_of.iter();
+        for (s, stream) in streams.iter().enumerate() {
+            for (i, &device) in (0..stream.items.len()).zip(&mut devices_of) {
+                if device != NO_DEVICE {
+                    let (stream, item) = (s as u32, i as u32);
+                    by_device.push(Arrival {
+                        device,
+                        stream,
+                        item,
+                    });
+                }
+            }
+        }
+        let (by_device, _) = counting_sort(&by_device, devices, |a| a.device as usize);
+        let window_of = |a: &Arrival| {
+            let item = &streams[a.stream as usize].items[a.item as usize];
+            item.date.window(windows)
+        };
+        let (arrivals, starts) = counting_sort(&by_device, windows, window_of);
+        self.arrivals = arrivals;
+        self.starts = starts;
+        self.windows = windows;
+    }
+
+    /// Window `w`'s arrivals, when the index is cut for `windows` and
+    /// every one of them still matches its item.
+    fn window(
+        &self,
+        streams: &[LocationStream],
+        state: &FleetState,
+        w: usize,
+        windows: usize,
+    ) -> Option<Range<usize>> {
+        if self.windows != windows {
+            return None;
+        }
+        let range = self.starts[w]..self.starts[w + 1];
+        let fits = self.arrivals[range.clone()].iter().all(|a| {
+            let item = &streams[a.stream as usize].items[a.item as usize];
+            item.date.window(windows) == w && state.id(a.device as usize) == item.device_id
+        });
+        fits.then_some(range)
+    }
+}
+
+/// `items` stably reordered by `key` (below `keys`), and where each key's
+/// run starts: `keys + 1` offsets.
+fn counting_sort(
+    items: &[Arrival],
+    keys: usize,
+    key: impl Fn(&Arrival) -> usize,
+) -> (Vec<Arrival>, Vec<usize>) {
+    let mut starts = vec![0usize; keys + 1];
+    for a in items {
+        starts[key(a) + 1] += 1;
+    }
+    for k in 0..keys {
+        starts[k + 1] += starts[k];
+    }
+    let mut next = starts.clone();
+    let mut sorted = vec![Arrival::default(); items.len()];
+    for a in items {
+        let k = key(a);
+        sorted[next[k]] = *a;
+        next[k] += 1;
+    }
+    (sorted, starts)
+}
 
 /// A worker chunk's scratch model and buffers, kept from window to window
 /// so that a pass finds them already sized.
@@ -130,26 +263,21 @@ impl Scratch {
     }
 }
 
-/// A device's share of one window: its items in stream order, its own RNG
-/// and its sequence number, borrowed in place.
-struct DeviceJob<'a> {
-    device: u32,
-    items: &'a [Arrival<'a>],
-    rng: SmallRng,
-    /// The device's drift-log entry sequence number.
-    seq: &'a mut u64,
-}
-
-/// A contiguous run of device jobs plus the worker scratch it uses.
-struct Chunk<'w, 'a> {
-    jobs: &'w mut [DeviceJob<'a>],
-    /// The jobs' items, concatenated in job order.
-    items: &'a [Arrival<'a>],
+/// A contiguous run of participating devices, the buffers their output
+/// goes to, and the worker scratch it uses.
+struct Chunk<'w, 's> {
+    slots: &'w mut [Slot],
+    out: &'w mut ChunkOut<'s>,
+    /// The devices' arrivals, concatenated in device order, and their
+    /// outcomes.
+    arrivals: &'w [Arrival],
+    outcomes: &'w mut [Outcome],
     scratch: &'w mut Scratch,
 }
 
 /// Shared read-only context of one window's pass.
-struct WindowCtx<'a> {
+struct WindowCtx<'a, 's> {
+    streams: &'s [LocationStream],
     arena: &'a VersionArena<BnPatch>,
     pools: &'a DevicePools,
     base_patch: &'a BnPatch,
@@ -158,6 +286,12 @@ struct WindowCtx<'a> {
     detector: StreamDetector,
     /// The window's span, parent of the chunks' spans on worker threads.
     span: Option<u64>,
+}
+
+impl<'s> WindowCtx<'_, 's> {
+    fn item(&self, a: &Arrival) -> &'s StreamItem {
+        &self.streams[a.stream as usize].items[a.item as usize]
+    }
 }
 
 /// The columnar fleet, scaling to 1M+ devices (see the module docs).
@@ -179,6 +313,10 @@ pub struct FleetSim {
     /// (the transport delivery path). Holds one arena reference of its own,
     /// which is what keeps the id from being freed and reused under it.
     last_install: Option<u32>,
+    /// Where each window's arrivals are among the streams' items.
+    index: ArrivalIndex,
+    /// Per-device output buffers handed back by [`FleetSim::recycle`].
+    spare: WindowParts<'static>,
 }
 
 impl FleetSim {
@@ -190,7 +328,37 @@ impl FleetSim {
         base_model: &MlpResNet,
         config: &DeviceConfig,
     ) -> Self {
-        let state = FleetState::new(devices);
+        let devices: Vec<(String, String)> = devices.into_iter().collect();
+        let pairs = devices.iter().map(|(id, loc)| (id.as_str(), loc.as_str()));
+        let (state, _) = FleetState::new(pairs);
+        Self::with_state(state, ArrivalIndex::default(), base_model, config)
+    }
+
+    /// Builds one device per distinct device id in `streams`, at the
+    /// location of its first item. The pass that finds the devices also
+    /// records the device of every item, so [`FleetSim::run_window`] over
+    /// these streams looks no id up.
+    pub fn from_streams(
+        streams: &[LocationStream],
+        base_model: &MlpResNet,
+        config: &DeviceConfig,
+    ) -> Self {
+        let pairs = streams.iter().flat_map(|s| {
+            s.items
+                .iter()
+                .map(|item| (item.device_id.as_str(), item.location.as_str()))
+        });
+        let (state, device_of) = FleetState::new(pairs);
+        let index = ArrivalIndex::new(streams, device_of);
+        Self::with_state(state, index, base_model, config)
+    }
+
+    fn with_state(
+        state: FleetState,
+        index: ArrivalIndex,
+        base_model: &MlpResNet,
+        config: &DeviceConfig,
+    ) -> Self {
         let pools = DevicePools::new(state.len(), config.pool_capacity);
         let mut base_model = base_model.clone();
         let base_patch = BnPatch::extract(&mut base_model);
@@ -206,21 +374,9 @@ impl FleetSim {
             clock_us: 0,
             scratches: Vec::new(),
             last_install: None,
+            index,
+            spare: WindowParts::default(),
         }
-    }
-
-    /// Builds one device per distinct device id in `streams`.
-    pub fn from_streams(
-        streams: &[LocationStream],
-        base_model: &MlpResNet,
-        config: &DeviceConfig,
-    ) -> Self {
-        let devices = streams.iter().flat_map(|s| {
-            s.items
-                .iter()
-                .map(|item| (item.device_id.clone(), item.location.clone()))
-        });
-        Self::new(devices, base_model, config)
     }
 
     /// Number of devices.
@@ -363,9 +519,8 @@ impl FleetSim {
         windows: usize,
         rng: &mut R,
     ) -> WindowOutput {
-        let parts = self.process_window_at(streams, w, windows, rng);
         let mut out = WindowOutput::default();
-        for (_, part) in parts {
+        for (_, part) in self.process_window_at(streams, w, windows, rng) {
             out.stats.merge(&part.stats);
             out.entries.append(part.entries);
             out.uploads.extend(part.uploads);
@@ -391,10 +546,9 @@ impl FleetSim {
     }
 
     /// Replays window `w` of `windows`, returning each participating
-    /// device's output separately under its index in
-    /// [`FleetSim::device_ids`], ascending — the shape the transport
-    /// needs, since every device uploads its own batch, and the one the
-    /// orchestrator hands the exchange without naming a device.
+    /// device's output separately, as owned values under its index in
+    /// [`FleetSim::device_ids`], ascending: [`FleetSim::run_window`] copied
+    /// out.
     pub fn process_window_at<R: Rng + ?Sized>(
         &mut self,
         streams: &[LocationStream],
@@ -414,76 +568,135 @@ impl FleetSim {
         rng: &mut R,
         threads: usize,
     ) -> Vec<(u32, WindowOutput)> {
+        let parts = self.run_window_with_threads(streams, w, windows, rng, threads);
+        let outputs = parts.iter().map(|p| (p.device(), p.to_output())).collect();
+        self.recycle(parts);
+        outputs
+    }
+
+    /// Hands a window's parts back, so the next window writes into their
+    /// buffers.
+    pub fn recycle(&mut self, parts: WindowParts<'_>) {
+        self.spare = parts.recycle();
+    }
+
+    /// Drops what the fleet keeps only for its next window — the last
+    /// parts' buffers and the arrival index — once no window follows. A
+    /// later window rebuilds both.
+    pub fn release_window_buffers(&mut self) {
+        self.spare = WindowParts::default();
+        self.index = ArrivalIndex::default();
+    }
+
+    /// Replays window `w` of `windows` into per-device parts, ascending by
+    /// device index — the shape the transport needs, since every device
+    /// uploads its own batch, and the one the orchestrator hands the
+    /// exchange without naming a device. The parts reuse the buffers of
+    /// the last parts handed to [`FleetSim::recycle`], and their rows
+    /// borrow the streams' strings.
+    pub fn run_window<'s, R: Rng + ?Sized>(
+        &mut self,
+        streams: &'s [LocationStream],
+        w: usize,
+        windows: usize,
+        rng: &mut R,
+    ) -> WindowParts<'s> {
+        self.run_window_with_threads(streams, w, windows, rng, parallel::num_threads())
+    }
+
+    /// [`FleetSim::run_window`] with an explicit worker count.
+    pub fn run_window_with_threads<'s, R: Rng + ?Sized>(
+        &mut self,
+        streams: &'s [LocationStream],
+        w: usize,
+        windows: usize,
+        rng: &mut R,
+        threads: usize,
+    ) -> WindowParts<'s> {
         let span = nazar_obs::span_detail("detect", || format!("w={w} scheduler=event"));
         let started = std::time::Instant::now();
         let schedule_span = nazar_obs::span("detect.schedule");
 
-        // The window's items, tagged with their device. The sort is stable,
-        // so it groups them per device in ascending device order and keeps
-        // stream order inside a device. Items of devices the fleet does not
-        // know are skipped.
-        let mut items: Vec<Arrival<'_>> = Vec::new();
-        for stream in streams {
-            for item in stream.window_items(w, windows) {
-                if let Some(d) = self.state.index_of(&item.device_id) {
-                    items.push((d as u32, item));
-                }
+        // The window's arrivals, device-major: a slice of the index, which
+        // is rebuilt when it does not cover these streams or an arrival no
+        // longer matches its item.
+        let window = match self.arrivals(streams, w, windows) {
+            Some(range) => range,
+            None => {
+                self.rebuild_index(streams);
+                self.arrivals(streams, w, windows).unwrap_or(0..0)
             }
-        }
-        items.sort_by_key(|&(d, _)| d);
+        };
+        let arrivals = &self.index.arrivals[window];
 
-        // One job per participating device, ascending: a dedicated RNG
-        // drawn from `rng` in that order — so no device's draws depend on
-        // another's — and the device's sequence number, which `iter_mut`
-        // walks in that order.
+        // One slot per participating device, ascending: a dedicated RNG
+        // seed drawn from `rng` in that order — so no device's draws
+        // depend on another's — and the device's sequence number.
         // On the virtual timeline item `k` of a device lands at its stream
         // day, `ITEM_SPACING_US` after item `k-1` — clamped forward so time
         // never runs backwards after the clock synced with the network
         // exchange; `last_at` is the window's latest arrival.
         let start_us = self.clock_us;
         let mut last_at = start_us;
-        let mut jobs: Vec<DeviceJob<'_>> = Vec::new();
-        let mut runs = items.chunk_by(|a, b| a.0 == b.0).peekable();
-        for (d, seq) in self.state.seqs_mut().iter_mut().enumerate() {
-            let Some(run) = runs.next_if(|run| run[0].0 as usize == d) else {
-                continue;
-            };
+        let mut parts: WindowParts<'s> = std::mem::take(&mut self.spare);
+        let WindowParts {
+            slots,
+            chunks,
+            outcomes,
+        } = &mut parts;
+        let seqs = self.state.seqs_mut();
+        let mut first = 0;
+        for run in arrivals.chunk_by(|a, b| a.device == b.device) {
             let mut next_free = start_us;
-            for (k, (_, item)) in run.iter().enumerate() {
+            for (k, a) in run.iter().enumerate() {
+                let item = &streams[a.stream as usize].items[a.item as usize];
                 let nominal =
                     u64::from(item.date.day_index()) * DAY_US + ITEM_SPACING_US * k as u64;
                 let at = nominal.max(next_free);
                 next_free = at + ITEM_SPACING_US;
                 last_at = last_at.max(at);
             }
-            jobs.push(DeviceJob {
-                device: d as u32,
-                items: run,
-                rng: SmallRng::seed_from_u64(rng.next_u64()),
-                seq,
+            let device = run[0].device;
+            slots.push(Slot {
+                device,
+                arrivals: first..first + run.len(),
+                seed: rng.next_u64(),
+                seq: seqs[device as usize],
+                ..Slot::default()
             });
+            first += run.len();
         }
+        outcomes.resize(arrivals.len(), Outcome::default());
 
         // Contiguous chunks, one scratch per chunk. Chunk boundaries depend
         // on the thread count but per-device results do not, so the merged
         // outcome is thread-count invariant.
-        let participants = jobs.len();
+        let participants = slots.len();
         let chunk_count = threads.clamp(1, participants.max(1));
         while self.scratches.len() < chunk_count {
             self.scratches.push(Scratch::new(&self.base_model));
         }
+        if chunks.len() < chunk_count {
+            chunks.resize_with(chunk_count, ChunkOut::default);
+        }
         let per_chunk = participants.div_ceil(chunk_count).max(1);
-        let mut rest = items.as_slice();
-        let chunks: Vec<Chunk<'_, '_>> = jobs
-            .chunks_mut(per_chunk)
-            .zip(&mut self.scratches)
-            .map(|(jobs, scratch)| {
-                let rows = jobs.iter().map(|job| job.items.len()).sum();
-                let (chunk_items, tail) = rest.split_at(rows);
+        let mut rest = &mut outcomes[..];
+        let chunks: Vec<Chunk<'_, 's>> = (slots.chunks_mut(per_chunk).enumerate())
+            .zip(chunks.iter_mut().zip(&mut self.scratches))
+            .map(|((c, slots), (out, scratch))| {
+                let first = slots[0].arrivals.start;
+                let end = slots[slots.len() - 1].arrivals.end;
+                let (outcomes, tail) = std::mem::take(&mut rest).split_at_mut(end - first);
                 rest = tail;
+                for slot in slots.iter_mut() {
+                    slot.chunk = c;
+                }
+                out.first = first;
                 Chunk {
-                    jobs,
-                    items: chunk_items,
+                    slots,
+                    out,
+                    arrivals: &arrivals[first..end],
+                    outcomes,
                     scratch,
                 }
             })
@@ -491,6 +704,7 @@ impl FleetSim {
         drop(schedule_span);
 
         let ctx = WindowCtx {
+            streams,
             arena: &self.arena,
             pools: &self.pools,
             base_patch: &self.base_patch,
@@ -498,16 +712,17 @@ impl FleetSim {
             detector: self.detector,
             span: span.id(),
         };
-        let results = parallel::par_map_with(chunks, threads, |chunk| run_chunk(chunk, &ctx));
+        parallel::par_map_with(chunks, threads, |chunk| run_chunk(chunk, &ctx));
 
-        // Chunks are contiguous and ascending, so the parts arrive — and
-        // their counters are recorded — in ascending device order.
+        // Write the devices' sequence numbers back and count the window.
         let merge_span = nazar_obs::span("detect.merge");
-        let mut parts: Vec<(u32, WindowOutput)> = Vec::with_capacity(participants);
-        for part in results.into_iter().flatten() {
-            record_stats(&part.1);
-            parts.push(part);
+        let seqs = self.state.seqs_mut();
+        let mut uploads = 0;
+        for slot in &parts.slots {
+            seqs[slot.device as usize] = slot.seq;
+            uploads += slot.uploads.len();
         }
+        record_stats(&Tally::of(&parts.outcomes), uploads);
         drop(merge_span);
 
         // The window closes at its last day's boundary, or right after its
@@ -521,13 +736,49 @@ impl FleetSim {
         nazar_obs::telemetry::snapshot(self.clock_us, "window_close");
         parts
     }
+
+    /// Window `w`'s arrivals in the index, when the index covers `streams`,
+    /// is cut for `windows` (cutting it if not) and still matches them.
+    fn arrivals(
+        &mut self,
+        streams: &[LocationStream],
+        w: usize,
+        windows: usize,
+    ) -> Option<Range<usize>> {
+        if !self.index.covers(streams) {
+            return None;
+        }
+        if w >= windows {
+            return Some(0..0);
+        }
+        if self.index.windows != windows {
+            if self.index.windows != 0 {
+                // Cut for another window count, so its devices are gone.
+                return None;
+            }
+            self.index.cut(streams, self.state.len(), windows);
+        }
+        self.index.window(streams, &self.state, w, windows)
+    }
+
+    /// Rebuilds the arrival index over `streams`, looking each item's
+    /// device up by id.
+    fn rebuild_index(&mut self, streams: &[LocationStream]) {
+        let device_of = (streams.iter().flat_map(|s| &s.items))
+            .map(|item| {
+                let d = self.state.index_of(&item.device_id);
+                d.map_or(NO_DEVICE, |d| d as u32)
+            })
+            .collect();
+        self.index = ArrivalIndex::new(streams, device_of);
+    }
 }
 
-/// Runs one chunk of device jobs on a worker thread: resolves every item's
+/// Runs one chunk of devices on a worker thread: resolves every item's
 /// model version, runs one stacked forward per selected version (in
 /// [`FORWARD_ROWS_CAP`]-row pieces) over the whole chunk, then walks each
 /// device's items in stream order through the detector and emission.
-fn run_chunk(chunk: Chunk<'_, '_>, ctx: &WindowCtx<'_>) -> Vec<(u32, WindowOutput)> {
+fn run_chunk<'s>(chunk: Chunk<'_, 's>, ctx: &WindowCtx<'_, 's>) {
     let _span = nazar_obs::span_child("detect.chunk", ctx.span);
     let Scratch {
         model,
@@ -539,9 +790,12 @@ fn run_chunk(chunk: Chunk<'_, '_>, ctx: &WindowCtx<'_>) -> Vec<(u32, WindowOutpu
     } = chunk.scratch;
 
     selected.clear();
-    selected.extend(chunk.items.iter().map(|&(d, item)| {
-        ctx.pools
-            .select(ctx.arena, d as usize, |meta| item_matches(meta, item))
+    selected.extend(chunk.arrivals.iter().map(|a| {
+        let item = ctx.item(a);
+        (ctx.pools)
+            .select(ctx.arena, a.device as usize, |meta| {
+                item_matches(meta, item)
+            })
             .map(|(_, arena)| arena)
     }));
 
@@ -564,7 +818,7 @@ fn run_chunk(chunk: Chunk<'_, '_>, ctx: &WindowCtx<'_>) -> Vec<(u32, WindowOutpu
         for piece in group.chunks(FORWARD_ROWS_CAP) {
             rows.clear();
             for &i in piece {
-                rows.extend_from_slice(&chunk.items[i].1.features);
+                rows.extend_from_slice(&ctx.item(&chunk.arrivals[i]).features);
             }
             forward_rows(model, rows, piece.len(), ws, |row, prediction, msp| {
                 passes[piece[row]] = (prediction, msp);
@@ -575,40 +829,39 @@ fn run_chunk(chunk: Chunk<'_, '_>, ctx: &WindowCtx<'_>) -> Vec<(u32, WindowOutpu
 
     // A device's items are walked in stream order: its RNG draws and its
     // sequence numbers follow that order, as on a device serving them one
-    // at a time.
+    // at a time. Its rows go onto the chunk's batch under a page segment
+    // of its own, its id first; the page borrows the items' strings.
     let mut detector = ctx.detector;
-    let mut parts = Vec::with_capacity(chunk.jobs.len());
-    let mut first = 0; // chunk position of the job's first item
-    for job in chunk.jobs {
-        // Sized for the device's items and its page's usual three strings
-        // (id, location, one weather), the id first; a job has an item.
-        let mut rows = RowBatch::with_capacity(&LOG_SCHEMA, job.items.len(), 3);
-        if let Some((_, item)) = job.items.first() {
-            rows.intern(&item.device_id);
-        }
-        let mut part = WindowOutput {
-            entries: rows,
-            ..WindowOutput::default()
-        };
-        let results = &passes[first..];
-        first += job.items.len();
-        for (&(_, item), &(prediction, msp)) in job.items.iter().zip(results) {
-            *job.seq += 1;
+    let out = chunk.out;
+    out.rows.reset(&LOG_SCHEMA);
+    out.uploads.clear();
+    let mut i = 0; // chunk position of the device's first item
+    for slot in chunk.slots {
+        let arrivals = &chunk.arrivals[i..i + slot.arrivals.len()];
+        slot.page = out.rows.page().len();
+        out.rows.push_page(&ctx.item(&arrivals[0]).device_id);
+        let uploads = out.uploads.len();
+        let mut rng = SmallRng::seed_from_u64(slot.seed);
+        for a in arrivals {
+            let item = ctx.item(a);
+            let (prediction, msp) = passes[i];
+            slot.seq += 1;
             let drift = detector.observe(msp);
             let sample = emit_outputs(
                 item,
                 drift,
                 ctx.config.sample_rate,
-                *job.seq,
-                &mut job.rng,
-                &mut part.entries,
+                slot.seq,
+                &mut rng,
+                &mut out.rows,
+                slot.page,
             );
-            tally(&mut part.stats, item, prediction, drift);
-            part.uploads.extend(sample);
+            chunk.outcomes[i] = Outcome::of(item, prediction, drift);
+            out.uploads.extend(sample);
+            i += 1;
         }
-        parts.push((job.device, part));
+        slot.uploads = uploads..out.uploads.len();
     }
-    parts
 }
 
 #[cfg(test)]

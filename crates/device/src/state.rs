@@ -18,7 +18,8 @@
 //! characters in an allocation of their own (32 bytes for those ids), 12
 //! bytes of location code and sequence number and 108 of pool (eight
 //! 12-byte slots and three counters), and what the allocator keeps of the
-//! id → location map the constructor builds and drops. Nothing
+//! maps the constructor builds and drops (measured before the constructor
+//! found devices from borrowed strings). Nothing
 //! per-device belongs to the detector: the fleet holds one 4-byte
 //! [`nazar_detect::StreamDetector`].
 //!
@@ -48,35 +49,57 @@ pub(crate) struct FleetState {
 impl FleetState {
     /// Builds the columns for `devices` (`(id, location)` pairs). Duplicate
     /// ids keep the first occurrence's location; ids are sorted internally.
-    pub(crate) fn new(devices: impl IntoIterator<Item = (String, String)>) -> Self {
-        let mut seen: HashMap<String, String> = HashMap::new();
-        let mut ids: Vec<String> = Vec::new();
+    /// Also returns, for each pair in order, the index of its device — a
+    /// by-product of the one lookup a pair costs to deduplicate. Each
+    /// distinct id and location is copied once.
+    pub(crate) fn new<'a>(
+        devices: impl IntoIterator<Item = (&'a str, &'a str)>,
+    ) -> (Self, Vec<u32>) {
+        // Distinct devices in first-occurrence order, and each pair's
+        // position among them.
+        let mut first: HashMap<&'a str, u32> = HashMap::new();
+        let mut distinct: Vec<(&'a str, &'a str)> = Vec::new();
+        let mut device_of: Vec<u32> = Vec::new();
         for (id, location) in devices {
-            if let std::collections::hash_map::Entry::Vacant(slot) = seen.entry(id) {
-                ids.push(slot.key().clone());
-                slot.insert(location);
-            }
+            let next = distinct.len() as u32;
+            let at = *first.entry(id).or_insert_with(|| {
+                distinct.push((id, location));
+                next
+            });
+            device_of.push(at);
         }
-        ids.sort_unstable();
+        drop(first);
+        let mut order: Vec<u32> = (0..distinct.len() as u32).collect();
+        order.sort_unstable_by_key(|&i| distinct[i as usize].0);
+        let mut rank = vec![0u32; distinct.len()];
+        for (sorted, &i) in order.iter().enumerate() {
+            rank[i as usize] = sorted as u32;
+        }
+        for d in &mut device_of {
+            *d = rank[*d as usize];
+        }
+
+        // Locations are coded in sorted-id order.
         let mut locations: Vec<String> = Vec::new();
-        let mut location_code: HashMap<String, u32> = HashMap::new();
-        let location_of: Vec<u32> = ids
-            .iter()
-            .map(|id| {
-                let loc = seen.remove(id).expect("every id has a location");
-                *location_code.entry(loc.clone()).or_insert_with(|| {
-                    locations.push(loc);
-                    (locations.len() - 1) as u32
-                })
-            })
-            .collect();
+        let mut location_code: HashMap<&'a str, u32> = HashMap::new();
+        let mut ids = Vec::with_capacity(order.len());
+        let mut location_of = Vec::with_capacity(order.len());
+        for &i in &order {
+            let (id, location) = distinct[i as usize];
+            ids.push(id.to_string());
+            location_of.push(*location_code.entry(location).or_insert_with(|| {
+                locations.push(location.to_string());
+                (locations.len() - 1) as u32
+            }));
+        }
         let n = ids.len();
-        FleetState {
+        let state = FleetState {
             ids,
             locations,
             location_of,
             seq: vec![0; n],
-        }
+        };
+        (state, device_of)
     }
 
     /// Number of devices.
@@ -111,8 +134,7 @@ impl FleetState {
         &self.locations[self.location_of[d] as usize]
     }
 
-    /// The entry sequence number column, one per device in index order
-    /// (a window's pass borrows each participant's in place).
+    /// The entry sequence number column, one per device in index order.
     pub(crate) fn seqs_mut(&mut self) -> &mut [u64] {
         &mut self.seq
     }
@@ -326,12 +348,13 @@ mod tests {
 
     #[test]
     fn state_sorts_and_dedups_devices() {
-        let state = FleetState::new(vec![
-            ("b-dev".to_string(), "boston".to_string()),
-            ("a-dev".to_string(), "austin".to_string()),
-            ("b-dev".to_string(), "elsewhere".to_string()),
+        let (state, device_of) = FleetState::new([
+            ("b-dev", "boston"),
+            ("a-dev", "austin"),
+            ("b-dev", "elsewhere"),
         ]);
         assert_eq!(state.len(), 2);
+        assert_eq!(device_of, [1, 0, 1], "each pair's device, by sorted id");
         assert_eq!(state.ids(), ["a-dev", "b-dev"]);
         assert_eq!(state.index_of("b-dev"), Some(1));
         assert_eq!(state.index_of("zzz"), None);
@@ -341,11 +364,7 @@ mod tests {
 
     #[test]
     fn target_indices_filter_by_location_and_device() {
-        let state = FleetState::new(vec![
-            ("a".to_string(), "nyc".to_string()),
-            ("b".to_string(), "sf".to_string()),
-            ("c".to_string(), "nyc".to_string()),
-        ]);
+        let (state, _) = FleetState::new([("a", "nyc"), ("b", "sf"), ("c", "nyc")]);
         let broad = VersionMeta::new(vec![attr("weather", "snow")], 2.0);
         assert_eq!(state.target_indices(&broad), vec![0, 1, 2]);
         let nyc = VersionMeta::new(vec![attr("location", "nyc")], 2.0);

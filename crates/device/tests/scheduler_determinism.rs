@@ -76,6 +76,60 @@ fn event_fleet_matches_lockstep_across_windows_and_deploys() {
     }
 }
 
+/// The fleet reads each window's arrivals through an index it builds once
+/// and reuses while the same item buffers come back. Streams out of date
+/// order, released window buffers, an item handed to another device in
+/// place between windows, a fresh copy of the streams and another window
+/// count must each read as the oracle, which scans the streams every
+/// window, reads them.
+#[test]
+fn edited_and_replaced_streams_match_lockstep() {
+    let data = AnimalsDataset::generate(&AnimalsConfig {
+        dim: DIM,
+        classes: CLASSES,
+        devices_per_location: 2,
+        arrivals_per_day: 0.5,
+        ..AnimalsConfig::small()
+    });
+    // Newest first: a stream does not promise date order.
+    let mut streams = data.streams.clone();
+    for stream in &mut streams {
+        stream.items.reverse();
+    }
+    let (model, config) = (base_model(), DeviceConfig::default());
+    let mut lockstep = Oracle::from_streams(&streams, &model, &config);
+    let mut event = FleetSim::from_streams(&streams, &model, &config);
+    let ids = event.device_ids();
+    let (mut rng_a, mut rng_b) = (SmallRng::seed_from_u64(8), SmallRng::seed_from_u64(8));
+    let windows = 4;
+    for w in 0..windows {
+        if w == 1 {
+            event.release_window_buffers();
+        }
+        if w == 2 {
+            // In place: an item of this window moves to another device,
+            // and one of the next window's moves into this one.
+            let stream = &mut streams[0];
+            let here = (stream.items.iter()).position(|i| i.date.window(windows) == 2);
+            let next = (stream.items.iter()).position(|i| i.date.window(windows) == 3);
+            let (here, next) = (here.expect("an item in window 2"), next.expect("one in 3"));
+            let other = ids.iter().find(|id| **id != stream.items[here].device_id);
+            stream.items[here].device_id = other.expect("two devices").clone();
+            stream.items[next].date = stream.items[here].date;
+        }
+        if w == 3 {
+            streams = streams.clone();
+        }
+        let a = lockstep.process_window_parts(&streams, w, windows, &mut rng_a);
+        let b = event.process_window_parts(&streams, w, windows, &mut rng_b);
+        assert_eq!(a, b, "window {w}: per-device outputs");
+        assert_eq!(lockstep.clock_us(), event.clock_us(), "window {w}: clock");
+    }
+    let a = lockstep.process_window_parts(&streams, 1, 2, &mut rng_a);
+    let b = event.process_window_parts(&streams, 1, 2, &mut rng_b);
+    assert_eq!(a, b, "window 1 of 2: per-device outputs");
+}
+
 /// Each day of the window mixes the base and four versions; whatever the
 /// chunk count, the batched pass must hand back the oracle's window byte
 /// for byte.

@@ -47,7 +47,7 @@ mod store;
 pub mod varint;
 
 pub use entry::{Attribute, DriftLogEntry};
-pub use rows::RowBatch;
+pub use rows::{CodedRows, RowBatch};
 pub use store::{DriftLog, IngestReport, LogError, MatchCounts, Result};
 
 /// Builds the example drift log of Table 2 in the paper (two devices, New

@@ -7,20 +7,25 @@ use crate::entry::{Attribute, DriftLogEntry};
 /// A batch of drift-log rows over fixed keys, each value a code into a
 /// batch-local string page.
 ///
-/// A device emits one per window: its page holds the device id first,
-/// then each distinct location and weather name once, and a row is a
-/// timestamp, a drift flag and one page code per key — so emitting a row
-/// allocates nothing once its values are on the page. An upload frame
-/// carries the same shape, so the cloud parses one in place into a
-/// `RowBatch<&str>` that borrows the frame's page strings, and
-/// [`DriftLog::ingest_rows`](crate::DriftLog::ingest_rows) maps the page
-/// onto the log's dictionaries once per batch.
+/// A fleet's worker writes one per window, reused from window to window:
+/// each device's rows follow the previous device's, under a segment of
+/// the page that holds the device id first, then each distinct location
+/// and weather name once ([`RowBatch::push_values_from`]); a row is a
+/// timestamp, a drift flag and one page code per key, and the page
+/// borrows the stream items' strings, so emitting a row allocates
+/// nothing. An upload frame carries a range of it, so the cloud parses
+/// one in place into a `RowBatch<&str>` that borrows the frame's page
+/// strings, and [`DriftLog::ingest_rows`](crate::DriftLog::ingest_rows)
+/// (or [`DriftLog::ingest_coded`](crate::DriftLog::ingest_coded), over
+/// [`CodedRows`] kept elsewhere) maps the page onto the log's
+/// dictionaries once per batch.
 ///
 /// The batch is flat — row-major codes, not per-key columns — because a
-/// fleet batch holds a couple of rows. `S` is the page's string type:
-/// owned on a device, borrowed from the frame on the cloud. Equality is
-/// logical: two batches are equal when they hold the same keys and rows,
-/// whatever their pages look like.
+/// fleet device's window is a couple of rows. `S` is the page's string
+/// type: borrowed from the stream items on a device, from the frame on
+/// the cloud, owned where a batch outlives both. Equality is logical: two
+/// batches are equal when they hold the same keys and rows, whatever
+/// their pages look like.
 #[derive(Debug, Clone)]
 pub struct RowBatch<S = String> {
     keys: &'static [&'static str],
@@ -88,8 +93,19 @@ impl<S> RowBatch<S> {
     }
 
     /// Every row's codes, row after row.
-    pub(crate) fn codes(&self) -> &[u32] {
+    pub fn codes(&self) -> &[u32] {
         &self.codes
+    }
+
+    /// The batch's rows, borrowed.
+    pub fn coded(&self) -> CodedRows<'_, S> {
+        CodedRows {
+            keys: self.keys,
+            page: &self.page,
+            codes: &self.codes,
+            drift: &self.drift,
+            timestamps: &self.timestamps,
+        }
     }
 
     /// The per-row drift flags.
@@ -143,13 +159,14 @@ impl<S: AsRef<str>> RowBatch<S> {
     ///
     /// Panics if `row` or `col` is out of range.
     pub fn value(&self, row: usize, col: usize) -> &str {
-        self.page[self.row_codes(row)[col] as usize].as_ref()
+        self.coded().value(row, col)
     }
 
-    /// The code of `s` on the page, if the page holds it.
-    fn code_of(&self, s: &str) -> Option<u32> {
-        let at = self.page.iter().position(|p| p.as_ref() == s)?;
-        Some(at as u32)
+    /// The code of `s` among the page strings from `first` on, if they
+    /// hold it.
+    fn code_from(&self, first: usize, s: &str) -> Option<u32> {
+        let at = self.page[first..].iter().position(|p| p.as_ref() == s)?;
+        Some((first + at) as u32)
     }
 
     /// The code of `s`, appending it to the page when the page lacks it.
@@ -157,7 +174,16 @@ impl<S: AsRef<str>> RowBatch<S> {
     where
         S: From<&'s str>,
     {
-        match self.code_of(s) {
+        self.intern_from(0, s)
+    }
+
+    /// [`RowBatch::intern`] looking among the page strings from `first` on
+    /// only.
+    fn intern_from<'s>(&mut self, first: usize, s: &'s str) -> u32
+    where
+        S: From<&'s str>,
+    {
+        match self.code_from(first, s) {
             Some(code) => code,
             None => self.push_page(S::from(s)),
         }
@@ -172,9 +198,31 @@ impl<S: AsRef<str>> RowBatch<S> {
     where
         S: From<&'s str>,
     {
+        self.push_values_from(0, timestamp, drift, values);
+    }
+
+    /// [`RowBatch::push_values`] interning each value among the page
+    /// strings from `first` on only. A batch that holds several devices'
+    /// rows gives each device a run of the page — its segment, from
+    /// `first` to the end — so that a device's values are found among its
+    /// own few strings.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values` does not hold one value per key, or `first` is
+    /// past the page.
+    pub fn push_values_from<'s>(
+        &mut self,
+        first: usize,
+        timestamp: u64,
+        drift: bool,
+        values: &[&'s str],
+    ) where
+        S: From<&'s str>,
+    {
         assert_eq!(values.len(), self.keys.len(), "one value per key");
         for value in values {
-            let code = self.intern(value);
+            let code = self.intern_from(first, value);
             self.codes.push(code);
         }
         self.drift.push(drift);
@@ -187,19 +235,12 @@ impl<S: AsRef<str>> RowBatch<S> {
     ///
     /// Panics if `row` is out of range.
     pub fn entry(&self, row: usize) -> DriftLogEntry {
-        let attrs = (self.keys.iter().enumerate())
-            .map(|(col, key)| Attribute::new(*key, self.value(row, col)))
-            .collect();
-        DriftLogEntry {
-            timestamp: self.timestamps[row],
-            attrs,
-            drift: self.drift[row],
-        }
+        self.coded().entry(row)
     }
 
     /// Every row as a drift-log entry, in order.
     pub fn to_entries(&self) -> Vec<DriftLogEntry> {
-        (0..self.len()).map(|row| self.entry(row)).collect()
+        self.coded().to_entries()
     }
 
     /// Appends `other`'s rows, which carry the same keys, after this
@@ -232,6 +273,124 @@ impl RowBatch<&str> {
             drift: self.drift,
             timestamps: self.timestamps,
         }
+    }
+}
+
+/// Coded rows borrowed from buffers kept elsewhere: a [`RowBatch`]'s
+/// shape without its ownership. The cloud keeps every accepted upload
+/// frame's parsed rows in shared window buffers and hands each frame's
+/// share to [`DriftLog::ingest_coded`](crate::DriftLog::ingest_coded) as
+/// one of these.
+#[derive(Debug, Clone, Copy)]
+pub struct CodedRows<'a, S> {
+    keys: &'static [&'static str],
+    page: &'a [S],
+    codes: &'a [u32],
+    drift: &'a [bool],
+    timestamps: &'a [u64],
+}
+
+impl<'a, S> CodedRows<'a, S> {
+    /// Rows over `keys`: `keys.len()` codes into `page` per row, row after
+    /// row, and each row's drift flag and timestamp.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices disagree on the row count, or a code names no
+    /// page string.
+    pub fn new(
+        keys: &'static [&'static str],
+        page: &'a [S],
+        codes: &'a [u32],
+        drift: &'a [bool],
+        timestamps: &'a [u64],
+    ) -> Self {
+        assert_eq!(
+            codes.len(),
+            drift.len() * keys.len(),
+            "one code per key a row"
+        );
+        assert_eq!(timestamps.len(), drift.len(), "one timestamp a row");
+        assert!(
+            codes.iter().all(|&c| (c as usize) < page.len()),
+            "codes name page strings"
+        );
+        CodedRows {
+            keys,
+            page,
+            codes,
+            drift,
+            timestamps,
+        }
+    }
+
+    /// The keys every row carries a value for, in value order.
+    pub fn keys(&self) -> &'static [&'static str] {
+        self.keys
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.drift.len()
+    }
+
+    /// Whether there is no row.
+    pub fn is_empty(&self) -> bool {
+        self.drift.is_empty()
+    }
+
+    /// The page every code names a string of.
+    pub fn page(&self) -> &'a [S] {
+        self.page
+    }
+
+    /// Every row's codes, row after row.
+    pub fn codes(&self) -> &'a [u32] {
+        self.codes
+    }
+
+    /// The per-row drift flags.
+    pub fn drift_flags(&self) -> &'a [bool] {
+        self.drift
+    }
+
+    /// The per-row timestamps.
+    pub fn timestamps(&self) -> &'a [u64] {
+        self.timestamps
+    }
+}
+
+impl<'a, S: AsRef<str>> CodedRows<'a, S> {
+    /// The value row `row` holds for key `col`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` or `col` is out of range.
+    pub fn value(&self, row: usize, col: usize) -> &'a str {
+        let width = self.keys.len();
+        assert!(col < width, "column within the keys");
+        self.page[self.codes[row * width + col] as usize].as_ref()
+    }
+
+    /// Row `row` as a drift-log entry, its attributes in key order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range.
+    pub fn entry(&self, row: usize) -> DriftLogEntry {
+        let attrs = (self.keys.iter().enumerate())
+            .map(|(col, key)| Attribute::new(*key, self.value(row, col)))
+            .collect();
+        DriftLogEntry {
+            timestamp: self.timestamps[row],
+            attrs,
+            drift: self.drift[row],
+        }
+    }
+
+    /// Every row as a drift-log entry, in order.
+    pub fn to_entries(&self) -> Vec<DriftLogEntry> {
+        (0..self.len()).map(|row| self.entry(row)).collect()
     }
 }
 
@@ -294,6 +453,29 @@ mod tests {
         a.append(c);
         assert_eq!(a, b);
         assert_eq!(a.to_entries(), b.to_entries());
+    }
+
+    #[test]
+    fn a_segment_interns_among_its_own_strings() {
+        let mut rows: RowBatch<&str> = RowBatch::new(&KEYS);
+        rows.push_page("d1");
+        rows.push_values_from(0, 1, false, &["snow", "oslo", "d1"]);
+        let second = rows.page().len();
+        rows.push_page("d2");
+        rows.push_values_from(second, 2, true, &["snow", "oslo", "d2"]);
+        rows.push_values_from(second, 3, false, &["fog", "oslo", "d2"]);
+        assert_eq!(
+            rows.page(),
+            ["d1", "snow", "oslo", "d2", "snow", "oslo", "fog"]
+        );
+        assert_eq!(rows.row_codes(1), [4, 5, 3]);
+        assert_eq!(rows.row_codes(2), [6, 5, 3]);
+        let values = [
+            ("weather", "fog"),
+            ("location", "oslo"),
+            ("device_id", "d2"),
+        ];
+        assert_eq!(rows.entry(2), DriftLogEntry::new(3, &values, false));
     }
 
     #[test]

@@ -11,10 +11,10 @@
 
 use crate::entry::{Attribute, DriftLogEntry};
 use crate::probe::ColumnarBlock;
-use crate::rows::RowBatch;
+use crate::rows::{CodedRows, RowBatch};
 use nazar_obs::{Counter, Histogram};
-use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, RandomState};
 use std::ops::Range;
 
 static INGEST_ROWS: Counter = Counter::new("nazar_log_ingest_rows_total", &[]);
@@ -114,26 +114,76 @@ impl std::ops::AddAssign for IngestReport {
     }
 }
 
-/// Per-column dictionary of attribute values.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Per-column dictionary of attribute values. Each value is stored once,
+/// in `values`; the index is an open-addressing table of codes into it,
+/// probed by the value's hash and compared against `values`.
+#[derive(Debug, Clone, Default)]
 struct Dict {
     values: Vec<String>,
-    index: HashMap<String, u32>,
+    /// `code + 1` per occupied slot, `0` for an empty one; a power of two
+    /// long and at most half full, or empty before the first value.
+    slots: Vec<u32>,
+    hasher: RandomState,
 }
 
 impl Dict {
-    fn intern(&mut self, value: &str) -> u32 {
-        if let Some(&id) = self.index.get(value) {
-            return id;
+    /// A dictionary holding `values`, code = position. Of equal values the
+    /// last one's code is the one looked up.
+    fn from_values(values: Vec<String>) -> Self {
+        let mut dict = Dict {
+            values,
+            ..Dict::default()
+        };
+        dict.rebuild(dict.values.len());
+        dict
+    }
+
+    /// Sizes the table for `len` values and re-enters every value.
+    fn rebuild(&mut self, len: usize) {
+        self.slots.clear();
+        self.slots.resize((2 * len).next_power_of_two().max(16), 0);
+        for code in 0..self.values.len() {
+            let at = self.probe(&self.values[code]);
+            self.slots[at] = code as u32 + 1;
         }
-        let id = self.values.len() as u32;
+    }
+
+    /// The slot holding `value`, or the empty slot it would take.
+    fn probe(&self, value: &str) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut at = self.hasher.hash_one(value) as usize & mask;
+        loop {
+            match self.slots[at] {
+                0 => return at,
+                code if self.values[code as usize - 1] == value => return at,
+                _ => at = (at + 1) & mask,
+            }
+        }
+    }
+
+    fn intern(&mut self, value: &str) -> u32 {
+        if self.slots.is_empty() {
+            self.rebuild(0);
+        }
+        let mut at = self.probe(value);
+        if let Some(code) = self.slots[at].checked_sub(1) {
+            return code;
+        }
+        if 2 * (self.values.len() + 1) > self.slots.len() {
+            self.rebuild(self.values.len() + 1);
+            at = self.probe(value);
+        }
+        let code = self.values.len() as u32;
         self.values.push(value.to_string());
-        self.index.insert(value.to_string(), id);
-        id
+        self.slots[at] = code + 1;
+        code
     }
 
     fn lookup(&self, value: &str) -> Option<u32> {
-        self.index.get(value).copied()
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.slots[self.probe(value)].checked_sub(1)
     }
 }
 
@@ -264,13 +314,7 @@ impl DriftLog {
                 return Err(corrupt(key, reason));
             }
         }
-        let dicts = dict_values
-            .into_iter()
-            .map(|values| Dict {
-                index: (0..).zip(&values).map(|(i, v)| (v.clone(), i)).collect(),
-                values,
-            })
-            .collect();
+        let dicts = dict_values.into_iter().map(Dict::from_values).collect();
         let log = DriftLog {
             schema: schema.to_vec(),
             dicts,
@@ -447,6 +491,13 @@ impl DriftLog {
     /// keys are not the schema's has every row quarantined, as each of its
     /// entries would be.
     pub fn ingest_rows<S: AsRef<str>>(&mut self, rows: &RowBatch<S>) -> IngestReport {
+        self.ingest_coded(rows.coded())
+    }
+
+    /// [`DriftLog::ingest_rows`] over rows borrowed from buffers kept
+    /// elsewhere — how the cloud ingests the rows it parsed out of each
+    /// accepted upload frame.
+    pub fn ingest_coded<S: AsRef<str>>(&mut self, rows: CodedRows<'_, S>) -> IngestReport {
         INGEST_BATCH_ROWS.observe(rows.len() as f64);
         let keys = rows.keys();
         let (mut col_of, mut spilled) = ([0usize; 8], Vec::new());

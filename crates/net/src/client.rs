@@ -9,7 +9,7 @@
 
 use crate::config::{MAX_BATCH_ENTRIES, MAX_BATCH_SAMPLES, OUTBOX_FRAMES};
 use crate::error::Result;
-use crate::wire::{self, ChunkRef, Message};
+use crate::wire::{self, ChunkRef, FrameBuffers, Message};
 use nazar_device::UploadedSample;
 use nazar_log::RowBatch;
 use nazar_nn::BnPatch;
@@ -175,32 +175,36 @@ impl DeviceClient {
         (self.download.as_ref().map(|d| d.0), self.completed)
     }
 
-    /// Batches and coalesces `rows` + `samples` into sequence-numbered
+    /// Batches and coalesces rows `range` of `rows` + `samples` into sequence-numbered
     /// upload frames on the outbox, at most 64 rows and 32 samples a
-    /// frame. When the outbox would grow past 256 frames, the *oldest*
-    /// queued frame is dropped (fresh telemetry beats stale telemetry on a
-    /// congested uplink). Returns the seqs of the newly queued frames
-    /// still on the outbox.
+    /// frame, each written in `bufs` and copied once into the bytes every
+    /// transmission shares. When the outbox would grow past 256 frames,
+    /// the *oldest* queued frame is dropped (fresh telemetry beats stale
+    /// telemetry on a congested uplink). Returns the seqs of the newly
+    /// queued frames still on the outbox.
     pub(crate) fn queue_upload<S: AsRef<str>>(
         &mut self,
+        bufs: &mut FrameBuffers,
         rows: &RowBatch<S>,
+        range: Range<usize>,
         samples: &[UploadedSample],
     ) -> Range<u64> {
         let first = self.next_seq;
-        let mut e = 0usize;
+        let mut e = range.start;
         let mut s = 0usize;
-        while e < rows.len() || s < samples.len() {
-            let e_end = (e + MAX_BATCH_ENTRIES).min(rows.len());
+        while e < range.end || s < samples.len() {
+            let e_end = (e + MAX_BATCH_ENTRIES).min(range.end);
             let s_end = (s + MAX_BATCH_SAMPLES).min(samples.len());
             let seq = self.next_seq;
             self.next_seq += 1;
+            let (range, samples) = (e..e_end, &samples[s..s_end]);
             let frame =
-                wire::encode_upload_rows(&self.device_id, seq, rows, e..e_end, &samples[s..s_end]);
+                wire::encode_upload_rows_with(bufs, &self.device_id, seq, rows, range, samples);
             e = e_end;
             s = s_end;
             self.outbox.push_back(OutFrame {
                 seq,
-                bytes: frame.into(),
+                bytes: Arc::from(frame),
                 attempts: 0,
             });
             let excess = self.outbox.len().saturating_sub(OUTBOX_FRAMES);
@@ -346,7 +350,12 @@ mod tests {
         let mut c = DeviceClient::new("d0");
         let entries = rows(2 * MAX_BATCH_ENTRIES as u64 + 1);
         let samples: Vec<_> = (0..MAX_BATCH_SAMPLES + 8).map(sample).collect();
-        let seqs = c.queue_upload(&entries, &samples);
+        let seqs = c.queue_upload(
+            &mut FrameBuffers::default(),
+            &entries,
+            0..entries.len(),
+            &samples,
+        );
         assert_eq!(seqs, 0..3);
         assert_eq!(c.outbox_depth(), 3);
         assert_eq!(
@@ -362,7 +371,12 @@ mod tests {
         let mut c = DeviceClient::new("d0");
         let frames = OUTBOX_FRAMES as u64 + 2;
         let entries = rows(frames * MAX_BATCH_ENTRIES as u64);
-        let seqs = c.queue_upload(&entries, &[]);
+        let seqs = c.queue_upload(
+            &mut FrameBuffers::default(),
+            &entries,
+            0..entries.len(),
+            &[],
+        );
         // Seqs 0 and 1 were dropped to make room for the last two.
         assert_eq!(seqs, 2..frames);
         assert_eq!(c.outbox_depth(), OUTBOX_FRAMES);
@@ -373,7 +387,7 @@ mod tests {
     #[test]
     fn ack_clears_pending_frame_once() {
         let mut c = DeviceClient::new("d0");
-        let seqs = c.queue_upload(&rows(1), &[]);
+        let seqs = c.queue_upload(&mut FrameBuffers::default(), &rows(1), 0..1, &[]);
         let ack = wire::encode_frame(&Message::UploadAck { seq: seqs.start });
         let mut memo = DecodeMemo::default();
         assert_eq!(

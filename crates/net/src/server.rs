@@ -109,11 +109,18 @@ impl<T> IngestServer<T> {
     /// independent of arrival order.
     pub fn take_window(&mut self) -> Vec<T> {
         let mut batches = Vec::new();
+        self.drain_window(|batch| batches.push(batch));
+        batches
+    }
+
+    /// [`IngestServer::take_window`], handing each batch to `f` in turn.
+    pub fn drain_window(&mut self, mut f: impl FnMut(T)) {
         for device in &mut self.devices {
             device.pending.sort_unstable_by_key(|batch| batch.0);
-            batches.extend(device.pending.drain(..).map(|(_, batch)| batch));
+            for (_, batch) in device.pending.drain(..) {
+                f(batch);
+            }
         }
-        batches
     }
 }
 

@@ -53,10 +53,13 @@
 //! not die on the wire. The encoder picks the layout from the rows it is
 //! handed.
 //!
-//! One encoder, one parser. A device's rows reach the encoder as a coded
-//! [`RowBatch`] ([`encode_upload_rows`]), the string path's as entries
-//! ([`encode_upload_batch`]); both run the same encoder and write the same
-//! bytes. The cloud reads an upload payload in place with
+//! One encoder, one parser. A device's rows reach the encoder as a range
+//! of a coded [`RowBatch`] ([`encode_upload_rows`]), the string path's as
+//! entries ([`encode_upload_batch`]); both run the same encoder and write
+//! the same bytes. A sender that keeps a [`FrameBuffers`] writes every
+//! frame into it ([`encode_upload_rows_with`], [`encode_frame_with`]) and
+//! allocates only the copy it shares the frame as. The cloud reads an
+//! upload payload in place with
 //! [`parse_upload`]: the page and layout-1 rows go into a
 //! `RowBatch<&str>` that borrows the frame's strings. [`decode_frame`] is
 //! that parser plus string materialisation, so both refuse a frame with
@@ -460,25 +463,50 @@ const TYPE_CHUNK_ACK: u8 = 4;
 /// Offset of the payload within a frame (magic + version + type + length).
 const PAYLOAD_AT: usize = 10;
 
-/// Starts a frame of `msg_type`: the header with its length left open.
-fn begin_frame(msg_type: u8, payload_cap: usize) -> Writer {
-    let mut w = Writer::with_capacity(FRAME_OVERHEAD + payload_cap);
+/// Starts a frame of `msg_type` in `w`, emptied first: the header with
+/// its length left open, and room for `payload_cap` payload bytes.
+fn begin_frame(w: &mut Writer, msg_type: u8, payload_cap: usize) {
+    w.buf.clear();
+    w.buf.reserve(FRAME_OVERHEAD + payload_cap);
     w.put_bytes(&MAGIC);
     w.put_u8(VERSION);
     w.put_u8(msg_type);
     w.put_u32(0);
-    w
 }
 
 /// Closes a frame begun by [`begin_frame`]: fills in the payload length
 /// and appends the CRC trailer.
-fn seal_frame(w: Writer) -> Vec<u8> {
-    let mut bytes = w.into_bytes();
+fn seal_frame(w: &mut Writer) {
+    let bytes = &mut w.buf;
     let payload_len = (bytes.len() - PAYLOAD_AT) as u32;
     bytes[6..PAYLOAD_AT].copy_from_slice(&payload_len.to_le_bytes());
     let crc = crc32(&bytes[4..]);
     bytes.extend_from_slice(&crc.to_le_bytes());
-    bytes
+}
+
+/// The encoder's buffers, kept from frame to frame: a frame is written
+/// into them and never grows a buffer of its own, so a sender that keeps
+/// one pays one allocation a frame — the copy it shares the bytes as.
+#[derive(Debug, Default)]
+pub struct FrameBuffers {
+    /// The frame being written.
+    frame: Writer,
+    /// An upload's rows and samples, written before the page they fill.
+    body: Writer,
+    /// An upload's page under construction, emptied between frames.
+    page: Vec<&'static str>,
+}
+
+impl FrameBuffers {
+    /// The last frame written.
+    pub fn frame(&self) -> &[u8] {
+        &self.frame.buf
+    }
+
+    /// The last frame written, taken out of the buffers.
+    fn take_frame(&mut self) -> Vec<u8> {
+        std::mem::take(&mut self.frame.buf)
+    }
 }
 
 /// Past this many strings the upload page is probed through a map instead
@@ -498,9 +526,12 @@ struct PageBuilder<'a> {
 }
 
 impl<'a> PageBuilder<'a> {
-    fn new(device_id: &'a str) -> Self {
+    /// A page that starts with `device_id`, built in `strings` (emptied).
+    fn new(device_id: &'a str, mut strings: Vec<&'a str>) -> Self {
+        strings.clear();
+        strings.push(device_id);
         PageBuilder {
-            strings: vec![device_id],
+            strings,
             index: HashMap::new(),
             hints: [0; 8],
         }
@@ -651,21 +682,23 @@ impl<S: AsRef<str>> FrameRows for BatchRows<'_, S> {
     }
 }
 
-/// The one upload-frame encoder (payload layout in the module docs). The
-/// page is numbered per frame in first-use order — the device id, then
-/// rows' and samples' strings as the body meets them — whatever page the
-/// rows came from.
+/// The one upload-frame encoder (payload layout in the module docs),
+/// writing into `bufs`. The page is numbered per frame in first-use order
+/// — the device id, then rows' and samples' strings as the body meets
+/// them — whatever page the rows came from.
 fn encode_upload<'a, R: FrameRows + ?Sized>(
+    bufs: &mut FrameBuffers,
     device_id: &'a str,
     seq: u64,
     rows: &'a R,
     samples: &'a [UploadedSample],
-) -> Vec<u8> {
+) {
     let schema_rows = rows.schema_rows() && samples.iter().all(|s| is_schema_row(&s.attrs));
-    // Rows and samples first, into a side buffer: the page they fill goes
-    // on the wire ahead of them.
-    let mut page = PageBuilder::new(device_id);
-    let mut body = Writer::with_capacity(64);
+    // Rows and samples first, into the body buffer: the page they fill
+    // goes on the wire ahead of them.
+    let mut page = PageBuilder::new(device_id, std::mem::take(&mut bufs.page));
+    let body = &mut bufs.body;
+    body.buf.clear();
     body.put_varint(rows.count() as u64);
     let mut previous = 0u64;
     for i in 0..rows.count() {
@@ -673,7 +706,7 @@ fn encode_upload<'a, R: FrameRows + ?Sized>(
         body.put_varint(timestamp.wrapping_sub(previous));
         previous = timestamp;
         body.put_u8(drift as u8);
-        put_paged_attrs(&mut body, &mut page, rows.attrs(i), schema_rows);
+        put_paged_attrs(body, &mut page, rows.attrs(i), schema_rows);
     }
     body.put_varint(samples.len() as u64);
     for s in samples {
@@ -681,7 +714,7 @@ fn encode_upload<'a, R: FrameRows + ?Sized>(
         for &f in &s.features {
             body.put_f32(f);
         }
-        put_paged_attrs(&mut body, &mut page, pairs(&s.attrs), schema_rows);
+        put_paged_attrs(body, &mut page, pairs(&s.attrs), schema_rows);
         body.put_u16(s.date.day_index());
         body.put_varint(s.label as u64);
         body.put_varint(match s.true_cause {
@@ -691,7 +724,8 @@ fn encode_upload<'a, R: FrameRows + ?Sized>(
     }
 
     let page_bytes: usize = page.strings.iter().map(|p| p.len() + 2).sum();
-    let mut w = begin_frame(TYPE_UPLOAD_BATCH, 16 + page_bytes + body.len());
+    let w = &mut bufs.frame;
+    begin_frame(w, TYPE_UPLOAD_BATCH, 16 + page_bytes + body.len());
     w.put_varint(seq);
     w.put_u8(schema_rows as u8);
     w.put_varint(page.strings.len() as u64);
@@ -700,7 +734,12 @@ fn encode_upload<'a, R: FrameRows + ?Sized>(
         w.put_bytes(p.as_bytes());
     }
     w.put_bytes(&body.buf);
-    seal_frame(w)
+    seal_frame(w);
+    // The page's vector goes back emptied; the same layout on both sides,
+    // so it is reused in place.
+    let mut strings = page.strings;
+    strings.clear();
+    bufs.page = strings.into_iter().map(|_| "").collect();
 }
 
 /// Encodes a [`Message::UploadBatch`] frame from borrowed entries: the
@@ -711,7 +750,9 @@ pub fn encode_upload_batch(
     entries: &[DriftLogEntry],
     samples: &[UploadedSample],
 ) -> Vec<u8> {
-    encode_upload(device_id, seq, entries, samples)
+    let mut bufs = FrameBuffers::default();
+    encode_upload(&mut bufs, device_id, seq, entries, samples);
+    bufs.take_frame()
 }
 
 /// Encodes an upload frame from rows `range` of a coded batch: the bytes
@@ -729,8 +770,28 @@ pub fn encode_upload_rows<S: AsRef<str>>(
     range: Range<usize>,
     samples: &[UploadedSample],
 ) -> Vec<u8> {
+    let mut bufs = FrameBuffers::default();
+    encode_upload_rows_with(&mut bufs, device_id, seq, rows, range, samples);
+    bufs.take_frame()
+}
+
+/// [`encode_upload_rows`] into `bufs`, whose buffers it reuses; the frame
+/// is [`FrameBuffers::frame`] until the next one is written.
+///
+/// # Panics
+///
+/// Panics if `range` reaches past the batch's rows.
+pub fn encode_upload_rows_with<'b, S: AsRef<str>>(
+    bufs: &'b mut FrameBuffers,
+    device_id: &str,
+    seq: u64,
+    rows: &RowBatch<S>,
+    range: Range<usize>,
+    samples: &[UploadedSample],
+) -> &'b [u8] {
     assert!(range.end <= rows.len(), "rows within the batch");
-    encode_upload(device_id, seq, &BatchRows { rows, range }, samples)
+    encode_upload(bufs, device_id, seq, &BatchRows { rows, range }, samples);
+    bufs.frame()
 }
 
 /// An upload-batch payload parsed in place by [`parse_upload`]: its page
@@ -876,45 +937,62 @@ fn decode_upload_batch(payload: &[u8]) -> Result<Message> {
 /// deploy payload. The frame depends on nothing but its arguments, so one
 /// encoding serves every device and every retransmission of a transfer.
 pub fn encode_deploy_chunk(transfer_id: u64, offset: u32, total_len: u32, data: &[u8]) -> Vec<u8> {
-    let mut w = begin_frame(TYPE_DEPLOY_CHUNK, 20 + data.len());
+    let mut w = Writer::default();
+    write_deploy_chunk(&mut w, transfer_id, offset, total_len, data);
+    w.into_bytes()
+}
+
+fn write_deploy_chunk(w: &mut Writer, transfer_id: u64, offset: u32, total_len: u32, data: &[u8]) {
+    begin_frame(w, TYPE_DEPLOY_CHUNK, 20 + data.len());
     w.put_u64(transfer_id);
     w.put_u32(offset);
     w.put_u32(total_len);
     w.put_u32(data.len() as u32);
     w.put_bytes(data);
-    seal_frame(w)
+    seal_frame(w);
 }
 
 /// Encodes one message as a wire frame.
 pub fn encode_frame(msg: &Message) -> Vec<u8> {
+    let mut bufs = FrameBuffers::default();
+    encode_frame_with(&mut bufs, msg);
+    bufs.take_frame()
+}
+
+/// [`encode_frame`] into `bufs`, whose buffers it reuses; the frame is
+/// [`FrameBuffers::frame`] until the next one is written.
+pub fn encode_frame_with<'b>(bufs: &'b mut FrameBuffers, msg: &Message) -> &'b [u8] {
     match msg {
         Message::UploadBatch {
             device_id,
             seq,
             entries,
             samples,
-        } => encode_upload_batch(device_id, *seq, entries, samples),
+        } => encode_upload(bufs, device_id, *seq, entries.as_slice(), samples),
         Message::UploadAck { seq } => {
-            let mut w = begin_frame(TYPE_UPLOAD_ACK, 8);
+            let w = &mut bufs.frame;
+            begin_frame(w, TYPE_UPLOAD_ACK, 8);
             w.put_u64(*seq);
-            seal_frame(w)
+            seal_frame(w);
         }
         Message::DeployChunk {
             transfer_id,
             offset,
             total_len,
             data,
-        } => encode_deploy_chunk(*transfer_id, *offset, *total_len, data),
+        } => write_deploy_chunk(&mut bufs.frame, *transfer_id, *offset, *total_len, data),
         Message::ChunkAck {
             transfer_id,
             received,
         } => {
-            let mut w = begin_frame(TYPE_CHUNK_ACK, 12);
+            let w = &mut bufs.frame;
+            begin_frame(w, TYPE_CHUNK_ACK, 12);
             w.put_u64(*transfer_id);
             w.put_u32(*received);
-            seal_frame(w)
+            seal_frame(w);
         }
     }
+    bufs.frame()
 }
 
 /// Verifies a frame's envelope — magic, protocol version, declared length

@@ -196,10 +196,10 @@ impl BatchNorm1d {
         &self.running_var
     }
 
-    /// Overwrites the running statistics (used when applying BN patches).
-    pub fn set_running_stats(&mut self, mean: Tensor, var: Tensor) {
-        self.running_mean = mean;
-        self.running_var = var;
+    /// The running mean and variance, to overwrite in place (used when
+    /// applying BN patches).
+    pub fn running_stats_mut(&mut self) -> (&mut Tensor, &mut Tensor) {
+        (&mut self.running_mean, &mut self.running_var)
     }
 
     /// Marks only the affine parameters (γ, β) trainable or frozen.
@@ -363,10 +363,9 @@ mod tests {
     #[test]
     fn batchnorm_eval_uses_running_stats() {
         let mut bn = BatchNorm1d::new(1);
-        bn.set_running_stats(
-            Tensor::from_vec(vec![4.0], &[1]).unwrap(),
-            Tensor::from_vec(vec![9.0], &[1]).unwrap(),
-        );
+        let (mean, var) = bn.running_stats_mut();
+        *mean = Tensor::from_vec(vec![4.0], &[1]).unwrap();
+        *var = Tensor::from_vec(vec![9.0], &[1]).unwrap();
         let x = Tensor::from_vec(vec![7.0], &[1, 1]).unwrap();
         let tape = Tape::new();
         let xv = tape.leaf(x);

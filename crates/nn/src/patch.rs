@@ -77,22 +77,27 @@ impl BnPatch {
     /// unmodified in either case.
     pub fn apply(&self, model: &mut MlpResNet) -> Result<()> {
         // Validate before mutating anything.
-        let mut widths = Vec::new();
-        model.visit_bn(&mut |bn| widths.push(bn.width()));
-        if widths.len() != self.layers.len() {
+        let (mut layers, mut width_mismatch) = (0, None);
+        model.visit_bn(&mut |bn| {
+            if let Some(state) = self.layers.get(layers) {
+                if state.gamma.len() != bn.width() && width_mismatch.is_none() {
+                    width_mismatch = Some(NnError::PatchWidthMismatch {
+                        layer: layers,
+                        patch_width: state.gamma.len(),
+                        model_width: bn.width(),
+                    });
+                }
+            }
+            layers += 1;
+        });
+        if layers != self.layers.len() {
             return Err(NnError::PatchLayoutMismatch {
                 patch_layers: self.layers.len(),
-                model_layers: widths.len(),
+                model_layers: layers,
             });
         }
-        for (i, (state, &w)) in self.layers.iter().zip(&widths).enumerate() {
-            if state.gamma.len() != w {
-                return Err(NnError::PatchWidthMismatch {
-                    layer: i,
-                    patch_width: state.gamma.len(),
-                    model_width: w,
-                });
-            }
+        if let Some(err) = width_mismatch {
+            return Err(err);
         }
         for (i, state) in self.layers.iter().enumerate() {
             let finite = |t: &Tensor| t.data().iter().all(|v| v.is_finite());
@@ -105,12 +110,17 @@ impl BnPatch {
                 return Err(NnError::PatchNotFinite { layer: i });
             }
         }
+        // Copied into the model's own tensors, so applying allocates
+        // nothing when the shapes agree (they always do for a patch
+        // extracted from a model of this architecture).
         let mut i = 0;
         model.visit_bn(&mut |bn| {
             let s = &self.layers[i];
-            *bn.gamma_mut().value_mut() = s.gamma.clone();
-            *bn.beta_mut().value_mut() = s.beta.clone();
-            bn.set_running_stats(s.running_mean.clone(), s.running_var.clone());
+            assign(bn.gamma_mut().value_mut(), &s.gamma);
+            assign(bn.beta_mut().value_mut(), &s.beta);
+            let (mean, var) = bn.running_stats_mut();
+            assign(mean, &s.running_mean);
+            assign(var, &s.running_var);
             i += 1;
         });
         Ok(())
@@ -151,6 +161,15 @@ impl BnPatch {
     /// The per-layer states.
     pub fn layers(&self) -> &[BnLayerState] {
         &self.layers
+    }
+}
+
+/// Overwrites `dst` with `src`: in place when their shapes agree.
+fn assign(dst: &mut Tensor, src: &Tensor) {
+    if dst.shape() == src.shape() {
+        dst.data_mut().copy_from_slice(src.data());
+    } else {
+        *dst = src.clone();
     }
 }
 
