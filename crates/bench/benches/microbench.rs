@@ -13,17 +13,16 @@
 //! * `wire`, `net/deploy_broadcast_2800` and `log/ingest_{batch,rows}_30k`
 //!   — what one upload frame, one device's deploy-chunk check, one
 //!   fleet-wide push and one window's ingest cost at the shapes the fleet
-//!   workloads send (these rows also join `BENCH_fleet.json`, beside the
-//!   runs they explain);
+//!   workloads send;
 //! * `device/window_fleet_2800` and `net/upload_window_fleet_2800` — one
-//!   `fleet_wide` window's device stage, and its upload phase plus ingest
-//!   (written to `BENCH_fleet.json` only);
+//!   `fleet_wide` window's device stage, and its upload phase plus ingest;
 //! * plus substrate benchmarks (matmul, inference, log ingest, version
 //!   selection).
 //!
-//! Every row is timed by [`nazar_bench::median_ns`] and written to
-//! `BENCH_tensor.json` (the two fleet-window rows to `BENCH_fleet.json`)
-//! by [`nazar_bench::merge_bench_json`].
+//! Every row is timed by [`nazar_bench::median_ns`] and written by
+//! [`nazar_bench::merge_bench_json`] to one file: the transport and
+//! fleet-window rows above to `BENCH_fleet.json`, beside the runs they
+//! explain, the rest to `BENCH_tensor.json`.
 //! `NAZAR_BENCH_FILTER` runs only the ids that contain it, and such a run
 //! replaces only the rows it measured.
 
@@ -535,9 +534,10 @@ fn bench_registry(suite: &mut Suite) {
     });
 }
 
-/// Runs every bench the filter keeps, then merges the rows into
-/// `BENCH_tensor.json` under a header naming what shaped the numbers:
-/// commit, host, thread width and SIMD tier.
+/// Runs every bench the filter keeps, then merges each row into its
+/// report, `BENCH_tensor.json` or `BENCH_fleet.json`, under a header
+/// naming what shaped the numbers: commit, host, thread width and SIMD
+/// tier.
 fn main() {
     let mut suite = Suite {
         filter: std::env::var("NAZAR_BENCH_FILTER").unwrap_or_default(),
@@ -557,25 +557,22 @@ fn main() {
     bench_registry(&mut suite);
 
     // Every id that contains the filter was measured, so a stale row is
-    // one that contains it and was not. The fleet-window rows live in the
-    // fleet report alone.
+    // one that contains it and was not. The transport rows explain the
+    // fleet runs, so they live in that report alone (the same file as the
+    // rest when `NAZAR_BENCH_OUT` redirects the run).
     let filter = suite.filter.as_str();
-    let fleet_only = |id: &str| id.ends_with("_window_fleet_2800");
-    nazar_bench::merge_bench_json(
-        &nazar_bench::bench_out("BENCH_tensor.json"),
-        |id| id.contains(filter),
-        suite.report_rows(|id| !fleet_only(id)),
-    )
-    .expect("the tensor bench report is writable");
-
-    // The transport rows explain the fleet runs, so they also join that
-    // report (the same file when `NAZAR_BENCH_OUT` redirects the run).
     let transport = |id: &str| {
         ["wire/", "net/", "log/ingest_batch", "log/ingest_rows"]
             .iter()
             .any(|prefix| id.starts_with(prefix))
-            || fleet_only(id)
+            || id.ends_with("_window_fleet_2800")
     };
+    nazar_bench::merge_bench_json(
+        &nazar_bench::bench_out("BENCH_tensor.json"),
+        |id| !transport(id) && id.contains(filter),
+        suite.report_rows(|id| !transport(id)),
+    )
+    .expect("the tensor bench report is writable");
     nazar_bench::merge_bench_json(
         &nazar_bench::bench_out("BENCH_fleet.json"),
         |id| transport(id) && id.contains(filter),

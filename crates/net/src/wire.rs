@@ -59,11 +59,11 @@
 //! the same bytes. A sender that keeps a [`FrameBuffers`] writes every
 //! frame into it ([`encode_upload_rows_with`], [`encode_frame_with`]) and
 //! allocates only the copy it shares the frame as. The cloud reads an
-//! upload payload in place with
-//! [`parse_upload`]: the page and layout-1 rows go into a
-//! `RowBatch<&str>` that borrows the frame's strings. [`decode_frame`] is
-//! that parser plus string materialisation, so both refuse a frame with
-//! the same [`NetError`].
+//! upload payload in place with one parser, which hands the page and
+//! layout-1 rows to a sink: a `RowBatch<&str>` that borrows the frame's
+//! strings ([`parse_upload`]), or the exchange's window buffers, which
+//! keep them. [`decode_frame`] is that parser plus string
+//! materialisation, so both refuse a frame with the same [`NetError`].
 
 use crate::error::{NetError, Result};
 use nazar_data::{Corruption, SimDate};
@@ -794,9 +794,9 @@ pub fn encode_upload_rows_with<'b, S: AsRef<str>>(
     bufs.frame()
 }
 
-/// An upload-batch payload parsed in place by [`parse_upload`]: its page
-/// and its schema rows went into the batch handed to the parser, borrowing
-/// the frame's strings; its samples are read on demand.
+/// An upload-batch payload parsed in place by [`parse_upload`] or the
+/// exchange: its page and its schema rows went into the batch or buffers
+/// handed to the parser; its samples are read on demand.
 #[derive(Debug, Clone)]
 pub struct UploadRef<'a> {
     /// Per-device batch number.
@@ -814,7 +814,7 @@ pub struct UploadRef<'a> {
 
 impl<'a> UploadRef<'a> {
     /// The frame's sampled inputs, materialised against `page` — the page
-    /// of the batch [`parse_upload`] filled.
+    /// the parser handed over.
     ///
     /// # Errors
     ///
@@ -858,16 +858,57 @@ impl<'a> UploadRef<'a> {
     }
 }
 
-/// The one upload parser: reads an upload-batch payload (as returned by
-/// [`open_frame`]) in place. `rows` is emptied and given the frame's page
-/// verbatim — entry 0 the sender's id — and, for a layout-1 frame, its
-/// rows as the frame's own page codes over [`LOG_SCHEMA`]; no string is
-/// copied. The samples stay unread until [`UploadRef::samples`].
+/// Where [`parse_upload_into`] puts what an upload frame holds: its page,
+/// string by string, then its layout-1 rows.
+pub(crate) trait UploadSink<'a> {
+    /// Appends the frame's next page string.
+    fn push_page(&mut self, s: &'a str);
+    /// The frame's page strings so far.
+    fn page(&self) -> &[&'a str];
+    /// Appends one layout-1 row: its timestamp, its drift flag and one
+    /// code into the page per [`LOG_SCHEMA`] column.
+    fn push_coded(&mut self, timestamp: u64, drift: bool, codes: &[u32]);
+}
+
+/// The batch takes the frame's strings borrowed and its rows as they are.
+impl<'a> UploadSink<'a> for RowBatch<&'a str> {
+    fn push_page(&mut self, s: &'a str) {
+        RowBatch::push_page(self, s);
+    }
+
+    fn page(&self) -> &[&'a str] {
+        RowBatch::page(self)
+    }
+
+    fn push_coded(&mut self, timestamp: u64, drift: bool, codes: &[u32]) {
+        RowBatch::push_coded(self, timestamp, drift, codes);
+    }
+}
+
+/// Reads an upload-batch payload (as returned by [`open_frame`]) in
+/// place: `rows` is emptied and given the frame's page verbatim — entry 0
+/// the sender's id — and, for a layout-1 frame, its rows as the frame's
+/// own page codes over [`LOG_SCHEMA`]; no string is copied. The samples
+/// stay unread until [`UploadRef::samples`].
 ///
 /// # Errors
 ///
 /// The errors of [`decode_frame`] up to the samples section.
 pub fn parse_upload<'a>(payload: &'a [u8], rows: &mut RowBatch<&'a str>) -> Result<UploadRef<'a>> {
+    rows.reset(&LOG_SCHEMA);
+    parse_upload_into(payload, rows)
+}
+
+/// The one upload parser: [`parse_upload`] into any sink, whose page
+/// starts empty. On an error `sink` may hold part of the frame.
+///
+/// # Errors
+///
+/// The errors of [`decode_frame`] up to the samples section.
+pub(crate) fn parse_upload_into<'a>(
+    payload: &'a [u8],
+    sink: &mut impl UploadSink<'a>,
+) -> Result<UploadRef<'a>> {
     let mut r = Reader::new(payload);
     let seq = r.get_varint()?;
     let schema_rows = match r.get_u8()? {
@@ -875,12 +916,11 @@ pub fn parse_upload<'a>(payload: &'a [u8], rows: &mut RowBatch<&'a str>) -> Resu
         1 => true,
         _ => return Err(NetError::Malformed("upload layout must be 0 or 1")),
     };
-    rows.reset(&LOG_SCHEMA);
     let n_page = r.get_varint_count("page length")?;
     for _ in 0..n_page {
-        rows.push_page(r.get_page_str()?);
+        sink.push_page(r.get_page_str()?);
     }
-    let Some(&device_id) = rows.page().first() else {
+    let Some(&device_id) = sink.page().first() else {
         return Err(NetError::Malformed("empty string page"));
     };
 
@@ -898,15 +938,15 @@ pub fn parse_upload<'a>(payload: &'a [u8], rows: &mut RowBatch<&'a str>) -> Resu
         let Some(entries) = keyed.as_mut() else {
             for code in &mut codes {
                 let at = r.get_varint()?;
-                paged(rows.page(), at)?;
+                paged(sink.page(), at)?;
                 *code = at as u32;
             }
-            rows.push_coded(timestamp, drift, &codes);
+            sink.push_coded(timestamp, drift, &codes);
             continue;
         };
         entries.push(DriftLogEntry {
             timestamp,
-            attrs: get_paged_attrs(&mut r, rows.page(), false)?,
+            attrs: get_paged_attrs(&mut r, sink.page(), false)?,
             drift,
         });
     }

@@ -95,17 +95,19 @@ fn rows_allocate_nothing_of_their_own_from_device_to_log() {
     );
 }
 
-/// Each device window costs at most three allocations, window-wide ones
+/// Each device window costs at most two allocations, window-wide ones
 /// included: a warm one-row window of eight devices makes one frame a
 /// device (the shared copy of its bytes), one acknowledgement frame, the
-/// worker-chunk list of the device pass, the event queue's growth, and
-/// now and then a doubling of one of the log's columns.
+/// worker-chunk list of the device pass, and now and then a doubling of
+/// one of the log's columns (100 for the 64 device windows; the event
+/// queue keeps its buffers from phase to phase, and the forward's
+/// workspace finds each buffer it asks for).
 #[test]
-fn a_device_window_costs_at_most_three_allocations() {
+fn a_device_window_costs_at_most_two_allocations() {
     let one = window_allocations(1);
     let device_windows = WINDOWS * DEVICES;
     assert!(
-        one <= 3 * device_windows,
+        one <= 2 * device_windows,
         "{device_windows} one-row device windows cost {one} allocations"
     );
 }

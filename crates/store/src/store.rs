@@ -43,7 +43,7 @@ use nazar_tensor::parallel;
 use crate::chunk::{decode_chunk, encode_chunk, verify_chunk, ChunkData, EncodeStats};
 use crate::codec::crc32;
 use crate::config::StoreConfig;
-use crate::manifest::{ChunkMeta, Manifest, MANIFEST_KEY};
+use crate::manifest::{self, ChunkMeta, Manifest, MANIFEST_KEY};
 use crate::storage::{FsBackend, MemoryBackend, Storage};
 use crate::{Result, StoreError};
 
@@ -228,6 +228,8 @@ pub struct DriftStore {
     /// Per-column dictionary lengths at the last manifest write, to
     /// detect dictionary growth that must reach the manifest.
     manifest_dict_lens: Vec<usize>,
+    /// The buffer each manifest is written into, kept between writes.
+    manifest_json: String,
     recovery: RecoveryReport,
     cache: Mutex<ChunkCache>,
 }
@@ -261,6 +263,7 @@ impl DriftStore {
                 tail_start: 0,
                 tail_sealed: 0,
                 manifest_dict_lens: vec![0; schema_strings.len()],
+                manifest_json: String::new(),
                 recovery: RecoveryReport::default(),
                 cache: Mutex::new(ChunkCache::default()),
                 config,
@@ -394,6 +397,7 @@ impl DriftStore {
             tail_start,
             tail_sealed,
             manifest_dict_lens,
+            manifest_json: String::new(),
             recovery: RecoveryReport {
                 rows_recovered: total_rows,
                 dropped_chunks: dropped,
@@ -682,16 +686,17 @@ impl DriftStore {
     /// committed) chunk list — the transactional paths write the manifest
     /// from locals and assign `self.chunks` only once it has landed.
     fn write_manifest_for(&mut self, chunks: &[ChunkMeta]) -> Result<()> {
-        let manifest = Manifest {
-            version: crate::manifest::MANIFEST_VERSION,
-            schema: self.tail.schema().to_vec(),
-            dicts: (0..self.schema().len())
-                .map(|ci| self.tail.dict_values(ci).to_vec())
-                .collect(),
-            chunks: chunks.to_vec(),
-            next_chunk_id: self.next_chunk_id,
-        };
-        manifest.write_to(&*self.storage)?;
+        let tail = &self.tail;
+        manifest::write_json(
+            &mut self.manifest_json,
+            manifest::MANIFEST_VERSION,
+            tail.schema(),
+            (0..tail.schema().len()).map(|ci| tail.dict_values(ci)),
+            chunks,
+            self.next_chunk_id,
+        );
+        self.storage
+            .put(MANIFEST_KEY, self.manifest_json.as_bytes())?;
         MANIFEST_REWRITES.inc();
         self.manifest_dict_lens = (0..self.schema().len())
             .map(|ci| self.tail.dict_values(ci).len())

@@ -99,14 +99,16 @@ impl Workspace {
         buf
     }
 
+    /// The smallest pooled buffer that holds `len` elements (the first of
+    /// equals), so a larger request later still finds the larger buffers;
+    /// a new one when none does.
     fn take_buffer(&mut self, len: usize) -> Vec<f32> {
         self.recent_peak = self.recent_peak.max(len);
-        match self
-            .pool
-            .iter()
-            .position(|b| b.capacity() >= len)
-            .map(|i| self.pool.swap_remove(i))
-        {
+        let fit = (self.pool.iter().enumerate())
+            .filter(|(_, b)| b.capacity() >= len)
+            .min_by_key(|(_, b)| b.capacity())
+            .map(|(i, _)| i);
+        match fit.map(|i| self.pool.swap_remove(i)) {
             Some(buf) => {
                 POOL_HITS.inc();
                 note_pool_bytes(-((buf.capacity() * std::mem::size_of::<f32>()) as isize));
@@ -203,6 +205,24 @@ mod tests {
         ws.recycle(buf);
         let buf2 = ws.take_zeroed(512);
         assert_eq!(buf2.as_ptr(), ptr, "pooled buffer should be reused");
+    }
+
+    #[test]
+    fn a_take_leaves_larger_buffers_for_larger_requests() {
+        let mut ws = Workspace::new();
+        let (big, small, also_small) =
+            (ws.take_zeroed(1024), ws.take_zeroed(64), ws.take_zeroed(64));
+        let ptrs = [big.as_ptr(), small.as_ptr(), also_small.as_ptr()];
+        for buf in [big, small, also_small] {
+            ws.recycle(buf);
+        }
+        // The smallest that fits, the first of equals; then the next.
+        let taken = [ws.take_zeroed(48), ws.take_zeroed(64), ws.take_zeroed(1000)];
+        assert_eq!(
+            taken.each_ref().map(|b| b.as_ptr()),
+            [ptrs[1], ptrs[2], ptrs[0]]
+        );
+        assert_eq!(ws.pooled(), 0);
     }
 
     #[test]
