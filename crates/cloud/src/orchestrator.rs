@@ -547,6 +547,7 @@ impl Orchestrator {
             // A finished run keeps no buffer that only a next window uses.
             self.fleet.release_window_buffers();
             self.delivery = FrameDelivery::default();
+            self.exchange.release_event_buffers();
         }
         Some(WindowReport {
             window: w,

@@ -263,7 +263,7 @@ impl RowBatch<&str> {
     /// Empties the batch and ends its borrow of the strings its page named,
     /// keeping every buffer (the page's too: collecting an emptied vector
     /// into one of the same layout reuses its allocation), so one batch
-    /// can parse frame after frame.
+    /// can be filled window after window.
     pub fn recycle<'b>(mut self) -> RowBatch<&'b str> {
         self.reset(self.keys);
         RowBatch {
